@@ -42,6 +42,10 @@
 #                          RAYON_NUM_THREADS in {1, 2, 8}, plus the tiny-scale
 #                          serving-session probe (the probe — and only it —
 #                          is skipped in FAST)
+#   qgtcbench              the end-to-end benchmark's own tests, including the
+#                          --quick smoke of all four workloads; it is a
+#                          package outside the workspace, so no other stage
+#                          builds it against the current library API
 #   bench-compile          criterion benches must compile
 #   examples               examples + bins must build
 #   perfsmoke              tiny-scale perf gates: fused GEMM, streamed
@@ -58,7 +62,7 @@ cd "$(dirname "$0")"
 
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
-KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling chaos condense serving bench-compile examples perfsmoke benchcheck doc"
+KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
 # QGTC_CI_STAGE aborts immediately with the list, and an unset one announces
@@ -295,6 +299,7 @@ stage tiling tiling_stage
 stage chaos chaos_stage
 stage condense condense_stage
 stage serving serving_stage
+stage qgtcbench cargo test --offline --manifest-path crates/bench/src/bin/qgtcbench/Cargo.toml
 stage bench-compile cargo bench --no-run --workspace
 stage examples cargo build --workspace --examples --bins
 if [[ "$FAST" == "1" ]]; then

@@ -87,7 +87,7 @@ impl<'a> DglEngine<'a> {
         kind: DglLayerKind,
     ) -> Matrix<f32> {
         assert_eq!(subgraph.num_nodes(), features.rows());
-        let mut adjacency = subgraph.adjacency.clone();
+        let mut adjacency = subgraph.dense_adjacency();
         if kind == DglLayerKind::GcnMean {
             // Row-normalise.
             for r in 0..adjacency.rows() {

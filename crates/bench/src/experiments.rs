@@ -22,6 +22,7 @@ use qgtc_tcsim::cost::CostTracker;
 use qgtc_tcsim::{DeviceModel, PipelineEstimate};
 use qgtc_tensor::rng::random_uniform_matrix;
 use qgtc_tensor::Matrix;
+use std::sync::Arc;
 
 /// How large the experiments run.
 #[derive(Debug, Clone, PartialEq)]
@@ -399,11 +400,7 @@ pub fn fig8_zero_tile(
                 if subgraph.num_nodes() == 0 {
                     continue;
                 }
-                let stack = StackedBitMatrix::from_binary_adjacency(
-                    &subgraph.adjacency,
-                    BitMatrixLayout::RowPacked,
-                );
-                let census = census_adjacency(&stack);
+                let census = census_adjacency(&subgraph.adjacency);
                 total += census.total_tiles;
                 nonzero += census.nonzero_tiles;
             }
@@ -470,7 +467,10 @@ pub fn dense_batch(n: usize, dim: usize, seed: u64) -> (DenseSubgraph, Matrix<f3
     let subgraph = DenseSubgraph {
         nodes: (0..n).collect(),
         num_edges: n * n,
-        adjacency,
+        adjacency: Arc::new(StackedBitMatrix::from_binary_adjacency(
+            &adjacency,
+            BitMatrixLayout::RowPacked,
+        )),
     };
     (subgraph, features)
 }

@@ -14,7 +14,7 @@
 //! dimension to 8 (`PAD8`) so every Tensor Core tile access is in bounds.  Padding
 //! bits are zero, which is semantically neutral for AND+popcount accumulation.
 
-use crate::pack::{pack_bits_le_into, pad128, pad8, WORD_BITS};
+use crate::pack::{pad128, pad8, popcount_words, WORD_BITS};
 use qgtc_tensor::Matrix;
 
 /// Which dimension of the logical matrix is packed into words.
@@ -50,33 +50,12 @@ impl BitMatrix {
     ///
     /// Any nonzero entry is treated as 1.
     pub fn from_dense_f32(dense: &Matrix<f32>, layout: BitMatrixLayout) -> Self {
-        let bits = dense.map(|&v| (v != 0.0) as u8);
-        Self::from_bits(&bits, layout)
+        Self::from_nonzero(dense, layout)
     }
 
-    /// [`BitMatrix::from_dense_f32`] packing into recycled `storage` (see
-    /// [`BitMatrix::from_bits_in`]).
-    pub fn from_dense_f32_in(
-        dense: &Matrix<f32>,
-        layout: BitMatrixLayout,
-        storage: Vec<u32>,
-    ) -> Self {
-        let bits = dense.map(|&v| (v != 0.0) as u8);
-        Self::from_bits_in(&bits, layout, storage)
-    }
-
-    /// Pack a 0/1 `u8` matrix as a bit plane. Panics if any entry exceeds 1.
-    pub fn from_bits(bits: &Matrix<u8>, layout: BitMatrixLayout) -> Self {
-        Self::from_bits_in(bits, layout, Vec::new())
-    }
-
-    /// [`BitMatrix::from_bits`] packing into `storage` — a buffer recovered
-    /// from an earlier plane via [`BitMatrix::into_words`] — instead of a
-    /// fresh allocation.  The buffer is cleared and zero-filled to the packed
-    /// length before any bit is set, so the result is bitwise identical to
-    /// the freshly-allocated path no matter what the recycled buffer held.
-    pub fn from_bits_in(bits: &Matrix<u8>, layout: BitMatrixLayout, storage: Vec<u32>) -> Self {
-        let (rows, cols) = bits.shape();
+    /// An all-zero `rows × cols` plane in recycled `storage` (cleared and
+    /// zero-filled to the padded length), ready for [`BitMatrix::set`].
+    pub fn zeros_in(rows: usize, cols: usize, layout: BitMatrixLayout, storage: Vec<u32>) -> Self {
         let (lanes, words_per_lane) = match layout {
             BitMatrixLayout::RowPacked => (pad8(rows), pad128(cols) / WORD_BITS),
             BitMatrixLayout::ColPacked => (pad8(cols), pad128(rows) / WORD_BITS),
@@ -84,29 +63,6 @@ impl BitMatrix {
         let mut words = storage;
         words.clear();
         words.resize(lanes * words_per_lane, 0);
-        match layout {
-            BitMatrixLayout::RowPacked => {
-                for r in 0..rows {
-                    let lane = &mut words[r * words_per_lane..(r + 1) * words_per_lane];
-                    pack_bits_le_into(bits.row(r), lane);
-                }
-            }
-            BitMatrixLayout::ColPacked => {
-                // Row-major walk over the source (cache-friendly); each set bit
-                // ORs into its column's lane, which is equivalent to packing
-                // each column in turn because the storage starts zeroed.
-                for r in 0..rows {
-                    let word = r / WORD_BITS;
-                    let mask = 1u32 << (r % WORD_BITS);
-                    for (c, &b) in bits.row(r).iter().enumerate() {
-                        debug_assert!(b <= 1, "from_bits expects 0/1 values, got {b}");
-                        if b != 0 {
-                            words[c * words_per_lane + word] |= mask;
-                        }
-                    }
-                }
-            }
-        }
         Self {
             rows,
             cols,
@@ -117,8 +73,66 @@ impl BitMatrix {
         }
     }
 
+    /// Set logical bit `(r, c)`; returns whether it was clear before.
+    #[inline]
+    pub fn set(&mut self, r: usize, c: usize) -> bool {
+        debug_assert!(r < self.rows && c < self.cols, "bit index out of range");
+        let (lane, offset) = match self.layout {
+            BitMatrixLayout::RowPacked => (r, c),
+            BitMatrixLayout::ColPacked => (c, r),
+        };
+        let word = &mut self.words[lane * self.words_per_lane + offset / WORD_BITS];
+        let mask = 1u32 << (offset % WORD_BITS);
+        let was_clear = *word & mask == 0;
+        *word |= mask;
+        was_clear
+    }
+
+    /// Mutable packed storage (lane-major).  Callers must keep the padding
+    /// bits zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u32] {
+        &mut self.words
+    }
+
+    /// Set bits in each logical row of a row-packed plane: the row degrees
+    /// when the plane is an adjacency.
+    pub fn row_popcounts(&self) -> impl Iterator<Item = u32> + '_ {
+        assert_eq!(
+            self.layout,
+            BitMatrixLayout::RowPacked,
+            "row popcounts need a row-packed plane"
+        );
+        (0..self.rows).map(|r| popcount_words(self.lane(r)))
+    }
+
+    /// Pack a 0/1 `u8` matrix as a bit plane (any nonzero entry is a 1).
+    pub fn from_bits(bits: &Matrix<u8>, layout: BitMatrixLayout) -> Self {
+        debug_assert!(
+            bits.data().iter().all(|&b| b <= 1),
+            "from_bits expects 0/1 values"
+        );
+        Self::from_nonzero(bits, layout)
+    }
+
+    /// A plane with a 1 wherever `values` is nonzero, walked row-major.
+    fn from_nonzero<T: Copy + PartialEq + Default>(
+        values: &Matrix<T>,
+        layout: BitMatrixLayout,
+    ) -> Self {
+        let (rows, cols) = values.shape();
+        let mut plane = Self::zeros_in(rows, cols, layout, Vec::new());
+        for r in 0..rows {
+            for (c, &v) in values.row(r).iter().enumerate() {
+                if v != T::default() {
+                    plane.set(r, c);
+                }
+            }
+        }
+        plane
+    }
+
     /// Consume the plane and recover its packed storage for recycling through
-    /// [`BitMatrix::from_bits_in`] — the packed-buffer pool's seam.
+    /// [`BitMatrix::zeros_in`] — the packed-buffer pool's seam.
     pub fn into_words(self) -> Vec<u32> {
         self.words
     }

@@ -1,4 +1,7 @@
-//! Bit decomposition and recomposition of quantized integer matrices.
+//! Bit decomposition and recomposition of quantized integer matrices — the
+//! per-bit reference path.  Production packing assembles plane words directly
+//! (see [`crate::stacked::StackedBitMatrix::from_codes`]); these functions
+//! back its test oracle.
 //!
 //! `bitDecompose` (Algorithm 1, lines 1–3) takes a matrix of `q`-bit unsigned codes
 //! (stored in `u32`/`i64` containers) and splits it into `q` bit planes; plane `i`
@@ -29,20 +32,6 @@ pub fn bit_decompose(codes: &Matrix<u32>, bits: u32) -> Vec<Matrix<u8>> {
         .collect()
 }
 
-/// Decompose an `i64` code matrix (as produced by the quantizer). Values must be
-/// non-negative and fit in `bits` bits.
-pub fn bit_decompose_i64(codes: &Matrix<i64>, bits: u32) -> Vec<Matrix<u8>> {
-    let as_u32 = codes.map(|&v| {
-        assert!(
-            v >= 0,
-            "bit decomposition requires non-negative codes, got {v}"
-        );
-        assert!(v <= u32::MAX as i64, "code {v} exceeds u32 range");
-        v as u32
-    });
-    bit_decompose(&as_u32, bits)
-}
-
 /// Recompose bit planes into the original code matrix: `Σ_i plane_i << i`.
 pub fn bit_recompose(planes: &[Matrix<u8>]) -> Matrix<u32> {
     assert!(!planes.is_empty(), "cannot recompose zero planes");
@@ -57,13 +46,6 @@ pub fn bit_recompose(planes: &[Matrix<u8>]) -> Matrix<u32> {
         }
     }
     out
-}
-
-/// Number of planes required to represent the maximum value in `codes`
-/// (at least 1, so an all-zero matrix still gets one plane).
-pub fn required_bits(codes: &Matrix<u32>) -> u32 {
-    let max = codes.data().iter().copied().max().unwrap_or(0);
-    (32 - max.leading_zeros()).max(1)
 }
 
 #[cfg(test)]
@@ -111,41 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn decompose_i64_requires_non_negative() {
-        let ok = Matrix::from_vec(1, 2, vec![3i64, 0]).unwrap();
-        assert_eq!(bit_decompose_i64(&ok, 2).len(), 2);
-        let bad = Matrix::from_vec(1, 1, vec![-1i64]).unwrap();
-        let result = std::panic::catch_unwind(|| bit_decompose_i64(&bad, 2));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn recompose_rejects_mismatched_shapes() {
         let p1: Matrix<u8> = Matrix::zeros(2, 2);
         let p2: Matrix<u8> = Matrix::zeros(2, 3);
         let result = std::panic::catch_unwind(|| bit_recompose(&[p1, p2]));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn required_bits_counts_msb() {
-        assert_eq!(
-            required_bits(&Matrix::from_vec(1, 1, vec![0u32]).unwrap()),
-            1
-        );
-        assert_eq!(
-            required_bits(&Matrix::from_vec(1, 1, vec![1u32]).unwrap()),
-            1
-        );
-        assert_eq!(
-            required_bits(&Matrix::from_vec(1, 2, vec![2u32, 3]).unwrap()),
-            2
-        );
-        assert_eq!(required_bits(&sample_codes()), 3);
-        assert_eq!(
-            required_bits(&Matrix::from_vec(1, 1, vec![255u32]).unwrap()),
-            8
-        );
     }
 
     #[test]

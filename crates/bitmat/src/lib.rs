@@ -16,11 +16,14 @@
 //!   (paper: "column-wise compression", used for the left operand A) or
 //!   column-packed layout (paper: "row-wise compression", used for the right
 //!   operand B).
-//! * [`decompose`] — bit decomposition and recomposition of quantized integer
-//!   matrices.
+//! * [`decompose`] — per-bit decomposition and recomposition of quantized
+//!   integer matrices (the reference path behind the packer's test oracle).
 //! * [`stacked::StackedBitMatrix`] — the paper's *3D-stacked bit compression*: `s`
 //!   bit planes of a matrix stacked along a third axis, each plane packed with the
-//!   layout appropriate for its operand position.
+//!   layout appropriate for its operand position.  Codes go in and come out a
+//!   whole 32-bit plane word at a time, and
+//!   [`stacked::StackedBitMatrix::quantize_pack_in`] quantizes and packs in one
+//!   pass.
 //! * [`ops`] — bit-serial primitives: AND+popcount dot products and single-plane
 //!   binary matrix multiplication.
 //! * [`gemm`] — the plane-by-plane any-bitwidth GEMM composition of Algorithm 1:

@@ -77,12 +77,6 @@ pub fn unpack_bits_le(words: &[u32], len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Extract bit `bit` (0 = least significant) of every value in `values` as 0/1 bytes.
-pub fn extract_bit_plane(values: &[u32], bit: u32) -> Vec<u8> {
-    debug_assert!(bit < 32);
-    values.iter().map(|&v| ((v >> bit) & 1) as u8).collect()
-}
-
 /// Population count over a packed word slice.
 #[inline]
 pub fn popcount_words(words: &[u32]) -> u32 {
@@ -159,14 +153,6 @@ mod tests {
     #[should_panic(expected = "cannot unpack")]
     fn unpack_rejects_overrun() {
         let _ = unpack_bits_le(&[0u32], 33);
-    }
-
-    #[test]
-    fn extract_bit_plane_picks_right_bit() {
-        let values = vec![0b101u32, 0b010, 0b111];
-        assert_eq!(extract_bit_plane(&values, 0), vec![1, 0, 1]);
-        assert_eq!(extract_bit_plane(&values, 1), vec![0, 1, 1]);
-        assert_eq!(extract_bit_plane(&values, 2), vec![1, 0, 1]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
 use crate::decompose::{bit_decompose, bit_recompose};
-use crate::pack::{pad128, pad8};
+use crate::pack::{pad128, pad8, WORD_BITS};
 use qgtc_tensor::{Matrix, QuantParams};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,15 +57,62 @@ impl StackedBitMatrix {
     /// spare is popped per plane, falling back to a fresh allocation when the
     /// spare list runs dry.  Recycled storage is zeroed before packing, so the
     /// result is bitwise identical to the freshly-allocated constructor.
+    ///
+    /// Panics if `bits` is outside `1..=32` or a code does not fit in `bits`.
     pub fn from_codes_in(
         codes: &Matrix<u32>,
         bits: u32,
         layout: BitMatrixLayout,
         spares: &mut Vec<Vec<u32>>,
     ) -> Self {
+        let mut packer = WordPacker::new(codes.rows(), codes.cols(), bits, layout, spares);
+        let max = u32::MAX >> (32 - bits);
+        for r in 0..codes.rows() {
+            let row = codes.row(r);
+            if let Some(&v) = row.iter().find(|&&v| v > max) {
+                panic!("value {v} does not fit in {bits} bits");
+            }
+            packer.push_row(row);
+        }
+        packer.finish(None)
+    }
+
+    /// Quantize `values` under `params` and pack the codes in one pass,
+    /// returning the stack (which remembers `params`) and the per-row code
+    /// sums.  No code matrix is staged: each row is quantized into a scratch
+    /// row and packed straight into the planes.  Bitwise identical to
+    /// quantizing with [`qgtc_tensor::Quantizer::quantize_matrix_u32`] and
+    /// packing with [`StackedBitMatrix::from_quantized`].
+    pub fn quantize_pack_in(
+        values: &Matrix<f32>,
+        params: QuantParams,
+        layout: BitMatrixLayout,
+        spares: &mut Vec<Vec<u32>>,
+    ) -> (Self, Vec<i64>) {
+        let (rows, cols) = values.shape();
+        let mut packer = WordPacker::new(rows, cols, params.bits, layout, spares);
+        let mut codes = vec![0u32; cols];
+        let mut rowsums = Vec::with_capacity(rows);
+        for r in 0..rows {
+            // Separate loops: the quantize loop vectorizes only without the
+            // running sum.
+            for (code, &v) in codes.iter_mut().zip(values.row(r)) {
+                *code = params.quantize(v);
+            }
+            rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
+            packer.push_row(&codes);
+        }
+        (packer.finish(Some(params)), rowsums)
+    }
+
+    /// The per-bit reference packer: [`bit_decompose`] into one `u8` matrix
+    /// per plane, then [`BitMatrix::from_bits`] per plane.  Kept only as the
+    /// test oracle of the word packer behind [`StackedBitMatrix::from_codes`];
+    /// no production path calls it.
+    pub fn from_codes_per_bit(codes: &Matrix<u32>, bits: u32, layout: BitMatrixLayout) -> Self {
         let planes = bit_decompose(codes, bits)
             .iter()
-            .map(|p| BitMatrix::from_bits_in(p, layout, spares.pop().unwrap_or_default()))
+            .map(|p| BitMatrix::from_bits(p, layout))
             .collect();
         Self {
             rows: codes.rows(),
@@ -73,6 +120,19 @@ impl StackedBitMatrix {
             bits,
             layout,
             planes,
+            quant: None,
+        }
+    }
+
+    /// Wrap one packed plane as a 1-bit stack (e.g. an adjacency written
+    /// straight from CSR).
+    pub fn from_plane(plane: BitMatrix) -> Self {
+        Self {
+            rows: plane.rows(),
+            cols: plane.cols(),
+            bits: 1,
+            layout: plane.layout(),
+            planes: vec![plane],
             quant: None,
         }
     }
@@ -88,41 +148,9 @@ impl StackedBitMatrix {
         s
     }
 
-    /// [`StackedBitMatrix::from_quantized`] drawing plane storage from
-    /// `spares` (see [`StackedBitMatrix::from_codes_in`]).
-    pub fn from_quantized_in(
-        codes: &Matrix<u32>,
-        params: QuantParams,
-        layout: BitMatrixLayout,
-        spares: &mut Vec<Vec<u32>>,
-    ) -> Self {
-        let mut s = Self::from_codes_in(codes, params.bits, layout, spares);
-        s.quant = Some(params);
-        s
-    }
-
     /// Build a 1-bit stack from a dense 0/1 adjacency matrix.
     pub fn from_binary_adjacency(adjacency: &Matrix<f32>, layout: BitMatrixLayout) -> Self {
-        Self::from_binary_adjacency_in(adjacency, layout, &mut Vec::new())
-    }
-
-    /// [`StackedBitMatrix::from_binary_adjacency`] drawing the plane's storage
-    /// from `spares` (see [`StackedBitMatrix::from_codes_in`]).
-    pub fn from_binary_adjacency_in(
-        adjacency: &Matrix<f32>,
-        layout: BitMatrixLayout,
-        spares: &mut Vec<Vec<u32>>,
-    ) -> Self {
-        let plane =
-            BitMatrix::from_dense_f32_in(adjacency, layout, spares.pop().unwrap_or_default());
-        Self {
-            rows: adjacency.rows(),
-            cols: adjacency.cols(),
-            bits: 1,
-            layout,
-            planes: vec![plane],
-            quant: None,
-        }
+        Self::from_plane(BitMatrix::from_dense_f32(adjacency, layout))
     }
 
     /// Consume the stack and push every plane's packed word buffer onto
@@ -219,9 +247,43 @@ impl StackedBitMatrix {
         (repacked, rowsums)
     }
 
-    /// Reassemble the unsigned code matrix (exact inverse of `from_codes`).
+    /// Reassemble the unsigned code matrix (exact inverse of `from_codes`),
+    /// one packed word at a time.
     pub fn to_codes(&self) -> Matrix<u32> {
         UNPACK_OPS.fetch_add(1, Ordering::Relaxed);
+        let mut codes: Matrix<u32> = Matrix::zeros(self.rows, self.cols);
+        match self.layout {
+            BitMatrixLayout::RowPacked => {
+                for r in 0..self.rows {
+                    let out = codes.row_mut(r);
+                    for (b, plane) in self.planes.iter().enumerate() {
+                        for (chunk, &word) in out.chunks_mut(WORD_BITS).zip(plane.lane(r)) {
+                            for (j, code) in chunk.iter_mut().enumerate() {
+                                *code |= ((word >> j) & 1) << b;
+                            }
+                        }
+                    }
+                }
+            }
+            BitMatrixLayout::ColPacked => {
+                let cols = self.cols;
+                for (b, plane) in self.planes.iter().enumerate() {
+                    for c in 0..cols {
+                        let lane = plane.lane(c);
+                        for r in 0..self.rows {
+                            let bit = (lane[r / WORD_BITS] >> (r % WORD_BITS)) & 1;
+                            codes.data_mut()[r * cols + c] |= bit << b;
+                        }
+                    }
+                }
+            }
+        }
+        codes
+    }
+
+    /// The per-bit reference unpack (a bounds-checked `get` per bit, then
+    /// [`bit_recompose`]): the test oracle of [`StackedBitMatrix::to_codes`].
+    pub fn to_codes_per_bit(&self) -> Matrix<u32> {
         let dense_planes: Vec<Matrix<u8>> = self.planes.iter().map(BitMatrix::to_dense).collect();
         bit_recompose(&dense_planes)
     }
@@ -252,6 +314,118 @@ impl StackedBitMatrix {
         match self.layout {
             BitMatrixLayout::RowPacked => (self.bits, pad8(self.rows), pad128(self.cols) / 32),
             BitMatrixLayout::ColPacked => (self.bits, pad8(self.cols), pad128(self.rows) / 32),
+        }
+    }
+}
+
+/// The word-at-a-time packer behind every code-to-planes constructor: rows of
+/// codes go in, and each plane word is assembled from 32 codes before it is
+/// stored once.
+///
+/// * Row-packed planes: each run of 32 codes in a row becomes one word per
+///   plane.
+/// * Column-packed planes: a strip of 32 rows accumulates into one word per
+///   column and plane, stored when the strip is complete.
+struct WordPacker {
+    rows: usize,
+    cols: usize,
+    bits: u32,
+    layout: BitMatrixLayout,
+    planes: Vec<BitMatrix>,
+    /// Column-packed strip accumulators, `bits × cols`, plane-major.
+    strip: Vec<u32>,
+    next_row: usize,
+}
+
+impl WordPacker {
+    fn new(
+        rows: usize,
+        cols: usize,
+        bits: u32,
+        layout: BitMatrixLayout,
+        spares: &mut Vec<Vec<u32>>,
+    ) -> Self {
+        assert!(
+            (1..=32).contains(&bits),
+            "bits must be in 1..=32, got {bits}"
+        );
+        let planes = (0..bits)
+            .map(|_| BitMatrix::zeros_in(rows, cols, layout, spares.pop().unwrap_or_default()))
+            .collect();
+        let strip = match layout {
+            BitMatrixLayout::RowPacked => Vec::new(),
+            BitMatrixLayout::ColPacked => vec![0; bits as usize * cols],
+        };
+        Self {
+            rows,
+            cols,
+            bits,
+            layout,
+            planes,
+            strip,
+            next_row: 0,
+        }
+    }
+
+    /// Pack the next row's codes (each must fit in `bits`).
+    fn push_row(&mut self, codes: &[u32]) {
+        debug_assert_eq!(codes.len(), self.cols);
+        let r = self.next_row;
+        debug_assert!(r < self.rows, "more rows pushed than declared");
+        self.next_row += 1;
+        match self.layout {
+            BitMatrixLayout::RowPacked => {
+                for (b, plane) in self.planes.iter_mut().enumerate() {
+                    let words_per_lane = plane.words_per_lane();
+                    let lane = &mut plane.words_mut()[r * words_per_lane..];
+                    for (slot, chunk) in lane.iter_mut().zip(codes.chunks(WORD_BITS)) {
+                        *slot = chunk
+                            .iter()
+                            .enumerate()
+                            .fold(0, |word, (j, &code)| word | ((code >> b) & 1) << j);
+                    }
+                }
+            }
+            BitMatrixLayout::ColPacked if self.cols == 0 => {}
+            BitMatrixLayout::ColPacked => {
+                let shift = r % WORD_BITS;
+                for (b, acc) in self.strip.chunks_exact_mut(self.cols).enumerate() {
+                    for (word, &code) in acc.iter_mut().zip(codes) {
+                        *word |= ((code >> b) & 1) << shift;
+                    }
+                }
+                if shift == WORD_BITS - 1 || r + 1 == self.rows {
+                    self.flush_strip(r / WORD_BITS);
+                }
+            }
+        }
+    }
+
+    /// Store the column-packed strip accumulators as word `strip` of every
+    /// column lane, then clear them.
+    fn flush_strip(&mut self, strip: usize) {
+        for (plane, acc) in self
+            .planes
+            .iter_mut()
+            .zip(self.strip.chunks_exact_mut(self.cols))
+        {
+            let words_per_lane = plane.words_per_lane();
+            let words = plane.words_mut();
+            for (c, word) in acc.iter_mut().enumerate() {
+                words[c * words_per_lane + strip] = std::mem::take(word);
+            }
+        }
+    }
+
+    fn finish(self, quant: Option<QuantParams>) -> StackedBitMatrix {
+        assert_eq!(self.next_row, self.rows, "every row must be pushed");
+        StackedBitMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            bits: self.bits,
+            layout: self.layout,
+            planes: self.planes,
+            quant,
         }
     }
 }
@@ -395,22 +569,6 @@ mod tests {
             assert_eq!(recycled.checksum(), fresh.checksum());
             assert_eq!(spares.len(), 1, "two planes consumed two spares");
         }
-    }
-
-    #[test]
-    fn recycled_adjacency_matches_fresh() {
-        let mut adj = Matrix::zeros(6, 6);
-        adj[(0, 1)] = 1.0;
-        adj[(5, 2)] = 1.0;
-        let fresh = StackedBitMatrix::from_binary_adjacency(&adj, BitMatrixLayout::RowPacked);
-        let mut spares = vec![vec![0xFFFF_FFFFu32; 64]];
-        let recycled = StackedBitMatrix::from_binary_adjacency_in(
-            &adj,
-            BitMatrixLayout::RowPacked,
-            &mut spares,
-        );
-        assert_eq!(recycled, fresh);
-        assert!(spares.is_empty());
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub fn bit_mm_to_bit(
     let epilogue = FusedEpilogue::requantize_right_operand(1.0, out_bits);
     let (stack, params) = select_backend(config.backend)
         .apply_epilogue(&epilogue, &accumulator, tracker)
+        .expect("an i64 accumulator at scale 1 always has a finite range")
         .into_quantized()
         .expect("requantizing epilogue");
     (BitTensor::from_stack(stack), params)

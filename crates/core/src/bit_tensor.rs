@@ -12,7 +12,7 @@
 //! transfer experiments are faithful.
 
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
-use qgtc_tensor::{Matrix, QuantParams, Quantizer};
+use qgtc_tensor::{Matrix, QuantParams};
 
 /// A packed any-bitwidth tensor riding in 32-bit storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +26,12 @@ impl BitTensor {
     /// `layout` selects the packing for the operand position the tensor will take in
     /// a subsequent bit-matrix multiplication (left operand → row-packed, right
     /// operand → column-packed).
+    ///
+    /// Panics if `bits` is outside `1..=32` or `x` holds an infinite value.
     pub fn from_f32(x: &Matrix<f32>, bits: u32, layout: BitMatrixLayout) -> Self {
-        let quantizer = Quantizer::calibrate(bits, x).expect("bits must be in 1..=32");
-        let codes = quantizer.quantize_matrix_u32(x);
+        let params = QuantParams::calibrate(bits, x).unwrap_or_else(|err| panic!("{err}"));
         Self {
-            stack: StackedBitMatrix::from_quantized(&codes, quantizer.params(), layout),
+            stack: StackedBitMatrix::quantize_pack_in(x, params, layout, &mut Vec::new()).0,
         }
     }
 

@@ -26,6 +26,7 @@
 use qgtc_graph::GraphError;
 use qgtc_kernels::backend::{resolve_auto, select_backend, BackendChoice};
 use qgtc_partition::PartitionError;
+use qgtc_tensor::TensorError;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable holding a comma-separated fault spec (see [`FaultPlan::parse`]).
@@ -445,7 +446,7 @@ pub fn fallback_backend(lost: BackendChoice) -> Option<BackendChoice> {
 }
 
 /// The typed error surface of the `try_*` pipeline entry points.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QgtcError {
     /// A [`crate::config::QgtcConfig`] invariant does not hold.
     InvalidConfig(String),
@@ -485,6 +486,33 @@ pub enum QgtcError {
         /// The offending global node id.
         node: usize,
     },
+    /// The dataset's features hold a NaN or infinite value, which would
+    /// calibrate its batch into meaningless codes.  Names the first one in
+    /// node-major order.
+    NonFiniteFeature {
+        /// Global node id of the row holding the value.
+        node: usize,
+        /// Feature column of the value.
+        column: usize,
+    },
+    /// The dataset's features are finite but span a range wider than `f32`
+    /// can represent, so a batch holding both extremes has no finite
+    /// quantization scale.
+    FeatureRangeOverflow {
+        /// Smallest feature value.
+        min: f32,
+        /// Largest feature value.
+        max: f32,
+    },
+    /// A batch's layer activations overflowed `f32`, so an epilogue could
+    /// not re-quantize them.  The serving session degrades the batch; an
+    /// epoch fails with this error.
+    NonFiniteActivations {
+        /// The epoch position of the failed batch.
+        batch: usize,
+        /// The calibration failure.
+        source: TensorError,
+    },
 }
 
 impl std::fmt::Display for QgtcError {
@@ -515,6 +543,17 @@ impl std::fmt::Display for QgtcError {
                 f,
                 "node {node} is outside the serving session's partition plan"
             ),
+            QgtcError::NonFiniteFeature { node, column } => write!(
+                f,
+                "feature column {column} of node {node} is NaN or infinite"
+            ),
+            QgtcError::FeatureRangeOverflow { min, max } => write!(
+                f,
+                "feature range [{min}, {max}] is wider than f32 can represent"
+            ),
+            QgtcError::NonFiniteActivations { batch, source } => {
+                write!(f, "batch {batch}: activations overflowed f32: {source}")
+            }
         }
     }
 }
@@ -524,6 +563,7 @@ impl std::error::Error for QgtcError {
         match self {
             QgtcError::Graph(err) => Some(err),
             QgtcError::Partition(err) => Some(err),
+            QgtcError::NonFiniteActivations { source, .. } => Some(source),
             _ => None,
         }
     }

@@ -231,10 +231,13 @@ pub(crate) fn build_plan(
 }
 
 /// Fallible form of the plan stage: validates the config
-/// ([`QgtcConfig::validate`]), partitions through the partitioner's typed-error
-/// entry points, and runs under the partition-site fault supervisor. Every
-/// invalid-argument panic of the old path (`batch_size == 0`, `num_parts == 0`,
-/// `num_parts > n`) is a [`QgtcError`] here.
+/// ([`QgtcConfig::validate`]) and the dataset features (a NaN or infinite
+/// value is [`QgtcError::NonFiniteFeature`], a range wider than `f32` is
+/// [`QgtcError::FeatureRangeOverflow`]), partitions through the
+/// partitioner's typed-error entry points, and runs under the partition-site
+/// fault supervisor. Every invalid-argument panic of the old path
+/// (`batch_size == 0`, `num_parts == 0`, `num_parts > n`) is a [`QgtcError`]
+/// here.
 pub fn try_build_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
@@ -251,6 +254,7 @@ pub(crate) fn supervised_build_plan(
     injector: Option<&FaultInjector>,
 ) -> Result<(PartitionBatcher, usize), QgtcError> {
     config.validate()?;
+    check_finite_features(dataset)?;
     let max_retries = config.max_batch_retries as u32;
     let mut attempt = 0u32;
     let mut absorbed = 0u64;
@@ -276,6 +280,31 @@ pub(crate) fn supervised_build_plan(
         injector.count_recovered(absorbed);
     }
     Ok((batcher, shards))
+}
+
+/// The first NaN or infinite feature value, or a feature range no batch
+/// could be calibrated over, as a typed error.  A batch's range is a subset
+/// of the dataset's, so a finite dataset range keeps every batch's finite.
+fn check_finite_features(dataset: &LoadedDataset) -> Result<(), QgtcError> {
+    let features = &dataset.features;
+    // Magnitudes below 2^127 are finite and any two of them differ by less
+    // than `f32::MAX`, so one scan clears the common case; the sequential
+    // min/max (several times slower) runs only past it.
+    let half_range = 2f32.powi(127);
+    if features.data().iter().all(|v| v.abs() < half_range) {
+        return Ok(());
+    }
+    if let Some(at) = features.data().iter().position(|v| !v.is_finite()) {
+        return Err(QgtcError::NonFiniteFeature {
+            node: at / features.cols(),
+            column: at % features.cols(),
+        });
+    }
+    let (min, max) = features.min_max();
+    if !(max - min).is_finite() {
+        return Err(QgtcError::FeatureRangeOverflow { min, max });
+    }
+    Ok(())
 }
 
 /// Exponential backoff between supervised retries, starting at 50µs and capped
@@ -332,14 +361,16 @@ pub(crate) fn condense_payload_if_dispatched(prepared: &mut PreparedBatch, kerne
 ///
 /// Returns the forward pass's output (`None` for empty batches). The epoch
 /// executors drop it — an epoch is measured, not answered — while the serving
-/// layer ([`crate::serve`]) gathers per-request logit rows out of it.
+/// layer ([`crate::serve`]) gathers per-request logit rows out of it.  Fails
+/// with [`QgtcError::NonFiniteActivations`] when the batch's activations
+/// overflow `f32`; the batch is then not counted.
 pub(crate) fn execute_batch(
     ctx: &EpochContext<'_>,
     prepared: &PreparedBatch,
     state: &mut EpochState,
-) -> Option<BatchForwardOutput> {
+) -> Result<Option<BatchForwardOutput>, QgtcError> {
     if prepared.num_nodes() == 0 {
-        return None;
+        return Ok(None);
     }
     let before = state.tracker.snapshot();
     prepared.record_transfer(ctx.config.transfer, &state.tracker);
@@ -348,13 +379,19 @@ pub(crate) fn execute_batch(
             // The context's kernel config, not the original one: after a backend
             // degradation the remaining batches dispatch on the fallback backend.
             let kernel = *ctx.kernel.borrow();
-            let output = ctx.model.forward_prepared_quantized(
-                prepared,
-                ctx.setting,
-                ctx.weights.as_ref(),
-                &kernel,
-                &state.tracker,
-            );
+            let output = ctx
+                .model
+                .try_forward_prepared_quantized(
+                    prepared,
+                    ctx.setting,
+                    ctx.weights.as_ref(),
+                    &kernel,
+                    &state.tracker,
+                )
+                .map_err(|source| QgtcError::NonFiniteActivations {
+                    batch: prepared.batch_index,
+                    source,
+                })?;
             // An assignment, not an accumulation: the context quantized once
             // at epoch start, so the total never grows with the batch count.
             state.weight_quantizations = ctx.weight_quantize_calls();
@@ -376,7 +413,7 @@ pub(crate) fn execute_batch(
             .map(|payload| adjacency_sparsity_stats(&payload.packed_adjacency))
             .unwrap_or_default(),
     );
-    Some(output)
+    Ok(Some(output))
 }
 
 /// Produce stage under supervision: prepare batch `index` (and, in the streamed
@@ -927,7 +964,7 @@ pub(crate) fn try_serial_epoch_over_plan(
         let prepared =
             supervise_delivered(prepared, batcher, dataset, config, injector, index, seal)?;
         supervise_dispatch(&ctx, injector, index)?;
-        execute_batch(&ctx, &prepared, &mut state);
+        execute_batch(&ctx, &prepared, &mut state)?;
     }
     let fault_stats = fault_stats_from(injector, &ctx);
     Ok(finish_report(

@@ -286,7 +286,7 @@ pub(crate) fn raw_serial_over_plan(
     let mut state = EpochState::default();
     for index in 0..batcher.num_batches() {
         let prepared = prepare_batch(batcher, dataset, config, index);
-        execute_batch(&ctx, &prepared, &mut state);
+        execute_raw(&ctx, &prepared, &mut state);
     }
     finish_report(
         config,
@@ -296,6 +296,14 @@ pub(crate) fn raw_serial_over_plan(
         epoch_start,
         FaultStats::default(),
     )
+}
+
+/// The raw executors' execute step: unsupervised, so a batch whose
+/// activations overflow `f32` panics instead of failing typed.
+fn execute_raw(ctx: &EpochContext<'_>, prepared: &PreparedBatch, state: &mut EpochState) {
+    if let Err(err) = execute_batch(ctx, prepared, state) {
+        panic!("raw epoch: {err}");
+    }
 }
 
 /// Whether the streamed executor should fall back to the serial loop: one staging
@@ -323,7 +331,7 @@ pub(crate) fn streamed_epoch_over_plan(
     if total <= 1 {
         for index in 0..total {
             let prepared = prepare_batch(batcher, dataset, config, index);
-            execute_batch(&ctx, &prepared, &mut state);
+            execute_raw(&ctx, &prepared, &mut state);
         }
         return finish_report(
             config,
@@ -380,7 +388,7 @@ pub(crate) fn streamed_epoch_over_plan(
             let prepared = queue
                 .take(index)
                 .unwrap_or_else(|err| panic!("raw streamed take: {err}"));
-            execute_batch(&ctx, &prepared, &mut state);
+            execute_raw(&ctx, &prepared, &mut state);
         }
     });
     finish_report(
@@ -466,7 +474,7 @@ pub(crate) fn try_streamed_epoch_over_plan(
                 let prepared =
                     supervise_delivered(prepared, batcher, dataset, config, injector, index, true)?;
                 supervise_dispatch(&ctx, injector, index)?;
-                execute_batch(&ctx, &prepared, &mut state);
+                execute_batch(&ctx, &prepared, &mut state)?;
                 Ok(())
             });
             if let Err(err) = result {
@@ -552,6 +560,10 @@ mod tests {
         assert_eq!(streamed.pipeline.overlapped_s, streamed.pipeline.serial_s);
     }
 
+    fn empty_subgraph() -> qgtc_graph::DenseSubgraph {
+        qgtc_graph::DenseSubgraph::extract(&qgtc_graph::CsrGraph::from_parts(vec![0], vec![]), &[])
+    }
+
     #[test]
     fn staging_queue_hands_out_bounded_in_order_tickets() {
         let queue = StagingQueue::new(5, 2);
@@ -563,11 +575,7 @@ mod tests {
             let q = &queue;
             scope.spawn(move || {
                 for index in 0..2 {
-                    let sub = qgtc_graph::DenseSubgraph {
-                        nodes: vec![],
-                        adjacency: qgtc_tensor::Matrix::zeros(0, 0),
-                        num_edges: 0,
-                    };
+                    let sub = empty_subgraph();
                     q.deposit(
                         index,
                         PreparedBatch::dense(index, sub, qgtc_tensor::Matrix::zeros(0, 4)),
@@ -600,11 +608,7 @@ mod tests {
         let queue = StagingQueue::new(3, 3);
         assert_eq!(queue.claim(), Some(0));
         assert_eq!(queue.claim(), Some(1));
-        let sub = qgtc_graph::DenseSubgraph {
-            nodes: vec![],
-            adjacency: qgtc_tensor::Matrix::zeros(0, 0),
-            num_edges: 0,
-        };
+        let sub = empty_subgraph();
         queue.deposit(
             0,
             PreparedBatch::dense(0, sub, qgtc_tensor::Matrix::zeros(0, 4)),

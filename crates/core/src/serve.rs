@@ -342,7 +342,9 @@ impl<'a> QgtcSession<'a> {
                         buffers[request][start..start + self.num_classes]
                             .copy_from_slice(output.logits.row(batch_row));
                     }
-                    self.pool.put_floats(output.logits.into_data());
+                    // The logits come from the forward pass, not from the
+                    // pool: parking them would grow the free list by one
+                    // buffer per executed batch.
                 }
                 Err(_) => {
                     // The supervisor already retried/repaired what it could;
@@ -401,7 +403,7 @@ impl<'a> QgtcSession<'a> {
                     let subgraph = DenseSubgraph::batch_block_diagonal_in(
                         &dataset.graph,
                         &batch.partitions,
-                        pool.take_floats(),
+                        pool.take_words(),
                         pool.take_indices(),
                         scratch,
                     );
@@ -432,7 +434,7 @@ impl<'a> QgtcSession<'a> {
             }
         };
         let result = supervise_dispatch(&self.ctx, self.injector.as_ref(), index)
-            .map(|()| execute_batch(&self.ctx, &prepared, &mut self.state));
+            .and_then(|()| execute_batch(&self.ctx, &prepared, &mut self.state));
         self.store_cache(index, prepared);
         let output = result?.expect("serving batches are non-empty: a node routed here");
         self.stats.batches_executed += 1;
@@ -515,6 +517,13 @@ impl<'a> QgtcSession<'a> {
     /// Batch payloads currently resident in the cache.
     pub fn cached_batches(&self) -> usize {
         self.cached_count
+    }
+
+    /// Spare buffers parked in the session's packed-buffer pool.  Once the
+    /// pool is warm this stays flat for callers that recycle their responses
+    /// ([`QgtcSession::recycle_response`]).
+    pub fn pool_spare_buffers(&self) -> usize {
+        self.pool.spare_buffers()
     }
 }
 

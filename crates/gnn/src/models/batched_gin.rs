@@ -9,16 +9,16 @@
 use qgtc_baselines::dgl::{DglEngine, DglLayerKind};
 use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
-use qgtc_graph::DenseSubgraph;
+use qgtc_graph::{adjacency_degrees, DenseSubgraph};
 use qgtc_kernels::backend::select_backend;
 use qgtc_kernels::bmm::{qgtc_aggregate_prepared, qgtc_bitmm2int, KernelConfig};
 use qgtc_kernels::fusion::{Activation, FusedEpilogue};
 use qgtc_kernels::packing::pack_feature_matrix;
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tensor::{ops, Matrix};
+use qgtc_tensor::{ops, Matrix, TensorError};
 
 use crate::layers::{affine_update_offsets, DenseTcScaffold, GnnModelParams};
-use crate::models::{row_degrees, BatchForwardOutput, QuantizationSetting, QuantizedWeightSet};
+use crate::models::{BatchForwardOutput, QuantizationSetting, QuantizedWeightSet};
 
 /// The batched GIN model.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,10 +102,6 @@ impl BatchedGinModel {
         );
         match setting {
             QuantizationSetting::Quantized { bits } => {
-                let adjacency_stack = StackedBitMatrix::from_binary_adjacency(
-                    &subgraph.adjacency,
-                    BitMatrixLayout::RowPacked,
-                );
                 // The single host-side quantize site: same codes and params
                 // as the transfer payload, packed directly in the row-wise
                 // layout GIN's update-first order consumes (the payload path
@@ -116,8 +112,7 @@ impl BatchedGinModel {
                 // drivers reuse a per-epoch set via the prepared-batch path.
                 let weights = QuantizedWeightSet::prepare(&self.params, bits);
                 self.forward_low_bit(
-                    subgraph,
-                    &adjacency_stack,
+                    &subgraph.adjacency,
                     None,
                     &packed_features,
                     bits,
@@ -125,6 +120,7 @@ impl BatchedGinModel {
                     kernel_config,
                     tracker,
                 )
+                .unwrap_or_else(|err| panic!("cannot re-quantize the activations: {err}"))
             }
             QuantizationSetting::Half | QuantizationSetting::Full => {
                 self.forward_dense_tc(subgraph, features, setting, tracker)
@@ -146,11 +142,11 @@ impl BatchedGinModel {
     /// combine pass) → transition epilogue (ReLU + re-quantize as the next
     /// update's left operand).  Crate-visible so [`crate::models::GnnModel`]
     /// can route a [`qgtc_kernels::packing::PreparedBatch`]'s payload here
-    /// without each model duplicating the dispatch.
+    /// without each model duplicating the dispatch.  Fails when an epilogue
+    /// cannot re-quantize activations that overflowed `f32`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_low_bit(
         &self,
-        subgraph: &DenseSubgraph,
         adjacency_stack: &StackedBitMatrix,
         condensed_adjacency: Option<&CondensedAdjacency>,
         packed_features: &StackedBitMatrix,
@@ -158,10 +154,10 @@ impl BatchedGinModel {
         weights: &QuantizedWeightSet,
         kernel_config: &KernelConfig,
         tracker: &CostTracker,
-    ) -> BatchForwardOutput {
+    ) -> Result<BatchForwardOutput, TensorError> {
         assert_eq!(weights.bits(), bits, "weight set bitwidth");
         assert_eq!(weights.num_layers(), self.params.num_layers());
-        let degrees = row_degrees(&subgraph.adjacency);
+        let degrees = adjacency_degrees(adjacency_stack);
         let num_layers = self.params.num_layers();
         // Epilogues run on the same backend as the GEMMs they are fused into.
         let backend = select_backend(kernel_config.backend);
@@ -195,7 +191,7 @@ impl BatchedGinModel {
                 .with_row_offset(row_off)
                 .with_col_offset(col_off);
             let updated = backend
-                .apply_epilogue(&update_epilogue, &update_acc, tracker)
+                .apply_epilogue(&update_epilogue, &update_acc, tracker)?
                 .into_dense()
                 .expect("dense epilogue");
 
@@ -211,7 +207,7 @@ impl BatchedGinModel {
                     &FusedEpilogue::requantize_right_operand(1.0, bits),
                     updated,
                     tracker,
-                )
+                )?
                 .into_quantized()
                 .expect("requantizing epilogue");
             // Neighbour sum through the adjacency-path dispatcher; the cached
@@ -231,11 +227,11 @@ impl BatchedGinModel {
                 .with_row_offset(degrees.iter().map(|&d| u_params.min * d).collect())
                 .with_scaled_addend(self_addend, 1.0 + self.epsilon);
             let combined = backend
-                .apply_epilogue(&aggregation_epilogue, &agg_acc, tracker)
+                .apply_epilogue(&aggregation_epilogue, &agg_acc, tracker)?
                 .into_dense()
                 .expect("dense epilogue");
             if last {
-                return BatchForwardOutput { logits: combined };
+                return Ok(BatchForwardOutput { logits: combined });
             }
             // Layer transition: ReLU + re-quantize as the next update's left
             // operand — the transition's single quantize site, which also
@@ -243,7 +239,7 @@ impl BatchedGinModel {
             let transition_epilogue = FusedEpilogue::hidden_layer(1.0, bits)
                 .with_output_layout(BitMatrixLayout::RowPacked);
             let (stack, _, rowsums) = backend
-                .apply_epilogue_dense(&transition_epilogue, combined, tracker)
+                .apply_epilogue_dense(&transition_epilogue, combined, tracker)?
                 .into_quantized_with_rowsums()
                 .expect("requantizing epilogue");
             x = stack;
@@ -266,10 +262,11 @@ impl BatchedGinModel {
     ) -> BatchForwardOutput {
         let tc = DenseTcScaffold::new(setting, tracker);
         let num_layers = self.params.num_layers();
+        let adjacency = subgraph.dense_adjacency();
         let mut x = features.clone();
         for (l, layer) in self.params.layers.iter().enumerate() {
             let updated = tc.linear(&x, layer);
-            let aggregated = tc.gemm(&subgraph.adjacency, &updated);
+            let aggregated = tc.gemm(&adjacency, &updated);
             let mut epilogue =
                 FusedEpilogue::dequantize_only(1.0).with_scaled_addend(updated, 1.0 + self.epsilon);
             if l + 1 < num_layers {
@@ -277,6 +274,7 @@ impl BatchedGinModel {
             }
             x = epilogue
                 .apply_dense(aggregated, tracker)
+                .expect("a dense epilogue does not re-quantize")
                 .into_dense()
                 .expect("dense epilogue");
         }

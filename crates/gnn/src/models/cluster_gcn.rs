@@ -9,18 +9,16 @@
 use qgtc_baselines::dgl::{DglEngine, DglLayerKind};
 use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
-use qgtc_graph::DenseSubgraph;
+use qgtc_graph::{adjacency_degrees, DenseSubgraph};
 use qgtc_kernels::backend::select_backend;
 use qgtc_kernels::bmm::{qgtc_aggregate_prepared, qgtc_bitmm2int, KernelConfig};
 use qgtc_kernels::fusion::{EpilogueOutput, FusedEpilogue};
 use qgtc_kernels::packing::pack_feature_matrix;
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tensor::Matrix;
+use qgtc_tensor::{Matrix, TensorError};
 
 use crate::layers::{affine_update_offsets, forward_layers, DenseTcScaffold, GnnModelParams};
-use crate::models::{
-    row_degrees, row_normalize, BatchForwardOutput, QuantizationSetting, QuantizedWeightSet,
-};
+use crate::models::{row_normalize, BatchForwardOutput, QuantizationSetting, QuantizedWeightSet};
 
 /// The Cluster-GCN model: shared parameters plus both execution paths.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,10 +94,6 @@ impl ClusterGcnModel {
         );
         match setting {
             QuantizationSetting::Quantized { bits } => {
-                let adjacency_stack = StackedBitMatrix::from_binary_adjacency(
-                    &subgraph.adjacency,
-                    BitMatrixLayout::RowPacked,
-                );
                 // The single host-side quantize site: pack exactly as the
                 // transfer payload does, then stay in the quantized domain.
                 let packed_features =
@@ -108,8 +102,7 @@ impl ClusterGcnModel {
                 // drivers reuse a per-epoch set via the prepared-batch path.
                 let weights = QuantizedWeightSet::prepare(&self.params, bits);
                 self.forward_low_bit(
-                    subgraph,
-                    &adjacency_stack,
+                    &subgraph.adjacency,
                     None,
                     &packed_features,
                     bits,
@@ -117,6 +110,7 @@ impl ClusterGcnModel {
                     kernel_config,
                     tracker,
                 )
+                .unwrap_or_else(|err| panic!("cannot re-quantize the activations: {err}"))
             }
             QuantizationSetting::Half | QuantizationSetting::Full => {
                 self.forward_dense_tc(subgraph, features, setting, tracker)
@@ -137,11 +131,11 @@ impl ClusterGcnModel {
     /// sites — inside [`FusedEpilogue`].  Crate-visible so
     /// [`crate::models::GnnModel`] can route a
     /// [`qgtc_kernels::packing::PreparedBatch`]'s payload here without each
-    /// model duplicating the dispatch.
+    /// model duplicating the dispatch.  Fails when an epilogue cannot
+    /// re-quantize activations that overflowed `f32`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_low_bit(
         &self,
-        subgraph: &DenseSubgraph,
         adjacency_stack: &StackedBitMatrix,
         condensed_adjacency: Option<&CondensedAdjacency>,
         packed_features: &StackedBitMatrix,
@@ -149,7 +143,7 @@ impl ClusterGcnModel {
         weights: &QuantizedWeightSet,
         kernel_config: &KernelConfig,
         tracker: &CostTracker,
-    ) -> BatchForwardOutput {
+    ) -> Result<BatchForwardOutput, TensorError> {
         assert_eq!(
             packed_features.layout(),
             BitMatrixLayout::ColPacked,
@@ -157,7 +151,7 @@ impl ClusterGcnModel {
         );
         assert_eq!(weights.bits(), bits, "weight set bitwidth");
         assert_eq!(weights.num_layers(), self.params.num_layers());
-        let degrees = row_degrees(&subgraph.adjacency);
+        let degrees = adjacency_degrees(adjacency_stack);
         let num_layers = self.params.num_layers();
         // Epilogues run on the same backend as the GEMMs they are fused into.
         let backend = select_backend(kernel_config.backend);
@@ -190,7 +184,7 @@ impl ClusterGcnModel {
                 .with_row_offset(degrees.iter().map(|&d| x_params.min * d).collect())
                 .with_row_scale(degrees.iter().map(|&d| 1.0 / d.max(1.0)).collect());
             let (h_stack, h_params, h_rowsums) = backend
-                .apply_epilogue(&aggregation_epilogue, &agg_acc, tracker)
+                .apply_epilogue(&aggregation_epilogue, &agg_acc, tracker)?
                 .into_quantized_with_rowsums()
                 .expect("requantizing epilogue");
 
@@ -220,8 +214,8 @@ impl ClusterGcnModel {
             }
             .with_row_offset(row_off)
             .with_col_offset(col_off);
-            match backend.apply_epilogue(&epilogue, &update_acc, tracker) {
-                EpilogueOutput::Dense(logits) => return BatchForwardOutput { logits },
+            match backend.apply_epilogue(&epilogue, &update_acc, tracker)? {
+                EpilogueOutput::Dense(logits) => return Ok(BatchForwardOutput { logits }),
                 EpilogueOutput::Quantized { stack, .. } => x = stack,
             }
         }
@@ -238,7 +232,7 @@ impl ClusterGcnModel {
         setting: QuantizationSetting,
         tracker: &CostTracker,
     ) -> BatchForwardOutput {
-        let normalized = row_normalize(&subgraph.adjacency);
+        let normalized = row_normalize(&subgraph.dense_adjacency());
         let tc = DenseTcScaffold::new(setting, tracker);
         forward_layers(&self.params, features, tracker, |layer, x| {
             let aggregated = tc.gemm(&normalized, x);

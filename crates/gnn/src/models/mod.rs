@@ -1,8 +1,9 @@
 //! The two evaluated GNN models and the machinery their execution paths share.
 //!
 //! Both models run over *batched dense subgraphs* (the cluster-GCN execution model):
-//! a batch's adjacency is a dense 0/1 matrix, its features a dense fp32 matrix, and
-//! one forward pass produces logits for every node in the batch.  Each model exposes
+//! a batch's adjacency is a dense N×N 0/1 matrix (stored as one packed bit
+//! plane), its features a dense fp32 matrix, and one forward pass produces
+//! logits for every node in the batch.  Each model exposes
 //! the same pair of entry points:
 //!
 //! * `forward_fp32_batch` — the DGL-like baseline path (CSR-style sparse aggregation
@@ -34,7 +35,7 @@ pub mod cluster_gcn;
 
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tensor::{Matrix, QuantParams, Quantizer};
+use qgtc_tensor::{Matrix, QuantParams, Quantizer, TensorError};
 
 /// How the QGTC path represents activations and weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +102,8 @@ impl GnnModel {
     /// adjacency **and its packed feature stack** directly — no feature value
     /// is re-quantized from dense floats. This is the *only* place the
     /// prepared-path dispatch lives, for both models.
+    ///
+    /// Panics where [`GnnModel::try_forward_prepared_quantized`] fails.
     pub fn forward_prepared_quantized(
         &self,
         prepared: &qgtc_kernels::packing::PreparedBatch,
@@ -109,6 +112,21 @@ impl GnnModel {
         kernel_config: &qgtc_kernels::bmm::KernelConfig,
         tracker: &CostTracker,
     ) -> BatchForwardOutput {
+        self.try_forward_prepared_quantized(prepared, setting, weights, kernel_config, tracker)
+            .unwrap_or_else(|err| panic!("cannot re-quantize the activations: {err}"))
+    }
+
+    /// Fallible form of [`GnnModel::forward_prepared_quantized`]: an epilogue
+    /// whose activations overflowed `f32` (no finite range to re-quantize
+    /// into) is an error rather than a panic.
+    pub fn try_forward_prepared_quantized(
+        &self,
+        prepared: &qgtc_kernels::packing::PreparedBatch,
+        setting: QuantizationSetting,
+        weights: Option<&QuantizedWeightSet>,
+        kernel_config: &qgtc_kernels::bmm::KernelConfig,
+        tracker: &CostTracker,
+    ) -> Result<BatchForwardOutput, TensorError> {
         if let (QuantizationSetting::Quantized { bits }, Some(payload)) =
             (setting, prepared.payload.as_ref())
         {
@@ -132,7 +150,6 @@ impl GnnModel {
             };
             return match self {
                 GnnModel::ClusterGcn(model) => model.forward_low_bit(
-                    &prepared.subgraph,
                     &payload.packed_adjacency,
                     payload.condensed_adjacency.as_ref(),
                     &payload.packed_features,
@@ -142,7 +159,6 @@ impl GnnModel {
                     tracker,
                 ),
                 GnnModel::BatchedGin(model) => model.forward_low_bit(
-                    &prepared.subgraph,
                     &payload.packed_adjacency,
                     payload.condensed_adjacency.as_ref(),
                     &payload.packed_features,
@@ -153,7 +169,7 @@ impl GnnModel {
                 ),
             };
         }
-        match self {
+        Ok(match self {
             GnnModel::ClusterGcn(model) => model.forward_quantized_batch(
                 &prepared.subgraph,
                 &prepared.features,
@@ -168,7 +184,7 @@ impl GnnModel {
                 kernel_config,
                 tracker,
             ),
-        }
+        })
     }
 
     /// Quantize every layer's weights once at `bits` — the per-epoch weight
@@ -338,11 +354,6 @@ pub(crate) fn row_normalize(adjacency: &Matrix<f32>) -> Matrix<f32> {
     out
 }
 
-/// Per-row degree (row sums) of a dense adjacency.
-pub(crate) fn row_degrees(adjacency: &Matrix<f32>) -> Vec<f32> {
-    adjacency.rows_iter().map(|row| row.iter().sum()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +411,7 @@ mod tests {
             .with_row_offset(row_off)
             .with_col_offset(col_off)
             .apply(&acc, &qgtc_tcsim::cost::CostTracker::new())
+            .unwrap()
             .into_dense()
             .unwrap();
         let exact = qgtc_tensor::ops::add_bias(&gemm_f32(&h, &w), &bias);
@@ -419,7 +431,6 @@ mod tests {
         assert_eq!(n[(0, 1)], 0.5);
         assert_eq!(n[(2, 0)], 1.0);
         assert_eq!(n[(1, 0)], 0.0);
-        assert_eq!(row_degrees(&adj), vec![2.0, 0.0, 1.0]);
     }
 
     #[test]

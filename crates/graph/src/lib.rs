@@ -14,7 +14,7 @@
 //! * [`datasets`] — the Table-1 profiles themselves plus scaled-down variants for
 //!   tests, and a loader that materialises a profile into a concrete graph, feature
 //!   matrix and labels;
-//! * [`subgraph`] — induced-subgraph extraction and dense adjacency materialisation
+//! * [`subgraph`] — induced-subgraph extraction and 1-bit adjacency materialisation
 //!   (the form consumed by the Tensor Core kernels);
 //! * [`stats`] — degree/density statistics used by the experiment reports.
 //!
@@ -32,4 +32,4 @@ pub mod subgraph;
 pub use coo::CooGraph;
 pub use csr::{CsrGraph, GraphError};
 pub use datasets::{DatasetProfile, LoadedDataset};
-pub use subgraph::{DenseSubgraph, SubgraphScratch};
+pub use subgraph::{adjacency_degrees, DenseSubgraph, SubgraphScratch};

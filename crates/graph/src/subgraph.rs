@@ -1,12 +1,20 @@
-//! Induced subgraph extraction and dense adjacency materialisation.
+//! Induced subgraph extraction and 1-bit adjacency materialisation.
 //!
 //! After METIS-style partitioning, QGTC batches a set of partitions, relabels their
 //! nodes contiguously and materialises the batch's adjacency matrix *densely* — the
 //! Tensor Core path operates on an N×N 1-bit adjacency where N is the number of nodes
 //! in the batch.  This module provides that step, plus feature gathering.
+//!
+//! The adjacency is written straight from CSR into a row-packed bit plane (the
+//! aggregation GEMM's left operand), so materialising a batch costs
+//! O(nnz + N·⌈N/128⌉) words; no N×N float matrix is built.  The fp32 consumers
+//! (the DGL baseline and the fp16/TF32 paths) expand it on demand with
+//! [`DenseSubgraph::dense_adjacency`].
 
 use crate::csr::CsrGraph;
+use qgtc_bitmat::{BitMatrix, BitMatrixLayout, StackedBitMatrix};
 use qgtc_tensor::Matrix;
+use std::sync::Arc;
 
 /// Reusable scratch (the global→local node map) for
 /// [`DenseSubgraph::batch_block_diagonal_in`], so sustained callers pay the
@@ -21,8 +29,10 @@ pub struct SubgraphScratch {
 pub struct DenseSubgraph {
     /// Original (global) node id of each local node, in local order.
     pub nodes: Vec<usize>,
-    /// Dense binary adjacency, `nodes.len() x nodes.len()`, entries 0.0 / 1.0.
-    pub adjacency: Matrix<f32>,
+    /// Binary adjacency, `nodes.len() x nodes.len()`, as a 1-bit row-packed
+    /// stack: bit `(u, v)` is set when local node `u` has neighbour `v`.
+    /// Shared: a batch's transfer payload holds the same plane, not a copy.
+    pub adjacency: Arc<StackedBitMatrix>,
     /// Number of (directed) edges inside the subgraph.
     pub num_edges: usize,
 }
@@ -32,6 +42,8 @@ impl DenseSubgraph {
     ///
     /// `nodes` may come from one partition or from a batch of partitions concatenated;
     /// nodes occurring multiple times are not supported (debug-asserted).
+    /// `num_edges` counts every CSR entry that lands inside the subgraph, so a
+    /// duplicated CSR entry counts twice.
     pub fn extract(graph: &CsrGraph, nodes: &[usize]) -> Self {
         let n = nodes.len();
         // Map global -> local.
@@ -43,20 +55,20 @@ impl DenseSubgraph {
             );
             local_of[global] = local;
         }
-        let mut adjacency = Matrix::zeros(n, n);
+        let mut adjacency = BitMatrix::zeros_in(n, n, BitMatrixLayout::RowPacked, Vec::new());
         let mut num_edges = 0usize;
         for (local_u, &global_u) in nodes.iter().enumerate() {
             for &global_v in graph.neighbors(global_u) {
                 let local_v = local_of[global_v];
                 if local_v != usize::MAX {
-                    adjacency[(local_u, local_v)] = 1.0;
+                    adjacency.set(local_u, local_v);
                     num_edges += 1;
                 }
             }
         }
         Self {
             nodes: nodes.to_vec(),
-            adjacency,
+            adjacency: Arc::new(StackedBitMatrix::from_plane(adjacency)),
             num_edges,
         }
     }
@@ -73,6 +85,26 @@ impl DenseSubgraph {
             return 0.0;
         }
         self.num_edges as f64 / (n * n) as f64
+    }
+
+    /// The adjacency expanded to a dense 0.0 / 1.0 `f32` matrix, for the fp32
+    /// consumers (the DGL baseline, the fp16/TF32 Tensor Core paths).  The
+    /// QGTC path never calls this.
+    pub fn dense_adjacency(&self) -> Matrix<f32> {
+        let n = self.num_nodes();
+        let plane = self.adjacency.plane(0);
+        let mut dense = Matrix::zeros(n, n);
+        for r in 0..n {
+            let row = dense.row_mut(r);
+            for (w, &word) in plane.lane(r).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    row[w * 32 + bits.trailing_zeros() as usize] = 1.0;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        dense
     }
 
     /// Gather the feature rows of the subgraph's nodes from the global feature matrix.
@@ -115,15 +147,15 @@ impl DenseSubgraph {
     }
 
     /// [`DenseSubgraph::batch_block_diagonal`] materialising into recycled
-    /// buffers: `adjacency_storage` and `node_storage` are cleared (and the
-    /// adjacency zero-filled) before use, and `scratch` carries the
-    /// global→local map across calls.  Bitwise identical to the fresh path —
-    /// an edge is kept exactly when both endpoints fall in the same
-    /// partition's block.
+    /// buffers: `adjacency_words` (the packed plane's storage) and
+    /// `node_storage` are cleared (and the plane zero-filled) before use, and
+    /// `scratch` carries the global→local map across calls.  Bitwise
+    /// identical to the fresh path — an edge is kept exactly when both
+    /// endpoints fall in the same partition's block.
     pub fn batch_block_diagonal_in(
         graph: &CsrGraph,
         partitions: &[Vec<usize>],
-        adjacency_storage: Vec<f32>,
+        adjacency_words: Vec<u32>,
         node_storage: Vec<usize>,
         scratch: &mut SubgraphScratch,
     ) -> Self {
@@ -131,9 +163,8 @@ impl DenseSubgraph {
         let mut nodes = node_storage;
         nodes.clear();
         nodes.reserve(total);
-        let mut adjacency = adjacency_storage;
-        adjacency.clear();
-        adjacency.resize(total * total, 0.0);
+        let mut adjacency =
+            BitMatrix::zeros_in(total, total, BitMatrixLayout::RowPacked, adjacency_words);
         let local_of = &mut scratch.local_of;
         local_of.clear();
         local_of.resize(graph.num_nodes(), usize::MAX);
@@ -158,14 +189,10 @@ impl DenseSubgraph {
                     let lv = local_of[global_v];
                     // Keep only intra-partition edges: the block-diagonal
                     // batching drops partition-cut edges by construction.
-                    // `num_edges` counts distinct adjacency cells, so duplicate
-                    // CSR entries collapse exactly as in the fresh path.
-                    if lv != usize::MAX && block.contains(&lv) {
-                        let cell = &mut adjacency[lu * total + lv];
-                        if *cell == 0.0 {
-                            num_edges += 1;
-                        }
-                        *cell = 1.0;
+                    // `num_edges` counts distinct adjacency cells, so
+                    // duplicate CSR entries collapse into one edge.
+                    if lv != usize::MAX && block.contains(&lv) && adjacency.set(lu, lv) {
+                        num_edges += 1;
                     }
                 }
             }
@@ -174,8 +201,7 @@ impl DenseSubgraph {
         }
         Self {
             nodes,
-            adjacency: Matrix::from_vec(total, total, adjacency)
-                .expect("length matches by construction"),
+            adjacency: Arc::new(StackedBitMatrix::from_plane(adjacency)),
             num_edges,
         }
     }
@@ -187,6 +213,18 @@ impl DenseSubgraph {
         let nodes: Vec<usize> = partitions.iter().flatten().copied().collect();
         Self::extract(graph, &nodes)
     }
+}
+
+/// Per-row degree of a 1-bit row-packed adjacency stack: a popcount over each
+/// row lane.  Exact in `f32` below 2^24 columns, so bitwise equal to the row
+/// sums of the dense 0/1 matrix.
+pub fn adjacency_degrees(adjacency: &StackedBitMatrix) -> Vec<f32> {
+    assert_eq!(adjacency.bits(), 1, "degrees need a 1-bit adjacency");
+    adjacency
+        .plane(0)
+        .row_popcounts()
+        .map(|d| d as f32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -210,10 +248,11 @@ mod tests {
         let sub = DenseSubgraph::extract(&g, &[0, 1, 2]);
         assert_eq!(sub.num_nodes(), 3);
         assert_eq!(sub.num_edges, 6); // 3 undirected edges = 6 directed
+        let dense = sub.dense_adjacency();
         for u in 0..3 {
             for v in 0..3 {
                 let expected = if u == v { 0.0 } else { 1.0 };
-                assert_eq!(sub.adjacency[(u, v)], expected);
+                assert_eq!(dense[(u, v)], expected);
             }
         }
         assert!((sub.density() - 6.0 / 9.0).abs() < 1e-9);
@@ -224,8 +263,8 @@ mod tests {
         let g = two_triangles();
         let sub = DenseSubgraph::extract(&g, &[2, 3]);
         // The only edge between nodes 2 and 3 appears in both directions.
-        assert_eq!(sub.adjacency[(0, 1)], 1.0);
-        assert_eq!(sub.adjacency[(1, 0)], 1.0);
+        assert_eq!(sub.dense_adjacency()[(0, 1)], 1.0);
+        assert_eq!(sub.dense_adjacency()[(1, 0)], 1.0);
         assert_eq!(sub.num_edges, 2);
     }
 
@@ -256,9 +295,11 @@ mod tests {
         assert_eq!(batch.num_nodes(), 6);
         // The (2,3) bridge edge is dropped; each triangle contributes 6 directed edges.
         assert_eq!(batch.num_edges, 12);
-        assert_eq!(batch.adjacency[(2, 3)], 0.0);
-        assert_eq!(batch.adjacency[(0, 1)], 1.0);
-        assert_eq!(batch.adjacency[(3, 4)], 1.0);
+        let dense = batch.dense_adjacency();
+        assert_eq!(dense[(2, 3)], 0.0);
+        assert_eq!(dense[(0, 1)], 1.0);
+        assert_eq!(dense[(3, 4)], 1.0);
+        assert_eq!(adjacency_degrees(&batch.adjacency), vec![2.0; 6]);
     }
 
     #[test]
@@ -266,7 +307,11 @@ mod tests {
         let g = two_triangles();
         let batch = DenseSubgraph::batch_induced(&g, &[vec![0, 1, 2], vec![3, 4, 5]]);
         assert_eq!(batch.num_edges, 14); // 7 undirected edges
-        assert_eq!(batch.adjacency[(2, 3)], 1.0);
+        assert_eq!(batch.dense_adjacency()[(2, 3)], 1.0);
+        assert_eq!(
+            adjacency_degrees(&batch.adjacency),
+            vec![2.0, 2.0, 3.0, 3.0, 2.0, 2.0]
+        );
     }
 
     #[test]

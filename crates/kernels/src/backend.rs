@@ -43,7 +43,7 @@ use qgtc_bitmat::StackedBitMatrix;
 use qgtc_tcsim::cost::{CostSnapshot, CostTracker};
 use qgtc_tcsim::wmma::tile_counts;
 use qgtc_tcsim::{DeviceModel, PanelStagingEstimate};
-use qgtc_tensor::Matrix;
+use qgtc_tensor::{Matrix, TensorError};
 use std::sync::{Mutex, OnceLock};
 
 /// Which [`GemmBackend`] a kernel call should run on.
@@ -188,13 +188,14 @@ pub trait GemmBackend: Send + Sync {
 
     /// Apply a fused epilogue to an integer accumulator.  Backends that fuse
     /// the epilogue differently (or charge it differently) override this;
-    /// the default is the host implementation in [`crate::fusion`].
+    /// the default is the host implementation in [`crate::fusion`].  Fails
+    /// only when re-quantizing activations with no finite range.
     fn apply_epilogue(
         &self,
         epilogue: &FusedEpilogue,
         accumulator: &Matrix<i64>,
         tracker: &CostTracker,
-    ) -> EpilogueOutput {
+    ) -> Result<EpilogueOutput, TensorError> {
         epilogue.apply(accumulator, tracker)
     }
 
@@ -205,7 +206,7 @@ pub trait GemmBackend: Send + Sync {
         epilogue: &FusedEpilogue,
         dense: Matrix<f32>,
         tracker: &CostTracker,
-    ) -> EpilogueOutput {
+    ) -> Result<EpilogueOutput, TensorError> {
         epilogue.apply_dense(dense, tracker)
     }
 }
@@ -694,9 +695,14 @@ mod tests {
         let ep = FusedEpilogue::dequantize_only(0.5);
         let via_backend = select_backend(BackendChoice::Portable)
             .apply_epilogue(&ep, &acc, &tracker)
+            .unwrap()
             .into_dense()
             .unwrap();
-        let direct = ep.apply(&acc, &CostTracker::new()).into_dense().unwrap();
+        let direct = ep
+            .apply(&acc, &CostTracker::new())
+            .unwrap()
+            .into_dense()
+            .unwrap();
         assert_eq!(via_backend, direct);
     }
 

@@ -14,7 +14,7 @@
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tensor::ops::BatchNormParams;
-use qgtc_tensor::{Matrix, QuantParams, Quantizer};
+use qgtc_tensor::{Matrix, QuantParams, TensorError};
 
 /// Activation functions QGTC can fuse into the epilogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -233,7 +233,15 @@ impl FusedEpilogue {
     /// Cost model: the arithmetic itself is `O(rows × cols)` CUDA-core work in both
     /// modes; the unfused mode additionally writes the intermediate to DRAM, reads it
     /// back and launches one extra kernel per stage (activation / BN / quantize).
-    pub fn apply(&self, accumulator: &Matrix<i64>, tracker: &CostTracker) -> EpilogueOutput {
+    ///
+    /// Fails only when re-quantizing: activations that overflowed to ±inf (or
+    /// whose range is wider than `f32`) cannot be calibrated, and the error
+    /// reports that instead of packing meaningless codes.
+    pub fn apply(
+        &self,
+        accumulator: &Matrix<i64>,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
         let elems = accumulator.len() as u64;
         if let Some(offsets) = &self.row_offset {
             assert_eq!(offsets.len(), accumulator.rows(), "row-offset length");
@@ -293,8 +301,12 @@ impl FusedEpilogue {
     /// single quantize site of a layer transition — all live here, mirroring
     /// [`FusedEpilogue::apply`] stage for stage.  Takes the matrix by value —
     /// callers that still need the dense activations afterwards clone at the
-    /// call site.
-    pub fn apply_dense(&self, mut dense: Matrix<f32>, tracker: &CostTracker) -> EpilogueOutput {
+    /// call site.  Fails exactly as [`FusedEpilogue::apply`] does.
+    pub fn apply_dense(
+        &self,
+        mut dense: Matrix<f32>,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
         if let Some(addend) = &self.addend {
             assert_eq!(
                 (addend.rows(), addend.cols()),
@@ -315,7 +327,11 @@ impl FusedEpilogue {
     /// Shared tail of [`FusedEpilogue::apply`] / [`FusedEpilogue::apply_dense`]:
     /// activation, optional batch norm, optional re-quantization, plus the
     /// unfused-execution launch/DRAM accounting.
-    fn finish(&self, mut dense: Matrix<f32>, tracker: &CostTracker) -> EpilogueOutput {
+    fn finish(
+        &self,
+        mut dense: Matrix<f32>,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
         let elems = dense.len() as u64;
         let rows = dense.rows() as u64;
         let mut stages = 1u64; // dequantize (or combine) + activation is one stage
@@ -335,22 +351,20 @@ impl FusedEpilogue {
         let output = match self.requantize_bits {
             None => EpilogueOutput::Dense(dense),
             Some(bits) => {
-                let quantizer =
-                    Quantizer::calibrate(bits, &dense).expect("bitwidth validated by caller");
-                let codes = quantizer.quantize_matrix_u32(&dense);
-                let code_rowsums = (0..codes.rows())
-                    .map(|i| codes.row(i).iter().map(|&c| c as i64).sum())
-                    .collect();
-                let stack = StackedBitMatrix::from_quantized(
-                    &codes,
-                    quantizer.params(),
+                // One pass: quantize, pack and sum the codes per row — the
+                // rowsums feed the next GEMM's affine correction.
+                let params = QuantParams::calibrate(bits, &dense)?;
+                let (stack, code_rowsums) = StackedBitMatrix::quantize_pack_in(
+                    &dense,
+                    params,
                     self.output_layout,
+                    &mut Vec::new(),
                 );
                 tracker.record_int_ops(elems * bits as u64);
                 stages += 1;
                 EpilogueOutput::Quantized {
                     stack,
-                    params: quantizer.params(),
+                    params,
                     code_rowsums,
                 }
             }
@@ -366,7 +380,7 @@ impl FusedEpilogue {
                 tracker.record_dram_read(bytes);
             }
         }
-        output
+        Ok(output)
     }
 }
 
@@ -382,7 +396,9 @@ mod tests {
     #[test]
     fn dequantize_only_scales_values() {
         let tracker = CostTracker::new();
-        let out = FusedEpilogue::dequantize_only(0.5).apply(&accumulator(), &tracker);
+        let out = FusedEpilogue::dequantize_only(0.5)
+            .apply(&accumulator(), &tracker)
+            .unwrap();
         let dense = out.as_dense().unwrap();
         assert_eq!(dense[(0, 0)], -2.0);
         assert_eq!(dense[(1, 0)], 5.0);
@@ -394,7 +410,7 @@ mod tests {
         let tracker = CostTracker::new();
         let mut ep = FusedEpilogue::dequantize_only(1.0);
         ep.activation = Activation::Relu;
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         let expected = relu(&accumulator().to_f32());
         assert_eq!(out.as_dense().unwrap(), &expected);
     }
@@ -404,7 +420,7 @@ mod tests {
         let tracker = CostTracker::new();
         let mut ep = FusedEpilogue::dequantize_only(1.0);
         ep.activation = Activation::Tanh;
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         assert!(out
             .as_dense()
             .unwrap()
@@ -417,7 +433,7 @@ mod tests {
     fn hidden_layer_epilogue_requantizes_and_decomposes() {
         let tracker = CostTracker::new();
         let ep = FusedEpilogue::hidden_layer(0.1, 4);
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         let stack = out
             .as_quantized()
             .expect("hidden layer output is quantized");
@@ -450,7 +466,7 @@ mod tests {
             .with_row_offset(vec![10.0, 20.0])
             .with_col_offset(vec![1.0, 2.0, 3.0])
             .with_row_scale(vec![0.1, 10.0]);
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         let dense = out.as_dense().unwrap();
         // dense[i][j] = (acc * 0.5 + row_offset[i] + col_offset[j]) * row_scale[i]
         assert_eq!(dense[(0, 0)], (-4.0 * 0.5 + 10.0 + 1.0) * 0.1);
@@ -467,6 +483,7 @@ mod tests {
         let ep = FusedEpilogue::hidden_layer(123.0, 4); // scale must be ignored
         let (stack, params) = ep
             .apply_dense(dense.clone(), &tracker)
+            .unwrap()
             .into_quantized()
             .expect("requantizing epilogue");
         assert_eq!(stack.bits(), 4);
@@ -500,6 +517,7 @@ mod tests {
         let ep = FusedEpilogue::hidden_layer(1.0, 3);
         let (stack, params) = ep
             .apply(&all_negative, &tracker)
+            .unwrap()
             .into_quantized()
             .expect("requantizing epilogue");
         assert_eq!(stack.bits(), 3);
@@ -511,6 +529,7 @@ mod tests {
         let zeros: Matrix<f32> = Matrix::zeros(4, 4);
         let (stack, params) = FusedEpilogue::requantize_right_operand(1.0, 2)
             .apply_dense(zeros, &tracker)
+            .unwrap()
             .into_quantized()
             .expect("requantizing epilogue");
         assert!(stack.to_codes().data().iter().all(|&c| c == 0));
@@ -523,6 +542,7 @@ mod tests {
         let ep = FusedEpilogue::hidden_layer(0.1, 4);
         let (stack, _, rowsums) = ep
             .apply(&accumulator(), &tracker)
+            .unwrap()
             .into_quantized_with_rowsums()
             .expect("requantizing epilogue");
         let codes = stack.to_codes();
@@ -541,7 +561,7 @@ mod tests {
         let ep = FusedEpilogue::dequantize_only(1.0)
             .with_row_offset(vec![3.0, 3.0])
             .with_row_scale(vec![0.0, 1.0]);
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         let dense = out.as_dense().unwrap();
         assert!(dense.row(0).iter().all(|&v| v == 0.0));
         assert_eq!(dense[(1, 0)], 13.0); // (10 + 3) * 1
@@ -556,6 +576,7 @@ mod tests {
         let ep = FusedEpilogue::requantize_right_operand(1.0, 3).with_row_scale(vec![0.0, 0.0]);
         let (stack, params, rowsums) = ep
             .apply(&accumulator(), &tracker)
+            .unwrap()
             .into_quantized_with_rowsums()
             .expect("requantizing epilogue");
         assert_eq!(params.scale, 1.0);
@@ -575,6 +596,7 @@ mod tests {
             FusedEpilogue::requantize_right_operand(1.0, 3).with_row_offset(vec![f32::MAX, 0.0]);
         let (stack, params, _) = ep
             .apply(&accumulator(), &tracker)
+            .unwrap()
             .into_quantized_with_rowsums()
             .expect("requantizing epilogue");
         assert!(params.scale.is_finite() && params.scale > 0.0);
@@ -592,6 +614,7 @@ mod tests {
             .with_row_offset(vec![f32::MAX, f32::MAX]);
         let (stack, params, rowsums) = ep
             .apply(&accumulator(), &tracker)
+            .unwrap()
             .into_quantized_with_rowsums()
             .expect("requantizing epilogue");
         assert_eq!(params.scale, 1.0);
@@ -609,9 +632,27 @@ mod tests {
         let ep = FusedEpilogue::dequantize_only(1.0)
             .with_row_offset(vec![f32::MAX, f32::MAX])
             .with_col_offset(vec![f32::MAX, f32::MAX, f32::MAX]);
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         let dense = out.as_dense().unwrap();
         assert!(dense.data().iter().all(|&v| v == f32::INFINITY));
+    }
+
+    #[test]
+    fn overflowed_activations_fail_to_requantize_with_a_typed_error() {
+        // The same overflow on a re-quantizing epilogue has no valid range:
+        // a typed error, never a panic or a stack of meaningless codes.
+        let tracker = CostTracker::new();
+        let ep = FusedEpilogue::requantize_right_operand(1.0, 2)
+            .with_row_offset(vec![f32::MAX, f32::MAX])
+            .with_col_offset(vec![f32::MAX, f32::MAX, f32::MAX]);
+        let err = ep.apply(&accumulator(), &tracker).unwrap_err();
+        assert!(matches!(err, TensorError::NonFiniteRange { .. }), "{err}");
+        // Finite activations whose range is wider than f32 fail alike.
+        let wide = Matrix::from_vec(1, 2, vec![-2e38f32, 2e38]).unwrap();
+        let err = FusedEpilogue::requantize_right_operand(1.0, 2)
+            .apply_dense(wide, &tracker)
+            .unwrap_err();
+        assert!(matches!(err, TensorError::NonFiniteRange { .. }), "{err}");
     }
 
     #[test]
@@ -627,6 +668,7 @@ mod tests {
             .with_row_offset(vec![1.5, -2.0])
             .with_scaled_addend(addend.clone(), eps_scale)
             .apply(&accumulator(), &fused_tracker)
+            .unwrap()
             .into_dense()
             .unwrap();
 
@@ -634,6 +676,7 @@ mod tests {
         let base = FusedEpilogue::dequantize_only(0.25)
             .with_row_offset(vec![1.5, -2.0])
             .apply(&accumulator(), &unfused_tracker)
+            .unwrap()
             .into_dense()
             .unwrap();
         let unfused = ops::add(&base, &ops::scale(&addend, eps_scale)).unwrap();
@@ -670,6 +713,7 @@ mod tests {
         ep.activation = Activation::Relu;
         let fused = ep
             .apply_dense(aggregated.clone(), &fused_tracker)
+            .unwrap()
             .into_dense()
             .unwrap();
 
@@ -705,7 +749,7 @@ mod tests {
             var: vec![1.0, 1.0, 1.0],
             eps: 0.0,
         });
-        let out = ep.apply(&accumulator(), &tracker);
+        let out = ep.apply(&accumulator(), &tracker).unwrap();
         let dense = out.as_dense().unwrap();
         // value * 2 + 1 for each accumulator entry.
         assert_eq!(dense[(0, 2)], 5.0);
@@ -721,8 +765,8 @@ mod tests {
         let mut unfused = fused.clone();
         unfused.fused = false;
 
-        let _ = fused.apply(&accumulator(), &fused_tracker);
-        let _ = unfused.apply(&accumulator(), &unfused_tracker);
+        let _ = fused.apply(&accumulator(), &fused_tracker).unwrap();
+        let _ = unfused.apply(&accumulator(), &unfused_tracker).unwrap();
         let f = fused_tracker.snapshot();
         let u = unfused_tracker.snapshot();
         assert_eq!(f.kernel_launches, 0, "fused epilogue rides the GEMM launch");

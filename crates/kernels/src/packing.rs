@@ -18,7 +18,8 @@ use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::DenseSubgraph;
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tensor::{Matrix, Quantizer};
+use qgtc_tensor::{Matrix, QuantParams};
+use std::sync::Arc;
 
 /// Quantize and bit-pack a dense feature matrix exactly as the transfer payload
 /// does: per-batch affine calibration at `feature_bits`, quantization
@@ -31,38 +32,45 @@ use qgtc_tensor::{Matrix, Quantizer};
 /// [`SubgraphPayload::new`] uses it to build the transferable payload, and the
 /// models' dense-feature entry points use it to pack once before the first
 /// layer, so the packed-payload path and the dense-entry path are bitwise
-/// identical by construction.
+/// identical by construction.  Quantize and pack run as one pass
+/// ([`StackedBitMatrix::quantize_pack_in`]); no code matrix is staged.
+///
+/// Panics if the features hold an infinite value or span a range wider than
+/// `f32` (the pipeline's plan stage rejects such features with a typed error
+/// before any batch is packed).
 pub fn pack_feature_matrix(
     features: &Matrix<f32>,
     feature_bits: u32,
     layout: BitMatrixLayout,
 ) -> StackedBitMatrix {
-    let quantizer =
-        Quantizer::calibrate(feature_bits, features).expect("feature_bits validated by caller");
-    let codes = quantizer.quantize_matrix_u32(features);
-    StackedBitMatrix::from_quantized(&codes, quantizer.params(), layout)
+    pack_features_in(features, feature_bits, layout, &mut Vec::new())
 }
 
-/// [`pack_feature_matrix`] drawing the code buffer and every plane's word
-/// storage from `pool` — bitwise identical output, zero fresh allocations once
-/// the pool is warm.
+/// [`pack_feature_matrix`] drawing every plane's word storage from `pool` —
+/// bitwise identical output, zero fresh allocations once the pool is warm.
 pub fn pack_feature_matrix_pooled(
     features: &Matrix<f32>,
     feature_bits: u32,
     layout: BitMatrixLayout,
     pool: &mut PackedBufferPool,
 ) -> StackedBitMatrix {
-    let quantizer =
-        Quantizer::calibrate(feature_bits, features).expect("feature_bits validated by caller");
-    let codes = quantizer.quantize_matrix_u32_in(features, pool.take_codes());
-    let stack = StackedBitMatrix::from_quantized_in(
-        &codes,
-        quantizer.params(),
+    pack_features_in(
+        features,
+        feature_bits,
         layout,
         pool.reserve_words(feature_bits as usize),
-    );
-    pool.put_codes(codes.into_data());
-    stack
+    )
+}
+
+fn pack_features_in(
+    features: &Matrix<f32>,
+    feature_bits: u32,
+    layout: BitMatrixLayout,
+    spares: &mut Vec<Vec<u32>>,
+) -> StackedBitMatrix {
+    let params = QuantParams::calibrate(feature_bits, features)
+        .unwrap_or_else(|err| panic!("cannot calibrate the batch features: {err}"));
+    StackedBitMatrix::quantize_pack_in(features, params, layout, spares).0
 }
 
 /// Fixed per-transfer overhead in bytes-equivalent terms: a separate cudaMemcpy has
@@ -93,8 +101,10 @@ pub struct SubgraphPayload {
     pub feature_dim: usize,
     /// Feature bitwidth used by the packed strategy.
     pub feature_bits: u32,
-    /// Packed adjacency (1-bit, row-packed).
-    pub packed_adjacency: StackedBitMatrix,
+    /// Packed adjacency (1-bit, row-packed): the subgraph's own plane, which
+    /// materialisation already wrote in this layout, shared rather than
+    /// copied.
+    pub packed_adjacency: Arc<StackedBitMatrix>,
     /// Packed features (`feature_bits`-bit, column-packed).
     pub packed_features: StackedBitMatrix,
     /// The adjacency's sparse-to-dense condensed translation, built once at
@@ -117,10 +127,7 @@ impl SubgraphPayload {
             features.rows(),
             "feature rows must match subgraph nodes"
         );
-        let packed_adjacency = StackedBitMatrix::from_binary_adjacency(
-            &subgraph.adjacency,
-            BitMatrixLayout::RowPacked,
-        );
+        let packed_adjacency = Arc::clone(&subgraph.adjacency);
         let packed_features =
             pack_feature_matrix(features, feature_bits, BitMatrixLayout::ColPacked);
         Self {
@@ -134,7 +141,7 @@ impl SubgraphPayload {
         }
     }
 
-    /// [`SubgraphPayload::new`] packing both stacks into buffers drawn from
+    /// [`SubgraphPayload::new`] packing the features into buffers drawn from
     /// `pool` — bitwise identical to the fresh path.
     pub fn new_pooled(
         subgraph: &DenseSubgraph,
@@ -147,11 +154,7 @@ impl SubgraphPayload {
             features.rows(),
             "feature rows must match subgraph nodes"
         );
-        let packed_adjacency = StackedBitMatrix::from_binary_adjacency_in(
-            &subgraph.adjacency,
-            BitMatrixLayout::RowPacked,
-            pool.reserve_words(1),
-        );
+        let packed_adjacency = Arc::clone(&subgraph.adjacency);
         let packed_features =
             pack_feature_matrix_pooled(features, feature_bits, BitMatrixLayout::ColPacked, pool);
         Self {
@@ -248,7 +251,7 @@ impl SubgraphPayload {
 pub struct PreparedBatch {
     /// Epoch position of this batch (the consumption order key).
     pub batch_index: usize,
-    /// The materialised dense (block-diagonal) subgraph.
+    /// The materialised (block-diagonal) subgraph with its 1-bit adjacency.
     pub subgraph: DenseSubgraph,
     /// The batch's gathered feature rows, `num_nodes × feature_dim`.
     pub features: Matrix<f32>,
@@ -318,15 +321,24 @@ impl PreparedBatch {
     }
 
     /// Tear the batch down into `pool`, recovering the packed plane words and
-    /// the dense staging buffers for the next prepare.  This is the eviction
-    /// path of the serving layer's payload cache.
+    /// the staging buffers for the next prepare.  This is the eviction path
+    /// of the serving layer's payload cache.
     pub fn recycle_into(self, pool: &mut PackedBufferPool) {
-        if let Some(payload) = self.payload {
-            pool.recycle_stack(payload.packed_adjacency);
+        let payload_adjacency = self.payload.map(|payload| {
             pool.recycle_stack(payload.packed_features);
+            payload.packed_adjacency
+        });
+        // The subgraph and payload share one plane (unless corruption forked
+        // it): whichever handle is dropped last hands the words back.
+        for plane in [Some(self.subgraph.adjacency), payload_adjacency]
+            .into_iter()
+            .flatten()
+        {
+            if let Some(stack) = Arc::into_inner(plane) {
+                pool.recycle_stack(stack);
+            }
         }
         pool.put_floats(self.features.into_data());
-        pool.put_floats(self.subgraph.adjacency.into_data());
         pool.put_indices(self.subgraph.nodes);
     }
 
@@ -381,7 +393,8 @@ impl PreparedBatch {
         let stack = if x & 1 == 0 && payload.packed_features.packed_bytes() > 0 {
             &mut payload.packed_features
         } else {
-            &mut payload.packed_adjacency
+            // Copy-on-write: the subgraph's copy of the plane stays intact.
+            Arc::make_mut(&mut payload.packed_adjacency)
         };
         let (planes, lanes, words_per_lane) = stack.packed_shape();
         let total_words = lanes * words_per_lane;
@@ -620,6 +633,50 @@ mod tests {
             "warm pool prepares with zero fresh packed-buffer allocations"
         );
         assert!(pool.stats().reuses > cold.reuses);
+    }
+
+    #[test]
+    fn payload_shares_the_subgraph_adjacency_plane() {
+        let (coo, _) = stochastic_block_model(
+            SbmParams {
+                num_nodes: 60,
+                num_blocks: 3,
+                intra_degree: 4.0,
+                inter_degree: 0.5,
+            },
+            11,
+        );
+        let graph = CsrGraph::from_coo(&coo);
+        let sub = DenseSubgraph::extract(&graph, &(0..40).collect::<Vec<_>>());
+        let features = sub.gather_features(&random_uniform_matrix(60, 16, -1.0, 1.0, 5));
+        let prepared = PreparedBatch::pack_quantized(0, sub, features, 3);
+        let payload = prepared.payload.as_ref().unwrap();
+        assert!(Arc::ptr_eq(
+            &prepared.subgraph.adjacency,
+            &payload.packed_adjacency
+        ));
+
+        // Corrupting the payload's adjacency forks it; the subgraph keeps the
+        // clean plane.
+        let clean = (*prepared.subgraph.adjacency).clone();
+        let mut forked = 0;
+        for seed in 0..32u64 {
+            let mut damaged = prepared.clone();
+            assert!(damaged.corrupt_payload(seed));
+            let payload = damaged.payload.as_ref().unwrap();
+            if !Arc::ptr_eq(&damaged.subgraph.adjacency, &payload.packed_adjacency) {
+                forked += 1;
+                assert_eq!(*damaged.subgraph.adjacency, clean);
+                assert_ne!(*payload.packed_adjacency, clean);
+            }
+        }
+        assert!(forked > 0, "some seed must hit the adjacency");
+
+        // Recycling hands the shared plane back once: one adjacency plane,
+        // three feature planes, the feature and node-id buffers.
+        let mut pool = crate::pool::PackedBufferPool::new();
+        prepared.recycle_into(&mut pool);
+        assert_eq!(pool.spare_buffers(), 1 + 3 + 1 + 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Exclusive-pool arena for packed buffers (the serving layer's allocation seam).
 //!
 //! Sustained inference re-prepares batches over and over, and every prepare used
-//! to allocate fresh `Vec`s: packed bit-plane words, quantization codes, dense
-//! adjacency/feature staging, node-id lists.  Modeled on kubecl's exclusive
+//! to allocate fresh `Vec`s: packed bit-plane words (adjacency and features),
+//! feature staging, node-id lists.  Modeled on kubecl's exclusive
 //! memory pool, [`PackedBufferPool`] keeps one free list per buffer kind and
 //! hands buffers back and forth with their capacity intact:
 //!
@@ -34,7 +34,6 @@ pub struct PoolStats {
 #[derive(Debug, Default)]
 pub struct PackedBufferPool {
     spare_words: Vec<Vec<u32>>,
-    spare_codes: Vec<Vec<u32>>,
     spare_floats: Vec<Vec<f32>>,
     spare_indices: Vec<Vec<usize>>,
     stats: PoolStats,
@@ -53,10 +52,7 @@ impl PackedBufferPool {
 
     /// Spare buffers currently parked in the pool, summed across kinds.
     pub fn spare_buffers(&self) -> usize {
-        self.spare_words.len()
-            + self.spare_codes.len()
-            + self.spare_floats.len()
-            + self.spare_indices.len()
+        self.spare_words.len() + self.spare_floats.len() + self.spare_indices.len()
     }
 
     fn count(&mut self, reused: bool) {
@@ -78,24 +74,20 @@ impl PackedBufferPool {
         &mut self.spare_words
     }
 
+    /// Take one packed-word buffer (e.g. the storage of an adjacency plane
+    /// written straight from CSR).
+    pub fn take_words(&mut self) -> Vec<u32> {
+        let spare = self.spare_words.pop();
+        self.count(spare.is_some());
+        spare.unwrap_or_default()
+    }
+
     /// Return every plane of a packed stack to the word free list.
     pub fn recycle_stack(&mut self, stack: StackedBitMatrix) {
         stack.recycle(&mut self.spare_words);
     }
 
-    /// Take a quantization-code buffer (`Matrix<u32>` backing storage).
-    pub fn take_codes(&mut self) -> Vec<u32> {
-        let spare = self.spare_codes.pop();
-        self.count(spare.is_some());
-        spare.unwrap_or_default()
-    }
-
-    /// Return a code buffer for reuse.
-    pub fn put_codes(&mut self, buffer: Vec<u32>) {
-        self.spare_codes.push(buffer);
-    }
-
-    /// Take a dense `f32` staging buffer (adjacency, features, logits).
+    /// Take a dense `f32` staging buffer (gathered features, response rows).
     pub fn take_floats(&mut self) -> Vec<f32> {
         let spare = self.spare_floats.pop();
         self.count(spare.is_some());
@@ -201,14 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn index_and_code_lists_are_independent() {
+    fn index_and_float_lists_are_independent() {
         let mut pool = PackedBufferPool::new();
         pool.put_indices(vec![1, 2, 3]);
-        let _ = pool.take_codes();
+        let _ = pool.take_floats();
         assert_eq!(
             pool.stats().fresh_allocations,
             1,
-            "a spare index buffer cannot serve a code take"
+            "a spare index buffer cannot serve a float take"
         );
         assert_eq!(pool.take_indices(), vec![1, 2, 3]);
     }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors produced by dense-tensor operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TensorError {
     /// Two shapes that were required to agree did not.
     ShapeMismatch {
@@ -27,6 +27,14 @@ pub enum TensorError {
     EmptyMatrix {
         /// Operation that rejected the empty matrix.
         op: String,
+    },
+    /// A quantization range bound is NaN or infinite, or the range is wider
+    /// than `f32` can represent.
+    NonFiniteRange {
+        /// The requested lower bound.
+        min: f32,
+        /// The requested upper bound.
+        max: f32,
     },
     /// Data length does not match rows*cols.
     DataLengthMismatch {
@@ -59,6 +67,10 @@ impl fmt::Display for TensorError {
             TensorError::EmptyMatrix { op } => {
                 write!(f, "operation {op} requires a non-empty matrix")
             }
+            TensorError::NonFiniteRange { min, max } => write!(
+                f,
+                "quantization range [{min}, {max}] is not finite (a NaN or infinite bound, or a width beyond f32)"
+            ),
             TensorError::DataLengthMismatch { expected, actual } => write!(
                 f,
                 "data length mismatch: expected {expected} elements, got {actual}"

@@ -32,12 +32,18 @@ impl QuantParams {
     /// `scale` follows Equation 2: the range divided by the number of representable
     /// codes `2^bits`.  Degenerate ranges (max == min) get a scale of 1 so that
     /// quantization maps everything to code 0 and dequantization returns `min`.
+    /// A NaN or infinite bound, or finite bounds whose width overflows `f32`,
+    /// is rejected: the scale would be non-finite and every code meaningless.
     pub fn from_range(bits: u32, min: f32, max: f32) -> Result<Self> {
         if bits == 0 || bits > 32 {
             return Err(TensorError::InvalidBitwidth(bits));
         }
-        let levels = 2f64.powi(bits as i32) as f32;
+        // NaN or infinite bounds make the width NaN or infinite as well.
         let range = (max - min).abs();
+        if !range.is_finite() {
+            return Err(TensorError::NonFiniteRange { min, max });
+        }
+        let levels = 2f64.powi(bits as i32) as f32;
         let scale = if range > 0.0 { range / levels } else { 1.0 };
         Ok(Self { bits, min, scale })
     }
@@ -58,16 +64,21 @@ impl QuantParams {
         }
     }
 
-    /// Quantize a single value to its unsigned code.
+    /// Quantize a single value to its unsigned code: `floor((v - min) / scale)`
+    /// clamped to `[0, max_code]`, with NaN mapping to 0.
+    ///
+    /// No `floor` call: `max_code() as f32` is a whole number, so `x` and
+    /// `floor(x)` fall on the same side of both clamps, and in between the
+    /// truncating `as u32` is the floor of a positive `x`.
     #[inline]
     pub fn quantize(&self, v: f32) -> u32 {
-        let code = ((v - self.min) / self.scale).floor();
-        if code <= 0.0 {
+        let x = (v - self.min) / self.scale;
+        if x <= 0.0 {
             0
-        } else if code >= self.max_code() as f32 {
+        } else if x >= self.max_code() as f32 {
             self.max_code()
         } else {
-            code as u32
+            x as u32
         }
     }
 
@@ -113,16 +124,6 @@ impl Quantizer {
         x.map(|&v| self.params.quantize(v))
     }
 
-    /// [`Quantizer::quantize_matrix_u32`] writing the codes into recycled
-    /// `storage` (cleared first), so sustained callers — the serving layer's
-    /// packed-buffer pool — quantize without a fresh allocation per batch.
-    pub fn quantize_matrix_u32_in(&self, x: &Matrix<f32>, mut storage: Vec<u32>) -> Matrix<u32> {
-        storage.clear();
-        storage.reserve(x.len());
-        storage.extend(x.data().iter().map(|&v| self.params.quantize(v)));
-        Matrix::from_vec(x.rows(), x.cols(), storage).expect("length matches by construction")
-    }
-
     /// Dequantize an integer-code matrix back to `f32`.
     pub fn dequantize_matrix(&self, codes: &Matrix<i64>) -> Matrix<f32> {
         codes.map(|&c| self.params.dequantize(c.max(0) as u32))
@@ -160,6 +161,84 @@ mod tests {
         assert!(QuantParams::from_range(33, 0.0, 1.0).is_err());
         assert!(QuantParams::from_range(1, 0.0, 1.0).is_ok());
         assert!(QuantParams::from_range(32, 0.0, 1.0).is_ok());
+    }
+
+    #[test]
+    fn rejects_non_finite_ranges() {
+        for (min, max) in [
+            (f32::NAN, 1.0),
+            (0.0, f32::NAN),
+            (f32::NEG_INFINITY, 1.0),
+            (0.0, f32::INFINITY),
+            (f32::INFINITY, f32::NEG_INFINITY),
+            (f32::INFINITY, f32::INFINITY),
+            // Finite bounds whose width overflows.
+            (f32::MIN, f32::MAX),
+            (-2e38, 2e38),
+        ] {
+            let err = QuantParams::from_range(2, min, max).unwrap_err();
+            assert!(matches!(err, TensorError::NonFiniteRange { .. }), "{err}");
+        }
+        let x = Matrix::from_vec(1, 3, vec![0.0, f32::INFINITY, 1.0]).unwrap();
+        assert!(Quantizer::calibrate(2, &x).is_err());
+        let x = Matrix::from_vec(1, 2, vec![-2e38, 2e38]).unwrap();
+        assert!(Quantizer::calibrate(2, &x).is_err());
+        // The widest representable ranges still calibrate.
+        assert!(QuantParams::from_range(2, 0.0, f32::MAX).is_ok());
+        assert!(QuantParams::from_range(2, -1.7e38, 1.7e38).is_ok());
+    }
+
+    /// The `floor`-based definition the floor-free `quantize` must match.
+    fn floor_reference(p: &QuantParams, v: f32) -> u32 {
+        let code = ((v - p.min) / p.scale).floor();
+        if code <= 0.0 {
+            0
+        } else if code >= p.max_code() as f32 {
+            p.max_code()
+        } else {
+            code as u32
+        }
+    }
+
+    #[test]
+    fn floor_free_quantize_matches_the_floor_reference() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -1.0,
+        ];
+        for bits in [1u32, 2, 3, 4, 7, 8, 16, 24, 25, 31, 32] {
+            for (min, max) in [(0.0f32, 1.0f32), (-3.0, 5.0), (-1e-30, 1e-30), (0.0, 0.0)] {
+                let p = QuantParams::from_range(bits, min, max).unwrap();
+                let mut probes: Vec<f32> = specials.to_vec();
+                // Every bucket boundary (up to 4096 of them) and its two
+                // float neighbours.
+                let levels = (p.max_code() as u64 + 1).min(4096);
+                for k in 0..=levels {
+                    let edge = p.min + k as f32 * p.scale;
+                    probes.push(edge);
+                    probes.push(f32::from_bits(edge.to_bits().wrapping_add(1)));
+                    probes.push(f32::from_bits(edge.to_bits().wrapping_sub(1)));
+                }
+                for v in probes {
+                    assert_eq!(
+                        p.quantize(v),
+                        floor_reference(&p, v),
+                        "bits {bits} range [{min}, {max}] value {v:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,10 +47,10 @@ fn main() {
         subgraph.density()
     );
 
-    // Census the Tensor Core tiles of the packed adjacency.
-    let adjacency =
-        StackedBitMatrix::from_binary_adjacency(&subgraph.adjacency, BitMatrixLayout::RowPacked);
-    let census = census_adjacency(&adjacency);
+    // Census the Tensor Core tiles of the packed adjacency (materialisation
+    // already wrote it as a 1-bit row-packed stack).
+    let adjacency = &subgraph.adjacency;
+    let census = census_adjacency(adjacency);
     println!(
         "tile census: {} of {} 8x128 tiles contain edges ({:.1}% processed, {:.1}% jumped)",
         census.nonzero_tiles,
@@ -70,7 +70,7 @@ fn main() {
             zero_tile_jumping: jump,
             ..KernelConfig::default()
         };
-        let _ = qgtc_aggregate(&adjacency, &feature_stack, &config, &tracker);
+        let _ = qgtc_aggregate(adjacency, &feature_stack, &config, &tracker);
         let snapshot = tracker.snapshot();
         (device.estimate(&snapshot).total_ms(), snapshot)
     };

@@ -23,15 +23,16 @@
 //! use qgtc_repro::tensor::rng::random_uniform_matrix;
 //!
 //! // 1. Build a small community-structured graph and materialise its dense
-//! //    1-bit adjacency (the form QGTC's aggregation kernel consumes).
+//! //    1-bit adjacency (the row-packed form QGTC's aggregation kernel
+//! //    consumes, written straight from CSR).
 //! let params = SbmParams { num_nodes: 64, num_blocks: 4, intra_degree: 6.0, inter_degree: 1.0 };
 //! let (coo, _communities) = stochastic_block_model(params, 7);
 //! let graph = CsrGraph::from_coo(&coo);
 //! let batch = DenseSubgraph::extract(&graph, &(0..graph.num_nodes()).collect::<Vec<_>>());
 //!
-//! // 2. `to_bit`: pack the adjacency (1-bit, row-packed) and quantize random
-//! //    node features (2-bit, column-packed) as bit tensors.
-//! let adj = BitTensor::from_binary_adjacency(&batch.adjacency, BitMatrixLayout::RowPacked);
+//! // 2. `to_bit`: wrap the packed adjacency and quantize random node
+//! //    features (2-bit, column-packed) as bit tensors.
+//! let adj = BitTensor::from_stack((*batch.adjacency).clone());
 //! let features = random_uniform_matrix(64, 8, 0.0, 1.0, 11);
 //! let feats = BitTensor::from_f32(&features, 2, BitMatrixLayout::ColPacked);
 //!

@@ -219,12 +219,14 @@ proptest! {
         let epilogue = FusedEpilogue::hidden_layer(0.125, out_bits);
         let (want_stack, want_params, want_rowsums) = oracle
             .apply_epilogue(&epilogue, &acc, &CostTracker::new())
+            .unwrap()
             .into_quantized_with_rowsums()
             .expect("requantizing epilogue");
         for backend in available_backends() {
             let acc_b = backend.any_bit_gemm(&a, &b);
             let (stack, params, rowsums) = backend
                 .apply_epilogue(&epilogue, &acc_b, &CostTracker::new())
+                .unwrap()
                 .into_quantized_with_rowsums()
                 .expect("requantizing epilogue");
             prop_assert!(stack == want_stack, "{} epilogue stack differs", backend.name());

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use qgtc_repro::bitmat::fused::TilingScheme;
 use qgtc_repro::core::fault::FAULTS_ENV;
+use qgtc_repro::core::serve::QgtcSession;
 use qgtc_repro::core::{
     run_epoch, try_build_plan, try_run_epoch, try_run_epoch_streamed, BackendChoice, FaultKind,
     FaultPlan, FaultSite, FaultSpec, ModelKind, QgtcConfig, QgtcError,
@@ -299,6 +300,117 @@ fn try_build_plan_rejects_degenerate_configs_typed() {
     let (batcher, shards) = try_build_plan(&dataset, &tiny_config()).expect("valid config");
     assert!(batcher.num_batches() >= 1);
     assert!(shards >= 1);
+}
+
+#[test]
+fn non_finite_features_are_a_typed_error_naming_the_first_one() {
+    let clean = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let config = tiny_config();
+    let cols = clean.features.cols();
+    for (bad, node, column) in [
+        (f32::NAN, 7, 3),
+        (f32::INFINITY, 0, 0),
+        (f32::NEG_INFINITY, clean.graph.num_nodes() - 1, cols - 1),
+    ] {
+        let mut dataset = clean.clone();
+        // A later bad value is not the one reported.
+        dataset.features[(clean.graph.num_nodes() - 1, cols - 1)] = f32::NAN;
+        dataset.features[(node, column)] = bad;
+        let expected = QgtcError::NonFiniteFeature { node, column };
+        assert_eq!(
+            try_build_plan(&dataset, &config).map(|_| ()),
+            Err(expected.clone())
+        );
+        assert_eq!(
+            try_run_epoch(&dataset, &config).map(|_| ()),
+            Err(expected.clone())
+        );
+        assert_eq!(
+            QgtcSession::new(&dataset, &config).map(|_| ()).unwrap_err(),
+            expected
+        );
+        assert!(expected.to_string().contains(&format!("node {node}")));
+    }
+}
+
+#[test]
+fn finite_features_too_wide_for_f32_are_a_typed_error() {
+    // ±2e38 are finite, but their difference is not: no batch holding both
+    // could be given a finite quantization scale.
+    let mut dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let config = tiny_config();
+    dataset.features[(0, 0)] = -2e38;
+    dataset.features[(1, 1)] = 2e38;
+    let expected = QgtcError::FeatureRangeOverflow {
+        min: -2e38,
+        max: 2e38,
+    };
+    assert_eq!(
+        try_build_plan(&dataset, &config).map(|_| ()),
+        Err(expected.clone())
+    );
+    assert_eq!(
+        try_run_epoch(&dataset, &config).map(|_| ()),
+        Err(expected.clone())
+    );
+    assert_eq!(
+        QgtcSession::new(&dataset, &config).map(|_| ()).unwrap_err(),
+        expected
+    );
+    // Huge values of one sign still span a representable range.
+    let mut one_sided = DatasetProfile::PROTEINS.materialize_tiny(31);
+    one_sided.features.data_mut().fill(3e38);
+    one_sided.features[(0, 0)] = 2e38;
+    assert!(try_build_plan(&one_sided, &config).is_ok());
+}
+
+/// Features the plan stage accepts (range `[0, 1.7e38]`) whose aggregated
+/// activations overflow `f32`: three neighbours at the top code already sum
+/// past `f32::MAX` in the first epilogue.
+fn overflowing_dataset() -> LoadedDataset {
+    let mut dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    dataset.features.data_mut().fill(1.7e38);
+    dataset.features[(0, 0)] = 0.0;
+    dataset
+}
+
+#[test]
+fn overflowing_activations_fail_the_epoch_typed_on_both_executors() {
+    let dataset = overflowing_dataset();
+    let config = tiny_config();
+    assert!(try_build_plan(&dataset, &config).is_ok());
+    for result in [
+        try_run_epoch(&dataset, &config),
+        try_run_epoch_streamed(&dataset, &config),
+    ] {
+        match result {
+            Err(err @ QgtcError::NonFiniteActivations { .. }) => {
+                assert!(err.to_string().contains("overflowed"), "{err}");
+            }
+            other => panic!("expected NonFiniteActivations, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn serving_degrades_a_batch_whose_activations_overflow() {
+    let dataset = overflowing_dataset();
+    let config = tiny_config();
+    let mut session = QgtcSession::new(&dataset, &config).expect("the plan stage accepts it");
+    let nodes: Vec<usize> = (0..dataset.graph.num_nodes()).collect();
+    let response = session
+        .infer(&nodes)
+        .expect("a failed batch degrades, not errors");
+    assert!(!response.degraded.is_empty());
+    assert!(session.stats().degraded_batches > 0);
+    for (row, node) in nodes.iter().enumerate() {
+        if response.degraded.contains(node) {
+            assert!(response.logits.row(row).iter().all(|&v| v == 0.0));
+        }
+    }
+    // The session survives: a second request is answered the same way.
+    let again = session.infer(&nodes).expect("session still serving");
+    assert_eq!(again.degraded, response.degraded);
 }
 
 #[test]

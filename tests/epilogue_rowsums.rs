@@ -95,12 +95,15 @@ fn batched_gin_forward_performs_exactly_one_unpack_at_any_depth() {
 /// the cost, not the arithmetic.
 #[test]
 fn epilogue_rowsums_equal_recomputation_from_the_unpacked_codes() {
+    // Its `to_codes` calls move the counter the other tests read.
+    let _guard = COUNTER_LOCK.lock().unwrap();
     let acc_f = random_uniform_matrix(13, 9, -40.0, 40.0, 21);
     let acc: Matrix<i64> = acc_f.map(|&v| v as i64);
     for bits in [1u32, 3, 8] {
         let epilogue = FusedEpilogue::hidden_layer(0.25, bits);
         let (stack, _params, rowsums) = epilogue
             .apply(&acc, &CostTracker::new())
+            .unwrap()
             .into_quantized_with_rowsums()
             .expect("requantizing epilogue");
         let codes = stack.to_codes();

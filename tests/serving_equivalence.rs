@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use qgtc_repro::core::serve::{QgtcSession, ServeOptions};
+use qgtc_repro::core::serve::{LoadGenerator, QgtcSession, ServeOptions};
 use qgtc_repro::core::{run_epoch, try_build_plan, ModelKind, QgtcConfig};
 use qgtc_repro::gnn::models::QuantizationSetting;
 use qgtc_repro::gnn::{BatchedGinModel, ClusterGcnModel, GnnModel};
@@ -158,6 +158,51 @@ fn cache_hits_serve_bitwise_identical_answers_and_skip_prepares() {
         baseline,
         "steady-state serving performs zero fresh pool-managed allocations"
     );
+}
+
+/// Regression: drains used to park every batch's forward-pass logits in the
+/// pool's float free list although the pool never handed them out, so the
+/// free list grew by one buffer per executed batch.  After warm-up the spare
+/// count must stay exactly flat across a long scattered trace, whatever the
+/// cache capacity.
+#[test]
+fn pool_spares_stay_flat_across_a_long_scattered_trace() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(23);
+    let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(12, 2);
+    let num_nodes = dataset.graph.num_nodes();
+    let traffic = LoadGenerator {
+        seed: 17,
+        requests: 60,
+        nodes_per_request: 3,
+        interarrival_ms: 1.0,
+    };
+    for capacity in [0usize, 1, 64] {
+        let options = ServeOptions::default().with_cache_capacity(capacity);
+        let mut session =
+            QgtcSession::with_options(&dataset, &config, options).expect("session builds");
+        let all: Vec<usize> = (0..num_nodes).collect();
+        for _ in 0..2 {
+            let response = session.infer(&all).expect("warm-up sweep");
+            session.recycle_response(response);
+        }
+        let warm = session.pool_spare_buffers();
+        let executed_before = session.stats().batches_executed;
+        let mut request = Vec::new();
+        for index in 0..traffic.requests {
+            traffic.fill_request(index, num_nodes, &mut request);
+            let response = session.infer(&request).expect("healthy serve");
+            session.recycle_response(response);
+            assert_eq!(
+                session.pool_spare_buffers(),
+                warm,
+                "capacity {capacity}: request {index} changed the pool's spare count"
+            );
+        }
+        assert!(
+            session.stats().batches_executed > executed_before + traffic.requests as u64,
+            "capacity {capacity}: the trace must execute many batches"
+        );
+    }
 }
 
 proptest! {

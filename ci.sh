@@ -17,10 +17,10 @@
 #   test                   cargo test --workspace (superset of tier-1)
 #   partition-determinism  the sharded-partitioner == serial-oracle proptests
 #                          under RAYON_NUM_THREADS in {1, 2, 8}
-#   backend                every kernel backend == portable-oracle conformance
-#                          proptests under RAYON_NUM_THREADS in {1, 2, 8},
-#                          plus the tiny-scale backend race (the race — and
-#                          only the race — is skipped in FAST)
+#   backend                every popcount body x tiling scheme == serial-oracle
+#                          conformance proptests under RAYON_NUM_THREADS in
+#                          {1, 2, 8}, plus the tiny-scale body race (the race
+#                          — and only the race — is skipped in FAST)
 #   tiling                 the panel-staged fused GEMM: scheme-blind bitwise
 #                          proptests under RAYON_NUM_THREADS in {1, 2, 8},
 #                          plus a tiny-scale autotuner run and the tuned-vs-
@@ -53,7 +53,9 @@
 #                          overhead, serving session  [skipped in FAST]
 #   benchcheck             committed BENCH_*.json files parse, carry the
 #                          expected keys, and clear their committed bars;
-#                          the committed TUNE_gemm.json validates strictly
+#                          the committed TUNE_gemm.json validates strictly,
+#                          and BENCH_tiling.json records the schemes it
+#                          resolves
 #   doc                    cargo doc with zero warnings
 #
 # A wall-clock summary table of the executed stages prints at the end.
@@ -121,11 +123,12 @@ partition_determinism() {
 }
 
 backend_stage() {
-    # Differential conformance: every registered backend (portable, avx512
-    # where the host has VPOPCNTDQ, modeled-tc) must be bitwise identical to
-    # the portable oracle — fused GEMM, skip path, aggregation, epilogue —
-    # across the thread-pool widths the models run under.  Conformance always
-    # runs; only the timing race is elided in FAST.
+    # Conformance: every available popcount body (portable, and avx512 where
+    # the host has VPOPCNTDQ) under the baseline and staged tiling schemes must
+    # match the serial oracle bitwise and the zero-word census's statistics —
+    # GEMM, skip path, sparse aggregation, epilogue — across the thread-pool
+    # widths the models run under.  Conformance always runs; only the timing
+    # race is elided in FAST.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"

@@ -6,7 +6,9 @@
 //! here (the offline serde shim has no JSON support, and the reports are written
 //! by string formatting anyway) and checks it against a [`BenchSpec`] — required
 //! top-level keys, required per-row keys, a non-empty row array, and every
-//! recorded speedup clearing the bar recorded next to it.
+//! recorded speedup clearing the bar recorded next to it.  The tiling report is
+//! also cross-checked against the committed tune table, so a report measured
+//! against a table that no longer ships fails CI.
 
 use std::iter::Peekable;
 use std::str::Chars;
@@ -454,7 +456,7 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
 
 /// The popcount-body names a tune entry may be keyed by
 /// (`PopcountBody::name`).
-const TUNE_BODIES: [&str; 3] = ["portable", "avx2", "avx512"];
+const TUNE_BODIES: [&str; 2] = ["portable", "avx512"];
 /// The shape classes a tune entry may be keyed by (`shape_class`).
 const TUNE_CLASSES: [&str; 3] = ["small", "medium", "large"];
 
@@ -526,6 +528,50 @@ pub fn validate_tune_table(text: &str) -> Result<String, String> {
     Ok(format!(
         "{file}: {} entries, all schemes parse",
         entries.len()
+    ))
+}
+
+/// Cross-check the tiling report against the tune table: every shape row of
+/// `BENCH_tiling.json` must record the scheme `TUNE_gemm.json` resolves for
+/// the report's `body` and the row's `shape_class` (the baseline when the
+/// table has no such entry — the same fallback as kernel dispatch).  A report
+/// measured under a table that is no longer committed fails here, naming the
+/// first disagreeing row.
+pub fn validate_tiling_against_tune(report: &str, tune: &str) -> Result<String, String> {
+    use qgtc_bitmat::fused::TilingScheme;
+    use qgtc_kernels::tiling::TuneTable;
+
+    let file = "BENCH_tiling.json";
+    let doc = parse_json(report).map_err(|err| format!("{file}: invalid JSON: {err}"))?;
+    let body = doc
+        .get("body")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("{file}: missing string key \"body\""))?;
+    let rows = doc
+        .get("shapes")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("{file}: \"shapes\" must be an array"))?;
+    let table = TuneTable::parse(tune);
+    for (index, row) in rows.iter().enumerate() {
+        let field = |key: &str| -> Result<&str, String> {
+            row.get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("{file}: shapes[{index}] is missing string key {key:?}"))
+        };
+        let (name, class, recorded) = (field("name")?, field("shape_class")?, field("scheme")?);
+        let resolved = table
+            .lookup(body, class)
+            .unwrap_or_else(TilingScheme::baseline);
+        if TilingScheme::parse(recorded) != Ok(resolved) {
+            return Err(format!(
+                "{file}: shapes[{index}] ({name}) records scheme {recorded:?}, but TUNE_gemm.json \
+                 resolves ({body}, {class}) to \"{resolved}\""
+            ));
+        }
+    }
+    Ok(format!(
+        "{file}: all {} rows record the scheme TUNE_gemm.json resolves for their ({body}, shape class)",
+        rows.len()
     ))
 }
 
@@ -648,7 +694,7 @@ mod tests {
         format!(
             concat!(
                 "{{\"bench\": \"backend_race\", \"scale\": \"fast\", \"reps\": 3, ",
-                "\"host_backends\": [\"portable\", \"modeled-tc\"], ",
+                "\"host_backends\": [\"portable\", \"avx512\"], ",
                 "\"headline_winner\": \"portable\", ",
                 "\"winner_speedup_vs_portable\": {speedup}, ",
                 "\"winner_not_slower_bar\": 1.0, ",
@@ -811,7 +857,7 @@ mod tests {
         format!(
             concat!(
                 "{{\"bench\": \"gemm_tiled_vs_fixed\", \"scale\": \"fast\", \"reps\": 3, ",
-                "\"body\": \"avx2\", \"headline_speedup\": {speedup}, ",
+                "\"body\": \"avx512\", \"headline_speedup\": {speedup}, ",
                 "\"headline_bar\": 1.15, \"profile_wins\": {wins}, ",
                 "\"profile_wins_min\": 1, ",
                 "\"shapes\": [{{\"name\": \"headline\", \"m\": 1024, \"k\": 1024, \"n\": 1024, ",
@@ -847,6 +893,26 @@ mod tests {
         assert!(slow.unwrap_err().contains("headline_speedup"));
         let no_wins = validate_bench_report(&tiling_spec(), &minimal_tiling_report(1.4, 0));
         assert!(no_wins.unwrap_err().contains("profile_wins"));
+    }
+
+    #[test]
+    fn tiling_rows_must_record_the_scheme_the_tune_table_resolves() {
+        // The report's one row is (avx512, large) at 16x8x8; the table
+        // resolves (avx512, large) from its first entry.
+        let report = minimal_tiling_report(1.4, 3);
+        let summary = validate_tiling_against_tune(&report, &minimal_tune_table("16x8x8")).unwrap();
+        assert!(summary.contains("all 1 rows"), "{summary}");
+        let err = validate_tiling_against_tune(&report, &minimal_tune_table("16x8x0")).unwrap_err();
+        assert!(err.contains("shapes[0] (headline)"), "{err}");
+        assert!(err.contains("\"16x8x8\""), "{err}");
+        assert!(err.contains("\"16x8x0\""), "{err}");
+        // No entry for the row's key: dispatch runs the baseline, so only
+        // the baseline scheme agrees.
+        let untuned = minimal_tune_table("16x8x8").replace("\"large\"", "\"medium\"");
+        let err = validate_tiling_against_tune(&report, &untuned).unwrap_err();
+        assert!(err.contains("\"8x4x0\""), "{err}");
+        let baseline = report.replace("\"scheme\": \"16x8x8\"", "\"scheme\": \"8x4x0\"");
+        assert!(validate_tiling_against_tune(&baseline, &untuned).is_ok());
     }
 
     #[test]
@@ -931,7 +997,7 @@ mod tests {
         format!(
             concat!(
                 "{{\"bench\": \"adjacency_condense_vs_skip\", \"scale\": \"fast\", ",
-                "\"reps\": 3, \"body\": \"avx2\", \"condense_threshold\": 0.75, ",
+                "\"reps\": 3, \"body\": \"avx512\", \"condense_threshold\": 0.75, ",
                 "\"fragmented_speedup\": {fragmented}, ",
                 "\"fragmented_probe\": \"fragmented-50\", \"fragmented_bar\": 1.3, ",
                 "\"auto_worst_efficiency\": {auto_eff}, \"auto_efficiency_bar\": 0.95, ",
@@ -1014,7 +1080,7 @@ mod tests {
             concat!(
                 "{{\"file\": \"TUNE_gemm.json\", \"scale\": \"fast\", \"reps\": 2, ",
                 "\"entries\": [",
-                "{{\"body\": \"avx2\", \"shape_class\": \"large\", \"scheme\": \"{scheme}\", ",
+                "{{\"body\": \"avx512\", \"shape_class\": \"large\", \"scheme\": \"{scheme}\", ",
                 "\"speedup_vs_baseline\": 2.0}}, ",
                 "{{\"body\": \"portable\", \"shape_class\": \"small\", \"scheme\": \"8x4x0\", ",
                 "\"speedup_vs_baseline\": 1.0}}",
@@ -1046,7 +1112,7 @@ mod tests {
 
     #[test]
     fn rejects_tune_tables_with_unknown_keys_or_duplicates() {
-        let bad_body = minimal_tune_table("16x8x8").replace("\"avx2\"", "\"sse9\"");
+        let bad_body = minimal_tune_table("16x8x8").replace("\"avx512\"", "\"avx2\"");
         let err = validate_tune_table(&bad_body).unwrap_err();
         assert!(err.contains("unknown popcount body"), "{err}");
         let bad_class = minimal_tune_table("16x8x8").replace("\"large\"", "\"huge\"");
@@ -1054,7 +1120,7 @@ mod tests {
         assert!(err.contains("unknown shape class"), "{err}");
         let duplicated = minimal_tune_table("16x8x8").replace(
             "\"body\": \"portable\", \"shape_class\": \"small\"",
-            "\"body\": \"avx2\", \"shape_class\": \"large\"",
+            "\"body\": \"avx512\", \"shape_class\": \"large\"",
         );
         let err = validate_tune_table(&duplicated).unwrap_err();
         assert!(err.contains("duplicates"), "{err}");

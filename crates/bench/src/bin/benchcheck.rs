@@ -9,53 +9,47 @@
 //! root.  The tune table gets the strict validation the forgiving runtime
 //! loader deliberately omits — unknown bodies or shape classes, duplicate
 //! keys, and malformed scheme strings (surfaced with the scheme parser's
-//! typed error) all fail CI.
+//! typed error) all fail CI.  Finally every row of `BENCH_tiling.json` must
+//! record the scheme the committed table resolves for it, so a tiling report
+//! measured against an older table fails too.
 //!
 //! Usage: `cargo run -p qgtc-bench --bin benchcheck [root_dir]`
 //! (`root_dir` defaults to the current directory, which is where `ci.sh` runs).
 
-use qgtc_bench::benchjson::{committed_bench_specs, validate_bench_report, validate_tune_table};
+use qgtc_bench::benchjson::{
+    committed_bench_specs, validate_bench_report, validate_tiling_against_tune, validate_tune_table,
+};
 
 fn main() {
     let root = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
+    let root = std::path::Path::new(&root);
     let mut failed = false;
-    for spec in committed_bench_specs() {
-        let path = std::path::Path::new(&root).join(spec.file);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("benchcheck FAIL: cannot read {}: {err}", path.display());
-                failed = true;
-                continue;
-            }
-        };
-        match validate_bench_report(&spec, &text) {
-            Ok(summary) => eprintln!("benchcheck OK: {summary}"),
-            Err(reason) => {
-                eprintln!("benchcheck FAIL: {reason}");
-                failed = true;
-            }
+    let mut check = |result: Result<String, String>| match result {
+        Ok(summary) => eprintln!("benchcheck OK: {summary}"),
+        Err(reason) => {
+            eprintln!("benchcheck FAIL: {reason}");
+            failed = true;
         }
+    };
+    let read = |file: &str| {
+        let path = root.join(file);
+        std::fs::read_to_string(&path)
+            .map_err(|err| format!("cannot read {}: {err}", path.display()))
+    };
+    for spec in committed_bench_specs() {
+        check(read(spec.file).and_then(|text| validate_bench_report(&spec, &text)));
     }
     // The committed autotuner table is validated strictly here (the runtime
     // loader is deliberately forgiving): a malformed scheme string must fail
     // CI with the scheme parser's typed error, not fall back to the baseline.
-    let tune_path = std::path::Path::new(&root).join("TUNE_gemm.json");
-    match std::fs::read_to_string(&tune_path) {
-        Ok(text) => match validate_tune_table(&text) {
-            Ok(summary) => eprintln!("benchcheck OK: {summary}"),
-            Err(reason) => {
-                eprintln!("benchcheck FAIL: {reason}");
-                failed = true;
+    match read("TUNE_gemm.json") {
+        Ok(tune) => {
+            check(validate_tune_table(&tune));
+            if let Ok(tiling) = read("BENCH_tiling.json") {
+                check(validate_tiling_against_tune(&tiling, &tune));
             }
-        },
-        Err(err) => {
-            eprintln!(
-                "benchcheck FAIL: cannot read {}: {err}",
-                tune_path.display()
-            );
-            failed = true;
         }
+        Err(reason) => check(Err(reason)),
     }
     if failed {
         std::process::exit(1);

@@ -22,13 +22,14 @@
 //! per-shard work units, not timing) as `BENCH_partition.json`.  Full-scale
 //! runs additionally gate the modeled speedup on the largest profile at 1.5×.
 //!
-//! And it runs the **backend race**: every available `GemmBackend` is timed
-//! head-to-head on the headline GEMM shape and one aggregation shape per
-//! Table-1 profile, after asserting all of them return the portable oracle's
-//! bits.  The race records which backend won each shape into
-//! `BENCH_backend.json` and gates that the overall winner is not slower than
-//! the portable oracle (trivially ≥1.0× — portable races too — so the gate
-//! catches a corrupted report, not a slow host).
+//! And it runs the **backend race**: every available popcount body is timed
+//! head-to-head (`any_bit_gemm_fused_with_scheme` under the baseline scheme)
+//! on the headline GEMM shape and one aggregation shape per Table-1 profile,
+//! after asserting all of them return the portable body's bits.  The race
+//! records which body won each shape into `BENCH_backend.json` and gates that
+//! the overall winner is not slower than the portable body (trivially ≥1.0× —
+//! portable races too — so the gate catches a corrupted report, not a slow
+//! host).
 //!
 //! And it probes the **fault supervisor's overhead**: the supervised streamed
 //! executor (payload checksums sealed and verified on every batch, every stage
@@ -124,7 +125,6 @@ use qgtc_core::{
     FaultPlan, LoadGenerator, ModelKind, QgtcConfig, QgtcSession,
 };
 use qgtc_graph::DatasetProfile;
-use qgtc_kernels::backend::available_backends;
 use qgtc_kernels::tile_reuse::random_feature_codes;
 use qgtc_kernels::{
     adjacency_sparsity_stats, resolve_adjacency_path, resolve_tiling, shape_class, AdjacencyPath,
@@ -539,8 +539,9 @@ fn probe_partition(
     }
 }
 
-/// One shape of the backend race: every available backend timed on identical
-/// operands, after a bitwise-equality assertion against the portable oracle.
+/// One shape of the backend race: every available popcount body timed on
+/// identical operands, after a bitwise-equality assertion against the
+/// portable body.
 struct BackendRaceRow {
     name: String,
     m: usize,
@@ -548,7 +549,7 @@ struct BackendRaceRow {
     n: usize,
     a_bits: u32,
     b_bits: u32,
-    /// `(backend name, min ns per op)` in registry order.
+    /// `(body name, min ns per op)` in `PopcountBody::ALL` order.
     lanes: Vec<(String, u128)>,
 }
 
@@ -607,39 +608,38 @@ impl BackendRaceRow {
     }
 }
 
-/// Race every available backend on one operand pair.  Asserts all backends
-/// agree bitwise (result *and* word statistics) before any lane is timed.
+/// Race every available popcount body on one operand pair under the baseline
+/// scheme.  Asserts all bodies agree bitwise (result *and* word statistics)
+/// before any lane is timed.
 fn race_backends(
     name: &str,
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
 ) -> BackendRaceRow {
-    let backends = available_backends();
-    let (oracle, oracle_stats) = backends
-        .iter()
-        .find(|backend| backend.name() == "portable")
-        .expect("portable always available")
-        .any_bit_gemm_with_stats(a, b, skip_zero_words);
+    let run = |body| {
+        any_bit_gemm_fused_with_scheme(a, b, skip_zero_words, body, TilingScheme::baseline())
+    };
+    let (oracle, oracle_stats) = run(PopcountBody::Portable);
     let mut lanes = Vec::new();
-    for backend in &backends {
-        let (out, stats) = backend.any_bit_gemm_with_stats(a, b, skip_zero_words);
+    for body in PopcountBody::available() {
+        let (out, stats) = run(body);
         assert_eq!(
             out,
             oracle,
-            "{} disagrees with the portable oracle on {name}",
-            backend.name()
+            "{} disagrees with the portable body on {name}",
+            body.name()
         );
         assert_eq!(
             stats,
             oracle_stats,
-            "{} word stats disagree with the portable oracle on {name}",
-            backend.name()
+            "{} word stats disagree with the portable body on {name}",
+            body.name()
         );
         let ns = time_min(|| {
-            let _ = backend.any_bit_gemm_with_stats(a, b, skip_zero_words);
+            let _ = run(body);
         });
-        lanes.push((backend.name().to_string(), ns));
+        lanes.push((body.name().to_string(), ns));
     }
     BackendRaceRow {
         name: name.to_string(),
@@ -652,14 +652,13 @@ fn race_backends(
     }
 }
 
-/// The backend race: head-to-head timing of every available backend on the
-/// headline GEMM shape plus one Table-1 aggregation shape per profile.
+/// The backend race: head-to-head timing of every available popcount body on
+/// the headline GEMM shape plus one Table-1 aggregation shape per profile.
 /// Returns `true` when the race failed its gate.
 fn run_backend_race(scale: &str, headline_size: usize, batch: usize) -> bool {
     let backend_out =
         std::env::var("QGTC_BACKEND_OUT").unwrap_or_else(|_| "BENCH_backend.json".to_string());
-    let backends = available_backends();
-    let names: Vec<String> = backends
+    let names: Vec<String> = PopcountBody::available()
         .iter()
         .map(|b| format!("\"{}\"", b.name()))
         .collect();
@@ -727,7 +726,7 @@ fn run_backend_race(scale: &str, headline_size: usize, batch: usize) -> bool {
             "  \"headline_winner\": \"{}\",\n",
             "  \"winner_speedup_vs_portable\": {},\n",
             "  \"winner_not_slower_bar\": {},\n",
-            "  \"note\": \"every lane is asserted bitwise-equal to the portable oracle before timing; on hosts without AVX-512 VPOPCNTDQ the portable body is expected to win and the modeled-tc lane pays its census overhead\",\n",
+            "  \"note\": \"each lane is one popcount body under the baseline 8x4x0 scheme, asserted bitwise-equal to the portable body (result and word statistics) before timing; hosts without AVX-512 VPOPCNTDQ race the portable body alone\",\n",
             "  \"shapes\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -1027,9 +1026,9 @@ impl TilingProbeRow {
 
 /// Probe one operand pair: assert the tuned staged kernel reproduces the
 /// fixed-scheme legacy kernel bitwise (result and word statistics), then time
-/// both lanes.  The fixed lane is the frozen pre-tiling dispatch
+/// both lanes.  The fixed lane is the legacy unstaged kernel
 /// (`any_bit_gemm_fused_with_stats`, [`PopcountBody::detect`]); the tuned lane
-/// runs the staged body under the resolved scheme.
+/// runs `body` under the resolved scheme.
 fn probe_tiling_shape(
     name: &str,
     a: &StackedBitMatrix,
@@ -1078,9 +1077,8 @@ fn probe_tiling_shape(
 fn run_tiling_probe(scale: &str, headline_size: usize, batch: usize) -> bool {
     let tiling_out =
         std::env::var("QGTC_TILING_OUT").unwrap_or_else(|_| "BENCH_tiling.json".to_string());
-    // The staged body is the tuned lane's engine; on hosts without AVX-512
-    // VPOPCNTDQ this is the AVX2 nibble-LUT body the staged loop introduced.
-    let body = PopcountBody::detect_staged();
+    // Both lanes run the fastest body on this host.
+    let body = PopcountBody::detect();
     // Full scale enforces the 1.15× headline dividend of the tiling PR plus a
     // win on at least one dataset-profile shape; tiny runs only check the
     // wiring (the tuned lane must roughly match the fixed kernel even when a
@@ -1090,8 +1088,8 @@ fn run_tiling_probe(scale: &str, headline_size: usize, batch: usize) -> bool {
         _ => (1.15, 1),
     };
     eprintln!(
-        "perfsmoke: tiling-dividend probe (scale {scale}, headline {headline_size}^3, staged \
-         body {}, tune table {})",
+        "perfsmoke: tiling-dividend probe (scale {scale}, headline {headline_size}^3, body {}, \
+         tune table {})",
         body.name(),
         qgtc_kernels::tune_file_path(),
     );
@@ -1157,7 +1155,7 @@ fn run_tiling_probe(scale: &str, headline_size: usize, batch: usize) -> bool {
             "  \"headline_bar\": {},\n",
             "  \"profile_wins\": {},\n",
             "  \"profile_wins_min\": {},\n",
-            "  \"note\": \"fixed = the frozen pre-tiling dispatch (legacy unstaged kernel, its own body detection); tuned = the panel-staged K-loop double-buffered kernel on the staged body under the TUNE_gemm.json scheme resolve_tiling picks per shape; every row is asserted bitwise identical (result and word statistics) before timing\",\n",
+            "  \"note\": \"fixed = the legacy unstaged kernel (the 8x4x0 baseline scheme); tuned = the panel-staged K-loop double-buffered kernel under the TUNE_gemm.json scheme resolve_tiling picks per shape; both lanes run the detected popcount body, and every row is asserted bitwise identical (result and word statistics) before timing\",\n",
             "  \"shapes\": [\n{}\n  ]\n",
             "}}\n"
         ),

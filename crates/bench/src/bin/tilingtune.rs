@@ -319,14 +319,7 @@ fn main() {
     };
     let out_path = std::env::var("QGTC_TUNE_OUT").unwrap_or_else(|_| "TUNE_gemm.json".to_string());
 
-    let bodies: Vec<PopcountBody> = [
-        PopcountBody::Portable,
-        PopcountBody::Avx2,
-        PopcountBody::Avx512,
-    ]
-    .into_iter()
-    .filter(|body| body.is_available())
-    .collect();
+    let bodies = PopcountBody::available();
     let grid = scheme_grid();
     eprintln!(
         "tilingtune: scale {scale}, headline {headline_size}^3, batch {batch}, {} schemes, bodies [{}]",

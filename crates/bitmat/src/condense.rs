@@ -41,7 +41,7 @@ pub const CONDENSE_ROW_WINDOW: usize = 16;
 /// Condensed index `u` stands for source column `col_ids[u]`; bit `u` of row
 /// `r`'s condensed lane is source adjacency bit `(row_start + r, col_ids[u])`.
 /// The condensed width is `words_per_row` 64-bit words — naturally aligned to
-/// the 8/16-wide Tensor Core tile grid the modeled backend charges for.
+/// the 8/16-wide Tensor Core tile grid the modeled tile walk charges for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CondensedWindow {
     /// First source adjacency row covered by this window.

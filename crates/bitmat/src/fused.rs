@@ -185,29 +185,33 @@ impl std::error::Error for ParseTilingSchemeError {}
 /// Both bodies are bitwise identical over any input (the AVX-512 body's tail
 /// loop *is* the portable body); they differ only in how many widened words
 /// they traverse per step.  The default entry points pick
-/// [`PopcountBody::detect`]; the kernel-backend layer selects a body
-/// explicitly so the portable and vector paths can be raced and
-/// conformance-tested against each other.
+/// [`PopcountBody::detect`]; the kernel layer's `BackendChoice` resolves to
+/// one body, and the conformance suite and the perfsmoke race iterate
+/// [`PopcountBody::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PopcountBody {
     /// Scalar `u64::count_ones` loop — available on every host.
     #[default]
     Portable,
-    /// AVX2 nibble-LUT popcount (`PSHUFB` + `PSADBW`, the Muła kernel),
-    /// 256 bits per step — x86-64 hosts with `avx2`.  Introduced with the
-    /// panel-staged loop; the legacy unstaged kernel also accepts it but
-    /// never auto-selects it (see [`PopcountBody::detect`]).
-    Avx2,
     /// AVX-512 `VPOPCNTQ`, 512 bits per step — x86-64 hosts with
     /// `avx512f` + `avx512vpopcntdq` only.
     Avx512,
 }
 
 impl PopcountBody {
-    /// The fastest body the *legacy unstaged* kernel auto-selects on this
-    /// host.  The unstaged kernel predates the AVX2 nibble body and is kept
-    /// as the frozen A/B baseline of the tiling benchmarks, so its detection
-    /// order is unchanged: AVX-512 when available, the scalar loop otherwise.
+    /// Every body, available on this host or not.
+    pub const ALL: [PopcountBody; 2] = [PopcountBody::Portable, PopcountBody::Avx512];
+
+    /// The bodies this host can run, in [`PopcountBody::ALL`] order.
+    pub fn available() -> Vec<PopcountBody> {
+        PopcountBody::ALL
+            .into_iter()
+            .filter(|body| body.is_available())
+            .collect()
+    }
+
+    /// The fastest body available on this host: AVX-512 when available, the
+    /// scalar loop otherwise.
     pub fn detect() -> Self {
         if avx512_popcount_available() {
             PopcountBody::Avx512
@@ -216,35 +220,10 @@ impl PopcountBody {
         }
     }
 
-    /// The fastest body available to the panel-staged loop on this host:
-    /// AVX-512 `VPOPCNTQ`, else the AVX2 nibble-LUT body, else the scalar
-    /// loop.
-    pub fn detect_staged() -> Self {
-        if avx512_popcount_available() {
-            PopcountBody::Avx512
-        } else if avx2_popcount_available() {
-            PopcountBody::Avx2
-        } else {
-            PopcountBody::Portable
-        }
-    }
-
-    /// The fastest body for `scheme`: [`PopcountBody::detect`] for the
-    /// baseline (unstaged) scheme, [`PopcountBody::detect_staged`] for every
-    /// staged one.
-    pub fn detect_for(scheme: TilingScheme) -> Self {
-        if scheme.is_baseline() {
-            Self::detect()
-        } else {
-            Self::detect_staged()
-        }
-    }
-
     /// Whether this body can run on this host.
     pub fn is_available(self) -> bool {
         match self {
             PopcountBody::Portable => true,
-            PopcountBody::Avx2 => avx2_popcount_available(),
             PopcountBody::Avx512 => avx512_popcount_available(),
         }
     }
@@ -253,7 +232,6 @@ impl PopcountBody {
     pub fn name(self) -> &'static str {
         match self {
             PopcountBody::Portable => "portable",
-            PopcountBody::Avx2 => "avx2",
             PopcountBody::Avx512 => "avx512",
         }
     }
@@ -320,54 +298,15 @@ pub fn any_bit_gemm_fused_with_stats(
     fused_gemm_impl(a, b, skip_zero_words, PopcountBody::detect())
 }
 
-/// [`any_bit_gemm_fused_with_stats`] with an explicitly selected popcount
-/// body instead of the runtime-detected one.  The backend layer uses this to
-/// pin a kernel to one body (e.g. racing portable against AVX-512 on the same
-/// host, or forcing the scalar oracle in a differential test).
-///
-/// # Panics
-///
-/// Panics if `body` is not available on this host (see
-/// [`PopcountBody::is_available`]).
-pub fn any_bit_gemm_fused_with_body(
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-    skip_zero_words: bool,
-    body: PopcountBody,
-) -> (Matrix<i64>, FusedGemmStats) {
-    assert!(
-        body.is_available(),
-        "popcount body {body:?} is not available on this host"
-    );
-    fused_gemm_impl(a, b, skip_zero_words, body)
-}
-
-/// Fused GEMM under an explicit [`TilingScheme`], with the fastest body
-/// available for that scheme ([`PopcountBody::detect_for`]).
+/// Fused GEMM on an explicitly selected popcount body under an explicit
+/// [`TilingScheme`] — the kernel layer's entry point.
 ///
 /// The baseline scheme routes to the legacy unstaged kernel; every other
-/// scheme runs the panel-staged, K-loop double-buffered kernel.  Both are
-/// bitwise identical to the portable oracle, and the returned
-/// [`FusedGemmStats`] counters are scheme-independent: `total_words` is the
-/// arithmetic K-loop trip count and `visited_words` is derived from the same
-/// full-lane span index the unstaged kernel uses.
-pub fn any_bit_gemm_fused_tiled(
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-    skip_zero_words: bool,
-    scheme: TilingScheme,
-) -> (Matrix<i64>, FusedGemmStats) {
-    any_bit_gemm_fused_with_scheme(
-        a,
-        b,
-        skip_zero_words,
-        PopcountBody::detect_for(scheme),
-        scheme,
-    )
-}
-
-/// [`any_bit_gemm_fused_tiled`] with an explicitly selected popcount body —
-/// the backend layer's entry point, pinning one body per kernel backend.
+/// scheme runs the panel-staged, K-loop double-buffered kernel.  Every
+/// `(body, scheme)` pair is bitwise identical to the serial oracle, and the
+/// returned [`FusedGemmStats`] counters are scheme-independent:
+/// `total_words` is the arithmetic K-loop trip count and `visited_words` is
+/// derived from the same full-lane span index the unstaged kernel uses.
 ///
 /// # Panics
 ///
@@ -910,7 +849,6 @@ fn panel_popcount1(body: PopcountBody, a: &[u64], b: &[u64]) -> u64 {
     match body {
         // SAFETY: availability was verified by the body-selecting entry points.
         PopcountBody::Avx512 => return unsafe { panel_popcount1_avx512(a, b) },
-        PopcountBody::Avx2 => return unsafe { panel_popcount1_avx2(a, b) },
         PopcountBody::Portable => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -946,9 +884,6 @@ pub(crate) fn panel_accum2(
         // SAFETY: availability was verified by the body-selecting entry points.
         PopcountBody::Avx512 => {
             return unsafe { panel_accum2_avx512(a0, a1, s, pairs, p_start, b, t, b_stride, p_len) }
-        }
-        PopcountBody::Avx2 => {
-            return unsafe { panel_accum2_avx2(a0, a1, s, pairs, p_start, b, t, b_stride, p_len) }
         }
         PopcountBody::Portable => {}
     }
@@ -1013,11 +948,6 @@ fn panel_span_accum(
                 panel_span_accum_avx512(a, spans, s, pairs, b, t, b_stride, p_start, p_len)
             }
         }
-        PopcountBody::Avx2 => {
-            return unsafe {
-                panel_span_accum_avx2(a, spans, s, pairs, b, t, b_stride, p_start, p_len)
-            }
-        }
         PopcountBody::Portable => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1050,13 +980,6 @@ fn panel_span_accum4(
         PopcountBody::Avx512 => {
             return unsafe {
                 panel_span_accum4_avx512(
-                    a, spans, s, pairs, b, t, b_stride, col_stride, p_start, p_len,
-                )
-            }
-        }
-        PopcountBody::Avx2 => {
-            return unsafe {
-                panel_span_accum4_avx2(
                     a, spans, s, pairs, b, t, b_stride, col_stride, p_start, p_len,
                 )
             }
@@ -1357,7 +1280,6 @@ fn popcount4(
         // SAFETY: the required target features were verified at runtime by
         // the availability checks on every body-selecting entry point.
         PopcountBody::Avx512 => return unsafe { popcount4_avx512(a, b0, b1, b2, b3) },
-        PopcountBody::Avx2 => return unsafe { popcount4_avx2(a, b0, b1, b2, b3) },
         PopcountBody::Portable => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1398,20 +1320,6 @@ pub fn avx512_popcount_available() -> bool {
 /// One-time runtime probe for the AVX-512 vector-popcount micro-kernel.
 #[cfg(not(target_arch = "x86_64"))]
 pub fn avx512_popcount_available() -> bool {
-    false
-}
-
-/// One-time runtime probe for the AVX2 nibble-LUT popcount micro-kernel.
-#[cfg(target_arch = "x86_64")]
-pub fn avx2_popcount_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// One-time runtime probe for the AVX2 nibble-LUT popcount micro-kernel.
-#[cfg(not(target_arch = "x86_64"))]
-pub fn avx2_popcount_available() -> bool {
     false
 }
 
@@ -1457,404 +1365,6 @@ unsafe fn popcount4_avx512(a: &[u64], b0: &[u64], b1: &[u64], b2: &[u64], b3: &[
         _mm512_reduce_add_epi64(acc2) as u64 + tail[2],
         _mm512_reduce_add_epi64(acc3) as u64 + tail[3],
     ]
-}
-
-/// Per-64-bit-lane popcount of a 256-bit vector: the Muła nibble-LUT kernel
-/// (`PSHUFB` against a 16-entry table for each nibble half, byte sums folded
-/// per lane with `PSADBW`).  Exact for every input.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mula_popcount64x4(
-    v: std::arch::x86_64::__m256i,
-    lut: std::arch::x86_64::__m256i,
-    low_mask: std::arch::x86_64::__m256i,
-) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::{
-        _mm256_add_epi8, _mm256_and_si256, _mm256_sad_epu8, _mm256_setzero_si256,
-        _mm256_shuffle_epi8, _mm256_srli_epi32,
-    };
-    let lo = _mm256_and_si256(v, low_mask);
-    let hi = _mm256_and_si256(_mm256_srli_epi32::<4>(v), low_mask);
-    let counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-    _mm256_sad_epu8(counts, _mm256_setzero_si256())
-}
-
-/// The nibble-LUT table (popcount of 0..=15 in both 128-bit halves) and the
-/// low-nibble mask the Muła kernel shuffles against.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mula_constants() -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
-    use std::arch::x86_64::{_mm256_set1_epi8, _mm256_setr_epi8};
-    let lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3,
-        3, 4,
-    );
-    (lut, _mm256_set1_epi8(0x0f))
-}
-
-/// Horizontal sum of the four `u64` lanes of a 256-bit accumulator.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn hsum_epi64x4(v: std::arch::x86_64::__m256i) -> u64 {
-    use std::arch::x86_64::_mm256_storeu_si256;
-    let mut lanes = [0u64; 4];
-    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
-    lanes[0]
-        .wrapping_add(lanes[1])
-        .wrapping_add(lanes[2])
-        .wrapping_add(lanes[3])
-}
-
-/// AVX2 legacy micro-kernel body: the Muła nibble popcount over four widened
-/// words of all four columns per step, portable tail.  Bitwise identical to
-/// [`popcount4_portable`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn popcount4_avx2(a: &[u64], b0: &[u64], b1: &[u64], b2: &[u64], b3: &[u64]) -> [u64; 4] {
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256, _mm256_setzero_si256,
-    };
-    const LANES: usize = 4;
-    let (lut, low_mask) = mula_constants();
-    let steps = a.len() / LANES;
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    let mut acc2 = _mm256_setzero_si256();
-    let mut acc3 = _mm256_setzero_si256();
-    for step in 0..steps {
-        let offset = step * LANES;
-        let av = _mm256_loadu_si256(a.as_ptr().add(offset).cast());
-        let v0 = _mm256_loadu_si256(b0.as_ptr().add(offset).cast());
-        let v1 = _mm256_loadu_si256(b1.as_ptr().add(offset).cast());
-        let v2 = _mm256_loadu_si256(b2.as_ptr().add(offset).cast());
-        let v3 = _mm256_loadu_si256(b3.as_ptr().add(offset).cast());
-        acc0 = _mm256_add_epi64(
-            acc0,
-            mula_popcount64x4(_mm256_and_si256(av, v0), lut, low_mask),
-        );
-        acc1 = _mm256_add_epi64(
-            acc1,
-            mula_popcount64x4(_mm256_and_si256(av, v1), lut, low_mask),
-        );
-        acc2 = _mm256_add_epi64(
-            acc2,
-            mula_popcount64x4(_mm256_and_si256(av, v2), lut, low_mask),
-        );
-        acc3 = _mm256_add_epi64(
-            acc3,
-            mula_popcount64x4(_mm256_and_si256(av, v3), lut, low_mask),
-        );
-    }
-    let done = steps * LANES;
-    let tail = popcount4_portable(
-        &a[done..],
-        &b0[done..],
-        &b1[done..],
-        &b2[done..],
-        &b3[done..],
-    );
-    [
-        hsum_epi64x4(acc0) + tail[0],
-        hsum_epi64x4(acc1) + tail[1],
-        hsum_epi64x4(acc2) + tail[2],
-        hsum_epi64x4(acc3) + tail[3],
-    ]
-}
-
-/// AVX2 staged body: Muła nibble popcount over four-word steps of one panel
-/// segment, portable tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn panel_popcount1_avx2(a: &[u64], b: &[u64]) -> u64 {
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256, _mm256_setzero_si256,
-    };
-    const LANES: usize = 4;
-    let (lut, low_mask) = mula_constants();
-    let steps = a.len() / LANES;
-    let mut acc = _mm256_setzero_si256();
-    for step in 0..steps {
-        let offset = step * LANES;
-        let av = _mm256_loadu_si256(a.as_ptr().add(offset).cast());
-        let bv = _mm256_loadu_si256(b.as_ptr().add(offset).cast());
-        acc = _mm256_add_epi64(
-            acc,
-            mula_popcount64x4(_mm256_and_si256(av, bv), lut, low_mask),
-        );
-    }
-    let done = steps * LANES;
-    let mut count = hsum_epi64x4(acc);
-    for i in done..a.len() {
-        count += u64::from((a[i] & b[i]).count_ones());
-    }
-    count
-}
-
-/// AVX2 fused staged body: the Muła per-lane popcounts of every plane pair
-/// are shifted by `plane_a + plane_b` in the vector domain
-/// (`_mm256_sll_epi64`) and gathered into one accumulator per row, so the
-/// horizontal reduction runs once per (row, column) instead of once per
-/// plane pair.  The last `p_len % 4` words run as one masked vector step.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn panel_accum2_avx2(
-    a0: &[u64],
-    a1: &[u64],
-    s: usize,
-    pairs: usize,
-    p_start: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    p_len: usize,
-) -> (i64, i64) {
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_cmpgt_epi64, _mm256_loadu_si256,
-        _mm256_maskload_epi64, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_setzero_si256,
-        _mm256_sll_epi64, _mm_cvtsi64_si128,
-    };
-    const LANES: usize = 4;
-    let (lut, low_mask) = mula_constants();
-    let steps = p_len / LANES;
-    let done = steps * LANES;
-    let rem = p_len - done;
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    for plane_a in 0..s {
-        let seg = plane_a * pairs + p_start;
-        let a0_seg = &a0[seg..][..p_len];
-        let a1_seg = &a1[seg..][..p_len];
-        for step in 0..steps {
-            let off = step * LANES;
-            let av0 = _mm256_loadu_si256(a0_seg.as_ptr().add(off).cast());
-            let av1 = _mm256_loadu_si256(a1_seg.as_ptr().add(off).cast());
-            for plane_b in 0..t {
-                let bv = _mm256_loadu_si256(b.as_ptr().add(plane_b * b_stride + off).cast());
-                let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                let p0 = mula_popcount64x4(_mm256_and_si256(av0, bv), lut, low_mask);
-                let p1 = mula_popcount64x4(_mm256_and_si256(av1, bv), lut, low_mask);
-                acc0 = _mm256_add_epi64(acc0, _mm256_sll_epi64(p0, shift));
-                acc1 = _mm256_add_epi64(acc1, _mm256_sll_epi64(p1, shift));
-            }
-        }
-        // Tail words (and whole sub-vector panels — e.g. narrow-K shapes
-        // whose widened lanes are shorter than a vector): one masked step.
-        // Masked-off lanes load as zero, so their popcount contribution is
-        // exactly zero.
-        if rem > 0 {
-            let mask = _mm256_cmpgt_epi64(
-                _mm256_set1_epi64x(rem as i64),
-                _mm256_setr_epi64x(0, 1, 2, 3),
-            );
-            let av0 = _mm256_maskload_epi64(a0_seg.as_ptr().add(done).cast(), mask);
-            let av1 = _mm256_maskload_epi64(a1_seg.as_ptr().add(done).cast(), mask);
-            for plane_b in 0..t {
-                let bv =
-                    _mm256_maskload_epi64(b.as_ptr().add(plane_b * b_stride + done).cast(), mask);
-                let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                let p0 = mula_popcount64x4(_mm256_and_si256(av0, bv), lut, low_mask);
-                let p1 = mula_popcount64x4(_mm256_and_si256(av1, bv), lut, low_mask);
-                acc0 = _mm256_add_epi64(acc0, _mm256_sll_epi64(p0, shift));
-                acc1 = _mm256_add_epi64(acc1, _mm256_sll_epi64(p1, shift));
-            }
-        }
-    }
-    (hsum_epi64x4(acc0) as i64, hsum_epi64x4(acc1) as i64)
-}
-
-/// AVX2 fused skip body over four adjacent tile columns: one span walk per
-/// column quad, four vector accumulators, four horizontal reductions per
-/// call.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn panel_span_accum4_avx2(
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    col_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> [i64; 4] {
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_cmpgt_epi64, _mm256_loadu_si256,
-        _mm256_maskload_epi64, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_setzero_si256,
-        _mm256_sll_epi64, _mm_cvtsi64_si128,
-    };
-    const LANES: usize = 4;
-    let (lut, low_mask) = mula_constants();
-    let p_end = p_start + p_len;
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    let mut acc2 = _mm256_setzero_si256();
-    let mut acc3 = _mm256_setzero_si256();
-    let mut used = false;
-    let mut tot = [0i64; 4];
-    for plane_a in 0..s {
-        let a_lane = &a[plane_a * pairs..][..pairs];
-        for &(start, len) in &spans[plane_a] {
-            if start >= p_end {
-                break;
-            }
-            let lo = start.max(p_start);
-            let hi = (start + len).min(p_end);
-            if lo >= hi {
-                continue;
-            }
-            let a_seg = &a_lane[lo..hi];
-            let b_off = lo - p_start;
-            let seg_len = hi - lo;
-            let steps = seg_len / LANES;
-            let done = steps * LANES;
-            used |= steps > 0;
-            for step in 0..steps {
-                let off = step * LANES;
-                let av = _mm256_loadu_si256(a_seg.as_ptr().add(off).cast());
-                for plane_b in 0..t {
-                    let base = plane_b * b_stride + b_off + off;
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let bv0 = _mm256_loadu_si256(b.as_ptr().add(base).cast());
-                    let bv1 = _mm256_loadu_si256(b.as_ptr().add(base + col_stride).cast());
-                    let bv2 = _mm256_loadu_si256(b.as_ptr().add(base + 2 * col_stride).cast());
-                    let bv3 = _mm256_loadu_si256(b.as_ptr().add(base + 3 * col_stride).cast());
-                    let p0 = mula_popcount64x4(_mm256_and_si256(av, bv0), lut, low_mask);
-                    let p1 = mula_popcount64x4(_mm256_and_si256(av, bv1), lut, low_mask);
-                    let p2 = mula_popcount64x4(_mm256_and_si256(av, bv2), lut, low_mask);
-                    let p3 = mula_popcount64x4(_mm256_and_si256(av, bv3), lut, low_mask);
-                    acc0 = _mm256_add_epi64(acc0, _mm256_sll_epi64(p0, shift));
-                    acc1 = _mm256_add_epi64(acc1, _mm256_sll_epi64(p1, shift));
-                    acc2 = _mm256_add_epi64(acc2, _mm256_sll_epi64(p2, shift));
-                    acc3 = _mm256_add_epi64(acc3, _mm256_sll_epi64(p3, shift));
-                }
-            }
-            // Tail words (and whole sub-vector spans — the common case on
-            // sparse adjacencies): one masked vector step.  `vpmaskmovq`
-            // suppresses both the memory access and any fault on masked-off
-            // lanes, which load as zero, so the popcount stays exact and the
-            // reads stay in bounds.
-            let rem = seg_len - done;
-            if rem > 0 {
-                let mask = _mm256_cmpgt_epi64(
-                    _mm256_set1_epi64x(rem as i64),
-                    _mm256_setr_epi64x(0, 1, 2, 3),
-                );
-                let av = _mm256_maskload_epi64(a_seg.as_ptr().add(done).cast(), mask);
-                used = true;
-                for plane_b in 0..t {
-                    let base = plane_b * b_stride + b_off + done;
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let bv0 = _mm256_maskload_epi64(b.as_ptr().add(base).cast(), mask);
-                    let bv1 = _mm256_maskload_epi64(b.as_ptr().add(base + col_stride).cast(), mask);
-                    let bv2 =
-                        _mm256_maskload_epi64(b.as_ptr().add(base + 2 * col_stride).cast(), mask);
-                    let bv3 =
-                        _mm256_maskload_epi64(b.as_ptr().add(base + 3 * col_stride).cast(), mask);
-                    let p0 = mula_popcount64x4(_mm256_and_si256(av, bv0), lut, low_mask);
-                    let p1 = mula_popcount64x4(_mm256_and_si256(av, bv1), lut, low_mask);
-                    let p2 = mula_popcount64x4(_mm256_and_si256(av, bv2), lut, low_mask);
-                    let p3 = mula_popcount64x4(_mm256_and_si256(av, bv3), lut, low_mask);
-                    acc0 = _mm256_add_epi64(acc0, _mm256_sll_epi64(p0, shift));
-                    acc1 = _mm256_add_epi64(acc1, _mm256_sll_epi64(p1, shift));
-                    acc2 = _mm256_add_epi64(acc2, _mm256_sll_epi64(p2, shift));
-                    acc3 = _mm256_add_epi64(acc3, _mm256_sll_epi64(p3, shift));
-                }
-            }
-        }
-    }
-    if used {
-        tot[0] += hsum_epi64x4(acc0) as i64;
-        tot[1] += hsum_epi64x4(acc1) as i64;
-        tot[2] += hsum_epi64x4(acc2) as i64;
-        tot[3] += hsum_epi64x4(acc3) as i64;
-    }
-    tot
-}
-
-/// AVX2 fused skip body: span pieces of eight-plus words run through the Muła
-/// vector path with in-vector shifts, shorter pieces through the scalar
-/// fallback; one horizontal reduction per call.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn panel_span_accum_avx2(
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> i64 {
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_cmpgt_epi64, _mm256_loadu_si256,
-        _mm256_maskload_epi64, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_setzero_si256,
-        _mm256_sll_epi64, _mm_cvtsi64_si128,
-    };
-    const LANES: usize = 4;
-    let (lut, low_mask) = mula_constants();
-    let p_end = p_start + p_len;
-    let mut acc = _mm256_setzero_si256();
-    let mut used = false;
-    let mut tot = 0i64;
-    for plane_a in 0..s {
-        let a_lane = &a[plane_a * pairs..][..pairs];
-        for &(start, len) in &spans[plane_a] {
-            if start >= p_end {
-                break;
-            }
-            let lo = start.max(p_start);
-            let hi = (start + len).min(p_end);
-            if lo >= hi {
-                continue;
-            }
-            let a_seg = &a_lane[lo..hi];
-            let b_off = lo - p_start;
-            let seg_len = hi - lo;
-            let steps = seg_len / LANES;
-            let done = steps * LANES;
-            used |= steps > 0;
-            for step in 0..steps {
-                let off = step * LANES;
-                let av = _mm256_loadu_si256(a_seg.as_ptr().add(off).cast());
-                for plane_b in 0..t {
-                    let bv =
-                        _mm256_loadu_si256(b.as_ptr().add(plane_b * b_stride + b_off + off).cast());
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let p = mula_popcount64x4(_mm256_and_si256(av, bv), lut, low_mask);
-                    acc = _mm256_add_epi64(acc, _mm256_sll_epi64(p, shift));
-                }
-            }
-            let rem = seg_len - done;
-            if rem > 0 {
-                let mask = _mm256_cmpgt_epi64(
-                    _mm256_set1_epi64x(rem as i64),
-                    _mm256_setr_epi64x(0, 1, 2, 3),
-                );
-                let av = _mm256_maskload_epi64(a_seg.as_ptr().add(done).cast(), mask);
-                used = true;
-                for plane_b in 0..t {
-                    let bv = _mm256_maskload_epi64(
-                        b.as_ptr().add(plane_b * b_stride + b_off + done).cast(),
-                        mask,
-                    );
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let p = mula_popcount64x4(_mm256_and_si256(av, bv), lut, low_mask);
-                    acc = _mm256_add_epi64(acc, _mm256_sll_epi64(p, shift));
-                }
-            }
-        }
-    }
-    if used {
-        tot += hsum_epi64x4(acc) as i64;
-    }
-    tot
 }
 
 /// AVX-512 staged body: `VPOPCNTQ` over eight-word steps of one panel
@@ -2222,7 +1732,13 @@ mod tests {
         let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
         for skip in [false, true] {
             let detected = any_bit_gemm_fused_with_stats(&a, &b, skip);
-            let portable = any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Portable);
+            let portable = any_bit_gemm_fused_with_scheme(
+                &a,
+                &b,
+                skip,
+                PopcountBody::Portable,
+                TilingScheme::baseline(),
+            );
             assert_eq!(detected, portable, "skip={skip}");
         }
         assert!(PopcountBody::Portable.is_available());
@@ -2418,7 +1934,13 @@ mod tests {
                     "5x7x3",
                 ] {
                     let scheme = TilingScheme::parse(scheme).expect("valid");
-                    let staged = any_bit_gemm_fused_tiled(&a, &b, skip, scheme);
+                    let staged = any_bit_gemm_fused_with_scheme(
+                        &a,
+                        &b,
+                        skip,
+                        PopcountBody::detect(),
+                        scheme,
+                    );
                     assert_eq!(
                         staged, legacy,
                         "scheme {scheme} skip={skip} shape ({m}, {k}, {n})"
@@ -2436,7 +1958,13 @@ mod tests {
         let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
         for skip in [false, true] {
             assert_eq!(
-                any_bit_gemm_fused_tiled(&a, &b, skip, TilingScheme::baseline()),
+                any_bit_gemm_fused_with_scheme(
+                    &a,
+                    &b,
+                    skip,
+                    PopcountBody::detect(),
+                    TilingScheme::baseline()
+                ),
                 any_bit_gemm_fused_with_stats(&a, &b, skip)
             );
         }
@@ -2452,63 +1980,22 @@ mod tests {
         for skip in [false, true] {
             let oracle =
                 any_bit_gemm_fused_with_scheme(&a, &b, skip, PopcountBody::Portable, scheme);
-            for body in [PopcountBody::Avx2, PopcountBody::Avx512] {
-                if body.is_available() {
-                    let got = any_bit_gemm_fused_with_scheme(&a, &b, skip, body, scheme);
-                    assert_eq!(got, oracle, "body {body:?} skip={skip}");
-                }
+            for body in PopcountBody::available() {
+                let got = any_bit_gemm_fused_with_scheme(&a, &b, skip, body, scheme);
+                assert_eq!(got, oracle, "body {body:?} skip={skip}");
             }
-            // The auto-detected staged body must agree too.
-            let auto = any_bit_gemm_fused_tiled(&a, &b, skip, scheme);
-            assert_eq!(auto, oracle, "detected staged body, skip={skip}");
         }
     }
 
     #[test]
-    fn body_detection_orders_are_consistent_with_availability() {
+    fn body_detection_is_consistent_with_availability() {
         assert!(PopcountBody::detect().is_available());
-        assert!(PopcountBody::detect_staged().is_available());
         assert_eq!(
-            PopcountBody::detect_for(TilingScheme::baseline()),
-            PopcountBody::detect()
+            PopcountBody::detect() == PopcountBody::Avx512,
+            avx512_popcount_available()
         );
-        assert_eq!(
-            PopcountBody::detect_for(TilingScheme::parse("16x8x8").unwrap()),
-            PopcountBody::detect_staged()
-        );
-        // The legacy detection order never selects the AVX2 body: the unstaged
-        // kernel is the frozen A/B baseline of the tiling benchmarks.
-        assert_ne!(PopcountBody::detect(), PopcountBody::Avx2);
-        assert_eq!(PopcountBody::Portable.name(), "portable");
-        assert_eq!(PopcountBody::Avx2.name(), "avx2");
-        assert_eq!(PopcountBody::Avx512.name(), "avx512");
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_panel_bodies_match_the_portable_panel_bodies() {
-        if !avx2_popcount_available() {
-            return;
-        }
-        for len in [0usize, 1, 3, 4, 7, 8, 31, 64, 65] {
-            let a0: Vec<u64> = (0..len)
-                .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5555)
-                .collect();
-            let b: Vec<u64> = a0.iter().map(|&v| v.rotate_right(7) | 1).collect();
-            assert_eq!(
-                unsafe { panel_popcount1_avx2(&a0, &b) },
-                panel_popcount1_portable(&a0, &b),
-                "len {len}"
-            );
-            let b1: Vec<u64> = b.iter().map(|&v| v ^ 0xF0F0).collect();
-            let b2: Vec<u64> = b.iter().map(|&v| v.rotate_left(3)).collect();
-            let b3: Vec<u64> = b.iter().map(|&v| !v).collect();
-            assert_eq!(
-                unsafe { popcount4_avx2(&a0, &b, &b1, &b2, &b3) },
-                popcount4_portable(&a0, &b, &b1, &b2, &b3),
-                "len {len}"
-            );
-        }
+        let names: Vec<&str> = PopcountBody::ALL.iter().map(|b| b.name()).collect();
+        assert_eq!(names, ["portable", "avx512"]);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -2579,42 +2066,6 @@ mod tests {
                     want_quad,
                     "portable quad s={s} t={t} p_len={p_len}"
                 );
-                if avx2_popcount_available() {
-                    assert_eq!(
-                        unsafe {
-                            panel_accum2_avx2(&a0, &a1, s, pairs, p_start, &b, t, b_stride, p_len)
-                        },
-                        want,
-                        "avx2 s={s} t={t} p_len={p_len}"
-                    );
-                    assert_eq!(
-                        unsafe {
-                            panel_span_accum_avx2(
-                                &a0, &spans0, s, pairs, &b, t, b_stride, p_start, p_len,
-                            )
-                        },
-                        want_spans,
-                        "avx2 spans s={s} t={t} p_len={p_len}"
-                    );
-                    assert_eq!(
-                        unsafe {
-                            panel_span_accum4_avx2(
-                                &a0,
-                                &spans0,
-                                s,
-                                pairs,
-                                &b4,
-                                t,
-                                quad_stride,
-                                col_stride,
-                                p_start,
-                                p_len,
-                            )
-                        },
-                        want_quad,
-                        "avx2 quad s={s} t={t} p_len={p_len}"
-                    );
-                }
                 if avx512_popcount_available() {
                     assert_eq!(
                         unsafe {

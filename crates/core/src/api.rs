@@ -12,7 +12,6 @@
 //! both record their work when handed a [`CostTracker`].
 
 use crate::bit_tensor::BitTensor;
-use qgtc_kernels::backend::select_backend;
 use qgtc_kernels::bmm::{qgtc_bitmm2int, KernelConfig};
 use qgtc_kernels::fusion::FusedEpilogue;
 use qgtc_tcsim::cost::CostTracker;
@@ -47,8 +46,8 @@ pub fn bit_mm_to_bit(
 ) -> (BitTensor, QuantParams) {
     let accumulator = qgtc_bitmm2int(a.stack(), b.stack(), config, tracker);
     let epilogue = FusedEpilogue::requantize_right_operand(1.0, out_bits);
-    let (stack, params) = select_backend(config.backend)
-        .apply_epilogue(&epilogue, &accumulator, tracker)
+    let (stack, params) = epilogue
+        .apply(&accumulator, tracker)
         .expect("an i64 accumulator at scale 1 always has a finite range")
         .into_quantized()
         .expect("requantizing epilogue");

@@ -6,7 +6,7 @@
 //! toggles, the host-to-device transfer strategy and the GPU to model.
 
 use crate::fault::{FaultPlan, QgtcError};
-use qgtc_kernels::backend::BackendChoice;
+use qgtc_kernels::backend::{env_backend, BackendChoice};
 use qgtc_kernels::bmm::{AdjacencyPath, KernelConfig};
 use qgtc_kernels::packing::TransferStrategy;
 use qgtc_kernels::tiling::TilingChoice;
@@ -48,9 +48,6 @@ pub enum ExecutionPath {
 /// | [`with_adjacency_path`](Self::with_adjacency_path) | [`adjacency_path`](Self::adjacency_path) | aggregation kernel: zero-word skip vs condensed |
 /// | [`with_fault_plan`](Self::with_fault_plan) | `fault_plan` (field) | chaos-testing fault plan |
 /// | [`with_max_batch_retries`](Self::with_max_batch_retries) | `max_batch_retries` (field) | supervisor retry budget |
-///
-/// (`scaled_partitions` is the deprecated pre-rename alias of
-/// [`with_partitions`](Self::with_partitions).)
 #[derive(Debug, Clone, PartialEq)]
 pub struct QgtcConfig {
     /// Model to evaluate.
@@ -154,12 +151,6 @@ impl QgtcConfig {
         self
     }
 
-    /// Deprecated pre-rename alias of [`QgtcConfig::with_partitions`].
-    #[deprecated(note = "renamed to `with_partitions` (the `with_*` builder convention)")]
-    pub fn scaled_partitions(self, num_partitions: usize, batch_size: usize) -> Self {
-        self.with_partitions(num_partitions, batch_size)
-    }
-
     /// Set the streamed executor's staging depth (clamped to at least 1).
     pub fn with_prefetch(mut self, prefetch_batches: usize) -> Self {
         self.prefetch_batches = prefetch_batches.max(1);
@@ -182,14 +173,14 @@ impl QgtcConfig {
         self
     }
 
-    /// The kernel backend every GEMM of this configuration runs on.
+    /// The popcount body every GEMM of this configuration runs on.
     pub fn backend(&self) -> BackendChoice {
         self.kernel.backend
     }
 
-    /// Select the kernel backend (`Auto` resolves per
-    /// [`qgtc_kernels::backend::resolve_auto`]; every backend is bitwise
-    /// identical, so this only affects speed and modeled cost accounting).
+    /// Select the popcount body (`Auto` resolves per
+    /// [`qgtc_kernels::backend::resolve_auto`]; every body is bitwise
+    /// identical, so this only affects speed).
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.kernel.backend = backend;
         self
@@ -199,7 +190,7 @@ impl QgtcConfig {
     /// [`qgtc_kernels::tiling::resolve_tiling`]: the `QGTC_TILING` override,
     /// then the committed `TUNE_gemm.json` table, then the baseline
     /// constants; every scheme is bitwise identical, so this only affects
-    /// speed and the modeled backend's staging accounting).
+    /// speed).
     pub fn with_tiling(mut self, tiling: TilingChoice) -> Self {
         self.kernel.tiling = tiling;
         self
@@ -236,7 +227,9 @@ impl QgtcConfig {
 
     /// Check the config-local invariants the old panicking entry points enforced
     /// deep inside the partitioning layer: a zero batch size or partition count is
-    /// rejected here, before any work runs, with a typed error.
+    /// rejected here, before any work runs, with a typed error.  So is a
+    /// `QGTC_BACKEND` value that names no backend, which `Auto` would otherwise
+    /// have to reject at its first kernel dispatch.
     ///
     /// Graph-dependent invariants (`num_partitions` versus the node count) cannot
     /// be checked without a graph; [`crate::pipeline::try_build_plan`] covers
@@ -257,6 +250,9 @@ impl QgtcConfig {
                 "bits must be 1-8, 16 or 32 (got {})",
                 self.bits
             )));
+        }
+        if let Err(err) = env_backend() {
+            return Err(QgtcError::InvalidConfig(err.clone()));
         }
         Ok(())
     }
@@ -321,14 +317,6 @@ mod tests {
         let c = QgtcConfig::default().with_partitions(0, 0);
         assert_eq!(c.num_partitions, 1);
         assert_eq!(c.batch_size, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn scaled_partitions_alias_matches_with_partitions() {
-        let old = QgtcConfig::default().scaled_partitions(12, 3);
-        let new = QgtcConfig::default().with_partitions(12, 3);
-        assert_eq!(old, new);
     }
 
     #[test]

@@ -17,14 +17,14 @@
 //!   are retried with bounded backoff (`max_batch_retries`), corruption is caught
 //!   by payload checksums at queue take and repaired by a pure re-prepare, and a
 //!   persistent backend loss at GEMM dispatch degrades the epoch through the
-//!   [`fallback_backend`] chain (avx512 → portable, modeled-tc → portable). Every
+//!   [`fallback_backend`] chain (avx512 → portable). Every
 //!   outcome is tallied in [`FaultStats`] on the [`crate::EpochReport`].
 //!
 //! Anything the supervisor cannot absorb surfaces as a [`QgtcError`] from the
 //! `try_*` entry points instead of a panic.
 
 use qgtc_graph::GraphError;
-use qgtc_kernels::backend::{resolve_auto, select_backend, BackendChoice};
+use qgtc_kernels::backend::{resolve_auto, BackendChoice};
 use qgtc_partition::PartitionError;
 use qgtc_tensor::TensorError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -431,18 +431,16 @@ impl FaultInjector {
 /// The next backend in the degradation chain after losing `lost`, or `None` when
 /// the chain is exhausted.
 ///
-/// `Auto` is resolved first (via the same rules as normal dispatch), then every
-/// accelerated backend falls back to the portable scalar oracle — which the PR 6
-/// conformance suite pins bitwise-identical to every other backend, so degrading
-/// changes throughput but never epoch output. The candidate is checked through
-/// [`select_backend`] availability before being offered.
+/// `Auto` is resolved first (via the same rules as normal dispatch), then the
+/// chain is avx512 → portable → none.  Both bodies are bitwise identical to
+/// the serial oracle (the conformance suite), so degrading changes throughput
+/// but never epoch output, and the portable body runs on every host.
 pub fn fallback_backend(lost: BackendChoice) -> Option<BackendChoice> {
-    let next = match lost {
-        BackendChoice::Auto => return fallback_backend(resolve_auto()),
-        BackendChoice::Avx512 | BackendChoice::ModeledTc => BackendChoice::Portable,
-        BackendChoice::Portable => return None,
-    };
-    select_backend(next).is_available().then_some(next)
+    match lost {
+        BackendChoice::Auto => fallback_backend(resolve_auto()),
+        BackendChoice::Avx512 => Some(BackendChoice::Portable),
+        BackendChoice::Portable => None,
+    }
 }
 
 /// The typed error surface of the `try_*` pipeline entry points.
@@ -724,10 +722,6 @@ mod tests {
 
     #[test]
     fn fallback_chain_ends_at_portable() {
-        assert_eq!(
-            fallback_backend(BackendChoice::ModeledTc),
-            Some(BackendChoice::Portable)
-        );
         assert_eq!(
             fallback_backend(BackendChoice::Avx512),
             Some(BackendChoice::Portable)

@@ -800,7 +800,12 @@ impl<'a> EpochRunner<'a> {
         // and timed separately — matching the paper's measurement.
         let plan_built;
         let (batcher, partition_ms, partition_shards) = match self.plan {
-            Some(batcher) => (batcher, 0.0, 0),
+            Some(batcher) => {
+                // The inline plan stage validates the config; a given plan
+                // skips that stage, so validate here.
+                self.config.validate()?;
+                (batcher, 0.0, 0)
+            }
             None => {
                 let partition_start = Instant::now();
                 let (built, shards) =

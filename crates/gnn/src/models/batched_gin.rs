@@ -10,7 +10,6 @@ use qgtc_baselines::dgl::{DglEngine, DglLayerKind};
 use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::{adjacency_degrees, DenseSubgraph};
-use qgtc_kernels::backend::select_backend;
 use qgtc_kernels::bmm::{qgtc_aggregate_prepared, qgtc_bitmm2int, KernelConfig};
 use qgtc_kernels::fusion::{Activation, FusedEpilogue};
 use qgtc_kernels::packing::pack_feature_matrix;
@@ -159,8 +158,6 @@ impl BatchedGinModel {
         assert_eq!(weights.num_layers(), self.params.num_layers());
         let degrees = adjacency_degrees(adjacency_stack);
         let num_layers = self.params.num_layers();
-        // Epilogues run on the same backend as the GEMMs they are fused into.
-        let backend = select_backend(kernel_config.backend);
         // Quantized-domain re-layout for the update-first order (no quantize).
         // The repack's single unpack also yields the code rowsums the first
         // update's affine correction needs; later layers get theirs from the
@@ -190,8 +187,8 @@ impl BatchedGinModel {
             let update_epilogue = FusedEpilogue::dequantize_only(x_params.scale * w_params.scale)
                 .with_row_offset(row_off)
                 .with_col_offset(col_off);
-            let updated = backend
-                .apply_epilogue(&update_epilogue, &update_acc, tracker)?
+            let updated = update_epilogue
+                .apply(&update_acc, tracker)?
                 .into_dense()
                 .expect("dense epilogue");
 
@@ -202,12 +199,8 @@ impl BatchedGinModel {
 
             // Intra-layer epilogue: re-quantize the (possibly negative) update
             // result as the aggregation's right operand.
-            let (u_stack, u_params) = backend
-                .apply_epilogue_dense(
-                    &FusedEpilogue::requantize_right_operand(1.0, bits),
-                    updated,
-                    tracker,
-                )?
+            let (u_stack, u_params) = FusedEpilogue::requantize_right_operand(1.0, bits)
+                .apply_dense(updated, tracker)?
                 .into_quantized()
                 .expect("requantizing epilogue");
             // Neighbour sum through the adjacency-path dispatcher; the cached
@@ -226,8 +219,8 @@ impl BatchedGinModel {
             let aggregation_epilogue = FusedEpilogue::dequantize_only(u_params.scale)
                 .with_row_offset(degrees.iter().map(|&d| u_params.min * d).collect())
                 .with_scaled_addend(self_addend, 1.0 + self.epsilon);
-            let combined = backend
-                .apply_epilogue(&aggregation_epilogue, &agg_acc, tracker)?
+            let combined = aggregation_epilogue
+                .apply(&agg_acc, tracker)?
                 .into_dense()
                 .expect("dense epilogue");
             if last {
@@ -238,8 +231,8 @@ impl BatchedGinModel {
             // hands over the rowsums for the next layer's affine correction.
             let transition_epilogue = FusedEpilogue::hidden_layer(1.0, bits)
                 .with_output_layout(BitMatrixLayout::RowPacked);
-            let (stack, _, rowsums) = backend
-                .apply_epilogue_dense(&transition_epilogue, combined, tracker)?
+            let (stack, _, rowsums) = transition_epilogue
+                .apply_dense(combined, tracker)?
                 .into_quantized_with_rowsums()
                 .expect("requantizing epilogue");
             x = stack;

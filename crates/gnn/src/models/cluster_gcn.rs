@@ -10,7 +10,6 @@ use qgtc_baselines::dgl::{DglEngine, DglLayerKind};
 use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::{adjacency_degrees, DenseSubgraph};
-use qgtc_kernels::backend::select_backend;
 use qgtc_kernels::bmm::{qgtc_aggregate_prepared, qgtc_bitmm2int, KernelConfig};
 use qgtc_kernels::fusion::{EpilogueOutput, FusedEpilogue};
 use qgtc_kernels::packing::pack_feature_matrix;
@@ -153,8 +152,6 @@ impl ClusterGcnModel {
         assert_eq!(weights.num_layers(), self.params.num_layers());
         let degrees = adjacency_degrees(adjacency_stack);
         let num_layers = self.params.num_layers();
-        // Epilogues run on the same backend as the GEMMs they are fused into.
-        let backend = select_backend(kernel_config.backend);
         let mut x = packed_features.clone();
 
         for (l, layer) in self.params.layers.iter().enumerate() {
@@ -183,8 +180,8 @@ impl ClusterGcnModel {
             let aggregation_epilogue = FusedEpilogue::requantize_left_operand(x_params.scale, bits)
                 .with_row_offset(degrees.iter().map(|&d| x_params.min * d).collect())
                 .with_row_scale(degrees.iter().map(|&d| 1.0 / d.max(1.0)).collect());
-            let (h_stack, h_params, h_rowsums) = backend
-                .apply_epilogue(&aggregation_epilogue, &agg_acc, tracker)?
+            let (h_stack, h_params, h_rowsums) = aggregation_epilogue
+                .apply(&agg_acc, tracker)?
                 .into_quantized_with_rowsums()
                 .expect("requantizing epilogue");
 
@@ -214,7 +211,7 @@ impl ClusterGcnModel {
             }
             .with_row_offset(row_off)
             .with_col_offset(col_off);
-            match backend.apply_epilogue(&epilogue, &update_acc, tracker)? {
+            match epilogue.apply(&update_acc, tracker)? {
                 EpilogueOutput::Dense(logits) => return Ok(BatchForwardOutput { logits }),
                 EpilogueOutput::Quantized { stack, .. } => x = stack,
             }

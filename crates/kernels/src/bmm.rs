@@ -26,12 +26,14 @@
 //! aggregation kernel ([`qgtc_aggregate`]); the general case is the node-update
 //! GEMM, exposed under its framework name as [`qgtc_bitmm2int`].
 
-use crate::backend::{select_backend, staged_body_name, BackendChoice};
+use crate::backend::BackendChoice;
 use crate::tiling::{condense_threshold, resolve_tiling, TilingChoice};
 use crate::zero_tile::{census_plane, census_plane_words};
 use qgtc_bitmat::condense::{
-    condensed_union_estimate, condensed_word_estimate, skip_span_estimate, CondensedAdjacency,
+    aggregate_adj_features_condensed, condensed_union_estimate, condensed_word_estimate,
+    skip_span_estimate, CondensedAdjacency,
 };
+use qgtc_bitmat::fused::any_bit_gemm_fused_with_scheme;
 use qgtc_bitmat::gemm::any_bit_gemm_serial;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
@@ -198,17 +200,15 @@ pub struct KernelConfig {
     /// GEMM kernel rather than launched separately (§4.5).  The flag only affects
     /// cost accounting here; the epilogue math itself lives in [`crate::fusion`].
     pub fused_epilogue: bool,
-    /// Which [`crate::backend::GemmBackend`] executes the arithmetic.  `Auto`
-    /// resolves to the fastest available compute body (see
-    /// [`crate::backend::resolve_auto`]); every choice is bitwise identical,
-    /// so this only affects speed and the modeled backend's cost accounting.
+    /// Which popcount body executes the arithmetic.  `Auto` resolves to the
+    /// fastest available body (see [`crate::backend::resolve_auto`]); every
+    /// choice is bitwise identical, so this only affects speed.
     pub backend: BackendChoice,
     /// Which [`qgtc_bitmat::fused::TilingScheme`] the fused GEMM runs under.
     /// `Auto` (the default) resolves per call through the `QGTC_TILING`
     /// override, the committed `TUNE_gemm.json` autotuner table and the
     /// baseline constants, in that order (see [`crate::tiling`]).  Every
-    /// scheme is bitwise identical; this only affects speed and the modeled
-    /// backend's staging accounting.
+    /// scheme is bitwise identical; this only affects speed.
     pub tiling: TilingChoice,
     /// How [`qgtc_aggregate`] represents adjacency sparsity: zero-word
     /// skipping at the source width, TC-GNN-style condensed tiles, or a
@@ -247,7 +247,7 @@ impl KernelConfig {
 /// Bytes of one 8×128-bit operand tile in packed form.
 const TILE_BYTES: u64 = (TILE_M * 128 / 8) as u64;
 /// Bytes of one 8×8 `u32` accumulator tile.
-pub(crate) const ACC_TILE_BYTES: u64 = (TILE_M * TILE_N * 4) as u64;
+const ACC_TILE_BYTES: u64 = (TILE_M * TILE_N * 4) as u64;
 /// Integer ops charged per A-tile zero check (the OR-reduce of §4.3).
 const ZERO_CHECK_OPS: u64 = 8;
 
@@ -288,18 +288,12 @@ pub fn qgtc_bmm(
     // actual execution: with jumping on, the fused kernel runs its word-granular
     // zero-skip index (bitwise identical output); either way the kernel's own
     // word counts land in the tracker (every word visited, zero skipped, when
-    // jumping is off).  The arithmetic itself runs on the configured backend
-    // under the resolved tiling scheme — every (backend, scheme) pair is
+    // jumping is off).  The arithmetic itself runs on the configured popcount
+    // body under the resolved tiling scheme — every (body, scheme) pair is
     // bitwise identical, so the tracker numbers don't depend on the selection.
-    let scheme = resolve_tiling(
-        config.tiling,
-        staged_body_name(config.backend),
-        a.rows(),
-        a.cols(),
-        b.cols(),
-    );
-    let (out, stats) =
-        select_backend(config.backend).any_bit_gemm_tiled(a, b, config.zero_tile_jumping, scheme);
+    let body = config.backend.body();
+    let scheme = resolve_tiling(config.tiling, body.name(), a.rows(), a.cols(), b.cols());
+    let (out, stats) = any_bit_gemm_fused_with_scheme(a, b, config.zero_tile_jumping, body, scheme);
     tracker.record_fused_words(stats.total_words, stats.skipped_words());
     // Output write traffic: one accumulator tile per output tile.
     tracker.record_dram_write((m_tiles * n_tiles) as u64 * ACC_TILE_BYTES);
@@ -372,8 +366,9 @@ pub fn qgtc_aggregate_prepared(
     }
 }
 
-/// The condensed arm: charge the condensed-tile walk, run the backend's
-/// condensed kernel, and record the output and dispatch accounting.
+/// The condensed arm: charge the condensed-tile walk, run the condensed
+/// kernel on the configured popcount body, and record the output and dispatch
+/// accounting.
 fn qgtc_aggregate_condensed_impl(
     cond: &CondensedAdjacency,
     features: &StackedBitMatrix,
@@ -385,7 +380,7 @@ fn qgtc_aggregate_condensed_impl(
     // output tile columns) — each block owns one window's gather panel.
     tracker.record_kernel_launch((cond.windows().len() * n_tiles) as u64);
     record_condensed_walk(cond, features.bits() as u64, tracker, n_tiles as u64);
-    let (out, stats) = select_backend(config.backend).aggregate_condensed(cond, features);
+    let (out, stats) = aggregate_adj_features_condensed(cond, features, config.backend.body());
     // Same accounting frame as the skip path: total is the source K loop,
     // "skipped" the words condensation removed from it — so the tracker's
     // fused-word ratio reads as "K-loop work avoided" on either path.
@@ -403,7 +398,7 @@ fn qgtc_aggregate_condensed_impl(
 /// feature plane (the remap lookup is one integer op per union column per
 /// plane), and issues one MMA plus the 64 shift-accumulate ops per surviving
 /// plane-tile pair.
-pub(crate) fn record_condensed_walk(
+fn record_condensed_walk(
     cond: &CondensedAdjacency,
     t_bits: u64,
     tracker: &CostTracker,
@@ -435,7 +430,7 @@ pub(crate) fn record_condensed_walk(
 /// [`ReductionOrder::CrossBit`]), spends [`ZERO_CHECK_OPS`] on the OR-reduce
 /// zero check, and — unless the tile is zero and jumping is on — reads one B
 /// tile and issues one MMA (plus the 64 shift-accumulate ops) per B plane.
-pub(crate) fn record_tile_walk(
+fn record_tile_walk(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     config: &KernelConfig,

@@ -656,6 +656,18 @@ mod tests {
     }
 
     #[test]
+    fn nan_activations_fail_to_requantize_with_a_typed_error() {
+        // NaN with no infinity beside it (an `inf - inf` upstream) has no
+        // range either: calibrating past it would turn every NaN into code 0.
+        let tracker = CostTracker::new();
+        let dense = Matrix::from_vec(2, 2, vec![0.5f32, f32::NAN, -1.0, 2.0]).unwrap();
+        let err = FusedEpilogue::requantize_right_operand(1.0, 2)
+            .apply_dense(dense, &tracker)
+            .unwrap_err();
+        assert!(matches!(err, TensorError::NonFiniteRange { .. }), "{err}");
+    }
+
+    #[test]
     fn scaled_addend_matches_the_standalone_scale_add_composition() {
         // The fused `+ s·addend` must be bitwise identical to the unfused
         // ops::scale + ops::add composition it replaces (GIN's self term).

@@ -3,10 +3,10 @@
 //! The QGTC kernel designs (paper §4), expressed over the software Tensor Core of
 //! `qgtc-tcsim`:
 //!
-//! * [`backend`] — the swappable kernel-backend seam: the [`backend::GemmBackend`]
-//!   trait realised by portable-scalar, AVX-512 and modeled-tensor-core bodies,
-//!   selected at runtime via [`backend::BackendChoice`] and held bitwise equal by
-//!   the differential conformance suite.
+//! * [`backend`] — which popcount body (portable scalar or AVX-512) the fused
+//!   GEMM runs on: [`backend::BackendChoice`] and its `QGTC_BACKEND` override.
+//!   Both bodies are held bitwise equal to the serial oracle by the conformance
+//!   suite.
 //! * [`bmm`] — the tiled any-bitwidth bit-matrix-multiplication kernel: operands are
 //!   3D-stacked bit-compressed matrices and the bit-plane partial products are
 //!   shift-accumulated into 32-bit (modeled as `i64` here to keep Rust arithmetic
@@ -49,10 +49,7 @@ pub mod tile_reuse;
 pub mod tiling;
 pub mod zero_tile;
 
-pub use backend::{
-    available_backends, registered_backends, select_backend, Avx512Backend, BackendChoice,
-    GemmBackend, ModeledTcBackend, PortableBackend,
-};
+pub use backend::BackendChoice;
 pub use bmm::{
     adjacency_cost_ratio, qgtc_aggregate, qgtc_aggregate_prepared, qgtc_bitmm2int, qgtc_bmm,
     resolve_adjacency_path, AdjacencyPath, KernelConfig, ReductionOrder,

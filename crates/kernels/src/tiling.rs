@@ -53,8 +53,8 @@ pub fn shape_class(m: usize, k: usize, n: usize) -> &'static str {
 /// One `(body, shape class) → scheme` row of the autotuner table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneEntry {
-    /// Popcount-body name the entry was tuned for (`portable`, `avx2`,
-    /// `avx512` — see `PopcountBody::name`).
+    /// Popcount-body name the entry was tuned for (`portable` or `avx512`
+    /// — see `PopcountBody::name`).
     pub body: String,
     /// Shape class (see [`shape_class`]).
     pub shape_class: String,
@@ -82,7 +82,7 @@ impl TuneTable {
     /// ```json
     /// { "file": "TUNE_gemm.json",
     ///   "entries": [
-    ///     { "body": "avx2", "shape_class": "large", "scheme": "16x8x8" } ] }
+    ///     { "body": "avx512", "shape_class": "large", "scheme": "16x8x8" } ] }
     /// ```
     ///
     /// The scanner is key-directed and order-insensitive within each entry
@@ -243,7 +243,7 @@ mod tests {
       "file": "TUNE_gemm.json",
       "entries": [
         { "body": "portable", "shape_class": "large", "scheme": "16x8x8" },
-        { "scheme": "4x4x4", "shape_class": "medium", "body": "avx2" },
+        { "scheme": "4x4x4", "shape_class": "medium", "body": "avx512" },
         { "body": "avx512", "shape_class": "large", "scheme": "0x8x8" },
         { "body": "avx512", "shape_class": "small" }
       ]
@@ -271,7 +271,7 @@ mod tests {
         );
         // Key order inside the object does not matter.
         assert_eq!(
-            table.lookup("avx2", "medium"),
+            table.lookup("avx512", "medium"),
             Some(TilingScheme::parse("4x4x4").unwrap())
         );
         assert_eq!(table.lookup("avx512", "large"), None);
@@ -284,7 +284,7 @@ mod tests {
     fn condense_threshold_parses_from_the_root_and_defaults_otherwise() {
         let with = TuneTable::parse(
             r#"{ "file": "TUNE_gemm.json", "condense_threshold": "0.6",
-                 "entries": [ { "body": "avx2", "shape_class": "large", "scheme": "16x8x8" } ] }"#,
+                 "entries": [ { "body": "avx512", "shape_class": "large", "scheme": "16x8x8" } ] }"#,
         );
         assert_eq!(with.tuned_condense_threshold(), Some(0.6));
         assert_eq!(with.entries().len(), 1, "the flat key is not an entry");

@@ -32,5 +32,5 @@ pub mod wmma;
 
 pub use cost::CostTracker;
 pub use fragment::{AccumulatorFragment, BitFragmentA, BitFragmentB};
-pub use model::{DeviceModel, KernelEstimate, PanelStagingEstimate, PipelineEstimate};
+pub use model::{DeviceModel, KernelEstimate, PipelineEstimate};
 pub use spec::GpuSpec;

@@ -129,64 +129,6 @@ impl PipelineEstimate {
     }
 }
 
-/// Modeled timing of the fused kernel's *in-kernel* K-panel double buffer:
-/// the DRAM→shared staging copy of panel `p + 1` overlapped with the MMA
-/// consumption of panel `p`.
-///
-/// This is the same bounded-buffer recurrence as [`PipelineEstimate`]
-/// (documented there), instantiated at depth 2 — the two scratch panels of
-/// the staged GEMM loop — with the copy engine playing the transfer lane and
-/// the 1-bit Tensor Core the compute lane.  It exists so the modeled-GPU
-/// story of the staged kernel matches [`DeviceModel::estimate_pipelined`]'s
-/// treatment of the batch-level pipeline one level up.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PanelStagingEstimate {
-    /// No-overlap schedule: every panel stages, then computes (`Σ (sᵢ + cᵢ)`).
-    pub serial_s: f64,
-    /// Double-buffered schedule under the depth-2 recurrence, in seconds.
-    pub overlapped_s: f64,
-    /// Total staging-lane (DRAM→shared copy) time, in seconds.
-    pub stage_s: f64,
-    /// Total consume-lane (Tensor Core) time, in seconds.
-    pub compute_s: f64,
-    /// Number of panels scheduled.
-    pub num_panels: usize,
-}
-
-impl PanelStagingEstimate {
-    /// An empty schedule (no panels): all lanes zero.
-    pub fn empty() -> Self {
-        Self {
-            serial_s: 0.0,
-            overlapped_s: 0.0,
-            stage_s: 0.0,
-            compute_s: 0.0,
-            num_panels: 0,
-        }
-    }
-
-    /// Speedup of double buffering over the serial stage-then-consume
-    /// schedule (≥ 1 by construction, 1.0 for empty schedules).
-    pub fn overlap_speedup(&self) -> f64 {
-        if self.overlapped_s <= 0.0 {
-            1.0
-        } else {
-            self.serial_s / self.overlapped_s
-        }
-    }
-
-    /// Merge another estimate into this one: lanes add, and the overlapped
-    /// times add too (distinct row-block walks of the staged kernel run
-    /// back-to-back, each with its own panel sequence).
-    pub fn accumulate(&mut self, other: &Self) {
-        self.serial_s += other.serial_s;
-        self.overlapped_s += other.overlapped_s;
-        self.stage_s += other.stage_s;
-        self.compute_s += other.compute_s;
-        self.num_panels += other.num_panels;
-    }
-}
-
 /// The analytic device model: a [`GpuSpec`] plus estimation entry points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
@@ -325,67 +267,6 @@ impl DeviceModel {
             compute_s: compute_total,
             staging_buffers: depth,
             num_batches: n,
-        }
-    }
-
-    /// Schedule the staged GEMM's K-panel sequence through the in-kernel
-    /// double buffer (see [`PanelStagingEstimate`]).
-    ///
-    /// Each panel is `(staged_bytes, b1_ops)`: the bytes its DRAM→shared
-    /// staging copy moves, and the 1-bit Tensor Core ops consuming it.  The
-    /// staging lane runs at sustained DRAM bandwidth, the consume lane at the
-    /// sustained `b1` rate (occupancy is not re-derived here — the staged
-    /// walk lives inside one already-scheduled kernel), and the two lanes are
-    /// composed by the depth-2 recurrence of [`PipelineEstimate`]:
-    /// panel `p + 1` may start staging once slot `p + 1 − 2`'s consumer is
-    /// done and the copy path is free.
-    pub fn estimate_panel_staging(&self, panels: &[(u64, u64)]) -> PanelStagingEstimate {
-        const DEPTH: usize = 2; // two scratch panels: the classic double buffer
-        let n = panels.len();
-        if n == 0 {
-            return PanelStagingEstimate::empty();
-        }
-        let tera = 1e12;
-        let giga = 1e9;
-        let lanes: Vec<(f64, f64)> = panels
-            .iter()
-            .map(|&(bytes, ops)| {
-                (
-                    bytes as f64 / (self.spec.dram_sustained_gbs() * giga),
-                    ops as f64 / (self.spec.tc_b1_sustained_tops() * tera),
-                )
-            })
-            .collect();
-
-        let mut stage_total = 0.0f64;
-        let mut compute_total = 0.0f64;
-        let mut serial = 0.0f64;
-        for &(s, c) in &lanes {
-            stage_total += s;
-            compute_total += c;
-            serial += s;
-            serial += c;
-        }
-
-        let mut stage_end = vec![0.0f64; n];
-        let mut consume_end = vec![0.0f64; n];
-        for (i, &(s, c)) in lanes.iter().enumerate() {
-            let copy_free = if i > 0 { stage_end[i - 1] } else { 0.0 };
-            let slot_free = if i >= DEPTH {
-                consume_end[i - DEPTH]
-            } else {
-                0.0
-            };
-            stage_end[i] = copy_free.max(slot_free) + s;
-            let prev_consume = if i > 0 { consume_end[i - 1] } else { 0.0 };
-            consume_end[i] = stage_end[i].max(prev_consume) + c;
-        }
-        PanelStagingEstimate {
-            serial_s: serial,
-            overlapped_s: consume_end[n - 1],
-            stage_s: stage_total,
-            compute_s: compute_total,
-            num_panels: n,
         }
     }
 
@@ -622,56 +503,5 @@ mod tests {
     fn gemm_ops_counts_macs_twice() {
         assert_eq!(DeviceModel::gemm_ops(10, 20, 30), 12000);
         assert_eq!(OPS_PER_B1_TILE, DeviceModel::gemm_ops(8, 8, 128));
-    }
-
-    #[test]
-    fn panel_staging_empty_schedule_is_zero() {
-        let model = DeviceModel::rtx3090();
-        let est = model.estimate_panel_staging(&[]);
-        assert_eq!(est, PanelStagingEstimate::empty());
-        assert_eq!(est.overlap_speedup(), 1.0);
-    }
-
-    #[test]
-    fn panel_staging_single_panel_cannot_overlap() {
-        let model = DeviceModel::rtx3090();
-        let est = model.estimate_panel_staging(&[(1 << 20, 1 << 30)]);
-        assert_eq!(est.num_panels, 1);
-        // One panel must fully stage before it can be consumed.
-        assert!((est.overlapped_s - est.serial_s).abs() < 1e-18);
-        assert!((est.serial_s - (est.stage_s + est.compute_s)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn panel_staging_overlaps_toward_the_slower_lane() {
-        let model = DeviceModel::rtx3090();
-        let panels: Vec<(u64, u64)> = (0..32).map(|_| (1 << 20, 1 << 30)).collect();
-        let est = model.estimate_panel_staging(&panels);
-        assert_eq!(est.num_panels, 32);
-        // Double buffering can only help, and is bounded below by either lane.
-        assert!(est.overlapped_s <= est.serial_s);
-        assert!(est.overlapped_s >= est.stage_s.max(est.compute_s) - 1e-18);
-        assert!(
-            est.overlap_speedup() > 1.2,
-            "32 uniform panels must pipeline"
-        );
-        // Steady state: all but the first stage hides behind a consume (or
-        // vice versa), so overlapped ≈ max-lane + one leading stage.
-        let (s0, c0) = (est.stage_s / 32.0, est.compute_s / 32.0);
-        let bound = est.stage_s.max(est.compute_s) + s0 + c0 + 1e-18;
-        assert!(est.overlapped_s <= bound);
-    }
-
-    #[test]
-    fn panel_staging_accumulates_across_row_blocks() {
-        let model = DeviceModel::rtx3090();
-        let panels: Vec<(u64, u64)> = (0..4).map(|_| (1 << 16, 1 << 24)).collect();
-        let one = model.estimate_panel_staging(&panels);
-        let mut total = PanelStagingEstimate::empty();
-        total.accumulate(&one);
-        total.accumulate(&one);
-        assert_eq!(total.num_panels, 8);
-        assert!((total.serial_s - 2.0 * one.serial_s).abs() < 1e-18);
-        assert!((total.overlapped_s - 2.0 * one.overlapped_s).abs() < 1e-18);
     }
 }

@@ -251,18 +251,26 @@ impl Matrix<f32> {
         self.data.iter().sum()
     }
 
-    /// Minimum and maximum element. Returns `(0.0, 0.0)` for an empty matrix.
+    /// Minimum and maximum element. Returns `(0.0, 0.0)` for an empty matrix
+    /// and `(NaN, NaN)` when any element is NaN (`f32::min`/`max` alone would
+    /// skip it), found in the same pass.
     pub fn min_max(&self) -> (f32, f32) {
         if self.is_empty() {
             return (0.0, 0.0);
         }
         let mut mn = f32::INFINITY;
         let mut mx = f32::NEG_INFINITY;
+        let mut nan = false;
         for &v in &self.data {
             mn = mn.min(v);
             mx = mx.max(v);
+            nan |= v.is_nan();
         }
-        (mn, mx)
+        if nan {
+            (f32::NAN, f32::NAN)
+        } else {
+            (mn, mx)
+        }
     }
 }
 
@@ -394,6 +402,9 @@ mod tests {
         assert_eq!(m.sum(), 2.0);
         let empty: Matrix<f32> = Matrix::zeros(0, 0);
         assert_eq!(empty.min_max(), (0.0, 0.0));
+        let nan = Matrix::from_vec(1, 3, vec![1.0f32, f32::NAN, -1.0]).unwrap();
+        let (lo, hi) = nan.min_max();
+        assert!(lo.is_nan() && hi.is_nan(), "({lo}, {hi})");
     }
 
     #[test]

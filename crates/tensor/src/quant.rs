@@ -181,6 +181,10 @@ mod tests {
         }
         let x = Matrix::from_vec(1, 3, vec![0.0, f32::INFINITY, 1.0]).unwrap();
         assert!(Quantizer::calibrate(2, &x).is_err());
+        // NaN without any infinity (e.g. `inf - inf` downstream) fails alike.
+        let x = Matrix::from_vec(1, 3, vec![0.0, f32::NAN, 1.0]).unwrap();
+        let err = QuantParams::calibrate(2, &x).unwrap_err();
+        assert!(matches!(err, TensorError::NonFiniteRange { .. }), "{err}");
         let x = Matrix::from_vec(1, 2, vec![-2e38, 2e38]).unwrap();
         assert!(Quantizer::calibrate(2, &x).is_err());
         // The widest representable ranges still calibrate.

@@ -18,6 +18,7 @@ use qgtc_repro::core::{
     FaultPlan, FaultSite, FaultSpec, ModelKind, QgtcConfig, QgtcError,
 };
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
+use qgtc_repro::kernels::backend::resolve_auto;
 use qgtc_repro::kernels::TilingChoice;
 
 const SITES: [FaultSite; 4] = [
@@ -39,12 +40,12 @@ fn profile_dataset(profile_idx: usize) -> (&'static str, LoadedDataset) {
 }
 
 fn tiny_config() -> QgtcConfig {
-    // ModeledTc pins the backend so degradation behaviour (and `fault_stats`
-    // attribution) is host-independent; every backend is bitwise identical.
+    // Pin the body `Auto` resolves to, so `fault_stats` attribute a loss to a
+    // named body; every body is bitwise identical.
     QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
         .with_partitions(12, 2)
         .with_prefetch(4)
-        .with_backend(BackendChoice::ModeledTc)
+        .with_backend(resolve_auto())
 }
 
 proptest! {
@@ -164,6 +165,25 @@ fn backend_loss_degrades_to_portable_and_preserves_output() {
     let clean = run_epoch(&dataset, &config);
     let faulty = config.with_fault_plan(FaultPlan::parse("gemm:backend-loss:1").expect("valid"));
 
+    if faulty.backend() == BackendChoice::Portable {
+        // No AVX-512 on this host: the chain starts at its end.
+        for result in [
+            try_run_epoch(&dataset, &faulty),
+            try_run_epoch_streamed(&dataset, &faulty),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(QgtcError::BackendLost {
+                        backend: "portable",
+                        batch: 1
+                    })
+                ),
+                "got {result:?}"
+            );
+        }
+        return;
+    }
     let serial = try_run_epoch(&dataset, &faulty).expect("loss must degrade, not fail");
     let streamed = try_run_epoch_streamed(&dataset, &faulty).expect("loss must degrade");
     for report in [&serial, &streamed] {

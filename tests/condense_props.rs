@@ -120,10 +120,7 @@ proptest! {
         prop_assert_eq!(&skip, &oracle);
 
         let cond = CondensedAdjacency::from_stack(&adj);
-        for body in [PopcountBody::Portable, PopcountBody::Avx2, PopcountBody::Avx512] {
-            if !body.is_available() {
-                continue;
-            }
+        for body in PopcountBody::available() {
             let (condensed, _) = aggregate_adj_features_condensed(&cond, &x, body);
             prop_assert_eq!(&condensed, &oracle);
         }

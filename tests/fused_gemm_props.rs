@@ -103,10 +103,7 @@ proptest! {
         for skip in [false, true] {
             let (want, want_stats) = any_bit_gemm_fused_with_scheme(
                 &a, &b, skip, PopcountBody::Portable, TilingScheme::baseline());
-            for body in [PopcountBody::Portable, PopcountBody::Avx2, PopcountBody::Avx512] {
-                if !body.is_available() {
-                    continue;
-                }
+            for body in PopcountBody::available() {
                 let (got, got_stats) =
                     any_bit_gemm_fused_with_scheme(&a, &b, skip, body, scheme);
                 prop_assert_eq!(&got, &want);

@@ -28,9 +28,11 @@
 #                          (the tuner+probe — and only they — are skipped in
 #                          FAST)
 #   chaos                  fault-injection chaos proptests (recoverable plans
-#                          recover bitwise, unrecoverable ones fail typed)
-#                          under RAYON_NUM_THREADS in {1, 2, 8}; FAST shrinks
-#                          the proptest case counts via QGTC_CI_FAST
+#                          recover bitwise, unrecoverable ones fail typed),
+#                          the streamed-pipeline suite and the qgtc-core
+#                          executor unit tests, all under RAYON_NUM_THREADS in
+#                          {1, 2, 8}; FAST shrinks the proptest case counts via
+#                          QGTC_CI_FAST
 #   condense               condensed-adjacency conformance proptests (condensed
 #                          == skip == serial oracle bitwise, kernel through
 #                          serving) under RAYON_NUM_THREADS in {1, 2, 8}, plus
@@ -177,13 +179,18 @@ tiling_stage() {
 chaos_stage() {
     # Fault determinism is keyed on (site, batch, attempt), never on thread
     # identity — so the whole chaos suite must pass unchanged at every pool
-    # width. QGTC_CI_FAST (exported to the test process) shrinks the proptest
-    # case counts for quick iteration.
+    # width, and so must the executor tests: the one batch loop prepares
+    # inline on a one-thread pool and on producer shards otherwise (its unit
+    # tests force the threaded branch at every width). QGTC_CI_FAST (exported
+    # to the test process) shrinks the proptest case counts for quick
+    # iteration.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
         env RAYON_NUM_THREADS="$threads" QGTC_CI_FAST="$FAST" \
             cargo test --test chaos_pipeline -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test streamed_pipeline -q
+        env RAYON_NUM_THREADS="$threads" cargo test -p qgtc-core --lib -q pipeline
     done
 }
 

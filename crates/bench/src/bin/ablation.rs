@@ -5,15 +5,11 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin ablation`
 
 use qgtc_bench::report::{fmt3, Table};
-use qgtc_bench::{ablation_kernel_optimisations, ExperimentScale};
+use qgtc_bench::{ablation_kernel_optimisations, scale_from_env};
 use qgtc_graph::DatasetProfile;
 
 fn main() {
-    let scale = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => ExperimentScale::tiny(),
-        Ok("paper") => ExperimentScale::paper(),
-        _ => ExperimentScale::default_fast(),
-    };
+    let scale = scale_from_env().experiment();
     let profile = DatasetProfile::PROTEINS;
     eprintln!(
         "Ablation on {} (scale {}): QGTC 4-bit Cluster GCN",

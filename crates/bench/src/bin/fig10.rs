@@ -4,14 +4,10 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin fig10`
 
 use qgtc_bench::report::{fmt3, Table};
-use qgtc_bench::{fig10_tile_reuse, ExperimentScale};
+use qgtc_bench::{fig10_tile_reuse, scale_from_env};
 
 fn main() {
-    let scale = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => ExperimentScale::tiny(),
-        Ok("paper") => ExperimentScale::paper(),
-        _ => ExperimentScale::default_fast(),
-    };
+    let scale = scale_from_env().experiment();
     eprintln!(
         "Figure 10: non-zero tile reuse speedup (all-ones adjacency, D = {})",
         scale.fig10_dim

@@ -2,18 +2,16 @@
 //! {2, 4, 8, 16, 32} bits, across the evaluation datasets.
 //!
 //! Usage: `cargo run -p qgtc-bench --release --bin fig7a`
-//! Set `QGTC_SCALE=tiny|fast|paper` to control the experiment size (default: fast).
+//! Set `QGTC_SCALE=tiny|fast|paper` to control the experiment size (default: fast;
+//! any other value exits with status 2).
 
 use qgtc_bench::report::{fmt3, Table};
-use qgtc_bench::{fast_dataset_set, fig7_end_to_end, full_dataset_set, ExperimentScale, FIG7_BITS};
+use qgtc_bench::{fig7_end_to_end, scale_from_env, FIG7_BITS};
 use qgtc_core::ModelKind;
 
 fn main() {
-    let (scale, datasets) = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => (ExperimentScale::tiny(), fast_dataset_set()),
-        Ok("paper") => (ExperimentScale::paper(), full_dataset_set()),
-        _ => (ExperimentScale::default_fast(), fast_dataset_set()),
-    };
+    let bench_scale = scale_from_env();
+    let (scale, datasets) = (bench_scale.experiment(), bench_scale.datasets());
     eprintln!(
         "Figure 7(a): Cluster GCN end-to-end latency (dataset scale {}, {} partitions, batch {})",
         scale.dataset_scale, scale.num_partitions, scale.batch_size

@@ -5,14 +5,10 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin fig7c`
 
 use qgtc_bench::report::{fmt1, Table};
-use qgtc_bench::{fig7c_throughput, ExperimentScale};
+use qgtc_bench::{fig7c_throughput, scale_from_env};
 
 fn main() {
-    let scale = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => ExperimentScale::tiny(),
-        Ok("paper") => ExperimentScale::paper(),
-        _ => ExperimentScale::default_fast(),
-    };
+    let scale = scale_from_env().experiment();
     eprintln!("Figure 7(c): aggregation kernel throughput vs cuBLAS int8");
 
     let rows = fig7c_throughput(&scale, 13);

@@ -4,14 +4,11 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin fig8`
 
 use qgtc_bench::report::Table;
-use qgtc_bench::{fast_dataset_set, fig8_zero_tile, full_dataset_set, ExperimentScale};
+use qgtc_bench::{fig8_zero_tile, scale_from_env};
 
 fn main() {
-    let (scale, datasets) = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => (ExperimentScale::tiny(), fast_dataset_set()),
-        Ok("paper") => (ExperimentScale::paper(), full_dataset_set()),
-        _ => (ExperimentScale::default_fast(), fast_dataset_set()),
-    };
+    let bench_scale = scale_from_env();
+    let (scale, datasets) = (bench_scale.experiment(), bench_scale.datasets());
     eprintln!("Figure 8: zero-tile jumping efficiency");
 
     let rows = fig8_zero_tile(&datasets, &scale, 17);

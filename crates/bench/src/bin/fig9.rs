@@ -4,14 +4,10 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin fig9`
 
 use qgtc_bench::report::{fmt1, Table};
-use qgtc_bench::{fig9_adj_size, ExperimentScale};
+use qgtc_bench::{fig9_adj_size, scale_from_env};
 
 fn main() {
-    let scale = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => ExperimentScale::tiny(),
-        Ok("paper") => ExperimentScale::paper(),
-        _ => ExperimentScale::default_fast(),
-    };
+    let scale = scale_from_env().experiment();
     eprintln!("Figure 9: adjacency matrix size impact on 1-bit aggregation throughput");
 
     let rows = fig9_adj_size(&scale, 19);

@@ -70,7 +70,8 @@
 //!
 //! Usage: `cargo run --release -p qgtc-bench --bin perfsmoke`
 //!
-//! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`).  `tiny` is
+//! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`; any other
+//!   value exits with status 2).  `tiny` is
 //!   the CI setting: a 256³ headline shape, 128-node batches, and a speedup bar
 //!   of 1.0× (fused must simply not be slower; streamed must simply not be
 //!   slower).  Every other scale runs the full 1024³ headline shape with the
@@ -113,6 +114,7 @@
 //!   full-scale run).
 
 use qgtc_bench::report::fmt3;
+use qgtc_bench::scale_from_env;
 use qgtc_bitmat::condense::{aggregate_adj_features_condensed, CondensedAdjacency};
 use qgtc_bitmat::fused::{
     aggregate_adj_features_fused, aggregate_adj_features_fused_skip, any_bit_gemm_fused,
@@ -1855,8 +1857,8 @@ fn run_condense_probe(scale: &str, batch: usize) -> bool {
 }
 
 fn main() {
-    let scale = std::env::var("QGTC_SCALE").unwrap_or_else(|_| "fast".to_string());
-    let (headline_size, batch, min_speedup) = match scale.as_str() {
+    let scale = scale_from_env().name();
+    let (headline_size, batch, min_speedup) = match scale {
         "tiny" => (256usize, 128usize, 1.0f64),
         _ => (1024, 512, 2.0),
     };
@@ -1866,11 +1868,11 @@ fn main() {
     const KNOWN_PROBES: &[&str] = &["backend", "condense", "faults", "serving", "tiling"];
     if let Ok(probe) = std::env::var("QGTC_PERFSMOKE_PROBE") {
         let failed = match probe.as_str() {
-            "backend" => run_backend_race(&scale, headline_size, batch),
-            "faults" => run_faults_probe(&scale),
-            "tiling" => run_tiling_probe(&scale, headline_size, batch),
-            "serving" => run_serving_probe(&scale),
-            "condense" => run_condense_probe(&scale, batch),
+            "backend" => run_backend_race(scale, headline_size, batch),
+            "faults" => run_faults_probe(scale),
+            "tiling" => run_tiling_probe(scale, headline_size, batch),
+            "serving" => run_serving_probe(scale),
+            "condense" => run_condense_probe(scale, batch),
             unknown => {
                 eprintln!(
                     "perfsmoke FAIL: unknown QGTC_PERFSMOKE_PROBE {unknown:?}; valid probes: {}",
@@ -1921,7 +1923,7 @@ fn main() {
     // A ≥90%-word-sparse block-diagonal adjacency (the batched-subgraph shape):
     // the skip path must match the non-skipping kernel bitwise (asserted inside
     // the probe) and clear the scale's speedup bar.
-    let (sparse_nodes, sparse_bar) = match scale.as_str() {
+    let (sparse_nodes, sparse_bar) = match scale {
         "tiny" => (2048usize, 1.0f64),
         _ => (4096, 1.5),
     };
@@ -1988,7 +1990,7 @@ fn main() {
     //   is deterministic: it depends only on recorded work, never on timing).
     let wall_bar = 0.85f64;
     let (pipe_scale, pipe_parts, pipe_batch, pipe_prefetch, pipe_reps, pipe_bar, pipe_profiles) =
-        match scale.as_str() {
+        match scale {
             "tiny" => (
                 0.01f64,
                 12usize,
@@ -2091,11 +2093,10 @@ fn main() {
     //   approaches, exactly as the pipeline probe's modeled overlap carries the
     //   double-buffering win.
     let partition_wall_bar = 0.95f64;
-    let (partition_scale, partition_shards, partition_reps, partition_modeled_bar) =
-        match scale.as_str() {
-            "tiny" => (0.01f64, 8usize, 2usize, 1.0f64),
-            _ => (0.05, 8, 3, 1.5),
-        };
+    let (partition_scale, partition_shards, partition_reps, partition_modeled_bar) = match scale {
+        "tiny" => (0.01f64, 8usize, 2usize, 1.0f64),
+        _ => (0.05, 8, 3, 1.5),
+    };
     let partition_out =
         std::env::var("QGTC_PARTITION_OUT").unwrap_or_else(|_| "BENCH_partition.json".to_string());
     eprintln!(
@@ -2177,14 +2178,14 @@ fn main() {
     });
     eprintln!("perfsmoke: wrote {partition_out}");
 
-    let mut failed = run_backend_race(&scale, headline_size, batch);
-    if run_faults_probe(&scale) {
+    let mut failed = run_backend_race(scale, headline_size, batch);
+    if run_faults_probe(scale) {
         failed = true;
     }
-    if run_tiling_probe(&scale, headline_size, batch) {
+    if run_tiling_probe(scale, headline_size, batch) {
         failed = true;
     }
-    if run_serving_probe(&scale) {
+    if run_serving_probe(scale) {
         failed = true;
     }
     if headline_speedup < min_speedup {

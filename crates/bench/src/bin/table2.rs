@@ -4,14 +4,10 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin table2`
 
 use qgtc_bench::report::{fmt3, Table};
-use qgtc_bench::{table2_accuracy, ExperimentScale};
+use qgtc_bench::{scale_from_env, table2_accuracy};
 
 fn main() {
-    let scale = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => ExperimentScale::tiny(),
-        Ok("paper") => ExperimentScale::paper(),
-        _ => ExperimentScale::default_fast(),
-    };
+    let scale = scale_from_env().experiment();
     eprintln!("Table 2: accuracy vs quantization bitwidth (synthetic community graphs)");
 
     let rows = table2_accuracy(&scale, 21);

@@ -4,14 +4,10 @@
 //! Usage: `cargo run -p qgtc-bench --release --bin table3`
 
 use qgtc_bench::report::{fmt1, Table};
-use qgtc_bench::{table3_throughput, ExperimentScale};
+use qgtc_bench::{scale_from_env, table3_throughput};
 
 fn main() {
-    let scale = match std::env::var("QGTC_SCALE").as_deref() {
-        Ok("tiny") => ExperimentScale::tiny(),
-        Ok("paper") => ExperimentScale::paper(),
-        _ => ExperimentScale::default_fast(),
-    };
+    let scale = scale_from_env().experiment();
     eprintln!("Table 3: QGTC vs CUTLASS int4 (TFLOPs)");
 
     let rows = table3_throughput(&scale, 31);

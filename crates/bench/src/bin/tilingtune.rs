@@ -20,13 +20,15 @@
 //!
 //! Usage: `cargo run --release -p qgtc-bench --bin tilingtune`
 //!
-//! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`).  `tiny`
+//! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`; any other
+//!   value exits with status 2).  `tiny`
 //!   is the CI setting (a 256³ headline, 128-node batches); every other scale
 //!   tunes the full 1024³ headline and 512-node batches.
 //! * `QGTC_TUNE_OUT` — output path (default `TUNE_gemm.json`; the committed
 //!   copy at the repo root is a full-scale run).
 
 use qgtc_bench::report::fmt3;
+use qgtc_bench::scale_from_env;
 use qgtc_bitmat::condense::{aggregate_adj_features_condensed, CondensedAdjacency};
 use qgtc_bitmat::fused::{
     aggregate_adj_features_fused_skip, any_bit_gemm_fused_with_scheme, FusedGemmStats,
@@ -312,8 +314,8 @@ fn tune_condense_threshold(frag_nodes: usize, frag_dim: usize, batch: usize) -> 
 }
 
 fn main() {
-    let scale = std::env::var("QGTC_SCALE").unwrap_or_else(|_| "fast".to_string());
-    let (headline_size, batch) = match scale.as_str() {
+    let scale = scale_from_env().name();
+    let (headline_size, batch) = match scale {
         "tiny" => (256usize, 128usize),
         _ => (1024, 512),
     };
@@ -383,7 +385,7 @@ fn main() {
 
     // The condense stage: tune the adjacency-path dispatch threshold on the
     // same host the scheme winners were measured on.
-    let (frag_nodes, frag_dim) = match scale.as_str() {
+    let (frag_nodes, frag_dim) = match scale {
         "tiny" => (512usize, 64usize),
         _ => (2048, 128),
     };

@@ -103,6 +103,69 @@ impl ExperimentScale {
     }
 }
 
+/// The named problem size a bench binary runs at, from `QGTC_SCALE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchScale {
+    /// [`ExperimentScale::tiny`]: seconds, for CI and smoke runs.
+    Tiny,
+    /// [`ExperimentScale::default_fast`]: the default.
+    Fast,
+    /// [`ExperimentScale::paper`]: the paper's full sizes.
+    Paper,
+}
+
+impl BenchScale {
+    /// Parse a `QGTC_SCALE` value (`None` when the variable is unset, which
+    /// is `Fast`).  Any other value is an error listing the valid ones.
+    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
+        match raw {
+            None | Some("fast") => Ok(Self::Fast),
+            Some("tiny") => Ok(Self::Tiny),
+            Some("paper") => Ok(Self::Paper),
+            Some(other) => Err(format!(
+                "QGTC_SCALE={other:?} is not a scale (tiny|fast|paper)"
+            )),
+        }
+    }
+
+    /// The name [`BenchScale::parse`] accepts for this scale.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Tiny => "tiny",
+            Self::Fast => "fast",
+            Self::Paper => "paper",
+        }
+    }
+
+    /// The experiment sizes of this scale.
+    pub fn experiment(self) -> ExperimentScale {
+        match self {
+            Self::Tiny => ExperimentScale::tiny(),
+            Self::Fast => ExperimentScale::default_fast(),
+            Self::Paper => ExperimentScale::paper(),
+        }
+    }
+
+    /// The datasets the end-to-end figures sweep: every profile at paper
+    /// scale, [`fast_dataset_set`] otherwise.
+    pub fn datasets(self) -> Vec<DatasetProfile> {
+        match self {
+            Self::Paper => full_dataset_set(),
+            Self::Tiny | Self::Fast => fast_dataset_set(),
+        }
+    }
+}
+
+/// The `QGTC_SCALE` a bench binary runs at.  Any value other than
+/// `tiny|fast|paper` exits with status 2 and the valid list, so a typo never
+/// runs a silently different experiment.
+pub fn scale_from_env() -> BenchScale {
+    BenchScale::parse(std::env::var("QGTC_SCALE").ok().as_deref()).unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(2)
+    })
+}
+
 /// The bitwidths Figure 7(a)/(b) sweeps.
 pub const FIG7_BITS: [u32; 5] = [2, 4, 8, 16, 32];
 
@@ -655,6 +718,21 @@ pub fn end_to_end_row_is_consistent(row: &EndToEndRow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parser_defaults_to_fast_and_names_the_valid_values_on_a_typo() {
+        assert_eq!(BenchScale::parse(None), Ok(BenchScale::Fast));
+        for scale in [BenchScale::Tiny, BenchScale::Fast, BenchScale::Paper] {
+            assert_eq!(BenchScale::parse(Some(scale.name())), Ok(scale));
+        }
+        assert_eq!(BenchScale::Tiny.experiment(), ExperimentScale::tiny());
+        assert_eq!(BenchScale::Paper.datasets(), full_dataset_set());
+        for typo in ["tiyn", "", "Fast", "full"] {
+            let err = BenchScale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("{typo:?}")), "{err}");
+            assert!(err.contains("tiny|fast|paper"), "{err}");
+        }
+    }
 
     #[test]
     fn fig7_low_bit_beats_dgl_on_tiny_scale() {

@@ -7,9 +7,9 @@
 
 use crate::fault::{FaultPlan, QgtcError};
 use qgtc_kernels::backend::{env_backend, BackendChoice};
-use qgtc_kernels::bmm::{AdjacencyPath, KernelConfig};
+use qgtc_kernels::bmm::{env_adjacency_path, AdjacencyPath, KernelConfig};
 use qgtc_kernels::packing::TransferStrategy;
-use qgtc_kernels::tiling::TilingChoice;
+use qgtc_kernels::tiling::{env_tiling, TilingChoice};
 use qgtc_partition::Parallelism;
 use qgtc_tcsim::GpuSpec;
 
@@ -228,8 +228,9 @@ impl QgtcConfig {
     /// Check the config-local invariants the old panicking entry points enforced
     /// deep inside the partitioning layer: a zero batch size or partition count is
     /// rejected here, before any work runs, with a typed error.  So is a
-    /// `QGTC_BACKEND` value that names no backend, which `Auto` would otherwise
-    /// have to reject at its first kernel dispatch.
+    /// malformed `QGTC_BACKEND`, `QGTC_ADJ_PATH` or `QGTC_TILING` value, which
+    /// the kernels would otherwise reject by panicking at their first
+    /// dispatch, after partitioning has already run.
     ///
     /// Graph-dependent invariants (`num_partitions` versus the node count) cannot
     /// be checked without a graph; [`crate::pipeline::try_build_plan`] covers
@@ -251,10 +252,15 @@ impl QgtcConfig {
                 self.bits
             )));
         }
-        if let Err(err) = env_backend() {
-            return Err(QgtcError::InvalidConfig(err.clone()));
+        let env_errors = [
+            env_backend().as_ref().err(),
+            env_adjacency_path().as_ref().err(),
+            env_tiling().as_ref().err(),
+        ];
+        match env_errors.into_iter().flatten().next() {
+            Some(err) => Err(QgtcError::InvalidConfig(err.clone())),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -363,6 +369,46 @@ mod tests {
         for bits in [1, 8, 16, 32] {
             c.bits = bits;
             assert!(c.validate().is_ok(), "bits {bits} is a paper setting");
+        }
+    }
+
+    /// The kernel overrides are read once per process, so each typo is
+    /// validated in a child run of this test binary with the variable set;
+    /// this process's own environment is never modified.
+    #[test]
+    fn validate_rejects_kernel_override_typos() {
+        const NAME: &str = "config::tests::validate_rejects_kernel_override_typos";
+        const TYPOS: [(&str, &str, &str); 2] = [
+            ("QGTC_ADJ_PATH", "skpi", "auto|skip|condensed"),
+            ("QGTC_TILING", "16x8", "RxCxK"),
+        ];
+        let child = TYPOS
+            .iter()
+            .find(|(var, typo, _)| std::env::var(var).as_deref() == Ok(*typo));
+        if let Some((var, _, valid)) = child {
+            match QgtcConfig::default().validate() {
+                Err(QgtcError::InvalidConfig(message)) => {
+                    assert!(
+                        message.contains(var) && message.contains(valid),
+                        "{message}"
+                    )
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+            return;
+        }
+        for (var, typo, _) in TYPOS {
+            let output = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", NAME])
+                .env(var, typo)
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            assert!(
+                output.status.success() && stdout.contains("1 passed"),
+                "{var}={typo}: {stdout}{}",
+                String::from_utf8_lossy(&output.stderr)
+            );
         }
     }
 

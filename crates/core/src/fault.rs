@@ -511,6 +511,17 @@ pub enum QgtcError {
         /// The calibration failure.
         source: TensorError,
     },
+    /// A bit-tensor product whose bitwidths and inner dimension could
+    /// overflow the kernel's `i64` accumulators
+    /// (`a_bits + b_bits + ⌈log2 k⌉ > 63`).
+    AccumulatorOverflow {
+        /// Bitwidth of the left operand.
+        a_bits: u32,
+        /// Bitwidth of the right operand.
+        b_bits: u32,
+        /// The inner (reduction) dimension.
+        k: usize,
+    },
 }
 
 impl std::fmt::Display for QgtcError {
@@ -552,6 +563,11 @@ impl std::fmt::Display for QgtcError {
             QgtcError::NonFiniteActivations { batch, source } => {
                 write!(f, "batch {batch}: activations overflowed f32: {source}")
             }
+            QgtcError::AccumulatorOverflow { a_bits, b_bits, k } => write!(
+                f,
+                "a {a_bits}-bit by {b_bits}-bit product over K = {k} can overflow the i64 \
+                 accumulators ({a_bits} + {b_bits} + ceil(log2 {k}) > 63)"
+            ),
         }
     }
 }

@@ -14,9 +14,10 @@
 //! * [`pipeline`] — the end-to-end batched-inference pipeline: METIS-substitute
 //!   partitioning, cluster-GCN batching, host-to-device transfer, per-batch forward
 //!   passes on either the QGTC path or the DGL-like baseline, and modeled epoch
-//!   latency. [`pipeline::stream`] is the staged streaming executor: sharded batch
-//!   preparation feeding a bounded in-order queue, with double-buffered
-//!   transfer/compute overlap in the latency model.
+//!   latency. Every epoch entry point runs one batch loop; [`pipeline::stream`]
+//!   holds its threaded half, where sharded batch preparation feeds a bounded
+//!   in-order queue, with double-buffered transfer/compute overlap in the
+//!   latency model.
 //! * [`fault`] — deterministic fault injection and the typed error surface: a
 //!   seeded [`fault::FaultPlan`] (or the `QGTC_FAULTS` environment spec) drives
 //!   the pipeline's supervisor, which retries transients, repairs checksum-caught
@@ -45,11 +46,11 @@ pub use config::{ExecutionPath, ModelKind, QgtcConfig};
 pub use fault::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, QgtcError};
 pub use pipeline::stream::{
     run_epoch_streamed, run_epoch_streamed_raw, run_epoch_streamed_with_plan,
-    try_run_epoch_streamed, try_run_epoch_streamed_with_plan,
+    try_run_epoch_streamed,
 };
 pub use pipeline::{
     run_epoch, run_epoch_with_plan, try_build_plan, try_run_epoch, try_run_epoch_with_plan,
-    EpochReport, EpochRunner,
+    EpochReport,
 };
 pub use qgtc_kernels::backend::BackendChoice;
 pub use qgtc_partition::Parallelism;

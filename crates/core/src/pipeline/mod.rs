@@ -1,4 +1,4 @@
-//! End-to-end batched inference pipeline — staged, with a serial oracle.
+//! End-to-end batched inference pipeline: one batch loop for every executor.
 //!
 //! One epoch of the paper's evaluation loop is three stages:
 //!
@@ -13,11 +13,23 @@
 //! 3. **execute** — record the host-to-device transfer under the configured
 //!    strategy and run the model's forward pass on the configured execution path.
 //!
-//! [`run_epoch`] runs prepare → execute strictly in order on the calling thread:
-//! it is the *bit-identical oracle* the streamed executor
-//! ([`stream::run_epoch_streamed`]) is checked against — both call the same
-//! internal `prepare_batch`/`execute_batch` pair, so their [`CostSnapshot`]s
-//! agree batch-for-batch by construction.
+//! Every entry point runs the same private batch loop.  Each batch passes four
+//! supervised steps in epoch order: prepare, take (checksum verify and repair),
+//! dispatch, then the forward pass.  The entry points differ only in where
+//! prepare runs, whether payloads are sealed under a checksum, and which fault
+//! plan the supervisors consume:
+//!
+//! | Entry points | Where prepare runs | Payload seal | Fault injector | On a typed error |
+//! |---|---|---|---|---|
+//! | [`run_epoch`], [`try_run_epoch`], [`run_epoch_with_plan`], [`try_run_epoch_with_plan`] | inline | only with an active injector | from config | returned |
+//! | [`stream::run_epoch_streamed`], [`stream::try_run_epoch_streamed`], [`stream::run_epoch_streamed_with_plan`] | on producer shards when `prefetch_batches > 1`, the pool has more than one thread and the plan has more than one batch; inline otherwise | always | from config | returned |
+//! | [`stream::run_epoch_streamed_raw`] | same rule as streamed | never | none | panics |
+//!
+//! The serving session ([`crate::serve`]) runs its cache misses through the
+//! same `prepare_batch` and supervisors.  Because prepare is pure and execute
+//! runs in epoch order with the same inputs, every mode's [`CostSnapshot`]s
+//! agree batch for batch; [`run_epoch`] is the oracle the others are checked
+//! against.
 //!
 //! The returned [`EpochReport`] carries the modeled GPU latency (the number the
 //! paper's Figure 7 reports), a pipelined serial-vs-overlapped latency pair (the
@@ -25,18 +37,17 @@
 //! the simulation itself (partitioning excluded, reported separately as
 //! `partition_ms`), and the raw per-batch cost snapshots for deeper analysis.
 //!
-//! Every stage runs under a **supervisor** (the `supervise_*` functions) shared by
-//! the serial and streamed executors: faults — injected by a
-//! [`crate::fault::FaultPlan`] or real (a checksum mismatch on a staged payload) —
-//! are retried with bounded backoff, repaired by a pure re-prepare, or absorbed by
-//! degrading the GEMM backend through [`crate::fault::fallback_backend`]. Because
-//! the supervisors key every decision on `(site, batch, attempt)` and re-preparing
-//! a batch is side-effect free, a recovered epoch is bitwise identical to a
-//! fault-free one, and [`EpochReport::fault_stats`] is identical between the serial
-//! and streamed executors at any thread count. What cannot be absorbed surfaces as
-//! a typed [`QgtcError`] from the `try_*` entry points ([`try_run_epoch`],
-//! [`stream::try_run_epoch_streamed`], [`try_build_plan`]); the panicking entry
-//! points delegate to them.
+//! The supervisors (the `supervise_*` functions) absorb faults — injected by a
+//! [`crate::fault::FaultPlan`] or real (a checksum mismatch on a staged payload):
+//! they retry with bounded backoff, repair by a pure re-prepare, or degrade the
+//! GEMM backend through [`crate::fault::fallback_backend`]. Because the
+//! supervisors key every decision on `(site, batch, attempt)` and re-preparing a
+//! batch is side-effect free, a recovered epoch is bitwise identical to a
+//! fault-free one, and [`EpochReport::fault_stats`] is identical between the
+//! serial and streamed entry points at any thread count. What cannot be absorbed
+//! surfaces as a typed [`QgtcError`] from the `try_*` entry points
+//! ([`try_run_epoch`], [`stream::try_run_epoch_streamed`], [`try_build_plan`]);
+//! the panicking entry points delegate to them.
 
 pub mod stream;
 
@@ -45,12 +56,13 @@ use std::time::Instant;
 
 use qgtc_gnn::models::{BatchForwardOutput, GnnModel, QuantizationSetting, QuantizedWeightSet};
 use qgtc_gnn::{BatchedGinModel, ClusterGcnModel};
-use qgtc_graph::LoadedDataset;
+use qgtc_graph::{DenseSubgraph, LoadedDataset, SubgraphScratch};
 use qgtc_kernels::backend::BackendChoice;
 use qgtc_kernels::bmm::{resolve_adjacency_path, AdjacencyPath, KernelConfig};
 use qgtc_kernels::packing::PreparedBatch;
+use qgtc_kernels::pool::PackedBufferPool;
 use qgtc_kernels::zero_tile::{adjacency_sparsity_stats, AdjacencySparsityStats};
-use qgtc_partition::{partition_kway, try_partition_kway, PartitionBatcher, PartitionConfig};
+use qgtc_partition::{try_partition_kway, PartitionBatcher, PartitionConfig};
 use qgtc_tcsim::cost::{CostSnapshot, CostTracker};
 use qgtc_tcsim::{DeviceModel, KernelEstimate, PipelineEstimate};
 
@@ -213,31 +225,17 @@ pub(crate) struct EpochState {
     pub(crate) weight_quantizations: u64,
 }
 
-/// Partition the graph and build the indexable batch plan (the preprocessing the
-/// paper excludes from its epoch measurement). Returns the plan plus the shard
-/// count the partitioner resolved `config.partition_parallelism` to.
-pub(crate) fn build_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-) -> (PartitionBatcher, usize) {
-    let partition_config = PartitionConfig::with_parts(config.num_partitions)
-        .with_parallelism(config.partition_parallelism);
-    let shards = partition_config.parallelism.effective_shards();
-    let partitioning = partition_kway(&dataset.graph, &partition_config);
-    (
-        PartitionBatcher::new(&partitioning, config.batch_size),
-        shards,
-    )
-}
-
-/// Fallible form of the plan stage: validates the config
-/// ([`QgtcConfig::validate`]) and the dataset features (a NaN or infinite
-/// value is [`QgtcError::NonFiniteFeature`], a range wider than `f32` is
-/// [`QgtcError::FeatureRangeOverflow`]), partitions through the
+/// The plan stage: partition the graph and build the indexable batch plan (the
+/// preprocessing the paper excludes from its epoch measurement). Returns the
+/// plan plus the shard count the partitioner resolved
+/// `config.partition_parallelism` to.
+///
+/// Validates the config ([`QgtcConfig::validate`]) and the dataset features
+/// (a NaN or infinite value is [`QgtcError::NonFiniteFeature`], a range wider
+/// than `f32` is [`QgtcError::FeatureRangeOverflow`]), partitions through the
 /// partitioner's typed-error entry points, and runs under the partition-site
-/// fault supervisor. Every invalid-argument panic of the old path
-/// (`batch_size == 0`, `num_parts == 0`, `num_parts > n`) is a [`QgtcError`]
-/// here.
+/// fault supervisor. A zero batch size, zero partitions or more partitions
+/// than nodes is a [`QgtcError`], not a panic.
 pub fn try_build_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
@@ -314,45 +312,56 @@ fn backoff(attempt: u32) {
     std::thread::sleep(std::time::Duration::from_micros(micros));
 }
 
-/// Prepare stage: materialise batch `index` of the plan and pack its payload.
+/// Prepare stage: materialise batch `index` of the plan and pack its payload,
+/// drawing every buffer from `pool` and the node map from `scratch`.  The
+/// `_in` constructors zero recycled storage, so the batch is bitwise identical
+/// whatever the pool holds — the supervisors' repair precondition.
 ///
 /// Pure with respect to the cost model — no tracker is touched — so shards may run
 /// this concurrently and out of order without perturbing any recorded counter.
+/// On the QGTC path the payload's condensed adjacency is built here iff the
+/// dispatcher will take the condensed path for this batch (exact: the resolver
+/// reads only the adjacency, so prepare and execute always agree).  That keeps
+/// the translation off the execute stage and lets the serving payload cache
+/// amortize it across coalesced requests.
 pub(crate) fn prepare_batch(
     batcher: &PartitionBatcher,
     dataset: &LoadedDataset,
     config: &QgtcConfig,
     index: usize,
+    pool: &mut PackedBufferPool,
+    scratch: &mut SubgraphScratch,
 ) -> PreparedBatch {
     let batch = batcher
         .batch(index)
         .expect("prepare_batch called with index < num_batches");
-    let subgraph = batch.to_dense_block_diagonal(&dataset.graph);
-    let features = subgraph.gather_features(&dataset.features);
+    let subgraph = DenseSubgraph::batch_block_diagonal_in(
+        &dataset.graph,
+        &batch.partitions,
+        pool.take_words(),
+        pool.take_indices(),
+        scratch,
+    );
+    let features = subgraph.gather_features_in(&dataset.features, pool.take_floats());
     match config.path {
         ExecutionPath::Qgtc => {
-            let mut prepared =
-                PreparedBatch::pack_quantized(index, subgraph, features, config.bits.min(8));
-            condense_payload_if_dispatched(&mut prepared, &config.kernel);
+            let mut prepared = PreparedBatch::pack_quantized_pooled(
+                index,
+                subgraph,
+                features,
+                config.bits.min(8),
+                pool,
+            );
+            if let Some(payload) = prepared.payload.as_mut() {
+                if resolve_adjacency_path(config.kernel.adjacency_path, &payload.packed_adjacency)
+                    == AdjacencyPath::Condensed
+                {
+                    payload.ensure_condensed();
+                }
+            }
             prepared
         }
         ExecutionPath::DglBaseline => PreparedBatch::dense(index, subgraph, features),
-    }
-}
-
-/// Build the payload's condensed adjacency at prepare time iff the dispatcher
-/// will actually take the condensed path for this batch (exact: the resolver
-/// reads only the adjacency, so prepare and execute always agree).  Keeps the
-/// translation cost off the execute stage and lets the serving payload cache
-/// amortize it across coalesced requests.  Prepare stays side-effect free with
-/// respect to the cost model — nothing here touches a tracker.
-pub(crate) fn condense_payload_if_dispatched(prepared: &mut PreparedBatch, kernel: &KernelConfig) {
-    if let Some(payload) = prepared.payload.as_mut() {
-        if resolve_adjacency_path(kernel.adjacency_path, &payload.packed_adjacency)
-            == AdjacencyPath::Condensed
-        {
-            payload.ensure_condensed();
-        }
     }
 }
 
@@ -416,34 +425,19 @@ pub(crate) fn execute_batch(
     Ok(Some(output))
 }
 
-/// Produce stage under supervision: prepare batch `index` (and, in the streamed
-/// executor, hand it to the staging queue), retrying [`FaultSite::Prepare`] and
-/// [`FaultSite::Deposit`] faults as one bounded production cycle.
+/// Produce stage under supervision: run `prepare` for batch `index` (and, on
+/// producer shards, hand it to the staging queue), retrying
+/// [`FaultSite::Prepare`] and [`FaultSite::Deposit`] faults as one bounded
+/// production cycle.  `prepare` must be pure with respect to the cost model
+/// and deterministic for a given batch (re-invocations must rebuild
+/// bitwise-identical payloads — that is what makes retry a repair);
+/// [`prepare_batch`] is.
 ///
 /// With `seal` the batch is sealed under its payload checksum before the deposit
 /// step — which is also where a planned [`FaultKind::Corruption`] flips payload
 /// bits *after* sealing, leaving a stale checksum for [`supervise_delivered`] to
 /// catch on the consumer side.
 pub(crate) fn supervise_prepare(
-    batcher: &PartitionBatcher,
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    injector: Option<&FaultInjector>,
-    index: usize,
-    seal: bool,
-) -> Result<PreparedBatch, QgtcError> {
-    supervise_prepare_with(config, injector, index, seal, || {
-        prepare_batch(batcher, dataset, config, index)
-    })
-}
-
-/// The production-cycle supervisor core, parameterised over the prepare step
-/// itself.  The epoch executors pass the plain [`prepare_batch`]; the serving
-/// layer passes a pool-backed prepare, reusing the whole retry/corruption
-/// protocol without duplicating it.  `prepare` must be pure with respect to the
-/// cost model and deterministic for a given batch (re-invocations must rebuild
-/// bitwise-identical payloads — that is what makes retry a repair).
-pub(crate) fn supervise_prepare_with(
     config: &QgtcConfig,
     injector: Option<&FaultInjector>,
     index: usize,
@@ -515,26 +509,10 @@ pub(crate) fn supervise_prepare_with(
 }
 
 /// Take stage under supervision: validate the delivered batch's payload checksum
-/// and absorb [`FaultSite::Take`] faults, repairing by re-prepare (pure, so the
-/// repaired batch is bitwise identical to a fault-free preparation).
-#[allow(clippy::too_many_arguments)]
+/// and absorb [`FaultSite::Take`] faults, repairing by `reprepare` (a pure
+/// re-prepare, so the repaired batch is bitwise identical to a fault-free
+/// preparation).
 pub(crate) fn supervise_delivered(
-    prepared: PreparedBatch,
-    batcher: &PartitionBatcher,
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    injector: Option<&FaultInjector>,
-    index: usize,
-    seal: bool,
-) -> Result<PreparedBatch, QgtcError> {
-    supervise_delivered_with(prepared, config, injector, index, seal, || {
-        prepare_batch(batcher, dataset, config, index)
-    })
-}
-
-/// The take-stage supervisor core, parameterised over the repair step (a pure
-/// re-prepare) the same way [`supervise_prepare_with`] is over prepare.
-pub(crate) fn supervise_delivered_with(
     mut prepared: PreparedBatch,
     config: &QgtcConfig,
     injector: Option<&FaultInjector>,
@@ -653,39 +631,139 @@ pub(crate) fn supervise_dispatch(
     }
 }
 
-/// Snapshot the injector's tallies for the report, attributing the degraded
-/// backend from the epoch context.
-pub(crate) fn fault_stats_from(
-    injector: Option<&FaultInjector>,
-    ctx: &EpochContext<'_>,
-) -> FaultStats {
-    let mut stats = injector.map(FaultInjector::stats).unwrap_or_default();
-    if stats.degraded > 0 {
-        stats.degraded_backend = Some(ctx.current_backend().name());
-    }
-    stats
+/// How an epoch entry point drives the batch loop (the module docs' mode
+/// table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Executor {
+    /// Prepare inline; seal payloads only under an active fault injector.
+    Serial,
+    /// Prepare on producer shards when lookahead can pay off; always seal.
+    Streamed,
+    /// The streamed schedule with no fault plan and no seal: the baseline the
+    /// supervisors' overhead is measured against.
+    Raw,
 }
 
-/// Convert the accumulated state into the epoch report.
-pub(crate) fn finish_report(
+/// Run one epoch of `dataset` under `config` on `executor`, over `plan` or,
+/// when it is `None`, over a plan partitioned inline.
+///
+/// A given plan reports `partition_ms` and `partition_shards` as 0 because no
+/// partitioning happens in the run's scope.  Its batch size must match what
+/// `config` describes for the report's granularity fields to be meaningful,
+/// but nothing is re-derived from `config.num_partitions`/`config.batch_size`.
+fn run_epoch_on(
+    dataset: &LoadedDataset,
     config: &QgtcConfig,
-    state: EpochState,
-    partition_ms: f64,
-    partition_shards: usize,
-    epoch_start: Instant,
-    fault_stats: FaultStats,
-) -> EpochReport {
+    plan: Option<&PartitionBatcher>,
+    executor: Executor,
+) -> Result<EpochReport, QgtcError> {
+    let injector = match executor {
+        Executor::Serial | Executor::Streamed => FaultInjector::from_config(config)?,
+        Executor::Raw => None,
+    };
+    // Partitioning is host-side preprocessing, excluded from `host_wall_ms`
+    // and timed separately — matching the paper's measurement.
+    let built;
+    let (batcher, partition_ms, partition_shards) = match plan {
+        Some(batcher) => {
+            // The plan stage validates the config; a given plan skips it.
+            config.validate()?;
+            (batcher, 0.0, 0)
+        }
+        None => {
+            let start = Instant::now();
+            let (plan, shards) = supervised_build_plan(dataset, config, injector.as_ref())?;
+            built = plan;
+            (&built, start.elapsed().as_secs_f64() * 1e3, shards)
+        }
+    };
+    let seal = match executor {
+        // The fault-free serial oracle pays nothing for the checksums.
+        Executor::Serial => injector.is_some(),
+        Executor::Streamed => true,
+        Executor::Raw => false,
+    };
+    // One staging buffer, one core or one batch admits no useful lookahead
+    // (two stages time-slicing one CPU pay queue overhead without overlap), so
+    // the streamed executors prepare inline there too.
+    let threaded = executor != Executor::Serial
+        && config.prefetch_batches > 1
+        && rayon::current_num_threads() > 1
+        && batcher.num_batches() > 1;
+    let mut report = run_batches(dataset, config, batcher, injector.as_ref(), seal, threaded)?;
+    report.partition_ms = partition_ms;
+    report.partition_shards = partition_shards;
+    Ok(report)
+}
+
+/// The one batch loop: every batch runs supervised prepare, supervised take
+/// (checksum verify and repair), supervised dispatch and [`execute_batch`], in
+/// epoch order.  `threaded` moves only the prepare stage, from the calling
+/// thread onto the producer shards of [`stream::stage_on_producers`].
+fn run_batches(
+    dataset: &LoadedDataset,
+    config: &QgtcConfig,
+    batcher: &PartitionBatcher,
+    injector: Option<&FaultInjector>,
+    seal: bool,
+    threaded: bool,
+) -> Result<EpochReport, QgtcError> {
+    let epoch_start = Instant::now();
+    let ctx = EpochContext::new(dataset, config);
+    let mut state = EpochState::default();
+    // Epoch batches are dropped once executed, so every prepare draws from an
+    // empty pool; a worker reuses only its node-map scratch.
+    let prepare = |index: usize, scratch: &mut SubgraphScratch| {
+        prepare_batch(
+            batcher,
+            dataset,
+            config,
+            index,
+            &mut PackedBufferPool::new(),
+            scratch,
+        )
+    };
+    let produce = |index: usize, scratch: &mut SubgraphScratch| {
+        supervise_prepare(config, injector, index, seal, || prepare(index, scratch))
+    };
+    let mut consume = |index: usize, prepared: PreparedBatch, scratch: &mut SubgraphScratch| {
+        let prepared = supervise_delivered(prepared, config, injector, index, seal, || {
+            prepare(index, scratch)
+        })?;
+        supervise_dispatch(&ctx, injector, index)?;
+        execute_batch(&ctx, &prepared, &mut state).map(drop)
+    };
+    let mut scratch = SubgraphScratch::default();
+    let total = batcher.num_batches();
+    if threaded {
+        stream::stage_on_producers(
+            total,
+            config.prefetch_batches,
+            produce,
+            |index, prepared| consume(index, prepared, &mut scratch),
+        )?;
+    } else {
+        for index in 0..total {
+            let prepared = produce(index, &mut scratch)?;
+            consume(index, prepared, &mut scratch)?;
+        }
+    }
+
+    let mut fault_stats = injector.map(FaultInjector::stats).unwrap_or_default();
+    if fault_stats.degraded > 0 {
+        fault_stats.degraded_backend = Some(ctx.current_backend().name());
+    }
     let cost = state.tracker.snapshot();
     let device = DeviceModel::new(config.gpu.clone());
     let estimate = device.estimate(&cost);
     let pipeline = device.estimate_pipelined(&state.batch_costs, config.staging_depth());
-    EpochReport {
+    Ok(EpochReport {
         modeled_ms: estimate.total_ms(),
         estimate,
         pipeline,
         host_wall_ms: epoch_start.elapsed().as_secs_f64() * 1e3,
-        partition_ms,
-        partition_shards,
+        partition_ms: 0.0,
+        partition_shards: 0,
         num_batches: state.num_batches,
         num_nodes: state.num_nodes,
         cost,
@@ -693,203 +771,7 @@ pub(crate) fn finish_report(
         batch_sparsity: state.batch_sparsity,
         fault_stats,
         weight_quantizations: state.weight_quantizations,
-    }
-}
-
-/// The one configurable entry point for running an epoch — every execution mode
-/// the free `run_epoch*` functions expose is a combination of this builder's
-/// three axes:
-///
-/// * **plan** — [`EpochRunner::with_plan`] runs over an externally built
-///   [`PartitionBatcher`] (`partition_ms`/`partition_shards` report 0); without
-///   it the runner partitions inline;
-/// * **executor** — [`EpochRunner::streamed`] picks the staged streaming
-///   executor (which degenerates to the serial loop when no lookahead is
-///   possible or profitable); the default is the strictly serial oracle;
-/// * **supervision** — [`EpochRunner::raw`] strips the fault supervisor and the
-///   payload checksums (the PR 3 perfsmoke baseline; an active `QGTC_FAULTS`
-///   spec is deliberately ignored and failures panic instead of returning
-///   typed errors). The default runs every stage under its supervisor.
-///
-/// The nine historical free functions (`run_epoch`, `try_run_epoch`,
-/// `*_with_plan`, `*_streamed`, `*_streamed_raw`) are thin wrappers over this
-/// builder, so there is exactly one dispatch path and the modes cannot drift.
-///
-/// ```
-/// use qgtc_core::pipeline::EpochRunner;
-/// use qgtc_core::{ModelKind, QgtcConfig};
-/// use qgtc_core::graph::DatasetProfile;
-///
-/// let dataset = DatasetProfile::PROTEINS.materialize(0.02, 7);
-/// let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(8, 2);
-/// let report = EpochRunner::new(&dataset, &config).streamed(true).try_run()?;
-/// assert_eq!(report.num_nodes, dataset.graph.num_nodes());
-/// # Ok::<(), qgtc_core::QgtcError>(())
-/// ```
-pub struct EpochRunner<'a> {
-    dataset: &'a LoadedDataset,
-    config: &'a QgtcConfig,
-    plan: Option<&'a PartitionBatcher>,
-    streamed: bool,
-    supervised: bool,
-}
-
-impl<'a> EpochRunner<'a> {
-    /// A supervised serial epoch that partitions inline — the defaults of
-    /// [`run_epoch`].
-    pub fn new(dataset: &'a LoadedDataset, config: &'a QgtcConfig) -> Self {
-        Self {
-            dataset,
-            config,
-            plan: None,
-            streamed: false,
-            supervised: true,
-        }
-    }
-
-    /// Run over an already-built batch plan instead of partitioning inline.
-    ///
-    /// For callers that partitioned the graph themselves (or amortise one
-    /// partitioning across several epochs — the serving layer's construction
-    /// pattern); `partition_ms` and `partition_shards` report 0 because no
-    /// partitioning happens in the run's scope. The plan's batch size must
-    /// match what `config` describes for the report's granularity fields to be
-    /// meaningful, but nothing is re-derived from
-    /// `config.num_partitions`/`config.batch_size` here.
-    pub fn with_plan(mut self, batcher: &'a PartitionBatcher) -> Self {
-        self.plan = Some(batcher);
-        self
-    }
-
-    /// Choose the staged streaming executor (`true`) or the serial oracle
-    /// (`false`, the default).
-    pub fn streamed(mut self, streamed: bool) -> Self {
-        self.streamed = streamed;
-        self
-    }
-
-    /// Strip the fault supervisor and payload checksums: the raw PR 3 executor
-    /// perfsmoke measures supervision overhead against. Raw runs ignore any
-    /// configured fault plan, report [`FaultStats::default`], and panic on
-    /// failure rather than returning typed errors.
-    pub fn raw(mut self) -> Self {
-        self.supervised = false;
-        self
-    }
-
-    /// Run the epoch, panicking on a typed failure (the panicking wrappers'
-    /// behaviour).
-    pub fn run(&self) -> EpochReport {
-        self.try_run()
-            .unwrap_or_else(|err| panic!("EpochRunner: {err}"))
-    }
-
-    /// Run the epoch. Typed failures ([`QgtcError`]) surface only from
-    /// supervised runs; raw runs return `Ok` or panic.
-    pub fn try_run(&self) -> Result<EpochReport, QgtcError> {
-        if self.supervised {
-            self.try_run_supervised()
-        } else {
-            Ok(self.run_raw())
-        }
-    }
-
-    fn try_run_supervised(&self) -> Result<EpochReport, QgtcError> {
-        let injector = FaultInjector::from_config(self.config)?;
-        // Partitioning is host-side preprocessing, excluded from `host_wall_ms`
-        // and timed separately — matching the paper's measurement.
-        let plan_built;
-        let (batcher, partition_ms, partition_shards) = match self.plan {
-            Some(batcher) => {
-                // The inline plan stage validates the config; a given plan
-                // skips that stage, so validate here.
-                self.config.validate()?;
-                (batcher, 0.0, 0)
-            }
-            None => {
-                let partition_start = Instant::now();
-                let (built, shards) =
-                    supervised_build_plan(self.dataset, self.config, injector.as_ref())?;
-                plan_built = built;
-                (
-                    &plan_built,
-                    partition_start.elapsed().as_secs_f64() * 1e3,
-                    shards,
-                )
-            }
-        };
-        if self.streamed {
-            // One staging buffer (or one core) admits no useful lookahead: the
-            // serial loop *is* the degenerate schedule — still sealing payload
-            // checksums, because the streamed contract includes them on any host.
-            if stream::degenerates_to_serial(self.config) {
-                return try_serial_epoch_over_plan(
-                    self.dataset,
-                    self.config,
-                    batcher,
-                    partition_ms,
-                    partition_shards,
-                    injector.as_ref(),
-                    true,
-                );
-            }
-            stream::try_streamed_epoch_over_plan(
-                self.dataset,
-                self.config,
-                batcher,
-                partition_ms,
-                partition_shards,
-                injector.as_ref(),
-            )
-        } else {
-            // The fault-free serial oracle pays nothing for the checksum
-            // machinery; it seals only when an injector is active.
-            let seal = injector.is_some();
-            try_serial_epoch_over_plan(
-                self.dataset,
-                self.config,
-                batcher,
-                partition_ms,
-                partition_shards,
-                injector.as_ref(),
-                seal,
-            )
-        }
-    }
-
-    fn run_raw(&self) -> EpochReport {
-        let plan_built;
-        let (batcher, partition_ms, partition_shards) = match self.plan {
-            Some(batcher) => (batcher, 0.0, 0),
-            None => {
-                let partition_start = Instant::now();
-                let (built, shards) = build_plan(self.dataset, self.config);
-                plan_built = built;
-                (
-                    &plan_built,
-                    partition_start.elapsed().as_secs_f64() * 1e3,
-                    shards,
-                )
-            }
-        };
-        if self.streamed && !stream::degenerates_to_serial(self.config) {
-            stream::streamed_epoch_over_plan(
-                self.dataset,
-                self.config,
-                batcher,
-                partition_ms,
-                partition_shards,
-            )
-        } else {
-            stream::raw_serial_over_plan(
-                self.dataset,
-                self.config,
-                batcher,
-                partition_ms,
-                partition_shards,
-            )
-        }
-    }
+    })
 }
 
 /// Run one inference epoch of `dataset` under `config`, strictly serially.
@@ -899,8 +781,6 @@ impl<'a> EpochRunner<'a> {
 /// (asserted batch-for-batch by the integration tests) while overlapping the
 /// prepare stage with compute on the host and modeling transfer/compute overlap on
 /// the device.
-///
-/// Thin wrapper over [`EpochRunner`] (the defaults).
 pub fn run_epoch(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
     try_run_epoch(dataset, config).unwrap_or_else(|err| panic!("run_epoch: {err}"))
 }
@@ -908,19 +788,18 @@ pub fn run_epoch(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
 /// Fallible form of [`run_epoch`]: the serial epoch under the fault supervisor.
 /// Unrecoverable faults — and the invalid-argument conditions that used to panic
 /// deep inside the pipeline — surface as a typed [`QgtcError`].
-///
-/// Thin wrapper over [`EpochRunner`] (the defaults).
 pub fn try_run_epoch(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
 ) -> Result<EpochReport, QgtcError> {
-    EpochRunner::new(dataset, config).try_run()
+    run_epoch_on(dataset, config, None, Executor::Serial)
 }
 
 /// Run one serial inference epoch over an already-built batch plan.
 ///
-/// Thin wrapper over [`EpochRunner::with_plan`], which documents the plan-mode
-/// reporting contract.
+/// For callers that partitioned the graph themselves (or amortise one
+/// partitioning across several epochs — the serving layer's construction
+/// pattern); `partition_ms` and `partition_shards` report 0.
 pub fn run_epoch_with_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
@@ -931,55 +810,12 @@ pub fn run_epoch_with_plan(
 }
 
 /// Fallible form of [`run_epoch_with_plan`].
-///
-/// Thin wrapper over [`EpochRunner::with_plan`].
 pub fn try_run_epoch_with_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
     batcher: &PartitionBatcher,
 ) -> Result<EpochReport, QgtcError> {
-    EpochRunner::new(dataset, config)
-        .with_plan(batcher)
-        .try_run()
-}
-
-/// The serial epoch body shared by [`run_epoch`] and [`run_epoch_with_plan`]:
-/// prepare → execute per batch, in order, each stage under its supervisor.
-///
-/// `seal` controls the payload checksums: the serial entry points seal only when
-/// an injector is active — the fault-free serial oracle pays nothing for the
-/// machinery — while the streamed executor (including its degenerate-to-serial
-/// branch, which calls this body with `seal: true`) seals unconditionally,
-/// because there batches genuinely cross threads.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_serial_epoch_over_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    batcher: &PartitionBatcher,
-    partition_ms: f64,
-    partition_shards: usize,
-    injector: Option<&FaultInjector>,
-    seal: bool,
-) -> Result<EpochReport, QgtcError> {
-    let epoch_start = Instant::now();
-    let ctx = EpochContext::new(dataset, config);
-    let mut state = EpochState::default();
-    for index in 0..batcher.num_batches() {
-        let prepared = supervise_prepare(batcher, dataset, config, injector, index, seal)?;
-        let prepared =
-            supervise_delivered(prepared, batcher, dataset, config, injector, index, seal)?;
-        supervise_dispatch(&ctx, injector, index)?;
-        execute_batch(&ctx, &prepared, &mut state)?;
-    }
-    let fault_stats = fault_stats_from(injector, &ctx);
-    Ok(finish_report(
-        config,
-        state,
-        partition_ms,
-        partition_shards,
-        epoch_start,
-        fault_stats,
-    ))
+    run_epoch_on(dataset, config, Some(batcher), Executor::Serial)
 }
 
 #[cfg(test)]

@@ -1,29 +1,29 @@
-//! Streamed epoch execution: sharded batch construction feeding a bounded,
-//! in-order staging queue, with the compute stage consuming behind it.
+//! Streamed epoch execution: the threaded half of the pipeline's one batch
+//! loop, where sharded batch construction feeds a bounded, in-order staging
+//! queue and the compute stage consumes behind it.
 //!
-//! The serial loop in [`super::run_epoch`] alternates between two very different
-//! kinds of host work per batch: *prepare* (materialise the block-diagonal
-//! subgraph, gather features, bit-pack the payload — embarrassingly parallel,
-//! touches no cost counter) and *execute* (record the transfer, run the forward
-//! pass — must happen in epoch order for deterministic accounting). This module
-//! splits them into a two-stage pipeline, the host-side mirror of the
-//! double-buffered transfer/compute overlap the paper's batched dataflow relies on
-//! (§5):
+//! Per batch the loop does two very different kinds of host work: *prepare*
+//! (materialise the block-diagonal subgraph, gather features, bit-pack the
+//! payload — embarrassingly parallel, touches no cost counter) and *execute*
+//! (record the transfer, run the forward pass — must happen in epoch order for
+//! deterministic accounting). When lookahead can pay off, the streamed entry
+//! points split them into a two-stage pipeline, the host-side mirror of the
+//! double-buffered transfer/compute overlap the paper's batched dataflow
+//! relies on (§5):
 //!
 //! * **producer shards** run on the rayon worker pool. Each shard claims the next
-//!   batch index from a shared ascending ticket, builds the
-//!   [`PreparedBatch`] via the same
-//!   `prepare_batch` the serial loop uses, and deposits it in the staging
+//!   batch index from a shared ascending ticket, runs the supervised prepare
+//!   the inline loop runs, and deposits the [`PreparedBatch`] in the staging
 //!   queue. A ticket for batch `i` is only issued once `i < consumed + depth`
 //!   (`depth = config.prefetch_batches`), so at most `depth` batches are ever
 //!   staged or in flight — the bounded-channel discipline that caps memory at
 //!   `depth` dense subgraphs;
-//! * the **compute stage** (the calling thread) pops batches strictly in epoch
-//!   order and runs `execute_batch`, which records transfers and forward
-//!   passes into the cost tracker exactly as the serial loop does.
+//! * the **compute stage** (the calling thread) takes batches strictly in epoch
+//!   order and runs the supervised take, the supervised dispatch and
+//!   `execute_batch`, exactly as the inline loop does.
 //!
-//! Because `prepare_batch` is pure and `execute_batch` runs in the same order with
-//! the same inputs, the streamed epoch's [`CostSnapshot`](qgtc_tcsim::cost::CostSnapshot)s
+//! Because prepare is pure and execute runs in the same order with the same
+//! inputs, the streamed epoch's [`CostSnapshot`](qgtc_tcsim::cost::CostSnapshot)s
 //! — total and per batch — are *identical* to the serial loop's; only host
 //! wall-clock (prepare overlapped with compute) and the modeled overlapped latency
 //! (`pipeline.overlapped_s`, the documented bounded-buffer formula) differ.
@@ -54,21 +54,15 @@
 //! ```
 
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
-use qgtc_graph::LoadedDataset;
+use qgtc_graph::{LoadedDataset, SubgraphScratch};
 use qgtc_kernels::packing::PreparedBatch;
 use qgtc_partition::PartitionBatcher;
 use rayon::prelude::*;
 
-use super::{
-    execute_batch, fault_stats_from, finish_report, prepare_batch, supervise_delivered,
-    supervise_dispatch, supervise_prepare, try_serial_epoch_over_plan, EpochContext, EpochRunner,
-    EpochState,
-};
+use super::{run_epoch_on, EpochReport, Executor};
 use crate::config::QgtcConfig;
-use crate::fault::{FaultInjector, FaultStats, QgtcError};
-use crate::pipeline::EpochReport;
+use crate::fault::QgtcError;
 
 /// Interior state of the staging queue, guarded by one mutex.
 struct QueueState {
@@ -201,148 +195,23 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
-/// Run one inference epoch of `dataset` under `config` on the streamed executor.
+/// The threaded half of the batch loop: producer shards on the rayon pool run
+/// `produce` for ascending batch tickets into a bounded, in-order
+/// [`StagingQueue`] of `depth` slots, while the calling thread takes every
+/// batch in epoch order and hands it to `consume`.  Each shard owns one
+/// [`SubgraphScratch`] for its whole run.
 ///
-/// Produces the exact cost counters of [`super::run_epoch`] (same totals, same
-/// per-batch deltas — see the module docs for why) while preparing up to
-/// `config.prefetch_batches` batches ahead on the rayon pool. The executor
-/// degenerates to the inline serial loop when no lookahead is possible
-/// (`prefetch_batches == 1` or a single batch) or profitable (a single-core pool:
-/// two stages time-slicing one CPU pay queue overhead without any overlap). The
-/// modeled transfer/compute overlap in the report is unaffected by the host-side
-/// degeneration — it is a function of the per-batch counters and
-/// `config.staging_depth()` alone.
-///
-/// Thin wrapper over [`EpochRunner::streamed`].
-pub fn run_epoch_streamed(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
-    try_run_epoch_streamed(dataset, config)
-        .unwrap_or_else(|err| panic!("run_epoch_streamed: {err}"))
-}
-
-/// Fallible form of [`run_epoch_streamed`]: the streamed epoch under the fault
-/// supervisor. Producer shards run the supervised prepare stage and surface an
-/// unrecoverable failure through the queue's typed-error channel instead of a
-/// panic; the consumer validates every delivered payload against its sealed
-/// checksum (the streamed path seals unconditionally — batches genuinely cross
-/// threads here) and repairs or retries per the supervisor's policies.
-///
-/// Thin wrapper over [`EpochRunner::streamed`].
-pub fn try_run_epoch_streamed(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-) -> Result<EpochReport, QgtcError> {
-    EpochRunner::new(dataset, config).streamed(true).try_run()
-}
-
-/// Run one streamed inference epoch over an already-built batch plan (the
-/// streamed analogue of [`super::run_epoch_with_plan`]; `partition_ms` is
-/// reported as 0).
-///
-/// Thin wrapper over [`EpochRunner::with_plan`] + [`EpochRunner::streamed`].
-pub fn run_epoch_streamed_with_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    batcher: &PartitionBatcher,
-) -> EpochReport {
-    try_run_epoch_streamed_with_plan(dataset, config, batcher)
-        .unwrap_or_else(|err| panic!("run_epoch_streamed_with_plan: {err}"))
-}
-
-/// Fallible form of [`run_epoch_streamed_with_plan`].
-///
-/// Thin wrapper over [`EpochRunner::with_plan`] + [`EpochRunner::streamed`].
-pub fn try_run_epoch_streamed_with_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    batcher: &PartitionBatcher,
-) -> Result<EpochReport, QgtcError> {
-    EpochRunner::new(dataset, config)
-        .with_plan(batcher)
-        .streamed(true)
-        .try_run()
-}
-
-/// The PR 3 streamed executor, verbatim: no supervisor, no payload checksums, no
-/// fault plan (an active `QGTC_FAULTS` spec is deliberately ignored). This is the
-/// perfsmoke overhead baseline the supervised [`run_epoch_streamed`] is measured
-/// against — the two must stay bitwise identical on fault-free runs.
-///
-/// Thin wrapper over [`EpochRunner::streamed`] + [`EpochRunner::raw`].
-pub fn run_epoch_streamed_raw(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
-    EpochRunner::new(dataset, config).streamed(true).raw().run()
-}
-
-/// The raw (unsupervised, unsealed) serial loop backing
-/// [`EpochRunner::raw`]'s degenerate and serial paths.
-pub(crate) fn raw_serial_over_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    batcher: &PartitionBatcher,
-    partition_ms: f64,
-    partition_shards: usize,
-) -> EpochReport {
-    let epoch_start = Instant::now();
-    let ctx = EpochContext::new(dataset, config);
-    let mut state = EpochState::default();
-    for index in 0..batcher.num_batches() {
-        let prepared = prepare_batch(batcher, dataset, config, index);
-        execute_raw(&ctx, &prepared, &mut state);
-    }
-    finish_report(
-        config,
-        state,
-        partition_ms,
-        partition_shards,
-        epoch_start,
-        FaultStats::default(),
-    )
-}
-
-/// The raw executors' execute step: unsupervised, so a batch whose
-/// activations overflow `f32` panics instead of failing typed.
-fn execute_raw(ctx: &EpochContext<'_>, prepared: &PreparedBatch, state: &mut EpochState) {
-    if let Err(err) = execute_batch(ctx, prepared, state) {
-        panic!("raw epoch: {err}");
-    }
-}
-
-/// Whether the streamed executor should fall back to the serial loop: one staging
-/// buffer admits no lookahead, and on a single-core pool two stages time-slicing
-/// one CPU pay queue overhead without any overlap.
-pub(crate) fn degenerates_to_serial(config: &QgtcConfig) -> bool {
-    config.prefetch_batches.max(1) == 1 || rayon::current_num_threads() <= 1
-}
-
-/// The raw (unsupervised) threaded streamed-executor body (and, via tests,
-/// exercised even on single-core hosts where the public entries degenerate).
-pub(crate) fn streamed_epoch_over_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    batcher: &PartitionBatcher,
-    partition_ms: f64,
-    partition_shards: usize,
-) -> EpochReport {
-    let epoch_start = Instant::now();
-    let ctx = EpochContext::new(dataset, config);
-    let mut state = EpochState::default();
-    let total = batcher.num_batches();
-    let depth = config.prefetch_batches.max(1);
-
-    if total <= 1 {
-        for index in 0..total {
-            let prepared = prepare_batch(batcher, dataset, config, index);
-            execute_raw(&ctx, &prepared, &mut state);
-        }
-        return finish_report(
-            config,
-            state,
-            partition_ms,
-            partition_shards,
-            epoch_start,
-            FaultStats::default(),
-        );
-    }
-
+/// A typed error from `produce` fails the queue, so the consumer returns it
+/// once it reaches the missing batch; a typed error from `consume` stops the
+/// loop.  Either side closes the queue when it finishes or unwinds, so
+/// neither can strand the other.
+pub(super) fn stage_on_producers(
+    total: usize,
+    depth: usize,
+    produce: impl Fn(usize, &mut SubgraphScratch) -> Result<PreparedBatch, QgtcError> + Sync,
+    mut consume: impl FnMut(usize, PreparedBatch) -> Result<(), QgtcError>,
+) -> Result<(), QgtcError> {
+    let depth = depth.max(1);
     // At most `depth` batches can be staged or in flight, so more shards than
     // staging buffers would only block on the window — and a shard blocked on a
     // full window still pins its pool worker, which would starve the compute
@@ -353,6 +222,7 @@ pub(crate) fn streamed_epoch_over_plan(
         .min(total)
         .max(1);
     let queue = StagingQueue::new(total, depth);
+    let produce = &produce;
     std::thread::scope(|scope| {
         let queue = &queue;
         scope.spawn(move || {
@@ -360,98 +230,17 @@ pub(crate) fn streamed_epoch_over_plan(
             // one of them panics — so the compute stage never waits forever.
             let _close = CloseOnDrop(queue);
             (0..shards).into_par_iter().for_each(|_| {
+                let mut scratch = SubgraphScratch::default();
                 while let Some(index) = queue.claim() {
                     // The pool catches panics at item granularity, so an unwind
                     // here would otherwise strand ticket `index` undelivered while
                     // sibling shards keep waiting on the frozen window: close the
                     // queue first (unblocking both stages), then let the panic
-                    // propagate through the pool's normal re-raise path.
-                    let prepared = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        prepare_batch(batcher, dataset, config, index)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        queue.close();
-                        std::panic::resume_unwind(payload);
-                    });
-                    queue.deposit(index, prepared);
-                }
-            });
-        });
-
-        // Compute stage: strictly in epoch order, on this thread. The guard closes
-        // the queue if `execute_batch` panics, unblocking the producer shards so
-        // the scope can join them and propagate the panic.
-        let _close = CloseOnDrop(queue);
-        for index in 0..total {
-            // The raw path has no typed-error producers, so a failed take can only
-            // be the close-without-deposit panic inside `take` itself.
-            let prepared = queue
-                .take(index)
-                .unwrap_or_else(|err| panic!("raw streamed take: {err}"));
-            execute_raw(&ctx, &prepared, &mut state);
-        }
-    });
-    finish_report(
-        config,
-        state,
-        partition_ms,
-        partition_shards,
-        epoch_start,
-        FaultStats::default(),
-    )
-}
-
-/// The supervised threaded streamed-executor body: producer shards run
-/// [`supervise_prepare`] (sealing every payload) and fail the queue typed on an
-/// unrecoverable batch; the consumer drains in order through
-/// [`supervise_delivered`] (checksum validation + repair) and
-/// [`supervise_dispatch`] (retry / backend degradation) before executing.
-pub(crate) fn try_streamed_epoch_over_plan(
-    dataset: &LoadedDataset,
-    config: &QgtcConfig,
-    batcher: &PartitionBatcher,
-    partition_ms: f64,
-    partition_shards: usize,
-    injector: Option<&FaultInjector>,
-) -> Result<EpochReport, QgtcError> {
-    let total = batcher.num_batches();
-    if total <= 1 {
-        // Nothing to overlap; the sealed serial body is the same schedule.
-        return try_serial_epoch_over_plan(
-            dataset,
-            config,
-            batcher,
-            partition_ms,
-            partition_shards,
-            injector,
-            true,
-        );
-    }
-    let epoch_start = Instant::now();
-    let ctx = EpochContext::new(dataset, config);
-    let mut state = EpochState::default();
-    let depth = config.prefetch_batches.max(1);
-
-    // Same shard cap as the raw body: more shards than staging buffers would only
-    // block on the window while pinning pool workers the consumer needs.
-    let shards = depth
-        .min(rayon::current_num_threads().div_ceil(2))
-        .min(total)
-        .max(1);
-    let queue = StagingQueue::new(total, depth);
-    let mut outcome: Result<(), QgtcError> = Ok(());
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        scope.spawn(move || {
-            let _close = CloseOnDrop(queue);
-            (0..shards).into_par_iter().for_each(|_| {
-                while let Some(index) = queue.claim() {
-                    // As in the raw body, a panic inside prepare must close the
-                    // queue before propagating; a *typed* failure (retry budget
-                    // exhausted) instead travels through the queue's error
-                    // channel so the consumer returns it instead of panicking.
+                    // propagate through the pool's normal re-raise path.  A
+                    // *typed* failure instead travels through the queue's error
+                    // channel so the consumer returns it.
                     let produced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        supervise_prepare(batcher, dataset, config, injector, index, true)
+                        produce(index, &mut scratch)
                     }))
                     .unwrap_or_else(|payload| {
                         queue.close();
@@ -468,42 +257,92 @@ pub(crate) fn try_streamed_epoch_over_plan(
             });
         });
 
+        // Compute stage: strictly in epoch order, on this thread. The guard closes
+        // the queue when this stage returns or panics, unblocking the producer
+        // shards so the scope can join them.
         let _close = CloseOnDrop(queue);
-        for index in 0..total {
-            let result = queue.take(index).and_then(|prepared| {
-                let prepared =
-                    supervise_delivered(prepared, batcher, dataset, config, injector, index, true)?;
-                supervise_dispatch(&ctx, injector, index)?;
-                execute_batch(&ctx, &prepared, &mut state)?;
-                Ok(())
-            });
-            if let Err(err) = result {
-                outcome = Err(err);
-                break;
-            }
-        }
-    });
-    outcome?;
-    let fault_stats = fault_stats_from(injector, &ctx);
-    Ok(finish_report(
-        config,
-        state,
-        partition_ms,
-        partition_shards,
-        epoch_start,
-        fault_stats,
-    ))
+        (0..total).try_for_each(|index| consume(index, queue.take(index)?))
+    })
+}
+
+/// Run one inference epoch of `dataset` under `config` on the streamed executor.
+///
+/// Produces the exact cost counters of [`super::run_epoch`] (same totals, same
+/// per-batch deltas — see the module docs for why) while preparing up to
+/// `config.prefetch_batches` batches ahead on the rayon pool. Prepare runs
+/// inline when no lookahead is possible (`prefetch_batches == 1` or a single
+/// batch) or profitable (a single-core pool: two stages time-slicing one CPU
+/// pay queue overhead without any overlap). The modeled transfer/compute
+/// overlap in the report is unaffected by where prepare runs — it is a
+/// function of the per-batch counters and `config.staging_depth()` alone.
+pub fn run_epoch_streamed(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
+    try_run_epoch_streamed(dataset, config)
+        .unwrap_or_else(|err| panic!("run_epoch_streamed: {err}"))
+}
+
+/// Fallible form of [`run_epoch_streamed`]: the streamed epoch under the fault
+/// supervisor. Producer shards run the supervised prepare stage and surface an
+/// unrecoverable failure through the queue's typed-error channel instead of a
+/// panic; the consumer validates every delivered payload against its sealed
+/// checksum (the streamed path seals unconditionally, wherever prepare runs)
+/// and repairs or retries per the supervisor's policies.
+pub fn try_run_epoch_streamed(
+    dataset: &LoadedDataset,
+    config: &QgtcConfig,
+) -> Result<EpochReport, QgtcError> {
+    run_epoch_on(dataset, config, None, Executor::Streamed)
+}
+
+/// Run one streamed inference epoch over an already-built batch plan (the
+/// streamed analogue of [`super::run_epoch_with_plan`]; `partition_ms` is
+/// reported as 0).
+pub fn run_epoch_streamed_with_plan(
+    dataset: &LoadedDataset,
+    config: &QgtcConfig,
+    batcher: &PartitionBatcher,
+) -> EpochReport {
+    run_epoch_on(dataset, config, Some(batcher), Executor::Streamed)
+        .unwrap_or_else(|err| panic!("run_epoch_streamed_with_plan: {err}"))
+}
+
+/// The streamed schedule with an empty fault plan: no payload checksums, and
+/// an active `QGTC_FAULTS` spec is deliberately ignored.  This is the
+/// perfsmoke overhead baseline the supervised [`run_epoch_streamed`] is
+/// measured against — the two must stay bitwise identical on fault-free runs.
+/// Panics on what the supervised entry points return as a typed error.
+pub fn run_epoch_streamed_raw(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
+    run_epoch_on(dataset, config, None, Executor::Raw)
+        .unwrap_or_else(|err| panic!("run_epoch_streamed_raw: {err}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelKind;
-    use crate::pipeline::{build_plan, run_epoch};
+    use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
+    use crate::pipeline::{prepare_batch, run_batches, run_epoch, try_build_plan, try_run_epoch};
     use qgtc_graph::DatasetProfile;
+    use qgtc_kernels::pool::PackedBufferPool;
 
     fn tiny_dataset() -> LoadedDataset {
         DatasetProfile::PROTEINS.materialize(0.03, 7)
+    }
+
+    /// The one batch loop with prepare forced onto producer shards, so the
+    /// queue is exercised even on a one-core host (where the public entry
+    /// points prepare inline).
+    fn threaded(
+        dataset: &LoadedDataset,
+        config: &QgtcConfig,
+        injector: Option<&FaultInjector>,
+        seal: bool,
+    ) -> Result<EpochReport, QgtcError> {
+        let (batcher, _) = try_build_plan(dataset, config).expect("plan builds");
+        assert!(
+            batcher.num_batches() > 1,
+            "one batch never reaches the queue"
+        );
+        run_batches(dataset, config, &batcher, injector, seal, true)
     }
 
     #[test]
@@ -515,17 +354,14 @@ mod tests {
             QgtcConfig::dgl_baseline(ModelKind::ClusterGcn).with_partitions(16, 4),
         ] {
             let serial = run_epoch(&dataset, &config);
-            // Call the threaded body directly so the queue is exercised even when
-            // the test host has a single core (where the public entry degenerates).
-            let (batcher, _) = build_plan(&dataset, &config);
-            let streamed = streamed_epoch_over_plan(&dataset, &config, &batcher, 0.0, 0);
+            let streamed = threaded(&dataset, &config, None, false).unwrap();
             assert_eq!(serial.cost, streamed.cost);
             assert_eq!(serial.batch_costs, streamed.batch_costs);
             assert_eq!(serial.num_batches, streamed.num_batches);
             assert_eq!(serial.num_nodes, streamed.num_nodes);
             assert_eq!(serial.modeled_ms, streamed.modeled_ms);
             assert_eq!(serial.pipeline, streamed.pipeline);
-            // The public entry must agree regardless of which host path it picks.
+            // The public entry must agree regardless of where it prepares.
             let public = run_epoch_streamed(&dataset, &config);
             assert_eq!(serial.cost, public.cost);
             assert_eq!(serial.batch_costs, public.batch_costs);
@@ -539,11 +375,74 @@ mod tests {
         let reference = run_epoch(&dataset, &base);
         for depth in [2, 3, 7, 64] {
             let config = base.clone().with_prefetch(depth);
-            let (batcher, _) = build_plan(&dataset, &config);
-            let streamed = streamed_epoch_over_plan(&dataset, &config, &batcher, 0.0, 0);
+            let streamed = threaded(&dataset, &config, None, false).unwrap();
             assert_eq!(reference.cost, streamed.cost, "depth {depth}");
             assert_eq!(reference.batch_costs, streamed.batch_costs, "depth {depth}");
         }
+    }
+
+    #[test]
+    fn threaded_supervised_recovers_seeded_plans_like_the_inline_loop() {
+        let dataset = tiny_dataset();
+        let base = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(16, 4);
+        let clean = run_epoch(&dataset, &base);
+        for seed in 0..8u64 {
+            let plan = FaultPlan::seeded_transient(seed, clean.num_batches, 2);
+            let config = base.clone().with_fault_plan(plan.clone());
+            let inline = try_run_epoch(&dataset, &config).expect("recoverable plan");
+            let injector = FaultInjector::new(plan);
+            let streamed =
+                threaded(&dataset, &config, Some(&injector), true).expect("recoverable plan");
+            assert_eq!(streamed.cost, clean.cost, "seed {seed}");
+            assert_eq!(streamed.batch_costs, clean.batch_costs, "seed {seed}");
+            assert!(
+                inline.fault_stats.injected > 0,
+                "seed {seed} injected nothing"
+            );
+            assert_eq!(streamed.fault_stats, inline.fault_stats, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn threaded_unrecoverable_prepare_fault_fails_typed_through_the_queue() {
+        let dataset = tiny_dataset();
+        let plan = FaultPlan::new(vec![FaultSpec {
+            site: FaultSite::Prepare,
+            kind: FaultKind::Transient,
+            batch: 1,
+            attempts: u32::MAX,
+        }]);
+        let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
+            .with_partitions(16, 4)
+            .with_fault_plan(plan.clone());
+        let injector = FaultInjector::new(plan);
+        let err = threaded(&dataset, &config, Some(&injector), true)
+            .expect_err("the prepare fault outlives the retry budget");
+        assert!(
+            matches!(
+                err,
+                QgtcError::BatchFailed {
+                    batch: 1,
+                    site: FaultSite::Prepare,
+                    kind: FaultKind::Transient,
+                    attempts,
+                } if attempts as usize == config.max_batch_retries + 1
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn raw_and_supervised_threaded_runs_record_identical_costs() {
+        let dataset = tiny_dataset();
+        let config = QgtcConfig::qgtc(ModelKind::BatchedGin, 3)
+            .with_partitions(16, 4)
+            .with_prefetch(3);
+        let raw = threaded(&dataset, &config, None, false).unwrap();
+        let supervised = threaded(&dataset, &config, None, true).unwrap();
+        assert_eq!(raw.cost, supervised.cost);
+        assert_eq!(raw.batch_costs, supervised.batch_costs);
+        assert_eq!(supervised.fault_stats, Default::default());
     }
 
     #[test]
@@ -635,7 +534,7 @@ mod tests {
         let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
             .with_partitions(16, 2)
             .with_prefetch(2);
-        let (batcher, _) = build_plan(&dataset, &config);
+        let (batcher, _) = try_build_plan(&dataset, &config).expect("plan builds");
         let total = batcher.num_batches();
         assert!(total > 4, "need more batches than the window holds");
         let queue = StagingQueue::new(total, 2);
@@ -647,8 +546,17 @@ mod tests {
                 let config = &config;
                 scope.spawn(move || {
                     let _close = CloseOnDrop(queue);
+                    let mut scratch = SubgraphScratch::default();
                     while let Some(index) = queue.claim() {
-                        queue.deposit(index, prepare_batch(batcher, dataset, config, index));
+                        let prepared = prepare_batch(
+                            batcher,
+                            dataset,
+                            config,
+                            index,
+                            &mut PackedBufferPool::new(),
+                            &mut scratch,
+                        );
+                        queue.deposit(index, prepared);
                     }
                 });
                 // Wait until the window is genuinely full (both slots deposited,

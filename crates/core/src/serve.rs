@@ -27,13 +27,12 @@
 //! [`PackedBufferPool`], so once the pool is warm a drain performs **zero
 //! fresh pool-managed allocations** ([`ServeStats::pool`]).
 //!
-//! Prepare and dispatch run under the same fault supervisors as the epoch
-//! executors (via the closure-parameterised supervisor cores), so an injected
-//! or real fault retries, repairs, or degrades the backend exactly as an epoch
-//! would. A batch whose fault cannot be absorbed **degrades instead of killing
-//! the session**: its rows come back zero-filled and the affected node ids are
-//! listed in [`InferResponse::degraded`], while every other batch of the drain
-//! answers normally.
+//! Prepare and dispatch run through the epoch loop's `prepare_batch` and fault
+//! supervisors, so an injected or real fault retries, repairs, or degrades the
+//! backend exactly as an epoch would. A batch whose fault cannot be absorbed
+//! **degrades instead of killing the session**: its rows come back zero-filled
+//! and the affected node ids are listed in [`InferResponse::degraded`], while
+//! every other batch of the drain answers normally.
 //!
 //! Because cache hits skip only the (cost-silent) prepare stage and batches
 //! execute in ascending index order within a drain, a single request covering
@@ -63,18 +62,18 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use qgtc_gnn::models::BatchForwardOutput;
-use qgtc_graph::{DenseSubgraph, LoadedDataset, SubgraphScratch};
+use qgtc_graph::{LoadedDataset, SubgraphScratch};
 use qgtc_kernels::packing::PreparedBatch;
 use qgtc_kernels::pool::{PackedBufferPool, PoolStats};
 use qgtc_partition::PartitionBatcher;
 use qgtc_tcsim::cost::CostSnapshot;
 use qgtc_tensor::Matrix;
 
-use crate::config::{ExecutionPath, QgtcConfig};
+use crate::config::QgtcConfig;
 use crate::fault::{FaultInjector, QgtcError};
 use crate::pipeline::{
-    condense_payload_if_dispatched, execute_batch, supervise_delivered_with, supervise_dispatch,
-    supervise_prepare_with, supervised_build_plan, EpochContext, EpochState,
+    execute_batch, prepare_batch, supervise_delivered, supervise_dispatch, supervise_prepare,
+    supervised_build_plan, EpochContext, EpochState,
 };
 
 /// Session-construction knobs (everything else comes from [`QgtcConfig`]).
@@ -388,49 +387,14 @@ impl<'a> QgtcSession<'a> {
             }
             None => {
                 self.stats.cache_misses += 1;
-                let dataset = self.dataset;
-                let config = self.config;
-                let batcher = &self.batcher;
-                let pool = &mut self.pool;
-                let scratch = &mut self.scratch;
+                let (batcher, dataset, config) = (&self.batcher, self.dataset, self.config);
+                let (pool, scratch) = (&mut self.pool, &mut self.scratch);
                 let injector = self.injector.as_ref();
-                // The pool-backed prepare: same stages as the epoch's
-                // `prepare_batch`, every buffer drawn from the pool. The `_in`
-                // constructors zero recycled storage, so re-invocations stay
-                // bitwise identical — the supervisor's repair precondition.
-                let mut prepare = || {
-                    let batch = batcher.batch(index).expect("index from the node map");
-                    let subgraph = DenseSubgraph::batch_block_diagonal_in(
-                        &dataset.graph,
-                        &batch.partitions,
-                        pool.take_words(),
-                        pool.take_indices(),
-                        scratch,
-                    );
-                    let features =
-                        subgraph.gather_features_in(&dataset.features, pool.take_floats());
-                    match config.path {
-                        ExecutionPath::Qgtc => {
-                            let mut prepared = PreparedBatch::pack_quantized_pooled(
-                                index,
-                                subgraph,
-                                features,
-                                config.bits.min(8),
-                                pool,
-                            );
-                            // Same prepare-time condensation as the epoch's
-                            // `prepare_batch`; the payload cache then amortizes
-                            // the translation across coalesced requests.
-                            condense_payload_if_dispatched(&mut prepared, &config.kernel);
-                            prepared
-                        }
-                        ExecutionPath::DglBaseline => {
-                            PreparedBatch::dense(index, subgraph, features)
-                        }
-                    }
-                };
-                let prepared = supervise_prepare_with(config, injector, index, seal, &mut prepare)?;
-                supervise_delivered_with(prepared, config, injector, index, seal, &mut prepare)?
+                // The epoch's prepare, drawing every buffer from the session's
+                // pool (so a warm session prepares allocation-free).
+                let mut prepare = || prepare_batch(batcher, dataset, config, index, pool, scratch);
+                let prepared = supervise_prepare(config, injector, index, seal, &mut prepare)?;
+                supervise_delivered(prepared, config, injector, index, seal, &mut prepare)?
             }
         };
         let result = supervise_dispatch(&self.ctx, self.injector.as_ref(), index)

@@ -99,24 +99,25 @@ impl AdjacencyPath {
     }
 }
 
-/// The `QGTC_ADJ_PATH` environment override, read once per process.
-///
-/// # Panics
-///
-/// Panics on a malformed value — a typoed path name silently falling back to
-/// the default would invalidate a benchmark run.
-fn env_adjacency_path() -> Option<AdjacencyPath> {
-    static OVERRIDE: OnceLock<Option<AdjacencyPath>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("QGTC_ADJ_PATH").ok().map(|raw| {
-            AdjacencyPath::from_name(&raw).unwrap_or_else(|| {
-                panic!("QGTC_ADJ_PATH={raw:?} is not a valid adjacency path (auto|skip|condensed)")
-            })
+/// Parse a `QGTC_ADJ_PATH` value (`None` when the variable is unset).  An
+/// unknown name is an error that lists the valid ones.
+fn parse_adjacency_path_env(raw: Option<&str>) -> Result<Option<AdjacencyPath>, String> {
+    raw.map(|name| {
+        AdjacencyPath::from_name(name).ok_or_else(|| {
+            format!("QGTC_ADJ_PATH={name:?} is not an adjacency path (auto|skip|condensed)")
         })
     })
+    .transpose()
 }
 
-///// Word-equivalent cost the Auto heuristic charges per union column: the
+/// The `QGTC_ADJ_PATH` environment override, read and parsed once per process.
+pub fn env_adjacency_path() -> &'static Result<Option<AdjacencyPath>, String> {
+    static OVERRIDE: OnceLock<Result<Option<AdjacencyPath>, String>> = OnceLock::new();
+    OVERRIDE
+        .get_or_init(|| parse_adjacency_path_env(std::env::var("QGTC_ADJ_PATH").ok().as_deref()))
+}
+
+/// Word-equivalent cost the Auto heuristic charges per union column: the
 /// condensed kernel's staging gather extracts and re-inserts one bit per union
 /// column per feature plane per output column, which empirically costs about
 /// this many skip-kernel word operations (each of which covers 64 columns in
@@ -146,12 +147,21 @@ const SKIP_SPAN_WORD_COST: f64 = 16.0;
 /// dividing it out leaves a pure adjacency-shape race: condensed K words plus
 /// the per-union-column gather charge versus the skip kernel's nonzero-word
 /// walk plus its per-span setup charge.
+///
+/// # Panics
+///
+/// Panics when `QGTC_ADJ_PATH` holds an unknown name — a typo silently
+/// falling back to the configured path would invalidate a benchmark run.  The
+/// pipeline entry points reject it earlier with a typed error
+/// (`QgtcConfig::validate`).
 pub fn resolve_adjacency_path(
     configured: AdjacencyPath,
     adjacency: &StackedBitMatrix,
 ) -> AdjacencyPath {
-    let choice = env_adjacency_path().unwrap_or(configured);
-    match choice {
+    let forced = env_adjacency_path()
+        .as_ref()
+        .unwrap_or_else(|err| panic!("{err}"));
+    match forced.unwrap_or(configured) {
         AdjacencyPath::Skip => AdjacencyPath::Skip,
         AdjacencyPath::Condensed => AdjacencyPath::Condensed,
         AdjacencyPath::Auto => {
@@ -251,10 +261,23 @@ const ACC_TILE_BYTES: u64 = (TILE_M * TILE_N * 4) as u64;
 /// Integer ops charged per A-tile zero check (the OR-reduce of §4.3).
 const ZERO_CHECK_OPS: u64 = 8;
 
+/// Whether `k` products of an `a_bits`-bit and a `b_bits`-bit code always sum
+/// inside the kernel's `i64` accumulators: `a_bits + b_bits + ⌈log2 k⌉ ≤ 63`.
+pub fn accumulator_fits(a_bits: u32, b_bits: u32, k: usize) -> bool {
+    a_bits + b_bits + k.max(1).next_power_of_two().trailing_zeros() <= 63
+}
+
 /// General any-bitwidth GEMM kernel: `C = A · B` over stacked bit matrices.
 ///
 /// `a` must be row-packed ("column-wise compression"), `b` column-packed.  Returns
 /// exact `i64` accumulators over the codes; work is recorded into `tracker`.
+///
+/// # Panics
+///
+/// Panics on a layout or shape mismatch, and when the operands' bitwidths and
+/// inner dimension could overflow the accumulators ([`accumulator_fits`]):
+/// the fused kernel's shift-accumulate would otherwise wrap silently in
+/// release builds.
 pub fn qgtc_bmm(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
@@ -277,6 +300,13 @@ pub fn qgtc_bmm(
         "inner dimensions differ: {} vs {}",
         a.cols(),
         b.rows()
+    );
+    assert!(
+        accumulator_fits(a.bits(), b.bits(), a.cols()),
+        "a {}-bit by {}-bit product over K = {} can overflow the i64 accumulators",
+        a.bits(),
+        b.bits(),
+        a.cols()
     );
 
     let (m_tiles, n_tiles, _) = tile_counts(a.rows(), b.cols(), a.cols());
@@ -487,6 +517,47 @@ mod tests {
     use super::*;
     use qgtc_tensor::gemm::gemm_i64;
     use qgtc_tensor::rng::random_uniform_matrix;
+
+    #[test]
+    fn adjacency_path_env_parser_names_the_valid_values_on_a_typo() {
+        assert_eq!(parse_adjacency_path_env(None), Ok(None));
+        assert_eq!(
+            parse_adjacency_path_env(Some("Condensed")),
+            Ok(Some(AdjacencyPath::Condensed))
+        );
+        assert_eq!(
+            parse_adjacency_path_env(Some("skip")),
+            Ok(Some(AdjacencyPath::Skip))
+        );
+        for typo in ["skpi", "", "plain", "auto "] {
+            let err = parse_adjacency_path_env(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("{typo:?}")), "{err}");
+            assert!(err.contains("auto|skip|condensed"), "{err}");
+        }
+    }
+
+    #[test]
+    fn accumulator_bound_is_63_bits_including_the_k_term() {
+        assert!(accumulator_fits(30, 30, 8), "30 + 30 + 3 = 63 fits");
+        assert!(!accumulator_fits(30, 30, 9), "30 + 30 + 4 = 64 does not");
+        assert!(!accumulator_fits(32, 32, 128));
+        assert!(
+            !accumulator_fits(32, 32, 1),
+            "64 bits of product alone overflow"
+        );
+        assert!(accumulator_fits(31, 32, 1));
+        assert!(accumulator_fits(8, 8, 1 << 47));
+        assert!(accumulator_fits(1, 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "can overflow the i64 accumulators")]
+    fn overflowing_bitwidths_panic_instead_of_wrapping() {
+        let ones = |rows, cols| Matrix::from_vec(rows, cols, vec![u32::MAX; rows * cols]).unwrap();
+        let a = StackedBitMatrix::from_codes(&ones(4, 128), 32, BitMatrixLayout::RowPacked);
+        let b = StackedBitMatrix::from_codes(&ones(128, 4), 32, BitMatrixLayout::ColPacked);
+        qgtc_bmm(&a, &b, &KernelConfig::default(), &CostTracker::new());
+    }
 
     fn random_codes(rows: usize, cols: usize, bits: u32, seed: u64) -> Matrix<u32> {
         let max = (1u64 << bits) as f32;

@@ -29,10 +29,10 @@ use std::sync::Arc;
 /// a left operand (batched GIN's update-first order).
 ///
 /// This is the **single host-side quantize site** of the QGTC forward pass:
-/// [`SubgraphPayload::new`] uses it to build the transferable payload, and the
-/// models' dense-feature entry points use it to pack once before the first
-/// layer, so the packed-payload path and the dense-entry path are bitwise
-/// identical by construction.  Quantize and pack run as one pass
+/// [`SubgraphPayload::new_pooled`] uses its pooled form to build the
+/// transferable payload, and the models' dense-feature entry points use it to
+/// pack once before the first layer, so the packed-payload path and the
+/// dense-entry path are bitwise identical by construction.  Quantize and pack run as one pass
 /// ([`StackedBitMatrix::quantize_pack_in`]); no code matrix is staged.
 ///
 /// Panics if the features hold an infinite value or span a range wider than
@@ -122,23 +122,12 @@ impl SubgraphPayload {
     /// Features are quantized to `feature_bits` with per-batch calibration, exactly
     /// as the inference pipeline does before the first layer.
     pub fn new(subgraph: &DenseSubgraph, features: &Matrix<f32>, feature_bits: u32) -> Self {
-        assert_eq!(
-            subgraph.num_nodes(),
-            features.rows(),
-            "feature rows must match subgraph nodes"
-        );
-        let packed_adjacency = Arc::clone(&subgraph.adjacency);
-        let packed_features =
-            pack_feature_matrix(features, feature_bits, BitMatrixLayout::ColPacked);
-        Self {
-            num_nodes: subgraph.num_nodes(),
-            num_edges: subgraph.num_edges,
-            feature_dim: features.cols(),
+        Self::new_pooled(
+            subgraph,
+            features,
             feature_bits,
-            packed_adjacency,
-            packed_features,
-            condensed_adjacency: None,
-        }
+            &mut PackedBufferPool::new(),
+        )
     }
 
     /// [`SubgraphPayload::new`] packing the features into buffers drawn from
@@ -277,18 +266,13 @@ impl PreparedBatch {
         features: Matrix<f32>,
         feature_bits: u32,
     ) -> Self {
-        let payload = if subgraph.num_nodes() == 0 {
-            None
-        } else {
-            Some(SubgraphPayload::new(&subgraph, &features, feature_bits))
-        };
-        Self {
+        Self::pack_quantized_pooled(
             batch_index,
             subgraph,
             features,
-            payload,
-            payload_checksum: None,
-        }
+            feature_bits,
+            &mut PackedBufferPool::new(),
+        )
     }
 
     /// [`PreparedBatch::pack_quantized`] drawing every buffer from `pool` —

@@ -5,8 +5,9 @@
 //! This module decides which scheme a kernel call runs under:
 //!
 //! 1. the `QGTC_TILING=RxCxK` environment override, when set (a malformed
-//!    value panics with the scheme parser's typed error — a silent fallback
-//!    would invalidate benchmark runs);
+//!    value is `QgtcError::InvalidConfig` from `QgtcConfig::validate`, and a
+//!    panic naming the parser's error for code that dispatches kernels
+//!    directly — a silent fallback would invalidate benchmark runs);
 //! 2. an explicit [`TilingChoice::Fixed`] scheme on the [`KernelConfig`];
 //! 3. with [`TilingChoice::Auto`] (the default), the committed autotuner
 //!    table `TUNE_gemm.json`, keyed by `(popcount body, shape class)`;
@@ -198,25 +199,29 @@ pub fn tune_table() -> &'static TuneTable {
     })
 }
 
-/// The `QGTC_TILING` environment override, read once per process.
-///
-/// # Panics
-///
-/// Panics (once, at first kernel dispatch) when the variable is set to a
-/// string [`TilingScheme::parse`] rejects: an override that silently fell
-/// back to the baseline would corrupt every measurement made under it.
-pub fn env_tiling_override() -> Option<TilingScheme> {
-    static OVERRIDE: OnceLock<Option<TilingScheme>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("QGTC_TILING").ok().map(|raw| {
-            TilingScheme::parse(&raw).unwrap_or_else(|err| panic!("QGTC_TILING rejected: {err}"))
-        })
-    })
+/// Parse a `QGTC_TILING` value (`None` when the variable is unset).  A
+/// malformed scheme is an error naming the expected `RxCxK` form.
+fn parse_tiling_env(raw: Option<&str>) -> Result<Option<TilingScheme>, String> {
+    raw.map(|raw| TilingScheme::parse(raw).map_err(|err| format!("QGTC_TILING rejected: {err}")))
+        .transpose()
+}
+
+/// The `QGTC_TILING` environment override, read and parsed once per process.
+pub fn env_tiling() -> &'static Result<Option<TilingScheme>, String> {
+    static OVERRIDE: OnceLock<Result<Option<TilingScheme>, String>> = OnceLock::new();
+    OVERRIDE.get_or_init(|| parse_tiling_env(std::env::var("QGTC_TILING").ok().as_deref()))
 }
 
 /// The scheme a kernel call with the given choice runs under, for a GEMM of
 /// shape `m × k × n` executing on the named popcount body.  Resolution
 /// order: `QGTC_TILING` > `Fixed` > tune-table lookup > baseline.
+///
+/// # Panics
+///
+/// Panics when `QGTC_TILING` holds a malformed scheme — an override that
+/// silently fell back to the baseline would corrupt every measurement made
+/// under it.  The pipeline entry points reject it earlier with a typed error
+/// (`QgtcConfig::validate`).
 pub fn resolve_tiling(
     choice: TilingChoice,
     body: &str,
@@ -224,8 +229,9 @@ pub fn resolve_tiling(
     k: usize,
     n: usize,
 ) -> TilingScheme {
-    if let Some(scheme) = env_tiling_override() {
-        return scheme;
+    let forced = env_tiling().as_ref().unwrap_or_else(|err| panic!("{err}"));
+    if let Some(scheme) = forced {
+        return *scheme;
     }
     match choice {
         TilingChoice::Fixed(scheme) => scheme,
@@ -248,6 +254,21 @@ mod tests {
         { "body": "avx512", "shape_class": "small" }
       ]
     }"#;
+
+    #[test]
+    fn tiling_env_parser_names_the_expected_form_on_a_typo() {
+        assert_eq!(parse_tiling_env(None), Ok(None));
+        assert_eq!(
+            parse_tiling_env(Some("16x8x8")),
+            Ok(Some(TilingScheme::parse("16x8x8").unwrap()))
+        );
+        for typo in ["16x8", "16*8*8", "", "0x8x8", "16x8x8x1"] {
+            let err = parse_tiling_env(Some(typo)).unwrap_err();
+            assert!(err.starts_with("QGTC_TILING rejected"), "{err}");
+            assert!(err.contains(&format!("{typo:?}")), "{err}");
+            assert!(err.contains("RxCxK") && err.contains("16x8x8"), "{err}");
+        }
+    }
 
     #[test]
     fn shape_classes_split_on_volume() {

@@ -42,7 +42,8 @@ fn main() {
 
     // 3. Multiply with the QGTC kernel (zero-tile jumping + tile reuse enabled).
     let tracker = CostTracker::new();
-    let product = bit_mm_to_int(&a_q, &b_q, &KernelConfig::default(), &tracker);
+    let product = bit_mm_to_int(&a_q, &b_q, &KernelConfig::default(), &tracker)
+        .expect("3 + 2 bits over K = 512 fits the i64 accumulators");
 
     // 4. Verify against a plain 64-bit integer GEMM over the same quantized codes.
     let reference = gemm_i64(

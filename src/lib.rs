@@ -38,7 +38,9 @@
 //!
 //! // 3. `bitMM2Int`: multiply on the simulated tensor core, tracking costs.
 //! let tracker = CostTracker::new();
-//! let aggregated = bit_mm_to_int(&adj, &feats, &KernelConfig::default(), &tracker);
+//! // A product whose bitwidths could overflow the i64 accumulators is a
+//! // typed `QgtcError::AccumulatorOverflow` instead.
+//! let aggregated = bit_mm_to_int(&adj, &feats, &KernelConfig::default(), &tracker)?;
 //!
 //! // The bit-composed product is exact: it equals an i64 GEMM over the codes.
 //! let reference = gemm_i64(
@@ -52,6 +54,7 @@
 //! let snapshot = tracker.snapshot();
 //! assert!(snapshot.tc_b1_tiles > 0);
 //! assert_eq!(aggregated.shape(), (64, 8));
+//! # Ok::<(), qgtc_repro::core::QgtcError>(())
 //! ```
 //!
 //! # Serving

@@ -19,7 +19,7 @@ fn quantize_multiply_dequantize_approximates_fp32() {
     let a_q = BitTensor::from_f32(&a, 8, BitMatrixLayout::RowPacked);
     let b_q = BitTensor::from_f32(&b, 8, BitMatrixLayout::ColPacked);
     let tracker = CostTracker::new();
-    let acc = bit_mm_to_int(&a_q, &b_q, &KernelConfig::default(), &tracker);
+    let acc = bit_mm_to_int(&a_q, &b_q, &KernelConfig::default(), &tracker).unwrap();
 
     let pa = a_q.quant_params().unwrap();
     let pb = b_q.quant_params().unwrap();
@@ -46,7 +46,7 @@ fn bit_mm_to_bit_output_feeds_another_multiplication() {
         BitMatrixLayout::ColPacked,
     );
     let tracker = CostTracker::new();
-    let (c, params) = bit_mm_to_bit(&a, &b, 4, &KernelConfig::default(), &tracker);
+    let (c, params) = bit_mm_to_bit(&a, &b, 4, &KernelConfig::default(), &tracker).unwrap();
     assert_eq!(c.bits(), 4);
     assert!(params.scale > 0.0);
 
@@ -61,7 +61,7 @@ fn bit_mm_to_bit_output_feeds_another_multiplication() {
         3,
         BitMatrixLayout::ColPacked,
     );
-    let out = bit_mm_to_int(&c_left, &w, &KernelConfig::default(), &tracker);
+    let out = bit_mm_to_int(&c_left, &w, &KernelConfig::default(), &tracker).unwrap();
     assert_eq!(out.shape(), (32, 8));
     assert!(tracker.snapshot().tc_b1_tiles > 0);
 }
@@ -77,7 +77,7 @@ fn modeled_kernel_time_scales_with_bitwidth() {
         let a = BitTensor::from_f32(&x, bits, BitMatrixLayout::RowPacked);
         let b = BitTensor::from_f32(&w, bits, BitMatrixLayout::ColPacked);
         let tracker = CostTracker::new();
-        let _ = bit_mm_to_int(&a, &b, &KernelConfig::default(), &tracker);
+        bit_mm_to_int(&a, &b, &KernelConfig::default(), &tracker).unwrap();
         device.estimate(&tracker.snapshot()).compute_s
     };
     let t2 = time_at(2);

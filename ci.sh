@@ -27,6 +27,11 @@
 #                          fixed tiling probe against the freshly tuned table
 #                          (the tuner+probe — and only they — are skipped in
 #                          FAST)
+#   transitions            the one-pass layer transition (epilogue row pass,
+#                          lane range scan, byte-code quantize-pack, transposing
+#                          repack) == the four-pass composition and the packing
+#                          and quantized-path oracles, bitwise, under
+#                          RAYON_NUM_THREADS in {1, 2, 8}
 #   chaos                  fault-injection chaos proptests (recoverable plans
 #                          recover bitwise, unrecoverable ones fail typed),
 #                          the streamed-pipeline suite and the qgtc-core
@@ -66,7 +71,7 @@ cd "$(dirname "$0")"
 
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
-KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
+KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
 # QGTC_CI_STAGE aborts immediately with the list, and an unset one announces
@@ -174,6 +179,19 @@ tiling_stage() {
             QGTC_TILING_OUT=target/BENCH_tiling.tiny.json \
             cargo run --release -p qgtc-bench --bin perfsmoke
     fi
+}
+
+transitions_stage() {
+    # The layer-transition contract: the one-pass epilogue, the byte-code
+    # quantize-pack and the transposing repack must match their oracles bitwise
+    # whatever the width of the pool that ran the GEMM feeding them.
+    local threads
+    for threads in 1 2 8; do
+        echo "--- RAYON_NUM_THREADS=$threads"
+        env RAYON_NUM_THREADS="$threads" cargo test --test transition_props -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test packing_props -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test quantized_path_props -q
+    done
 }
 
 chaos_stage() {
@@ -306,6 +324,7 @@ stage test cargo test --workspace -q # superset of the tier-1 `cargo test -q`
 stage partition-determinism partition_determinism
 stage backend backend_stage
 stage tiling tiling_stage
+stage transitions transitions_stage
 stage chaos chaos_stage
 stage condense condense_stage
 stage serving serving_stage

@@ -131,6 +131,41 @@ impl BitMatrix {
         plane
     }
 
+    /// The same logical bits packed under `layout`: a clone when the layout
+    /// matches, otherwise the packed words transposed in 32×32 bit blocks
+    /// (each source lane's word becomes one bit of 32 output lanes).
+    pub(crate) fn relayout(&self, layout: BitMatrixLayout) -> Self {
+        if layout == self.layout {
+            return self.clone();
+        }
+        let mut out = Self::zeros_in(self.rows, self.cols, layout, Vec::new());
+        let (src_lanes, out_lanes) = match self.layout {
+            BitMatrixLayout::RowPacked => (self.rows, self.cols),
+            BitMatrixLayout::ColPacked => (self.cols, self.rows),
+        };
+        let mut block = [0u32; WORD_BITS];
+        for lane_block in 0..src_lanes.div_ceil(WORD_BITS) {
+            for word in 0..out_lanes.div_ceil(WORD_BITS) {
+                for (j, slot) in block.iter_mut().enumerate() {
+                    let lane = lane_block * WORD_BITS + j;
+                    *slot = if lane < src_lanes {
+                        self.words[lane * self.words_per_lane + word]
+                    } else {
+                        0
+                    };
+                }
+                transpose32(&mut block);
+                for (i, &bits) in block.iter().enumerate() {
+                    let lane = word * WORD_BITS + i;
+                    if lane < out_lanes {
+                        out.words[lane * out.words_per_lane + lane_block] = bits;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Consume the plane and recover its packed storage for recycling through
     /// [`BitMatrix::zeros_in`] — the packed-buffer pool's seam.
     pub fn into_words(self) -> Vec<u32> {
@@ -237,9 +272,45 @@ impl BitMatrix {
     }
 }
 
+/// Transpose a 32×32 bit block in place: bit `j` of word `i` trades places
+/// with bit `i` of word `j`.  Each round swaps the off-diagonal quadrants of
+/// every `2w × 2w` sub-block, for `w` = 16, 8, 4, 2, 1.
+fn transpose32(block: &mut [u32; WORD_BITS]) {
+    let mut width = WORD_BITS / 2;
+    let mut mask = 0x0000_FFFFu32;
+    while width != 0 {
+        for base in (0..WORD_BITS).step_by(2 * width) {
+            for k in base..base + width {
+                let t = ((block[k] >> width) ^ block[k + width]) & mask;
+                block[k] ^= t << width;
+                block[k + width] ^= t;
+            }
+        }
+        width /= 2;
+        mask ^= mask << width;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transpose32_matches_the_bitwise_definition() {
+        let mut state = 0x1234_5678_9abc_def0u64;
+        let mut block = [0u32; WORD_BITS];
+        for word in &mut block {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            *word = (state >> 32) as u32;
+        }
+        let original = block;
+        transpose32(&mut block);
+        for (i, &word) in block.iter().enumerate() {
+            for (j, &source) in original.iter().enumerate() {
+                assert_eq!((word >> j) & 1, (source >> i) & 1, "({i}, {j})");
+            }
+        }
+    }
 
     fn checkerboard(rows: usize, cols: usize) -> Matrix<u8> {
         let mut m = Matrix::zeros(rows, cols);

@@ -14,17 +14,18 @@
 
 use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
 use crate::decompose::{bit_decompose, bit_recompose};
-use crate::pack::{pad128, pad8, WORD_BITS};
+use crate::pack::{pad128, pad8, popcount_words, WORD_BITS};
 use qgtc_tensor::{Matrix, QuantParams};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of stack unpacks ([`StackedBitMatrix::to_codes`] calls).
 static UNPACK_OPS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of stack unpacks (`to_codes` calls, including those inside `repack`)
-/// this process has performed so far.  Unpacking is the expensive escape hatch
-/// out of the packed quantized domain, so the GNN regression suite asserts on
-/// deltas of this counter to pin how many unpacks a forward pass is allowed.
+/// Number of stack unpacks (`to_codes` calls) this process has performed so
+/// far; `repack` transposes planes instead.  Unpacking is the expensive escape
+/// hatch out of the packed quantized domain, so the GNN regression suite
+/// asserts on deltas of this counter to pin how many unpacks a forward pass is
+/// allowed.
 pub fn unpack_ops() -> u64 {
     UNPACK_OPS.load(Ordering::Relaxed)
 }
@@ -80,9 +81,11 @@ impl StackedBitMatrix {
     /// Quantize `values` under `params` and pack the codes in one pass,
     /// returning the stack (which remembers `params`) and the per-row code
     /// sums.  No code matrix is staged: each row is quantized into a scratch
-    /// row and packed straight into the planes.  Bitwise identical to
-    /// quantizing with [`qgtc_tensor::Quantizer::quantize_matrix_u32`] and
-    /// packing with [`StackedBitMatrix::from_quantized`].
+    /// row ([`QuantParams::quantize_bytes_into`] up to 8 bits, byte codes the
+    /// packer gathers eight at a time; [`QuantParams::quantize`] per value
+    /// above) and packed straight into the planes.  Bitwise identical to quantizing
+    /// with [`qgtc_tensor::Quantizer::quantize_matrix_u32`] and packing with
+    /// [`StackedBitMatrix::from_quantized`].
     pub fn quantize_pack_in(
         values: &Matrix<f32>,
         params: QuantParams,
@@ -91,16 +94,26 @@ impl StackedBitMatrix {
     ) -> (Self, Vec<i64>) {
         let (rows, cols) = values.shape();
         let mut packer = WordPacker::new(rows, cols, params.bits, layout, spares);
-        let mut codes = vec![0u32; cols];
         let mut rowsums = Vec::with_capacity(rows);
-        for r in 0..rows {
-            // Separate loops: the quantize loop vectorizes only without the
-            // running sum.
-            for (code, &v) in codes.iter_mut().zip(values.row(r)) {
-                *code = params.quantize(v);
+        // Separate loops: the quantize loop vectorizes only without the
+        // running sum.
+        if params.bits <= 8 {
+            // Zero codes pad the row to whole words for the row-packed gather.
+            let mut codes = vec![0u8; cols.next_multiple_of(WORD_BITS)];
+            for r in 0..rows {
+                params.quantize_bytes_into(values.row(r), &mut codes[..cols]);
+                rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
+                packer.push_byte_row(&codes);
             }
-            rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
-            packer.push_row(&codes);
+        } else {
+            let mut codes = vec![0u32; cols];
+            for r in 0..rows {
+                for (code, &v) in codes.iter_mut().zip(values.row(r)) {
+                    *code = params.quantize(v);
+                }
+                rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
+                packer.push_row(&codes);
+            }
         }
         (packer.finish(Some(params)), rowsums)
     }
@@ -219,32 +232,51 @@ impl StackedBitMatrix {
     /// Re-pack the same codes under another plane layout, preserving the
     /// quantization parameters.
     ///
-    /// This is a pure bit shuffle in the quantized domain — no calibration and
-    /// no quantize calls — used when a stack packed as one GEMM operand (e.g.
-    /// the payload's column-packed features) must enter a GEMM on the other
-    /// side (e.g. batched GIN's update-first order, which wants a row-packed
-    /// left operand).  Returns a clone when the layout already matches.
+    /// This is a pure bit shuffle in the quantized domain — each plane is
+    /// transposed in 32×32 bit blocks, with no unpack, calibration or
+    /// quantize call — used when a stack packed as one
+    /// GEMM operand (e.g. the payload's column-packed features) must enter a
+    /// GEMM on the other side (e.g. batched GIN's update-first order, which
+    /// wants a row-packed left operand).  Returns a clone when the layout
+    /// already matches.
     pub fn repack(&self, layout: BitMatrixLayout) -> Self {
-        if layout == self.layout {
-            return self.clone();
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            bits: self.bits,
+            layout,
+            planes: self.planes.iter().map(|p| p.relayout(layout)).collect(),
+            quant: self.quant,
         }
-        let mut repacked = Self::from_codes(&self.to_codes(), self.bits, layout);
-        repacked.quant = self.quant;
-        repacked
     }
 
-    /// [`Self::repack`] that also returns the per-row code sums, paying one
-    /// unpack for both.  Callers that need rowsums for the fused epilogue's
-    /// affine correction right after a repack (e.g. batched GIN's entry
-    /// repack) would otherwise unpack the stack a second time to sum it.
+    /// [`Self::repack`] that also returns the per-row code sums, counted
+    /// from the row-packed form as `Σ_b popcount(row lane of plane b) << b`.
+    /// Callers that need rowsums for the fused epilogue's affine correction
+    /// right after a repack (e.g. batched GIN's entry repack) get them
+    /// without unpacking the stack.
     pub fn repack_with_rowsums(&self, layout: BitMatrixLayout) -> (Self, Vec<i64>) {
-        let codes = self.to_codes();
-        let rowsums = (0..codes.rows())
-            .map(|i| (0..codes.cols()).map(|j| codes[(i, j)] as i64).sum())
-            .collect();
-        let mut repacked = Self::from_codes(&codes, self.bits, layout);
-        repacked.quant = self.quant;
+        let repacked = self.repack(layout);
+        let rowsums = match (self.layout, layout) {
+            (_, BitMatrixLayout::RowPacked) => repacked.row_packed_rowsums(),
+            (BitMatrixLayout::RowPacked, _) => self.row_packed_rowsums(),
+            _ => self.repack(BitMatrixLayout::RowPacked).row_packed_rowsums(),
+        };
         (repacked, rowsums)
+    }
+
+    /// Per-row code sums of a row-packed stack, by popcount.
+    fn row_packed_rowsums(&self) -> Vec<i64> {
+        debug_assert_eq!(self.layout, BitMatrixLayout::RowPacked);
+        (0..self.rows)
+            .map(|r| {
+                self.planes
+                    .iter()
+                    .enumerate()
+                    .map(|(b, plane)| i64::from(popcount_words(plane.lane(r))) << b)
+                    .sum()
+            })
+            .collect()
     }
 
     /// Reassemble the unsigned code matrix (exact inverse of `from_codes`),
@@ -370,9 +402,7 @@ impl WordPacker {
     /// Pack the next row's codes (each must fit in `bits`).
     fn push_row(&mut self, codes: &[u32]) {
         debug_assert_eq!(codes.len(), self.cols);
-        let r = self.next_row;
-        debug_assert!(r < self.rows, "more rows pushed than declared");
-        self.next_row += 1;
+        let r = self.claim_row();
         match self.layout {
             BitMatrixLayout::RowPacked => {
                 for (b, plane) in self.planes.iter_mut().enumerate() {
@@ -386,18 +416,56 @@ impl WordPacker {
                     }
                 }
             }
-            BitMatrixLayout::ColPacked if self.cols == 0 => {}
-            BitMatrixLayout::ColPacked => {
-                let shift = r % WORD_BITS;
-                for (b, acc) in self.strip.chunks_exact_mut(self.cols).enumerate() {
-                    for (word, &code) in acc.iter_mut().zip(codes) {
-                        *word |= ((code >> b) & 1) << shift;
+            BitMatrixLayout::ColPacked => self.strip_row(r, codes),
+        }
+    }
+
+    /// [`WordPacker::push_row`] for byte codes (at most 8 bits), padded with
+    /// zero codes to a whole number of words: each row-packed plane word is
+    /// gathered from its 32 codes eight at a time.
+    fn push_byte_row(&mut self, codes: &[u8]) {
+        debug_assert!(self.bits <= 8);
+        debug_assert_eq!(codes.len(), self.cols.next_multiple_of(WORD_BITS));
+        let r = self.claim_row();
+        match self.layout {
+            BitMatrixLayout::RowPacked => {
+                for (b, plane) in self.planes.iter_mut().enumerate() {
+                    let words_per_lane = plane.words_per_lane();
+                    let lane = &mut plane.words_mut()[r * words_per_lane..];
+                    for (slot, chunk) in lane.iter_mut().zip(codes.chunks_exact(WORD_BITS)) {
+                        *slot = chunk
+                            .chunks_exact(8)
+                            .enumerate()
+                            .fold(0, |word, (k, eight)| word | gather_bit(eight, b) << (8 * k));
                     }
                 }
-                if shift == WORD_BITS - 1 || r + 1 == self.rows {
-                    self.flush_strip(r / WORD_BITS);
-                }
             }
+            BitMatrixLayout::ColPacked => self.strip_row(r, &codes[..self.cols]),
+        }
+    }
+
+    /// Claim the next row index.
+    fn claim_row(&mut self) -> usize {
+        let r = self.next_row;
+        debug_assert!(r < self.rows, "more rows pushed than declared");
+        self.next_row += 1;
+        r
+    }
+
+    /// OR row `r`'s codes into the column-packed strip accumulators, storing
+    /// the strip once its 32 rows (or the last row) are in.
+    fn strip_row<C: Copy + Into<u32>>(&mut self, r: usize, codes: &[C]) {
+        if self.cols == 0 {
+            return;
+        }
+        let shift = r % WORD_BITS;
+        for (b, acc) in self.strip.chunks_exact_mut(self.cols).enumerate() {
+            for (word, &code) in acc.iter_mut().zip(codes) {
+                *word |= ((code.into() >> b) & 1) << shift;
+            }
+        }
+        if shift == WORD_BITS - 1 || r + 1 == self.rows {
+            self.flush_strip(r / WORD_BITS);
         }
     }
 
@@ -428,6 +496,15 @@ impl WordPacker {
             quant,
         }
     }
+}
+
+/// Bit `b` of eight byte codes as one byte, code `j` at bit `j`: the mask
+/// moves each code's bit to the bottom of its byte, and the multiply gathers
+/// the eight byte bottoms into the top byte without carries.
+#[inline(always)]
+fn gather_bit(eight: &[u8], b: usize) -> u32 {
+    let x = u64::from_le_bytes(eight.try_into().expect("chunks of eight codes"));
+    (((x >> b) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
 }
 
 #[cfg(test)]

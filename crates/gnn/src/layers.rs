@@ -296,6 +296,96 @@ mod tests {
     }
 
     #[test]
+    fn a_signed_zero_min_reaches_no_code_offset_or_logit() {
+        // The epilogue's lane range scan may settle a +0.0/-0.0 tie for a
+        // calibrated `min` on the other sign than the scalar fold did.  Every
+        // place a `min` enters the next layer adds a ±0 to a sum that is never
+        // -0 (non-negative code accumulators times a positive scale), so both
+        // signs must give the same codes, offsets and outputs, bit for bit.
+        use qgtc_kernels::fusion::{EpilogueOutput, FusedEpilogue};
+        use qgtc_tensor::rng::random_uniform_matrix;
+
+        let bits_of = |m: &Matrix<f32>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let outputs = |epilogue: FusedEpilogue, acc: &Matrix<i64>| {
+            let dense = epilogue.clone().apply(acc, &CostTracker::new()).unwrap();
+            let mut hidden = epilogue;
+            hidden.requantize_bits = Some(3);
+            hidden.activation = qgtc_kernels::fusion::Activation::Relu;
+            let quantized = hidden.apply(acc, &CostTracker::new()).unwrap();
+            match (dense, quantized) {
+                (
+                    EpilogueOutput::Dense(logits),
+                    EpilogueOutput::Quantized {
+                        stack,
+                        params,
+                        code_rowsums,
+                    },
+                ) => (
+                    bits_of(&logits),
+                    stack.planes().to_vec(),
+                    params.scale.to_bits(),
+                    code_rowsums,
+                ),
+                _ => unreachable!("one dense and one requantizing epilogue"),
+            }
+        };
+        // Code accumulators, rowsums and colsums are non-negative; zeros too.
+        let acc = random_uniform_matrix(6, 5, 0.0, 40.0, 3).map(|&v| (v as i64) & !3);
+        let h_rowsums = [0i64, 3, 17, 0, 8, 1];
+        let w_colsums = [0i64, 9, 2, 30, 5];
+        let bias = [0.0f32, -0.0, 0.3, -1.25, 0.0];
+        let degrees = [0.0f32, 1.0, 3.0, 0.0, 7.0, 2.0];
+
+        for other_min in [0.0f32, -0.0, -0.37, 0.25] {
+            for (h_scale, w_scale) in [(0.125f32, 0.05f32), (1.0, 1.0)] {
+                let [positive, negative] = [0.0f32, -0.0].map(|zero| {
+                    let mut results = Vec::new();
+                    // A zero activation min, then a zero weight min.
+                    for (h_min, w_min) in [(zero, other_min), (other_min, zero)] {
+                        let h = QuantParams {
+                            bits: 3,
+                            min: h_min,
+                            scale: h_scale,
+                        };
+                        let w = QuantParams {
+                            bits: 3,
+                            min: w_min,
+                            scale: w_scale,
+                        };
+                        let (row_off, col_off) =
+                            affine_update_offsets(h, w, &h_rowsums, &w_colsums, 12, &bias);
+                        let update = FusedEpilogue::dequantize_only(h.scale * w.scale)
+                            .with_row_offset(row_off)
+                            .with_col_offset(col_off);
+                        results.push(outputs(update, &acc));
+                    }
+                    // The aggregation epilogue's `min · degree` row offset,
+                    // with and without the mean normalisation.
+                    let row_offset: Vec<f32> = degrees.iter().map(|&d| zero * d).collect();
+                    let aggregation =
+                        FusedEpilogue::dequantize_only(h_scale).with_row_offset(row_offset);
+                    results.push(outputs(aggregation.clone(), &acc));
+                    let mean = degrees.iter().map(|&d| 1.0 / d.max(1.0)).collect();
+                    results.push(outputs(aggregation.with_row_scale(mean), &acc));
+                    results
+                });
+                assert_eq!(positive, negative, "other min {other_min}, scale {h_scale}");
+            }
+        }
+        // The quantizer itself: `v - (+0)` and `v - (-0)` give the same code.
+        for bits in [1, 2, 3, 8, 24, 32] {
+            let [pos, neg] = [0.0f32, -0.0].map(|min| QuantParams {
+                bits,
+                min,
+                scale: 0.5,
+            });
+            for v in [0.0f32, -0.0, 1e-45, -1e-45, 0.4, 0.5, 3.0, -2.0, 1e30] {
+                assert_eq!(pos.quantize(v), neg.quantize(v), "{bits} bits, value {v}");
+            }
+        }
+    }
+
+    #[test]
     fn xavier_layer_has_right_shape() {
         let l = LayerParams::new_xavier(29, 16, 1);
         assert_eq!(l.in_dim(), 29);

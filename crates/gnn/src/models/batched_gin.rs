@@ -158,10 +158,10 @@ impl BatchedGinModel {
         assert_eq!(weights.num_layers(), self.params.num_layers());
         let degrees = adjacency_degrees(adjacency_stack);
         let num_layers = self.params.num_layers();
-        // Quantized-domain re-layout for the update-first order (no quantize).
-        // The repack's single unpack also yields the code rowsums the first
-        // update's affine correction needs; later layers get theirs from the
-        // transition epilogue, so no layer unpacks a stack to sum it.
+        // Quantized-domain re-layout for the update-first order (no quantize):
+        // the repack transposes the planes and counts the code rowsums the
+        // first update's affine correction needs by popcount; later layers
+        // get theirs from the transition epilogue, so no stack is unpacked.
         let (mut x, mut x_rowsums) =
             packed_features.repack_with_rowsums(BitMatrixLayout::RowPacked);
 

@@ -7,9 +7,14 @@
 //! round trips and kernel launches.  For the *output* layer the epilogue instead
 //! produces full-precision values for the softmax head.
 //!
-//! [`FusedEpilogue::apply`] implements that pipeline on an accumulator matrix and
-//! records the cost difference between the fused and unfused execution (the unfused
-//! path pays one extra kernel launch and a DRAM round trip per stage).
+//! [`FusedEpilogue::apply`] implements that pipeline on an accumulator matrix (and
+//! [`FusedEpilogue::apply_dense`] on values already dense) and records the cost
+//! difference between the fused and unfused execution (the unfused path pays one
+//! extra kernel launch and a DRAM round trip per stage).  On the host the epilogue
+//! is one row pass, one range scan and one pack: each row is dequantized and
+//! takes the scaled addend and the activation; a lane-wise range scan over the
+//! result calibrates the re-quantization, and one quantize-pack pass writes the
+//! planes and the code rowsums.
 
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
@@ -29,11 +34,12 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, v: f32) -> f32 {
+    /// Apply the activation to every value of `row`, in place.
+    fn apply_row(self, row: &mut [f32]) {
         match self {
-            Activation::None => v,
-            Activation::Relu => v.max(0.0),
-            Activation::Tanh => v.tanh(),
+            Activation::None => {}
+            Activation::Relu => row.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Tanh => row.iter_mut().for_each(|v| *v = v.tanh()),
         }
     }
 }
@@ -242,53 +248,44 @@ impl FusedEpilogue {
         accumulator: &Matrix<i64>,
         tracker: &CostTracker,
     ) -> Result<EpilogueOutput, TensorError> {
+        let (rows, cols) = accumulator.shape();
         let elems = accumulator.len() as u64;
         if let Some(offsets) = &self.row_offset {
-            assert_eq!(offsets.len(), accumulator.rows(), "row-offset length");
+            assert_eq!(offsets.len(), rows, "row-offset length");
         }
         if let Some(offsets) = &self.col_offset {
-            assert_eq!(offsets.len(), accumulator.cols(), "col-offset length");
+            assert_eq!(offsets.len(), cols, "col-offset length");
         }
         if let Some(scales) = &self.row_scale {
-            assert_eq!(scales.len(), accumulator.rows(), "row-scale length");
+            assert_eq!(scales.len(), rows, "row-scale length");
         }
-
-        // Dequantize with the affine corrections:
-        //   dense[i][j] = (acc · scale + row_offset[i] + col_offset[j]) · row_scale[i]
-        let mut dense: Matrix<f32> = Matrix::zeros(accumulator.rows(), accumulator.cols());
         let mut flops = elems;
-        for i in 0..accumulator.rows() {
-            let row_offset = self.row_offset.as_ref().map_or(0.0, |o| o[i]);
-            let row_scale = self.row_scale.as_ref().map_or(1.0, |s| s[i]);
-            let acc_row = accumulator.row(i);
-            let out_row = dense.row_mut(i);
-            for (j, slot) in out_row.iter_mut().enumerate() {
-                let col_offset = self.col_offset.as_ref().map_or(0.0, |o| o[j]);
-                *slot = (acc_row[j] as f32 * self.accumulator_scale + row_offset + col_offset)
-                    * row_scale;
-            }
-        }
         for present in [&self.row_offset, &self.col_offset, &self.row_scale] {
             if present.is_some() {
                 flops += elems;
             }
         }
-        if let Some(addend) = &self.addend {
-            assert_eq!(
-                (addend.rows(), addend.cols()),
-                (accumulator.rows(), accumulator.cols()),
-                "addend shape"
-            );
-            for i in 0..accumulator.rows() {
-                let add_row = addend.row(i);
-                for (slot, &a) in dense.row_mut(i).iter_mut().zip(add_row) {
-                    *slot += self.addend_scale * a;
-                }
-            }
+        if self.addend.is_some() {
             flops += 2 * elems; // one multiply and one add per element
         }
         tracker.record_fp32_flops(flops);
-        self.finish(dense, tracker)
+
+        // An absent correction still adds 0.0 (or multiplies by 1.0), so the
+        // expression is the same whichever corrections are present.
+        let zero_cols = vec![0.0; if self.col_offset.is_some() { 0 } else { cols }];
+        let col_offset = self.col_offset.as_deref().unwrap_or(&zero_cols);
+        // Dequantize with the affine corrections:
+        //   dense[i][j] = (acc · scale + row_offset[i] + col_offset[j]) · row_scale[i]
+        let dequantize = |i: usize, out: &mut [f32]| {
+            let row_offset = self.row_offset.as_ref().map_or(0.0, |o| o[i]);
+            let row_scale = self.row_scale.as_ref().map_or(1.0, |s| s[i]);
+            for ((slot, &acc), &col_offset) in
+                out.iter_mut().zip(accumulator.row(i)).zip(col_offset)
+            {
+                *slot = (acc as f32 * self.accumulator_scale + row_offset + col_offset) * row_scale;
+            }
+        };
+        self.row_pass(Matrix::zeros(rows, cols), dequantize, tracker)
     }
 
     /// Apply the epilogue's addend / activation / batch-norm / re-quantization
@@ -298,46 +295,53 @@ impl FusedEpilogue {
     /// domain before the epilogue: the accumulator scale and the affine offsets
     /// do not apply, but the scaled addend (batched GIN's `+ (1+ε)·self` combine
     /// on the dense-TC path), the activation and the re-quantization — the
-    /// single quantize site of a layer transition — all live here, mirroring
-    /// [`FusedEpilogue::apply`] stage for stage.  Takes the matrix by value —
+    /// single quantize site of a layer transition — all live here, in the same
+    /// row pass as [`FusedEpilogue::apply`].  Takes the matrix by value —
     /// callers that still need the dense activations afterwards clone at the
     /// call site.  Fails exactly as [`FusedEpilogue::apply`] does.
     pub fn apply_dense(
         &self,
+        dense: Matrix<f32>,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
+        if self.addend.is_some() {
+            tracker.record_fp32_flops(2 * dense.len() as u64);
+        }
+        self.row_pass(dense, |_, _| {}, tracker)
+    }
+
+    /// The row pass shared by [`FusedEpilogue::apply`] and
+    /// [`FusedEpilogue::apply_dense`], then the pack.
+    ///
+    /// Each row of `dense` is filled by `dequantize` (a no-op on the dense
+    /// entry) and takes the scaled addend and the activation, so no separate
+    /// activation pass runs over the matrix.  A batch-norm stage stays a
+    /// post-pass.  A re-quantizing epilogue then calibrates with the lane-wise
+    /// [`Matrix::min_max`], and one quantize-pack pass turns the matrix into
+    /// planes and code rowsums.  Also charges the unfused execution's extra
+    /// launches and DRAM traffic.
+    fn row_pass(
+        &self,
         mut dense: Matrix<f32>,
+        dequantize: impl Fn(usize, &mut [f32]),
         tracker: &CostTracker,
     ) -> Result<EpilogueOutput, TensorError> {
         if let Some(addend) = &self.addend {
-            assert_eq!(
-                (addend.rows(), addend.cols()),
-                (dense.rows(), dense.cols()),
-                "addend shape"
-            );
-            for i in 0..addend.rows() {
-                let add_row = addend.row(i);
-                for (slot, &a) in dense.row_mut(i).iter_mut().zip(add_row) {
-                    *slot += self.addend_scale * a;
-                }
-            }
-            tracker.record_fp32_flops(2 * dense.len() as u64);
+            assert_eq!(addend.shape(), dense.shape(), "addend shape");
         }
-        self.finish(dense, tracker)
-    }
-
-    /// Shared tail of [`FusedEpilogue::apply`] / [`FusedEpilogue::apply_dense`]:
-    /// activation, optional batch norm, optional re-quantization, plus the
-    /// unfused-execution launch/DRAM accounting.
-    fn finish(
-        &self,
-        mut dense: Matrix<f32>,
-        tracker: &CostTracker,
-    ) -> Result<EpilogueOutput, TensorError> {
         let elems = dense.len() as u64;
         let rows = dense.rows() as u64;
         let mut stages = 1u64; // dequantize (or combine) + activation is one stage
 
-        for v in dense.data_mut() {
-            *v = self.activation.apply(*v);
+        for i in 0..dense.rows() {
+            let row = dense.row_mut(i);
+            dequantize(i, row);
+            if let Some(addend) = &self.addend {
+                for (slot, &a) in row.iter_mut().zip(addend.row(i)) {
+                    *slot += self.addend_scale * a;
+                }
+            }
+            self.activation.apply_row(row);
         }
         tracker.record_fp32_flops(elems);
 

@@ -9,9 +9,7 @@
 use qgtc_bitmat::fused::FusedGemmStats;
 use qgtc_bitmat::pack::{pad128, pad8};
 use qgtc_bitmat::{BitMatrix, BitMatrixLayout, StackedBitMatrix};
-use qgtc_tcsim::fragment::TILE_M;
-use qgtc_tcsim::warp::tile_is_zero_by_ballot;
-use qgtc_tcsim::wmma::load_fragment_a;
+use qgtc_tcsim::fragment::{TILE_K_WORDS_PER_LANE, TILE_M};
 
 /// Census of the 8×128 tiles of one packed bit plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +36,10 @@ impl TileCensus {
     }
 }
 
-/// Census the 8×128 tiles of a row-packed bit plane using the same OR + ballot
-/// detection the kernel uses.
+/// Census the 8×128 tiles of a row-packed bit plane: a tile is nonzero when
+/// the OR of its eight lanes' four-word K chunks is, which is what the
+/// kernel's OR + ballot check decides (its warp-level form,
+/// [`qgtc_tcsim::warp::tile_is_zero_by_ballot`], is the test oracle).
 pub fn census_plane(plane: &BitMatrix) -> TileCensus {
     assert_eq!(
         plane.layout(),
@@ -48,14 +48,21 @@ pub fn census_plane(plane: &BitMatrix) -> TileCensus {
     );
     let row_tiles = pad8(plane.rows()) / TILE_M;
     let k_tiles = pad128(plane.cols()) / 128;
+    // PAD8 and PAD128 make each row tile eight whole lanes, and each lane
+    // `k_tiles` chunks of four words.
+    let mut merged = vec![0u32; plane.words_per_lane()];
     let mut nonzero = 0usize;
     for tr in 0..row_tiles {
-        for tk in 0..k_tiles {
-            let frag = load_fragment_a(plane, tr, tk);
-            if !tile_is_zero_by_ballot(&frag.rows) {
-                nonzero += 1;
+        merged.fill(0);
+        for lane in tr * TILE_M..(tr + 1) * TILE_M {
+            for (acc, &word) in merged.iter_mut().zip(plane.lane(lane)) {
+                *acc |= word;
             }
         }
+        nonzero += merged
+            .chunks_exact(TILE_K_WORDS_PER_LANE)
+            .filter(|chunk| chunk.iter().any(|&word| word != 0))
+            .count();
     }
     TileCensus {
         total_tiles: row_tiles * k_tiles,
@@ -162,8 +169,75 @@ pub fn census_adjacency(adjacency: &StackedBitMatrix) -> TileCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgtc_tcsim::warp::tile_is_zero_by_ballot;
+    use qgtc_tcsim::wmma::load_fragment_a;
     use qgtc_tensor::rng::random_uniform_matrix;
     use qgtc_tensor::Matrix;
+
+    /// The census as the kernel's warp sees it: load every 8×128 tile into a
+    /// fragment and ballot over its eight OR-ed rows.
+    fn census_by_ballot(plane: &BitMatrix) -> TileCensus {
+        let row_tiles = pad8(plane.rows()) / TILE_M;
+        let k_tiles = pad128(plane.cols()) / 128;
+        let nonzero = (0..row_tiles)
+            .flat_map(|tr| (0..k_tiles).map(move |tk| (tr, tk)))
+            .filter(|&(tr, tk)| !tile_is_zero_by_ballot(&load_fragment_a(plane, tr, tk).rows))
+            .count();
+        TileCensus {
+            total_tiles: row_tiles * k_tiles,
+            nonzero_tiles: nonzero,
+        }
+    }
+
+    #[test]
+    fn word_or_census_matches_the_ballot_walk() {
+        let mut planes = Vec::new();
+        // Random planes at several densities, with rows and cols that are not
+        // multiples of 8 or 128.
+        for (i, &(rows, cols)) in [(1, 1), (7, 129), (13, 300), (64, 512), (95, 131)]
+            .iter()
+            .enumerate()
+        {
+            for density in [0.0005f32, 0.01, 0.2] {
+                let m = random_uniform_matrix(rows, cols, 0.0, 1.0, 40 + i as u64)
+                    .map(|&v| u8::from(v < density));
+                planes.push(BitMatrix::from_bits(&m, BitMatrixLayout::RowPacked));
+            }
+        }
+        // Empty shapes and an all-zero plane.
+        for (rows, cols) in [(0, 0), (0, 40), (9, 0), (33, 257)] {
+            let m: Matrix<u8> = Matrix::zeros(rows, cols);
+            planes.push(BitMatrix::from_bits(&m, BitMatrixLayout::RowPacked));
+        }
+        // A single edge in the last logical row and column of an odd shape.
+        let mut single: Matrix<u8> = Matrix::zeros(21, 300);
+        single[(20, 299)] = 1;
+        planes.push(BitMatrix::from_bits(&single, BitMatrixLayout::RowPacked));
+        // Block diagonal: dense 24-node blocks on a 200-node diagonal.
+        let mut blocks: Matrix<f32> = Matrix::zeros(200, 200);
+        for start in [0usize, 60, 130] {
+            for i in 0..24 {
+                for j in 0..24 {
+                    blocks[(start + i, start + j)] = 1.0;
+                }
+            }
+        }
+        planes.push(BitMatrix::from_dense_f32(
+            &blocks,
+            BitMatrixLayout::RowPacked,
+        ));
+
+        for plane in &planes {
+            assert_eq!(
+                census_plane(plane),
+                census_by_ballot(plane),
+                "{}x{} plane with {} edges",
+                plane.rows(),
+                plane.cols(),
+                plane.count_ones()
+            );
+        }
+    }
 
     #[test]
     fn all_zero_plane_has_no_nonzero_tiles() {

@@ -254,25 +254,45 @@ impl Matrix<f32> {
     /// Minimum and maximum element. Returns `(0.0, 0.0)` for an empty matrix
     /// and `(NaN, NaN)` when any element is NaN (`f32::min`/`max` alone would
     /// skip it), found in the same pass.
+    ///
+    /// A sequential `f32::min`/`max` fold is one long dependency chain, so the
+    /// scan keeps independent lanes whose compare-and-select the compiler
+    /// emits as packed `minps`/`maxps`.  The result equals the fold's except
+    /// that a tie between `+0.0` and `-0.0` may resolve to either sign.
     pub fn min_max(&self) -> (f32, f32) {
         if self.is_empty() {
             return (0.0, 0.0);
         }
-        let mut mn = f32::INFINITY;
-        let mut mx = f32::NEG_INFINITY;
-        let mut nan = false;
-        for &v in &self.data {
-            mn = mn.min(v);
-            mx = mx.max(v);
-            nan |= v.is_nan();
+        let mut min = [f32::INFINITY; SCAN_LANES];
+        let mut max = [f32::NEG_INFINITY; SCAN_LANES];
+        let mut nan = [false; SCAN_LANES];
+        let mut fold = |lane: usize, v: f32| {
+            // NaN fails both comparisons, so only the flag records it.
+            min[lane] = if v < min[lane] { v } else { min[lane] };
+            max[lane] = if v > max[lane] { v } else { max[lane] };
+            nan[lane] |= v.is_nan();
+        };
+        let mut chunks = self.data.chunks_exact(SCAN_LANES);
+        for chunk in &mut chunks {
+            for (lane, &v) in chunk.iter().enumerate() {
+                fold(lane, v);
+            }
         }
-        if nan {
-            (f32::NAN, f32::NAN)
-        } else {
-            (mn, mx)
+        for (lane, &v) in chunks.remainder().iter().enumerate() {
+            fold(lane, v);
         }
+        if nan.contains(&true) {
+            return (f32::NAN, f32::NAN);
+        }
+        (
+            min.iter().fold(f32::INFINITY, |m, &v| m.min(v)),
+            max.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
+        )
     }
 }
+
+/// Number of independent lanes [`Matrix::min_max`] scans with.
+const SCAN_LANES: usize = 16;
 
 impl Matrix<i64> {
     /// Convert an integer accumulator matrix to `f32` (used after quantized GEMM).

@@ -82,6 +82,36 @@ impl QuantParams {
         }
     }
 
+    /// [`QuantParams::quantize`] over a run of values into byte codes, for
+    /// widths of at most 8 bits: the packers' input form.
+    ///
+    /// Clamp in float, then truncate.  The saturating `as u32` cast compiles
+    /// to scalar code, so the clamp to `[0, max_code]` happens first and the
+    /// in-range value is truncated with an unchecked conversion, which packs
+    /// into SSE2.  `x > 0.0` is false for NaN and for `x ≤ 0`, which all map
+    /// to 0 as in `quantize`; `max_code` is an exact `f32`, so the top clamp
+    /// and `quantize`'s `x >= max_code` test agree, and in between truncation
+    /// is `quantize`'s `x as u32`.  So every code equals `quantize`'s, bit for
+    /// bit.
+    pub fn quantize_bytes_into(&self, values: &[f32], codes: &mut [u8]) {
+        assert!(
+            self.bits <= 8,
+            "{}-bit codes do not fit in a byte",
+            self.bits
+        );
+        assert_eq!(values.len(), codes.len(), "one code per value");
+        let top = self.max_code() as f32;
+        for (code, &v) in codes.iter_mut().zip(values) {
+            let x = (v - self.min) / self.scale;
+            let x = if x > 0.0 { x } else { 0.0 };
+            let x = if x < top { x } else { top };
+            // SAFETY: `x` is finite and lies in `[0, top]` with
+            // `top = 2^bits - 1 <= 255` (asserted above), so the truncated
+            // value is representable in `i32`, and the narrowing keeps it whole.
+            *code = unsafe { x.to_int_unchecked::<i32>() } as u8;
+        }
+    }
+
     /// Map a code back to the centre of its bucket.
     #[inline]
     pub fn dequantize(&self, code: u32) -> f32 {

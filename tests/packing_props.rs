@@ -9,6 +9,9 @@
 //! * the floor-free `QuantParams::quantize` equals the `floor` definition;
 //! * the fused quantize-pack returns the same stack as quantize-then-pack and
 //!   the same rowsums as summing the codes;
+//! * the transposing `repack` / `repack_with_rowsums` return the same stack
+//!   as unpacking and packing again (`from_codes(&to_codes())`), and the
+//!   same rowsums as summing the codes, in both directions and in place;
 //! * the adjacency materialised straight from CSR equals a dense `f32` oracle
 //!   built the old way — on all six dataset profiles and on CSR input with
 //!   duplicate entries and self loops — and its popcount degrees equal the
@@ -279,6 +282,35 @@ fn word_packer_handles_empty_and_single_lane_shapes() {
                     "{rows}x{cols} at {bits} bits, {layout:?}"
                 );
                 assert_eq!(packed.to_codes(), codes);
+            }
+        }
+    }
+}
+
+#[test]
+fn transposing_repack_matches_the_unpack_oracle() {
+    // Sizes on both sides of the 32-bit transpose block and the PAD128 edge.
+    const SIZES: [usize; 6] = [1, 31, 32, 33, 100, 129];
+    for bits in (1..=8).chain([16]) {
+        let params = QuantParams::from_range(bits, -1.0, 3.0).unwrap();
+        for rows in SIZES {
+            for cols in SIZES {
+                let codes = random_codes(rows, cols, bits, (rows * 1000 + cols) as u64 + 7);
+                let rowsums: Vec<i64> = (0..rows)
+                    .map(|r| codes.row(r).iter().map(|&c| i64::from(c)).sum())
+                    .collect();
+                for from in LAYOUTS {
+                    let stack = StackedBitMatrix::from_quantized(&codes, params, from);
+                    for to in LAYOUTS {
+                        let context = format!("{rows}x{cols} at {bits} bits, {from:?} -> {to:?}");
+                        let oracle =
+                            StackedBitMatrix::from_quantized(&stack.to_codes(), params, to);
+                        assert_eq!(stack.repack(to), oracle, "{context}");
+                        let (repacked, sums) = stack.repack_with_rowsums(to);
+                        assert_eq!(repacked, oracle, "{context}");
+                        assert_eq!(sums, rowsums, "{context}: rowsums");
+                    }
+                }
             }
         }
     }

@@ -17,16 +17,13 @@
 #   test                   cargo test --workspace (superset of tier-1)
 #   partition-determinism  the sharded-partitioner == serial-oracle proptests
 #                          under RAYON_NUM_THREADS in {1, 2, 8}
-#   backend                every popcount body x tiling scheme == serial-oracle
-#                          conformance proptests under RAYON_NUM_THREADS in
-#                          {1, 2, 8}, plus the tiny-scale body race (the race
-#                          — and only the race — is skipped in FAST)
-#   tiling                 the panel-staged fused GEMM: scheme-blind bitwise
-#                          proptests under RAYON_NUM_THREADS in {1, 2, 8},
-#                          plus a tiny-scale autotuner run and the tuned-vs-
-#                          fixed tiling probe against the freshly tuned table
-#                          (the tuner+probe — and only they — are skipped in
-#                          FAST)
+#   backend                every popcount body's production kernel (the
+#                          broadcast kernel on avx512, the legacy kernel on
+#                          portable) == serial-oracle conformance suites
+#                          (backend_conformance, fused_gemm_props) under
+#                          RAYON_NUM_THREADS in {1, 2, 8}, plus the tiny-scale
+#                          body race (the race — and only the race — is
+#                          skipped in FAST)
 #   transitions            the one-pass layer transition (epilogue row pass,
 #                          lane range scan, byte-code quantize-pack, transposing
 #                          repack) == the four-pass composition and the packing
@@ -60,9 +57,8 @@
 #                          overhead, serving session  [skipped in FAST]
 #   benchcheck             committed BENCH_*.json files parse, carry the
 #                          expected keys, and clear their committed bars;
-#                          the committed TUNE_gemm.json validates strictly,
-#                          and BENCH_tiling.json records the schemes it
-#                          resolves
+#                          the committed TUNE_gemm.json validates strictly
+#                          (condense threshold plus its metadata)
 #   doc                    cargo doc with zero warnings
 #
 # A wall-clock summary table of the executed stages prints at the end.
@@ -71,7 +67,7 @@ cd "$(dirname "$0")"
 
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
-KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
+KNOWN_STAGES="fmt clippy build-release test partition-determinism backend transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
 # QGTC_CI_STAGE aborts immediately with the list, and an unset one announces
@@ -131,15 +127,17 @@ partition_determinism() {
 
 backend_stage() {
     # Conformance: every available popcount body (portable, and avx512 where
-    # the host has VPOPCNTDQ) under the baseline and staged tiling schemes must
-    # match the serial oracle bitwise and the zero-word census's statistics —
-    # GEMM, skip path, sparse aggregation, epilogue — across the thread-pool
+    # the host has VPOPCNTDQ) on the kernel it runs in production must match
+    # the serial oracle bitwise and the zero-word census's statistics — GEMM,
+    # skip path, sparse aggregation, epilogue, the broadcast kernel's shape
+    # edges and its pooled and inline row paths — across the thread-pool
     # widths the models run under.  Conformance always runs; only the timing
     # race is elided in FAST.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
         env RAYON_NUM_THREADS="$threads" cargo test --test backend_conformance -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test fused_gemm_props -q
     done
     if [[ "$FAST" == "1" ]]; then
         echo "--- backend race skipped (QGTC_CI_FAST=1)"
@@ -148,35 +146,6 @@ backend_stage() {
         env QGTC_SCALE=tiny \
             QGTC_PERFSMOKE_PROBE=backend \
             QGTC_BACKEND_OUT=target/BENCH_backend.tiny.json \
-            cargo run --release -p qgtc-bench --bin perfsmoke
-    fi
-}
-
-tiling_stage() {
-    # The tiling contract: any scheme on any popcount body must be bitwise
-    # identical to the baseline oracle, at every thread-pool width — the
-    # staged double-buffered K loop must not introduce order dependence.
-    local threads
-    for threads in 1 2 8; do
-        echo "--- RAYON_NUM_THREADS=$threads"
-        env RAYON_NUM_THREADS="$threads" cargo test --test fused_gemm_props -q
-    done
-    if [[ "$FAST" == "1" ]]; then
-        echo "--- tiling autotuner + probe skipped (QGTC_CI_FAST=1)"
-    else
-        # Tune at tiny scale into a scratch table, then point the probe's
-        # Auto resolution at it: this exercises the full tune-then-dispatch
-        # loop (grid search, bitwise oracle asserts, table parse, lookup)
-        # without touching the committed full-scale TUNE_gemm.json.
-        echo "--- tiling autotuner (tiny scale)"
-        env QGTC_SCALE=tiny \
-            QGTC_TUNE_OUT=target/TUNE_gemm.tiny.json \
-            cargo run --release -p qgtc-bench --bin tilingtune
-        echo "--- tiling probe (tiny scale, freshly tuned table)"
-        env QGTC_SCALE=tiny \
-            QGTC_PERFSMOKE_PROBE=tiling \
-            QGTC_TUNE_FILE=target/TUNE_gemm.tiny.json \
-            QGTC_TILING_OUT=target/BENCH_tiling.tiny.json \
             cargo run --release -p qgtc-bench --bin perfsmoke
     fi
 }
@@ -283,10 +252,6 @@ perfsmoke_tiny() {
     #    disabled) must be bitwise identical to the raw executor and not slower
     #    (15% tolerance tiny; full scale enforces the 5% overhead budget;
     #    committed BENCH_faults.json);
-    #  * the tuned panel-staged kernel must clear the tiny headline bar vs the
-    #    fixed-scheme kernel, resolved through the committed TUNE_gemm.json
-    #    (full scale enforces 1.15x + >=1 profile win; committed
-    #    BENCH_tiling.json);
     #  * the serving session must replay the epoch oracle bitwise, serve cache
     #    hits bitwise-identically, run warm drains allocation-free, and clear
     #    the throughput + cache-hit-rate bars (committed BENCH_serving.json).
@@ -296,7 +261,6 @@ perfsmoke_tiny() {
         QGTC_PARTITION_OUT=target/BENCH_partition.tiny.json \
         QGTC_BACKEND_OUT=target/BENCH_backend.tiny.json \
         QGTC_FAULTS_OUT=target/BENCH_faults.tiny.json \
-        QGTC_TILING_OUT=target/BENCH_tiling.tiny.json \
         QGTC_SERVING_OUT=target/BENCH_serving.tiny.json \
         cargo run --release -p qgtc-bench --bin perfsmoke
 }
@@ -323,7 +287,6 @@ fi
 stage test cargo test --workspace -q # superset of the tier-1 `cargo test -q`
 stage partition-determinism partition_determinism
 stage backend backend_stage
-stage tiling tiling_stage
 stage transitions transitions_stage
 stage chaos chaos_stage
 stage condense condense_stage

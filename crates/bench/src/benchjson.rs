@@ -6,9 +6,8 @@
 //! here (the offline serde shim has no JSON support, and the reports are written
 //! by string formatting anyway) and checks it against a [`BenchSpec`] — required
 //! top-level keys, required per-row keys, a non-empty row array, and every
-//! recorded speedup clearing the bar recorded next to it.  The tiling report is
-//! also cross-checked against the committed tune table, so a report measured
-//! against a table that no longer ships fails CI.
+//! recorded speedup clearing the bar recorded next to it.  The committed tune
+//! table gets the same strictness: its condensation threshold and metadata.
 
 use std::iter::Peekable;
 use std::str::Chars;
@@ -210,7 +209,7 @@ pub struct BenchSpec {
     pub gates: &'static [(&'static str, &'static str)],
 }
 
-/// The eight committed perf reports and their contracts.
+/// The seven committed perf reports and their contracts.
 pub fn committed_bench_specs() -> Vec<BenchSpec> {
     vec![
         BenchSpec {
@@ -422,58 +421,19 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
                 ("auto_worst_efficiency", "auto_efficiency_bar"),
             ],
         },
-        BenchSpec {
-            file: "BENCH_tiling.json",
-            bench: "gemm_tiled_vs_fixed",
-            required_keys: &[
-                "scale",
-                "reps",
-                "body",
-                "headline_speedup",
-                "headline_bar",
-                "profile_wins",
-                "profile_wins_min",
-            ],
-            rows_key: "shapes",
-            row_keys: &[
-                "name",
-                "m",
-                "k",
-                "n",
-                "shape_class",
-                "scheme",
-                "fixed_ns_per_op",
-                "tuned_ns_per_op",
-                "speedup",
-            ],
-            gates: &[
-                ("headline_speedup", "headline_bar"),
-                ("profile_wins", "profile_wins_min"),
-            ],
-        },
     ]
 }
 
-/// The popcount-body names a tune entry may be keyed by
-/// (`PopcountBody::name`).
-const TUNE_BODIES: [&str; 2] = ["portable", "avx512"];
-/// The shape classes a tune entry may be keyed by (`shape_class`).
-const TUNE_CLASSES: [&str; 3] = ["small", "medium", "large"];
-
-/// Strict validation of the committed `TUNE_gemm.json` autotuner table.
+/// Strict validation of the committed `TUNE_gemm.json` tune table.
 ///
 /// The runtime loader (`qgtc_kernels::TuneTable::parse`) is deliberately
 /// forgiving — kernel dispatch must never fail on a stale file — so the
 /// strictness lives here, where `benchcheck` runs it in CI: the `"file"`
-/// identifier, a non-empty `"entries"` array, a known popcount body and shape
-/// class per entry, no duplicate `(body, shape class)` keys, and a scheme
-/// string that [`TilingScheme::parse`] accepts — a malformed scheme is
-/// rejected with the parser's typed error, verbatim.
-///
-/// [`TilingScheme::parse`]: qgtc_bitmat::fused::TilingScheme::parse
+/// identifier, the `scale`, `reps` and `generated_by` metadata, a
+/// `condense_threshold` string that parses to a finite positive number, and
+/// no `entries` array.  Those were tiling-scheme rows that no kernel reads any
+/// more, so a table carrying them was written by an older tuner.
 pub fn validate_tune_table(text: &str) -> Result<String, String> {
-    use qgtc_bitmat::fused::TilingScheme;
-
     let file = "TUNE_gemm.json";
     let doc = parse_json(text).map_err(|err| format!("{file}: invalid JSON: {err}"))?;
     let id = doc
@@ -485,94 +445,28 @@ pub fn validate_tune_table(text: &str) -> Result<String, String> {
             "{file}: file identifier is {id:?}, expected {file:?}"
         ));
     }
-    let entries = doc
-        .get("entries")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{file}: \"entries\" must be an array"))?;
-    if entries.is_empty() {
-        return Err(format!("{file}: \"entries\" is empty"));
+    for key in ["scale", "reps", "generated_by"] {
+        if doc.get(key).is_none() {
+            return Err(format!("{file}: missing metadata key {key:?}"));
+        }
     }
-    let mut seen: Vec<(String, String)> = Vec::new();
-    for (index, entry) in entries.iter().enumerate() {
-        let field = |key: &str| -> Result<&str, String> {
-            entry
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{file}: entries[{index}] is missing string key {key:?}"))
-        };
-        let body = field("body")?;
-        if !TUNE_BODIES.contains(&body) {
-            return Err(format!(
-                "{file}: entries[{index}] names unknown popcount body {body:?}"
-            ));
-        }
-        let class = field("shape_class")?;
-        if !TUNE_CLASSES.contains(&class) {
-            return Err(format!(
-                "{file}: entries[{index}] names unknown shape class {class:?}"
-            ));
-        }
-        let scheme = field("scheme")?;
-        // Surface the scheme parser's typed error: a malformed scheme string
-        // in the committed table must fail CI, not silently fall back to the
-        // baseline at dispatch time.
-        TilingScheme::parse(scheme).map_err(|err| format!("{file}: entries[{index}]: {err}"))?;
-        let key = (body.to_string(), class.to_string());
-        if seen.contains(&key) {
-            return Err(format!(
-                "{file}: entries[{index}] duplicates the ({body}, {class}) key"
-            ));
-        }
-        seen.push(key);
-    }
-    Ok(format!(
-        "{file}: {} entries, all schemes parse",
-        entries.len()
-    ))
-}
-
-/// Cross-check the tiling report against the tune table: every shape row of
-/// `BENCH_tiling.json` must record the scheme `TUNE_gemm.json` resolves for
-/// the report's `body` and the row's `shape_class` (the baseline when the
-/// table has no such entry — the same fallback as kernel dispatch).  A report
-/// measured under a table that is no longer committed fails here, naming the
-/// first disagreeing row.
-pub fn validate_tiling_against_tune(report: &str, tune: &str) -> Result<String, String> {
-    use qgtc_bitmat::fused::TilingScheme;
-    use qgtc_kernels::tiling::TuneTable;
-
-    let file = "BENCH_tiling.json";
-    let doc = parse_json(report).map_err(|err| format!("{file}: invalid JSON: {err}"))?;
-    let body = doc
-        .get("body")
+    let raw = doc
+        .get("condense_threshold")
         .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{file}: missing string key \"body\""))?;
-    let rows = doc
-        .get("shapes")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{file}: \"shapes\" must be an array"))?;
-    let table = TuneTable::parse(tune);
-    for (index, row) in rows.iter().enumerate() {
-        let field = |key: &str| -> Result<&str, String> {
-            row.get(key)
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{file}: shapes[{index}] is missing string key {key:?}"))
-        };
-        let (name, class, recorded) = (field("name")?, field("shape_class")?, field("scheme")?);
-        let resolved = table
-            .lookup(body, class)
-            .unwrap_or_else(TilingScheme::baseline);
-        if TilingScheme::parse(recorded) != Ok(resolved) {
-            return Err(format!(
-                "{file}: shapes[{index}] ({name}) records scheme {recorded:?}, but TUNE_gemm.json \
-                 resolves ({body}, {class}) to \"{resolved}\""
-            ));
-        }
+        .ok_or_else(|| format!("{file}: missing string key \"condense_threshold\""))?;
+    let threshold = raw
+        .parse::<f64>()
+        .ok()
+        .filter(|t| t.is_finite() && *t > 0.0)
+        .ok_or_else(|| {
+            format!("{file}: condense_threshold {raw:?} is not a finite positive number")
+        })?;
+    if doc.get("entries").is_some() {
+        return Err(format!(
+            "{file}: carries tiling-scheme \"entries\" that no kernel reads; regenerate it with tilingtune"
+        ));
     }
-    Ok(format!(
-        "{file}: all {} rows record the scheme TUNE_gemm.json resolves for their ({body}, shape class)",
-        rows.len()
-    ))
+    Ok(format!("{file}: condense_threshold {threshold}"))
 }
 
 /// Validate one report against its spec. Returns a human-readable summary line
@@ -853,75 +747,6 @@ mod tests {
         assert!(err.contains("below its committed bar"), "{err}");
     }
 
-    fn minimal_tiling_report(speedup: f64, wins: u64) -> String {
-        format!(
-            concat!(
-                "{{\"bench\": \"gemm_tiled_vs_fixed\", \"scale\": \"fast\", \"reps\": 3, ",
-                "\"body\": \"avx512\", \"headline_speedup\": {speedup}, ",
-                "\"headline_bar\": 1.15, \"profile_wins\": {wins}, ",
-                "\"profile_wins_min\": 1, ",
-                "\"shapes\": [{{\"name\": \"headline\", \"m\": 1024, \"k\": 1024, \"n\": 1024, ",
-                "\"shape_class\": \"large\", \"scheme\": \"16x8x8\", ",
-                "\"fixed_ns_per_op\": 2, \"tuned_ns_per_op\": 1, \"speedup\": {speedup}}}]}}"
-            ),
-            speedup = speedup,
-            wins = wins
-        )
-    }
-
-    fn tiling_spec() -> BenchSpec {
-        committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_tiling.json")
-            .unwrap()
-    }
-
-    #[test]
-    fn validates_a_healthy_tiling_report() {
-        let summary =
-            validate_bench_report(&tiling_spec(), &minimal_tiling_report(1.4, 3)).unwrap();
-        assert!(
-            summary.contains("headline_speedup 1.400 >= 1.150"),
-            "{summary}"
-        );
-        assert!(summary.contains("profile_wins 3.000 >= 1.000"), "{summary}");
-    }
-
-    #[test]
-    fn rejects_a_tiling_report_below_its_bars() {
-        let slow = validate_bench_report(&tiling_spec(), &minimal_tiling_report(1.05, 3));
-        assert!(slow.unwrap_err().contains("headline_speedup"));
-        let no_wins = validate_bench_report(&tiling_spec(), &minimal_tiling_report(1.4, 0));
-        assert!(no_wins.unwrap_err().contains("profile_wins"));
-    }
-
-    #[test]
-    fn tiling_rows_must_record_the_scheme_the_tune_table_resolves() {
-        // The report's one row is (avx512, large) at 16x8x8; the table
-        // resolves (avx512, large) from its first entry.
-        let report = minimal_tiling_report(1.4, 3);
-        let summary = validate_tiling_against_tune(&report, &minimal_tune_table("16x8x8")).unwrap();
-        assert!(summary.contains("all 1 rows"), "{summary}");
-        let err = validate_tiling_against_tune(&report, &minimal_tune_table("16x8x0")).unwrap_err();
-        assert!(err.contains("shapes[0] (headline)"), "{err}");
-        assert!(err.contains("\"16x8x8\""), "{err}");
-        assert!(err.contains("\"16x8x0\""), "{err}");
-        // No entry for the row's key: dispatch runs the baseline, so only
-        // the baseline scheme agrees.
-        let untuned = minimal_tune_table("16x8x8").replace("\"large\"", "\"medium\"");
-        let err = validate_tiling_against_tune(&report, &untuned).unwrap_err();
-        assert!(err.contains("\"8x4x0\""), "{err}");
-        let baseline = report.replace("\"scheme\": \"16x8x8\"", "\"scheme\": \"8x4x0\"");
-        assert!(validate_tiling_against_tune(&baseline, &untuned).is_ok());
-    }
-
-    #[test]
-    fn rejects_a_tiling_report_missing_its_scheme_row_key() {
-        let broken = minimal_tiling_report(1.4, 3).replace("\"scheme\": \"16x8x8\", ", "");
-        let err = validate_bench_report(&tiling_spec(), &broken).unwrap_err();
-        assert!(err.contains("missing key \"scheme\""), "{err}");
-    }
-
     fn minimal_serving_report(throughput: f64, hit_rate: f64, pool_ok: u64) -> String {
         format!(
             concat!(
@@ -1075,67 +900,55 @@ mod tests {
         assert!(err.contains("invalid JSON"), "{err}");
     }
 
-    fn minimal_tune_table(scheme: &str) -> String {
+    fn minimal_tune_table(threshold: &str) -> String {
         format!(
             concat!(
                 "{{\"file\": \"TUNE_gemm.json\", \"scale\": \"fast\", \"reps\": 2, ",
-                "\"entries\": [",
-                "{{\"body\": \"avx512\", \"shape_class\": \"large\", \"scheme\": \"{scheme}\", ",
-                "\"speedup_vs_baseline\": 2.0}}, ",
-                "{{\"body\": \"portable\", \"shape_class\": \"small\", \"scheme\": \"8x4x0\", ",
-                "\"speedup_vs_baseline\": 1.0}}",
-                "]}}"
+                "\"generated_by\": \"tilingtune\", \"condense_threshold\": \"{threshold}\"}}"
             ),
-            scheme = scheme
+            threshold = threshold
         )
     }
 
     #[test]
     fn validates_a_healthy_tune_table() {
-        let summary = validate_tune_table(&minimal_tune_table("16x8x8")).unwrap();
-        assert!(summary.contains("2 entries"), "{summary}");
+        let summary = validate_tune_table(&minimal_tune_table("0.921")).unwrap();
+        assert!(summary.contains("condense_threshold 0.921"), "{summary}");
     }
 
     #[test]
-    fn rejects_a_malformed_scheme_with_the_parsers_typed_error() {
-        // Zero row block: structurally three fields, semantically invalid —
-        // only the scheme parser's own validation can catch it, and its typed
-        // error message must surface verbatim.
-        let err = validate_tune_table(&minimal_tune_table("0x8x8")).unwrap_err();
-        assert!(err.contains("invalid tiling scheme \"0x8x8\""), "{err}");
-        assert!(err.contains("row block must be at least 1"), "{err}");
-        let err = validate_tune_table(&minimal_tune_table("16x8")).unwrap_err();
-        assert!(err.contains("expected three 'x'-separated fields"), "{err}");
-        let err = validate_tune_table(&minimal_tune_table("wide")).unwrap_err();
-        assert!(err.contains("invalid tiling scheme"), "{err}");
+    fn rejects_a_missing_or_malformed_condense_threshold() {
+        for bad in ["zero", "-1.0", "0", "inf", ""] {
+            let err = validate_tune_table(&minimal_tune_table(bad)).unwrap_err();
+            assert!(err.contains("not a finite positive number"), "{bad}: {err}");
+        }
+        let missing = minimal_tune_table("0.9").replace(", \"condense_threshold\": \"0.9\"", "");
+        let err = validate_tune_table(&missing).unwrap_err();
+        assert!(err.contains("condense_threshold"), "{err}");
     }
 
     #[test]
-    fn rejects_tune_tables_with_unknown_keys_or_duplicates() {
-        let bad_body = minimal_tune_table("16x8x8").replace("\"avx512\"", "\"avx2\"");
-        let err = validate_tune_table(&bad_body).unwrap_err();
-        assert!(err.contains("unknown popcount body"), "{err}");
-        let bad_class = minimal_tune_table("16x8x8").replace("\"large\"", "\"huge\"");
-        let err = validate_tune_table(&bad_class).unwrap_err();
-        assert!(err.contains("unknown shape class"), "{err}");
-        let duplicated = minimal_tune_table("16x8x8").replace(
-            "\"body\": \"portable\", \"shape_class\": \"small\"",
-            "\"body\": \"avx512\", \"shape_class\": \"large\"",
+    fn rejects_a_tune_table_missing_metadata_or_carrying_scheme_entries() {
+        for key in ["scale", "generated_by"] {
+            let missing = minimal_tune_table("0.9").replace(&format!("\"{key}\""), "\"other\"");
+            let err = validate_tune_table(&missing).unwrap_err();
+            assert!(err.contains(&format!("metadata key \"{key}\"")), "{err}");
+        }
+        let stale = minimal_tune_table("0.9").replace(
+            "\"reps\": 2, ",
+            "\"reps\": 2, \"entries\": [{\"body\": \"avx512\", \"scheme\": \"16x8x8\"}], ",
         );
-        let err = validate_tune_table(&duplicated).unwrap_err();
-        assert!(err.contains("duplicates"), "{err}");
+        let err = validate_tune_table(&stale).unwrap_err();
+        assert!(err.contains("entries"), "{err}");
     }
 
     #[test]
-    fn rejects_empty_or_misidentified_tune_tables() {
-        let err =
-            validate_tune_table("{\"file\": \"TUNE_gemm.json\", \"entries\": []}").unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-        let err = validate_tune_table("{\"file\": \"nope.json\", \"entries\": [1]}").unwrap_err();
+    fn rejects_misidentified_or_truncated_tune_tables() {
+        let err = validate_tune_table("{\"file\": \"nope.json\"}").unwrap_err();
         assert!(err.contains("file identifier"), "{err}");
-        let err = validate_tune_table("{\"entries\": [1]}").unwrap_err();
+        let err = validate_tune_table("{\"condense_threshold\": \"0.9\"}").unwrap_err();
         assert!(err.contains("missing \"file\""), "{err}");
-        let err = validate_tune_table(&minimal_tune_table("16x8x8")[..30]).unwrap_err();
+        let err = validate_tune_table(&minimal_tune_table("0.9")[..30]).unwrap_err();
         assert!(err.contains("invalid JSON"), "{err}");
     }
 

@@ -23,13 +23,14 @@
 //! runs additionally gate the modeled speedup on the largest profile at 1.5×.
 //!
 //! And it runs the **backend race**: every available popcount body is timed
-//! head-to-head (`any_bit_gemm_fused_with_scheme` under the baseline scheme)
-//! on the headline GEMM shape and one aggregation shape per Table-1 profile,
-//! after asserting all of them return the portable body's bits.  The race
-//! records which body won each shape into `BENCH_backend.json` and gates that
-//! the overall winner is not slower than the portable body (trivially ≥1.0× —
-//! portable races too — so the gate catches a corrupted report, not a slow
-//! host).
+//! head-to-head on the kernel it runs in production
+//! (`any_bit_gemm_fused_with_body`: the broadcast kernel on AVX-512, the
+//! legacy kernel on the portable body) on the headline GEMM shape and one
+//! aggregation shape per Table-1 profile, after asserting all of them return
+//! the portable body's bits and word statistics.  The race records which body
+//! won each shape into `BENCH_backend.json` and gates that the overall winner
+//! is not slower than the portable body (trivially ≥1.0× — portable races too
+//! — so the gate catches a corrupted report, not a slow host).
 //!
 //! And it probes the **fault supervisor's overhead**: the supervised streamed
 //! executor (payload checksums sealed and verified on every batch, every stage
@@ -38,15 +39,6 @@
 //! are bitwise identical and gating that the robustness machinery costs at most
 //! 5% at full scale (`BENCH_faults.json`). A seeded fault plan then demos the
 //! recovery path end to end (still bitwise identical).
-//!
-//! And it probes the **tiling autotuner's dividend**: the tuned panel-staged
-//! fused GEMM (`any_bit_gemm_fused_with_scheme` under the scheme
-//! `resolve_tiling` picks from the committed `TUNE_gemm.json`) against the
-//! fixed-scheme legacy kernel on the headline shape plus one aggregation shape
-//! per Table-1 profile, after asserting the two are bitwise identical (result
-//! *and* word statistics).  Full-scale runs gate the headline dividend at
-//! 1.15× and require the tuned path to win on at least one dataset-profile
-//! shape (`BENCH_tiling.json`).
 //!
 //! And it runs the **adjacency-path race**: the TC-GNN-style condensed kernel
 //! (`aggregate_adj_features_condensed` over a prepare-time
@@ -81,9 +73,6 @@
 //! * `QGTC_PERFSMOKE_PROBE=faults` — run **only** the fault-overhead probe.
 //! * `QGTC_PERFSMOKE_PROBE=serving` — run **only** the serving-session probe
 //!   (the ci.sh `serving` stage uses this).
-//! * `QGTC_PERFSMOKE_PROBE=tiling` — run **only** the tiling-dividend probe
-//!   (the ci.sh `tiling` stage pairs this with a fresh tiny-scale `tilingtune`
-//!   table via `QGTC_TUNE_FILE`).
 //! * `QGTC_PERFSMOKE_PROBE=condense` — run **only** the adjacency-path race
 //!   (condensed vs zero-word-skip vs plain fused on a fragmented-sparsity
 //!   sweep plus the Table-1 profiles; the ci.sh `condense` stage uses this).
@@ -103,9 +92,6 @@
 //! * `QGTC_FAULTS_OUT` — output path for the fault-overhead JSON report
 //!   (default `BENCH_faults.json`; the committed copy at the repo root is a
 //!   full-scale run).
-//! * `QGTC_TILING_OUT` — output path for the tiling-dividend JSON report
-//!   (default `BENCH_tiling.json`; the committed copy at the repo root is a
-//!   full-scale run against the committed `TUNE_gemm.json`).
 //! * `QGTC_SERVING_OUT` — output path for the serving-session JSON report
 //!   (default `BENCH_serving.json`; the committed copy at the repo root is a
 //!   full-scale run).
@@ -118,7 +104,7 @@ use qgtc_bench::scale_from_env;
 use qgtc_bitmat::condense::{aggregate_adj_features_condensed, CondensedAdjacency};
 use qgtc_bitmat::fused::{
     aggregate_adj_features_fused, aggregate_adj_features_fused_skip, any_bit_gemm_fused,
-    any_bit_gemm_fused_with_scheme, any_bit_gemm_fused_with_stats, PopcountBody, TilingScheme,
+    any_bit_gemm_fused_with_body, PopcountBody,
 };
 use qgtc_bitmat::gemm::{aggregate_adj_features, any_bit_gemm};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
@@ -128,10 +114,7 @@ use qgtc_core::{
 };
 use qgtc_graph::DatasetProfile;
 use qgtc_kernels::tile_reuse::random_feature_codes;
-use qgtc_kernels::{
-    adjacency_sparsity_stats, resolve_adjacency_path, resolve_tiling, shape_class, AdjacencyPath,
-    TilingChoice,
-};
+use qgtc_kernels::{adjacency_sparsity_stats, resolve_adjacency_path, AdjacencyPath};
 use qgtc_partition::{partition_kway, partition_kway_with_stats, Parallelism, PartitionConfig};
 use qgtc_tensor::rng::random_uniform_matrix;
 use qgtc_tensor::Matrix;
@@ -610,18 +593,16 @@ impl BackendRaceRow {
     }
 }
 
-/// Race every available popcount body on one operand pair under the baseline
-/// scheme.  Asserts all bodies agree bitwise (result *and* word statistics)
-/// before any lane is timed.
+/// Race every available popcount body on one operand pair, each on the kernel
+/// it runs in production.  Asserts all bodies agree bitwise (result *and*
+/// word statistics) before any lane is timed.
 fn race_backends(
     name: &str,
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
 ) -> BackendRaceRow {
-    let run = |body| {
-        any_bit_gemm_fused_with_scheme(a, b, skip_zero_words, body, TilingScheme::baseline())
-    };
+    let run = |body| any_bit_gemm_fused_with_body(a, b, skip_zero_words, body);
     let (oracle, oracle_stats) = run(PopcountBody::Portable);
     let mut lanes = Vec::new();
     for body in PopcountBody::available() {
@@ -728,7 +709,7 @@ fn run_backend_race(scale: &str, headline_size: usize, batch: usize) -> bool {
             "  \"headline_winner\": \"{}\",\n",
             "  \"winner_speedup_vs_portable\": {},\n",
             "  \"winner_not_slower_bar\": {},\n",
-            "  \"note\": \"each lane is one popcount body under the baseline 8x4x0 scheme, asserted bitwise-equal to the portable body (result and word statistics) before timing; hosts without AVX-512 VPOPCNTDQ race the portable body alone\",\n",
+            "  \"note\": \"each lane is one popcount body on its production kernel (avx512: the broadcast kernel; portable: the legacy kernel), asserted bitwise-equal to the portable body (result and word statistics) before timing; hosts without AVX-512 VPOPCNTDQ race the portable body alone\",\n",
             "  \"shapes\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -983,227 +964,6 @@ fn run_faults_probe(scale: &str) -> bool {
         );
         false
     }
-}
-
-/// One shape of the tiling probe: the fixed-scheme legacy kernel vs the tuned
-/// panel-staged kernel under the scheme `resolve_tiling` picks for this shape.
-struct TilingProbeRow {
-    name: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    class: &'static str,
-    scheme: TilingScheme,
-    fixed_ns: u128,
-    tuned_ns: u128,
-}
-
-impl TilingProbeRow {
-    fn speedup(&self) -> f64 {
-        if self.tuned_ns == 0 {
-            return 1.0;
-        }
-        self.fixed_ns as f64 / self.tuned_ns as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, ",
-                "\"shape_class\": \"{}\", \"scheme\": \"{}\", ",
-                "\"fixed_ns_per_op\": {}, \"tuned_ns_per_op\": {}, \"speedup\": {}}}"
-            ),
-            self.name,
-            self.m,
-            self.k,
-            self.n,
-            self.class,
-            self.scheme,
-            self.fixed_ns,
-            self.tuned_ns,
-            fmt3(self.speedup()),
-        )
-    }
-}
-
-/// Probe one operand pair: assert the tuned staged kernel reproduces the
-/// fixed-scheme legacy kernel bitwise (result and word statistics), then time
-/// both lanes.  The fixed lane is the legacy unstaged kernel
-/// (`any_bit_gemm_fused_with_stats`, [`PopcountBody::detect`]); the tuned lane
-/// runs `body` under the resolved scheme.
-fn probe_tiling_shape(
-    name: &str,
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-    skip_zero_words: bool,
-    body: PopcountBody,
-) -> TilingProbeRow {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let scheme = resolve_tiling(TilingChoice::Auto, body.name(), m, k, n);
-    let (fixed_out, fixed_stats) = any_bit_gemm_fused_with_stats(a, b, skip_zero_words);
-    let (tuned_out, tuned_stats) =
-        any_bit_gemm_fused_with_scheme(a, b, skip_zero_words, body, scheme);
-    assert_eq!(
-        tuned_out,
-        fixed_out,
-        "tuned scheme {scheme} on body {} diverges from the fixed-scheme kernel on {name}",
-        body.name()
-    );
-    assert_eq!(
-        tuned_stats,
-        fixed_stats,
-        "tuned scheme {scheme} on body {} changes the word statistics on {name}",
-        body.name()
-    );
-    let fixed_ns = time_min(|| {
-        let _ = any_bit_gemm_fused_with_stats(a, b, skip_zero_words);
-    });
-    let tuned_ns = time_min(|| {
-        let _ = any_bit_gemm_fused_with_scheme(a, b, skip_zero_words, body, scheme);
-    });
-    TilingProbeRow {
-        name: name.to_string(),
-        m,
-        k,
-        n,
-        class: shape_class(m, k, n),
-        scheme,
-        fixed_ns,
-        tuned_ns,
-    }
-}
-
-/// The tiling-dividend probe: tuned panel-staged fused GEMM vs the
-/// fixed-scheme legacy kernel on the headline shape plus one aggregation
-/// shape per Table-1 profile.  Returns `true` when a gate failed.
-fn run_tiling_probe(scale: &str, headline_size: usize, batch: usize) -> bool {
-    let tiling_out =
-        std::env::var("QGTC_TILING_OUT").unwrap_or_else(|_| "BENCH_tiling.json".to_string());
-    // Both lanes run the fastest body on this host.
-    let body = PopcountBody::detect();
-    // Full scale enforces the 1.15× headline dividend of the tiling PR plus a
-    // win on at least one dataset-profile shape; tiny runs only check the
-    // wiring (the tuned lane must roughly match the fixed kernel even when a
-    // tiny-scale tune table picks the baseline scheme everywhere).
-    let (headline_bar, profile_wins_min) = match scale {
-        "tiny" => (0.9f64, 0usize),
-        _ => (1.15, 1),
-    };
-    eprintln!(
-        "perfsmoke: tiling-dividend probe (scale {scale}, headline {headline_size}^3, body {}, \
-         tune table {})",
-        body.name(),
-        qgtc_kernels::tune_file_path(),
-    );
-
-    let mut rows = Vec::new();
-    let mut seed = 120u64;
-    for profile in DatasetProfile::all() {
-        let density = (profile.avg_degree() / batch as f64).clamp(0.005, 0.5) as f32;
-        let adjacency = random_uniform_matrix(batch, batch, 0.0, 1.0, seed)
-            .map(|&v| (v < density) as u32 as f32);
-        let features = random_feature_codes(batch, profile.feature_dim, AGG_BITS, seed + 1);
-        let adj = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
-        let x = StackedBitMatrix::from_codes(&features, AGG_BITS, BitMatrixLayout::ColPacked);
-        seed += 2;
-        // Aggregations probe with zero-word skipping on — the form the models run.
-        let row = probe_tiling_shape(profile.name, &adj, &x, true, body);
-        eprintln!(
-            "  {:<28} fixed {:>12} ns  tuned {:>12} ns  speedup {}x  (class {}, scheme {})",
-            row.name,
-            row.fixed_ns,
-            row.tuned_ns,
-            fmt3(row.speedup()),
-            row.class,
-            row.scheme,
-        );
-        rows.push(row);
-    }
-    let profile_wins = rows.iter().filter(|row| row.speedup() > 1.0).count();
-
-    let a_codes = random_feature_codes(headline_size, headline_size, HEADLINE_A_BITS, 131);
-    let b_codes = random_feature_codes(headline_size, headline_size, HEADLINE_B_BITS, 132);
-    let a = StackedBitMatrix::from_codes(&a_codes, HEADLINE_A_BITS, BitMatrixLayout::RowPacked);
-    let b = StackedBitMatrix::from_codes(&b_codes, HEADLINE_B_BITS, BitMatrixLayout::ColPacked);
-    let headline = probe_tiling_shape(
-        &format!("headline-{HEADLINE_A_BITS}x{HEADLINE_B_BITS}-{headline_size}"),
-        &a,
-        &b,
-        false,
-        body,
-    );
-    eprintln!(
-        "  {:<28} fixed {:>12} ns  tuned {:>12} ns  speedup {}x  (class {}, scheme {})",
-        headline.name,
-        headline.fixed_ns,
-        headline.tuned_ns,
-        fmt3(headline.speedup()),
-        headline.class,
-        headline.scheme,
-    );
-    let headline_speedup = headline.speedup();
-    rows.push(headline);
-
-    let row_lines: Vec<String> = rows.iter().map(TilingProbeRow::to_json).collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"gemm_tiled_vs_fixed\",\n",
-            "  \"scale\": \"{}\",\n",
-            "  \"reps\": {},\n",
-            "  \"generated_by\": \"cargo run --release -p qgtc-bench --bin perfsmoke\",\n",
-            "  \"body\": \"{}\",\n",
-            "  \"headline_speedup\": {},\n",
-            "  \"headline_bar\": {},\n",
-            "  \"profile_wins\": {},\n",
-            "  \"profile_wins_min\": {},\n",
-            "  \"note\": \"fixed = the legacy unstaged kernel (the 8x4x0 baseline scheme); tuned = the panel-staged K-loop double-buffered kernel under the TUNE_gemm.json scheme resolve_tiling picks per shape; both lanes run the detected popcount body, and every row is asserted bitwise identical (result and word statistics) before timing\",\n",
-            "  \"shapes\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        scale,
-        REPS,
-        body.name(),
-        fmt3(headline_speedup),
-        headline_bar,
-        profile_wins,
-        profile_wins_min,
-        row_lines.join(",\n"),
-    );
-    std::fs::write(&tiling_out, &json).unwrap_or_else(|err| {
-        eprintln!("perfsmoke: cannot write {tiling_out}: {err}");
-        std::process::exit(1);
-    });
-    eprintln!("perfsmoke: wrote {tiling_out}");
-
-    let mut failed = false;
-    if headline_speedup < headline_bar {
-        eprintln!(
-            "perfsmoke FAIL: the tuned panel-staged kernel is only {}x the fixed-scheme kernel \
-             on the headline shape (need >= {headline_bar}x)",
-            fmt3(headline_speedup)
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "perfsmoke OK: the tuned panel-staged kernel is {}x the fixed-scheme kernel on the \
-             headline shape",
-            fmt3(headline_speedup)
-        );
-    }
-    if profile_wins < profile_wins_min {
-        eprintln!(
-            "perfsmoke FAIL: the tuned kernel won only {profile_wins} dataset-profile shapes \
-             (need >= {profile_wins_min})"
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "perfsmoke OK: the tuned kernel won {profile_wins} of {} dataset-profile shapes",
-            DatasetProfile::all().len()
-        );
-    }
-    failed
 }
 
 /// One dataset row of the serving probe: a long-lived session under the
@@ -1865,12 +1625,11 @@ fn main() {
     // Single-probe dispatch: an unknown probe name fails fast with the valid
     // list (mirroring ci.sh's unknown-stage UX) instead of silently running
     // the default sweep.
-    const KNOWN_PROBES: &[&str] = &["backend", "condense", "faults", "serving", "tiling"];
+    const KNOWN_PROBES: &[&str] = &["backend", "condense", "faults", "serving"];
     if let Ok(probe) = std::env::var("QGTC_PERFSMOKE_PROBE") {
         let failed = match probe.as_str() {
             "backend" => run_backend_race(scale, headline_size, batch),
             "faults" => run_faults_probe(scale),
-            "tiling" => run_tiling_probe(scale, headline_size, batch),
             "serving" => run_serving_probe(scale),
             "condense" => run_condense_probe(scale, batch),
             unknown => {
@@ -2180,9 +1939,6 @@ fn main() {
 
     let mut failed = run_backend_race(scale, headline_size, batch);
     if run_faults_probe(scale) {
-        failed = true;
-    }
-    if run_tiling_probe(scale, headline_size, batch) {
         failed = true;
     }
     if run_serving_probe(scale) {

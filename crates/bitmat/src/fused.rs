@@ -4,187 +4,80 @@
 //! `Matrix<u32>` partial product per `(i, j)` plane pair and then re-walks the
 //! full M×N output to shift-accumulate it — `s·t` allocations, `s·t` extra
 //! passes over C, and `s·t` parallel dispatches for an `s`-bit × `t`-bit GEMM.
-//! The kernel here is the fusion Algorithm 1 of the paper actually describes:
-//! walk the output **once**, and for each block of elements reduce *all* plane
-//! pairs in registers before a single store.
+//! The kernels here are the fusion Algorithm 1 of the paper actually
+//! describes: walk the output **once**, and for each block of elements reduce
+//! *all* plane pairs in registers before a single store.
 //!
-//! Structural optimisations, mirroring the register-blocked micro-kernels of
-//! the tensor-core GEMM literature:
+//! Two kernels compute that product, one per [`PopcountBody`], and
+//! [`any_bit_gemm_fused_with_body`] — the kernel layer's entry — picks the
+//! one the body runs in production:
 //!
-//! * **row-block parallelism** — the output is split into blocks of
-//!   [`ROW_BLOCK`] rows, each a single work item for the persistent pool, so a
-//!   3-bit × 2-bit GEMM costs one dispatch instead of six;
-//! * **`u64` word pairs** — every packed lane is widened once per call (B) or
-//!   once per row (A) from `u32` words to aligned `u64` values
-//!   (`chunks_exact(2)` pairs, little-endian), halving the popcount loop trip
-//!   count and removing the per-iteration pair assembly from the hot loop;
-//! * **register blocking** — the micro-kernel produces [`COL_BLOCK`] output
-//!   columns per step, loading each widened A word once and AND-popcounting it
-//!   against four B lanes, with four independent accumulator chains to keep the
-//!   popcount units busy;
-//! * **hardware vector popcount** — on x86-64 hosts with AVX-512
-//!   `VPOPCNTDQ` the micro-kernel runs 512 bits per step through
-//!   `_mm512_popcnt_epi64` (detected once at runtime; every other host takes
-//!   the portable `u64` path, and both produce identical results).
+//! * **the broadcast kernel** (AVX-512 `VPOPCNTDQ` hosts) mirrors the shape of
+//!   the tensor core's b1 MMA (paper §4.3–4.4).  B is transposed once per
+//!   call to `[K word][B plane][column]`, so one K word of eight adjacent
+//!   output columns is one 512-bit vector — the MMA's 8-column output tile.
+//!   Per output row, each widened A word is broadcast once and ANDed,
+//!   `VPOPCNTQ`-counted and accumulated against up to 64 columns, so every A
+//!   word is reused across the whole column chunk (the A-fragment reuse of
+//!   §4.4), and the accumulators stay in registers for the whole K loop,
+//!   stored once per output.  With zero-word skipping on, the row's word
+//!   list holds only its nonzero words, so an all-zero A word costs nothing —
+//!   the word-granular form of §4.3's zero-tile jumping, free on dense
+//!   operands too.  GEMMs of at least [`BROADCAST_INLINE_ROWS`] rows run
+//!   blocks of [`BROADCAST_ROW_BLOCK`] rows on the persistent pool; smaller
+//!   ones run inline on the calling thread;
+//! * **the legacy kernel** (every host; the portable body's only kernel)
+//!   vectorises along K instead: blocks of [`ROW_BLOCK`] rows per pool work
+//!   item, `u64` word pairs widened once per call (B) or once per row (A),
+//!   and [`COL_BLOCK`] output columns per micro-kernel step with four
+//!   independent accumulator chains.  Its skipping mode scans each widened A
+//!   lane for maximal runs ("spans") of nonzero words and runs the
+//!   micro-kernel over those only.  The detect-body wrappers
+//!   ([`any_bit_gemm_fused`], [`any_bit_gemm_fused_skip`],
+//!   [`any_bit_gemm_fused_with_stats`] and the `aggregate_adj_features_fused*`
+//!   pair) run it on the detected body, including its AVX-512 micro-kernel.
 //!
-//! [`crate::gemm::any_bit_gemm_serial`] remains the semantic oracle: the
-//! property suite asserts bit-for-bit equality against it across random shapes,
-//! bit widths and padded/odd K values.
-//!
-//! # Zero-word skipping
-//!
-//! Sparse adjacencies (the left operand of every aggregation) are mostly zero
-//! words after packing, and an all-zero A word contributes nothing to an
-//! AND+popcount reduction.  [`any_bit_gemm_fused_skip`] therefore scans each
-//! widened A lane once, collects the maximal runs ("spans") of non-zero `u64`
-//! words, and runs the micro-kernel only over those spans — the word-granular
-//! analogue of the kernel's 8×128 zero-tile jumping (paper §4.3).  Skipped
-//! words are exactly the all-zero ones, so the result is **bitwise identical**
-//! to the non-skipping path by construction (asserted by the property suite),
-//! and both the AVX-512 and portable micro-kernel bodies honour the same span
-//! index — they only differ in how they traverse the surviving words.  The
-//! returned [`FusedGemmStats`] reports how much popcount work the index
-//! removed.
+//! Both kernels on every body are bitwise identical to
+//! [`crate::gemm::any_bit_gemm_serial`], the semantic oracle, and report the
+//! same [`FusedGemmStats`]: skipped words are exactly the all-zero ones.  The
+//! property and conformance suites assert both across random shapes, bit
+//! widths, sparsity and padded/odd K values.
 
-use crate::bitmatrix::BitMatrixLayout;
+use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
 use crate::stacked::StackedBitMatrix;
 use qgtc_tensor::Matrix;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Output rows per parallel work item (one pool dispatch covers all of C).
+/// Output rows per parallel work item of the legacy kernel (one pool dispatch
+/// covers all of C).
 pub const ROW_BLOCK: usize = 8;
 
-/// Output columns produced per micro-kernel step.
+/// Output columns the legacy kernel produces per micro-kernel step.
 pub const COL_BLOCK: usize = 4;
+
+/// Output rows per pool work item of the broadcast kernel.  Measured against
+/// 8, 16 and 64 on ~950-row GEMMs: 8 and 16 pay more per-item overhead, and
+/// 64 was only 2% faster on two cores while leaving about two blocks per
+/// worker on an 8-wide pool (see the README's "The broadcast popcount
+/// kernel").
+pub const BROADCAST_ROW_BLOCK: usize = 32;
+
+/// GEMMs with fewer output rows than this run the broadcast kernel inline on
+/// the calling thread: below it a pool dispatch costs more than the second
+/// core saves.  Serving's ~120-row batches therefore run inline and the epoch
+/// workloads' ~950-row batches on the pool.  Chosen from a measured sweep of
+/// the workloads' GEMM shapes from 128 to 950 rows (see the README's "The
+/// broadcast popcount kernel").
+pub const BROADCAST_INLINE_ROWS: usize = 384;
 
 /// A maximal run of non-zero widened A words: `(first_word, word_count)`.
 type Span = (usize, usize);
 
-/// Tiling parameters of the panel-staged fused GEMM.
-///
-/// * `row_block` — output rows per parallel work item (and per staged-panel
-///   reuse window: every staged B panel is consumed by all rows of the block
-///   before the next panel is staged);
-/// * `col_block` — output columns per staged B panel (the panel holds this
-///   many B lanes per bit-plane);
-/// * `k_panel_words` — widened 64-bit K-loop words per panel.  `0` means
-///   "the whole K extent in one panel" and is clamped to the lane length at
-///   run time, so a K-panel larger than K degenerates to full-K staging.
-///
-/// [`TilingScheme::baseline`] reproduces today's hardwired constants
-/// (`ROW_BLOCK`×`COL_BLOCK`, no staging) and routes to the legacy unstaged
-/// kernel byte-for-byte; every other scheme takes the staged double-buffered
-/// path.  Every `(scheme, body)` pair is bitwise identical to the portable
-/// oracle — a scheme only changes the traversal order and cache residency,
-/// never a single popcount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TilingScheme {
-    /// Output rows per work item / panel-reuse window (≥ 1).
-    pub row_block: usize,
-    /// Output columns per staged panel (≥ 1).
-    pub col_block: usize,
-    /// Widened 64-bit words per K panel; `0` = full K in one panel.
-    pub k_panel_words: usize,
-}
-
-impl Default for TilingScheme {
-    fn default() -> Self {
-        Self::baseline()
-    }
-}
-
-impl TilingScheme {
-    /// Today's hardwired constants: `ROW_BLOCK`×`COL_BLOCK`, no K-panel
-    /// staging.  This scheme routes to the legacy unstaged kernel verbatim,
-    /// which makes it both the compatibility default and the fair A/B
-    /// baseline of the tiling benchmarks.
-    pub const fn baseline() -> Self {
-        Self {
-            row_block: ROW_BLOCK,
-            col_block: COL_BLOCK,
-            k_panel_words: 0,
-        }
-    }
-
-    /// Whether this scheme routes to the legacy unstaged kernel.
-    pub fn is_baseline(&self) -> bool {
-        *self == Self::baseline()
-    }
-
-    /// Parse the `"RxCxK"` notation (e.g. `"16x8x8"`): row block × column
-    /// block × K-panel words.  Row and column blocks must be positive; the
-    /// K-panel may be `0` (full K).  Anything else is a typed
-    /// [`ParseTilingSchemeError`].
-    pub fn parse(input: &str) -> Result<Self, ParseTilingSchemeError> {
-        let err = |reason: &'static str| ParseTilingSchemeError {
-            input: input.to_string(),
-            reason,
-        };
-        let mut fields = input.trim().split('x');
-        let mut next = |name: &'static str| -> Result<usize, ParseTilingSchemeError> {
-            fields
-                .next()
-                .ok_or_else(|| err("expected three 'x'-separated fields"))?
-                .parse::<usize>()
-                .map_err(|_| err(name))
-        };
-        let row_block = next("row block is not a non-negative integer")?;
-        let col_block = next("column block is not a non-negative integer")?;
-        let k_panel_words = next("K-panel word count is not a non-negative integer")?;
-        if fields.next().is_some() {
-            return Err(err("expected exactly three 'x'-separated fields"));
-        }
-        if row_block == 0 {
-            return Err(err("row block must be at least 1"));
-        }
-        if col_block == 0 {
-            return Err(err("column block must be at least 1"));
-        }
-        Ok(Self {
-            row_block,
-            col_block,
-            k_panel_words,
-        })
-    }
-}
-
-impl std::fmt::Display for TilingScheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}x{}x{}",
-            self.row_block, self.col_block, self.k_panel_words
-        )
-    }
-}
-
-/// A tiling-scheme string that does not follow the `"RxCxK"` notation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTilingSchemeError {
-    /// The rejected input, verbatim.
-    pub input: String,
-    /// What was wrong with it.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for ParseTilingSchemeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid tiling scheme {:?}: {} (expected \"RxCxK\", e.g. \"16x8x8\")",
-            self.input, self.reason
-        )
-    }
-}
-
-impl std::error::Error for ParseTilingSchemeError {}
-
 /// Which popcount micro-kernel body the fused GEMM runs.
 ///
-/// Both bodies are bitwise identical over any input (the AVX-512 body's tail
-/// loop *is* the portable body); they differ only in how many widened words
-/// they traverse per step.  The default entry points pick
+/// Both bodies are bitwise identical over any input; they differ only in the
+/// instructions that count the bits.  The default entry points pick
 /// [`PopcountBody::detect`]; the kernel layer's `BackendChoice` resolves to
 /// one body, and the conformance suite and the perfsmoke race iterate
 /// [`PopcountBody::ALL`].
@@ -228,7 +121,8 @@ impl PopcountBody {
         }
     }
 
-    /// Stable lower-case name (the key of `TUNE_gemm.json` entries).
+    /// Stable lower-case name (what `QGTC_BACKEND` and the benchmark reports
+    /// call the body).
     pub fn name(self) -> &'static str {
         match self {
             PopcountBody::Portable => "portable",
@@ -246,12 +140,13 @@ impl PopcountBody {
 pub struct FusedGemmStats {
     /// Widened A words the K loop would visit without skipping.
     pub total_words: u64,
-    /// Words inside a non-zero span (actually popcounted).
+    /// Non-zero words (actually popcounted) when skipping; every word
+    /// otherwise.
     pub visited_words: u64,
 }
 
 impl FusedGemmStats {
-    /// Words the span index removed from the popcount loop.
+    /// Words the skip removed from the popcount loop.
     pub fn skipped_words(&self) -> u64 {
         self.total_words - self.visited_words
     }
@@ -266,10 +161,23 @@ impl FusedGemmStats {
     }
 }
 
+/// Whether `k` products of an `a_bits`-bit and a `b_bits`-bit code always sum
+/// inside the kernels' `i64` accumulators: `a_bits + b_bits + ⌈log2 k⌉ ≤ 63`.
+/// Every fused entry point asserts it.
+pub fn accumulator_fits(a_bits: u32, b_bits: u32, k: usize) -> bool {
+    a_bits + b_bits + k.max(1).next_power_of_two().trailing_zeros() <= 63
+}
+
 /// Fused any-bitwidth GEMM `C = A · B` between an `s`-bit row-packed stack and a
 /// `t`-bit column-packed stack.  Bit-for-bit equal to
 /// [`crate::gemm::any_bit_gemm_serial`], but performs the whole composition in
-/// one pass over the output with no intermediate plane products.
+/// one pass over the output with no intermediate plane products.  Runs the
+/// legacy kernel on the detected body.
+///
+/// # Panics
+///
+/// Panics on a layout or shape mismatch, and when the bitwidths and K could
+/// overflow the accumulators ([`accumulator_fits`]).
 pub fn any_bit_gemm_fused(a: &StackedBitMatrix, b: &StackedBitMatrix) -> Matrix<i64> {
     fused_gemm_impl(a, b, false, PopcountBody::detect()).0
 }
@@ -278,6 +186,10 @@ pub fn any_bit_gemm_fused(a: &StackedBitMatrix, b: &StackedBitMatrix) -> Matrix<
 /// A operand are jumped via a per-row non-zero-span index.  Bitwise identical
 /// to the non-skipping path; returns the measured skip statistics alongside the
 /// product.
+///
+/// # Panics
+///
+/// As [`any_bit_gemm_fused`].
 pub fn any_bit_gemm_fused_skip(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
@@ -290,6 +202,10 @@ pub fn any_bit_gemm_fused_skip(
 /// and the stats report zero skips — the kernel's own count, so callers that
 /// toggle skipping (e.g. the BMM cost model) never re-derive the total
 /// themselves.
+///
+/// # Panics
+///
+/// As [`any_bit_gemm_fused`].
 pub fn any_bit_gemm_fused_with_stats(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
@@ -298,40 +214,40 @@ pub fn any_bit_gemm_fused_with_stats(
     fused_gemm_impl(a, b, skip_zero_words, PopcountBody::detect())
 }
 
-/// Fused GEMM on an explicitly selected popcount body under an explicit
-/// [`TilingScheme`] — the kernel layer's entry point.
-///
-/// The baseline scheme routes to the legacy unstaged kernel; every other
-/// scheme runs the panel-staged, K-loop double-buffered kernel.  Every
-/// `(body, scheme)` pair is bitwise identical to the serial oracle, and the
-/// returned [`FusedGemmStats`] counters are scheme-independent:
-/// `total_words` is the arithmetic K-loop trip count and `visited_words` is
-/// derived from the same full-lane span index the unstaged kernel uses.
+/// Fused GEMM on an explicitly selected popcount body — the kernel layer's
+/// entry point.  Each body runs its production kernel:
+/// [`PopcountBody::Avx512`] the broadcast kernel, [`PopcountBody::Portable`]
+/// the legacy kernel.  Both are bitwise identical to the serial oracle and
+/// return identical [`FusedGemmStats`].
 ///
 /// # Panics
 ///
-/// Panics if `body` is not available on this host.
-pub fn any_bit_gemm_fused_with_scheme(
+/// Panics if `body` is not available on this host, and as
+/// [`any_bit_gemm_fused`].
+pub fn any_bit_gemm_fused_with_body(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
     body: PopcountBody,
-    scheme: TilingScheme,
 ) -> (Matrix<i64>, FusedGemmStats) {
     assert!(
         body.is_available(),
         "popcount body {body:?} is not available on this host"
     );
-    if scheme.is_baseline() {
-        fused_gemm_impl(a, b, skip_zero_words, body)
-    } else {
-        fused_gemm_staged(a, b, skip_zero_words, body, scheme)
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        PopcountBody::Avx512 => broadcast_gemm(a, b, skip_zero_words),
+        _ => fused_gemm_impl(a, b, skip_zero_words, body),
     }
 }
 
 /// Fused neighbour aggregation `X_new = A · X`: a 1-bit adjacency stack times an
 /// `s`-bit feature stack, semantically identical to
 /// [`crate::gemm::aggregate_adj_features`].
+///
+/// # Panics
+///
+/// Panics if the adjacency is not 1-bit, and as [`any_bit_gemm_fused`].
 pub fn aggregate_adj_features_fused(adj: &StackedBitMatrix, x: &StackedBitMatrix) -> Matrix<i64> {
     assert_eq!(adj.bits(), 1, "adjacency stack must be 1-bit");
     any_bit_gemm_fused(adj, x)
@@ -340,6 +256,10 @@ pub fn aggregate_adj_features_fused(adj: &StackedBitMatrix, x: &StackedBitMatrix
 /// [`aggregate_adj_features_fused`] with zero-word skipping — the shape the
 /// skip index was designed for, since a batched-subgraph adjacency is mostly
 /// zero words.
+///
+/// # Panics
+///
+/// As [`aggregate_adj_features_fused`].
 pub fn aggregate_adj_features_fused_skip(
     adj: &StackedBitMatrix,
     x: &StackedBitMatrix,
@@ -348,7 +268,7 @@ pub fn aggregate_adj_features_fused_skip(
     any_bit_gemm_fused_skip(adj, x)
 }
 
-/// Shared body of the skipping and non-skipping entry points.
+/// The legacy kernel, shared by the skipping and non-skipping entry points.
 ///
 /// The two modes run distinct row kernels: the non-skipping path is the
 /// original dense micro-kernel (full-lane popcounts, no span indirection, no
@@ -438,44 +358,32 @@ fn fused_gemm_impl(
     (out, stats)
 }
 
-/// The panel-staged, K-loop double-buffered kernel behind every non-baseline
-/// [`TilingScheme`].
+/// 64-bit lanes per 512-bit vector: the output columns of one broadcast step.
+#[cfg(target_arch = "x86_64")]
+const LANES: usize = 8;
+
+/// Vectors per broadcast column chunk: up to 64 output columns share one walk
+/// of the row's A words, with their accumulators in registers.
+#[cfg(target_arch = "x86_64")]
+const CHUNK_VECTORS: usize = 8;
+
+/// The broadcast kernel: the AVX-512 body's GEMM (see the module docs).
 ///
-/// Work decomposition, mirroring the shared-memory staging of the paper's
-/// tensor-core kernel (§4.2) on a cache hierarchy:
-///
-/// 1. the output is split into blocks of `scheme.row_block` rows (one
-///    parallel work item each), and each block's widened A lanes — plus, in
-///    skip mode, their full-lane non-zero span index — are materialised once;
-/// 2. per `scheme.col_block`-wide column tile, the active K panel of B
-///    (`scheme.k_panel_words` widened words of every bit-plane and tile
-///    column) is packed into one of **two** reusable scratch buffers;
-/// 3. the K loop double-buffers those panels: panel `p + 1` is staged into
-///    the idle buffer *before* panel `p` is consumed (a software-pipelined
-///    prefetch+copy that lands the next panel in L1/L2 while the current one
-///    is hot), then the buffers swap;
-/// 4. the consume step walks all rows of the block over the L1-resident
-///    panel — two rows at a time, sharing every panel load — and
-///    `+=`-accumulates each panel's exact popcount contribution into C.
-///
-/// Per-panel contributions are exact integers, so any panel split produces
-/// bit-identical output; in skip mode the spans are clipped to the panel
-/// (the clipped pieces tile each span exactly) and `visited_words` is counted
-/// from the *full-lane* index, keeping [`FusedGemmStats`] scheme-independent.
-///
-/// Skip mode consumes B **in place**: the span walk visits only the sparse
-/// non-zero subset of each A lane, so copying whole K panels for it costs
-/// more than the locality buys.  The tile/column-quad decomposition and the
-/// fused plane-pair micro-kernels are shared with the dense staged path; only
-/// the dense path stages and double-buffers physical panels.
-fn fused_gemm_staged(
+/// Bitwise identical to the legacy kernel, with identical statistics: the
+/// per-row word list holds every widened A word, or only the nonzero ones
+/// when skipping, so `visited_words` counts exactly what the legacy span
+/// index covers.
+#[cfg(target_arch = "x86_64")]
+fn broadcast_gemm(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
-    body: PopcountBody,
-    scheme: TilingScheme,
 ) -> (Matrix<i64>, FusedGemmStats) {
     validate_fused_operands(a, b);
+    assert!(
+        avx512_popcount_available(),
+        "the broadcast kernel needs AVX-512 VPOPCNTDQ"
+    );
     let m = a.rows();
     let n = b.cols();
     let mut out: Matrix<i64> = Matrix::zeros(m, n);
@@ -485,336 +393,203 @@ fn fused_gemm_staged(
     let words = a.plane(0).words_per_lane();
     debug_assert_eq!(words % 2, 0, "PAD128 guarantees an even word count");
     let pairs = words / 2;
-    let s = a.planes().len();
     let t = b.planes().len();
-    let row_block = scheme.row_block.max(1);
-    let col_block = scheme.col_block.max(1);
-    // A K-panel of 0 (or anything past the lane end) is the whole K extent.
-    let k_panel = match scheme.k_panel_words {
-        0 => pairs,
-        kp => kp.min(pairs),
-    };
-    let num_panels = pairs.div_ceil(k_panel);
+    let n_pad = n.next_multiple_of(LANES);
 
-    // Widen every B lane once per call, exactly like the unstaged kernel:
-    // layout [plane][column][pair].  Panels are cut out of this buffer.
-    let mut b_wide = vec![0u64; t * n * pairs];
-    for (plane_idx, plane) in b.planes().iter().enumerate() {
+    // B transposed to [K word][B plane][column], columns padded with zeros to
+    // a whole vector: one K word of eight adjacent columns is one load.
+    let mut b_t = vec![0u64; pairs * t * n_pad];
+    for (plane_b, plane) in b.planes().iter().enumerate() {
         for col in 0..n {
-            let base = (plane_idx * n + col) * pairs;
-            widen_lane(&mut b_wide[base..base + pairs], &plane.lane(col)[..words]);
+            for (k, pair) in plane.lane(col)[..words].chunks_exact(2).enumerate() {
+                b_t[(k * t + plane_b) * n_pad + col] = widen(pair);
+            }
         }
     }
     let a_planes = a.planes();
-    let total_words = (m * s * pairs) as u64;
-    let visited_words = AtomicU64::new(0);
-
-    out.data_mut()
-        .par_chunks_mut(row_block * n)
-        .enumerate()
-        .for_each(|(block, rows)| {
-            let row_base = block * row_block;
-            let rows_here = rows.len() / n;
-            // Worker-local scratch: all of the block's A lanes, widened, so
-            // every staged panel is reused across the whole row block.
-            let mut a_wide = vec![0u64; rows_here * s * pairs];
-            for local in 0..rows_here {
-                for (plane_idx, plane) in a_planes.iter().enumerate() {
-                    widen_lane(
-                        &mut a_wide[(local * s + plane_idx) * pairs..][..pairs],
-                        &plane.lane(row_base + local)[..words],
-                    );
-                }
-            }
-            if skip_zero_words {
-                let mut spans = vec![Vec::new(); rows_here * s];
-                let mut visited = 0u64;
-                for (lane_idx, lane_spans) in spans.iter_mut().enumerate() {
-                    let lane = &a_wide[lane_idx * pairs..][..pairs];
-                    visited += nonzero_spans(lane, lane_spans) as u64;
-                }
-                visited_words.fetch_add(visited, Ordering::Relaxed);
-                // In-place consumption: each tile's "panel" is a strided view
-                // of the widened B buffer covering the whole K extent.
-                let mut col = 0;
-                while col < n {
-                    let tile_cols = col_block.min(n - col);
-                    consume_panel(
-                        rows,
-                        n,
-                        col,
-                        tile_cols,
-                        &b_wide[col * pairs..],
-                        pairs,
-                        n * pairs,
-                        0,
-                        pairs,
-                        &a_wide,
-                        s,
-                        t,
-                        pairs,
-                        Some(&spans),
-                        body,
-                    );
-                    col += tile_cols;
-                }
-                return;
-            }
-            // Double-buffered panel scratch: [plane][tile column][panel word],
-            // each lane `k_panel` words apart regardless of the tail length.
-            let mut front = vec![0u64; t * col_block * k_panel];
-            let mut back = vec![0u64; t * col_block * k_panel];
-            let (mut cur, mut next) = (&mut front, &mut back);
-            let mut col = 0;
-            while col < n {
-                let tile_cols = col_block.min(n - col);
-                stage_panel(&b_wide, n, pairs, t, col, tile_cols, 0, k_panel, cur);
-                for p in 0..num_panels {
-                    // Software pipeline: land panel p+1 in cache while the
-                    // micro-kernel still has panel p hot.
-                    if p + 1 < num_panels {
-                        stage_panel(&b_wide, n, pairs, t, col, tile_cols, p + 1, k_panel, next);
-                    }
-                    let p_start = p * k_panel;
-                    let p_len = k_panel.min(pairs - p_start);
-                    consume_panel(
-                        rows,
-                        n,
-                        col,
-                        tile_cols,
-                        cur,
-                        k_panel,
-                        tile_cols * k_panel,
-                        p_start,
-                        p_len,
-                        &a_wide,
-                        s,
-                        t,
-                        pairs,
-                        None,
-                        body,
-                    );
-                    std::mem::swap(&mut cur, &mut next);
-                }
-                col += tile_cols;
-            }
-        });
-
+    let rows_from = |row_base: usize, rows: &mut [i64]| -> u64 {
+        let mut list = RowWords::default();
+        let mut visited = 0u64;
+        for (local, out_row) in rows.chunks_mut(n).enumerate() {
+            visited += list.collect(
+                a_planes,
+                row_base + local,
+                words,
+                t * n_pad,
+                skip_zero_words,
+            );
+            // SAFETY: AVX-512 VPOPCNTDQ was checked above.  `list` holds K
+            // offsets `k · t · n_pad` with `k < pairs`, `b_t` holds
+            // `pairs · t · n_pad` words, and `out_row` is `n ≤ n_pad` long —
+            // the bounds `broadcast_row_avx512` requires.
+            unsafe { broadcast_row_avx512(&list, t, &b_t, n_pad, out_row) };
+        }
+        visited
+    };
+    let visited_words = if m < BROADCAST_INLINE_ROWS {
+        rows_from(0, out.data_mut())
+    } else {
+        let visited = AtomicU64::new(0);
+        out.data_mut()
+            .par_chunks_mut(BROADCAST_ROW_BLOCK * n)
+            .enumerate()
+            .for_each(|(block, rows)| {
+                let count = rows_from(block * BROADCAST_ROW_BLOCK, rows);
+                visited.fetch_add(count, Ordering::Relaxed);
+            });
+        visited.into_inner()
+    };
     let stats = FusedGemmStats {
-        total_words,
-        visited_words: if skip_zero_words {
-            visited_words.into_inner()
-        } else {
-            total_words
-        },
+        total_words: (m * a_planes.len() * pairs) as u64,
+        visited_words,
     };
     (out, stats)
 }
 
-/// Pack K panel `p_idx` of a `tile_cols`-wide column tile (every B bit-plane)
-/// from the widened B buffer into a staging buffer: layout
-/// `[plane][tile column][panel word]`, lanes `k_panel` words apart.
-#[allow(clippy::too_many_arguments)]
-fn stage_panel(
-    b_wide: &[u64],
-    n: usize,
-    pairs: usize,
-    t: usize,
-    col0: usize,
-    tile_cols: usize,
-    p_idx: usize,
-    k_panel: usize,
-    dst: &mut [u64],
-) {
-    let p_start = p_idx * k_panel;
-    let p_len = k_panel.min(pairs - p_start);
-    for plane_b in 0..t {
-        for c in 0..tile_cols {
-            let src = &b_wide[(plane_b * n + col0 + c) * pairs + p_start..][..p_len];
-            dst[(plane_b * tile_cols + c) * k_panel..][..p_len].copy_from_slice(src);
+/// One output row's A operand as the broadcast kernel walks it: per A plane,
+/// the widened words it visits and the offset of each word's K row in the
+/// transposed B.
+#[cfg(target_arch = "x86_64")]
+#[derive(Default)]
+struct RowWords {
+    /// Offset `k · t · n_pad` of word `k`'s `[B plane][column]` block.
+    offsets: Vec<usize>,
+    /// The widened A words, parallel to `offsets`.
+    words: Vec<u64>,
+    /// End of each A plane's run in `offsets` / `words`.
+    plane_ends: Vec<usize>,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RowWords {
+    /// Collect row `row`'s widened A words of every plane — only the nonzero
+    /// ones when skipping — and return how many were collected.
+    fn collect(
+        &mut self,
+        planes: &[BitMatrix],
+        row: usize,
+        words: usize,
+        k_stride: usize,
+        skip_zero_words: bool,
+    ) -> u64 {
+        self.offsets.clear();
+        self.words.clear();
+        self.plane_ends.clear();
+        for plane in planes {
+            for (k, pair) in plane.lane(row)[..words].chunks_exact(2).enumerate() {
+                let word = widen(pair);
+                if word != 0 || !skip_zero_words {
+                    self.offsets.push(k * k_stride);
+                    self.words.push(word);
+                }
+            }
+            self.plane_ends.push(self.words.len());
         }
+        self.words.len() as u64
     }
 }
 
-/// Consume one panel of a column tile: accumulate its exact popcount
-/// contribution for every (row of the block, tile column, plane pair) into
-/// the output rows.  The panel is addressed generically — `b_panel` holds
-/// the tile's first column lane, columns `b_col_stride` words apart and B
-/// planes `b_plane_stride` words apart — so the same walk serves a physically
-/// staged panel (dense mode) and an in-place strided view of the widened B
-/// buffer (skip mode).
+/// One output row of the broadcast kernel: chunks of up to
+/// [`CHUNK_VECTORS`] vectors of eight columns each, the last one cut to the
+/// `⌈(n − col0) / 8⌉` vectors the row has left.
 ///
-/// Rows are walked two at a time so each panel load feeds two accumulator
-/// sets, and the whole `s × t` plane-pair reduction of one (row, column)
-/// happens inside a single fused micro-kernel call ([`panel_accum2`] /
-/// [`panel_span_accum4`] / [`panel_span_accum`]): the vector bodies
-/// shift-accumulate in the vector domain and run one horizontal reduction per
-/// row and column (per column quad in skip mode), instead of one per plane
-/// pair.  In skip mode the full-lane spans are clipped to the panel window.
-#[allow(clippy::too_many_arguments)]
-fn consume_panel(
-    rows: &mut [i64],
-    n: usize,
-    col0: usize,
-    tile_cols: usize,
-    b_panel: &[u64],
-    b_col_stride: usize,
-    b_plane_stride: usize,
-    p_start: usize,
-    p_len: usize,
-    a_wide: &[u64],
-    s: usize,
+/// # Safety
+///
+/// The host must support `avx512f` and `avx512vpopcntdq`.  Every offset in
+/// `row` must be `k · t · n_pad` for some `k` with `(k + 1) · t · n_pad ≤
+/// b_t.len()`, and `out_row.len() ≤ n_pad`, with `n_pad` a multiple of eight.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn broadcast_row_avx512(
+    row: &RowWords,
     t: usize,
-    pairs: usize,
-    spans: Option<&[Vec<Span>]>,
-    body: PopcountBody,
+    b_t: &[u64],
+    n_pad: usize,
+    out_row: &mut [i64],
 ) {
-    let rows_here = rows.len() / n;
-    let b_stride = b_plane_stride;
-    let mut local = 0;
-    while local + 2 <= rows_here {
-        let (head, tail) = rows.split_at_mut((local + 1) * n);
-        let row0 = &mut head[local * n..];
-        let row1 = &mut tail[..n];
-        let a0 = &a_wide[local * s * pairs..][..s * pairs];
-        let a1 = &a_wide[(local + 1) * s * pairs..][..s * pairs];
-        match spans {
-            None => {
-                for c in 0..tile_cols {
-                    let b_col = &b_panel[c * b_col_stride..];
-                    let (tot0, tot1) =
-                        panel_accum2(body, a0, a1, s, pairs, p_start, b_col, t, b_stride, p_len);
-                    row0[col0 + c] += tot0;
-                    row1[col0 + c] += tot1;
-                }
-            }
-            Some(spans) => {
-                let sp0 = &spans[local * s..][..s];
-                let sp1 = &spans[(local + 1) * s..][..s];
-                let mut c = 0;
-                while c + 4 <= tile_cols {
-                    let b_col = &b_panel[c * b_col_stride..];
-                    let t0 = panel_span_accum4(
-                        body,
-                        a0,
-                        sp0,
-                        s,
-                        pairs,
-                        b_col,
-                        t,
-                        b_stride,
-                        b_col_stride,
-                        p_start,
-                        p_len,
-                    );
-                    let t1 = panel_span_accum4(
-                        body,
-                        a1,
-                        sp1,
-                        s,
-                        pairs,
-                        b_col,
-                        t,
-                        b_stride,
-                        b_col_stride,
-                        p_start,
-                        p_len,
-                    );
-                    for j in 0..4 {
-                        row0[col0 + c + j] += t0[j];
-                        row1[col0 + c + j] += t1[j];
-                    }
-                    c += 4;
-                }
-                while c < tile_cols {
-                    let b_col = &b_panel[c * b_col_stride..];
-                    row0[col0 + c] += panel_span_accum(
-                        body, a0, sp0, s, pairs, b_col, t, b_stride, p_start, p_len,
-                    );
-                    row1[col0 + c] += panel_span_accum(
-                        body, a1, sp1, s, pairs, b_col, t, b_stride, p_start, p_len,
-                    );
-                    c += 1;
-                }
-            }
+    let n = out_row.len();
+    let mut col0 = 0;
+    while col0 < n {
+        let vectors = (n - col0).div_ceil(LANES).min(CHUNK_VECTORS);
+        match vectors {
+            1 => broadcast_chunk_avx512::<1>(row, t, b_t, n_pad, col0, out_row),
+            2 => broadcast_chunk_avx512::<2>(row, t, b_t, n_pad, col0, out_row),
+            3 => broadcast_chunk_avx512::<3>(row, t, b_t, n_pad, col0, out_row),
+            4 => broadcast_chunk_avx512::<4>(row, t, b_t, n_pad, col0, out_row),
+            5 => broadcast_chunk_avx512::<5>(row, t, b_t, n_pad, col0, out_row),
+            6 => broadcast_chunk_avx512::<6>(row, t, b_t, n_pad, col0, out_row),
+            7 => broadcast_chunk_avx512::<7>(row, t, b_t, n_pad, col0, out_row),
+            _ => broadcast_chunk_avx512::<CHUNK_VECTORS>(row, t, b_t, n_pad, col0, out_row),
         }
-        local += 2;
-    }
-    if local < rows_here {
-        let row = &mut rows[local * n..(local + 1) * n];
-        let a0 = &a_wide[local * s * pairs..][..s * pairs];
-        match spans {
-            None => {
-                for c in 0..tile_cols {
-                    let b_col = &b_panel[c * b_col_stride..];
-                    // Remainder row: run the pair kernel against itself and
-                    // keep one total — exact, and only 1-of-`row_block` rows
-                    // ever takes this path.
-                    let (tot, _) =
-                        panel_accum2(body, a0, a0, s, pairs, p_start, b_col, t, b_stride, p_len);
-                    row[col0 + c] += tot;
-                }
-            }
-            Some(spans) => {
-                let sp0 = &spans[local * s..][..s];
-                let mut c = 0;
-                while c + 4 <= tile_cols {
-                    let b_col = &b_panel[c * b_col_stride..];
-                    let tots = panel_span_accum4(
-                        body,
-                        a0,
-                        sp0,
-                        s,
-                        pairs,
-                        b_col,
-                        t,
-                        b_stride,
-                        b_col_stride,
-                        p_start,
-                        p_len,
-                    );
-                    for j in 0..4 {
-                        row[col0 + c + j] += tots[j];
-                    }
-                    c += 4;
-                }
-                while c < tile_cols {
-                    let b_col = &b_panel[c * b_col_stride..];
-                    row[col0 + c] += panel_span_accum(
-                        body, a0, sp0, s, pairs, b_col, t, b_stride, p_start, p_len,
-                    );
-                    c += 1;
-                }
-            }
-        }
+        col0 += vectors * LANES;
     }
 }
 
-/// Popcount of `a ∧ b` restricted to the non-zero spans of the full A lane,
-/// clipped to the panel window `[p_start, p_start + p_len)`.  The clipped
-/// pieces tile each span exactly, so summing over panels reproduces the
-/// unclipped count bit for bit.
-fn panel_popcount_spans(
-    body: PopcountBody,
-    a_full: &[u64],
-    b_lane: &[u64],
-    spans: &[Span],
-    p_start: usize,
-    p_len: usize,
-) -> u64 {
-    let p_end = p_start + p_len;
-    let mut count = 0u64;
-    for &(start, len) in spans {
-        if start >= p_end {
-            break;
+/// `V` vectors of output columns starting at `col0`: every A word of the row
+/// is broadcast once per B plane and ANDed, `VPOPCNTQ`-counted and added into
+/// `V` count vectors; each `(A plane, B plane)` pair's counts are shifted by
+/// `plane_a + plane_b` into `V` accumulators, which are stored once — masked
+/// past column `n`.
+///
+/// # Safety
+///
+/// As [`broadcast_row_avx512`], and `col0 + 8 · V ≤ n_pad` and
+/// `col0 + 8 · (V − 1) < out_row.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn broadcast_chunk_avx512<const V: usize>(
+    row: &RowWords,
+    t: usize,
+    b_t: &[u64],
+    n_pad: usize,
+    col0: usize,
+    out_row: &mut [i64],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_mask_storeu_epi64,
+        _mm512_popcnt_epi64, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_sll_epi64,
+        _mm512_storeu_si512, _mm_cvtsi64_si128,
+    };
+    let mut acc = [_mm512_setzero_si512(); V];
+    let mut start = 0;
+    for (plane_a, &end) in row.plane_ends.iter().enumerate() {
+        let offsets = &row.offsets[start..end];
+        let words = &row.words[start..end];
+        for plane_b in 0..t {
+            let mut counts = [_mm512_setzero_si512(); V];
+            let column = plane_b * n_pad + col0;
+            for (&offset, &word) in offsets.iter().zip(words) {
+                let a_vec = _mm512_set1_epi64(word as i64);
+                for (v, count) in counts.iter_mut().enumerate() {
+                    // SAFETY: `offset + column + 8 · v + 8 ≤ k · t · n_pad +
+                    // (plane_b + 1) · n_pad ≤ (k + 1) · t · n_pad ≤ b_t.len()`,
+                    // since `col0 + 8 · V ≤ n_pad` and `plane_b < t`.
+                    let b_vec =
+                        _mm512_loadu_si512(b_t.as_ptr().add(offset + column + v * LANES).cast());
+                    let bits = _mm512_popcnt_epi64(_mm512_and_si512(a_vec, b_vec));
+                    *count = _mm512_add_epi64(*count, bits);
+                }
+            }
+            let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
+            for (total, &count) in acc.iter_mut().zip(&counts) {
+                *total = _mm512_add_epi64(*total, _mm512_sll_epi64(count, shift));
+            }
         }
-        let lo = start.max(p_start);
-        let hi = (start + len).min(p_end);
-        if lo < hi {
-            count += panel_popcount1(body, &a_full[lo..hi], &b_lane[lo - p_start..hi - p_start]);
+        start = end;
+    }
+    let n = out_row.len();
+    for (v, &total) in acc.iter().enumerate() {
+        let col = col0 + v * LANES;
+        // SAFETY: `col < n` by the caller's bound on `V`, so `dst` points into
+        // the row; the full store writes columns `col..col + 8 ≤ n`, and the
+        // masked store only the `n - col` columns left in the row.
+        let dst = out_row.as_mut_ptr().add(col);
+        if col + LANES <= n {
+            _mm512_storeu_si512(dst.cast(), total);
+        } else {
+            _mm512_mask_storeu_epi64(dst, (1u8 << (n - col)) - 1, total);
         }
     }
-    count
 }
 
 /// Carry-save adder: one full-adder layer over three bit columns.
@@ -842,27 +617,13 @@ fn csa8_count(w: &[u64; 8]) -> u64 {
         + 4 * (u64::from(f0.count_ones()) + u64::from(f1.count_ones()))
 }
 
-/// Staged micro-kernel: popcount of `a ∧ b` over one panel segment.
-#[inline]
-fn panel_popcount1(body: PopcountBody, a: &[u64], b: &[u64]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    match body {
-        // SAFETY: availability was verified by the body-selecting entry points.
-        PopcountBody::Avx512 => return unsafe { panel_popcount1_avx512(a, b) },
-        PopcountBody::Portable => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = body;
-    panel_popcount1_portable(a, b)
-}
-
-/// Fused staged micro-kernel, row-paired: the complete `s × t` plane-pair
-/// contribution of one (row pair, tile column, K panel), shift-accumulated
-/// into one integer per row.  `a0` / `a1` hold each row's `s` widened lanes
-/// back to back (lane stride `pairs`, panel window
-/// `[p_start, p_start + p_len)`); `b` holds the tile column's `t` staged
-/// panel lanes at stride `b_stride`.  The vector bodies shift each popcount
-/// by `plane_a + plane_b` *in the vector domain* and reduce horizontally only
+/// Row-paired micro-kernel of the condensed aggregation
+/// ([`crate::condense`]): the complete `s × t` plane-pair contribution of one
+/// (row pair, column, K window), shift-accumulated into one integer per row.
+/// `a0` / `a1` hold each row's `s` widened lanes back to back (lane stride
+/// `pairs`, K window `[p_start, p_start + p_len)`); `b` holds the column's
+/// `t` lanes at stride `b_stride`.  The vector body shifts each popcount by
+/// `plane_a + plane_b` *in the vector domain* and reduces horizontally only
 /// once per row — integer shift-add is exact in any association order, so
 /// every body is bitwise identical to the portable per-pair reference.
 #[allow(clippy::too_many_arguments)]
@@ -892,8 +653,8 @@ pub(crate) fn panel_accum2(
     panel_accum2_portable(a0, a1, s, pairs, p_start, b, t, b_stride, p_len)
 }
 
-/// Portable fused staged body: the per-pair reference every vector body must
-/// reproduce bitwise.
+/// Portable body of [`panel_accum2`]: the per-pair reference every vector
+/// body must reproduce bitwise.
 #[allow(clippy::too_many_arguments)]
 fn panel_accum2_portable(
     a0: &[u64],
@@ -922,140 +683,8 @@ fn panel_accum2_portable(
     (tot0, tot1)
 }
 
-/// Fused staged micro-kernel for the skip path: one row's complete `s × t`
-/// plane-pair contribution over its non-zero spans clipped to the panel
-/// window, shift-accumulated with at most one horizontal reduction per call.
-/// `spans` is the row's per-A-plane full-lane span index.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn panel_span_accum(
-    body: PopcountBody,
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> i64 {
-    #[cfg(target_arch = "x86_64")]
-    match body {
-        // SAFETY: availability was verified by the body-selecting entry points.
-        PopcountBody::Avx512 => {
-            return unsafe {
-                panel_span_accum_avx512(a, spans, s, pairs, b, t, b_stride, p_start, p_len)
-            }
-        }
-        PopcountBody::Portable => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = body;
-    panel_span_accum_portable(a, spans, s, pairs, b, t, b_stride, p_start, p_len)
-}
-
-/// [`panel_span_accum`] over four adjacent tile columns at once: one span
-/// walk feeds four accumulators (the column lanes sit `col_stride` words
-/// apart in the staged panel), mirroring the four-column amortisation of the
-/// legacy span kernel while keeping the single-reduction plane-pair fusion.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn panel_span_accum4(
-    body: PopcountBody,
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    col_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> [i64; 4] {
-    #[cfg(target_arch = "x86_64")]
-    match body {
-        // SAFETY: availability was verified by the body-selecting entry points.
-        PopcountBody::Avx512 => {
-            return unsafe {
-                panel_span_accum4_avx512(
-                    a, spans, s, pairs, b, t, b_stride, col_stride, p_start, p_len,
-                )
-            }
-        }
-        PopcountBody::Portable => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = body;
-    std::array::from_fn(|j| {
-        panel_span_accum_portable(
-            a,
-            spans,
-            s,
-            pairs,
-            &b[j * col_stride..],
-            t,
-            b_stride,
-            p_start,
-            p_len,
-        )
-    })
-}
-
-/// Portable fused skip body: the per-pair span-walking reference.
-#[allow(clippy::too_many_arguments)]
-fn panel_span_accum_portable(
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> i64 {
-    let mut tot = 0i64;
-    for plane_b in 0..t {
-        let b_lane = &b[plane_b * b_stride..][..p_len];
-        for plane_a in 0..s {
-            let a_lane = &a[plane_a * pairs..][..pairs];
-            let count = panel_popcount_spans(
-                PopcountBody::Portable,
-                a_lane,
-                b_lane,
-                &spans[plane_a],
-                p_start,
-                p_len,
-            );
-            tot += (count as i64) << (plane_a + plane_b);
-        }
-    }
-    tot
-}
-
-/// Portable staged body: CSA-compressed popcount over eight-word chunks,
+/// CSA-compressed popcount of `a0 ∧ b` and `a1 ∧ b` over eight-word chunks,
 /// scalar `count_ones` tail.
-fn panel_popcount1_portable(a: &[u64], b: &[u64]) -> u64 {
-    let mut count = 0u64;
-    let mut i = 0;
-    while i + 8 <= a.len() {
-        let mut w = [0u64; 8];
-        for (j, slot) in w.iter_mut().enumerate() {
-            *slot = a[i + j] & b[i + j];
-        }
-        count += csa8_count(&w);
-        i += 8;
-    }
-    while i < a.len() {
-        count += u64::from((a[i] & b[i]).count_ones());
-        i += 1;
-    }
-    count
-}
-
-/// Portable staged body, row-paired.
 fn panel_popcount2_portable(a0: &[u64], a1: &[u64], b: &[u64]) -> (u64, u64) {
     let mut count0 = 0u64;
     let mut count1 = 0u64;
@@ -1103,7 +732,10 @@ fn nonzero_spans(lane: &[u64], spans: &mut Vec<Span>) -> usize {
     covered
 }
 
-/// Check layouts and inner dimensions, matching the single-plane BMM contract.
+/// Check layouts and inner dimensions, matching the single-plane BMM contract,
+/// and that the product cannot overflow the accumulators
+/// ([`accumulator_fits`]) — the shift-accumulate would otherwise wrap
+/// silently in release builds.
 fn validate_fused_operands(a: &StackedBitMatrix, b: &StackedBitMatrix) {
     assert_eq!(
         a.layout(),
@@ -1122,6 +754,13 @@ fn validate_fused_operands(a: &StackedBitMatrix, b: &StackedBitMatrix) {
         a.cols(),
         b.rows()
     );
+    assert!(
+        accumulator_fits(a.bits(), b.bits(), a.cols()),
+        "a {}-bit by {}-bit product over K = {} can overflow the i64 accumulators",
+        a.bits(),
+        b.bits(),
+        a.cols()
+    );
 }
 
 /// Widen a packed `u32` lane into `u64` values, one per `chunks_exact(2)` pair
@@ -1129,8 +768,15 @@ fn validate_fused_operands(a: &StackedBitMatrix, b: &StackedBitMatrix) {
 #[inline]
 fn widen_lane(dst: &mut [u64], src: &[u32]) {
     for (wide, pair) in dst.iter_mut().zip(src.chunks_exact(2)) {
-        *wide = pair[0] as u64 | ((pair[1] as u64) << 32);
+        *wide = widen(pair);
     }
+}
+
+/// One `u32` word pair as a `u64` (little-endian: the first word is the low
+/// half).
+#[inline]
+fn widen(pair: &[u32]) -> u64 {
+    pair[0] as u64 | ((pair[1] as u64) << 32)
 }
 
 /// Compute one output row with no skip index: all plane pairs over the full
@@ -1367,38 +1013,11 @@ unsafe fn popcount4_avx512(a: &[u64], b0: &[u64], b1: &[u64], b2: &[u64], b3: &[
     ]
 }
 
-/// AVX-512 staged body: `VPOPCNTQ` over eight-word steps of one panel
-/// segment, portable tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn panel_popcount1_avx512(a: &[u64], b: &[u64]) -> u64 {
-    use std::arch::x86_64::{
-        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_popcnt_epi64,
-        _mm512_reduce_add_epi64, _mm512_setzero_si512,
-    };
-    const LANES: usize = 8;
-    let steps = a.len() / LANES;
-    let mut acc = _mm512_setzero_si512();
-    for step in 0..steps {
-        let offset = step * LANES;
-        let av = _mm512_loadu_si512(a.as_ptr().add(offset).cast());
-        let bv = _mm512_loadu_si512(b.as_ptr().add(offset).cast());
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(av, bv)));
-    }
-    let done = steps * LANES;
-    let mut count = _mm512_reduce_add_epi64(acc) as u64;
-    for i in done..a.len() {
-        count += u64::from((a[i] & b[i]).count_ones());
-    }
-    count
-}
-
-/// AVX-512 fused staged body: `VPOPCNTQ` per plane pair, shifted by
+/// AVX-512 body of [`panel_accum2`]: `VPOPCNTQ` per plane pair, shifted by
 /// `plane_a + plane_b` in the vector domain (`_mm512_sll_epi64`) and gathered
 /// into one accumulator per row, so `_mm512_reduce_add_epi64` runs once per
-/// (row, column) instead of once per plane pair — that horizontal reduction
-/// is the latency chain that capped the per-pair staged kernel.  The last
-/// `p_len % 8` words run as one masked vector step.
+/// (row, column) instead of once per plane pair.  The last `p_len % 8` words
+/// run as one masked vector step.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 #[allow(clippy::too_many_arguments)]
@@ -1461,196 +1080,6 @@ unsafe fn panel_accum2_avx512(
         }
     }
     (_mm512_reduce_add_epi64(acc0), _mm512_reduce_add_epi64(acc1))
-}
-
-/// AVX-512 fused skip body over four adjacent tile columns: one span walk
-/// per column quad, four vector accumulators, four horizontal reductions per
-/// call.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn panel_span_accum4_avx512(
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    col_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> [i64; 4] {
-    use std::arch::x86_64::{
-        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_maskz_loadu_epi64,
-        _mm512_popcnt_epi64, _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_sll_epi64,
-        _mm_cvtsi64_si128,
-    };
-    const LANES: usize = 8;
-    let p_end = p_start + p_len;
-    let mut acc0 = _mm512_setzero_si512();
-    let mut acc1 = _mm512_setzero_si512();
-    let mut acc2 = _mm512_setzero_si512();
-    let mut acc3 = _mm512_setzero_si512();
-    let mut used = false;
-    let mut tot = [0i64; 4];
-    for plane_a in 0..s {
-        let a_lane = &a[plane_a * pairs..][..pairs];
-        for &(start, len) in &spans[plane_a] {
-            if start >= p_end {
-                break;
-            }
-            let lo = start.max(p_start);
-            let hi = (start + len).min(p_end);
-            if lo >= hi {
-                continue;
-            }
-            let a_seg = &a_lane[lo..hi];
-            let b_off = lo - p_start;
-            let seg_len = hi - lo;
-            let steps = seg_len / LANES;
-            let done = steps * LANES;
-            used |= steps > 0;
-            for step in 0..steps {
-                let off = step * LANES;
-                let av = _mm512_loadu_si512(a_seg.as_ptr().add(off).cast());
-                for plane_b in 0..t {
-                    let base = plane_b * b_stride + b_off + off;
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let bv0 = _mm512_loadu_si512(b.as_ptr().add(base).cast());
-                    let bv1 = _mm512_loadu_si512(b.as_ptr().add(base + col_stride).cast());
-                    let bv2 = _mm512_loadu_si512(b.as_ptr().add(base + 2 * col_stride).cast());
-                    let bv3 = _mm512_loadu_si512(b.as_ptr().add(base + 3 * col_stride).cast());
-                    let p0 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv0));
-                    let p1 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv1));
-                    let p2 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv2));
-                    let p3 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv3));
-                    acc0 = _mm512_add_epi64(acc0, _mm512_sll_epi64(p0, shift));
-                    acc1 = _mm512_add_epi64(acc1, _mm512_sll_epi64(p1, shift));
-                    acc2 = _mm512_add_epi64(acc2, _mm512_sll_epi64(p2, shift));
-                    acc3 = _mm512_add_epi64(acc3, _mm512_sll_epi64(p3, shift));
-                }
-            }
-            // Tail words (and whole sub-vector spans — the common case on
-            // sparse adjacencies): one masked vector step.  Masked-off lanes
-            // are never touched in memory and load as zero, so the popcount
-            // stays exact and the reads stay in bounds.
-            let rem = seg_len - done;
-            if rem > 0 {
-                let mask = (1u8 << rem) - 1;
-                let av = _mm512_maskz_loadu_epi64(mask, a_seg.as_ptr().add(done).cast());
-                used = true;
-                for plane_b in 0..t {
-                    let base = plane_b * b_stride + b_off + done;
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let bv0 = _mm512_maskz_loadu_epi64(mask, b.as_ptr().add(base).cast());
-                    let bv1 =
-                        _mm512_maskz_loadu_epi64(mask, b.as_ptr().add(base + col_stride).cast());
-                    let bv2 = _mm512_maskz_loadu_epi64(
-                        mask,
-                        b.as_ptr().add(base + 2 * col_stride).cast(),
-                    );
-                    let bv3 = _mm512_maskz_loadu_epi64(
-                        mask,
-                        b.as_ptr().add(base + 3 * col_stride).cast(),
-                    );
-                    let p0 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv0));
-                    let p1 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv1));
-                    let p2 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv2));
-                    let p3 = _mm512_popcnt_epi64(_mm512_and_si512(av, bv3));
-                    acc0 = _mm512_add_epi64(acc0, _mm512_sll_epi64(p0, shift));
-                    acc1 = _mm512_add_epi64(acc1, _mm512_sll_epi64(p1, shift));
-                    acc2 = _mm512_add_epi64(acc2, _mm512_sll_epi64(p2, shift));
-                    acc3 = _mm512_add_epi64(acc3, _mm512_sll_epi64(p3, shift));
-                }
-            }
-        }
-    }
-    if used {
-        tot[0] += _mm512_reduce_add_epi64(acc0);
-        tot[1] += _mm512_reduce_add_epi64(acc1);
-        tot[2] += _mm512_reduce_add_epi64(acc2);
-        tot[3] += _mm512_reduce_add_epi64(acc3);
-    }
-    tot
-}
-
-/// AVX-512 fused skip body: span pieces of eight-plus words run through the
-/// `VPOPCNTQ` vector path with in-vector shifts, shorter pieces through the
-/// scalar fallback; one horizontal reduction per call.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn panel_span_accum_avx512(
-    a: &[u64],
-    spans: &[Vec<Span>],
-    s: usize,
-    pairs: usize,
-    b: &[u64],
-    t: usize,
-    b_stride: usize,
-    p_start: usize,
-    p_len: usize,
-) -> i64 {
-    use std::arch::x86_64::{
-        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_maskz_loadu_epi64,
-        _mm512_popcnt_epi64, _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_sll_epi64,
-        _mm_cvtsi64_si128,
-    };
-    const LANES: usize = 8;
-    let p_end = p_start + p_len;
-    let mut acc = _mm512_setzero_si512();
-    let mut used = false;
-    let mut tot = 0i64;
-    for plane_a in 0..s {
-        let a_lane = &a[plane_a * pairs..][..pairs];
-        for &(start, len) in &spans[plane_a] {
-            if start >= p_end {
-                break;
-            }
-            let lo = start.max(p_start);
-            let hi = (start + len).min(p_end);
-            if lo >= hi {
-                continue;
-            }
-            let a_seg = &a_lane[lo..hi];
-            let b_off = lo - p_start;
-            let seg_len = hi - lo;
-            let steps = seg_len / LANES;
-            let done = steps * LANES;
-            used |= steps > 0;
-            for step in 0..steps {
-                let off = step * LANES;
-                let av = _mm512_loadu_si512(a_seg.as_ptr().add(off).cast());
-                for plane_b in 0..t {
-                    let bv =
-                        _mm512_loadu_si512(b.as_ptr().add(plane_b * b_stride + b_off + off).cast());
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let p = _mm512_popcnt_epi64(_mm512_and_si512(av, bv));
-                    acc = _mm512_add_epi64(acc, _mm512_sll_epi64(p, shift));
-                }
-            }
-            let rem = seg_len - done;
-            if rem > 0 {
-                let mask = (1u8 << rem) - 1;
-                let av = _mm512_maskz_loadu_epi64(mask, a_seg.as_ptr().add(done).cast());
-                used = true;
-                for plane_b in 0..t {
-                    let bv = _mm512_maskz_loadu_epi64(
-                        mask,
-                        b.as_ptr().add(plane_b * b_stride + b_off + done).cast(),
-                    );
-                    let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
-                    let p = _mm512_popcnt_epi64(_mm512_and_si512(av, bv));
-                    acc = _mm512_add_epi64(acc, _mm512_sll_epi64(p, shift));
-                }
-            }
-        }
-    }
-    if used {
-        tot += _mm512_reduce_add_epi64(acc);
-    }
-    tot
 }
 
 #[cfg(test)]
@@ -1732,13 +1161,7 @@ mod tests {
         let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
         for skip in [false, true] {
             let detected = any_bit_gemm_fused_with_stats(&a, &b, skip);
-            let portable = any_bit_gemm_fused_with_scheme(
-                &a,
-                &b,
-                skip,
-                PopcountBody::Portable,
-                TilingScheme::baseline(),
-            );
+            let portable = any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Portable);
             assert_eq!(detected, portable, "skip={skip}");
         }
         assert!(PopcountBody::Portable.is_available());
@@ -1865,126 +1288,118 @@ mod tests {
         let _ = aggregate_adj_features_fused(&a, &x);
     }
 
-    #[test]
-    fn tiling_scheme_parses_round_trips_and_spots_the_baseline() {
-        let s = TilingScheme::parse("16x8x8").expect("valid scheme");
-        assert_eq!(
-            s,
-            TilingScheme {
-                row_block: 16,
-                col_block: 8,
-                k_panel_words: 8
+    /// Left operands for the broadcast-kernel checks: random codes with every
+    /// other 64-column K word zeroed in alternating rows, so skipping has
+    /// whole zero words to jump and nonzero words on either side.
+    fn striped_codes(rows: usize, cols: usize, bits: u32, seed: u64) -> Matrix<u32> {
+        let mut codes = random_codes(rows, cols, bits, seed);
+        for i in 0..rows {
+            for j in 0..cols {
+                if (j / 64) % 2 == i % 2 {
+                    codes[(i, j)] = 0;
+                }
             }
-        );
-        assert_eq!(TilingScheme::parse(&s.to_string()), Ok(s));
-        assert!(!s.is_baseline());
-        let base = TilingScheme::default();
-        assert_eq!(base, TilingScheme::baseline());
-        assert!(base.is_baseline());
-        assert_eq!(TilingScheme::parse(&base.to_string()), Ok(base));
+        }
+        codes
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn tiling_scheme_parse_rejects_malformed_inputs_with_a_typed_error() {
-        for bad in [
-            "",
-            "8",
-            "8x4",
-            "8x4x2x1",
-            "ax4x2",
-            "8xbx2",
-            "8x4xc",
-            "0x4x2",
-            "8x0x2",
-            "-1x4x2",
-            "8 x 4 x 2",
+    fn broadcast_kernel_matches_the_legacy_kernel_bitwise_with_identical_stats() {
+        if !avx512_popcount_available() {
+            return; // the broadcast kernel needs AVX-512 VPOPCNTDQ
+        }
+        // Column remainders around one vector and one 64-column chunk, K
+        // remainders, and row counts on both sides of the inline cut.
+        for (m, k, n, s, t) in [
+            (1, 1, 1, 1, 1),
+            (13, 300, 11, 3, 2),
+            (9, 128, 72, 2, 4),
+            (BROADCAST_INLINE_ROWS - 1, 65, 9, 1, 2),
+            (BROADCAST_INLINE_ROWS + 3, 129, 65, 2, 1),
         ] {
-            let err = TilingScheme::parse(bad).expect_err(bad);
-            assert_eq!(err.input, bad);
-            let msg = err.to_string();
-            assert!(msg.contains("invalid tiling scheme"), "{msg}");
-            assert!(msg.contains("RxCxK"), "{msg}");
-        }
-    }
-
-    #[test]
-    fn staged_schemes_match_the_legacy_kernel_bitwise_with_identical_stats() {
-        // Block-diagonal-ish A so the skip path has real spans to clip against
-        // panel boundaries; shapes with row/col/K remainders.
-        for (m, k, n) in [(13, 300, 11), (8, 128, 4), (3, 700, 17)] {
-            let mut a_codes = random_codes(m, k, 3, 1000 + m as u64);
-            for i in 0..m {
-                for j in 0..k {
-                    if (j / 64) % 2 == i % 2 {
-                        a_codes[(i, j)] = 0;
-                    }
-                }
-            }
-            let b_codes = random_codes(k, n, 2, 2000 + n as u64);
-            let a = StackedBitMatrix::from_codes(&a_codes, 3, BitMatrixLayout::RowPacked);
-            let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
+            let a_codes = striped_codes(m, k, s, 1000 + m as u64);
+            let b_codes = random_codes(k, n, t, 2000 + n as u64);
+            let a = StackedBitMatrix::from_codes(&a_codes, s, BitMatrixLayout::RowPacked);
+            let b = StackedBitMatrix::from_codes(&b_codes, t, BitMatrixLayout::ColPacked);
             for skip in [false, true] {
-                let legacy = any_bit_gemm_fused_with_stats(&a, &b, skip);
-                for scheme in [
-                    "1x1x1",
-                    "2x3x2",
-                    "4x8x4",
-                    "16x8x8",
-                    "32x4x1024", // K-panel wider than K: one panel
-                    "5x7x3",
-                ] {
-                    let scheme = TilingScheme::parse(scheme).expect("valid");
-                    let staged = any_bit_gemm_fused_with_scheme(
-                        &a,
-                        &b,
-                        skip,
-                        PopcountBody::detect(),
-                        scheme,
-                    );
-                    assert_eq!(
-                        staged, legacy,
-                        "scheme {scheme} skip={skip} shape ({m}, {k}, {n})"
-                    );
-                }
+                let legacy = fused_gemm_impl(&a, &b, skip, PopcountBody::Portable);
+                assert_eq!(
+                    broadcast_gemm(&a, &b, skip),
+                    legacy,
+                    "skip={skip} shape ({m}, {k}, {n}) bits ({s}, {t})"
+                );
+                assert_eq!(
+                    any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Avx512),
+                    legacy
+                );
             }
-        }
-    }
-
-    #[test]
-    fn baseline_scheme_and_tiled_entry_agree_with_the_plain_entry_points() {
-        let a_codes = random_codes(9, 260, 2, 55);
-        let b_codes = random_codes(260, 6, 3, 56);
-        let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
-        let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
-        for skip in [false, true] {
             assert_eq!(
-                any_bit_gemm_fused_with_scheme(
-                    &a,
-                    &b,
-                    skip,
-                    PopcountBody::detect(),
-                    TilingScheme::baseline()
-                ),
-                any_bit_gemm_fused_with_stats(&a, &b, skip)
+                broadcast_gemm(&a, &b, true).0,
+                any_bit_gemm_serial(&a, &b),
+                "shape ({m}, {k}, {n}) bits ({s}, {t})"
             );
         }
     }
 
     #[test]
-    fn every_available_body_matches_the_portable_oracle_under_staging() {
-        let a_codes = random_codes(17, 520, 3, 60);
-        let b_codes = random_codes(520, 9, 2, 61);
-        let a = StackedBitMatrix::from_codes(&a_codes, 3, BitMatrixLayout::RowPacked);
-        let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
-        let scheme = TilingScheme::parse("16x8x4").expect("valid");
-        for skip in [false, true] {
-            let oracle =
-                any_bit_gemm_fused_with_scheme(&a, &b, skip, PopcountBody::Portable, scheme);
-            for body in PopcountBody::available() {
-                let got = any_bit_gemm_fused_with_scheme(&a, &b, skip, body, scheme);
-                assert_eq!(got, oracle, "body {body:?} skip={skip}");
-            }
-        }
+    fn accumulator_bound_is_63_bits_including_the_k_term() {
+        assert!(accumulator_fits(30, 30, 8), "30 + 30 + 3 = 63 fits");
+        assert!(!accumulator_fits(30, 30, 9), "30 + 30 + 4 = 64 does not");
+        assert!(!accumulator_fits(32, 32, 128));
+        assert!(
+            !accumulator_fits(32, 32, 1),
+            "64 bits of product alone overflow"
+        );
+        assert!(accumulator_fits(31, 32, 1));
+        assert!(accumulator_fits(8, 8, 1 << 47));
+        assert!(accumulator_fits(1, 1, 0));
+    }
+
+    /// 32-bit all-ones codes on both sides at K = 128: each output would be
+    /// 128 · (2³² − 1)² ≈ 2.4·10²¹, far past `i64`.
+    fn overflowing_operands() -> (StackedBitMatrix, StackedBitMatrix) {
+        let ones = |rows, cols| Matrix::from_vec(rows, cols, vec![u32::MAX; rows * cols]).unwrap();
+        (
+            StackedBitMatrix::from_codes(&ones(4, 128), 32, BitMatrixLayout::RowPacked),
+            StackedBitMatrix::from_codes(&ones(128, 4), 32, BitMatrixLayout::ColPacked),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "can overflow the i64 accumulators")]
+    fn fused_rejects_overflowing_bitwidths() {
+        let (a, b) = overflowing_operands();
+        let _ = any_bit_gemm_fused(&a, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "can overflow the i64 accumulators")]
+    fn fused_skip_rejects_overflowing_bitwidths() {
+        let (a, b) = overflowing_operands();
+        let _ = any_bit_gemm_fused_skip(&a, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "can overflow the i64 accumulators")]
+    fn fused_with_stats_rejects_overflowing_bitwidths() {
+        let (a, b) = overflowing_operands();
+        let _ = any_bit_gemm_fused_with_stats(&a, &b, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "can overflow the i64 accumulators")]
+    fn fused_with_portable_body_rejects_overflowing_bitwidths() {
+        let (a, b) = overflowing_operands();
+        let _ = any_bit_gemm_fused_with_body(&a, &b, true, PopcountBody::Portable);
+    }
+
+    /// The detected body: the broadcast kernel wherever AVX-512 runs.
+    #[test]
+    #[should_panic(expected = "can overflow the i64 accumulators")]
+    fn fused_with_detected_body_rejects_overflowing_bitwidths() {
+        let (a, b) = overflowing_operands();
+        let _ = any_bit_gemm_fused_with_body(&a, &b, true, PopcountBody::detect());
     }
 
     #[test]
@@ -2000,8 +1415,8 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn fused_accum_bodies_match_the_portable_reference() {
-        // Panel lengths chosen to hit the pure-vector path, the pure-scalar
+    fn panel_accum2_bodies_match_the_portable_reference() {
+        // Window lengths chosen to hit the pure-vector path, the masked
         // tail, and mixes of both, across several (s, t) plane counts.
         for (s, t) in [(1usize, 1usize), (1, 2), (3, 2), (4, 4)] {
             for p_len in [0usize, 1, 3, 7, 8, 9, 16, 33] {
@@ -2009,7 +1424,6 @@ mod tests {
                 let pairs = p_start + p_len + 1;
                 let a0: Vec<u64> = (0..s * pairs)
                     .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A5A)
-                    // A zero word here and there so the span index has gaps.
                     .map(|v| if v % 5 == 0 { 0 } else { v })
                     .collect();
                 let a1: Vec<u64> = a0.iter().map(|&v| v.rotate_left(11) ^ 0x0FF0).collect();
@@ -2019,89 +1433,22 @@ mod tests {
                     .collect();
                 let want =
                     panel_accum2_portable(&a0, &a1, s, pairs, p_start, &b, t, b_stride, p_len);
-                let spans0: Vec<Vec<Span>> = (0..s)
-                    .map(|p| {
-                        let mut sp = Vec::new();
-                        nonzero_spans(&a0[p * pairs..][..pairs], &mut sp);
-                        sp
-                    })
-                    .collect();
-                let want_spans = panel_span_accum_portable(
-                    &a0, &spans0, s, pairs, &b, t, b_stride, p_start, p_len,
-                );
-                // Four-column panel: lanes `col_stride` apart inside each
-                // plane, planes `quad_stride` apart.
-                let col_stride = p_len;
-                let quad_stride = 4 * p_len;
-                let b4: Vec<u64> = (0..t * quad_stride)
-                    .map(|i| (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1)
-                    .collect();
-                let want_quad: [i64; 4] = std::array::from_fn(|j| {
-                    panel_span_accum_portable(
-                        &a0,
-                        &spans0,
-                        s,
-                        pairs,
-                        &b4[j * col_stride..],
-                        t,
-                        quad_stride,
-                        p_start,
-                        p_len,
-                    )
-                });
                 assert_eq!(
-                    panel_span_accum4(
-                        PopcountBody::Portable,
+                    panel_accum2(
+                        PopcountBody::detect(),
                         &a0,
-                        &spans0,
+                        &a1,
                         s,
                         pairs,
-                        &b4,
-                        t,
-                        quad_stride,
-                        col_stride,
                         p_start,
-                        p_len,
+                        &b,
+                        t,
+                        b_stride,
+                        p_len
                     ),
-                    want_quad,
-                    "portable quad s={s} t={t} p_len={p_len}"
+                    want,
+                    "s={s} t={t} p_len={p_len}"
                 );
-                if avx512_popcount_available() {
-                    assert_eq!(
-                        unsafe {
-                            panel_accum2_avx512(&a0, &a1, s, pairs, p_start, &b, t, b_stride, p_len)
-                        },
-                        want,
-                        "avx512 s={s} t={t} p_len={p_len}"
-                    );
-                    assert_eq!(
-                        unsafe {
-                            panel_span_accum_avx512(
-                                &a0, &spans0, s, pairs, &b, t, b_stride, p_start, p_len,
-                            )
-                        },
-                        want_spans,
-                        "avx512 spans s={s} t={t} p_len={p_len}"
-                    );
-                    assert_eq!(
-                        unsafe {
-                            panel_span_accum4_avx512(
-                                &a0,
-                                &spans0,
-                                s,
-                                pairs,
-                                &b4,
-                                t,
-                                quad_stride,
-                                col_stride,
-                                p_start,
-                                p_len,
-                            )
-                        },
-                        want_quad,
-                        "avx512 quad s={s} t={t} p_len={p_len}"
-                    );
-                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! They are the semantic reference for the kernels in `qgtc-kernels` and are
 //! themselves verified against a 64-bit integer GEMM on the codes.
 //!
-//! Production callers should use [`crate::fused::any_bit_gemm_fused`] instead,
+//! Production callers should use [`crate::fused::any_bit_gemm_fused_with_body`] instead,
 //! which performs the identical composition in a single pass over the output;
 //! the plane-by-plane forms are kept as the measurable baseline (`perfsmoke`
 //! and the criterion benches time fused against them) and as the oracle

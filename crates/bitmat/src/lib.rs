@@ -30,9 +30,10 @@
 //!   [`gemm::any_bit_gemm_serial`] is the workspace's semantic oracle, and the
 //!   parallel plane-by-plane form is kept as the measurable baseline.
 //! * [`fused`] — the production hot path: the same composition fused into a
-//!   single register-blocked pass over the output (no intermediate plane
-//!   products, one pool dispatch, `u64` word pairs).  Kernels and models route
-//!   through [`fused::any_bit_gemm_fused`] / [`fused::aggregate_adj_features_fused`].
+//!   single pass over the output (no intermediate plane products, at most one
+//!   pool dispatch, `u64` words).  The kernel layer routes through
+//!   [`fused::any_bit_gemm_fused_with_body`], which runs the broadcast kernel
+//!   on AVX-512 hosts and the legacy kernel on the portable body.
 //!
 //! All routines are exact: for operands that fit their declared bitwidths, the
 //! composed result equals a 64-bit integer GEMM on the codes.

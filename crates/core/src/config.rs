@@ -9,7 +9,6 @@ use crate::fault::{FaultPlan, QgtcError};
 use qgtc_kernels::backend::{env_backend, BackendChoice};
 use qgtc_kernels::bmm::{env_adjacency_path, AdjacencyPath, KernelConfig};
 use qgtc_kernels::packing::TransferStrategy;
-use qgtc_kernels::tiling::{env_tiling, TilingChoice};
 use qgtc_partition::Parallelism;
 use qgtc_tcsim::GpuSpec;
 
@@ -44,7 +43,6 @@ pub enum ExecutionPath {
 /// | [`with_prefetch`](Self::with_prefetch) | `prefetch_batches` (field), [`staging_depth`](Self::staging_depth) | streamed executor's staging depth |
 /// | [`with_partition_parallelism`](Self::with_partition_parallelism) | `partition_parallelism` (field) | partitioner shard mode |
 /// | [`with_backend`](Self::with_backend) | [`backend`](Self::backend) | kernel GEMM backend |
-/// | [`with_tiling`](Self::with_tiling) | `kernel.tiling` (field) | fused-GEMM tiling scheme |
 /// | [`with_adjacency_path`](Self::with_adjacency_path) | [`adjacency_path`](Self::adjacency_path) | aggregation kernel: zero-word skip vs condensed |
 /// | [`with_fault_plan`](Self::with_fault_plan) | `fault_plan` (field) | chaos-testing fault plan |
 /// | [`with_max_batch_retries`](Self::with_max_batch_retries) | `max_batch_retries` (field) | supervisor retry budget |
@@ -186,16 +184,6 @@ impl QgtcConfig {
         self
     }
 
-    /// Select the fused GEMM's tiling scheme (`Auto` resolves per
-    /// [`qgtc_kernels::tiling::resolve_tiling`]: the `QGTC_TILING` override,
-    /// then the committed `TUNE_gemm.json` table, then the baseline
-    /// constants; every scheme is bitwise identical, so this only affects
-    /// speed).
-    pub fn with_tiling(mut self, tiling: TilingChoice) -> Self {
-        self.kernel.tiling = tiling;
-        self
-    }
-
     /// The adjacency path the aggregation kernel dispatches on.
     pub fn adjacency_path(&self) -> AdjacencyPath {
         self.kernel.adjacency_path
@@ -228,9 +216,9 @@ impl QgtcConfig {
     /// Check the config-local invariants the old panicking entry points enforced
     /// deep inside the partitioning layer: a zero batch size or partition count is
     /// rejected here, before any work runs, with a typed error.  So is a
-    /// malformed `QGTC_BACKEND`, `QGTC_ADJ_PATH` or `QGTC_TILING` value, which
-    /// the kernels would otherwise reject by panicking at their first
-    /// dispatch, after partitioning has already run.
+    /// malformed `QGTC_BACKEND` or `QGTC_ADJ_PATH` value, which the kernels
+    /// would otherwise reject by panicking at their first dispatch, after
+    /// partitioning has already run.
     ///
     /// Graph-dependent invariants (`num_partitions` versus the node count) cannot
     /// be checked without a graph; [`crate::pipeline::try_build_plan`] covers
@@ -255,7 +243,6 @@ impl QgtcConfig {
         let env_errors = [
             env_backend().as_ref().err(),
             env_adjacency_path().as_ref().err(),
-            env_tiling().as_ref().err(),
         ];
         match env_errors.into_iter().flatten().next() {
             Some(err) => Err(QgtcError::InvalidConfig(err.clone())),
@@ -275,16 +262,6 @@ mod tests {
         let c = c.with_backend(BackendChoice::Portable);
         assert_eq!(c.backend(), BackendChoice::Portable);
         assert_eq!(c.kernel.backend, BackendChoice::Portable);
-    }
-
-    #[test]
-    fn tiling_selection_round_trips_through_the_kernel_config() {
-        use qgtc_bitmat::fused::TilingScheme;
-        let c = QgtcConfig::default();
-        assert_eq!(c.kernel.tiling, TilingChoice::Auto);
-        let scheme = TilingScheme::parse("4x8x4").expect("valid scheme");
-        let c = c.with_tiling(TilingChoice::Fixed(scheme));
-        assert_eq!(c.kernel.tiling, TilingChoice::Fixed(scheme));
     }
 
     #[test]
@@ -378,10 +355,7 @@ mod tests {
     #[test]
     fn validate_rejects_kernel_override_typos() {
         const NAME: &str = "config::tests::validate_rejects_kernel_override_typos";
-        const TYPOS: [(&str, &str, &str); 2] = [
-            ("QGTC_ADJ_PATH", "skpi", "auto|skip|condensed"),
-            ("QGTC_TILING", "16x8", "RxCxK"),
-        ];
+        const TYPOS: [(&str, &str, &str); 1] = [("QGTC_ADJ_PATH", "skpi", "auto|skip|condensed")];
         let child = TYPOS
             .iter()
             .find(|(var, typo, _)| std::env::var(var).as_deref() == Ok(*typo));

@@ -6,8 +6,9 @@
 //! `any_bit_gemm_serial` (checked by `tests/backend_conformance.rs`):
 //!
 //! * [`PopcountBody::Portable`] — the scalar `u64::count_ones` loop, always
-//!   available;
-//! * [`PopcountBody::Avx512`] — `VPOPCNTDQ`, runtime-detected.
+//!   available; it runs the legacy kernel;
+//! * [`PopcountBody::Avx512`] — `VPOPCNTDQ`, runtime-detected; it runs the
+//!   broadcast kernel (`qgtc_bitmat::fused`).
 //!
 //! Callers pick one with [`BackendChoice`] (stored on [`KernelConfig`] and
 //! surfaced as `QgtcConfig::backend`), and [`BackendChoice::body`] resolves
@@ -103,8 +104,8 @@ pub fn resolve_auto() -> BackendChoice {
     }
 }
 
-/// The name of the popcount body a [`BackendChoice`] runs on: the lookup key
-/// into the `TUNE_gemm.json` autotuner table.
+/// The name of the popcount body a [`BackendChoice`] runs on, as host
+/// fingerprints and benchmark reports record it.
 pub fn staged_body_name(choice: BackendChoice) -> &'static str {
     choice.body().name()
 }
@@ -167,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn choices_key_the_tune_table_by_body_name() {
+    fn choices_name_the_body_they_run_on() {
         assert_eq!(staged_body_name(BackendChoice::Portable), "portable");
         assert_eq!(staged_body_name(BackendChoice::Avx512), "avx512");
         assert_eq!(

@@ -1,9 +1,10 @@
 //! The QGTC any-bitwidth bit-matrix-multiplication kernel.
 //!
 //! `C = A · B` where `A` is an `s`-bit and `B` a `t`-bit 3D-stacked bit-compressed
-//! matrix.  Since the fused-hot-path refactor the kernel *executes* through
-//! [`qgtc_bitmat::fused::any_bit_gemm_fused`] — a single register-blocked pass
-//! over the output with no intermediate plane products — while *charging* the
+//! matrix.  The kernel *executes* through
+//! [`qgtc_bitmat::fused::any_bit_gemm_fused_with_body`] — one pass over the
+//! output with no intermediate plane products, on the broadcast kernel where
+//! AVX-512 runs and the legacy kernel on the portable body — while *charging* the
 //! tile-level cost model of the paper's GPU kernel: an 8×8 output-tile grid
 //! whose inner loop walks the 128-bit K tiles of each operand plane, issues one
 //! `bmma_sync` per surviving plane-tile pair and shift-accumulates the partial
@@ -27,13 +28,14 @@
 //! GEMM, exposed under its framework name as [`qgtc_bitmm2int`].
 
 use crate::backend::BackendChoice;
-use crate::tiling::{condense_threshold, resolve_tiling, TilingChoice};
+use crate::tiling::condense_threshold;
 use crate::zero_tile::{census_plane, census_plane_words};
 use qgtc_bitmat::condense::{
     aggregate_adj_features_condensed, condensed_union_estimate, condensed_word_estimate,
     skip_span_estimate, CondensedAdjacency,
 };
-use qgtc_bitmat::fused::any_bit_gemm_fused_with_scheme;
+pub use qgtc_bitmat::fused::accumulator_fits;
+use qgtc_bitmat::fused::any_bit_gemm_fused_with_body;
 use qgtc_bitmat::gemm::any_bit_gemm_serial;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
@@ -211,15 +213,11 @@ pub struct KernelConfig {
     /// cost accounting here; the epilogue math itself lives in [`crate::fusion`].
     pub fused_epilogue: bool,
     /// Which popcount body executes the arithmetic.  `Auto` resolves to the
-    /// fastest available body (see [`crate::backend::resolve_auto`]); every
-    /// choice is bitwise identical, so this only affects speed.
+    /// fastest available body (see [`crate::backend::resolve_auto`]).  The
+    /// AVX-512 body runs the broadcast kernel and the portable body the
+    /// legacy kernel; every choice is bitwise identical, so this only affects
+    /// speed.
     pub backend: BackendChoice,
-    /// Which [`qgtc_bitmat::fused::TilingScheme`] the fused GEMM runs under.
-    /// `Auto` (the default) resolves per call through the `QGTC_TILING`
-    /// override, the committed `TUNE_gemm.json` autotuner table and the
-    /// baseline constants, in that order (see [`crate::tiling`]).  Every
-    /// scheme is bitwise identical; this only affects speed.
-    pub tiling: TilingChoice,
     /// How [`qgtc_aggregate`] represents adjacency sparsity: zero-word
     /// skipping at the source width, TC-GNN-style condensed tiles, or a
     /// per-batch census-driven race between the two.  Overridable with
@@ -234,7 +232,6 @@ impl Default for KernelConfig {
             reduction_order: ReductionOrder::CrossTile,
             fused_epilogue: true,
             backend: BackendChoice::Auto,
-            tiling: TilingChoice::Auto,
             adjacency_path: AdjacencyPath::Skip,
         }
     }
@@ -248,7 +245,6 @@ impl KernelConfig {
             reduction_order: ReductionOrder::CrossBit,
             fused_epilogue: false,
             backend: BackendChoice::Auto,
-            tiling: TilingChoice::Fixed(qgtc_bitmat::fused::TilingScheme::baseline()),
             adjacency_path: AdjacencyPath::Skip,
         }
     }
@@ -260,12 +256,6 @@ const TILE_BYTES: u64 = (TILE_M * 128 / 8) as u64;
 const ACC_TILE_BYTES: u64 = (TILE_M * TILE_N * 4) as u64;
 /// Integer ops charged per A-tile zero check (the OR-reduce of §4.3).
 const ZERO_CHECK_OPS: u64 = 8;
-
-/// Whether `k` products of an `a_bits`-bit and a `b_bits`-bit code always sum
-/// inside the kernel's `i64` accumulators: `a_bits + b_bits + ⌈log2 k⌉ ≤ 63`.
-pub fn accumulator_fits(a_bits: u32, b_bits: u32, k: usize) -> bool {
-    a_bits + b_bits + k.max(1).next_power_of_two().trailing_zeros() <= 63
-}
 
 /// General any-bitwidth GEMM kernel: `C = A · B` over stacked bit matrices.
 ///
@@ -315,15 +305,14 @@ pub fn qgtc_bmm(
     tracker.record_kernel_launch((m_tiles * n_tiles) as u64);
     record_tile_walk(a, b, config, tracker, n_tiles as u64);
     // The same toggle drives the analytic zero-tile accounting above and the
-    // actual execution: with jumping on, the fused kernel runs its word-granular
-    // zero-skip index (bitwise identical output); either way the kernel's own
-    // word counts land in the tracker (every word visited, zero skipped, when
-    // jumping is off).  The arithmetic itself runs on the configured popcount
-    // body under the resolved tiling scheme — every (body, scheme) pair is
-    // bitwise identical, so the tracker numbers don't depend on the selection.
-    let body = config.backend.body();
-    let scheme = resolve_tiling(config.tiling, body.name(), a.rows(), a.cols(), b.cols());
-    let (out, stats) = any_bit_gemm_fused_with_scheme(a, b, config.zero_tile_jumping, body, scheme);
+    // actual execution: with jumping on, the fused kernel skips all-zero A
+    // words (bitwise identical output); either way the kernel's own word
+    // counts land in the tracker (every word visited, zero skipped, when
+    // jumping is off).  The arithmetic runs on the configured popcount body's
+    // kernel — every body is bitwise identical with identical word counts, so
+    // the tracker numbers don't depend on the selection.
+    let (out, stats) =
+        any_bit_gemm_fused_with_body(a, b, config.zero_tile_jumping, config.backend.body());
     tracker.record_fused_words(stats.total_words, stats.skipped_words());
     // Output write traffic: one accumulator tile per output tile.
     tracker.record_dram_write((m_tiles * n_tiles) as u64 * ACC_TILE_BYTES);
@@ -534,20 +523,6 @@ mod tests {
             assert!(err.contains(&format!("{typo:?}")), "{err}");
             assert!(err.contains("auto|skip|condensed"), "{err}");
         }
-    }
-
-    #[test]
-    fn accumulator_bound_is_63_bits_including_the_k_term() {
-        assert!(accumulator_fits(30, 30, 8), "30 + 30 + 3 = 63 fits");
-        assert!(!accumulator_fits(30, 30, 9), "30 + 30 + 4 = 64 does not");
-        assert!(!accumulator_fits(32, 32, 128));
-        assert!(
-            !accumulator_fits(32, 32, 1),
-            "64 bits of product alone overflow"
-        );
-        assert!(accumulator_fits(31, 32, 1));
-        assert!(accumulator_fits(8, 8, 1 << 47));
-        assert!(accumulator_fits(1, 1, 0));
     }
 
     #[test]
@@ -780,33 +755,43 @@ mod tests {
     }
 
     #[test]
-    fn tiled_config_is_bitwise_identical_with_identical_tracker_numbers() {
-        if std::env::var("QGTC_TILING").is_ok() {
-            return; // a global override would defeat the Fixed-choice arms
+    fn every_body_records_identical_cost_snapshots() {
+        use qgtc_bitmat::fused::PopcountBody;
+        // A striped left operand (alternate rows zero every other K word) so
+        // the skipping arms have zero words to jump.
+        let mut a_codes = random_codes(20, 260, 3, 77);
+        for i in 0..20 {
+            for j in 0..260 {
+                if (j / 64) % 2 == i % 2 {
+                    a_codes[(i, j)] = 0;
+                }
+            }
         }
-        use crate::tiling::TilingChoice;
-        use qgtc_bitmat::fused::TilingScheme;
-        let a_codes = random_codes(20, 260, 3, 77);
         let b_codes = random_codes(260, 12, 2, 78);
         let a = StackedBitMatrix::from_codes(&a_codes, 3, BitMatrixLayout::RowPacked);
         let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
-        let baseline_cfg = KernelConfig {
-            tiling: TilingChoice::Fixed(TilingScheme::baseline()),
-            ..KernelConfig::default()
-        };
-        let t_base = CostTracker::new();
-        let base = qgtc_bmm(&a, &b, &baseline_cfg, &t_base);
-        for scheme in ["4x8x2", "1x1x1", "16x2x1"] {
-            let cfg = KernelConfig {
-                tiling: TilingChoice::Fixed(TilingScheme::parse(scheme).unwrap()),
-                ..KernelConfig::default()
+        let reference = gemm_i64(&a_codes.map(|&v| v as i64), &b_codes.map(|&v| v as i64));
+        for jumping in [false, true] {
+            let run = |backend| {
+                let cfg = KernelConfig {
+                    zero_tile_jumping: jumping,
+                    backend,
+                    ..KernelConfig::default()
+                };
+                let tracker = CostTracker::new();
+                let out = qgtc_bmm(&a, &b, &cfg, &tracker);
+                (out, tracker.snapshot())
             };
-            let t_tiled = CostTracker::new();
-            let tiled = qgtc_bmm(&a, &b, &cfg, &t_tiled);
-            assert_eq!(tiled, base, "scheme {scheme}");
-            // The analytic walk and the fused word stats are scheme-independent,
-            // so the caller's tracker must not notice the tiling at all.
-            assert_eq!(t_tiled.snapshot(), t_base.snapshot(), "scheme {scheme}");
+            let (portable, portable_cost) = run(BackendChoice::Portable);
+            assert_eq!(portable, reference, "jump {jumping}");
+            assert_eq!(portable_cost.fused_words_skipped > 0, jumping);
+            if PopcountBody::Avx512.is_available() {
+                // The broadcast kernel's word counts feed the tracker, so the
+                // whole snapshot must match the legacy kernel's.
+                let (avx512, avx512_cost) = run(BackendChoice::Avx512);
+                assert_eq!(avx512, reference, "jump {jumping}");
+                assert_eq!(avx512_cost, portable_cost, "jump {jumping}");
+            }
         }
     }
 

@@ -15,11 +15,8 @@
 //!   cost tracker analytically (see [`bmm`]'s module docs).
 //! * [`zero_tile`] — zero-tile jumping (§4.3): detect all-zero 8×128 adjacency tiles
 //!   with an OR-reduce + ballot and skip their MMAs and B-operand loads.
-//! * [`tiling`] — tiling-scheme selection for the panel-staged fused GEMM: the
-//!   `QGTC_TILING` override, the committed `TUNE_gemm.json` autotuner table and
-//!   the shape-class lookup that picks a [`qgtc_bitmat::fused::TilingScheme`]
-//!   per kernel call (§4.2's shared-memory staging, realised as cache-resident
-//!   scratch panels with K-loop double buffering on the host).
+//! * [`tiling`] — the committed `TUNE_gemm.json` tune table: the condensation
+//!   threshold the adjacency-path dispatcher compares against.
 //! * [`tile_reuse`] — non-zero tile reuse (§4.4): the cross-tile reduction ordering
 //!   that loads each non-zero adjacency tile once and reuses it across every feature
 //!   bit plane, versus the naive cross-bit ordering.
@@ -57,7 +54,5 @@ pub use bmm::{
 pub use fusion::{Activation, FusedEpilogue};
 pub use packing::{PreparedBatch, SubgraphPayload, TransferStrategy};
 pub use pool::{PackedBufferPool, PoolStats};
-pub use tiling::{
-    condense_threshold, resolve_tiling, shape_class, tune_file_path, TilingChoice, TuneTable,
-};
+pub use tiling::{condense_threshold, tune_file_path, TuneTable};
 pub use zero_tile::{adjacency_sparsity_stats, AdjacencySparsityStats};

@@ -1,7 +1,9 @@
 //! Conformance suite for the popcount bodies a `BackendChoice` resolves to.
 //!
-//! Every available [`PopcountBody`], under the baseline `8x4x0` scheme and
-//! every staged [`TilingScheme`] below, must be **bitwise** equal to two
+//! Every available [`PopcountBody`] on the kernel it runs in production
+//! (`any_bit_gemm_fused_with_body`: the broadcast kernel on AVX-512, the
+//! legacy kernel on the portable body), and the legacy kernel on the detected
+//! body (`any_bit_gemm_fused_with_stats`), must be **bitwise** equal to two
 //! oracles that share no code with any body:
 //!
 //! * the product must equal `any_bit_gemm_serial`, the plane-by-plane
@@ -10,15 +12,19 @@
 //!   (`census_plane_words`, summed): skip on visits exactly the nonzero
 //!   widened words, skip off visits every word.
 //!
-//! The sweep covers random shapes, bit widths 1–8, odd and exactly-padded K
-//! values, sparse adjacencies, the requantizing epilogue and all six dataset
-//! profiles.  ci.sh's `backend` stage re-runs it under `RAYON_NUM_THREADS`
-//! 1/2/8, so the bodies are also held deterministic across pool widths.
+//! The sweep covers random shapes and sparsity, bit widths 1–8, odd and
+//! exactly-padded K values, sparse adjacencies, the requantizing epilogue,
+//! all six dataset profiles, and a deterministic shape sweep of the
+//! broadcast kernel's edges: output widths around one vector and one
+//! 64-column chunk, K around one word, one tile and a batch, and row counts
+//! on both sides of its row block and its inline cut.  ci.sh's `backend`
+//! stage re-runs it under `RAYON_NUM_THREADS` 1/2/8, so the bodies are also
+//! held deterministic across pool widths.
 
 use proptest::prelude::*;
 use qgtc_repro::bitmat::fused::{
-    any_bit_gemm_fused_with_scheme, avx512_popcount_available, FusedGemmStats, PopcountBody,
-    TilingScheme,
+    any_bit_gemm_fused_with_body, any_bit_gemm_fused_with_stats, avx512_popcount_available,
+    FusedGemmStats, PopcountBody, BROADCAST_INLINE_ROWS, BROADCAST_ROW_BLOCK,
 };
 use qgtc_repro::bitmat::gemm::any_bit_gemm_serial;
 use qgtc_repro::bitmat::{
@@ -41,24 +47,23 @@ const AWKWARD_K: [usize; 14] = [
     1, 31, 127, 128, 129, 200, 255, 256, 511, 512, 513, 1024, 1025, 1600,
 ];
 
-/// The baseline, the staged schemes the committed tune table dispatches, and
-/// edge cases: one-row blocks, odd blocks, a K panel wider than any K here.
-const SCHEMES: [&str; 7] = [
-    "8x4x0",
-    "16x8x0",
-    "8x8x8",
-    "32x8x16",
-    "1x1x1",
-    "5x7x3",
-    "32x4x1024",
-];
+/// Output widths around one vector (8 columns) and one 64-column chunk of
+/// the broadcast kernel.
+const SWEEP_N: [usize; 9] = [1, 7, 8, 9, 63, 64, 65, 128, 129];
 
-fn schemes() -> Vec<TilingScheme> {
-    SCHEMES
-        .iter()
-        .map(|s| TilingScheme::parse(s).expect("valid scheme"))
-        .collect()
-}
+/// K values around one 64-bit word and one 128-bit tile, plus a batch-sized K.
+const SWEEP_K: [usize; 8] = [1, 63, 64, 65, 127, 128, 129, 950];
+
+/// Row counts on both sides of the broadcast kernel's row block and of its
+/// inline cut.
+const SWEEP_M: [usize; 6] = [
+    1,
+    BROADCAST_ROW_BLOCK - 1,
+    BROADCAST_ROW_BLOCK + 1,
+    2 * BROADCAST_ROW_BLOCK,
+    BROADCAST_INLINE_ROWS - 1,
+    BROADCAST_INLINE_ROWS + 1,
+];
 
 fn random_codes(rows: usize, cols: usize, bits: u32, seed: u64) -> Matrix<u32> {
     let max = (1u64 << bits) as f32;
@@ -103,36 +108,32 @@ fn census_stats(a: &StackedBitMatrix, skip: bool) -> FusedGemmStats {
     }
 }
 
-/// Assert every available body under every scheme in `schemes` matches the
-/// serial oracle's product and the census word statistics, skip off and on.
-fn assert_conformance(
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-    schemes: &[TilingScheme],
-) -> Result<(), TestCaseError> {
+/// Assert every available body's production kernel, and the legacy kernel on
+/// the detected body, match the serial oracle's product and the census word
+/// statistics, skip off and on.
+fn assert_conformance(a: &StackedBitMatrix, b: &StackedBitMatrix) -> Result<(), TestCaseError> {
     let want = any_bit_gemm_serial(a, b);
     for skip in [false, true] {
         let want_stats = census_stats(a, skip);
-        for body in PopcountBody::available() {
-            for &scheme in schemes {
-                let (got, got_stats) = any_bit_gemm_fused_with_scheme(a, b, skip, body, scheme);
-                prop_assert!(
-                    got == want,
-                    "{} under {} differs from the serial oracle, skip={}",
-                    body.name(),
-                    scheme,
-                    skip
-                );
-                prop_assert!(
-                    got_stats == want_stats,
-                    "{} under {} stats differ from the census, skip={}: {:?} vs {:?}",
-                    body.name(),
-                    scheme,
-                    skip,
-                    got_stats,
-                    want_stats
-                );
-            }
+        let lanes = PopcountBody::available()
+            .into_iter()
+            .map(|body| (body.name(), any_bit_gemm_fused_with_body(a, b, skip, body)))
+            .chain([("legacy", any_bit_gemm_fused_with_stats(a, b, skip))]);
+        for (lane, (got, got_stats)) in lanes {
+            prop_assert!(
+                got == want,
+                "{} differs from the serial oracle, skip={}",
+                lane,
+                skip
+            );
+            prop_assert!(
+                got_stats == want_stats,
+                "{} stats differ from the census, skip={}: {:?} vs {:?}",
+                lane,
+                skip,
+                got_stats,
+                want_stats
+            );
         }
     }
     Ok(())
@@ -150,7 +151,7 @@ proptest! {
         let (m, k, n) = dims;
         let (s, t) = bits;
         let (a, b) = stacks(m, k, n, s, t, seed);
-        assert_conformance(&a, &b, &schemes())?;
+        assert_conformance(&a, &b)?;
     }
 
     #[test]
@@ -164,23 +165,19 @@ proptest! {
         let (m, n) = dims;
         let (s, t) = bits;
         let (a, b) = stacks(m, k, n, s, t, seed);
-        assert_conformance(&a, &b, &schemes())?;
+        assert_conformance(&a, &b)?;
     }
 
     #[test]
-    fn backends_match_the_oracle_under_random_tiling_schemes(
+    fn backends_match_the_oracle_on_random_sparsity(
         dims in (1usize..24, 1usize..200, 1usize..20),
         bits in (1u32..=8, 1u32..=8),
-        scheme in (1usize..40, 1usize..12, 0usize..40),
         density in 0.0f64..1.0,
         seed in 0u64..1_000_000,
     ) {
         let (m, k, n) = dims;
         let (s, t) = bits;
-        let (row_block, col_block, k_panel_words) = scheme;
-        let scheme = TilingScheme { row_block, col_block, k_panel_words };
-        // Element-level sparsity so the skip path sees zero words under
-        // staging too.
+        // Element-level sparsity so the skip path sees zero words.
         let mask = random_uniform_matrix(m, k, 0.0, 1.0, seed ^ 0x517A_11CE);
         let mut a_codes = random_codes(m, k, s, seed);
         for r in 0..m {
@@ -193,7 +190,7 @@ proptest! {
         let b_codes = random_codes(k, n, t, seed ^ 0xBEE5);
         let a = StackedBitMatrix::from_codes(&a_codes, s, BitMatrixLayout::RowPacked);
         let b = StackedBitMatrix::from_codes(&b_codes, t, BitMatrixLayout::ColPacked);
-        assert_conformance(&a, &b, &[scheme])?;
+        assert_conformance(&a, &b)?;
     }
 
     #[test]
@@ -207,7 +204,7 @@ proptest! {
         let adj = sparse_adjacency(nodes, density, seed);
         let x_codes = random_codes(nodes, dim, bits, seed ^ 0xA5A5);
         let x = StackedBitMatrix::from_codes(&x_codes, bits, BitMatrixLayout::ColPacked);
-        assert_conformance(&adj, &x, &schemes())?;
+        assert_conformance(&adj, &x)?;
     }
 
     #[test]
@@ -229,22 +226,19 @@ proptest! {
         };
         let want = requantize(&any_bit_gemm_serial(&a, &b));
         for body in PopcountBody::available() {
-            for scheme in schemes() {
-                let (acc, _) = any_bit_gemm_fused_with_scheme(&a, &b, true, body, scheme);
-                prop_assert!(
-                    requantize(&acc) == want,
-                    "{} under {} differs through the epilogue",
-                    body.name(),
-                    scheme
-                );
-            }
+            let (acc, _) = any_bit_gemm_fused_with_body(&a, &b, true, body);
+            prop_assert!(
+                requantize(&acc) == want,
+                "{} differs through the epilogue",
+                body.name()
+            );
         }
     }
 }
 
 /// Deterministic sweep over all six dataset profiles: the aggregation shape
 /// each profile induces (batch adjacency × features at the profile's feature
-/// dimension) must match both oracles on every body and scheme.
+/// dimension) must match both oracles on every body.
 #[test]
 fn backends_agree_on_every_dataset_profile_aggregation() {
     let profiles = DatasetProfile::all();
@@ -257,8 +251,39 @@ fn backends_agree_on_every_dataset_profile_aggregation() {
         let adj = sparse_adjacency(nodes, density, seed);
         let x_codes = random_codes(nodes, dim, 3, seed ^ 0xFEED);
         let x = StackedBitMatrix::from_codes(&x_codes, 3, BitMatrixLayout::ColPacked);
-        if let Err(err) = assert_conformance(&adj, &x, &schemes()) {
+        if let Err(err) = assert_conformance(&adj, &x) {
             panic!("{}: {err}", profile.name);
+        }
+    }
+}
+
+/// The broadcast kernel's edges, deterministically: every output width of
+/// `SWEEP_N` against every K of `SWEEP_K`, with the row counts of `SWEEP_M`
+/// and every `(s, t)` bit pair of 1..=8 dealt across the cases.  Results must
+/// equal the serial oracle and the statistics the legacy portable kernel
+/// reports, skip off and on.  Hosts without AVX-512 VPOPCNTDQ skip the test.
+#[test]
+fn broadcast_kernel_matches_the_oracle_across_the_shape_sweep() {
+    if !avx512_popcount_available() {
+        eprintln!("skipped: the broadcast kernel needs AVX-512 VPOPCNTDQ");
+        return;
+    }
+    let mut case = 0usize;
+    for &n in &SWEEP_N {
+        for &k in &SWEEP_K {
+            let m = SWEEP_M[case % SWEEP_M.len()];
+            let (s, t) = (1 + (case % 8) as u32, 1 + (case / 8 % 8) as u32);
+            let (a, b) = stacks(m, k, n, s, t, 0x5EED + case as u64);
+            let want = any_bit_gemm_serial(&a, &b);
+            for skip in [false, true] {
+                let (got, stats) = any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Avx512);
+                let (_, legacy_stats) =
+                    any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Portable);
+                let shape = format!("({m}, {k}, {n}) bits ({s}, {t}) skip={skip}");
+                assert!(got == want, "{shape}: differs from the serial oracle");
+                assert_eq!(stats, legacy_stats, "{shape}");
+            }
+            case += 1;
         }
     }
 }

@@ -10,7 +10,6 @@
 //! counts for the timed CI gate.
 
 use proptest::prelude::*;
-use qgtc_repro::bitmat::fused::TilingScheme;
 use qgtc_repro::core::fault::FAULTS_ENV;
 use qgtc_repro::core::serve::QgtcSession;
 use qgtc_repro::core::{
@@ -19,7 +18,6 @@ use qgtc_repro::core::{
 };
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
 use qgtc_repro::kernels::backend::resolve_auto;
-use qgtc_repro::kernels::TilingChoice;
 
 const SITES: [FaultSite; 4] = [
     FaultSite::Prepare,
@@ -198,21 +196,20 @@ fn backend_loss_degrades_to_portable_and_preserves_output() {
 }
 
 #[test]
-fn gemm_corruption_recovers_bitwise_under_a_forced_tiling_scheme() {
-    // The retry path must hold with the panel-staged kernel pinned on: a
-    // corrupted dispatch re-runs through the same non-baseline scheme, and the
-    // recovered epoch must still match a clean Auto-tiled run bitwise (every
-    // scheme is bitwise identical by contract).
+fn gemm_corruption_recovers_bitwise_on_the_portable_body() {
+    // The retry path must hold with the legacy kernel pinned on: a corrupted
+    // dispatch re-runs on the portable body, and the recovered epoch must
+    // still match a clean run on the detected body — the broadcast kernel
+    // where AVX-512 runs — bitwise (every body is bitwise identical by
+    // contract).
     let dataset = DatasetProfile::PPI.materialize_tiny(31);
     let clean = run_epoch(&dataset, &tiny_config());
-    let staged = tiny_config().with_tiling(TilingChoice::Fixed(
-        TilingScheme::parse("4x8x4").expect("valid scheme"),
-    ));
-    let staged_clean = run_epoch(&dataset, &staged);
-    assert_eq!(staged_clean.cost, clean.cost);
-    assert_eq!(staged_clean.batch_costs, clean.batch_costs);
+    let portable = tiny_config().with_backend(BackendChoice::Portable);
+    let portable_clean = run_epoch(&dataset, &portable);
+    assert_eq!(portable_clean.cost, clean.cost);
+    assert_eq!(portable_clean.batch_costs, clean.batch_costs);
 
-    let faulty = staged.with_fault_plan(FaultPlan::parse("gemm:corrupt:1:2").expect("valid"));
+    let faulty = portable.with_fault_plan(FaultPlan::parse("gemm:corrupt:1:2").expect("valid"));
     let serial = try_run_epoch(&dataset, &faulty).expect("two corruptions fit the retry budget");
     let streamed = try_run_epoch_streamed(&dataset, &faulty).expect("streamed must recover too");
     for report in [&serial, &streamed] {

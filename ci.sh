@@ -52,7 +52,7 @@
 #                          builds it against the current library API
 #   bench-compile          criterion benches must compile
 #   examples               examples + bins must build
-#   perfsmoke              tiny-scale perf gates: fused GEMM, streamed
+#   perfsmoke              tiny-scale perf gates: zero-word skip, streamed
 #                          pipeline, sharded partitioner, fault-supervisor
 #                          overhead, serving session  [skipped in FAST]
 #   benchcheck             committed BENCH_*.json files parse, carry the
@@ -238,9 +238,10 @@ serving_stage() {
 
 perfsmoke_tiny() {
     # Perf gates (see crates/bench/src/bin/perfsmoke.rs):
-    #  * fused GEMM must not be slower than the plane-by-plane composition on
-    #    the largest tiny-scale shape (full scale enforces 2x; committed
-    #    BENCH_gemm.json);
+    #  * zero-word skipping in the legacy kernel must match the serial oracle
+    #    bitwise, skip at least 90% of the words of a block-diagonal adjacency
+    #    and not be slower than the non-skipping kernel (full scale enforces
+    #    1.5x; committed BENCH_gemm.json);
     #  * the streamed batch pipeline must not be slower than the serial epoch
     #    loop and its modeled transfer/compute overlap must clear the scale's
     #    bar (1.0x tiny, 1.3x full; committed BENCH_pipeline.json);

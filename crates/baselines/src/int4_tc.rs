@@ -45,16 +45,6 @@ pub fn int4_tc_gemm(a: &Matrix<f32>, b: &Matrix<f32>, tracker: &CostTracker) -> 
     }
 }
 
-/// The Table-3 usage pattern: a binary adjacency and an fp32 embedding matrix, both
-/// forced through the int4 pipeline (adjacency entries become 4-bit 0/1 codes).
-pub fn int4_tc_aggregate(
-    adjacency: &Matrix<f32>,
-    embeddings: &Matrix<f32>,
-    tracker: &CostTracker,
-) -> Int4GemmResult {
-    int4_tc_gemm(adjacency, embeddings, tracker)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +83,7 @@ mod tests {
         let a = random_uniform_matrix(128, 128, 0.0, 1.0, 5);
         let b = random_uniform_matrix(128, 32, 0.0, 1.0, 6);
         let tracker = CostTracker::new();
-        let _ = int4_tc_aggregate(&a, &b, &tracker);
+        let _ = int4_tc_gemm(&a, &b, &tracker);
         let s = tracker.snapshot();
         assert_eq!(s.tc_int4_ops, 2 * 128 * 128 * 32);
         assert_eq!(s.tc_int8_ops, 0);

@@ -1,10 +1,8 @@
 //! Criterion bench behind Figure 7(c) and Table 3: the QGTC aggregation kernel at
-//! several bitwidths against the int8/int4 Tensor Core baselines and the
-//! plane-composition reference.
+//! several bitwidths against the int8/int4 Tensor Core baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qgtc_baselines::{int4_tc_gemm, int8_tc_gemm};
-use qgtc_bitmat::gemm::any_bit_gemm;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_kernels::bmm::{qgtc_aggregate, KernelConfig};
 use qgtc_kernels::tile_reuse::random_feature_codes;
@@ -35,11 +33,6 @@ fn bench_qgtc_bits(c: &mut Criterion) {
             })
         });
     }
-    // Plane-composition reference (no tiling, no zero-tile jumping).
-    let (adj, feats) = operands(2);
-    group.bench_function("bitmat_reference_2bit", |b| {
-        b.iter(|| any_bit_gemm(&adj, &feats))
-    });
     group.finish();
 }
 

@@ -214,30 +214,28 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
     vec![
         BenchSpec {
             file: "BENCH_gemm.json",
-            bench: "gemm_fused_vs_planewise",
+            bench: "gemm_sparse_skip",
             required_keys: &[
                 "scale",
                 "reps",
-                "headline_speedup",
-                "min_speedup_required",
                 "sparse_skip_speedup",
                 "sparse_skip_bar",
                 "sparse_skip_ratio",
                 "sparse_skip_min_ratio",
-                "sparse_probe",
             ],
-            rows_key: "shapes",
+            rows_key: "probes",
             row_keys: &[
                 "name",
                 "m",
                 "k",
                 "n",
-                "planewise_ns_per_op",
-                "fused_ns_per_op",
+                "block",
+                "skip_ratio",
+                "noskip_ns_per_op",
+                "skip_ns_per_op",
                 "speedup",
             ],
             gates: &[
-                ("headline_speedup", "min_speedup_required"),
                 ("sparse_skip_speedup", "sparse_skip_bar"),
                 ("sparse_skip_ratio", "sparse_skip_min_ratio"),
             ],
@@ -571,17 +569,23 @@ mod tests {
     fn minimal_gemm_report(sparse_speedup: f64, sparse_ratio: f64) -> String {
         format!(
             concat!(
-                "{{\"bench\": \"gemm_fused_vs_planewise\", \"scale\": \"fast\", \"reps\": 3, ",
-                "\"headline_speedup\": 4.0, \"min_speedup_required\": 2, ",
+                "{{\"bench\": \"gemm_sparse_skip\", \"scale\": \"fast\", \"reps\": 3, ",
                 "\"sparse_skip_speedup\": {speedup}, \"sparse_skip_bar\": 1.5, ",
                 "\"sparse_skip_ratio\": {ratio}, \"sparse_skip_min_ratio\": 0.9, ",
-                "\"sparse_probe\": {{\"name\": \"block-diagonal\", \"speedup\": {speedup}}}, ",
-                "\"shapes\": [{{\"name\": \"headline\", \"m\": 1024, \"k\": 1024, \"n\": 1024, ",
-                "\"planewise_ns_per_op\": 4, \"fused_ns_per_op\": 1, \"speedup\": 4.0}}]}}"
+                "\"probes\": [{{\"name\": \"block-diagonal-4096x128\", \"m\": 4096, ",
+                "\"k\": 4096, \"n\": 128, \"block\": 128, \"skip_ratio\": {ratio}, ",
+                "\"noskip_ns_per_op\": 2, \"skip_ns_per_op\": 1, \"speedup\": {speedup}}}]}}"
             ),
             speedup = sparse_speedup,
             ratio = sparse_ratio
         )
+    }
+
+    fn gemm_spec() -> BenchSpec {
+        committed_bench_specs()
+            .into_iter()
+            .find(|s| s.file == "BENCH_gemm.json")
+            .unwrap()
     }
 
     fn minimal_backend_report(speedup: f64) -> String {
@@ -653,11 +657,7 @@ mod tests {
 
     #[test]
     fn validates_a_healthy_gemm_report_with_sparse_probe() {
-        let spec = committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_gemm.json")
-            .unwrap();
-        let summary = validate_bench_report(&spec, &minimal_gemm_report(2.0, 0.95)).unwrap();
+        let summary = validate_bench_report(&gemm_spec(), &minimal_gemm_report(2.0, 0.95)).unwrap();
         assert!(
             summary.contains("sparse_skip_speedup 2.000 >= 1.500"),
             "{summary}"
@@ -670,10 +670,7 @@ mod tests {
 
     #[test]
     fn rejects_sparse_probe_regressions() {
-        let spec = committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_gemm.json")
-            .unwrap();
+        let spec = gemm_spec();
         let slow = validate_bench_report(&spec, &minimal_gemm_report(1.2, 0.95)).unwrap_err();
         assert!(slow.contains("sparse_skip_speedup"), "{slow}");
         let dense = validate_bench_report(&spec, &minimal_gemm_report(2.0, 0.5)).unwrap_err();
@@ -681,6 +678,16 @@ mod tests {
         let missing = minimal_gemm_report(2.0, 0.95).replace("\"sparse_skip_ratio\": 0.95, ", "");
         let err = validate_bench_report(&spec, &missing).unwrap_err();
         assert!(err.contains("sparse_skip_ratio"), "{err}");
+        let untimed = minimal_gemm_report(2.0, 0.95).replace("\"skip_ns_per_op\": 1, ", "");
+        let err = validate_bench_report(&spec, &untimed).unwrap_err();
+        assert!(
+            err.contains("probes[0] is missing key \"skip_ns_per_op\""),
+            "{err}"
+        );
+        let stale =
+            minimal_gemm_report(2.0, 0.95).replace("gemm_sparse_skip", "gemm_fused_vs_planewise");
+        let err = validate_bench_report(&spec, &stale).unwrap_err();
+        assert!(err.contains("expected \"gemm_sparse_skip\""), "{err}");
     }
 
     fn minimal_faults_report(speedup: f64) -> String {

@@ -1,12 +1,11 @@
-//! perfsmoke: wall-clock regression gate for the fused GEMM hot path.
+//! perfsmoke: wall-clock regression gates for the kernels and executors.
 //!
-//! Times the plane-by-plane composition (`any_bit_gemm` /
-//! `aggregate_adj_features`) against the fused single-pass kernel
-//! (`any_bit_gemm_fused` / `aggregate_adj_features_fused`) on the headline
-//! 3-bit × 2-bit square GEMM plus one aggregation shape per Table-1 dataset
-//! profile, checks the two paths agree bit-for-bit, writes the numbers as JSON,
-//! and **fails** (non-zero exit) when the fused path does not clear its speedup
-//! bar on the headline shape.
+//! It probes **zero-word skipping**: the legacy kernel on the detected body
+//! (`any_bit_gemm_fused_with_stats`) with and without skipping, on a
+//! block-diagonal adjacency whose packed words are ≥90% zero, after asserting
+//! both lanes bitwise equal to the serial oracle (`any_bit_gemm_serial`).  It
+//! writes the numbers as `BENCH_gemm.json` and **fails** (non-zero exit) when
+//! skipping does not clear its speedup bar or skips too few words.
 //!
 //! It also probes the **streamed batch pipeline**: one serial vs streamed epoch
 //! per fig7 dataset (Cluster GCN, 2-bit), gating that the streamed executor's
@@ -42,11 +41,11 @@
 //!
 //! And it runs the **adjacency-path race**: the TC-GNN-style condensed kernel
 //! (`aggregate_adj_features_condensed` over a prepare-time
-//! `CondensedAdjacency`) against the zero-word-skip kernel and the plain fused
-//! kernel, on a fragmented-sparsity sweep (every K word nonzero, so the skip
+//! `CondensedAdjacency`) against the legacy kernel with and without zero-word
+//! skipping, on a fragmented-sparsity sweep (every K word nonzero, so the skip
 //! index is defeated, yet each 16-row window condenses to a handful of words)
 //! plus one aggregation shape per Table-1 profile — after asserting every
-//! candidate bitwise equal to the portable plane-by-plane oracle.  Full-scale
+//! candidate bitwise equal to the serial oracle.  Full-scale
 //! runs gate the condensed kernel at 1.3× over the skip kernel on the headline
 //! fragmented shape, and gate the `Auto` heuristic within 5% of the best fixed
 //! choice on every profile shape (`BENCH_condense.json`).
@@ -63,11 +62,11 @@
 //! Usage: `cargo run --release -p qgtc-bench --bin perfsmoke`
 //!
 //! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`; any other
-//!   value exits with status 2).  `tiny` is
-//!   the CI setting: a 256³ headline shape, 128-node batches, and a speedup bar
-//!   of 1.0× (fused must simply not be slower; streamed must simply not be
-//!   slower).  Every other scale runs the full 1024³ headline shape with the
-//!   2.0× bar of the fused-kernel PR and a 1.3× bar on the streamed pipeline.
+//!   value exits with status 2).  `tiny` is the CI setting: a 256³ backend-race
+//!   headline shape, 128-node batches, a 2048-node sparse probe and 1.0× bars
+//!   (skipping and the streamed pipeline must simply not be slower).  Every
+//!   other scale runs the full 1024³ headline shape, a 4096-node sparse probe
+//!   with a 1.5× bar and a 1.3× bar on the streamed pipeline.
 //! * `QGTC_PERFSMOKE_PROBE=backend` — run **only** the backend race (the ci.sh
 //!   `backend` stage uses this so conformance + race stay cheap and separable).
 //! * `QGTC_PERFSMOKE_PROBE=faults` — run **only** the fault-overhead probe.
@@ -77,7 +76,7 @@
 //!   (condensed vs zero-word-skip vs plain fused on a fragmented-sparsity
 //!   sweep plus the Table-1 profiles; the ci.sh `condense` stage uses this).
 //!   Any other probe name fails fast with the list of valid probes.
-//! * `QGTC_PERFSMOKE_OUT` — output path for the GEMM JSON report (default
+//! * `QGTC_PERFSMOKE_OUT` — output path for the sparse-skip JSON report (default
 //!   `BENCH_gemm.json`; the committed copy at the repo root is a full-scale
 //!   run).
 //! * `QGTC_PIPELINE_OUT` — output path for the pipeline JSON report (default
@@ -103,10 +102,9 @@ use qgtc_bench::report::fmt3;
 use qgtc_bench::scale_from_env;
 use qgtc_bitmat::condense::{aggregate_adj_features_condensed, CondensedAdjacency};
 use qgtc_bitmat::fused::{
-    aggregate_adj_features_fused, aggregate_adj_features_fused_skip, any_bit_gemm_fused,
-    any_bit_gemm_fused_with_body, PopcountBody,
+    any_bit_gemm_fused_with_body, any_bit_gemm_fused_with_stats, PopcountBody,
 };
-use qgtc_bitmat::gemm::{aggregate_adj_features, any_bit_gemm};
+use qgtc_bitmat::gemm::any_bit_gemm_serial;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_core::{
     run_epoch, run_epoch_streamed, run_epoch_streamed_raw, run_open_loop, try_run_epoch_streamed,
@@ -120,52 +118,14 @@ use qgtc_tensor::rng::random_uniform_matrix;
 use qgtc_tensor::Matrix;
 use std::time::Instant;
 
-/// The headline bit combination of the paper's running example (3-bit × 2-bit).
+/// The backend race's headline bit combination: the paper's running example
+/// (3-bit × 2-bit).
 const HEADLINE_A_BITS: u32 = 3;
 const HEADLINE_B_BITS: u32 = 2;
-/// Feature bitwidth for the Table-1 aggregation shapes.
+/// Feature bitwidth for the aggregation shapes.
 const AGG_BITS: u32 = 2;
 /// Timed repetitions per measurement (after one warm-up call).
 const REPS: u32 = 3;
-
-struct ShapeResult {
-    name: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    a_bits: u32,
-    b_bits: u32,
-    planewise_ns: u128,
-    fused_ns: u128,
-}
-
-impl ShapeResult {
-    fn speedup(&self) -> f64 {
-        if self.fused_ns == 0 {
-            return 1.0;
-        }
-        self.planewise_ns as f64 / self.fused_ns as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, ",
-                "\"a_bits\": {}, \"b_bits\": {}, \"planewise_ns_per_op\": {}, ",
-                "\"fused_ns_per_op\": {}, \"speedup\": {}}}"
-            ),
-            self.name,
-            self.m,
-            self.k,
-            self.n,
-            self.a_bits,
-            self.b_bits,
-            self.planewise_ns,
-            self.fused_ns,
-            fmt3(self.speedup()),
-        )
-    }
-}
 
 /// Minimum wall time of `REPS` calls (after one warm-up), in nanoseconds.
 fn time_min<F: FnMut()>(mut f: F) -> u128 {
@@ -180,71 +140,9 @@ fn time_min<F: FnMut()>(mut f: F) -> u128 {
         .unwrap_or(0)
 }
 
-/// Headline square GEMM: `size × size × size`, 3-bit × 2-bit random codes.
-fn headline_shape(size: usize) -> ShapeResult {
-    let a_codes = random_feature_codes(size, size, HEADLINE_A_BITS, 11);
-    let b_codes = random_feature_codes(size, size, HEADLINE_B_BITS, 12);
-    let a = StackedBitMatrix::from_codes(&a_codes, HEADLINE_A_BITS, BitMatrixLayout::RowPacked);
-    let b = StackedBitMatrix::from_codes(&b_codes, HEADLINE_B_BITS, BitMatrixLayout::ColPacked);
-    assert_eq!(
-        any_bit_gemm_fused(&a, &b),
-        any_bit_gemm(&a, &b),
-        "fused and plane-by-plane GEMMs disagree on the headline shape"
-    );
-    let planewise_ns = time_min(|| {
-        let _ = any_bit_gemm(&a, &b);
-    });
-    let fused_ns = time_min(|| {
-        let _ = any_bit_gemm_fused(&a, &b);
-    });
-    ShapeResult {
-        name: format!("headline-{HEADLINE_A_BITS}x{HEADLINE_B_BITS}-{size}"),
-        m: size,
-        k: size,
-        n: size,
-        a_bits: HEADLINE_A_BITS,
-        b_bits: HEADLINE_B_BITS,
-        planewise_ns,
-        fused_ns,
-    }
-}
-
-/// One Table-1 aggregation shape: a `batch × batch` adjacency at the profile's
-/// average degree times `batch × feature_dim` 2-bit features.
-fn profile_shape(profile: &DatasetProfile, batch: usize, seed: u64) -> ShapeResult {
-    let density = (profile.avg_degree() / batch as f64).clamp(0.005, 0.5) as f32;
-    let adjacency =
-        random_uniform_matrix(batch, batch, 0.0, 1.0, seed).map(|&v| (v < density) as u32 as f32);
-    let features = random_feature_codes(batch, profile.feature_dim, AGG_BITS, seed + 1);
-    let adj = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
-    let x = StackedBitMatrix::from_codes(&features, AGG_BITS, BitMatrixLayout::ColPacked);
-    assert_eq!(
-        aggregate_adj_features_fused(&adj, &x),
-        aggregate_adj_features(&adj, &x),
-        "fused and plane-by-plane aggregations disagree on {}",
-        profile.name
-    );
-    let planewise_ns = time_min(|| {
-        let _ = aggregate_adj_features(&adj, &x);
-    });
-    let fused_ns = time_min(|| {
-        let _ = aggregate_adj_features_fused(&adj, &x);
-    });
-    ShapeResult {
-        name: profile.name.to_string(),
-        m: batch,
-        k: batch,
-        n: profile.feature_dim,
-        a_bits: 1,
-        b_bits: AGG_BITS,
-        planewise_ns,
-        fused_ns,
-    }
-}
-
 /// The sparse-adjacency zero-word-skip probe: a block-diagonal adjacency (the
 /// batched-subgraph shape) where ≥90% of the packed K-loop words are zero, so
-/// the fused kernel's span index must both skip that fraction and convert it
+/// the legacy kernel's span index must both skip that fraction and convert it
 /// into wall-clock.
 struct SparseProbe {
     name: String,
@@ -286,8 +184,8 @@ impl SparseProbe {
 
 /// Build and time the sparse probe: `nodes`-node adjacency made of dense
 /// `block`-node diagonal communities (everything off-block zero), 2-bit
-/// features.  Asserts the skip path is bitwise identical to the non-skipping
-/// fused kernel before timing either.
+/// features.  Asserts both lanes bitwise identical to the serial oracle before
+/// timing either.
 fn sparse_skip_probe(nodes: usize, block: usize, feature_dim: usize, seed: u64) -> SparseProbe {
     let mut adjacency: Vec<f32> = vec![0.0; nodes * nodes];
     let pattern = random_uniform_matrix(block, block, 0.0, 1.0, seed);
@@ -306,17 +204,22 @@ fn sparse_skip_probe(nodes: usize, block: usize, feature_dim: usize, seed: u64) 
     let adj = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
     let x = StackedBitMatrix::from_codes(&features, AGG_BITS, BitMatrixLayout::ColPacked);
 
-    let (skipped_out, stats) = aggregate_adj_features_fused_skip(&adj, &x);
+    let oracle = any_bit_gemm_serial(&adj, &x);
+    let (skipped_out, stats) = any_bit_gemm_fused_with_stats(&adj, &x, true);
     assert_eq!(
-        skipped_out,
-        aggregate_adj_features_fused(&adj, &x),
-        "zero-word skipping must be bitwise identical to the non-skipping kernel"
+        skipped_out, oracle,
+        "zero-word skipping diverged from the serial oracle"
+    );
+    assert_eq!(
+        any_bit_gemm_fused_with_stats(&adj, &x, false).0,
+        oracle,
+        "the non-skipping kernel diverged from the serial oracle"
     );
     let noskip_ns = time_min(|| {
-        let _ = aggregate_adj_features_fused(&adj, &x);
+        let _ = any_bit_gemm_fused_with_stats(&adj, &x, false);
     });
     let skip_ns = time_min(|| {
-        let _ = aggregate_adj_features_fused_skip(&adj, &x);
+        let _ = any_bit_gemm_fused_with_stats(&adj, &x, true);
     });
     SparseProbe {
         name: format!("block-diagonal-{nodes}x{block}"),
@@ -869,7 +772,7 @@ fn probe_faults(
 fn run_faults_probe(scale: &str) -> bool {
     let faults_out =
         std::env::var("QGTC_FAULTS_OUT").unwrap_or_else(|_| "BENCH_faults.json".to_string());
-    // Tiny epochs are a few ms, so scheduler noise on a loaded CI host moves
+    // Tiny epochs are a few ms, so OS scheduling noise on a loaded CI host moves
     // the min-of-3 by several percent — 15% tolerance there; full scale
     // enforces the ISSUE bar of at most 5% supervisor+checksum overhead.
     let (fault_scale, fault_parts, fault_batch, fault_prefetch, fault_reps, fault_bar, profiles) =
@@ -1396,8 +1299,8 @@ fn fragmented_sweep_adjacency(n: usize, spread: usize) -> StackedBitMatrix {
     StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked)
 }
 
-/// Race one adjacency: assert every candidate against the portable
-/// plane-by-plane oracle, then time plain fused, zero-word skip, condensed,
+/// Race one adjacency: assert every candidate against the serial oracle, then
+/// time the legacy kernel without and with zero-word skipping, condensed,
 /// and the `Auto`-resolved lane (re-timed independently for the report; the
 /// efficiency gate itself reads the fixed lanes' timings).
 fn probe_condense_shape(
@@ -1409,28 +1312,28 @@ fn probe_condense_shape(
     let cond = CondensedAdjacency::from_stack(adj);
 
     // Correctness gates before any timing, per perfsmoke convention.
-    let oracle = aggregate_adj_features(adj, x);
+    let oracle = any_bit_gemm_serial(adj, x);
     assert_eq!(
-        aggregate_adj_features_fused(adj, x),
+        any_bit_gemm_fused_with_stats(adj, x, false).0,
         oracle,
-        "plain fused aggregation diverged from the portable oracle on {name}"
+        "plain fused aggregation diverged from the serial oracle on {name}"
     );
-    let (skip_out, _) = aggregate_adj_features_fused_skip(adj, x);
+    let (skip_out, _) = any_bit_gemm_fused_with_stats(adj, x, true);
     assert_eq!(
         skip_out, oracle,
-        "zero-word-skip aggregation diverged from the portable oracle on {name}"
+        "zero-word-skip aggregation diverged from the serial oracle on {name}"
     );
     let (cond_out, _) = aggregate_adj_features_condensed(&cond, x, body);
     assert_eq!(
         cond_out, oracle,
-        "condensed aggregation diverged from the portable oracle on {name}"
+        "condensed aggregation diverged from the serial oracle on {name}"
     );
 
     let plain_ns = time_min(|| {
-        let _ = aggregate_adj_features_fused(adj, x);
+        let _ = any_bit_gemm_fused_with_stats(adj, x, false);
     });
     let skip_ns = time_min(|| {
-        let _ = aggregate_adj_features_fused_skip(adj, x);
+        let _ = any_bit_gemm_fused_with_stats(adj, x, true);
     });
     // The condensed translation is built once at prepare time and amortized by
     // the payload cache, so the race times the kernel over the prebuilt form.
@@ -1443,7 +1346,7 @@ fn probe_condense_shape(
             let _ = aggregate_adj_features_condensed(&cond, x, body);
         }),
         _ => time_min(|| {
-            let _ = aggregate_adj_features_fused_skip(adj, x);
+            let _ = any_bit_gemm_fused_with_stats(adj, x, true);
         }),
     };
     let sparsity = adjacency_sparsity_stats(adj);
@@ -1618,9 +1521,9 @@ fn run_condense_probe(scale: &str, batch: usize) -> bool {
 
 fn main() {
     let scale = scale_from_env().name();
-    let (headline_size, batch, min_speedup) = match scale {
-        "tiny" => (256usize, 128usize, 1.0f64),
-        _ => (1024, 512, 2.0),
+    let (headline_size, batch) = match scale {
+        "tiny" => (256usize, 128usize),
+        _ => (1024, 512),
     };
     // Single-probe dispatch: an unknown probe name fails fast with the valid
     // list (mirroring ci.sh's unknown-stage UX) instead of silently running
@@ -1648,45 +1551,19 @@ fn main() {
     let out_path =
         std::env::var("QGTC_PERFSMOKE_OUT").unwrap_or_else(|_| "BENCH_gemm.json".to_string());
 
-    eprintln!(
-        "perfsmoke: plane-by-plane vs fused GEMM (scale {scale}, headline {headline_size}^3, \
-         speedup bar {min_speedup}x)"
-    );
-
-    let mut shapes = Vec::new();
-    let mut seed = 20u64;
-    for profile in DatasetProfile::all() {
-        let result = profile_shape(&profile, batch, seed);
-        seed += 2;
-        eprintln!(
-            "  {:<28} planewise {:>12} ns  fused {:>12} ns  speedup {}x",
-            result.name,
-            result.planewise_ns,
-            result.fused_ns,
-            fmt3(result.speedup()),
-        );
-        shapes.push(result);
-    }
-    let headline = headline_shape(headline_size);
-    eprintln!(
-        "  {:<28} planewise {:>12} ns  fused {:>12} ns  speedup {}x",
-        headline.name,
-        headline.planewise_ns,
-        headline.fused_ns,
-        fmt3(headline.speedup()),
-    );
-    let headline_speedup = headline.speedup();
-    shapes.push(headline);
-
     // ---- Sparse-adjacency zero-word-skip probe ----
     // A ≥90%-word-sparse block-diagonal adjacency (the batched-subgraph shape):
-    // the skip path must match the non-skipping kernel bitwise (asserted inside
-    // the probe) and clear the scale's speedup bar.
+    // both lanes must match the serial oracle bitwise (asserted inside the
+    // probe) and skipping must clear the scale's speedup bar.
     let (sparse_nodes, sparse_bar) = match scale {
         "tiny" => (2048usize, 1.0f64),
         _ => (4096, 1.5),
     };
     let sparse_min_ratio = 0.9f64;
+    eprintln!(
+        "perfsmoke: zero-word-skip probe (scale {scale}, {sparse_nodes} nodes, speedup bar \
+         {sparse_bar}x, skip-ratio bar {sparse_min_ratio})"
+    );
     let sparse = sparse_skip_probe(sparse_nodes, 128, 128, 30);
     eprintln!(
         "  {:<28} no-skip   {:>12} ns  skip  {:>12} ns  speedup {}x  (skip ratio {})",
@@ -1699,34 +1576,27 @@ fn main() {
     let sparse_speedup = sparse.speedup();
     let sparse_ratio = sparse.skip_ratio;
 
-    let shape_lines: Vec<String> = shapes.iter().map(ShapeResult::to_json).collect();
     let json = format!(
         concat!(
             "{{\n",
-            "  \"bench\": \"gemm_fused_vs_planewise\",\n",
+            "  \"bench\": \"gemm_sparse_skip\",\n",
             "  \"scale\": \"{}\",\n",
             "  \"reps\": {},\n",
             "  \"generated_by\": \"cargo run --release -p qgtc-bench --bin perfsmoke\",\n",
-            "  \"headline_speedup\": {},\n",
-            "  \"min_speedup_required\": {},\n",
             "  \"sparse_skip_speedup\": {},\n",
             "  \"sparse_skip_bar\": {},\n",
             "  \"sparse_skip_ratio\": {},\n",
             "  \"sparse_skip_min_ratio\": {},\n",
-            "  \"sparse_probe\": {},\n",
-            "  \"shapes\": [\n{}\n  ]\n",
+            "  \"probes\": [\n    {}\n  ]\n",
             "}}\n"
         ),
         scale,
         REPS,
-        fmt3(headline_speedup),
-        min_speedup,
         fmt3(sparse_speedup),
         sparse_bar,
         fmt3(sparse_ratio),
         sparse_min_ratio,
         sparse.to_json(),
-        shape_lines.join(",\n"),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|err| {
         eprintln!("perfsmoke: cannot write {out_path}: {err}");
@@ -1739,7 +1609,7 @@ fn main() {
     // bounds both the staging memory and the producer shard count. Two gates:
     //
     // * wall-clock — the streamed executor must not be slower than the serial loop
-    //   (15% tolerance: epochs are a few ms, so scheduler noise on a loaded CI
+    //   (15% tolerance: epochs are a few ms, so OS scheduling noise on a loaded CI
     //   host easily moves the min-of-3 by several percent; on a single-core host
     //   the executor degenerates to the serial loop and only measurement noise
     //   separates them, while on multicore hosts the producer shards must pay for
@@ -1943,19 +1813,6 @@ fn main() {
     }
     if run_serving_probe(scale) {
         failed = true;
-    }
-    if headline_speedup < min_speedup {
-        eprintln!(
-            "perfsmoke FAIL: fused path is only {}x the plane-by-plane path on the headline \
-             shape (need >= {min_speedup}x)",
-            fmt3(headline_speedup)
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "perfsmoke OK: fused path is {}x the plane-by-plane path on the headline shape",
-            fmt3(headline_speedup)
-        );
     }
     if sparse_speedup < sparse_bar {
         eprintln!(

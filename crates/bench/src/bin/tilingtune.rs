@@ -19,7 +19,7 @@
 use qgtc_bench::report::fmt3;
 use qgtc_bench::scale_from_env;
 use qgtc_bitmat::condense::{aggregate_adj_features_condensed, CondensedAdjacency};
-use qgtc_bitmat::fused::{aggregate_adj_features_fused_skip, PopcountBody};
+use qgtc_bitmat::fused::{any_bit_gemm_fused_with_stats, PopcountBody};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::DatasetProfile;
 use qgtc_kernels::adjacency_cost_ratio;
@@ -98,7 +98,7 @@ fn tune_condense_threshold(frag_nodes: usize, frag_dim: usize, batch: usize) -> 
         let cond = CondensedAdjacency::from_stack(adj);
         // Bitwise agreement first, per the tuner's convention: a lane that
         // disagrees must never be timed, let alone tuned toward.
-        let (skip_out, _) = aggregate_adj_features_fused_skip(adj, x);
+        let (skip_out, _) = any_bit_gemm_fused_with_stats(adj, x, true);
         let (cond_out, _) = aggregate_adj_features_condensed(&cond, x, body);
         assert_eq!(
             skip_out, cond_out,
@@ -115,7 +115,7 @@ fn tune_condense_threshold(frag_nodes: usize, frag_dim: usize, batch: usize) -> 
                 .unwrap_or(0)
         };
         let skip_ns = time(&|| {
-            let _ = aggregate_adj_features_fused_skip(adj, x);
+            let _ = any_bit_gemm_fused_with_stats(adj, x, true);
         });
         let cond_ns = time(&|| {
             let _ = aggregate_adj_features_condensed(&cond, x, body);

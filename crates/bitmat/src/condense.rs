@@ -271,9 +271,10 @@ pub fn skip_span_estimate(plane: &BitMatrix) -> u64 {
 /// rows named by each window's column remap into a dense panel, then run the
 /// fused shift-accumulate micro-kernel fully dense over the condensed width.
 ///
-/// Bitwise identical to [`crate::fused::aggregate_adj_features_fused_skip`]
-/// and the serial oracle: integer shift-add is exact in any order, and
-/// columns outside a window's union contribute no adjacency bits there.  The
+/// Bitwise identical to the zero-word-skip kernel
+/// ([`crate::fused::any_bit_gemm_fused_with_stats`]) and the serial oracle:
+/// integer shift-add is exact in any order, and columns outside a window's
+/// union contribute no adjacency bits there.  The
 /// returned stats reuse the skip path's accounting frame — `total_words` is
 /// the *source* K-loop trip count and `visited_words` the condensed words
 /// consumed — so skip ratios and condensation ratios are directly comparable.
@@ -385,7 +386,7 @@ pub fn aggregate_adj_features_condensed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::aggregate_adj_features_fused_skip;
+    use crate::fused::any_bit_gemm_fused_with_stats;
     use crate::gemm::any_bit_gemm_serial;
     use qgtc_tensor::rng::random_uniform_matrix;
 
@@ -419,7 +420,7 @@ mod tests {
         let a = StackedBitMatrix::from_binary_adjacency(adj, BitMatrixLayout::RowPacked);
         let x = StackedBitMatrix::from_codes(x_codes, bits, BitMatrixLayout::ColPacked);
         let oracle = any_bit_gemm_serial(&a, &x);
-        let (skip, skip_stats) = aggregate_adj_features_fused_skip(&a, &x);
+        let (skip, skip_stats) = any_bit_gemm_fused_with_stats(&a, &x, true);
         assert_eq!(oracle, skip, "skip path must match the oracle");
         let cond = CondensedAdjacency::from_stack(&a);
         for body in [PopcountBody::Portable, PopcountBody::detect()] {

@@ -1,12 +1,11 @@
 //! Fused any-bitwidth GEMM: every bit-plane pair in one pass over the output.
 //!
-//! The plane-composition reference in [`crate::gemm`] materialises a fresh
-//! `Matrix<u32>` partial product per `(i, j)` plane pair and then re-walks the
-//! full M×N output to shift-accumulate it — `s·t` allocations, `s·t` extra
-//! passes over C, and `s·t` parallel dispatches for an `s`-bit × `t`-bit GEMM.
-//! The kernels here are the fusion Algorithm 1 of the paper actually
-//! describes: walk the output **once**, and for each block of elements reduce
-//! *all* plane pairs in registers before a single store.
+//! The oracle in [`crate::gemm`] materialises a fresh `Matrix<u32>` partial
+//! product per `(i, j)` plane pair and then re-walks the full M×N output to
+//! shift-accumulate it — `s·t` allocations and `s·t` extra passes over C for an
+//! `s`-bit × `t`-bit GEMM.  The kernels here are the fusion Algorithm 1 of the
+//! paper actually describes: walk the output **once**, and for each block of
+//! elements reduce *all* plane pairs in registers before a single store.
 //!
 //! Two kernels compute that product, one per [`PopcountBody`], and
 //! [`any_bit_gemm_fused_with_body`] — the kernel layer's entry — picks the
@@ -32,10 +31,9 @@
 //!   and [`COL_BLOCK`] output columns per micro-kernel step with four
 //!   independent accumulator chains.  Its skipping mode scans each widened A
 //!   lane for maximal runs ("spans") of nonzero words and runs the
-//!   micro-kernel over those only.  The detect-body wrappers
-//!   ([`any_bit_gemm_fused`], [`any_bit_gemm_fused_skip`],
-//!   [`any_bit_gemm_fused_with_stats`] and the `aggregate_adj_features_fused*`
-//!   pair) run it on the detected body, including its AVX-512 micro-kernel.
+//!   micro-kernel over those only.  [`any_bit_gemm_fused_with_stats`] runs it
+//!   on the detected body, including its AVX-512 micro-kernel, which no
+//!   production path reaches.
 //!
 //! Both kernels on every body are bitwise identical to
 //! [`crate::gemm::any_bit_gemm_serial`], the semantic oracle, and report the
@@ -77,9 +75,9 @@ type Span = (usize, usize);
 /// Which popcount micro-kernel body the fused GEMM runs.
 ///
 /// Both bodies are bitwise identical over any input; they differ only in the
-/// instructions that count the bits.  The default entry points pick
-/// [`PopcountBody::detect`]; the kernel layer's `BackendChoice` resolves to
-/// one body, and the conformance suite and the perfsmoke race iterate
+/// instructions that count the bits.  [`any_bit_gemm_fused_with_stats`]
+/// picks [`PopcountBody::detect`]; the kernel layer's `BackendChoice` resolves
+/// to one body, and the conformance suite and the perfsmoke race iterate
 /// [`PopcountBody::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PopcountBody {
@@ -163,49 +161,40 @@ impl FusedGemmStats {
 
 /// Whether `k` products of an `a_bits`-bit and a `b_bits`-bit code always sum
 /// inside the kernels' `i64` accumulators: `a_bits + b_bits + ⌈log2 k⌉ ≤ 63`.
-/// Every fused entry point asserts it.
+/// Every fused entry point and the oracle assert it.
 pub fn accumulator_fits(a_bits: u32, b_bits: u32, k: usize) -> bool {
     a_bits + b_bits + k.max(1).next_power_of_two().trailing_zeros() <= 63
 }
 
-/// Fused any-bitwidth GEMM `C = A · B` between an `s`-bit row-packed stack and a
-/// `t`-bit column-packed stack.  Bit-for-bit equal to
-/// [`crate::gemm::any_bit_gemm_serial`], but performs the whole composition in
-/// one pass over the output with no intermediate plane products.  Runs the
-/// legacy kernel on the detected body.
+/// Panic unless the product `a · b` passes [`accumulator_fits`]: the
+/// shift-accumulate would otherwise wrap silently in release builds.
+pub(crate) fn assert_accumulator_fits(a: &StackedBitMatrix, b: &StackedBitMatrix) {
+    assert!(
+        accumulator_fits(a.bits(), b.bits(), a.cols()),
+        "a {}-bit by {}-bit product over K = {} can overflow the i64 accumulators",
+        a.bits(),
+        b.bits(),
+        a.cols()
+    );
+}
+
+/// The legacy kernel on the detected body: `C = A · B` between an `s`-bit
+/// row-packed stack and a `t`-bit column-packed stack, bit-for-bit equal to
+/// [`crate::gemm::any_bit_gemm_serial`], with zero-word skipping on or off
+/// and always returning the word accounting.  With
+/// `skip_zero_words == false` every K-loop word is visited and the stats
+/// report zero skips.
+///
+/// This is the one entry to the legacy kernel's AVX-512 micro-kernel:
+/// production runs the broadcast kernel on that body
+/// ([`any_bit_gemm_fused_with_body`]).  perfsmoke's sparse-skip and condense
+/// probes, tilingtune's condense stage and the conformance suites call it; it
+/// is deleted together with the condensed adjacency path (ROADMAP item 1).
 ///
 /// # Panics
 ///
 /// Panics on a layout or shape mismatch, and when the bitwidths and K could
 /// overflow the accumulators ([`accumulator_fits`]).
-pub fn any_bit_gemm_fused(a: &StackedBitMatrix, b: &StackedBitMatrix) -> Matrix<i64> {
-    fused_gemm_impl(a, b, false, PopcountBody::detect()).0
-}
-
-/// [`any_bit_gemm_fused`] with zero-word skipping: all-zero `u64` words of the
-/// A operand are jumped via a per-row non-zero-span index.  Bitwise identical
-/// to the non-skipping path; returns the measured skip statistics alongside the
-/// product.
-///
-/// # Panics
-///
-/// As [`any_bit_gemm_fused`].
-pub fn any_bit_gemm_fused_skip(
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-) -> (Matrix<i64>, FusedGemmStats) {
-    fused_gemm_impl(a, b, true, PopcountBody::detect())
-}
-
-/// Run the fused GEMM with skipping on or off, always returning the word
-/// accounting.  With `skip_zero_words == false` every K-loop word is visited
-/// and the stats report zero skips — the kernel's own count, so callers that
-/// toggle skipping (e.g. the BMM cost model) never re-derive the total
-/// themselves.
-///
-/// # Panics
-///
-/// As [`any_bit_gemm_fused`].
 pub fn any_bit_gemm_fused_with_stats(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
@@ -223,7 +212,7 @@ pub fn any_bit_gemm_fused_with_stats(
 /// # Panics
 ///
 /// Panics if `body` is not available on this host, and as
-/// [`any_bit_gemm_fused`].
+/// [`any_bit_gemm_fused_with_stats`].
 pub fn any_bit_gemm_fused_with_body(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
@@ -239,33 +228,6 @@ pub fn any_bit_gemm_fused_with_body(
         PopcountBody::Avx512 => broadcast_gemm(a, b, skip_zero_words),
         _ => fused_gemm_impl(a, b, skip_zero_words, body),
     }
-}
-
-/// Fused neighbour aggregation `X_new = A · X`: a 1-bit adjacency stack times an
-/// `s`-bit feature stack, semantically identical to
-/// [`crate::gemm::aggregate_adj_features`].
-///
-/// # Panics
-///
-/// Panics if the adjacency is not 1-bit, and as [`any_bit_gemm_fused`].
-pub fn aggregate_adj_features_fused(adj: &StackedBitMatrix, x: &StackedBitMatrix) -> Matrix<i64> {
-    assert_eq!(adj.bits(), 1, "adjacency stack must be 1-bit");
-    any_bit_gemm_fused(adj, x)
-}
-
-/// [`aggregate_adj_features_fused`] with zero-word skipping — the shape the
-/// skip index was designed for, since a batched-subgraph adjacency is mostly
-/// zero words.
-///
-/// # Panics
-///
-/// As [`aggregate_adj_features_fused`].
-pub fn aggregate_adj_features_fused_skip(
-    adj: &StackedBitMatrix,
-    x: &StackedBitMatrix,
-) -> (Matrix<i64>, FusedGemmStats) {
-    assert_eq!(adj.bits(), 1, "adjacency stack must be 1-bit");
-    any_bit_gemm_fused_skip(adj, x)
 }
 
 /// The legacy kernel, shared by the skipping and non-skipping entry points.
@@ -733,9 +695,7 @@ fn nonzero_spans(lane: &[u64], spans: &mut Vec<Span>) -> usize {
 }
 
 /// Check layouts and inner dimensions, matching the single-plane BMM contract,
-/// and that the product cannot overflow the accumulators
-/// ([`accumulator_fits`]) — the shift-accumulate would otherwise wrap
-/// silently in release builds.
+/// and that the product cannot overflow the accumulators.
 fn validate_fused_operands(a: &StackedBitMatrix, b: &StackedBitMatrix) {
     assert_eq!(
         a.layout(),
@@ -754,13 +714,7 @@ fn validate_fused_operands(a: &StackedBitMatrix, b: &StackedBitMatrix) {
         a.cols(),
         b.rows()
     );
-    assert!(
-        accumulator_fits(a.bits(), b.bits(), a.cols()),
-        "a {}-bit by {}-bit product over K = {} can overflow the i64 accumulators",
-        a.bits(),
-        b.bits(),
-        a.cols()
-    );
+    assert_accumulator_fits(a, b);
 }
 
 /// Widen a packed `u32` lane into `u64` values, one per `chunks_exact(2)` pair
@@ -1085,8 +1039,7 @@ unsafe fn panel_accum2_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{aggregate_adj_features, any_bit_gemm_serial};
-    use qgtc_tensor::gemm::gemm_i64;
+    use crate::gemm::any_bit_gemm_serial;
     use qgtc_tensor::rng::random_uniform_matrix;
 
     fn random_codes(rows: usize, cols: usize, bits: u32, seed: u64) -> Matrix<u32> {
@@ -1095,20 +1048,23 @@ mod tests {
             .map(|&v| (v as u32).min((1u32 << bits) - 1))
     }
 
-    fn codes_to_i64(codes: &Matrix<u32>) -> Matrix<i64> {
-        codes.map(|&v| v as i64)
+    /// The legacy kernel on the detected body, without skipping.
+    fn legacy(a: &StackedBitMatrix, b: &StackedBitMatrix) -> Matrix<i64> {
+        any_bit_gemm_fused_with_stats(a, b, false).0
     }
 
     #[test]
-    fn fused_matches_integer_gemm_across_bit_widths() {
+    fn fused_matches_the_oracle_across_bit_widths() {
         for (s, t) in [(1u32, 1u32), (2, 3), (3, 2), (4, 4), (5, 2), (8, 8)] {
             let a_codes = random_codes(13, 150, s, 300 + s as u64);
             let b_codes = random_codes(150, 11, t, 400 + t as u64);
             let a = StackedBitMatrix::from_codes(&a_codes, s, BitMatrixLayout::RowPacked);
             let b = StackedBitMatrix::from_codes(&b_codes, t, BitMatrixLayout::ColPacked);
-            let fused = any_bit_gemm_fused(&a, &b);
-            let reference = gemm_i64(&codes_to_i64(&a_codes), &codes_to_i64(&b_codes));
-            assert_eq!(fused, reference, "bit widths ({s}, {t})");
+            assert_eq!(
+                legacy(&a, &b),
+                any_bit_gemm_serial(&a, &b),
+                "bit widths ({s}, {t})"
+            );
         }
     }
 
@@ -1130,7 +1086,7 @@ mod tests {
             let a = StackedBitMatrix::from_codes(&a_codes, 3, BitMatrixLayout::RowPacked);
             let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
             assert_eq!(
-                any_bit_gemm_fused(&a, &b),
+                legacy(&a, &b),
                 any_bit_gemm_serial(&a, &b),
                 "shape ({m}, {k}, {n})"
             );
@@ -1178,10 +1134,7 @@ mod tests {
         let x_codes = random_codes(33, 10, 4, 8);
         let adj = StackedBitMatrix::from_binary_adjacency(&adj_dense, BitMatrixLayout::RowPacked);
         let x = StackedBitMatrix::from_codes(&x_codes, 4, BitMatrixLayout::ColPacked);
-        assert_eq!(
-            aggregate_adj_features_fused(&adj, &x),
-            aggregate_adj_features(&adj, &x)
-        );
+        assert_eq!(legacy(&adj, &x), any_bit_gemm_serial(&adj, &x));
     }
 
     #[test]
@@ -1203,19 +1156,16 @@ mod tests {
         let x_codes = random_codes(192, 20, 3, 10);
         let a = StackedBitMatrix::from_binary_adjacency(&adj, BitMatrixLayout::RowPacked);
         let x = StackedBitMatrix::from_codes(&x_codes, 3, BitMatrixLayout::ColPacked);
-        let (skipped, stats) = any_bit_gemm_fused_skip(&a, &x);
+        let (skipped, stats) = any_bit_gemm_fused_with_stats(&a, &x, true);
         assert_eq!(
             skipped,
-            any_bit_gemm_fused(&a, &x),
+            any_bit_gemm_serial(&a, &x),
             "skip must not change bits"
         );
         // 192 rows x PAD128(192)/64 = 4 widened words per row, one plane.
         assert_eq!(stats.total_words, 192 * 4);
         assert!(stats.skipped_words() > 0, "sparse rows must skip words");
         assert!(stats.skip_ratio() > 0.3, "ratio {}", stats.skip_ratio());
-        let (agg, agg_stats) = aggregate_adj_features_fused_skip(&a, &x);
-        assert_eq!(agg, skipped);
-        assert_eq!(agg_stats, stats);
     }
 
     #[test]
@@ -1224,7 +1174,7 @@ mod tests {
         let b_codes = random_codes(200, 6, 3, 31);
         let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
         let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
-        let (out, stats) = any_bit_gemm_fused_skip(&a, &b);
+        let (out, stats) = any_bit_gemm_fused_with_stats(&a, &b, true);
         assert_eq!(out, any_bit_gemm_serial(&a, &b));
         // Plane 0 is all-ones (codes |= 1), so only plane 1 and the PAD128
         // padding words can be skipped; every touched word is accounted for.
@@ -1244,7 +1194,7 @@ mod tests {
         );
         let b_codes = random_codes(256, 8, 2, 33);
         let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
-        let (out, stats) = any_bit_gemm_fused_skip(&a, &b);
+        let (out, stats) = any_bit_gemm_fused_with_stats(&a, &b, true);
         assert!(out.data().iter().all(|&v| v == 0));
         assert_eq!(stats.visited_words, 0);
         assert!((stats.skip_ratio() - 1.0).abs() < 1e-12);
@@ -1256,7 +1206,7 @@ mod tests {
         let b_codes: Matrix<u32> = Matrix::zeros(0, 0);
         let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
         let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
-        assert_eq!(any_bit_gemm_fused(&a, &b).shape(), (0, 0));
+        assert_eq!(legacy(&a, &b).shape(), (0, 0));
     }
 
     #[test]
@@ -1266,7 +1216,7 @@ mod tests {
             StackedBitMatrix::from_codes(&random_codes(4, 10, 2, 1), 2, BitMatrixLayout::RowPacked);
         let b =
             StackedBitMatrix::from_codes(&random_codes(11, 4, 2, 2), 2, BitMatrixLayout::ColPacked);
-        let _ = any_bit_gemm_fused(&a, &b);
+        let _ = legacy(&a, &b);
     }
 
     #[test]
@@ -1275,17 +1225,7 @@ mod tests {
         let codes = random_codes(8, 8, 1, 3);
         let a = StackedBitMatrix::from_codes(&codes, 1, BitMatrixLayout::ColPacked);
         let b = StackedBitMatrix::from_codes(&codes, 1, BitMatrixLayout::ColPacked);
-        let _ = any_bit_gemm_fused(&a, &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "adjacency stack must be 1-bit")]
-    fn fused_aggregation_rejects_multi_bit_adjacency() {
-        let a_codes = random_codes(8, 8, 2, 4);
-        let x_codes = random_codes(8, 4, 2, 5);
-        let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
-        let x = StackedBitMatrix::from_codes(&x_codes, 2, BitMatrixLayout::ColPacked);
-        let _ = aggregate_adj_features_fused(&a, &x);
+        let _ = legacy(&a, &b);
     }
 
     /// Left operands for the broadcast-kernel checks: random codes with every
@@ -1364,20 +1304,6 @@ mod tests {
             StackedBitMatrix::from_codes(&ones(4, 128), 32, BitMatrixLayout::RowPacked),
             StackedBitMatrix::from_codes(&ones(128, 4), 32, BitMatrixLayout::ColPacked),
         )
-    }
-
-    #[test]
-    #[should_panic(expected = "can overflow the i64 accumulators")]
-    fn fused_rejects_overflowing_bitwidths() {
-        let (a, b) = overflowing_operands();
-        let _ = any_bit_gemm_fused(&a, &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "can overflow the i64 accumulators")]
-    fn fused_skip_rejects_overflowing_bitwidths() {
-        let (a, b) = overflowing_operands();
-        let _ = any_bit_gemm_fused_skip(&a, &b);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! planes with a binary (AND + popcount) matrix product, then shift-and-add the plane
 //! products back together.  The 1-bit products map directly onto the Tensor Core
 //! `b1` MMA primitive; everything else is bookkeeping.  This crate implements that
-//! bookkeeping and a reference composition:
+//! bookkeeping, the reference composition and the fused kernels:
 //!
 //! * [`pack`] — 32-bit word packing helpers, `PAD8`/`PAD128` padding (the Tensor Core
 //!   1-bit tile is 8×128, so operand dimensions are padded accordingly).
@@ -24,16 +24,17 @@
 //!   whole 32-bit plane word at a time, and
 //!   [`stacked::StackedBitMatrix::quantize_pack_in`] quantizes and packs in one
 //!   pass.
-//! * [`ops`] — bit-serial primitives: AND+popcount dot products and single-plane
-//!   binary matrix multiplication.
+//! * [`ops`] — single-plane binary matrix multiplication (AND + popcount), the
+//!   building block of the oracle.
 //! * [`gemm`] — the plane-by-plane any-bitwidth GEMM composition of Algorithm 1:
-//!   [`gemm::any_bit_gemm_serial`] is the workspace's semantic oracle, and the
-//!   parallel plane-by-plane form is kept as the measurable baseline.
+//!   [`gemm::any_bit_gemm_serial`] is the workspace's one GEMM oracle.
 //! * [`fused`] — the production hot path: the same composition fused into a
 //!   single pass over the output (no intermediate plane products, at most one
 //!   pool dispatch, `u64` words).  The kernel layer routes through
 //!   [`fused::any_bit_gemm_fused_with_body`], which runs the broadcast kernel
-//!   on AVX-512 hosts and the legacy kernel on the portable body.
+//!   on AVX-512 hosts and the legacy kernel on the portable body;
+//!   [`fused::any_bit_gemm_fused_with_stats`] runs the legacy kernel on the
+//!   detected body for the probes and suites that still time or check it.
 //!
 //! All routines are exact: for operands that fit their declared bitwidths, the
 //! composed result equals a 64-bit integer GEMM on the codes.
@@ -52,5 +53,4 @@ pub use condense::{
     aggregate_adj_features_condensed, condensed_union_estimate, condensed_word_estimate,
     skip_span_estimate, CondensedAdjacency,
 };
-pub use fused::{aggregate_adj_features_fused, any_bit_gemm_fused};
 pub use stacked::StackedBitMatrix;

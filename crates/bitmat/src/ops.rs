@@ -1,17 +1,15 @@
-//! Bit-serial primitives: binary dot products and single-plane binary matrix
-//! multiplication (BMM).
+//! Single-plane binary matrix multiplication (BMM), the building block of the
+//! GEMM oracle [`crate::gemm::any_bit_gemm_serial`].
 //!
 //! Equation 7 of the paper: the product of two 1-bit vectors is
 //! `popcnt(a & b)`.  A single-plane BMM applies that dot product between every
 //! row-packed lane of the left operand and every column-packed lane of the right
-//! operand, accumulating into `u32`/`i64` — exactly what one Tensor Core `bmma_sync`
-//! computes per 8×8×128 tile, here expressed over whole matrices.  The parallel
-//! version distributes output rows over rayon threads.
+//! operand, accumulating into `u32` — exactly what one Tensor Core `bmma_sync`
+//! computes per 8×8×128 tile, here expressed over whole matrices.
 
 use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
 use crate::pack::and_popcount;
 use qgtc_tensor::Matrix;
-use rayon::prelude::*;
 
 /// Binary matrix multiplication between one row-packed plane `a` (shape M×K) and one
 /// column-packed plane `b` (shape K×N), producing `u32` counts of shape M×N.
@@ -30,25 +28,6 @@ pub fn bmm_plane(a: &BitMatrix, b: &BitMatrix) -> Matrix<u32> {
             *slot = and_popcount(a_lane, b_lane);
         }
     }
-    out
-}
-
-/// Rayon-parallel version of [`bmm_plane`], splitting work over output rows.
-pub fn bmm_plane_parallel(a: &BitMatrix, b: &BitMatrix) -> Matrix<u32> {
-    validate_bmm_operands(a, b);
-    let m = a.rows();
-    let n = b.cols();
-    let b_lanes = trimmed_lanes(b, n, a.words_per_lane());
-    let mut out: Matrix<u32> = Matrix::zeros(m, n);
-    out.data_mut()
-        .par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(i, row)| {
-            let a_lane = a.lane(i);
-            for (slot, b_lane) in row.iter_mut().zip(&b_lanes) {
-                *slot = and_popcount(a_lane, b_lane);
-            }
-        });
     out
 }
 
@@ -84,12 +63,6 @@ fn validate_bmm_operands(a: &BitMatrix, b: &BitMatrix) {
     );
 }
 
-/// Binary dot product between lane `i` of a row-packed plane and lane `j` of a
-/// column-packed plane (one output element of a BMM).
-pub fn bmm_element(a: &BitMatrix, i: usize, b: &BitMatrix, j: usize) -> u32 {
-    and_popcount(a.lane(i), &b.lane(j)[..a.words_per_lane()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,26 +95,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let a_bits = random_bits(40, 300, 3);
-        let b_bits = random_bits(300, 25, 4);
-        let a = BitMatrix::from_bits(&a_bits, BitMatrixLayout::RowPacked);
-        let b = BitMatrix::from_bits(&b_bits, BitMatrixLayout::ColPacked);
-        assert_eq!(bmm_plane(&a, &b), bmm_plane_parallel(&a, &b));
-    }
-
-    #[test]
-    fn bmm_element_matches_full_product() {
-        let a_bits = random_bits(6, 90, 5);
-        let b_bits = random_bits(90, 7, 6);
-        let a = BitMatrix::from_bits(&a_bits, BitMatrixLayout::RowPacked);
-        let b = BitMatrix::from_bits(&b_bits, BitMatrixLayout::ColPacked);
-        let full = bmm_plane(&a, &b);
-        assert_eq!(bmm_element(&a, 2, &b, 3), full[(2, 3)]);
-        assert_eq!(bmm_element(&a, 5, &b, 0), full[(5, 0)]);
     }
 
     #[test]

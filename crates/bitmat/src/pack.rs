@@ -94,23 +94,6 @@ pub fn and_popcount(a: &[u32], b: &[u32]) -> u32 {
         .sum()
 }
 
-/// XNOR + popcount between two packed word slices over `total_bits` valid bits — the
-/// dot-product primitive of ±1 binarized networks, provided for completeness (QGTC
-/// uses the AND form because adjacency entries are 0/1, not ±1).
-#[inline]
-pub fn xnor_popcount(a: &[u32], b: &[u32], total_bits: usize) -> i64 {
-    debug_assert_eq!(a.len(), b.len());
-    let matches: u32 = a
-        .iter()
-        .zip(b.iter())
-        .map(|(x, y)| (!(x ^ y)).count_ones())
-        .sum();
-    // Subtract the phantom matches contributed by padding bits beyond total_bits.
-    let padding_bits = (a.len() * WORD_BITS - total_bits) as i64;
-    let valid_matches = matches as i64 - padding_bits;
-    2 * valid_matches - total_bits as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,24 +159,5 @@ mod tests {
         let a = pack_bits_le(&a_bits);
         let b = pack_bits_le(&b_bits);
         assert_eq!(and_popcount(&a, &b), expected);
-    }
-
-    #[test]
-    fn xnor_popcount_matches_sign_dot_product() {
-        // Interpret bits as ±1 (0 -> -1, 1 -> +1); xnor_popcount must equal the dot product.
-        let a_bits: Vec<u8> = vec![1, 0, 1, 1, 0];
-        let b_bits: Vec<u8> = vec![1, 1, 0, 1, 1];
-        let expected: i64 = a_bits
-            .iter()
-            .zip(b_bits.iter())
-            .map(|(&x, &y)| {
-                let xs = if x == 1 { 1i64 } else { -1 };
-                let ys = if y == 1 { 1i64 } else { -1 };
-                xs * ys
-            })
-            .sum();
-        let a = pack_bits_le(&a_bits);
-        let b = pack_bits_le(&b_bits);
-        assert_eq!(xnor_popcount(&a, &b, 5), expected);
     }
 }

@@ -398,7 +398,7 @@ mod tests {
         let bits = 8;
         let (h_stack, h_params, _) = quantize_weights(&h, bits, BitMatrixLayout::RowPacked);
         let (w_stack, w_params, w_colsums) = quantize_weights(&w, bits, BitMatrixLayout::ColPacked);
-        let acc = qgtc_bitmat::gemm::any_bit_gemm(&h_stack, &w_stack);
+        let acc = qgtc_bitmat::gemm::any_bit_gemm_serial(&h_stack, &w_stack);
         let (row_off, col_off) = affine_update_offsets(
             h_params,
             w_params,

@@ -1,17 +1,18 @@
 //! Synthetic graph generators.
 //!
 //! Real QGTC datasets are replaced by synthetic graphs with matched size and
-//! community structure (see the workspace README).  Three families cover the datasets:
+//! community structure (see the workspace README):
 //!
-//! * [`stochastic_block_model`] — planted communities; the workhorse generator because
-//!   METIS-partitioned real graphs behave like dense clusters connected by a sparse
-//!   cut, which SBM models directly.  Also provides ground-truth community labels used
-//!   by the quantization-aware-training accuracy experiment (Table 2).
-//! * [`rmat`] — power-law/scale-free graphs mimicking ogbn-products' skewed degrees.
-//! * [`erdos_renyi`] — uniform random graphs for controlled micro-benchmarks.
+//! * [`stochastic_block_model`] — planted communities; the generator behind every
+//!   dataset profile, because METIS-partitioned real graphs behave like dense
+//!   clusters connected by a sparse cut, which SBM models directly.  Also provides
+//!   ground-truth community labels used by the quantization-aware-training accuracy
+//!   experiment (Table 2).
+//! * [`ring_lattice`] — a regular ring for tests that need a fully predictable
+//!   structure.
 //!
-//! All generators return an undirected, self-loop-free [`CooGraph`] and are
-//! deterministic given the seed.
+//! Both return an undirected, self-loop-free [`CooGraph`]; the block model is
+//! deterministic given its seed.
 
 use crate::coo::CooGraph;
 use qgtc_tensor::rng::SplitMix64;
@@ -73,70 +74,6 @@ pub fn stochastic_block_model(params: SbmParams, seed: u64) -> (CooGraph, Vec<us
     }
     coo.symmetrize();
     (coo, labels)
-}
-
-/// Generate an R-MAT (recursive matrix) graph with the classic (a, b, c, d) quadrant
-/// probabilities, producing a skewed power-law-like degree distribution.
-pub fn rmat(num_nodes: usize, num_edges: usize, seed: u64) -> CooGraph {
-    // Standard Graph500 parameters.
-    const A: f64 = 0.57;
-    const B: f64 = 0.19;
-    const C: f64 = 0.19;
-    let scale = (num_nodes.max(2) as f64).log2().ceil() as u32;
-    let side = 1usize << scale;
-    let mut rng = SplitMix64::new(seed);
-    let mut coo = CooGraph::new(num_nodes);
-    let mut placed = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = num_edges * 4 + 64;
-    while placed < num_edges && attempts < max_attempts {
-        attempts += 1;
-        let (mut u, mut v) = (0usize, 0usize);
-        let mut span = side;
-        while span > 1 {
-            span /= 2;
-            let r = rng.next_f64();
-            if r < A {
-                // top-left quadrant: no offset
-            } else if r < A + B {
-                v += span;
-            } else if r < A + B + C {
-                u += span;
-            } else {
-                u += span;
-                v += span;
-            }
-        }
-        if u < num_nodes && v < num_nodes && u != v {
-            coo.add_edge(u, v);
-            placed += 1;
-        }
-    }
-    coo.symmetrize();
-    coo
-}
-
-/// Generate an Erdős–Rényi G(n, m) graph with exactly up to `num_edges` random edges.
-pub fn erdos_renyi(num_nodes: usize, num_edges: usize, seed: u64) -> CooGraph {
-    let mut rng = SplitMix64::new(seed);
-    let mut coo = CooGraph::new(num_nodes);
-    if num_nodes < 2 {
-        return coo;
-    }
-    let mut placed = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = num_edges * 4 + 64;
-    while placed < num_edges && attempts < max_attempts {
-        attempts += 1;
-        let u = rng.next_bounded(num_nodes as u64) as usize;
-        let v = rng.next_bounded(num_nodes as u64) as usize;
-        if u != v {
-            coo.add_edge(u, v);
-            placed += 1;
-        }
-    }
-    coo.symmetrize();
-    coo
 }
 
 /// Generate a graph whose every node has degree exactly `degree` by wiring each node
@@ -230,33 +167,6 @@ mod tests {
         assert_eq!(a, b);
         let (c, _) = stochastic_block_model(p, 4);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn rmat_is_skewed() {
-        let g = rmat(1024, 8192, 5);
-        assert!(g.num_edges() > 4000, "too few edges: {}", g.num_edges());
-        let csr = CsrGraph::from_coo(&g);
-        let max_deg = (0..csr.num_nodes()).map(|u| csr.degree(u)).max().unwrap();
-        let mean_deg = csr.num_edges() as f64 / csr.num_nodes() as f64;
-        assert!(
-            max_deg as f64 > 4.0 * mean_deg,
-            "R-MAT should have hubs (max {max_deg}, mean {mean_deg:.1})"
-        );
-    }
-
-    #[test]
-    fn erdos_renyi_basic_properties() {
-        let g = erdos_renyi(500, 2000, 9);
-        assert_eq!(g.num_nodes(), 500);
-        assert!(g.is_symmetric());
-        assert!(g.edges().iter().all(|&(u, v)| u != v));
-    }
-
-    #[test]
-    fn erdos_renyi_tiny_graph_is_safe() {
-        let g = erdos_renyi(1, 10, 3);
-        assert_eq!(g.num_edges(), 0);
     }
 
     #[test]

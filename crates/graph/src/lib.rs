@@ -8,15 +8,16 @@
 //!
 //! * [`csr::CsrGraph`] / [`coo::CooGraph`] — compressed sparse row and coordinate
 //!   storage with conversions, validation and symmetrisation;
-//! * [`generate`] — synthetic graph generators (stochastic block model, R-MAT,
-//!   Erdős–Rényi, power-law configuration) used to produce graphs whose node count,
-//!   edge count and community structure match each dataset profile;
+//! * [`generate`] — the stochastic-block-model generator that produces graphs whose
+//!   node count, edge count and community structure match each dataset profile, plus
+//!   a regular ring lattice for tests;
 //! * [`datasets`] — the Table-1 profiles themselves plus scaled-down variants for
 //!   tests, and a loader that materialises a profile into a concrete graph, feature
 //!   matrix and labels;
 //! * [`subgraph`] — induced-subgraph extraction and 1-bit adjacency materialisation
 //!   (the form consumed by the Tensor Core kernels);
-//! * [`stats`] — degree/density statistics used by the experiment reports.
+//! * [`stats`] — the intra/inter-part edge split behind the partitioner's quality
+//!   report.
 //!
 //! All generators are deterministic given a seed, so every experiment binary can be
 //! re-run bit-for-bit.
@@ -25,7 +26,6 @@ pub mod coo;
 pub mod csr;
 pub mod datasets;
 pub mod generate;
-pub mod reorder;
 pub mod stats;
 pub mod subgraph;
 

@@ -1,79 +1,6 @@
-//! Graph statistics used by experiment reports and the partitioner.
+//! Graph statistics used by the partitioner's quality report.
 
 use crate::csr::CsrGraph;
-
-/// Summary statistics of a graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphStats {
-    /// Number of nodes.
-    pub num_nodes: usize,
-    /// Number of directed edges.
-    pub num_edges: usize,
-    /// Minimum degree.
-    pub min_degree: usize,
-    /// Maximum degree.
-    pub max_degree: usize,
-    /// Mean degree.
-    pub mean_degree: f64,
-    /// Fraction of possible edges present (directed density).
-    pub density: f64,
-    /// Number of isolated (degree-0) nodes.
-    pub isolated_nodes: usize,
-}
-
-/// Compute summary statistics for a graph.
-pub fn graph_stats(graph: &CsrGraph) -> GraphStats {
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
-    let mut min_degree = usize::MAX;
-    let mut max_degree = 0usize;
-    let mut isolated = 0usize;
-    for u in 0..n {
-        let d = graph.degree(u);
-        min_degree = min_degree.min(d);
-        max_degree = max_degree.max(d);
-        if d == 0 {
-            isolated += 1;
-        }
-    }
-    if n == 0 {
-        min_degree = 0;
-    }
-    GraphStats {
-        num_nodes: n,
-        num_edges: m,
-        min_degree,
-        max_degree,
-        mean_degree: if n == 0 { 0.0 } else { m as f64 / n as f64 },
-        density: if n <= 1 {
-            0.0
-        } else {
-            m as f64 / (n as f64 * (n - 1) as f64)
-        },
-        isolated_nodes: isolated,
-    }
-}
-
-/// Degree histogram with logarithmic buckets `[1, 2), [2, 4), [4, 8), …`.
-///
-/// Bucket 0 counts isolated nodes.  Used by the dataset report to show that R-MAT
-/// materialisations reproduce the skew of the corresponding real datasets.
-pub fn degree_histogram_log2(graph: &CsrGraph) -> Vec<usize> {
-    let mut buckets = vec![0usize; 2];
-    for u in 0..graph.num_nodes() {
-        let d = graph.degree(u);
-        let bucket = if d == 0 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros()) as usize
-        };
-        if bucket >= buckets.len() {
-            buckets.resize(bucket + 1, 0);
-        }
-        buckets[bucket] += 1;
-    }
-    buckets
-}
 
 /// Count how many edges of the graph connect nodes in the same part, given a part
 /// assignment per node. Returns `(intra_edges, inter_edges)` in directed counts.
@@ -101,7 +28,6 @@ pub fn partition_edge_split(graph: &CsrGraph, parts: &[usize]) -> (usize, usize)
 mod tests {
     use super::*;
     use crate::coo::CooGraph;
-    use crate::generate::ring_lattice;
 
     fn star(n: usize) -> CsrGraph {
         let mut coo = CooGraph::new(n);
@@ -110,45 +36,6 @@ mod tests {
         }
         coo.symmetrize();
         CsrGraph::from_coo(&coo)
-    }
-
-    #[test]
-    fn stats_of_star_graph() {
-        let g = star(5);
-        let s = graph_stats(&g);
-        assert_eq!(s.num_nodes, 5);
-        assert_eq!(s.num_edges, 8);
-        assert_eq!(s.max_degree, 4);
-        assert_eq!(s.min_degree, 1);
-        assert_eq!(s.isolated_nodes, 0);
-        assert!((s.mean_degree - 1.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_of_empty_graph() {
-        let g = CsrGraph::from_coo(&CooGraph::new(0));
-        let s = graph_stats(&g);
-        assert_eq!(s.num_nodes, 0);
-        assert_eq!(s.min_degree, 0);
-        assert_eq!(s.density, 0.0);
-    }
-
-    #[test]
-    fn isolated_nodes_counted() {
-        let mut coo = CooGraph::new(4);
-        coo.add_edge(0, 1);
-        coo.symmetrize();
-        let s = graph_stats(&CsrGraph::from_coo(&coo));
-        assert_eq!(s.isolated_nodes, 2);
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let g = ring_lattice(16, 4); // all degrees 4 -> bucket 3 ([4,8))
-        let csr = CsrGraph::from_coo(&g);
-        let h = degree_histogram_log2(&csr);
-        assert_eq!(h[3], 16);
-        assert_eq!(h.iter().sum::<usize>(), 16);
     }
 
     #[test]

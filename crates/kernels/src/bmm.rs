@@ -36,7 +36,6 @@ use qgtc_bitmat::condense::{
 };
 pub use qgtc_bitmat::fused::accumulator_fits;
 use qgtc_bitmat::fused::any_bit_gemm_fused_with_body;
-use qgtc_bitmat::gemm::any_bit_gemm_serial;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tcsim::fragment::{TILE_M, TILE_N};
@@ -488,19 +487,6 @@ fn record_tile_walk(
     }
 }
 
-/// Convenience wrapper: run the kernel and also return the reference result computed
-/// by the serial plane-composition oracle of `qgtc-bitmat`, for self-checking callers.
-pub fn qgtc_bmm_checked(
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-    config: &KernelConfig,
-    tracker: &CostTracker,
-) -> (Matrix<i64>, Matrix<i64>) {
-    let fast = qgtc_bmm(a, b, config, tracker);
-    let reference = any_bit_gemm_serial(a, b);
-    (fast, reference)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,17 +779,6 @@ mod tests {
                 assert_eq!(avx512_cost, portable_cost, "jump {jumping}");
             }
         }
-    }
-
-    #[test]
-    fn checked_wrapper_agrees_with_itself() {
-        let a_codes = random_codes(10, 140, 2, 9);
-        let b_codes = random_codes(140, 10, 3, 10);
-        let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
-        let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
-        let tracker = CostTracker::new();
-        let (fast, reference) = qgtc_bmm_checked(&a, &b, &KernelConfig::default(), &tracker);
-        assert_eq!(fast, reference);
     }
 
     #[test]

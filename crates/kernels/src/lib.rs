@@ -29,8 +29,6 @@
 //! * [`pool`] — the exclusive-pool buffer arena behind sustained serving: recycled
 //!   packed-plane words, code buffers and dense staging buffers, so steady-state
 //!   batch preparation allocates nothing fresh.
-//! * [`scheduler`] — thread-block/launch planning helpers shared by the kernels and
-//!   the end-to-end pipeline.
 //!
 //! Every kernel both computes the exact functional result (verified against the
 //! reference composition in `qgtc-bitmat`) and records its work into a
@@ -41,7 +39,6 @@ pub mod bmm;
 pub mod fusion;
 pub mod packing;
 pub mod pool;
-pub mod scheduler;
 pub mod tile_reuse;
 pub mod tiling;
 pub mod zero_tile;

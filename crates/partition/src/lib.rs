@@ -28,7 +28,6 @@
 //! for any shard count — see the [`metis`] module docs for the determinism
 //! contract.
 
-pub mod alternatives;
 pub mod batch;
 pub mod coarsen;
 pub mod initial;

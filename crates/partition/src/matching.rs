@@ -221,7 +221,7 @@ mod tests {
         assert_eq!(m.num_pairs, 1);
 
         // Triangle with one heavy edge (0-1, weight 10): both endpoints prefer
-        // it over their weight-1 alternatives, so the first round always commits
+        // it over their weight-1 edges, so the first round always commits
         // the heavy edge, whatever the seed.
         let g =
             WeightedGraph::from_weighted_edges(3, &[(0, 1, 10), (1, 2, 1), (0, 2, 1)], &[1, 1, 1]);

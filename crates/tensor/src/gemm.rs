@@ -1,13 +1,13 @@
-//! Dense GEMM / GEMV reference kernels.
+//! Dense GEMM kernels and the CSR SpMM.
 //!
 //! These are the full-precision (and wide-integer) matrix products used by
 //!
 //! * the DGL-like fp32 baseline (`qgtc-baselines`), which performs the node-update
-//!   step `X_new · W` in fp32, and
-//! * every correctness test of the bit-decomposed kernels: the quantized QGTC path
-//!   must produce the same integer results as [`gemm_i64`] on the quantized operands.
+//!   step `X_new · W` in fp32, and the int8/int4 tensor-core analogues, and
+//! * the check on the bit-plane GEMM oracle (`qgtc_bitmat::gemm`): composed from
+//!   1-bit products, it must reproduce [`gemm_i64`] on the quantized codes.
 //!
-//! The implementations are cache-blocked and parallelised over row blocks with rayon,
+//! The parallel kernels split the output into row blocks on the rayon pool,
 //! mirroring how the CUDA-core baseline distributes thread blocks over output tiles.
 
 use crate::matrix::Matrix;
@@ -23,8 +23,9 @@ const ROW_BLOCK: usize = 64;
 /// serial implementation to avoid rayon overhead on tiny matrices.
 const PARALLEL_THRESHOLD: usize = 64 * 64;
 
-/// `C = A · B` for `f32` matrices (serial, no blocking). Panics on shape mismatch.
-pub fn gemm_f32_serial(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
+/// `C = A · B` for `f32` matrices (serial, no blocking) — [`gemm_f32`]'s path
+/// for small outputs.
+fn gemm_f32_serial(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -89,14 +90,6 @@ pub fn gemm_f32(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
             }
         });
     c
-}
-
-/// `y = A · x` for an `f32` matrix and vector. Panics if `x.len() != A.cols()`.
-pub fn gemv_f32(a: &Matrix<f32>, x: &[f32]) -> Vec<f32> {
-    assert_eq!(a.cols(), x.len(), "gemv_f32: dimension mismatch");
-    a.rows_iter()
-        .map(|row| row.iter().zip(x.iter()).map(|(a, b)| a * b).sum())
-        .collect()
 }
 
 /// `C = A · B` with `i64` accumulation over `i64` operands (serial).
@@ -248,18 +241,6 @@ mod tests {
         let b = Matrix::from_vec(2, 2, vec![5.0f32, 6.0, 7.0, 8.0]).unwrap();
         let c = gemm_f32(&a, &b);
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn gemv_matches_gemm_column() {
-        let a = random_matrix_f32(6, 4, 9);
-        let x = vec![1.0f32, -1.0, 0.5, 2.0];
-        let xm = Matrix::from_vec(4, 1, x.clone()).unwrap();
-        let y = gemv_f32(&a, &x);
-        let c = gemm_f32(&a, &xm);
-        for i in 0..6 {
-            assert!((y[i] - c[(i, 0)]).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! crate provides that substrate in pure Rust:
 //!
 //! * [`Matrix`] — a row-major dense matrix over `f32`, `i32`, `u32`, `i64`, …
-//! * [`gemm`] — blocked, rayon-parallel dense GEMM / GEMV used by the fp32 baseline
-//!   and by the reference implementations the quantized kernels are verified against.
+//! * [`gemm`] — row-block-parallel dense GEMM and CSR SpMM used by the fp32 and
+//!   integer baselines, and the `i64` GEMM the bit-plane GEMM oracle is checked
+//!   against.
 //! * [`ops`] — elementwise operators (ReLU, tanh, bias add), batch-normalization,
 //!   softmax and argmax needed by the GNN models.
 //! * [`quant`] — the quantization scheme of the paper (Equation 2): uniform affine
@@ -38,7 +39,7 @@ pub use quant::{QuantParams, Quantizer};
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::error::{Result, TensorError};
-    pub use crate::gemm::{gemm_f32, gemm_i64, gemv_f32};
+    pub use crate::gemm::{gemm_f32, gemm_i64};
     pub use crate::matrix::Matrix;
     pub use crate::ops;
     pub use crate::quant::{QuantParams, Quantizer};

@@ -172,44 +172,6 @@ pub fn argmax_rows(x: &Matrix<f32>) -> Vec<usize> {
         .collect()
 }
 
-/// Mean of each feature column.
-pub fn column_mean(x: &Matrix<f32>) -> Vec<f32> {
-    if x.rows() == 0 {
-        return vec![0.0; x.cols()];
-    }
-    let mut mean = vec![0.0f32; x.cols()];
-    for row in x.rows_iter() {
-        for (m, &v) in mean.iter_mut().zip(row.iter()) {
-            *m += v;
-        }
-    }
-    let n = x.rows() as f32;
-    for m in &mut mean {
-        *m /= n;
-    }
-    mean
-}
-
-/// Variance of each feature column (population variance).
-pub fn column_var(x: &Matrix<f32>) -> Vec<f32> {
-    let mean = column_mean(x);
-    if x.rows() == 0 {
-        return vec![0.0; x.cols()];
-    }
-    let mut var = vec![0.0f32; x.cols()];
-    for row in x.rows_iter() {
-        for ((v, &x_val), &m) in var.iter_mut().zip(row.iter()).zip(mean.iter()) {
-            let d = x_val - m;
-            *v += d * d;
-        }
-    }
-    let n = x.rows() as f32;
-    for v in &mut var {
-        *v /= n;
-    }
-    var
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,17 +229,18 @@ mod tests {
 
     #[test]
     fn batch_norm_standardises() {
+        // Population mean 2.5 and variance 1.25 of the column.
         let x = Matrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let params = BatchNormParams {
             gamma: vec![1.0],
             beta: vec![0.0],
-            mean: column_mean(&x),
-            var: column_var(&x),
+            mean: vec![2.5],
+            var: vec![1.25],
             eps: 0.0,
         };
         let y = batch_norm(&x, &params).unwrap();
-        let m = column_mean(&y)[0];
-        let v = column_var(&y)[0];
+        let m = y.data().iter().sum::<f32>() / 4.0;
+        let v = y.data().iter().map(|&y| (y - m) * (y - m)).sum::<f32>() / 4.0;
         assert!(m.abs() < 1e-6);
         assert!((v - 1.0).abs() < 1e-5);
     }
@@ -310,15 +273,5 @@ mod tests {
     #[test]
     fn argmax_picks_largest() {
         assert_eq!(argmax_rows(&sample()), vec![2, 0]);
-    }
-
-    #[test]
-    fn column_stats() {
-        let x = Matrix::from_vec(2, 2, vec![1.0, 10.0, 3.0, 20.0]).unwrap();
-        assert_eq!(column_mean(&x), vec![2.0, 15.0]);
-        assert_eq!(column_var(&x), vec![1.0, 25.0]);
-        let empty: Matrix<f32> = Matrix::zeros(0, 2);
-        assert_eq!(column_mean(&empty), vec![0.0, 0.0]);
-        assert_eq!(column_var(&empty), vec![0.0, 0.0]);
     }
 }

@@ -13,8 +13,8 @@
 //! `QGTC_CI_FAST=1` shrinks the proptest case counts for the timed CI gate.
 
 use proptest::prelude::*;
-use qgtc_repro::bitmat::fused::{aggregate_adj_features_fused_skip, PopcountBody};
-use qgtc_repro::bitmat::gemm::aggregate_adj_features;
+use qgtc_repro::bitmat::fused::{any_bit_gemm_fused_with_stats, PopcountBody};
+use qgtc_repro::bitmat::gemm::any_bit_gemm_serial;
 use qgtc_repro::bitmat::{
     aggregate_adj_features_condensed, BitMatrixLayout, CondensedAdjacency, StackedBitMatrix,
 };
@@ -115,8 +115,8 @@ proptest! {
         let adj = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
         let x = feature_stack(nodes, dim, bits, seed ^ 0xC0DE);
 
-        let oracle = aggregate_adj_features(&adj, &x);
-        let (skip, _) = aggregate_adj_features_fused_skip(&adj, &x);
+        let oracle = any_bit_gemm_serial(&adj, &x);
+        let (skip, _) = any_bit_gemm_fused_with_stats(&adj, &x, true);
         prop_assert_eq!(&skip, &oracle);
 
         let cond = CondensedAdjacency::from_stack(&adj);

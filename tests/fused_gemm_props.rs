@@ -1,6 +1,7 @@
 //! Property suite for the fused GEMM hot path: across random shapes, bit widths
-//! 1–8 and odd/exactly-padded K values, the fused kernels must agree
-//! bit-for-bit with the plane-by-plane serial oracle of `qgtc_bitmat::gemm`.
+//! 1–8 and odd/exactly-padded K values, the legacy kernel on the detected body
+//! (`any_bit_gemm_fused_with_stats`) must agree bit-for-bit with the
+//! plane-by-plane serial oracle of `qgtc_bitmat::gemm`.
 //!
 //! The production-kernel properties extend the contract to
 //! `any_bit_gemm_fused_with_body`, where the AVX-512 body runs the broadcast
@@ -14,10 +15,10 @@
 
 use proptest::prelude::*;
 use qgtc_repro::bitmat::fused::{
-    aggregate_adj_features_fused, any_bit_gemm_fused, any_bit_gemm_fused_with_body,
-    avx512_popcount_available, PopcountBody, BROADCAST_INLINE_ROWS, BROADCAST_ROW_BLOCK,
+    any_bit_gemm_fused_with_body, any_bit_gemm_fused_with_stats, avx512_popcount_available,
+    PopcountBody, BROADCAST_INLINE_ROWS, BROADCAST_ROW_BLOCK,
 };
-use qgtc_repro::bitmat::gemm::{aggregate_adj_features, any_bit_gemm_serial};
+use qgtc_repro::bitmat::gemm::any_bit_gemm_serial;
 use qgtc_repro::bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_repro::tensor::rng::random_uniform_matrix;
 use qgtc_repro::tensor::Matrix;
@@ -96,7 +97,10 @@ proptest! {
         let (m, k, n) = dims;
         let (s, t) = bits;
         let (a, b) = stacks(m, k, n, s, t, seed);
-        prop_assert_eq!(any_bit_gemm_fused(&a, &b), any_bit_gemm_serial(&a, &b));
+        prop_assert_eq!(
+            any_bit_gemm_fused_with_stats(&a, &b, false).0,
+            any_bit_gemm_serial(&a, &b)
+        );
     }
 
     #[test]
@@ -110,7 +114,10 @@ proptest! {
         let (m, n) = dims;
         let (s, t) = bits;
         let (a, b) = stacks(m, k, n, s, t, seed);
-        prop_assert_eq!(any_bit_gemm_fused(&a, &b), any_bit_gemm_serial(&a, &b));
+        prop_assert_eq!(
+            any_bit_gemm_fused_with_stats(&a, &b, false).0,
+            any_bit_gemm_serial(&a, &b)
+        );
     }
 
     #[test]
@@ -197,8 +204,8 @@ proptest! {
         let adj = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
         let x = StackedBitMatrix::from_codes(&features, bits, BitMatrixLayout::ColPacked);
         prop_assert_eq!(
-            aggregate_adj_features_fused(&adj, &x),
-            aggregate_adj_features(&adj, &x)
+            any_bit_gemm_fused_with_stats(&adj, &x, false).0,
+            any_bit_gemm_serial(&adj, &x)
         );
     }
 }

@@ -5,7 +5,7 @@
 //! independently measured by `quality.rs` on the assignment.
 //!
 //! The shard width is the determinism-relevant dimension (shard boundaries are
-//! the only thing that could reorder a reduction); the pool's *thread* count
+//! the only thing that could change a reduction's order); the pool's *thread* count
 //! only changes which worker executes which shard, never the merge order.
 //! `ci.sh` still runs this whole suite under `RAYON_NUM_THREADS` ∈ {1, 2, 8} in
 //! its partition-determinism stage, so both dimensions are covered.

@@ -4,8 +4,8 @@
 //!
 //! 1. **Zero-word skipping is invisible.** Across random shapes, bit widths and
 //!    sparsity levels, the fused GEMM with the zero-word span index produces
-//!    bit-for-bit the same output as the non-skipping fused kernel, and its
-//!    skip accounting is internally consistent.
+//!    bit-for-bit the same output as the non-skipping fused kernel and the
+//!    serial oracle, and its skip accounting is internally consistent.
 //! 2. **Packed features are the first layer.** Feeding a model the payload's
 //!    packed feature stack (the `PreparedBatch` path) is bit-identical to the
 //!    re-quantize-from-dense oracle — the dense-entry `forward_quantized_batch`,
@@ -17,10 +17,8 @@
 //!    two entry points together on all six Table-1 dataset profiles.
 
 use proptest::prelude::*;
-use qgtc_repro::bitmat::fused::{
-    aggregate_adj_features_fused, aggregate_adj_features_fused_skip, any_bit_gemm_fused,
-    any_bit_gemm_fused_skip,
-};
+use qgtc_repro::bitmat::fused::any_bit_gemm_fused_with_stats;
+use qgtc_repro::bitmat::gemm::any_bit_gemm_serial;
 use qgtc_repro::bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_repro::gnn::models::{GnnModel, QuantizationSetting};
 use qgtc_repro::gnn::{BatchedGinModel, ClusterGcnModel};
@@ -69,8 +67,10 @@ proptest! {
         let b_codes = random_codes(k, n, t, seed ^ 0xBEE5);
         let a = StackedBitMatrix::from_codes(&a_codes, s, BitMatrixLayout::RowPacked);
         let b = StackedBitMatrix::from_codes(&b_codes, t, BitMatrixLayout::ColPacked);
-        let (skipped, stats) = any_bit_gemm_fused_skip(&a, &b);
-        prop_assert_eq!(skipped, any_bit_gemm_fused(&a, &b));
+        let (skipped, stats) = any_bit_gemm_fused_with_stats(&a, &b, true);
+        let oracle = any_bit_gemm_serial(&a, &b);
+        prop_assert_eq!(&skipped, &oracle);
+        prop_assert_eq!(any_bit_gemm_fused_with_stats(&a, &b, false).0, oracle);
         prop_assert!(stats.visited_words <= stats.total_words);
         prop_assert_eq!(
             stats.total_words,
@@ -91,8 +91,10 @@ proptest! {
         let features = random_codes(nodes, dim, bits, seed ^ 0xA5A5);
         let adj = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
         let x = StackedBitMatrix::from_codes(&features, bits, BitMatrixLayout::ColPacked);
-        let (skipped, _) = aggregate_adj_features_fused_skip(&adj, &x);
-        prop_assert_eq!(skipped, aggregate_adj_features_fused(&adj, &x));
+        let (skipped, _) = any_bit_gemm_fused_with_stats(&adj, &x, true);
+        let oracle = any_bit_gemm_serial(&adj, &x);
+        prop_assert_eq!(&skipped, &oracle);
+        prop_assert_eq!(any_bit_gemm_fused_with_stats(&adj, &x, false).0, oracle);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! pool-parallel GEMM, so ci.sh runs this file at several pool widths.
 
 use proptest::prelude::*;
-use qgtc_repro::bitmat::fused::any_bit_gemm_fused;
+use qgtc_repro::bitmat::fused::any_bit_gemm_fused_with_stats;
 use qgtc_repro::bitmat::gemm::any_bit_gemm_serial;
 use qgtc_repro::bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_repro::kernels::fusion::{Activation, EpilogueOutput, FusedEpilogue};
@@ -356,7 +356,7 @@ proptest! {
         let ep = FusedEpilogue::hidden_layer(0.01, BITS[out_bits_index])
             .with_output_layout(layout)
             .with_row_offset(floats(m, &mut state, false));
-        let fast = ep.apply(&any_bit_gemm_fused(&a, &b), &CostTracker::new());
+        let fast = ep.apply(&any_bit_gemm_fused_with_stats(&a, &b, false).0, &CostTracker::new());
         let serial = any_bit_gemm_serial(&a, &b);
         assert_same_transition(fast, four_pass(&ep, Entry::Accumulator(&serial)), "pooled GEMM");
     }

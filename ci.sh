@@ -27,7 +27,10 @@
 #   transitions            the one-pass layer transition (epilogue row pass,
 #                          lane range scan, byte-code quantize-pack, transposing
 #                          repack) == the four-pass composition and the packing
-#                          and quantized-path oracles, bitwise, under
+#                          and quantized-path oracles, the in-kernel epilogue ==
+#                          the epilogue applied to the serial oracle's
+#                          accumulator, and no accumulator matrix on the
+#                          models' default path, bitwise, under
 #                          RAYON_NUM_THREADS in {1, 2, 8}
 #   chaos                  fault-injection chaos proptests (recoverable plans
 #                          recover bitwise, unrecoverable ones fail typed),
@@ -153,13 +156,17 @@ backend_stage() {
 transitions_stage() {
     # The layer-transition contract: the one-pass epilogue, the byte-code
     # quantize-pack and the transposing repack must match their oracles bitwise
-    # whatever the width of the pool that ran the GEMM feeding them.
+    # whatever the width of the pool that ran the GEMM feeding them, and so
+    # must the epilogue the GEMM runs on its own row blocks, which must leave
+    # no accumulator matrix behind.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
         env RAYON_NUM_THREADS="$threads" cargo test --test transition_props -q
         env RAYON_NUM_THREADS="$threads" cargo test --test packing_props -q
         env RAYON_NUM_THREADS="$threads" cargo test --test quantized_path_props -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test kernel_epilogue_props -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test no_accumulator_matrix -q
     done
 }
 

@@ -309,7 +309,7 @@ pub fn aggregate_adj_features_condensed(
     let m = cond.rows();
     let n = x.cols();
     let t = x.planes().len();
-    let mut out: Matrix<i64> = Matrix::zeros(m, n);
+    let mut out = crate::fused::accumulator_matrix(m, n);
     let stats = FusedGemmStats {
         total_words: cond.source_words(),
         visited_words: cond.condensed_words(),

@@ -8,8 +8,8 @@
 //! elements reduce *all* plane pairs in registers before a single store.
 //!
 //! Two kernels compute that product, one per [`PopcountBody`], and
-//! [`any_bit_gemm_fused_with_body`] — the kernel layer's entry — picks the
-//! one the body runs in production:
+//! [`any_bit_gemm_fused_into`] — the kernel layer's entry — picks the one the
+//! body runs in production:
 //!
 //! * **the broadcast kernel** (AVX-512 `VPOPCNTDQ` hosts) mirrors the shape of
 //!   the tensor core's b1 MMA (paper §4.3–4.4).  B is transposed once per
@@ -22,9 +22,9 @@
 //!   stored once per output.  With zero-word skipping on, the row's word
 //!   list holds only its nonzero words, so an all-zero A word costs nothing —
 //!   the word-granular form of §4.3's zero-tile jumping, free on dense
-//!   operands too.  GEMMs of at least [`BROADCAST_INLINE_ROWS`] rows run
-//!   blocks of [`BROADCAST_ROW_BLOCK`] rows on the persistent pool; smaller
-//!   ones run inline on the calling thread;
+//!   operands too.  It finishes blocks of [`BROADCAST_ROW_BLOCK`] rows: on
+//!   the persistent pool for GEMMs of at least [`BROADCAST_INLINE_ROWS`] rows,
+//!   one after another on the calling thread for smaller ones;
 //! * **the legacy kernel** (every host; the portable body's only kernel)
 //!   vectorises along K instead: blocks of [`ROW_BLOCK`] rows per pool work
 //!   item, `u64` word pairs widened once per call (B) or once per row (A),
@@ -34,6 +34,14 @@
 //!   micro-kernel over those only.  [`any_bit_gemm_fused_with_stats`] runs it
 //!   on the detected body, including its AVX-512 micro-kernel, which no
 //!   production path reaches.
+//!
+//! Each kernel hands every finished block of rows to a [`RowSink`] while the
+//! block's accumulators are still in cache (paper §4.5: the epilogue runs
+//! inside the GEMM).  The plain product is the sink [`StoreAccumulators`],
+//! which has the kernel compute each block straight into an `i64` output; the
+//! kernel layer's epilogue sink has it compute into a per-thread scratch block
+//! and writes only the dequantized `f32` rows, so the `m × n` `i64` matrix is
+//! never materialised.  [`accumulator_matrices`] counts the ones that are.
 //!
 //! Both kernels on every body are bitwise identical to
 //! [`crate::gemm::any_bit_gemm_serial`], the semantic oracle, and report the
@@ -45,7 +53,9 @@ use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
 use crate::stacked::StackedBitMatrix;
 use qgtc_tensor::Matrix;
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Output rows per parallel work item of the legacy kernel (one pool dispatch
 /// covers all of C).
@@ -85,7 +95,7 @@ pub enum PopcountBody {
     #[default]
     Portable,
     /// AVX-512 `VPOPCNTQ`, 512 bits per step — x86-64 hosts with
-    /// `avx512f` + `avx512vpopcntdq` only.
+    /// `avx512f` + `avx512vpopcntdq` + `avx512dq` only.
     Avx512,
 }
 
@@ -178,6 +188,93 @@ pub(crate) fn assert_accumulator_fits(a: &StackedBitMatrix, b: &StackedBitMatrix
     );
 }
 
+/// Process-wide count of `i64` accumulator matrices the kernels materialised.
+static ACCUMULATOR_MATRICES: AtomicU64 = AtomicU64::new(0);
+
+/// Number of `m × n` `i64` accumulator matrices this process has
+/// materialised so far: one per plain product ([`StoreAccumulators`]) and per
+/// condensed aggregation.  An epilogue run inside the kernel creates none, so
+/// the model suite asserts on deltas of this counter that a default forward
+/// pass materialises no accumulator matrix.
+pub fn accumulator_matrices() -> u64 {
+    ACCUMULATOR_MATRICES.load(Ordering::Relaxed)
+}
+
+/// A zeroed `rows × cols` accumulator matrix, counted by
+/// [`accumulator_matrices`].
+pub(crate) fn accumulator_matrix(rows: usize, cols: usize) -> Matrix<i64> {
+    ACCUMULATOR_MATRICES.fetch_add(1, Ordering::Relaxed);
+    Matrix::zeros(rows, cols)
+}
+
+/// The plain `rows × cols` product, counted by [`accumulator_matrices`]:
+/// `kernel` computes it straight into the matrix's storage with
+/// [`StoreAccumulators`].  Both kernels write every element of their output,
+/// so the storage is not zero-filled first.
+fn plain_product(
+    rows: usize,
+    cols: usize,
+    kernel: impl FnOnce(&mut [MaybeUninit<i64>]) -> FusedGemmStats,
+) -> (Matrix<i64>, FusedGemmStats) {
+    ACCUMULATOR_MATRICES.fetch_add(1, Ordering::Relaxed);
+    let len = rows * cols;
+    let mut data = Vec::with_capacity(len);
+    let stats = kernel(&mut data.spare_capacity_mut()[..len]);
+    // SAFETY: the kernel wrote all `len` elements (`RowSink::block`'s
+    // contract), and a panic before this line drops `data` empty.
+    unsafe { data.set_len(len) };
+    let out = Matrix::from_vec(rows, cols, data).expect("rows × cols accumulators");
+    (out, stats)
+}
+
+/// What the fused kernels do with each block of finished output rows.
+///
+/// Both kernels compute the output in blocks of whole rows — one pool work
+/// item each, or one after another on the calling thread — and hand each
+/// block to the sink while its accumulators are still in cache.  The sink
+/// decides where the accumulators live and what becomes of them.
+pub trait RowSink: Sync {
+    /// Element type of the output the sink writes.
+    type Elem: Send;
+    /// What one block hands back (the epilogue's value range, say).
+    type Block: Send + Default;
+
+    /// Produce the output rows starting at `first_row`, `out.len() / n` of
+    /// them for an `n`-column output: `compute` writes every element of an
+    /// `i64` buffer as long as `out` with their accumulators.
+    fn block<F: FnOnce(&mut [MaybeUninit<i64>])>(
+        &self,
+        first_row: usize,
+        out: &mut [Self::Elem],
+        compute: F,
+    ) -> Self::Block;
+
+    /// Merge the result of a later block (higher rows) into an earlier one's.
+    /// The kernels merge in row order, whatever order the pool ran the blocks
+    /// in.
+    fn merge(earlier: &mut Self::Block, later: Self::Block);
+}
+
+/// The plain product: each block's accumulators are computed straight into
+/// the `i64` output and stored unchanged.
+pub struct StoreAccumulators;
+
+impl RowSink for StoreAccumulators {
+    type Elem = MaybeUninit<i64>;
+    type Block = ();
+
+    fn block<F: FnOnce(&mut [MaybeUninit<i64>])>(
+        &self,
+        _first_row: usize,
+        out: &mut [MaybeUninit<i64>],
+        compute: F,
+    ) {
+        compute(out);
+    }
+
+    fn merge(_earlier: &mut (), _later: ()) {}
+}
+
 /// The legacy kernel on the detected body: `C = A · B` between an `s`-bit
 /// row-packed stack and a `t`-bit column-packed stack, bit-for-bit equal to
 /// [`crate::gemm::any_bit_gemm_serial`], with zero-word skipping on or off
@@ -187,7 +284,7 @@ pub(crate) fn assert_accumulator_fits(a: &StackedBitMatrix, b: &StackedBitMatrix
 ///
 /// This is the one entry to the legacy kernel's AVX-512 micro-kernel:
 /// production runs the broadcast kernel on that body
-/// ([`any_bit_gemm_fused_with_body`]).  perfsmoke's sparse-skip and condense
+/// ([`any_bit_gemm_fused_into`]).  perfsmoke's sparse-skip and condense
 /// probes, tilingtune's condense stage and the conformance suites call it; it
 /// is deleted together with the condensed adjacency path (ROADMAP item 1).
 ///
@@ -200,54 +297,136 @@ pub fn any_bit_gemm_fused_with_stats(
     b: &StackedBitMatrix,
     skip_zero_words: bool,
 ) -> (Matrix<i64>, FusedGemmStats) {
-    fused_gemm_impl(a, b, skip_zero_words, PopcountBody::detect())
+    validate_fused_operands(a, b);
+    plain_product(a.rows(), b.cols(), |out| {
+        let body = PopcountBody::detect();
+        legacy_gemm(a, b, skip_zero_words, body, &StoreAccumulators, out).0
+    })
 }
 
-/// Fused GEMM on an explicitly selected popcount body — the kernel layer's
-/// entry point.  Each body runs its production kernel:
-/// [`PopcountBody::Avx512`] the broadcast kernel, [`PopcountBody::Portable`]
-/// the legacy kernel.  Both are bitwise identical to the serial oracle and
-/// return identical [`FusedGemmStats`].
+/// The plain product on an explicitly selected popcount body: the
+/// `i64` accumulator matrix of [`any_bit_gemm_fused_into`] with
+/// [`StoreAccumulators`].
 ///
 /// # Panics
 ///
-/// Panics if `body` is not available on this host, and as
-/// [`any_bit_gemm_fused_with_stats`].
+/// As [`any_bit_gemm_fused_into`].
 pub fn any_bit_gemm_fused_with_body(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
     body: PopcountBody,
 ) -> (Matrix<i64>, FusedGemmStats) {
-    assert!(
-        body.is_available(),
-        "popcount body {body:?} is not available on this host"
-    );
-    match body {
-        #[cfg(target_arch = "x86_64")]
-        PopcountBody::Avx512 => broadcast_gemm(a, b, skip_zero_words),
-        _ => fused_gemm_impl(a, b, skip_zero_words, body),
-    }
+    plain_product(a.rows(), b.cols(), |out| {
+        any_bit_gemm_fused_into(a, b, skip_zero_words, body, &StoreAccumulators, out).0
+    })
 }
 
-/// The legacy kernel, shared by the skipping and non-skipping entry points.
+/// Fused GEMM on an explicitly selected popcount body, each finished block of
+/// rows consumed by `sink` into `out` (`a.rows() × b.cols()` elements, row
+/// major) — the kernel layer's entry point.  Each body runs its production
+/// kernel: [`PopcountBody::Avx512`] the broadcast kernel,
+/// [`PopcountBody::Portable`] the legacy kernel.  Both compute bitwise
+/// identical accumulators and return identical [`FusedGemmStats`], plus the
+/// blocks' results merged in row order.
 ///
-/// The two modes run distinct row kernels: the non-skipping path is the
-/// original dense micro-kernel (full-lane popcounts, no span indirection, no
-/// shared counters — its stats are the arithmetic `rows × planes × pairs`), so
-/// enabling the skip machinery costs the dense hot path nothing.
-fn fused_gemm_impl(
+/// # Panics
+///
+/// Panics if `body` is not available on this host, if `out` has the wrong
+/// length, on a layout or shape mismatch, and when the bitwidths and K could
+/// overflow the accumulators ([`accumulator_fits`]).
+pub fn any_bit_gemm_fused_into<S: RowSink>(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
     body: PopcountBody,
-) -> (Matrix<i64>, FusedGemmStats) {
+    sink: &S,
+    out: &mut [S::Elem],
+) -> (FusedGemmStats, S::Block) {
+    assert!(
+        body.is_available(),
+        "popcount body {body:?} is not available on this host"
+    );
     validate_fused_operands(a, b);
+    assert_eq!(out.len(), a.rows() * b.cols(), "fused GEMM output length");
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        PopcountBody::Avx512 => broadcast_gemm(a, b, skip_zero_words, sink, out),
+        _ => legacy_gemm(a, b, skip_zero_words, body, sink, out),
+    }
+}
+
+/// Run `kernel` over the output in blocks of `block_rows` rows — on the pool
+/// when `pooled`, else one after another on the calling thread — and hand
+/// each block to `sink`.  `kernel(scratch, first_row, acc)` fills `acc` with
+/// the accumulators of the rows starting at `first_row` and returns the A
+/// words it visited; `scratch` is its working state, made by `new_scratch`
+/// once per pool work item, or once for all blocks run inline.  Returns the
+/// visited words and the blocks' results, merged in row order so that neither
+/// depends on the pool's schedule.
+fn drive<S: RowSink, W>(
+    out: &mut [S::Elem],
+    n: usize,
+    block_rows: usize,
+    pooled: bool,
+    sink: &S,
+    new_scratch: impl Fn() -> W + Sync,
+    kernel: impl Fn(&mut W, usize, &mut [MaybeUninit<i64>]) -> u64 + Sync,
+) -> (u64, S::Block) {
+    let run = |scratch: &mut W, block: usize, rows: &mut [S::Elem]| {
+        let first_row = block * block_rows;
+        let mut visited = 0;
+        let result = sink.block(first_row, rows, |acc| {
+            visited = kernel(scratch, first_row, acc);
+        });
+        (visited, result)
+    };
+    let chunk = block_rows * n;
+    let mut visited = 0;
+    let mut merged = S::Block::default();
+    let mut take = |(count, result): (u64, S::Block)| {
+        visited += count;
+        S::merge(&mut merged, result);
+    };
+    if pooled {
+        let slots: Vec<Mutex<(u64, S::Block)>> = (0..out.len().div_ceil(chunk))
+            .map(|_| Mutex::default())
+            .collect();
+        out.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(block, rows)| {
+                *slots[block].lock().unwrap() = run(&mut new_scratch(), block, rows);
+            });
+        for slot in slots {
+            take(slot.into_inner().unwrap());
+        }
+    } else {
+        let mut scratch = new_scratch();
+        for (block, rows) in out.chunks_mut(chunk).enumerate() {
+            take(run(&mut scratch, block, rows));
+        }
+    }
+    (visited, merged)
+}
+
+/// The legacy kernel, blocks of [`ROW_BLOCK`] rows on the pool.
+///
+/// The two modes run distinct row kernels: the non-skipping path is the
+/// original dense micro-kernel (full-lane popcounts, no span indirection —
+/// its stats are the arithmetic `rows × planes × pairs`), so enabling the
+/// skip machinery costs the dense hot path nothing.
+fn legacy_gemm<S: RowSink>(
+    a: &StackedBitMatrix,
+    b: &StackedBitMatrix,
+    skip_zero_words: bool,
+    body: PopcountBody,
+    sink: &S,
+    out: &mut [S::Elem],
+) -> (FusedGemmStats, S::Block) {
     let m = a.rows();
     let n = b.cols();
-    let mut out: Matrix<i64> = Matrix::zeros(m, n);
     if m == 0 || n == 0 {
-        return (out, FusedGemmStats::default());
+        return Default::default();
     }
     let words = a.plane(0).words_per_lane();
     debug_assert_eq!(words % 2, 0, "PAD128 guarantees an even word count");
@@ -265,59 +444,41 @@ fn fused_gemm_impl(
         }
     }
     let a_planes = a.planes();
-    let total_words = (m * s * pairs) as u64;
-
-    if !skip_zero_words {
-        out.data_mut()
-            .par_chunks_mut(ROW_BLOCK * n)
-            .enumerate()
-            .for_each(|(block, rows)| {
-                let row_base = block * ROW_BLOCK;
-                // Worker-local scratch: the current row's A lanes, widened.
-                let mut a_wide = vec![0u64; s * pairs];
-                for (local, out_row) in rows.chunks_mut(n).enumerate() {
-                    for (plane_idx, plane) in a_planes.iter().enumerate() {
-                        widen_lane(
-                            &mut a_wide[plane_idx * pairs..(plane_idx + 1) * pairs],
-                            &plane.lane(row_base + local)[..words],
-                        );
-                    }
-                    fused_row_full(&a_wide, s, &b_wide, t, pairs, out_row, body);
-                }
-            });
-        let stats = FusedGemmStats {
-            total_words,
-            visited_words: total_words,
-        };
-        return (out, stats);
-    }
-
-    let visited_words = AtomicU64::new(0);
-    out.data_mut()
-        .par_chunks_mut(ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(block, rows)| {
-            let row_base = block * ROW_BLOCK;
-            // Worker-local scratch: the current row's A lanes, widened, plus
-            // the per-plane non-zero span index of those lanes.
-            let mut a_wide = vec![0u64; s * pairs];
-            let mut spans: Vec<Vec<Span>> = vec![Vec::new(); s];
-            let mut visited = 0u64;
-            for (local, out_row) in rows.chunks_mut(n).enumerate() {
-                for (plane_idx, plane) in a_planes.iter().enumerate() {
-                    let lane = &mut a_wide[plane_idx * pairs..(plane_idx + 1) * pairs];
-                    widen_lane(lane, &plane.lane(row_base + local)[..words]);
+    // Worker-local scratch: the current row's A lanes, widened, plus — when
+    // skipping — the per-plane non-zero span index of those lanes.
+    let new_scratch = || (vec![0u64; s * pairs], vec![Vec::<Span>::new(); s]);
+    let kernel = |(a_wide, spans): &mut (Vec<u64>, Vec<Vec<Span>>),
+                  first_row: usize,
+                  rows: &mut [MaybeUninit<i64>]|
+     -> u64 {
+        let mut visited = 0u64;
+        for (local, out_row) in rows.chunks_mut(n).enumerate() {
+            for (plane_idx, plane) in a_planes.iter().enumerate() {
+                let lane = &mut a_wide[plane_idx * pairs..(plane_idx + 1) * pairs];
+                widen_lane(lane, &plane.lane(first_row + local)[..words]);
+                if skip_zero_words {
                     visited += nonzero_spans(lane, &mut spans[plane_idx]) as u64;
                 }
-                fused_row_spans(&a_wide, s, &b_wide, t, pairs, &spans, out_row, body);
             }
-            visited_words.fetch_add(visited, Ordering::Relaxed);
-        });
+            if skip_zero_words {
+                fused_row_spans(a_wide, s, &b_wide, t, pairs, spans, out_row, body);
+            } else {
+                fused_row_full(a_wide, s, &b_wide, t, pairs, out_row, body);
+            }
+        }
+        visited
+    };
+    let (visited, block) = drive(out, n, ROW_BLOCK, true, sink, new_scratch, kernel);
+    let total_words = (m * s * pairs) as u64;
     let stats = FusedGemmStats {
         total_words,
-        visited_words: visited_words.into_inner(),
+        visited_words: if skip_zero_words {
+            visited
+        } else {
+            total_words
+        },
     };
-    (out, stats)
+    (stats, block)
 }
 
 /// 64-bit lanes per 512-bit vector: the output columns of one broadcast step.
@@ -336,21 +497,21 @@ const CHUNK_VECTORS: usize = 8;
 /// when skipping, so `visited_words` counts exactly what the legacy span
 /// index covers.
 #[cfg(target_arch = "x86_64")]
-fn broadcast_gemm(
+fn broadcast_gemm<S: RowSink>(
     a: &StackedBitMatrix,
     b: &StackedBitMatrix,
     skip_zero_words: bool,
-) -> (Matrix<i64>, FusedGemmStats) {
-    validate_fused_operands(a, b);
+    sink: &S,
+    out: &mut [S::Elem],
+) -> (FusedGemmStats, S::Block) {
     assert!(
         avx512_popcount_available(),
         "the broadcast kernel needs AVX-512 VPOPCNTDQ"
     );
     let m = a.rows();
     let n = b.cols();
-    let mut out: Matrix<i64> = Matrix::zeros(m, n);
     if m == 0 || n == 0 {
-        return (out, FusedGemmStats::default());
+        return Default::default();
     }
     let words = a.plane(0).words_per_lane();
     debug_assert_eq!(words % 2, 0, "PAD128 guarantees an even word count");
@@ -369,13 +530,12 @@ fn broadcast_gemm(
         }
     }
     let a_planes = a.planes();
-    let rows_from = |row_base: usize, rows: &mut [i64]| -> u64 {
-        let mut list = RowWords::default();
+    let kernel = |list: &mut RowWords, first_row: usize, rows: &mut [MaybeUninit<i64>]| -> u64 {
         let mut visited = 0u64;
         for (local, out_row) in rows.chunks_mut(n).enumerate() {
             visited += list.collect(
                 a_planes,
-                row_base + local,
+                first_row + local,
                 words,
                 t * n_pad,
                 skip_zero_words,
@@ -384,28 +544,25 @@ fn broadcast_gemm(
             // offsets `k · t · n_pad` with `k < pairs`, `b_t` holds
             // `pairs · t · n_pad` words, and `out_row` is `n ≤ n_pad` long —
             // the bounds `broadcast_row_avx512` requires.
-            unsafe { broadcast_row_avx512(&list, t, &b_t, n_pad, out_row) };
+            unsafe { broadcast_row_avx512(list, t, &b_t, n_pad, out_row) };
         }
         visited
     };
-    let visited_words = if m < BROADCAST_INLINE_ROWS {
-        rows_from(0, out.data_mut())
-    } else {
-        let visited = AtomicU64::new(0);
-        out.data_mut()
-            .par_chunks_mut(BROADCAST_ROW_BLOCK * n)
-            .enumerate()
-            .for_each(|(block, rows)| {
-                let count = rows_from(block * BROADCAST_ROW_BLOCK, rows);
-                visited.fetch_add(count, Ordering::Relaxed);
-            });
-        visited.into_inner()
-    };
+    let pooled = m >= BROADCAST_INLINE_ROWS;
+    let (visited_words, block) = drive(
+        out,
+        n,
+        BROADCAST_ROW_BLOCK,
+        pooled,
+        sink,
+        RowWords::default,
+        kernel,
+    );
     let stats = FusedGemmStats {
         total_words: (m * a_planes.len() * pairs) as u64,
         visited_words,
     };
-    (out, stats)
+    (stats, block)
 }
 
 /// One output row's A operand as the broadcast kernel walks it: per A plane,
@@ -467,7 +624,7 @@ unsafe fn broadcast_row_avx512(
     t: usize,
     b_t: &[u64],
     n_pad: usize,
-    out_row: &mut [i64],
+    out_row: &mut [MaybeUninit<i64>],
 ) {
     let n = out_row.len();
     let mut col0 = 0;
@@ -505,7 +662,7 @@ unsafe fn broadcast_chunk_avx512<const V: usize>(
     b_t: &[u64],
     n_pad: usize,
     col0: usize,
-    out_row: &mut [i64],
+    out_row: &mut [MaybeUninit<i64>],
 ) {
     use std::arch::x86_64::{
         _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_mask_storeu_epi64,
@@ -545,7 +702,7 @@ unsafe fn broadcast_chunk_avx512<const V: usize>(
         // SAFETY: `col < n` by the caller's bound on `V`, so `dst` points into
         // the row; the full store writes columns `col..col + 8 ≤ n`, and the
         // masked store only the `n - col` columns left in the row.
-        let dst = out_row.as_mut_ptr().add(col);
+        let dst = out_row.as_mut_ptr().add(col).cast::<i64>();
         if col + LANES <= n {
             _mm512_storeu_si512(dst.cast(), total);
         } else {
@@ -744,7 +901,7 @@ fn fused_row_full(
     b_wide: &[u64],
     t: usize,
     pairs: usize,
-    out_row: &mut [i64],
+    out_row: &mut [MaybeUninit<i64>],
     body: PopcountBody,
 ) {
     let n = out_row.len();
@@ -766,7 +923,9 @@ fn fused_row_full(
                 }
             }
         }
-        out_row[col..col + COL_BLOCK].copy_from_slice(&totals);
+        for (slot, total) in out_row[col..col + COL_BLOCK].iter_mut().zip(totals) {
+            slot.write(total);
+        }
         col += COL_BLOCK;
     }
     // Column remainder (n mod COL_BLOCK): scalar micro-kernel, same reduction.
@@ -785,7 +944,7 @@ fn fused_row_full(
                 total += (count as i64) << (plane_a + plane_b);
             }
         }
-        *slot = total;
+        slot.write(total);
     }
 }
 
@@ -800,7 +959,7 @@ fn fused_row_spans(
     t: usize,
     pairs: usize,
     spans: &[Vec<Span>],
-    out_row: &mut [i64],
+    out_row: &mut [MaybeUninit<i64>],
     body: PopcountBody,
 ) {
     let n = out_row.len();
@@ -836,7 +995,9 @@ fn fused_row_spans(
                 }
             }
         }
-        out_row[col..col + COL_BLOCK].copy_from_slice(&totals);
+        for (slot, total) in out_row[col..col + COL_BLOCK].iter_mut().zip(totals) {
+            slot.write(total);
+        }
         col += COL_BLOCK;
     }
     // Column remainder (n mod COL_BLOCK): scalar micro-kernel, same reduction.
@@ -858,7 +1019,7 @@ fn fused_row_spans(
                 total += (count as i64) << (plane_a + plane_b);
             }
         }
-        *slot = total;
+        slot.write(total);
     }
 }
 
@@ -906,7 +1067,10 @@ fn popcount4_portable(a: &[u64], b0: &[u64], b1: &[u64], b2: &[u64], b3: &[u64])
     counts
 }
 
-/// One-time runtime probe for the AVX-512 vector-popcount micro-kernel.
+/// One-time runtime probe for the AVX-512 body: its popcount kernels need
+/// `avx512f` and `avx512vpopcntdq`, and the kernel layer's in-kernel
+/// epilogue, which runs with the same body, the packed `i64`→`f32`
+/// conversion of `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 pub fn avx512_popcount_available() -> bool {
     use std::sync::OnceLock;
@@ -914,10 +1078,11 @@ pub fn avx512_popcount_available() -> bool {
     *AVAILABLE.get_or_init(|| {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            && std::arch::is_x86_feature_detected!("avx512dq")
     })
 }
 
-/// One-time runtime probe for the AVX-512 vector-popcount micro-kernel.
+/// One-time runtime probe for the AVX-512 body.
 #[cfg(not(target_arch = "x86_64"))]
 pub fn avx512_popcount_available() -> bool {
     false
@@ -1263,23 +1428,86 @@ mod tests {
             let a = StackedBitMatrix::from_codes(&a_codes, s, BitMatrixLayout::RowPacked);
             let b = StackedBitMatrix::from_codes(&b_codes, t, BitMatrixLayout::ColPacked);
             for skip in [false, true] {
-                let legacy = fused_gemm_impl(&a, &b, skip, PopcountBody::Portable);
+                let legacy = any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Portable);
                 assert_eq!(
-                    broadcast_gemm(&a, &b, skip),
+                    any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Avx512),
                     legacy,
                     "skip={skip} shape ({m}, {k}, {n}) bits ({s}, {t})"
                 );
-                assert_eq!(
-                    any_bit_gemm_fused_with_body(&a, &b, skip, PopcountBody::Avx512),
-                    legacy
-                );
+                assert_eq!(legacy.0, any_bit_gemm_serial(&a, &b));
             }
-            assert_eq!(
-                broadcast_gemm(&a, &b, true).0,
-                any_bit_gemm_serial(&a, &b),
-                "shape ({m}, {k}, {n}) bits ({s}, {t})"
-            );
         }
+    }
+
+    /// A sink that stores the accumulators and records which rows each block
+    /// held, to pin the blocking and the merge order.
+    struct BlockLog;
+
+    impl RowSink for BlockLog {
+        type Elem = MaybeUninit<i64>;
+        type Block = Vec<usize>;
+
+        fn block<F: FnOnce(&mut [MaybeUninit<i64>])>(
+            &self,
+            first_row: usize,
+            out: &mut [MaybeUninit<i64>],
+            compute: F,
+        ) -> Vec<usize> {
+            compute(out);
+            vec![first_row]
+        }
+
+        fn merge(earlier: &mut Vec<usize>, later: Vec<usize>) {
+            earlier.extend(later);
+        }
+    }
+
+    #[test]
+    fn sinks_see_every_row_block_and_merge_in_row_order() {
+        for m in [
+            0,
+            1,
+            8,
+            9,
+            BROADCAST_INLINE_ROWS - 1,
+            BROADCAST_INLINE_ROWS + 33,
+        ] {
+            let a_codes = striped_codes(m, 200, 2, 40 + m as u64);
+            let b_codes = random_codes(200, 5, 3, 41);
+            let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
+            let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
+            for body in PopcountBody::available() {
+                let block_rows = match body {
+                    PopcountBody::Avx512 => BROADCAST_ROW_BLOCK,
+                    PopcountBody::Portable => ROW_BLOCK,
+                };
+                for skip in [false, true] {
+                    // Poisoned: every element must be overwritten.
+                    let mut out = vec![MaybeUninit::new(i64::MIN); m * 5];
+                    let (stats, firsts) =
+                        any_bit_gemm_fused_into(&a, &b, skip, body, &BlockLog, &mut out);
+                    // SAFETY: initialised above (and then overwritten).
+                    let out: Vec<i64> = out.iter().map(|v| unsafe { v.assume_init() }).collect();
+                    let (plain, plain_stats) = any_bit_gemm_fused_with_body(&a, &b, skip, body);
+                    assert_eq!(out, plain.data(), "{body:?} m={m} skip={skip}");
+                    assert_eq!(stats, plain_stats);
+                    let want: Vec<usize> = (0..m).step_by(block_rows).collect();
+                    assert_eq!(firsts, want, "{body:?} m={m} skip={skip}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plain_products_count_their_accumulator_matrices() {
+        let a =
+            StackedBitMatrix::from_codes(&random_codes(3, 64, 2, 1), 2, BitMatrixLayout::RowPacked);
+        let b =
+            StackedBitMatrix::from_codes(&random_codes(64, 4, 2, 2), 2, BitMatrixLayout::ColPacked);
+        let before = accumulator_matrices();
+        let _ = any_bit_gemm_fused_with_body(&a, &b, true, PopcountBody::Portable);
+        let _ = any_bit_gemm_fused_with_stats(&a, &b, false);
+        assert!(accumulator_matrices() >= before + 2);
     }
 
     #[test]

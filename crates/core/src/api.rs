@@ -16,7 +16,7 @@
 
 use crate::bit_tensor::BitTensor;
 use crate::fault::QgtcError;
-use qgtc_kernels::bmm::{accumulator_fits, qgtc_bitmm2int, KernelConfig};
+use qgtc_kernels::bmm::{accumulator_fits, qgtc_bitmm2int, qgtc_bmm_with_epilogue, KernelConfig};
 use qgtc_kernels::fusion::FusedEpilogue;
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tensor::{Matrix, QuantParams};
@@ -32,6 +32,13 @@ pub fn bit_mm_to_int(
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Result<Matrix<i64>, QgtcError> {
+    check_accumulator(a, b)?;
+    Ok(qgtc_bitmm2int(a.stack(), b.stack(), config, tracker))
+}
+
+/// [`QgtcError::AccumulatorOverflow`] unless `a · b` fits the `i64`
+/// accumulators.
+fn check_accumulator(a: &BitTensor, b: &BitTensor) -> Result<(), QgtcError> {
     let k = a.stack().cols();
     if !accumulator_fits(a.bits(), b.bits(), k) {
         return Err(QgtcError::AccumulatorOverflow {
@@ -40,16 +47,19 @@ pub fn bit_mm_to_int(
             k,
         });
     }
-    Ok(qgtc_bitmm2int(a.stack(), b.stack(), config, tracker))
+    Ok(())
 }
 
 /// `bitMM2Bit`: multiply two bit tensors and re-quantize the result to `out_bits`,
 /// returning a new (column-packed) bit tensor plus its quantization parameters.
 ///
 /// The re-quantization runs through the same [`FusedEpilogue`] the models use
-/// between layers, so this API has no quantize site of its own — the
-/// one-quantize-site-per-transition invariant of the quantized data path holds
-/// for the framework-facing entry points too.  Fails like [`bit_mm_to_int`].
+/// between layers, inside the GEMM's row blocks, so this API has no quantize
+/// site of its own — the one-quantize-site-per-transition invariant of the
+/// quantized data path holds for the framework-facing entry points too — and
+/// no `i64` accumulator matrix is materialised.  The epilogue is charged as
+/// fused or standalone per [`KernelConfig::fused_epilogue`].  Fails like
+/// [`bit_mm_to_int`].
 pub fn bit_mm_to_bit(
     a: &BitTensor,
     b: &BitTensor,
@@ -57,11 +67,12 @@ pub fn bit_mm_to_bit(
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Result<(BitTensor, QuantParams), QgtcError> {
-    let accumulator = bit_mm_to_int(a, b, config, tracker)?;
-    let epilogue = FusedEpilogue::requantize_right_operand(1.0, out_bits);
-    let (stack, params) = epilogue
-        .apply(&accumulator, tracker)
+    check_accumulator(a, b)?;
+    let epilogue =
+        FusedEpilogue::requantize_right_operand(1.0, out_bits).with_fused(config.fused_epilogue);
+    let (stack, params) = qgtc_bmm_with_epilogue(a.stack(), b.stack(), &epilogue, config, tracker)
         .expect("an i64 accumulator at scale 1 always has a finite range")
+        .0
         .into_quantized()
         .expect("requantizing epilogue");
     Ok((BitTensor::from_stack(stack), params))

@@ -10,7 +10,7 @@ use qgtc_baselines::dgl::{DglEngine, DglLayerKind};
 use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::{adjacency_degrees, DenseSubgraph};
-use qgtc_kernels::bmm::{qgtc_aggregate_prepared, qgtc_bitmm2int, KernelConfig};
+use qgtc_kernels::bmm::{qgtc_aggregate_with_epilogue, qgtc_bmm_with_epilogue, KernelConfig};
 use qgtc_kernels::fusion::{Activation, FusedEpilogue};
 use qgtc_kernels::packing::pack_feature_matrix;
 use qgtc_tcsim::cost::CostTracker;
@@ -138,11 +138,14 @@ impl BatchedGinModel {
     /// dequantize + bias) → intra-layer re-quantize as the aggregation's right
     /// operand → aggregation → epilogue (affine dequantize with the
     /// `+ (1+ε)·self` term folded in as a scaled addend — no standalone dense
-    /// combine pass) → transition epilogue (ReLU + re-quantize as the next
-    /// update's left operand).  Crate-visible so [`crate::models::GnnModel`]
-    /// can route a [`qgtc_kernels::packing::PreparedBatch`]'s payload here
-    /// without each model duplicating the dispatch.  Fails when an epilogue
-    /// cannot re-quantize activations that overflowed `f32`.
+    /// combine pass — then the ReLU on hidden layers) → transition
+    /// (re-quantize as the next update's left operand).  Both epilogues run
+    /// inside their GEMM's row blocks, and both re-quantizations calibrate
+    /// from the range those epilogues produced, so no range scan runs here.
+    /// Crate-visible so [`crate::models::GnnModel`] can route a
+    /// [`qgtc_kernels::packing::PreparedBatch`]'s payload here without each
+    /// model duplicating the dispatch.  Fails when an epilogue cannot
+    /// re-quantize activations that overflowed `f32`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_low_bit(
         &self,
@@ -164,6 +167,7 @@ impl BatchedGinModel {
         // get theirs from the transition epilogue, so no stack is unpacked.
         let (mut x, mut x_rowsums) =
             packed_features.repack_with_rowsums(BitMatrixLayout::RowPacked);
+        let fused = kernel_config.fused_epilogue;
 
         for (l, layer) in self.params.layers.iter().enumerate() {
             let last = l + 1 == num_layers;
@@ -172,10 +176,10 @@ impl BatchedGinModel {
                 .expect("the quantized currency always carries its parameters");
 
             // Node update first, on the packed left operand, against the
-            // per-epoch weight cache (quantized once, shared by batches).
+            // per-epoch weight cache (quantized once, shared by batches), with
+            // the affine dequantize + bias epilogue inside the kernel.
             let w = weights.layer(l);
             let (w_stack, w_params, w_colsums) = (&w.stack, w.params, &w.colsums);
-            let update_acc = qgtc_bitmm2int(&x, w_stack, kernel_config, tracker);
             let (row_off, col_off) = affine_update_offsets(
                 x_params,
                 w_params,
@@ -186,53 +190,52 @@ impl BatchedGinModel {
             );
             let update_epilogue = FusedEpilogue::dequantize_only(x_params.scale * w_params.scale)
                 .with_row_offset(row_off)
-                .with_col_offset(col_off);
-            let updated = update_epilogue
-                .apply(&update_acc, tracker)?
-                .into_dense()
-                .expect("dense epilogue");
+                .with_col_offset(col_off)
+                .with_fused(fused);
+            let (updated, updated_range) =
+                qgtc_bmm_with_epilogue(&x, w_stack, &update_epilogue, kernel_config, tracker)?;
+            let updated = updated.into_dense().expect("dense epilogue");
 
-            // The aggregation epilogue folds in the `(1 + ε)·updated` self
-            // term, so keep a copy before the intra-layer epilogue consumes
-            // `updated` by move.
-            let self_addend = updated.clone();
-
-            // Intra-layer epilogue: re-quantize the (possibly negative) update
-            // result as the aggregation's right operand.
+            // Intra-layer re-quantization of the (possibly negative) update
+            // result as the aggregation's right operand, calibrated from the
+            // range the update epilogue already produced.
             let (u_stack, u_params) = FusedEpilogue::requantize_right_operand(1.0, bits)
-                .apply_dense(updated, tracker)?
+                .with_fused(fused)
+                .pack(&updated, &updated_range, tracker)?
                 .into_quantized()
                 .expect("requantizing epilogue");
-            // Neighbour sum through the adjacency-path dispatcher; the cached
-            // condensed translation (if any) is adjacency-derived and so valid
-            // for every layer.
-            let agg_acc = qgtc_aggregate_prepared(
+            // Neighbour sum through the adjacency-path dispatcher (the cached
+            // condensed translation, if any, is adjacency-derived and so valid
+            // for every layer), with the epilogue inside the kernel: affine
+            // dequantize (A·u ≈ scale · (A·uc) + min · deg) plus the GIN self
+            // term `(1 + ε)·updated` as a scaled addend, and on hidden layers
+            // the ReLU after it.
+            let mut aggregation_epilogue = FusedEpilogue::dequantize_only(u_params.scale)
+                .with_row_offset(degrees.iter().map(|&d| u_params.min * d).collect())
+                .with_scaled_addend(updated, 1.0 + self.epsilon)
+                .with_fused(fused);
+            if !last {
+                aggregation_epilogue.activation = Activation::Relu;
+            }
+            let (combined, combined_range) = qgtc_aggregate_with_epilogue(
                 adjacency_stack,
                 condensed_adjacency,
                 &u_stack,
+                &aggregation_epilogue,
                 kernel_config,
                 tracker,
-            );
-            // Affine dequantize (A·u ≈ scale · (A·uc) + min · deg) with the
-            // GIN self term fused into the same epilogue pass — no standalone
-            // dense scale + add over the activations.
-            let aggregation_epilogue = FusedEpilogue::dequantize_only(u_params.scale)
-                .with_row_offset(degrees.iter().map(|&d| u_params.min * d).collect())
-                .with_scaled_addend(self_addend, 1.0 + self.epsilon);
-            let combined = aggregation_epilogue
-                .apply(&agg_acc, tracker)?
-                .into_dense()
-                .expect("dense epilogue");
+            )?;
+            let combined = combined.into_dense().expect("dense epilogue");
             if last {
                 return Ok(BatchForwardOutput { logits: combined });
             }
-            // Layer transition: ReLU + re-quantize as the next update's left
-            // operand — the transition's single quantize site, which also
-            // hands over the rowsums for the next layer's affine correction.
-            let transition_epilogue = FusedEpilogue::hidden_layer(1.0, bits)
-                .with_output_layout(BitMatrixLayout::RowPacked);
-            let (stack, _, rowsums) = transition_epilogue
-                .apply_dense(combined, tracker)?
+            // Layer transition: re-quantize as the next update's left operand
+            // from the range the aggregation epilogue produced — the
+            // transition's single quantize site, which also hands over the
+            // rowsums for the next layer's affine correction.
+            let (stack, _, rowsums) = FusedEpilogue::requantize_left_operand(1.0, bits)
+                .with_fused(fused)
+                .pack(&combined, &combined_range, tracker)?
                 .into_quantized_with_rowsums()
                 .expect("requantizing epilogue");
             x = stack;

@@ -10,7 +10,7 @@ use qgtc_baselines::dgl::{DglEngine, DglLayerKind};
 use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::{adjacency_degrees, DenseSubgraph};
-use qgtc_kernels::bmm::{qgtc_aggregate_prepared, qgtc_bitmm2int, KernelConfig};
+use qgtc_kernels::bmm::{qgtc_aggregate_with_epilogue, qgtc_bmm_with_epilogue, KernelConfig};
 use qgtc_kernels::fusion::{EpilogueOutput, FusedEpilogue};
 use qgtc_kernels::packing::pack_feature_matrix;
 use qgtc_tcsim::cost::CostTracker;
@@ -127,8 +127,9 @@ impl ClusterGcnModel {
     /// dequantize + mean fold + re-quantize as the update's left operand) →
     /// update GEMM → epilogue 2 (affine dequantize + bias, then ReLU +
     /// re-quantize for hidden layers), with both epilogues — the only quantize
-    /// sites — inside [`FusedEpilogue`].  Crate-visible so
-    /// [`crate::models::GnnModel`] can route a
+    /// sites — inside [`FusedEpilogue`], whose row pass runs inside each
+    /// GEMM's row blocks: no `i64` accumulator matrix is materialised.
+    /// Crate-visible so [`crate::models::GnnModel`] can route a
     /// [`qgtc_kernels::packing::PreparedBatch`]'s payload here without each
     /// model duplicating the dispatch.  Fails when an epilogue cannot
     /// re-quantize activations that overflowed `f32`.
@@ -163,38 +164,36 @@ impl ClusterGcnModel {
             // Neighbour aggregation on the binary adjacency, routed through the
             // adjacency-path dispatcher with the payload's cached condensed
             // translation (the adjacency is layer-invariant, so one translation
-            // serves every layer).
-            let agg_acc = qgtc_aggregate_prepared(
+            // serves every layer), with epilogue 1 run inside the kernel:
+            // affine dequantize (A·x ≈ s·acc + min·deg), fold the mean
+            // normalisation, and re-quantize as the update's left operand.
+            // The epilogue hands back the code rowsums the update's affine
+            // correction needs, so the freshly packed stack is never unpacked
+            // again.
+            let aggregation_epilogue = FusedEpilogue::requantize_left_operand(x_params.scale, bits)
+                .with_row_offset(degrees.iter().map(|&d| x_params.min * d).collect())
+                .with_row_scale(degrees.iter().map(|&d| 1.0 / d.max(1.0)).collect())
+                .with_fused(kernel_config.fused_epilogue);
+            let (h_stack, h_params, h_rowsums) = qgtc_aggregate_with_epilogue(
                 adjacency_stack,
                 condensed_adjacency,
                 &x,
+                &aggregation_epilogue,
                 kernel_config,
                 tracker,
-            );
-
-            // Epilogue 1 (fused into the aggregation): affine dequantize
-            // (A·x ≈ s·acc + min·deg), fold the mean normalisation, and
-            // re-quantize as the update's left operand.  The epilogue hands
-            // back the code rowsums the update's affine correction needs, so
-            // the freshly packed stack is never unpacked again.
-            let aggregation_epilogue = FusedEpilogue::requantize_left_operand(x_params.scale, bits)
-                .with_row_offset(degrees.iter().map(|&d| x_params.min * d).collect())
-                .with_row_scale(degrees.iter().map(|&d| 1.0 / d.max(1.0)).collect());
-            let (h_stack, h_params, h_rowsums) = aggregation_epilogue
-                .apply(&agg_acc, tracker)?
-                .into_quantized_with_rowsums()
-                .expect("requantizing epilogue");
+            )?
+            .0
+            .into_quantized_with_rowsums()
+            .expect("requantizing epilogue");
 
             // The per-epoch weight cache: quantized once, shared by batches.
             let w = weights.layer(l);
             let (w_stack, w_params, w_colsums) = (&w.stack, w.params, &w.colsums);
 
-            // Node update GEMM (the framework's fused bitMM2Int entry point).
-            let update_acc = qgtc_bitmm2int(&h_stack, w_stack, kernel_config, tracker);
-
-            // Epilogue 2 (fused into the update): affine×affine dequantization
-            // plus bias; hidden layers additionally ReLU and re-quantize for
-            // the next aggregation — the transition's single quantize site.
+            // Node update GEMM with epilogue 2 inside the kernel: affine×affine
+            // dequantization plus bias; hidden layers additionally ReLU and
+            // re-quantize for the next aggregation — the transition's single
+            // quantize site.
             let (row_off, col_off) = affine_update_offsets(
                 h_params,
                 w_params,
@@ -210,8 +209,9 @@ impl ClusterGcnModel {
                 FusedEpilogue::hidden_layer(scale, bits)
             }
             .with_row_offset(row_off)
-            .with_col_offset(col_off);
-            match epilogue.apply(&update_acc, tracker)? {
+            .with_col_offset(col_off)
+            .with_fused(kernel_config.fused_epilogue);
+            match qgtc_bmm_with_epilogue(&h_stack, w_stack, &epilogue, kernel_config, tracker)?.0 {
                 EpilogueOutput::Dense(logits) => return Ok(BatchForwardOutput { logits }),
                 EpilogueOutput::Quantized { stack, .. } => x = stack,
             }

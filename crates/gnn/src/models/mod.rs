@@ -379,6 +379,54 @@ mod tests {
     }
 
     #[test]
+    fn unfused_epilogues_cost_launches_and_traffic_but_change_no_logits() {
+        use qgtc_graph::generate::{stochastic_block_model, SbmParams};
+        use qgtc_graph::{CsrGraph, DenseSubgraph};
+        use qgtc_kernels::bmm::KernelConfig;
+        let (coo, _) = stochastic_block_model(
+            SbmParams {
+                num_nodes: 80,
+                num_blocks: 4,
+                intra_degree: 6.0,
+                inter_degree: 0.5,
+            },
+            3,
+        );
+        let graph = CsrGraph::from_coo(&coo);
+        let subgraph = DenseSubgraph::extract(&graph, &(0..80).collect::<Vec<_>>());
+        let features = random_uniform_matrix(80, 16, 0.0, 1.0, 4);
+        let setting = QuantizationSetting::Quantized { bits: 3 };
+        let fused = KernelConfig::default();
+        let unfused = KernelConfig {
+            fused_epilogue: false,
+            ..fused
+        };
+        for model in [
+            GnnModel::ClusterGcn(cluster_gcn::ClusterGcnModel::new(16, 4, 5)),
+            GnnModel::BatchedGin(batched_gin::BatchedGinModel::new(16, 4, 5)),
+        ] {
+            let run = |config: &KernelConfig| {
+                let tracker = CostTracker::new();
+                let out = match &model {
+                    GnnModel::ClusterGcn(m) => {
+                        m.forward_quantized_batch(&subgraph, &features, setting, config, &tracker)
+                    }
+                    GnnModel::BatchedGin(m) => {
+                        m.forward_quantized_batch(&subgraph, &features, setting, config, &tracker)
+                    }
+                };
+                (out.logits, tracker.snapshot())
+            };
+            let (fused_logits, on) = run(&fused);
+            let (unfused_logits, off) = run(&unfused);
+            assert_eq!(fused_logits, unfused_logits);
+            assert!(off.kernel_launches > on.kernel_launches);
+            assert!(off.dram_bytes() > on.dram_bytes());
+            assert_eq!(off.cuda_fp32_flops, on.cuda_fp32_flops, "same arithmetic");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "unsupported bitwidth")]
     fn setting_rejects_odd_widths() {
         let _ = QuantizationSetting::from_bits(12);

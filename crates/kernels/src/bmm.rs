@@ -26,8 +26,19 @@
 //! The special case `A` = 1-bit adjacency, `B` = `s`-bit features is the neighbour
 //! aggregation kernel ([`qgtc_aggregate`]); the general case is the node-update
 //! GEMM, exposed under its framework name as [`qgtc_bitmm2int`].
+//!
+//! Each entry comes in two forms over the same kernel loop.  The plain product
+//! ([`qgtc_bmm`], [`qgtc_aggregate_prepared`]) returns the `i64` accumulator
+//! matrix, which the kernel computes into directly.  The epilogue form
+//! ([`qgtc_bmm_with_epilogue`], [`qgtc_aggregate_with_epilogue`]) runs a
+//! [`FusedEpilogue`]'s row pass on each block of rows the kernel finishes,
+//! inside the kernel's own pool work items (§4.5): only `f32` rows leave the
+//! kernel, and the blocks' value ranges merge into the range that calibrates
+//! the re-quantization.  The models' forward passes use only the epilogue
+//! form, so no `m × n` accumulator matrix is allocated on their path.
 
 use crate::backend::BackendChoice;
+use crate::fusion::{EpilogueOutput, FusedEpilogue, RowPassSink};
 use crate::tiling::condense_threshold;
 use crate::zero_tile::{census_plane, census_plane_words};
 use qgtc_bitmat::condense::{
@@ -35,12 +46,14 @@ use qgtc_bitmat::condense::{
     skip_span_estimate, CondensedAdjacency,
 };
 pub use qgtc_bitmat::fused::accumulator_fits;
-use qgtc_bitmat::fused::any_bit_gemm_fused_with_body;
+use qgtc_bitmat::fused::{
+    any_bit_gemm_fused_into, any_bit_gemm_fused_with_body, FusedGemmStats, PopcountBody,
+};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tcsim::fragment::{TILE_M, TILE_N};
 use qgtc_tcsim::wmma::tile_counts;
-use qgtc_tensor::Matrix;
+use qgtc_tensor::{Matrix, TensorError, ValueRange};
 use std::sync::OnceLock;
 
 /// Order in which bit planes and K tiles are reduced (paper Figure 6).
@@ -260,6 +273,8 @@ const ZERO_CHECK_OPS: u64 = 8;
 ///
 /// `a` must be row-packed ("column-wise compression"), `b` column-packed.  Returns
 /// exact `i64` accumulators over the codes; work is recorded into `tracker`.
+/// The plain product: the kernel computes each block of rows straight into
+/// the returned matrix ([`qgtc_bitmat::fused::StoreAccumulators`]).
 ///
 /// # Panics
 ///
@@ -273,6 +288,60 @@ pub fn qgtc_bmm(
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Matrix<i64> {
+    charged_gemm(a, b, config, tracker, |skip, body| {
+        any_bit_gemm_fused_with_body(a, b, skip, body)
+    })
+}
+
+/// [`qgtc_bmm`] with `epilogue` run inside the kernel (paper §4.5): the
+/// kernel hands every block of finished rows to the epilogue's row pass while
+/// the block's accumulators are still in cache, so only `f32` rows are
+/// written and no `m × n` `i64` matrix exists.  The blocks' value ranges merge
+/// into the range that calibrates a re-quantizing epilogue.
+///
+/// Returns the epilogue's output and that range — the range of the values
+/// the row pass produced, which [`FusedEpilogue::pack`] reuses to re-quantize
+/// a dense output without scanning it again.  Output, range and every tracker
+/// number equal [`qgtc_bmm`] followed by [`FusedEpilogue::apply`].
+///
+/// # Errors
+///
+/// Fails as [`FusedEpilogue::apply`] does; a batch norm of the wrong width
+/// fails before the kernel runs.
+///
+/// # Panics
+///
+/// As [`qgtc_bmm`], and as [`FusedEpilogue::check`] — on the calling thread,
+/// before the kernel dispatches.
+pub fn qgtc_bmm_with_epilogue(
+    a: &StackedBitMatrix,
+    b: &StackedBitMatrix,
+    epilogue: &FusedEpilogue,
+    config: &KernelConfig,
+    tracker: &CostTracker,
+) -> Result<(EpilogueOutput, ValueRange), TensorError> {
+    let (m, n) = (a.rows(), b.cols());
+    epilogue.check(m, n)?;
+    let (dense, range) = charged_gemm(a, b, config, tracker, |skip, body| {
+        let mut dense = Matrix::zeros(m, n);
+        let sink = RowPassSink { epilogue, cols: n };
+        let (stats, range) = any_bit_gemm_fused_into(a, b, skip, body, &sink, dense.data_mut());
+        ((dense, range), stats)
+    });
+    let flops = epilogue.accumulator_flops(m * n);
+    Ok((epilogue.finish(dense, &range, flops, tracker)?, range))
+}
+
+/// The GEMM behind both entries: check the operands, charge the modeled tile
+/// walk, run `kernel(skip, body)` — the configured body's fused kernel with
+/// the entry's row sink — and charge its word counts and output traffic.
+fn charged_gemm<T>(
+    a: &StackedBitMatrix,
+    b: &StackedBitMatrix,
+    config: &KernelConfig,
+    tracker: &CostTracker,
+    kernel: impl FnOnce(bool, PopcountBody) -> (T, FusedGemmStats),
+) -> T {
     assert_eq!(
         a.layout(),
         BitMatrixLayout::RowPacked,
@@ -310,8 +379,7 @@ pub fn qgtc_bmm(
     // jumping is off).  The arithmetic runs on the configured popcount body's
     // kernel — every body is bitwise identical with identical word counts, so
     // the tracker numbers don't depend on the selection.
-    let (out, stats) =
-        any_bit_gemm_fused_with_body(a, b, config.zero_tile_jumping, config.backend.body());
+    let (out, stats) = kernel(config.zero_tile_jumping, config.backend.body());
     tracker.record_fused_words(stats.total_words, stats.skipped_words());
     // Output write traffic: one accumulator tile per output tile.
     tracker.record_dram_write((m_tiles * n_tiles) as u64 * ACC_TILE_BYTES);
@@ -362,6 +430,58 @@ pub fn qgtc_aggregate_prepared(
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Matrix<i64> {
+    dispatch_aggregation(
+        adjacency,
+        condensed,
+        features,
+        config,
+        tracker,
+        |accumulator| accumulator,
+        || qgtc_bmm(adjacency, features, config, tracker),
+    )
+}
+
+/// [`qgtc_aggregate_prepared`] with `epilogue` run inside the kernel, as
+/// [`qgtc_bmm_with_epilogue`] runs it.  The condensed arm, which no default
+/// configuration takes, materialises its accumulator and runs the same row
+/// pass over it ([`FusedEpilogue::apply`]); output, range and tracker numbers
+/// are the same either way.
+///
+/// # Errors and panics
+///
+/// As [`qgtc_bmm_with_epilogue`] and [`qgtc_aggregate_prepared`].
+pub fn qgtc_aggregate_with_epilogue(
+    adjacency: &StackedBitMatrix,
+    condensed: Option<&CondensedAdjacency>,
+    features: &StackedBitMatrix,
+    epilogue: &FusedEpilogue,
+    config: &KernelConfig,
+    tracker: &CostTracker,
+) -> Result<(EpilogueOutput, ValueRange), TensorError> {
+    epilogue.check(adjacency.rows(), features.cols())?;
+    dispatch_aggregation(
+        adjacency,
+        condensed,
+        features,
+        config,
+        tracker,
+        |accumulator| epilogue.apply_ranged(&accumulator, tracker),
+        || qgtc_bmm_with_epilogue(adjacency, features, epilogue, config, tracker),
+    )
+}
+
+/// The adjacency-path dispatch shared by both aggregation entries: the
+/// condensed arm hands its materialised accumulator to `condensed_arm`, the
+/// skip arm runs `skip_arm`.
+fn dispatch_aggregation<T>(
+    adjacency: &StackedBitMatrix,
+    condensed: Option<&CondensedAdjacency>,
+    features: &StackedBitMatrix,
+    config: &KernelConfig,
+    tracker: &CostTracker,
+    condensed_arm: impl FnOnce(Matrix<i64>) -> T,
+    skip_arm: impl FnOnce() -> T,
+) -> T {
     assert_eq!(adjacency.bits(), 1, "adjacency must be 1-bit");
     match resolve_adjacency_path(config.adjacency_path, adjacency) {
         AdjacencyPath::Condensed => {
@@ -375,11 +495,13 @@ pub fn qgtc_aggregate_prepared(
             };
             assert_eq!(cond.rows(), adjacency.rows(), "stale condensed cache");
             assert_eq!(cond.cols(), adjacency.cols(), "stale condensed cache");
-            qgtc_aggregate_condensed_impl(cond, features, config, tracker)
+            condensed_arm(qgtc_aggregate_condensed_impl(
+                cond, features, config, tracker,
+            ))
         }
         _ => {
             tracker.record_adj_skip_dispatch();
-            qgtc_bmm(adjacency, features, config, tracker)
+            skip_arm()
         }
     }
 }
@@ -779,6 +901,72 @@ mod tests {
                 assert_eq!(avx512_cost, portable_cost, "jump {jumping}");
             }
         }
+    }
+
+    #[test]
+    fn in_kernel_epilogue_equals_the_plain_product_then_apply() {
+        use crate::fusion::Activation;
+        // Row counts on both sides of the broadcast kernel's inline cut and
+        // its row blocks; every body, skipping on and off.
+        for (m, k, n) in [(5, 130, 7), (40, 64, 33), (400, 96, 12)] {
+            let a_codes = random_codes(m, k, 2, m as u64);
+            let b_codes = random_codes(k, n, 3, n as u64);
+            let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
+            let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
+            let mut ep = FusedEpilogue::hidden_layer(0.01, 4)
+                .with_row_offset((0..m).map(|i| i as f32 * 0.1 - 3.0).collect());
+            ep.activation = Activation::Tanh;
+            for backend in [BackendChoice::Portable, BackendChoice::Auto] {
+                for jumping in [false, true] {
+                    let cfg = KernelConfig {
+                        zero_tile_jumping: jumping,
+                        backend,
+                        ..KernelConfig::default()
+                    };
+                    let plain = CostTracker::new();
+                    let acc = qgtc_bmm(&a, &b, &cfg, &plain);
+                    let want = ep.apply(&acc, &plain).unwrap();
+                    let fused = CostTracker::new();
+                    let (got, range) = qgtc_bmm_with_epilogue(&a, &b, &ep, &cfg, &fused).unwrap();
+                    let got = got.into_quantized_with_rowsums().unwrap();
+                    assert_eq!(got, want.into_quantized_with_rowsums().unwrap());
+                    assert_eq!(fused.snapshot(), plain.snapshot());
+                    let (lo, _) = range.bounds();
+                    assert_eq!(got.1.min, lo);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_mismatched_batch_norm_fails_before_the_kernel_runs() {
+        let a =
+            StackedBitMatrix::from_codes(&random_codes(4, 64, 2, 1), 2, BitMatrixLayout::RowPacked);
+        let b =
+            StackedBitMatrix::from_codes(&random_codes(64, 3, 2, 2), 2, BitMatrixLayout::ColPacked);
+        let mut ep = FusedEpilogue::dequantize_only(1.0);
+        ep.batch_norm = Some(qgtc_tensor::ops::BatchNormParams::identity(5));
+        let tracker = CostTracker::new();
+        let err = qgtc_bmm_with_epilogue(&a, &b, &ep, &KernelConfig::default(), &tracker);
+        assert!(
+            matches!(err, Err(TensorError::ShapeMismatch { .. })),
+            "{err:?}"
+        );
+        assert_eq!(tracker.snapshot().kernel_launches, 0, "nothing ran");
+    }
+
+    #[test]
+    #[should_panic(expected = "row-offset length")]
+    fn correction_lengths_are_checked_on_the_calling_thread() {
+        let a = StackedBitMatrix::from_codes(
+            &random_codes(500, 64, 1, 3),
+            1,
+            BitMatrixLayout::RowPacked,
+        );
+        let b =
+            StackedBitMatrix::from_codes(&random_codes(64, 4, 2, 4), 2, BitMatrixLayout::ColPacked);
+        let ep = FusedEpilogue::dequantize_only(1.0).with_row_offset(vec![0.0; 499]);
+        let _ = qgtc_bmm_with_epilogue(&a, &b, &ep, &KernelConfig::default(), &CostTracker::new());
     }
 
     #[test]

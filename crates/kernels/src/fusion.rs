@@ -7,19 +7,31 @@
 //! round trips and kernel launches.  For the *output* layer the epilogue instead
 //! produces full-precision values for the softmax head.
 //!
-//! [`FusedEpilogue::apply`] implements that pipeline on an accumulator matrix (and
-//! [`FusedEpilogue::apply_dense`] on values already dense) and records the cost
-//! difference between the fused and unfused execution (the unfused path pays one
-//! extra kernel launch and a DRAM round trip per stage).  On the host the epilogue
-//! is one row pass, one range scan and one pack: each row is dequantized and
-//! takes the scaled addend and the activation; a lane-wise range scan over the
-//! result calibrates the re-quantization, and one quantize-pack pass writes the
-//! planes and the code rowsums.
+//! On the host the epilogue is one row pass inside the GEMM and one pack.
+//! [`crate::bmm::qgtc_bmm_with_epilogue`] hands the GEMM a row sink: the
+//! kernel computes each block of finished rows into a per-thread scratch
+//! block, and [`FusedEpilogue::row_block`] turns it, still in cache, into
+//! `f32` rows — dequantize with the affine corrections, add the scaled addend,
+//! apply the activation (and batch norm) — and folds the block into a
+//! lane-wise [`ValueRange`].  Only the `f32` rows are written; the blocks'
+//! ranges merge into the batch range that calibrates the re-quantization, and
+//! one quantize-pack pass writes the planes and the code rowsums.  A
+//! [`FusedEpilogue::pack`] re-quantizes values whose range a row pass already
+//! produced, so no range scan runs twice over the same values.
+//!
+//! [`FusedEpilogue::apply`] runs the same row pass on a materialised accumulator
+//! (the condensed aggregation and the tests), and [`FusedEpilogue::apply_dense`]
+//! on values already dense (the dense-TC paths).  Each records the cost
+//! difference between the fused and unfused execution (the unfused path pays
+//! one extra kernel launch and a DRAM round trip per stage).
 
+use qgtc_bitmat::fused::{PopcountBody, RowSink};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tensor::ops::BatchNormParams;
-use qgtc_tensor::{Matrix, QuantParams, TensorError};
+use qgtc_tensor::{Matrix, QuantParams, TensorError, ValueRange};
+use std::cell::RefCell;
+use std::mem::MaybeUninit;
 
 /// Activation functions QGTC can fuse into the epilogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,6 +47,7 @@ pub enum Activation {
 
 impl Activation {
     /// Apply the activation to every value of `row`, in place.
+    #[inline(always)]
     fn apply_row(self, row: &mut [f32]) {
         match self {
             Activation::None => {}
@@ -130,7 +143,8 @@ pub struct FusedEpilogue {
     /// entering the node update).
     pub output_layout: BitMatrixLayout,
     /// Whether the epilogue runs fused inside the GEMM kernel (`true`) or as
-    /// standalone kernels (`false`); affects only cost accounting.
+    /// standalone kernels (`false`); affects only cost accounting.  The models
+    /// set it from `KernelConfig::fused_epilogue`.
     pub fused: bool,
     /// Optional per-row additive correction, applied to the dequantized value
     /// before `row_scale`: the home of the affine quantization corrections
@@ -233,23 +247,24 @@ impl FusedEpilogue {
         self
     }
 
-    /// Apply the epilogue to an integer accumulator matrix: dequantize with the
-    /// affine corrections, then activation / batch norm / re-quantization.
+    /// Set whether the epilogue is charged as fused into the GEMM kernel or
+    /// as standalone kernels.
+    pub fn with_fused(mut self, fused: bool) -> Self {
+        self.fused = fused;
+        self
+    }
+
+    /// Check this epilogue against a `rows × cols` accumulator before any row
+    /// runs.
     ///
-    /// Cost model: the arithmetic itself is `O(rows × cols)` CUDA-core work in both
-    /// modes; the unfused mode additionally writes the intermediate to DRAM, reads it
-    /// back and launches one extra kernel per stage (activation / BN / quantize).
+    /// # Panics
     ///
-    /// Fails only when re-quantizing: activations that overflowed to ±inf (or
-    /// whose range is wider than `f32`) cannot be calibrated, and the error
-    /// reports that instead of packing meaningless codes.
-    pub fn apply(
-        &self,
-        accumulator: &Matrix<i64>,
-        tracker: &CostTracker,
-    ) -> Result<EpilogueOutput, TensorError> {
-        let (rows, cols) = accumulator.shape();
-        let elems = accumulator.len() as u64;
+    /// Panics when a correction's length or the addend's shape does not match.
+    ///
+    /// # Errors
+    ///
+    /// A batch norm of another width is a `ShapeMismatch`.
+    pub fn check(&self, rows: usize, cols: usize) -> Result<(), TensorError> {
         if let Some(offsets) = &self.row_offset {
             assert_eq!(offsets.len(), rows, "row-offset length");
         }
@@ -259,6 +274,194 @@ impl FusedEpilogue {
         if let Some(scales) = &self.row_scale {
             assert_eq!(scales.len(), rows, "row-scale length");
         }
+        self.check_dense(rows, cols)
+    }
+
+    /// The part of [`FusedEpilogue::check`] the dense entry needs: the addend
+    /// shape and the batch-norm width.
+    fn check_dense(&self, rows: usize, cols: usize) -> Result<(), TensorError> {
+        if let Some(addend) = &self.addend {
+            assert_eq!(addend.shape(), (rows, cols), "addend shape");
+        }
+        match &self.batch_norm {
+            Some(bn) => bn.check((rows, cols)),
+            None => Ok(()),
+        }
+    }
+
+    /// Apply the epilogue to an integer accumulator matrix: dequantize with the
+    /// affine corrections, then activation / batch norm / re-quantization.
+    ///
+    /// Cost model: the arithmetic itself is `O(rows × cols)` CUDA-core work in both
+    /// modes; the unfused mode additionally writes the intermediate to DRAM, reads it
+    /// back and launches one extra kernel per stage (activation / BN / quantize).
+    ///
+    /// Fails when a batch norm has the wrong width, and when re-quantizing
+    /// activations that overflowed to ±inf (or whose range is wider than
+    /// `f32`): those cannot be calibrated, and the error reports that instead
+    /// of packing meaningless codes.
+    pub fn apply(
+        &self,
+        accumulator: &Matrix<i64>,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
+        Ok(self.apply_ranged(accumulator, tracker)?.0)
+    }
+
+    /// [`FusedEpilogue::apply`], also handing back the range of the values
+    /// the row pass produced.
+    pub(crate) fn apply_ranged(
+        &self,
+        accumulator: &Matrix<i64>,
+        tracker: &CostTracker,
+    ) -> Result<(EpilogueOutput, ValueRange), TensorError> {
+        let (rows, cols) = accumulator.shape();
+        self.check(rows, cols)?;
+        let mut dense = Matrix::zeros(rows, cols);
+        let range = self.row_block(0, cols, accumulator.data(), dense.data_mut());
+        let output = self.finish(dense, &range, self.accumulator_flops(rows * cols), tracker)?;
+        Ok((output, range))
+    }
+
+    /// Apply the epilogue's addend / activation / batch-norm / re-quantization
+    /// stages to an already-dense activation matrix.
+    ///
+    /// This is the layer-transition entry for values that leave the accumulator
+    /// domain before the epilogue (the dense-TC paths): the accumulator scale
+    /// and the affine offsets do not apply, but the scaled addend (batched
+    /// GIN's `+ (1+ε)·self` combine), the activation and the re-quantization
+    /// run in the same row stages as [`FusedEpilogue::row_block`].  Takes the
+    /// matrix by value — callers that still need the dense activations
+    /// afterwards clone at the call site.  Fails exactly as
+    /// [`FusedEpilogue::apply`] does.
+    pub fn apply_dense(
+        &self,
+        mut dense: Matrix<f32>,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
+        self.check_dense(dense.rows(), dense.cols())?;
+        for i in 0..dense.rows() {
+            self.activate_row(i, dense.row_mut(i));
+        }
+        let range = fold_range(dense.data(), PopcountBody::Avx512.is_available());
+        let entry_flops = if self.addend.is_some() {
+            2 * dense.len() as u64
+        } else {
+            0
+        };
+        self.finish(dense, &range, entry_flops, tracker)
+    }
+
+    /// Re-quantize `dense`, the output of a row pass that already produced
+    /// its `range`: what [`FusedEpilogue::apply_dense`] returns and charges for
+    /// values its row stages leave unchanged, without running them or
+    /// scanning the range again.  The hand-off after a dense-output epilogue
+    /// whose values the next GEMM needs packed (GIN's intra-layer and
+    /// layer-transition re-quantizations).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the epilogue re-quantizes with no addend, activation or
+    /// batch norm.
+    pub fn pack(
+        &self,
+        dense: &Matrix<f32>,
+        range: &ValueRange,
+        tracker: &CostTracker,
+    ) -> Result<EpilogueOutput, TensorError> {
+        assert!(
+            self.requantize_bits.is_some()
+                && self.addend.is_none()
+                && self.activation == Activation::None
+                && self.batch_norm.is_none(),
+            "pack re-quantizes values as they are"
+        );
+        Ok(self
+            .charge_and_pack(dense, range, 0, tracker)?
+            .expect("a re-quantizing epilogue packs"))
+    }
+
+    /// The row pass over one block of accumulator rows, `cols` wide, starting
+    /// at output row `first_row`: each row of `acc` is dequantized with the
+    /// affine corrections,
+    /// `(acc · scale + row_offset[i] + col_offset[j]) · row_scale[i]`, takes
+    /// the scaled addend, the activation and the batch norm, and is written to
+    /// the same row of `out`.  Returns the range of the written values.
+    ///
+    /// The in-kernel epilogue runs this on every block of rows a GEMM
+    /// finishes, and [`FusedEpilogue::apply`] on a whole materialised
+    /// accumulator; the blocks' ranges merge into the whole output's.  On
+    /// hosts that can run the AVX-512 body, the `i64`→`f32` conversion and the
+    /// range fold use AVX-512; neither does float arithmetic, so the bits are
+    /// the same either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the corrections or the addend do not cover the block's rows
+    /// and columns (see [`FusedEpilogue::check`]) or `out` and `acc` differ in
+    /// length.
+    pub fn row_block(
+        &self,
+        first_row: usize,
+        cols: usize,
+        acc: &[i64],
+        out: &mut [f32],
+    ) -> ValueRange {
+        assert_eq!(out.len(), acc.len(), "row pass output length");
+        if cols == 0 {
+            return ValueRange::default();
+        }
+        let packed = PopcountBody::Avx512.is_available();
+        let scale = self.accumulator_scale;
+        for (local, (acc_row, row)) in acc
+            .chunks_exact(cols)
+            .zip(out.chunks_exact_mut(cols))
+            .enumerate()
+        {
+            let i = first_row + local;
+            let row_offset = self.row_offset.as_ref().map_or(0.0, |o| o[i]);
+            let row_scale = self.row_scale.as_ref().map_or(1.0, |s| s[i]);
+            convert_row(acc_row, row, packed);
+            // An absent correction still adds 0.0 (or multiplies by 1.0), so
+            // the expression is the same whichever corrections are present.
+            match &self.col_offset {
+                Some(col_offset) => {
+                    for (slot, &col_offset) in row.iter_mut().zip(col_offset) {
+                        *slot = (*slot * scale + row_offset + col_offset) * row_scale;
+                    }
+                }
+                None => {
+                    for slot in row.iter_mut() {
+                        *slot = (*slot * scale + row_offset + 0.0) * row_scale;
+                    }
+                }
+            }
+            self.activate_row(i, row);
+        }
+        fold_range(out, packed)
+    }
+
+    /// The row stages after the dequantize, shared by both entries: the
+    /// scaled addend (multiply-then-add per element), the activation and the
+    /// batch norm, in that order.
+    #[inline(always)]
+    fn activate_row(&self, i: usize, row: &mut [f32]) {
+        if let Some(addend) = &self.addend {
+            for (slot, &a) in row.iter_mut().zip(addend.row(i)) {
+                *slot += self.addend_scale * a;
+            }
+        }
+        self.activation.apply_row(row);
+        if let Some(bn) = &self.batch_norm {
+            bn.apply_row(row);
+        }
+    }
+
+    /// The flops the accumulator entry charges before the row stages: the
+    /// dequantize, one pass per present correction and the addend's multiply
+    /// and add.
+    pub(crate) fn accumulator_flops(&self, elems: usize) -> u64 {
+        let elems = elems as u64;
         let mut flops = elems;
         for present in [&self.row_offset, &self.col_offset, &self.row_scale] {
             if present.is_some() {
@@ -268,109 +471,63 @@ impl FusedEpilogue {
         if self.addend.is_some() {
             flops += 2 * elems; // one multiply and one add per element
         }
-        tracker.record_fp32_flops(flops);
-
-        // An absent correction still adds 0.0 (or multiplies by 1.0), so the
-        // expression is the same whichever corrections are present.
-        let zero_cols = vec![0.0; if self.col_offset.is_some() { 0 } else { cols }];
-        let col_offset = self.col_offset.as_deref().unwrap_or(&zero_cols);
-        // Dequantize with the affine corrections:
-        //   dense[i][j] = (acc · scale + row_offset[i] + col_offset[j]) · row_scale[i]
-        let dequantize = |i: usize, out: &mut [f32]| {
-            let row_offset = self.row_offset.as_ref().map_or(0.0, |o| o[i]);
-            let row_scale = self.row_scale.as_ref().map_or(1.0, |s| s[i]);
-            for ((slot, &acc), &col_offset) in
-                out.iter_mut().zip(accumulator.row(i)).zip(col_offset)
-            {
-                *slot = (acc as f32 * self.accumulator_scale + row_offset + col_offset) * row_scale;
-            }
-        };
-        self.row_pass(Matrix::zeros(rows, cols), dequantize, tracker)
+        flops
     }
 
-    /// Apply the epilogue's addend / activation / batch-norm / re-quantization
-    /// stages to an already-dense activation matrix.
-    ///
-    /// This is the layer-transition entry for values that leave the accumulator
-    /// domain before the epilogue: the accumulator scale and the affine offsets
-    /// do not apply, but the scaled addend (batched GIN's `+ (1+ε)·self` combine
-    /// on the dense-TC path), the activation and the re-quantization — the
-    /// single quantize site of a layer transition — all live here, in the same
-    /// row pass as [`FusedEpilogue::apply`].  Takes the matrix by value —
-    /// callers that still need the dense activations afterwards clone at the
-    /// call site.  Fails exactly as [`FusedEpilogue::apply`] does.
-    pub fn apply_dense(
+    /// Finish a row pass over `dense` whose range is `range`: charge it
+    /// (`entry_flops` is what its entry charged before the row stages), then
+    /// re-quantize or hand the dense values back.
+    pub(crate) fn finish(
         &self,
         dense: Matrix<f32>,
+        range: &ValueRange,
+        entry_flops: u64,
         tracker: &CostTracker,
     ) -> Result<EpilogueOutput, TensorError> {
-        if self.addend.is_some() {
-            tracker.record_fp32_flops(2 * dense.len() as u64);
-        }
-        self.row_pass(dense, |_, _| {}, tracker)
+        Ok(self
+            .charge_and_pack(&dense, range, entry_flops, tracker)?
+            .unwrap_or(EpilogueOutput::Dense(dense)))
     }
 
-    /// The row pass shared by [`FusedEpilogue::apply`] and
-    /// [`FusedEpilogue::apply_dense`], then the pack.
-    ///
-    /// Each row of `dense` is filled by `dequantize` (a no-op on the dense
-    /// entry) and takes the scaled addend and the activation, so no separate
-    /// activation pass runs over the matrix.  A batch-norm stage stays a
-    /// post-pass.  A re-quantizing epilogue then calibrates with the lane-wise
-    /// [`Matrix::min_max`], and one quantize-pack pass turns the matrix into
-    /// planes and code rowsums.  Also charges the unfused execution's extra
-    /// launches and DRAM traffic.
-    fn row_pass(
+    /// Charge a row pass over `dense` and, for a re-quantizing epilogue,
+    /// calibrate from `range` and run the one quantize-pack pass that writes
+    /// the planes and the code rowsums.  `None` for a dense-output epilogue.
+    /// Also charges the unfused execution's extra launches and DRAM traffic.
+    fn charge_and_pack(
         &self,
-        mut dense: Matrix<f32>,
-        dequantize: impl Fn(usize, &mut [f32]),
+        dense: &Matrix<f32>,
+        range: &ValueRange,
+        entry_flops: u64,
         tracker: &CostTracker,
-    ) -> Result<EpilogueOutput, TensorError> {
-        if let Some(addend) = &self.addend {
-            assert_eq!(addend.shape(), dense.shape(), "addend shape");
-        }
+    ) -> Result<Option<EpilogueOutput>, TensorError> {
         let elems = dense.len() as u64;
-        let rows = dense.rows() as u64;
         let mut stages = 1u64; // dequantize (or combine) + activation is one stage
-
-        for i in 0..dense.rows() {
-            let row = dense.row_mut(i);
-            dequantize(i, row);
-            if let Some(addend) = &self.addend {
-                for (slot, &a) in row.iter_mut().zip(addend.row(i)) {
-                    *slot += self.addend_scale * a;
-                }
-            }
-            self.activation.apply_row(row);
-        }
-        tracker.record_fp32_flops(elems);
-
-        if let Some(bn) = &self.batch_norm {
-            dense = qgtc_tensor::ops::batch_norm(&dense, bn)
-                .expect("batch-norm dimension must match accumulator columns");
+        tracker.record_fp32_flops(entry_flops + elems);
+        if self.batch_norm.is_some() {
             tracker.record_fp32_flops(4 * elems);
             stages += 1;
         }
 
         let output = match self.requantize_bits {
-            None => EpilogueOutput::Dense(dense),
+            None => None,
             Some(bits) => {
                 // One pass: quantize, pack and sum the codes per row — the
                 // rowsums feed the next GEMM's affine correction.
-                let params = QuantParams::calibrate(bits, &dense)?;
+                let (min, max) = range.bounds();
+                let params = QuantParams::from_range(bits, min, max)?;
                 let (stack, code_rowsums) = StackedBitMatrix::quantize_pack_in(
-                    &dense,
+                    dense,
                     params,
                     self.output_layout,
                     &mut Vec::new(),
                 );
                 tracker.record_int_ops(elems * bits as u64);
                 stages += 1;
-                EpilogueOutput::Quantized {
+                Some(EpilogueOutput::Quantized {
                     stack,
                     params,
                     code_rowsums,
-                }
+                })
             }
         };
 
@@ -379,12 +536,112 @@ impl FusedEpilogue {
             // round trip of the intermediate activations.
             let bytes = elems * 4;
             for _ in 0..stages {
-                tracker.record_kernel_launch(rows.div_ceil(4).max(1));
+                tracker.record_kernel_launch((dense.rows() as u64).div_ceil(4).max(1));
                 tracker.record_dram_write(bytes);
                 tracker.record_dram_read(bytes);
             }
         }
         Ok(output)
+    }
+}
+
+/// `row[j] = acc[j] as f32`, with AVX-512DQ's packed conversion when `packed`
+/// (which rounds as the scalar conversion does).
+#[inline]
+fn convert_row(acc: &[i64], row: &mut [f32], packed: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if packed {
+        // SAFETY: `packed` is the AVX-512 body's availability, which covers
+        // `avx512f` and `avx512dq`.
+        unsafe { convert_row_avx512(acc, row) };
+        return;
+    }
+    let _ = packed;
+    for (slot, &a) in row.iter_mut().zip(acc) {
+        *slot = a as f32;
+    }
+}
+
+/// [`convert_row`] compiled for AVX-512.
+///
+/// # Safety
+///
+/// The host must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn convert_row_avx512(acc: &[i64], row: &mut [f32]) {
+    for (slot, &a) in row.iter_mut().zip(acc) {
+        *slot = a as f32;
+    }
+}
+
+/// The [`ValueRange`] of `values`, compiled for AVX-512 when `packed`.  Its
+/// compare-and-select has one result whatever instructions run it, so both
+/// builds return the same range.
+#[inline]
+fn fold_range(values: &[f32], packed: bool) -> ValueRange {
+    #[cfg(target_arch = "x86_64")]
+    if packed {
+        // SAFETY: as in `convert_row`.
+        return unsafe { fold_range_avx512(values) };
+    }
+    let _ = packed;
+    ValueRange::of(values)
+}
+
+/// [`fold_range`] compiled for AVX-512.
+///
+/// # Safety
+///
+/// The host must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn fold_range_avx512(values: &[f32]) -> ValueRange {
+    ValueRange::of(values)
+}
+
+thread_local! {
+    /// The per-thread accumulator block the in-kernel epilogue hands the
+    /// GEMM, reused across blocks and calls.
+    static SCRATCH: RefCell<Vec<MaybeUninit<i64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The in-kernel epilogue: the GEMM computes each block of finished rows into
+/// this thread's scratch block, and [`FusedEpilogue::row_block`] turns it into
+/// the block's `f32` output rows and value range.  No `m × n` accumulator
+/// matrix exists.
+pub(crate) struct RowPassSink<'a> {
+    /// The epilogue to run.
+    pub epilogue: &'a FusedEpilogue,
+    /// Output columns.
+    pub cols: usize,
+}
+
+impl RowSink for RowPassSink<'_> {
+    type Elem = f32;
+    type Block = ValueRange;
+
+    fn block<F: FnOnce(&mut [MaybeUninit<i64>])>(
+        &self,
+        first_row: usize,
+        out: &mut [f32],
+        compute: F,
+    ) -> ValueRange {
+        SCRATCH.with_borrow_mut(|scratch| {
+            if scratch.len() < out.len() {
+                scratch.resize(out.len(), MaybeUninit::uninit());
+            }
+            let acc = &mut scratch[..out.len()];
+            compute(acc);
+            // SAFETY: `compute` wrote every element of `acc` (`RowSink::block`'s
+            // contract), and `MaybeUninit<i64>` has the layout of `i64`.
+            let acc = unsafe { &*(acc as *const [MaybeUninit<i64>] as *const [i64]) };
+            self.epilogue.row_block(first_row, self.cols, acc, out)
+        })
+    }
+
+    fn merge(earlier: &mut ValueRange, later: ValueRange) {
+        earlier.merge(&later);
     }
 }
 
@@ -770,6 +1027,77 @@ mod tests {
         // value * 2 + 1 for each accumulator entry.
         assert_eq!(dense[(0, 2)], 5.0);
         assert_eq!(dense[(1, 1)], -1.0);
+    }
+
+    #[test]
+    fn batch_norm_of_the_wrong_width_is_a_typed_error() {
+        let mut ep = FusedEpilogue::hidden_layer(1.0, 2);
+        ep.batch_norm = Some(BatchNormParams::identity(2));
+        let expected = TensorError::ShapeMismatch {
+            op: "batch_norm".into(),
+            lhs: (2, 3),
+            rhs: (1, 2),
+        };
+        assert_eq!(ep.check(2, 3), Err(expected.clone()));
+        let err = ep.apply(&accumulator(), &CostTracker::new()).unwrap_err();
+        assert_eq!(err, expected);
+        let err = ep
+            .apply_dense(Matrix::zeros(2, 3), &CostTracker::new())
+            .unwrap_err();
+        assert_eq!(err, expected);
+    }
+
+    #[test]
+    fn row_blocks_merge_into_the_whole_accumulators_pass() {
+        // The in-kernel epilogue runs the row pass block by block; the rows
+        // and the merged range must equal one pass over the whole matrix.
+        let acc = Matrix::from_vec(5, 3, (0..15).map(|v| v * 7 - 40).collect()).unwrap();
+        let mut ep = FusedEpilogue::dequantize_only(0.5)
+            .with_row_offset(vec![1.0, -2.0, 3.0, 0.5, -0.25])
+            .with_col_offset(vec![0.1, 0.2, -0.3])
+            .with_scaled_addend(Matrix::filled(5, 3, 0.75), 2.0);
+        ep.activation = Activation::Tanh;
+        let mut whole = vec![0.0; 15];
+        let whole_range = ep.row_block(0, 3, acc.data(), &mut whole);
+        let mut blocks = vec![0.0; 15];
+        let (top, bottom) = blocks.split_at_mut(6);
+        let mut range = ep.row_block(0, 3, &acc.data()[..6], top);
+        range.merge(&ep.row_block(2, 3, &acc.data()[6..], bottom));
+        assert_eq!(blocks, whole);
+        assert_eq!(range.bounds(), whole_range.bounds());
+        assert_eq!(
+            whole_range.bounds(),
+            Matrix::from_vec(5, 3, whole).unwrap().min_max()
+        );
+    }
+
+    #[test]
+    fn pack_reuses_the_row_pass_range() {
+        let tracker = CostTracker::new();
+        let dense = Matrix::from_vec(2, 2, vec![-1.0f32, 0.5, 2.0, 4.0]).unwrap();
+        let ep = FusedEpilogue::requantize_left_operand(1.0, 3);
+        let packed = ep
+            .pack(&dense, &ValueRange::of(dense.data()), &tracker)
+            .unwrap();
+        let dense_tracker = CostTracker::new();
+        let applied = ep.apply_dense(dense, &dense_tracker).unwrap();
+        let (packed, applied) = (
+            packed.into_quantized_with_rowsums().unwrap(),
+            applied.into_quantized_with_rowsums().unwrap(),
+        );
+        assert_eq!(packed, applied);
+        assert_eq!(tracker.snapshot(), dense_tracker.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "pack re-quantizes values as they are")]
+    fn pack_refuses_an_epilogue_with_row_stages() {
+        let dense = Matrix::zeros(2, 2);
+        let _ = FusedEpilogue::hidden_layer(1.0, 2).pack(
+            &dense,
+            &ValueRange::default(),
+            &CostTracker::new(),
+        );
     }
 
     #[test]

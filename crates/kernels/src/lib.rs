@@ -22,7 +22,8 @@
 //!   bit plane, versus the naive cross-bit ordering.
 //! * [`fusion`] — inter-layer kernel fusion (§4.5): activation, batch-norm and
 //!   re-quantization + bit-decomposition applied in the GEMM epilogue instead of as
-//!   standalone kernels.
+//!   standalone kernels; the row pass runs inside the GEMM's row blocks
+//!   ([`bmm::qgtc_bmm_with_epilogue`]).
 //! * [`packing`] — bandwidth-optimised subgraph packing (§4.6): transfer the packed
 //!   low-bit adjacency and features as one compound object instead of dense fp32
 //!   tensors over PCIe.
@@ -45,8 +46,9 @@ pub mod zero_tile;
 
 pub use backend::BackendChoice;
 pub use bmm::{
-    adjacency_cost_ratio, qgtc_aggregate, qgtc_aggregate_prepared, qgtc_bitmm2int, qgtc_bmm,
-    resolve_adjacency_path, AdjacencyPath, KernelConfig, ReductionOrder,
+    adjacency_cost_ratio, qgtc_aggregate, qgtc_aggregate_prepared, qgtc_aggregate_with_epilogue,
+    qgtc_bitmm2int, qgtc_bmm, qgtc_bmm_with_epilogue, resolve_adjacency_path, AdjacencyPath,
+    KernelConfig, ReductionOrder,
 };
 pub use fusion::{Activation, FusedEpilogue};
 pub use packing::{PreparedBatch, SubgraphPayload, TransferStrategy};

@@ -33,7 +33,7 @@ pub mod quant;
 pub mod rng;
 
 pub use error::{Result, TensorError};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, ValueRange};
 pub use quant::{QuantParams, Quantizer};
 
 /// Commonly used items, re-exported for convenience.

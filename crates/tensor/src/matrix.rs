@@ -251,28 +251,69 @@ impl Matrix<f32> {
         self.data.iter().sum()
     }
 
-    /// Minimum and maximum element. Returns `(0.0, 0.0)` for an empty matrix
-    /// and `(NaN, NaN)` when any element is NaN (`f32::min`/`max` alone would
-    /// skip it), found in the same pass.
-    ///
-    /// A sequential `f32::min`/`max` fold is one long dependency chain, so the
-    /// scan keeps independent lanes whose compare-and-select the compiler
-    /// emits as packed `minps`/`maxps`.  The result equals the fold's except
-    /// that a tie between `+0.0` and `-0.0` may resolve to either sign.
+    /// Minimum and maximum element: [`ValueRange::bounds`] of one scan over
+    /// the data, so `(0.0, 0.0)` for an empty matrix and `(NaN, NaN)` when any
+    /// element is NaN.
     pub fn min_max(&self) -> (f32, f32) {
-        if self.is_empty() {
-            return (0.0, 0.0);
+        ValueRange::of(&self.data).bounds()
+    }
+}
+
+/// Number of independent lanes a [`ValueRange`] scans with.
+const RANGE_LANES: usize = 16;
+
+/// The running minimum and maximum of a stream of `f32` values.
+///
+/// A sequential `f32::min`/`max` fold is one long dependency chain, so the
+/// scan keeps independent lanes whose compare-and-select the compiler emits as
+/// packed `minps`/`maxps`, with a NaN flag per lane.  Ranges of separately
+/// scanned runs — the row blocks a GEMM finishes on different threads —
+/// [`merge`](ValueRange::merge) into the range of all of them.
+///
+/// [`bounds`](ValueRange::bounds) equals the sequential fold's result except
+/// that a tie between `+0.0` and `-0.0` may resolve to either sign.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRange {
+    min: [f32; RANGE_LANES],
+    max: [f32; RANGE_LANES],
+    /// Per lane, nonzero once a NaN was folded in (`u32` rather than `bool`
+    /// so the flags stay as wide as the values and the scan stays packed).
+    nan: [u32; RANGE_LANES],
+    empty: bool,
+}
+
+impl Default for ValueRange {
+    fn default() -> Self {
+        Self {
+            min: [f32::INFINITY; RANGE_LANES],
+            max: [f32::NEG_INFINITY; RANGE_LANES],
+            nan: [0; RANGE_LANES],
+            empty: true,
         }
-        let mut min = [f32::INFINITY; SCAN_LANES];
-        let mut max = [f32::NEG_INFINITY; SCAN_LANES];
-        let mut nan = [false; SCAN_LANES];
+    }
+}
+
+impl ValueRange {
+    /// The range of `values`.
+    #[inline(always)]
+    pub fn of(values: &[f32]) -> Self {
+        let mut range = Self::default();
+        range.fold(values);
+        range
+    }
+
+    /// Fold a run of values into the range.  Lanes restart at the run's first
+    /// value, so a caller may fold a matrix row by row.
+    #[inline(always)]
+    pub fn fold(&mut self, values: &[f32]) {
+        let (mut min, mut max, mut nan) = (self.min, self.max, self.nan);
         let mut fold = |lane: usize, v: f32| {
             // NaN fails both comparisons, so only the flag records it.
             min[lane] = if v < min[lane] { v } else { min[lane] };
             max[lane] = if v > max[lane] { v } else { max[lane] };
-            nan[lane] |= v.is_nan();
+            nan[lane] |= u32::from(v.is_nan());
         };
-        let mut chunks = self.data.chunks_exact(SCAN_LANES);
+        let mut chunks = values.chunks_exact(RANGE_LANES);
         for chunk in &mut chunks {
             for (lane, &v) in chunk.iter().enumerate() {
                 fold(lane, v);
@@ -281,18 +322,40 @@ impl Matrix<f32> {
         for (lane, &v) in chunks.remainder().iter().enumerate() {
             fold(lane, v);
         }
-        if nan.contains(&true) {
+        (self.min, self.max, self.nan) = (min, max, nan);
+        self.empty &= values.is_empty();
+    }
+
+    /// Merge the range of a later run into this one, lane by lane.
+    pub fn merge(&mut self, later: &ValueRange) {
+        for lane in 0..RANGE_LANES {
+            if later.min[lane] < self.min[lane] {
+                self.min[lane] = later.min[lane];
+            }
+            if later.max[lane] > self.max[lane] {
+                self.max[lane] = later.max[lane];
+            }
+            self.nan[lane] |= later.nan[lane];
+        }
+        self.empty &= later.empty;
+    }
+
+    /// `(min, max)` of every value folded in: `(0.0, 0.0)` when there were
+    /// none and `(NaN, NaN)` when any was NaN (`f32::min`/`max` alone would
+    /// skip it).
+    pub fn bounds(&self) -> (f32, f32) {
+        if self.empty {
+            return (0.0, 0.0);
+        }
+        if self.nan.iter().any(|&flag| flag != 0) {
             return (f32::NAN, f32::NAN);
         }
         (
-            min.iter().fold(f32::INFINITY, |m, &v| m.min(v)),
-            max.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
+            self.min.iter().fold(f32::INFINITY, |m, &v| m.min(v)),
+            self.max.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
         )
     }
 }
-
-/// Number of independent lanes [`Matrix::min_max`] scans with.
-const SCAN_LANES: usize = 16;
 
 impl Matrix<i64> {
     /// Convert an integer accumulator matrix to `f32` (used after quantized GEMM).
@@ -424,6 +487,25 @@ mod tests {
         assert_eq!(empty.min_max(), (0.0, 0.0));
         let nan = Matrix::from_vec(1, 3, vec![1.0f32, f32::NAN, -1.0]).unwrap();
         let (lo, hi) = nan.min_max();
+        assert!(lo.is_nan() && hi.is_nan(), "({lo}, {hi})");
+    }
+
+    #[test]
+    fn merged_ranges_equal_the_range_of_the_whole() {
+        let values: Vec<f32> = (0..203).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
+        let whole = ValueRange::of(&values).bounds();
+        assert_eq!(whole, (-50.0, 50.0));
+        for cut in [0, 1, 16, 17, 100, 203] {
+            let mut merged = ValueRange::of(&values[..cut]);
+            merged.merge(&ValueRange::of(&values[cut..]));
+            assert_eq!(merged.bounds(), whole, "cut {cut}");
+        }
+        let mut empty = ValueRange::default();
+        assert_eq!(empty.bounds(), (0.0, 0.0));
+        empty.merge(&ValueRange::default());
+        assert_eq!(empty.bounds(), (0.0, 0.0));
+        empty.merge(&ValueRange::of(&[f32::NAN]));
+        let (lo, hi) = empty.bounds();
         assert!(lo.is_nan() && hi.is_nan(), "({lo}, {hi})");
     }
 

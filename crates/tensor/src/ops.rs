@@ -98,24 +98,36 @@ impl BatchNormParams {
     pub fn dim(&self) -> usize {
         self.gamma.len()
     }
+
+    /// Check that these parameters normalise the columns of a matrix of
+    /// `shape`: a `ShapeMismatch` naming `batch_norm` otherwise.
+    pub fn check(&self, shape: (usize, usize)) -> Result<()> {
+        if shape.1 != self.dim() {
+            return Err(TensorError::ShapeMismatch {
+                op: "batch_norm".into(),
+                lhs: shape,
+                rhs: (1, self.dim()),
+            });
+        }
+        Ok(())
+    }
+
+    /// Normalise one row of `dim()` values in place.
+    #[inline]
+    pub fn apply_row(&self, row: &mut [f32]) {
+        for (j, value) in row.iter_mut().enumerate() {
+            let denom = (self.var[j] + self.eps).sqrt();
+            *value = (*value - self.mean[j]) / denom * self.gamma[j] + self.beta[j];
+        }
+    }
 }
 
 /// Apply inference-mode batch normalization column-wise (Equation 8 of the paper).
 pub fn batch_norm(x: &Matrix<f32>, params: &BatchNormParams) -> Result<Matrix<f32>> {
-    if x.cols() != params.dim() {
-        return Err(TensorError::ShapeMismatch {
-            op: "batch_norm".into(),
-            lhs: x.shape(),
-            rhs: (1, params.dim()),
-        });
-    }
+    params.check(x.shape())?;
     let mut out = x.clone();
     for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        for (j, value) in row.iter_mut().enumerate() {
-            let denom = (params.var[j] + params.eps).sqrt();
-            *value = (*value - params.mean[j]) / denom * params.gamma[j] + params.beta[j];
-        }
+        params.apply_row(out.row_mut(r));
     }
     Ok(out)
 }

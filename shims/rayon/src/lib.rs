@@ -252,6 +252,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "row-offset length")]
+    fn chunk_task_panics_reach_the_caller_with_their_message() {
+        let mut data = vec![0u32; 1024];
+        data.par_chunks_mut(8)
+            .enumerate()
+            .for_each(|(idx, _)| assert!(idx != 70, "row-offset length"));
+    }
+
+    #[test]
     fn repeated_calls_reuse_the_global_pool() {
         // Regression guard for the per-call `thread::scope` the seed shim used:
         // a thousand tiny dispatches should complete quickly and correctly.

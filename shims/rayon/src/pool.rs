@@ -21,8 +21,9 @@
 //! makes the type-erased borrow of the caller's closure sound: no worker can
 //! reach the task pointer again once the completion count hits the total.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Number of pool participants (spawned workers + the calling thread):
@@ -70,7 +71,8 @@ struct Job {
     runs: Vec<Run>,
     total: usize,
     completed: AtomicUsize,
-    panicked: AtomicBool,
+    /// The first task panic's payload, re-raised on the dispatching thread.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     finished: Mutex<bool>,
     finished_cv: Condvar,
 }
@@ -87,8 +89,8 @@ impl Job {
                     break;
                 }
                 let task = unsafe { &*self.task.0 };
-                if catch_unwind(AssertUnwindSafe(|| task(index))).is_err() {
-                    self.panicked.store(true, Ordering::Release);
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(index))) {
+                    self.panic.lock().unwrap().get_or_insert(payload);
                 }
                 if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
                     *self.finished.lock().unwrap() = true;
@@ -147,8 +149,9 @@ impl Pool {
     }
 
     /// Run `task(i)` for every `i in 0..total`, distributing the indices over the
-    /// pool.  Blocks until every index has completed; panics from `task` are
-    /// re-raised on the calling thread after the job drains.
+    /// pool.  Blocks until every index has completed; the first panic from
+    /// `task` is re-raised on the calling thread, with its own payload, after
+    /// the job drains.
     pub(crate) fn dispatch(&self, total: usize, task: &(dyn Fn(usize) + Sync)) {
         if total == 0 {
             return;
@@ -176,7 +179,7 @@ impl Pool {
                 .collect(),
             total,
             completed: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
             finished: Mutex::new(false),
             finished_cv: Condvar::new(),
         });
@@ -203,8 +206,9 @@ impl Pool {
         }
         drop(slot);
 
-        if job.panicked.load(Ordering::Acquire) {
-            panic!("rayon-shim worker panicked");
+        let payload = job.panic.lock().unwrap().take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
         }
     }
 }
@@ -305,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rayon-shim worker panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panics_propagate_to_the_caller() {
         let pool = Pool::with_workers(2);
         pool.dispatch(16, &|i| {

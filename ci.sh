@@ -54,7 +54,12 @@
 #                          package outside the workspace, so no other stage
 #                          builds it against the current library API
 #   bench-compile          criterion benches must compile
-#   examples               examples + bins must build
+#   examples               examples + bins must build, and the self-checking
+#                          examples (quickstart, cluster_gcn_inference,
+#                          quantized_path, serving_session) must run green in
+#                          release: each asserts its quantize-pack, GEMM,
+#                          epilogue and serving results bitwise through the
+#                          public surface, so a panic on those paths fails CI
 #   perfsmoke              tiny-scale perf gates: zero-word skip, streamed
 #                          pipeline, sharded partitioner, fault-supervisor
 #                          overhead, serving session  [skipped in FAST]
@@ -273,6 +278,19 @@ perfsmoke_tiny() {
         cargo run --release -p qgtc-bench --bin perfsmoke
 }
 
+examples_stage() {
+    # Every example and bin must build; the self-checking examples must also
+    # run (under a second together in release on a 2-core host).  They assert
+    # bit-exactness internally, so a broken pack, kernel or epilogue panics
+    # here through the public API rather than only inside the test suites.
+    cargo build --workspace --examples --bins
+    local example
+    for example in quickstart cluster_gcn_inference quantized_path serving_session; do
+        echo "--- example $example"
+        cargo run --release -q --example "$example" >/dev/null
+    done
+}
+
 doc_no_warnings() {
     # cargo doc exits 0 even with rustdoc warnings; capture and grep to enforce
     # the zero-warning docs gate.
@@ -301,7 +319,7 @@ stage condense condense_stage
 stage serving serving_stage
 stage qgtcbench cargo test --offline --manifest-path crates/bench/src/bin/qgtcbench/Cargo.toml
 stage bench-compile cargo bench --no-run --workspace
-stage examples cargo build --workspace --examples --bins
+stage examples examples_stage
 if [[ "$FAST" == "1" ]]; then
     skip_stage perfsmoke "QGTC_CI_FAST=1"
 else

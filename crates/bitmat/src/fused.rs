@@ -88,7 +88,8 @@ type Span = (usize, usize);
 /// instructions that count the bits.  [`any_bit_gemm_fused_with_stats`]
 /// picks [`PopcountBody::detect`]; the kernel layer's `BackendChoice` resolves
 /// to one body, and the conformance suite and the perfsmoke race iterate
-/// [`PopcountBody::ALL`].
+/// [`PopcountBody::ALL`].  The quantize-pack has the same two bodies
+/// ([`StackedBitMatrix::quantize_pack_with_body`]), picked by the host alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PopcountBody {
     /// Scalar `u64::count_ones` loop — available on every host.

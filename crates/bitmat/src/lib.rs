@@ -23,7 +23,7 @@
 //!   layout appropriate for its operand position.  Codes go in and come out a
 //!   whole 32-bit plane word at a time, and
 //!   [`stacked::StackedBitMatrix::quantize_pack_in`] quantizes and packs in one
-//!   pass.
+//!   pass, 16 values per AVX-512 vector on hosts that have it.
 //! * [`ops`] — single-plane binary matrix multiplication (AND + popcount), the
 //!   building block of the oracle.
 //! * [`gemm`] — the plane-by-plane any-bitwidth GEMM composition of Algorithm 1:

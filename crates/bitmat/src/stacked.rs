@@ -14,6 +14,7 @@
 
 use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
 use crate::decompose::{bit_decompose, bit_recompose};
+use crate::fused::PopcountBody;
 use crate::pack::{pad128, pad8, popcount_words, WORD_BITS};
 use qgtc_tensor::{Matrix, QuantParams};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,41 +81,58 @@ impl StackedBitMatrix {
 
     /// Quantize `values` under `params` and pack the codes in one pass,
     /// returning the stack (which remembers `params`) and the per-row code
-    /// sums.  No code matrix is staged: each row is quantized into a scratch
-    /// row ([`QuantParams::quantize_bytes_into`] up to 8 bits, byte codes the
-    /// packer gathers eight at a time; [`QuantParams::quantize`] per value
-    /// above) and packed straight into the planes.  Bitwise identical to quantizing
-    /// with [`qgtc_tensor::Quantizer::quantize_matrix_u32`] and packing with
+    /// sums.  No code matrix is staged: each row is quantized and packed
+    /// straight into the planes.  Bitwise identical to quantizing with
+    /// [`qgtc_tensor::Quantizer::quantize_matrix_u32`] and packing with
     /// [`StackedBitMatrix::from_quantized`].
+    ///
+    /// The body follows the host, as the GEMM's does
+    /// ([`PopcountBody::detect`]): up to 8 bits, AVX-512 hosts quantize and
+    /// pack 16 values per vector, and other hosts run the byte-code path
+    /// ([`QuantParams::quantize_bytes_into`], byte codes the packer gathers
+    /// eight at a time); wider codes take [`QuantParams::quantize`] per value.
+    /// [`StackedBitMatrix::quantize_pack_with_body`] picks the body.
     pub fn quantize_pack_in(
         values: &Matrix<f32>,
         params: QuantParams,
         layout: BitMatrixLayout,
         spares: &mut Vec<Vec<u32>>,
     ) -> (Self, Vec<i64>) {
+        Self::quantize_pack_with_body(values, params, layout, spares, PopcountBody::detect())
+    }
+
+    /// [`StackedBitMatrix::quantize_pack_in`] on an explicitly selected
+    /// body: [`PopcountBody::Avx512`] runs the vector pass for widths of at
+    /// most 8 bits, [`PopcountBody::Portable`] the byte-code path, and both
+    /// return bitwise identical stacks and rowsums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `body` is not available on this host or `params.bits` is
+    /// outside `1..=32`.
+    pub fn quantize_pack_with_body(
+        values: &Matrix<f32>,
+        params: QuantParams,
+        layout: BitMatrixLayout,
+        spares: &mut Vec<Vec<u32>>,
+        body: PopcountBody,
+    ) -> (Self, Vec<i64>) {
+        assert!(
+            body.is_available(),
+            "popcount body {body:?} is not available on this host"
+        );
         let (rows, cols) = values.shape();
         let mut packer = WordPacker::new(rows, cols, params.bits, layout, spares);
-        let mut rowsums = Vec::with_capacity(rows);
-        // Separate loops: the quantize loop vectorizes only without the
-        // running sum.
-        if params.bits <= 8 {
-            // Zero codes pad the row to whole words for the row-packed gather.
-            let mut codes = vec![0u8; cols.next_multiple_of(WORD_BITS)];
-            for r in 0..rows {
-                params.quantize_bytes_into(values.row(r), &mut codes[..cols]);
-                rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
-                packer.push_byte_row(&codes);
+        let rowsums = match body {
+            #[cfg(target_arch = "x86_64")]
+            PopcountBody::Avx512 if params.bits <= 8 && cols <= VECTOR_PACK_MAX_COLS => {
+                // SAFETY: the AVX-512 body's availability covers `avx512f`;
+                // the packer is fresh and sized for `values` and
+                // `params.bits`, and `cols` is in the vector pass's range.
+                unsafe { packer.quantize_rows_avx512(values, params) }
             }
-        } else {
-            let mut codes = vec![0u32; cols];
-            for r in 0..rows {
-                for (code, &v) in codes.iter_mut().zip(values.row(r)) {
-                    *code = params.quantize(v);
-                }
-                rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
-                packer.push_row(&codes);
-            }
-        }
+            _ => packer.quantize_rows(values, params),
+        };
         (packer.finish(Some(params)), rowsums)
     }
 
@@ -364,7 +382,8 @@ struct WordPacker {
     bits: u32,
     layout: BitMatrixLayout,
     planes: Vec<BitMatrix>,
-    /// Column-packed strip accumulators, `bits × cols`, plane-major.
+    /// Column-packed strip accumulators, plane-major: `bits` runs of
+    /// [`WordPacker::strip_width`] words, the entries past `cols` always zero.
     strip: Vec<u32>,
     next_row: usize,
 }
@@ -386,7 +405,7 @@ impl WordPacker {
             .collect();
         let strip = match layout {
             BitMatrixLayout::RowPacked => Vec::new(),
-            BitMatrixLayout::ColPacked => vec![0; bits as usize * cols],
+            BitMatrixLayout::ColPacked => vec![0; bits as usize * cols.next_multiple_of(WORD_BITS)],
         };
         Self {
             rows,
@@ -397,6 +416,140 @@ impl WordPacker {
             strip,
             next_row: 0,
         }
+    }
+
+    /// Quantize every row of `values` (this packer's shape) under `params`
+    /// (its width) and pack it, returning the rows' code sums.
+    fn quantize_rows(&mut self, values: &Matrix<f32>, params: QuantParams) -> Vec<i64> {
+        let (rows, cols) = values.shape();
+        let mut rowsums = Vec::with_capacity(rows);
+        // Separate loops: the quantize loop vectorizes only without the
+        // running sum.
+        if params.bits <= 8 {
+            // Zero codes pad the row to whole words for the row-packed gather.
+            let mut codes = vec![0u8; cols.next_multiple_of(WORD_BITS)];
+            for r in 0..rows {
+                params.quantize_bytes_into(values.row(r), &mut codes[..cols]);
+                rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
+                self.push_byte_row(&codes);
+            }
+        } else {
+            let mut codes = vec![0u32; cols];
+            for r in 0..rows {
+                for (code, &v) in codes.iter_mut().zip(values.row(r)) {
+                    *code = params.quantize(v);
+                }
+                rowsums.push(codes.iter().map(|&c| i64::from(c)).sum());
+                self.push_row(&codes);
+            }
+        }
+        rowsums
+    }
+
+    /// [`WordPacker::quantize_rows`] at AVX-512 width, for at most 8 bits.
+    ///
+    /// Per 16 values, `vsubps`, `vdivps`, `vmaxps`, `vminps` and `vcvttps2dq`
+    /// are the IEEE operations of [`QuantParams::quantize_bytes_into`] in its
+    /// order, so every code is the byte-code path's.  Each 32-column word of
+    /// a row is two vectors of codes, and `vptestmd` turns one into 16 bits of
+    /// a plane: a row-packed plane word is the two masks side by side; a
+    /// column-packed plane ORs the row's bit (`r % 32`) into the strip
+    /// accumulators of the columns whose codes have the plane's bit set.  The
+    /// row's code sum is a vector add, reduced once per row.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f`.  The packer must be fresh and sized
+    /// for `values` and `params.bits`, with `params.bits <= 8` and
+    /// `cols <= VECTOR_PACK_MAX_COLS`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn quantize_rows_avx512(
+        &mut self,
+        values: &Matrix<f32>,
+        params: QuantParams,
+    ) -> Vec<i64> {
+        use std::arch::x86_64::{
+            __m512i, _mm512_add_epi32, _mm512_div_ps, _mm512_loadu_si512, _mm512_mask_or_epi32,
+            _mm512_maskz_cvttps_epi32, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_min_ps,
+            _mm512_reduce_add_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+            _mm512_setzero_si512, _mm512_storeu_si512, _mm512_sub_ps, _mm512_test_epi32_mask,
+        };
+        const LANES: usize = 16;
+        debug_assert!(params.bits <= 8 && params.bits == self.bits && self.next_row == 0);
+        debug_assert_eq!(values.shape(), (self.rows, self.cols));
+        let (rows, cols) = (self.rows, self.cols);
+        let width = self.strip_width();
+        let min = _mm512_set1_ps(params.min);
+        let scale = _mm512_set1_ps(params.scale);
+        let top = _mm512_set1_ps(params.max_code() as f32);
+        let all_bits: [__m512i; 8] = std::array::from_fn(|b| _mm512_set1_epi32(1 << b));
+        let plane_bits = &all_bits[..self.bits as usize];
+        let mut rowsums = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let row = values.row(r);
+            // The codes of columns `col..col + 16`, zero past the row's end.
+            let codes = |col: usize| {
+                let valid = cols.saturating_sub(col).min(LANES);
+                if valid == 0 {
+                    return _mm512_setzero_si512();
+                }
+                let mask = (u32::MAX >> (32 - valid)) as u16;
+                // SAFETY: the row holds `cols` values, so `col < cols` keeps
+                // the pointer inside it, and the mask loads only the
+                // `valid <= cols - col` values left.
+                let v = unsafe { _mm512_maskz_loadu_ps(mask, row.as_ptr().add(col)) };
+                let x = _mm512_div_ps(_mm512_sub_ps(v, min), scale);
+                let x = _mm512_min_ps(_mm512_max_ps(x, _mm512_setzero_ps()), top);
+                _mm512_maskz_cvttps_epi32(mask, x)
+            };
+            let row_bit = _mm512_set1_epi32((1u32 << (r % WORD_BITS)) as i32);
+            let mut sum = _mm512_setzero_si512();
+            for (w, col) in (0..cols).step_by(WORD_BITS).enumerate() {
+                let halves = [codes(col), codes(col + LANES)];
+                sum = _mm512_add_epi32(sum, _mm512_add_epi32(halves[0], halves[1]));
+                match self.layout {
+                    BitMatrixLayout::RowPacked => {
+                        for (plane, &bit) in self.planes.iter_mut().zip(plane_bits) {
+                            let words_per_lane = plane.words_per_lane();
+                            plane.words_mut()[r * words_per_lane + w] =
+                                u32::from(_mm512_test_epi32_mask(halves[0], bit))
+                                    | u32::from(_mm512_test_epi32_mask(halves[1], bit)) << LANES;
+                        }
+                    }
+                    BitMatrixLayout::ColPacked => {
+                        let strip = self.strip.as_mut_ptr();
+                        for (b, &bit) in plane_bits.iter().enumerate() {
+                            for (half, &codes) in halves.iter().enumerate() {
+                                // SAFETY: the strip holds `bits` runs of
+                                // `width` words, and the vector's 16 words
+                                // end `col + 16 · half + 16 <= col + 32 <=
+                                // width` words into run `b < bits`, as `col <
+                                // cols` is a multiple of 32 and `width`
+                                // rounds `cols` up to one.
+                                let slot = strip.add(b * width + col + half * LANES).cast();
+                                let old = _mm512_loadu_si512(slot);
+                                let set = _mm512_test_epi32_mask(codes, bit);
+                                _mm512_storeu_si512(
+                                    slot,
+                                    _mm512_mask_or_epi32(old, set, old, row_bit),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // At most `255 · cols < 2^31` (`VECTOR_PACK_MAX_COLS`), so the
+            // `i32` reduction does not wrap.
+            rowsums.push(i64::from(_mm512_reduce_add_epi32(sum)));
+            self.next_row += 1;
+            if self.layout == BitMatrixLayout::ColPacked
+                && (r % WORD_BITS == WORD_BITS - 1 || r + 1 == rows)
+            {
+                self.flush_strip(r / WORD_BITS);
+            }
+        }
+        rowsums
     }
 
     /// Pack the next row's codes (each must fit in `bits`).
@@ -452,6 +605,12 @@ impl WordPacker {
         r
     }
 
+    /// Strip accumulators per plane: `cols` rounded up to whole words, so the
+    /// vector pass ORs whole vectors into them.
+    fn strip_width(&self) -> usize {
+        self.cols.next_multiple_of(WORD_BITS)
+    }
+
     /// OR row `r`'s codes into the column-packed strip accumulators, storing
     /// the strip once its 32 rows (or the last row) are in.
     fn strip_row<C: Copy + Into<u32>>(&mut self, r: usize, codes: &[C]) {
@@ -459,7 +618,8 @@ impl WordPacker {
             return;
         }
         let shift = r % WORD_BITS;
-        for (b, acc) in self.strip.chunks_exact_mut(self.cols).enumerate() {
+        let width = self.strip_width();
+        for (b, acc) in self.strip.chunks_exact_mut(width).enumerate() {
             for (word, &code) in acc.iter_mut().zip(codes) {
                 *word |= ((code.into() >> b) & 1) << shift;
             }
@@ -472,14 +632,18 @@ impl WordPacker {
     /// Store the column-packed strip accumulators as word `strip` of every
     /// column lane, then clear them.
     fn flush_strip(&mut self, strip: usize) {
+        if self.cols == 0 {
+            return;
+        }
+        let width = self.strip_width();
         for (plane, acc) in self
             .planes
             .iter_mut()
-            .zip(self.strip.chunks_exact_mut(self.cols))
+            .zip(self.strip.chunks_exact_mut(width))
         {
             let words_per_lane = plane.words_per_lane();
             let words = plane.words_mut();
-            for (c, word) in acc.iter_mut().enumerate() {
+            for (c, word) in acc[..self.cols].iter_mut().enumerate() {
                 words[c * words_per_lane + strip] = std::mem::take(word);
             }
         }
@@ -497,6 +661,12 @@ impl WordPacker {
         }
     }
 }
+
+/// Widest row the AVX-512 quantize-pack takes: its `i32` lanes hold a row's
+/// code sum, at most `255 · cols`, only below `2^31`.  Wider rows (over
+/// 32 MiB of `f32` each) take the byte-code path.
+#[cfg(target_arch = "x86_64")]
+const VECTOR_PACK_MAX_COLS: usize = 1 << 23;
 
 /// Bit `b` of eight byte codes as one byte, code `j` at bit `j`: the mask
 /// moves each code's bit to the bottom of its byte, and the multiply gathers

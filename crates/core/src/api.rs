@@ -59,7 +59,8 @@ fn check_accumulator(a: &BitTensor, b: &BitTensor) -> Result<(), QgtcError> {
 /// quantized data path holds for the framework-facing entry points too — and
 /// no `i64` accumulator matrix is materialised.  The epilogue is charged as
 /// fused or standalone per [`KernelConfig::fused_epilogue`].  Fails like
-/// [`bit_mm_to_int`].
+/// [`bit_mm_to_int`], and with [`QgtcError::InvalidBitwidth`] for an
+/// `out_bits` outside `1..=32`, before the kernel runs.
 pub fn bit_mm_to_bit(
     a: &BitTensor,
     b: &BitTensor,
@@ -67,6 +68,9 @@ pub fn bit_mm_to_bit(
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Result<(BitTensor, QuantParams), QgtcError> {
+    if !(1..=32).contains(&out_bits) {
+        return Err(QgtcError::InvalidBitwidth { bits: out_bits });
+    }
     check_accumulator(a, b)?;
     let epilogue =
         FusedEpilogue::requantize_right_operand(1.0, out_bits).with_fused(config.fused_epilogue);
@@ -123,6 +127,20 @@ mod tests {
             Err(expected)
         );
         assert_eq!(tracker.snapshot().tc_b1_tiles, 0, "nothing ran");
+    }
+
+    #[test]
+    fn out_of_range_output_bitwidths_are_a_typed_error() {
+        let a = BitTensor::from_codes(&codes(4, 128, 2, 10), 2, BitMatrixLayout::RowPacked);
+        let b = BitTensor::from_codes(&codes(128, 4, 2, 11), 2, BitMatrixLayout::ColPacked);
+        for bits in [0, 33] {
+            let tracker = CostTracker::new();
+            assert_eq!(
+                bit_mm_to_bit(&a, &b, bits, &KernelConfig::default(), &tracker).map(|_| ()),
+                Err(QgtcError::InvalidBitwidth { bits })
+            );
+            assert_eq!(tracker.snapshot().tc_b1_tiles, 0, "nothing ran");
+        }
     }
 
     #[test]

@@ -522,6 +522,11 @@ pub enum QgtcError {
         /// The inner (reduction) dimension.
         k: usize,
     },
+    /// A bit-tensor product asked for output codes outside `1..=32` bits.
+    InvalidBitwidth {
+        /// The requested bitwidth.
+        bits: u32,
+    },
 }
 
 impl std::fmt::Display for QgtcError {
@@ -568,6 +573,9 @@ impl std::fmt::Display for QgtcError {
                 "a {a_bits}-bit by {b_bits}-bit product over K = {k} can overflow the i64 \
                  accumulators ({a_bits} + {b_bits} + ceil(log2 {k}) > 63)"
             ),
+            QgtcError::InvalidBitwidth { bits } => {
+                write!(f, "{bits}-bit codes are outside the supported 1..=32 bits")
+            }
         }
     }
 }

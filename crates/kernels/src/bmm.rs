@@ -323,9 +323,15 @@ pub fn qgtc_bmm_with_epilogue(
     let (m, n) = (a.rows(), b.cols());
     epilogue.check(m, n)?;
     let (dense, range) = charged_gemm(a, b, config, tracker, |skip, body| {
-        let mut dense = Matrix::zeros(m, n);
+        let mut data = Vec::with_capacity(m * n);
         let sink = RowPassSink { epilogue, cols: n };
-        let (stats, range) = any_bit_gemm_fused_into(a, b, skip, body, &sink, dense.data_mut());
+        let out = &mut data.spare_capacity_mut()[..m * n];
+        let (stats, range) = any_bit_gemm_fused_into(a, b, skip, body, &sink, out);
+        // SAFETY: the kernel handed every block of rows of `out` to the sink,
+        // and `RowPassSink::block` writes every element of its block; a panic
+        // before this line drops `data` empty.
+        unsafe { data.set_len(m * n) };
+        let dense = Matrix::from_vec(m, n, data).expect("m × n epilogue rows");
         ((dense, range), stats)
     });
     let flops = epilogue.accumulator_flops(m * n);

@@ -579,7 +579,7 @@ unsafe fn convert_row_avx512(acc: &[i64], row: &mut [f32]) {
 /// compare-and-select has one result whatever instructions run it, so both
 /// builds return the same range.
 #[inline]
-fn fold_range(values: &[f32], packed: bool) -> ValueRange {
+pub(crate) fn fold_range(values: &[f32], packed: bool) -> ValueRange {
     #[cfg(target_arch = "x86_64")]
     if packed {
         // SAFETY: as in `convert_row`.
@@ -601,15 +601,19 @@ unsafe fn fold_range_avx512(values: &[f32]) -> ValueRange {
 }
 
 thread_local! {
-    /// The per-thread accumulator block the in-kernel epilogue hands the
-    /// GEMM, reused across blocks and calls.
-    static SCRATCH: RefCell<Vec<MaybeUninit<i64>>> = const { RefCell::new(Vec::new()) };
+    /// The per-thread blocks the in-kernel epilogue works in, reused across
+    /// blocks and calls: the accumulators the GEMM computes and the `f32`
+    /// rows the row pass makes of them.
+    static SCRATCH: RefCell<(Vec<MaybeUninit<i64>>, Vec<f32>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// The in-kernel epilogue: the GEMM computes each block of finished rows into
-/// this thread's scratch block, and [`FusedEpilogue::row_block`] turns it into
-/// the block's `f32` output rows and value range.  No `m × n` accumulator
-/// matrix exists.
+/// this thread's scratch block, [`FusedEpilogue::row_block`] turns it into
+/// the block's `f32` rows and value range in a second scratch block (its
+/// stages read what the earlier ones wrote, so they run on initialised
+/// memory), and the rows are written once into the output, which therefore
+/// need not be initialised.  No `m × n` accumulator matrix exists.
 pub(crate) struct RowPassSink<'a> {
     /// The epilogue to run.
     pub epilogue: &'a FusedEpilogue,
@@ -618,25 +622,32 @@ pub(crate) struct RowPassSink<'a> {
 }
 
 impl RowSink for RowPassSink<'_> {
-    type Elem = f32;
+    type Elem = MaybeUninit<f32>;
     type Block = ValueRange;
 
+    /// Writes every element of `out`.
     fn block<F: FnOnce(&mut [MaybeUninit<i64>])>(
         &self,
         first_row: usize,
-        out: &mut [f32],
+        out: &mut [MaybeUninit<f32>],
         compute: F,
     ) -> ValueRange {
-        SCRATCH.with_borrow_mut(|scratch| {
-            if scratch.len() < out.len() {
-                scratch.resize(out.len(), MaybeUninit::uninit());
+        SCRATCH.with_borrow_mut(|(acc_block, row_block)| {
+            if acc_block.len() < out.len() {
+                acc_block.resize(out.len(), MaybeUninit::uninit());
+                row_block.resize(out.len(), 0.0);
             }
-            let acc = &mut scratch[..out.len()];
+            let acc = &mut acc_block[..out.len()];
             compute(acc);
             // SAFETY: `compute` wrote every element of `acc` (`RowSink::block`'s
             // contract), and `MaybeUninit<i64>` has the layout of `i64`.
             let acc = unsafe { &*(acc as *const [MaybeUninit<i64>] as *const [i64]) };
-            self.epilogue.row_block(first_row, self.cols, acc, out)
+            let rows = &mut row_block[..out.len()];
+            let range = self.epilogue.row_block(first_row, self.cols, acc, rows);
+            for (slot, &value) in out.iter_mut().zip(rows.iter()) {
+                slot.write(value);
+            }
+            range
         })
     }
 

@@ -13,8 +13,10 @@
 //! and records the transfer into a [`CostTracker`] so the device model charges the
 //! PCIe time (and the per-transfer fixed overhead) accordingly.
 
+use crate::fusion::fold_range;
 use crate::pool::PackedBufferPool;
 use qgtc_bitmat::condense::CondensedAdjacency;
+use qgtc_bitmat::fused::PopcountBody;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::DenseSubgraph;
 use qgtc_tcsim::cost::CostTracker;
@@ -62,13 +64,18 @@ pub fn pack_feature_matrix_pooled(
     )
 }
 
+/// The feature pack behind both entries: calibrate from the features' range,
+/// scanned by the epilogue's range fold (compiled for AVX-512 on hosts that
+/// run that body; the same range as [`Matrix::min_max`]), then one
+/// quantize-pack pass.
 fn pack_features_in(
     features: &Matrix<f32>,
     feature_bits: u32,
     layout: BitMatrixLayout,
     spares: &mut Vec<Vec<u32>>,
 ) -> StackedBitMatrix {
-    let params = QuantParams::calibrate(feature_bits, features)
+    let (min, max) = fold_range(features.data(), PopcountBody::Avx512.is_available()).bounds();
+    let params = QuantParams::from_range(feature_bits, min, max)
         .unwrap_or_else(|err| panic!("cannot calibrate the batch features: {err}"));
     StackedBitMatrix::quantize_pack_in(features, params, layout, spares).0
 }

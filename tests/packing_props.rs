@@ -9,6 +9,12 @@
 //! * the floor-free `QuantParams::quantize` equals the `floor` definition;
 //! * the fused quantize-pack returns the same stack as quantize-then-pack and
 //!   the same rowsums as summing the codes;
+//! * every quantize-pack body this host can run (the byte-code path, and the
+//!   AVX-512 pass where available) returns that stack and those rowsums, and
+//!   the same as every other body, for 1–8 bits in both layouts: on shapes
+//!   that are not multiples of 32 rows or 16 columns, on values outside the
+//!   calibrated range, NaN, ±inf, ±0, subnormals, bucket edges and random
+//!   bit patterns, and into poisoned recycled storage;
 //! * the transposing `repack` / `repack_with_rowsums` return the same stack
 //!   as unpacking and packing again (`from_codes(&to_codes())`), and the
 //!   same rowsums as summing the codes, in both directions and in place;
@@ -18,6 +24,7 @@
 //!   oracle's `f32` row sums bitwise.
 
 use proptest::prelude::*;
+use qgtc_repro::bitmat::fused::PopcountBody;
 use qgtc_repro::bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_repro::core::{try_build_plan, ModelKind, QgtcConfig};
 use qgtc_repro::graph::{adjacency_degrees, CsrGraph, DatasetProfile, DenseSubgraph};
@@ -49,6 +56,92 @@ fn random_codes(rows: usize, cols: usize, bits: u32, seed: u64) -> Matrix<u32> {
         .map(|_| splitmix(&mut state) as u32 & max_code(bits))
         .collect();
     Matrix::from_vec(rows, cols, data).unwrap()
+}
+
+/// Calibration ranges for the pack-body property: ordinary, degenerate,
+/// subnormal-scaled and nearly as wide as `f32`.
+const RANGES: [(f32, f32); 8] = [
+    (0.0, 1.0),
+    (-3.0, 5.0),
+    (-7.25, 13.5),
+    (2.5, 2.5),
+    (-1e-30, 1e-30),
+    (-1e-38, 1e-38),
+    (0.0, f32::MAX),
+    (-1.7e38, 1.7e38),
+];
+
+/// One value for the pack-body property under `params`: inside or outside
+/// the calibrated range, on or beside a bucket edge, a special value or a
+/// random bit pattern.
+fn adversarial_value(params: &QuantParams, state: &mut u64) -> f32 {
+    const SPECIALS: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::EPSILON,
+        1.0,
+        -1.0,
+    ];
+    let draw = splitmix(state);
+    let unit = (draw >> 40) as f32 / (1u64 << 24) as f32;
+    let top = params.max_code() as f32 + 1.0;
+    match draw % 8 {
+        // Anywhere from one range width below the range to one above.
+        0..=2 => params.min + (3.0 * unit - 1.0) * top * params.scale,
+        3 => {
+            let edge = params.min + (unit * top).floor() * params.scale;
+            [edge, edge.next_up(), edge.next_down()][(draw >> 8) as usize % 3]
+        }
+        4 => SPECIALS[(draw >> 8) as usize % SPECIALS.len()],
+        // Subnormals of either sign.
+        5 => f32::from_bits((draw >> 8) as u32 & 0x807f_ffff),
+        _ => f32::from_bits((draw >> 16) as u32),
+    }
+}
+
+/// Every available quantize-pack body against the two-pass oracle
+/// (`quantize_matrix_u32` then `from_quantized`) and against each other, in
+/// both layouts, each packing into poisoned recycled storage.
+fn assert_pack_bodies_match(values: &Matrix<f32>, params: QuantParams, seed: u64) {
+    let codes = Quantizer::new(params).quantize_matrix_u32(values);
+    let code_rowsums: Vec<i64> = (0..codes.rows())
+        .map(|r| codes.row(r).iter().map(|&c| i64::from(c)).sum())
+        .collect();
+    let (rows, cols) = values.shape();
+    for layout in LAYOUTS {
+        let oracle = StackedBitMatrix::from_quantized(&codes, params, layout);
+        let mut first: Option<(PopcountBody, StackedBitMatrix, Vec<i64>)> = None;
+        for body in PopcountBody::available() {
+            let context = format!("{rows}x{cols} at {params:?}, {layout:?}, {body:?}");
+            let mut spares: Vec<Vec<u32>> = (0..=params.bits as usize)
+                .map(|i| vec![0xDEAD_BEEF; (seed as usize >> (3 * i)) % 700])
+                .collect();
+            let (packed, rowsums) = StackedBitMatrix::quantize_pack_with_body(
+                values,
+                params,
+                layout,
+                &mut spares,
+                body,
+            );
+            assert_eq!(spares.len(), 1, "{context}: one spare per plane");
+            assert_eq!(packed, oracle, "{context}");
+            assert_eq!(rowsums, code_rowsums, "{context}: rowsums");
+            match &first {
+                Some((other, stack, sums)) => {
+                    assert_eq!(&packed, stack, "{context} vs {other:?}");
+                    assert_eq!(&rowsums, sums, "{context} vs {other:?}: rowsums");
+                }
+                None => first = Some((body, packed, rowsums)),
+            }
+        }
+    }
 }
 
 /// The `floor`-based quantize the floor-free form replaced.
@@ -182,6 +275,24 @@ proptest! {
     }
 
     #[test]
+    fn every_pack_body_matches_the_two_pass_oracle_on_any_float(
+        rows in 1usize..100,
+        cols in 1usize..90,
+        bits in 1u32..9,
+        range_index in 0usize..RANGES.len(),
+        seed in any::<u64>(),
+    ) {
+        let (min, max) = RANGES[range_index];
+        let params = QuantParams::from_range(bits, min, max).unwrap();
+        let mut state = seed;
+        let data = (0..rows * cols)
+            .map(|_| adversarial_value(&params, &mut state))
+            .collect();
+        let values = Matrix::from_vec(rows, cols, data).unwrap();
+        assert_pack_bodies_match(&values, params, seed);
+    }
+
+    #[test]
     fn floor_free_quantize_matches_floor_on_any_float(
         raw in any::<u32>(),
         min_raw in -1000.0f32..1000.0,
@@ -282,6 +393,29 @@ fn word_packer_handles_empty_and_single_lane_shapes() {
                     "{rows}x{cols} at {bits} bits, {layout:?}"
                 );
                 assert_eq!(packed.to_codes(), codes);
+            }
+        }
+    }
+}
+
+#[test]
+fn pack_bodies_agree_on_every_vector_and_strip_edge() {
+    // Rows around the 32-row column-packed strip, columns around one
+    // 16-value vector and one 32-column word, and the empty shapes.
+    const ROWS: [usize; 7] = [0, 1, 31, 32, 33, 64, 65];
+    const COLS: [usize; 11] = [0, 1, 15, 16, 17, 31, 32, 33, 48, 100, 129];
+    for bits in 1..=8 {
+        for (index, &(min, max)) in RANGES.iter().enumerate() {
+            let params = QuantParams::from_range(bits, min, max).unwrap();
+            for rows in ROWS {
+                for cols in COLS {
+                    let mut state = (bits as usize * 1000 + index * 100 + rows * 7 + cols) as u64;
+                    let data = (0..rows * cols)
+                        .map(|_| adversarial_value(&params, &mut state))
+                        .collect();
+                    let values = Matrix::from_vec(rows, cols, data).unwrap();
+                    assert_pack_bodies_match(&values, params, state);
+                }
             }
         }
     }

@@ -33,11 +33,10 @@
 #                          models' default path, bitwise, under
 #                          RAYON_NUM_THREADS in {1, 2, 8}
 #   chaos                  fault-injection chaos proptests (recoverable plans
-#                          recover bitwise, unrecoverable ones fail typed),
-#                          the streamed-pipeline suite and the qgtc-core
-#                          executor unit tests, all under RAYON_NUM_THREADS in
-#                          {1, 2, 8}; FAST shrinks the proptest case counts via
-#                          QGTC_CI_FAST
+#                          recover bitwise, unrecoverable ones fail typed)
+#                          and the qgtc-core batch-loop unit tests, under
+#                          RAYON_NUM_THREADS in {1, 2, 8}; FAST shrinks the
+#                          proptest case counts via QGTC_CI_FAST
 #   condense               condensed-adjacency conformance proptests (condensed
 #                          == skip == serial oracle bitwise, kernel through
 #                          serving) under RAYON_NUM_THREADS in {1, 2, 8}, plus
@@ -60,9 +59,9 @@
 #                          release: each asserts its quantize-pack, GEMM,
 #                          epilogue and serving results bitwise through the
 #                          public surface, so a panic on those paths fails CI
-#   perfsmoke              tiny-scale perf gates: zero-word skip, streamed
-#                          pipeline, sharded partitioner, fault-supervisor
-#                          overhead, serving session  [skipped in FAST]
+#   perfsmoke              tiny-scale perf gates: zero-word skip, modeled
+#                          transfer/compute overlap, sharded partitioner,
+#                          serving session  [skipped in FAST]
 #   benchcheck             committed BENCH_*.json files parse, carry the
 #                          expected keys, and clear their committed bars;
 #                          the committed TUNE_gemm.json validates strictly
@@ -178,17 +177,15 @@ transitions_stage() {
 chaos_stage() {
     # Fault determinism is keyed on (site, batch, attempt), never on thread
     # identity — so the whole chaos suite must pass unchanged at every pool
-    # width, and so must the executor tests: the one batch loop prepares
-    # inline on a one-thread pool and on producer shards otherwise (its unit
-    # tests force the threaded branch at every width). QGTC_CI_FAST (exported
-    # to the test process) shrinks the proptest case counts for quick
-    # iteration.
+    # width, and so must the batch loop's unit tests (the loop runs on the
+    # calling thread; only the GEMMs inside it use the pool). QGTC_CI_FAST
+    # (exported to the test process) shrinks the proptest case counts for
+    # quick iteration.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
         env RAYON_NUM_THREADS="$threads" QGTC_CI_FAST="$FAST" \
             cargo test --test chaos_pipeline -q
-        env RAYON_NUM_THREADS="$threads" cargo test --test streamed_pipeline -q
         env RAYON_NUM_THREADS="$threads" cargo test -p qgtc-core --lib -q pipeline
     done
 }
@@ -197,8 +194,7 @@ condense_stage() {
     # The condensed-path contract: the TC-GNN-style condensed kernel must be
     # bitwise identical to the zero-word-skip kernel and the serial oracle —
     # at the kernel level across adversarial sparsity patterns, and end to end
-    # through both epoch executors and the serving session — at every pool
-    # width. QGTC_CI_FAST (exported to the test process) shrinks the proptest
+    # through the epoch and the serving session — at every pool width. QGTC_CI_FAST (exported to the test process) shrinks the proptest
     # case counts.
     local threads
     for threads in 1 2 8; do
@@ -254,17 +250,12 @@ perfsmoke_tiny() {
     #    bitwise, skip at least 90% of the words of a block-diagonal adjacency
     #    and not be slower than the non-skipping kernel (full scale enforces
     #    1.5x; committed BENCH_gemm.json);
-    #  * the streamed batch pipeline must not be slower than the serial epoch
-    #    loop and its modeled transfer/compute overlap must clear the scale's
+    #  * the epoch's modeled transfer/compute overlap must clear the scale's
     #    bar (1.0x tiny, 1.3x full; committed BENCH_pipeline.json);
     #  * the sharded partitioner must be bitwise identical to the serial oracle
     #    on all six profiles and not slower (5% tolerance; full scale also
     #    enforces a 1.5x modeled shard speedup on the largest profile;
     #    committed BENCH_partition.json);
-    #  * the supervised streamed executor (checksums + fault supervisor, faults
-    #    disabled) must be bitwise identical to the raw executor and not slower
-    #    (15% tolerance tiny; full scale enforces the 5% overhead budget;
-    #    committed BENCH_faults.json);
     #  * the serving session must replay the epoch oracle bitwise, serve cache
     #    hits bitwise-identically, run warm drains allocation-free, and clear
     #    the throughput + cache-hit-rate bars (committed BENCH_serving.json).
@@ -273,7 +264,6 @@ perfsmoke_tiny() {
         QGTC_PIPELINE_OUT=target/BENCH_pipeline.tiny.json \
         QGTC_PARTITION_OUT=target/BENCH_partition.tiny.json \
         QGTC_BACKEND_OUT=target/BENCH_backend.tiny.json \
-        QGTC_FAULTS_OUT=target/BENCH_faults.tiny.json \
         QGTC_SERVING_OUT=target/BENCH_serving.tiny.json \
         cargo run --release -p qgtc-bench --bin perfsmoke
 }

@@ -209,7 +209,7 @@ pub struct BenchSpec {
     pub gates: &'static [(&'static str, &'static str)],
 }
 
-/// The seven committed perf reports and their contracts.
+/// The six committed perf reports and their contracts.
 pub fn committed_bench_specs() -> Vec<BenchSpec> {
     vec![
         BenchSpec {
@@ -242,28 +242,16 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
         },
         BenchSpec {
             file: "BENCH_pipeline.json",
-            bench: "pipeline_streamed_vs_serial",
-            required_keys: &[
-                "scale",
-                "reps",
-                "wall_speedup",
-                "wall_not_slower_bar",
-                "modeled_overlap_speedup",
-                "modeled_overlap_bar",
-            ],
+            bench: "pipeline_modeled_overlap",
+            required_keys: &["scale", "modeled_overlap_speedup", "modeled_overlap_bar"],
             rows_key: "datasets",
             row_keys: &[
                 "dataset",
                 "num_batches",
-                "serial_wall_ms",
-                "streamed_wall_ms",
                 "modeled_serial_ms",
                 "modeled_overlapped_ms",
             ],
-            gates: &[
-                ("wall_speedup", "wall_not_slower_bar"),
-                ("modeled_overlap_speedup", "modeled_overlap_bar"),
-            ],
+            gates: &[("modeled_overlap_speedup", "modeled_overlap_bar")],
         },
         BenchSpec {
             file: "BENCH_partition.json",
@@ -316,27 +304,6 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
                 "speedup_vs_portable",
             ],
             gates: &[("winner_speedup_vs_portable", "winner_not_slower_bar")],
-        },
-        BenchSpec {
-            file: "BENCH_faults.json",
-            bench: "faults_supervised_vs_raw",
-            required_keys: &[
-                "scale",
-                "reps",
-                "supervised_speedup_vs_raw",
-                "supervised_not_slower_bar",
-            ],
-            rows_key: "datasets",
-            row_keys: &[
-                "dataset",
-                "num_batches",
-                "raw_wall_ms",
-                "supervised_wall_ms",
-                "faulty_wall_ms",
-                "faults_injected",
-                "faults_recovered",
-            ],
-            gates: &[("supervised_speedup_vs_raw", "supervised_not_slower_bar")],
         },
         BenchSpec {
             file: "BENCH_serving.json",
@@ -690,48 +657,39 @@ mod tests {
         assert!(err.contains("expected \"gemm_sparse_skip\""), "{err}");
     }
 
-    fn minimal_faults_report(speedup: f64) -> String {
+    fn minimal_pipeline_report(speedup: f64) -> String {
         format!(
             concat!(
-                "{{\"bench\": \"faults_supervised_vs_raw\", \"scale\": \"fast\", \"reps\": 3, ",
-                "\"supervised_speedup_vs_raw\": {speedup}, ",
-                "\"supervised_not_slower_bar\": 0.95, ",
-                "\"datasets\": [{{\"dataset\": \"PROTEINS\", \"num_batches\": 8, ",
-                "\"raw_wall_ms\": 1.0, \"supervised_wall_ms\": 1.0, ",
-                "\"supervised_speedup_vs_raw\": {speedup}, \"faulty_wall_ms\": 1.2, ",
-                "\"faults_injected\": 3, \"faults_recovered\": 3}}]}}"
+                "{{\"bench\": \"pipeline_modeled_overlap\", \"scale\": \"fast\", ",
+                "\"modeled_overlap_speedup\": {speedup}, \"modeled_overlap_bar\": 1.3, ",
+                "\"datasets\": [{{\"dataset\": \"Proteins\", \"num_batches\": 16, ",
+                "\"prefetch\": 4, \"modeled_serial_ms\": 0.649, ",
+                "\"modeled_overlapped_ms\": 0.495, \"modeled_overlap_speedup\": {speedup}}}]}}"
             ),
             speedup = speedup
         )
     }
 
-    fn faults_spec() -> BenchSpec {
-        committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_faults.json")
-            .unwrap()
-    }
-
     #[test]
-    fn validates_a_healthy_faults_report() {
-        let summary = validate_bench_report(&faults_spec(), &minimal_faults_report(0.99)).unwrap();
+    fn gates_a_pipeline_report_on_its_modeled_overlap() {
+        let spec = committed_bench_specs()
+            .into_iter()
+            .find(|s| s.file == "BENCH_pipeline.json")
+            .unwrap();
+        let summary = validate_bench_report(&spec, &minimal_pipeline_report(1.316)).unwrap();
         assert!(
-            summary.contains("supervised_speedup_vs_raw 0.990 >= 0.950"),
+            summary.contains("modeled_overlap_speedup 1.316 >= 1.300"),
             "{summary}"
         );
-    }
-
-    #[test]
-    fn rejects_a_faults_report_over_the_overhead_budget() {
-        let err = validate_bench_report(&faults_spec(), &minimal_faults_report(0.8)).unwrap_err();
+        let err = validate_bench_report(&spec, &minimal_pipeline_report(1.1)).unwrap_err();
         assert!(err.contains("below its committed bar"), "{err}");
-    }
-
-    #[test]
-    fn rejects_a_faults_report_missing_its_recovery_evidence() {
-        let missing = minimal_faults_report(0.99).replace("\"faults_injected\": 3, ", "");
-        let err = validate_bench_report(&faults_spec(), &missing).unwrap_err();
-        assert!(err.contains("missing key \"faults_injected\""), "{err}");
+        let stale = minimal_pipeline_report(1.316)
+            .replace("pipeline_modeled_overlap", "pipeline_streamed_vs_serial");
+        let err = validate_bench_report(&spec, &stale).unwrap_err();
+        assert!(
+            err.contains("expected \"pipeline_modeled_overlap\""),
+            "{err}"
+        );
     }
 
     #[test]

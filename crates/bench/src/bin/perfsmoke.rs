@@ -1,4 +1,5 @@
-//! perfsmoke: wall-clock regression gates for the kernels and executors.
+//! perfsmoke: regression gates for the kernels, the modeled pipeline, the
+//! partitioner and the serving session.
 //!
 //! It probes **zero-word skipping**: the legacy kernel on the detected body
 //! (`any_bit_gemm_fused_with_stats`) with and without skipping, on a
@@ -7,10 +8,11 @@
 //! writes the numbers as `BENCH_gemm.json` and **fails** (non-zero exit) when
 //! skipping does not clear its speedup bar or skips too few words.
 //!
-//! It also probes the **streamed batch pipeline**: one serial vs streamed epoch
-//! per fig7 dataset (Cluster GCN, 2-bit), gating that the streamed executor's
-//! host wall-clock is not slower than the serial loop and recording the numbers
-//! as `BENCH_pipeline.json`.
+//! It also records the **modeled transfer/compute overlap**: one epoch per fig7
+//! dataset (Cluster GCN, 2-bit), whose pipelined latency model schedules the
+//! per-batch counters at the configured staging depth, gating the overlapped
+//! schedule's speedup over the serial composition (deterministic: it depends
+//! only on recorded work) and recording the numbers as `BENCH_pipeline.json`.
 //!
 //! And it probes the **sharded partitioner**: one serial vs sharded
 //! `partition_kway` per Table-1 dataset profile, asserting the two produce a
@@ -30,14 +32,6 @@
 //! won each shape into `BENCH_backend.json` and gates that the overall winner
 //! is not slower than the portable body (trivially ≥1.0× — portable races too
 //! — so the gate catches a corrupted report, not a slow host).
-//!
-//! And it probes the **fault supervisor's overhead**: the supervised streamed
-//! executor (payload checksums sealed and verified on every batch, every stage
-//! wrapped in its supervisor — faults disabled) against the raw PR 3 executor
-//! (`run_epoch_streamed_raw`: no supervisor, no checksums), asserting the two
-//! are bitwise identical and gating that the robustness machinery costs at most
-//! 5% at full scale (`BENCH_faults.json`). A seeded fault plan then demos the
-//! recovery path end to end (still bitwise identical).
 //!
 //! And it runs the **adjacency-path race**: the TC-GNN-style condensed kernel
 //! (`aggregate_adj_features_condensed` over a prepare-time
@@ -64,12 +58,11 @@
 //! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`; any other
 //!   value exits with status 2).  `tiny` is the CI setting: a 256³ backend-race
 //!   headline shape, 128-node batches, a 2048-node sparse probe and 1.0× bars
-//!   (skipping and the streamed pipeline must simply not be slower).  Every
-//!   other scale runs the full 1024³ headline shape, a 4096-node sparse probe
-//!   with a 1.5× bar and a 1.3× bar on the streamed pipeline.
+//!   (skipping must simply not be slower, and the modeled overlap must not
+//!   lose).  Every other scale runs the full 1024³ headline shape, a 4096-node
+//!   sparse probe with a 1.5× bar and a 1.3× bar on the modeled overlap.
 //! * `QGTC_PERFSMOKE_PROBE=backend` — run **only** the backend race (the ci.sh
 //!   `backend` stage uses this so conformance + race stay cheap and separable).
-//! * `QGTC_PERFSMOKE_PROBE=faults` — run **only** the fault-overhead probe.
 //! * `QGTC_PERFSMOKE_PROBE=serving` — run **only** the serving-session probe
 //!   (the ci.sh `serving` stage uses this).
 //! * `QGTC_PERFSMOKE_PROBE=condense` — run **only** the adjacency-path race
@@ -79,17 +72,14 @@
 //! * `QGTC_PERFSMOKE_OUT` — output path for the sparse-skip JSON report (default
 //!   `BENCH_gemm.json`; the committed copy at the repo root is a full-scale
 //!   run).
-//! * `QGTC_PIPELINE_OUT` — output path for the pipeline JSON report (default
-//!   `BENCH_pipeline.json`; the committed copy at the repo root is a full-scale
-//!   run).
+//! * `QGTC_PIPELINE_OUT` — output path for the modeled-overlap JSON report
+//!   (default `BENCH_pipeline.json`; the committed copy at the repo root is a
+//!   full-scale run).
 //! * `QGTC_PARTITION_OUT` — output path for the partition JSON report (default
 //!   `BENCH_partition.json`; the committed copy at the repo root is a
 //!   full-scale run).
 //! * `QGTC_BACKEND_OUT` — output path for the backend-race JSON report
 //!   (default `BENCH_backend.json`; the committed copy at the repo root is a
-//!   full-scale run).
-//! * `QGTC_FAULTS_OUT` — output path for the fault-overhead JSON report
-//!   (default `BENCH_faults.json`; the committed copy at the repo root is a
 //!   full-scale run).
 //! * `QGTC_SERVING_OUT` — output path for the serving-session JSON report
 //!   (default `BENCH_serving.json`; the committed copy at the repo root is a
@@ -106,10 +96,7 @@ use qgtc_bitmat::fused::{
 };
 use qgtc_bitmat::gemm::any_bit_gemm_serial;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
-use qgtc_core::{
-    run_epoch, run_epoch_streamed, run_epoch_streamed_raw, run_open_loop, try_run_epoch_streamed,
-    FaultPlan, LoadGenerator, ModelKind, QgtcConfig, QgtcSession,
-};
+use qgtc_core::{run_epoch, run_open_loop, LoadGenerator, ModelKind, QgtcConfig, QgtcSession};
 use qgtc_graph::DatasetProfile;
 use qgtc_kernels::tile_reuse::random_feature_codes;
 use qgtc_kernels::{adjacency_sparsity_stats, resolve_adjacency_path, AdjacencyPath};
@@ -232,27 +219,17 @@ fn sparse_skip_probe(nodes: usize, block: usize, feature_dim: usize, seed: u64) 
     }
 }
 
-/// One dataset row of the streamed-pipeline probe: serial vs streamed epoch
-/// wall-clock (partitioning excluded on both sides) plus the modeled
-/// serial-vs-overlapped epoch latency, on the fig7 workload.
+/// One dataset row of the modeled-overlap probe: the serial and overlapped
+/// composition of the fig7 workload's per-batch counters.
 struct PipelineProbe {
     dataset: String,
     num_batches: usize,
     prefetch: usize,
-    serial_wall_ms: f64,
-    streamed_wall_ms: f64,
     modeled_serial_ms: f64,
     modeled_overlapped_ms: f64,
 }
 
 impl PipelineProbe {
-    fn wall_speedup(&self) -> f64 {
-        if self.streamed_wall_ms <= 0.0 {
-            return 1.0;
-        }
-        self.serial_wall_ms / self.streamed_wall_ms
-    }
-
     fn modeled_speedup(&self) -> f64 {
         if self.modeled_overlapped_ms <= 0.0 {
             return 1.0;
@@ -264,16 +241,12 @@ impl PipelineProbe {
         format!(
             concat!(
                 "    {{\"dataset\": \"{}\", \"num_batches\": {}, \"prefetch\": {}, ",
-                "\"serial_wall_ms\": {}, \"streamed_wall_ms\": {}, \"wall_speedup\": {}, ",
                 "\"modeled_serial_ms\": {}, \"modeled_overlapped_ms\": {}, ",
                 "\"modeled_overlap_speedup\": {}}}"
             ),
             self.dataset,
             self.num_batches,
             self.prefetch,
-            fmt3(self.serial_wall_ms),
-            fmt3(self.streamed_wall_ms),
-            fmt3(self.wall_speedup()),
             fmt3(self.modeled_serial_ms),
             fmt3(self.modeled_overlapped_ms),
             fmt3(self.modeled_speedup()),
@@ -281,53 +254,27 @@ impl PipelineProbe {
     }
 }
 
-/// Probe one dataset: `reps` serial and streamed epochs (after one warm-up each),
-/// minimum wall-clock per executor, plus a hard sanity check that the two
-/// executors recorded identical cost counters.
+/// Probe one dataset: one epoch at `prefetch` staging buffers, read off its
+/// pipelined latency model.
 fn probe_pipeline(
     profile: &DatasetProfile,
     dataset_scale: f64,
     partitions: usize,
     batch_size: usize,
     prefetch: usize,
-    reps: usize,
     seed: u64,
 ) -> PipelineProbe {
     let dataset = profile.materialize(dataset_scale, seed);
     let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
         .with_partitions(partitions, batch_size)
         .with_prefetch(prefetch);
-
-    let serial = run_epoch(&dataset, &config);
-    let streamed = run_epoch_streamed(&dataset, &config);
-    assert_eq!(
-        serial.cost, streamed.cost,
-        "streamed executor must record identical counters on {}",
-        profile.name
-    );
-    assert_eq!(
-        serial.batch_costs, streamed.batch_costs,
-        "streamed executor must match serial batch-for-batch on {}",
-        profile.name
-    );
-
-    // The two runs above served as warm-up (and the counter check); time fresh
-    // repetitions only, interleaved so allocator/frequency drift hits both
-    // executors evenly, and keep the minimum per executor.
-    let mut serial_wall_ms = f64::INFINITY;
-    let mut streamed_wall_ms = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        serial_wall_ms = serial_wall_ms.min(run_epoch(&dataset, &config).host_wall_ms);
-        streamed_wall_ms = streamed_wall_ms.min(run_epoch_streamed(&dataset, &config).host_wall_ms);
-    }
+    let report = run_epoch(&dataset, &config);
     PipelineProbe {
         dataset: profile.name.to_string(),
-        num_batches: serial.num_batches,
+        num_batches: report.num_batches,
         prefetch,
-        serial_wall_ms,
-        streamed_wall_ms,
-        modeled_serial_ms: streamed.pipeline.serial_ms(),
-        modeled_overlapped_ms: streamed.pipeline.overlapped_ms(),
+        modeled_serial_ms: report.pipeline.serial_ms(),
+        modeled_overlapped_ms: report.pipeline.overlapped_ms(),
     }
 }
 
@@ -642,228 +589,6 @@ fn run_backend_race(scale: &str, headline_size: usize, batch: usize) -> bool {
             "perfsmoke OK: backend-race winner on the headline shape is {headline_winner} \
              ({}x vs portable)",
             fmt3(winner_speedup)
-        );
-        false
-    }
-}
-
-/// One dataset row of the fault-overhead probe: the raw streamed executor (no
-/// supervisor, no payload checksums) vs the supervised streamed executor with
-/// faults disabled, plus one seeded-fault-plan recovery demo on the same
-/// workload.
-struct FaultsProbe {
-    dataset: String,
-    num_batches: usize,
-    raw_wall_ms: f64,
-    supervised_wall_ms: f64,
-    faulty_wall_ms: f64,
-    faults_injected: u64,
-    faults_recovered: u64,
-}
-
-impl FaultsProbe {
-    fn speedup(&self) -> f64 {
-        if self.supervised_wall_ms <= 0.0 {
-            return 1.0;
-        }
-        self.raw_wall_ms / self.supervised_wall_ms
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"dataset\": \"{}\", \"num_batches\": {}, ",
-                "\"raw_wall_ms\": {}, \"supervised_wall_ms\": {}, ",
-                "\"supervised_speedup_vs_raw\": {}, \"faulty_wall_ms\": {}, ",
-                "\"faults_injected\": {}, \"faults_recovered\": {}}}"
-            ),
-            self.dataset,
-            self.num_batches,
-            fmt3(self.raw_wall_ms),
-            fmt3(self.supervised_wall_ms),
-            fmt3(self.speedup()),
-            fmt3(self.faulty_wall_ms),
-            self.faults_injected,
-            self.faults_recovered,
-        )
-    }
-}
-
-/// Probe one dataset: assert the supervised executor (faults disabled) and a
-/// seeded recovered epoch both reproduce the raw executor's counters bitwise,
-/// then time all three (minimum wall-clock after the warm-up/assertion runs).
-fn probe_faults(
-    profile: &DatasetProfile,
-    dataset_scale: f64,
-    partitions: usize,
-    batch_size: usize,
-    prefetch: usize,
-    reps: usize,
-    seed: u64,
-) -> FaultsProbe {
-    let dataset = profile.materialize(dataset_scale, seed);
-    let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
-        .with_partitions(partitions, batch_size)
-        .with_prefetch(prefetch);
-
-    // Warm-up doubling as the equivalence gate: the supervisor and its
-    // checksums must be invisible in the recorded counters.
-    let raw = run_epoch_streamed_raw(&dataset, &config);
-    let supervised = run_epoch_streamed(&dataset, &config);
-    assert_eq!(
-        raw.cost, supervised.cost,
-        "supervised executor must record identical counters on {}",
-        profile.name
-    );
-    assert_eq!(
-        raw.batch_costs, supervised.batch_costs,
-        "supervised executor must match the raw executor batch-for-batch on {}",
-        profile.name
-    );
-
-    // Recovery demo: a seeded always-recoverable plan must inject real faults
-    // and still land on bitwise-identical output.
-    let plan = FaultPlan::seeded_transient(seed, raw.num_batches, 2);
-    let faulty_config = config.clone().with_fault_plan(plan);
-    let faulty = try_run_epoch_streamed(&dataset, &faulty_config)
-        .unwrap_or_else(|err| panic!("seeded plan must recover on {}: {err}", profile.name));
-    assert!(
-        faulty.fault_stats.injected > 0,
-        "seeded plan injected nothing on {}",
-        profile.name
-    );
-    assert_eq!(
-        raw.cost, faulty.cost,
-        "recovered epoch must reproduce the clean counters on {}",
-        profile.name
-    );
-    assert_eq!(
-        raw.batch_costs, faulty.batch_costs,
-        "recovered epoch must match the clean epoch batch-for-batch on {}",
-        profile.name
-    );
-
-    // Interleave the timed repetitions so drift hits all three lanes evenly.
-    let mut raw_wall_ms = f64::INFINITY;
-    let mut supervised_wall_ms = f64::INFINITY;
-    let mut faulty_wall_ms = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        raw_wall_ms = raw_wall_ms.min(run_epoch_streamed_raw(&dataset, &config).host_wall_ms);
-        supervised_wall_ms =
-            supervised_wall_ms.min(run_epoch_streamed(&dataset, &config).host_wall_ms);
-        let rep = try_run_epoch_streamed(&dataset, &faulty_config)
-            .expect("seeded plans stay recoverable across repetitions");
-        faulty_wall_ms = faulty_wall_ms.min(rep.host_wall_ms);
-    }
-    FaultsProbe {
-        dataset: profile.name.to_string(),
-        num_batches: raw.num_batches,
-        raw_wall_ms,
-        supervised_wall_ms,
-        faulty_wall_ms,
-        faults_injected: faulty.fault_stats.injected,
-        faults_recovered: faulty.fault_stats.recovered,
-    }
-}
-
-/// The fault-overhead probe: supervised streamed executor (checksums sealed and
-/// verified, every stage supervised, faults disabled) vs the raw executor, with
-/// a seeded recovery demo per dataset.  Returns `true` when the gate failed.
-fn run_faults_probe(scale: &str) -> bool {
-    let faults_out =
-        std::env::var("QGTC_FAULTS_OUT").unwrap_or_else(|_| "BENCH_faults.json".to_string());
-    // Tiny epochs are a few ms, so OS scheduling noise on a loaded CI host moves
-    // the min-of-3 by several percent — 15% tolerance there; full scale
-    // enforces the ISSUE bar of at most 5% supervisor+checksum overhead.
-    let (fault_scale, fault_parts, fault_batch, fault_prefetch, fault_reps, fault_bar, profiles) =
-        match scale {
-            "tiny" => (
-                0.01f64,
-                12usize,
-                2usize,
-                4usize,
-                3usize,
-                0.85f64,
-                vec![DatasetProfile::PROTEINS, DatasetProfile::BLOGCATALOG],
-            ),
-            _ => (0.02, 32, 2, 4, 3, 0.95, qgtc_bench::fast_dataset_set()),
-        };
-    eprintln!(
-        "perfsmoke: fault-overhead probe (scale {scale}, {fault_parts} partitions, batch \
-         {fault_batch}, supervised-not-slower bar {fault_bar}x)"
-    );
-    let mut probes = Vec::new();
-    let mut seed = 100u64;
-    for profile in &profiles {
-        let probe = probe_faults(
-            profile,
-            fault_scale,
-            fault_parts,
-            fault_batch,
-            fault_prefetch,
-            fault_reps,
-            seed,
-        );
-        seed += 2;
-        eprintln!(
-            "  {:<28} raw {:>9} ms  supervised {:>9} ms  ({}x)  faulty {:>9} ms  \
-             ({} injected / {} recovered, {} batches)",
-            probe.dataset,
-            fmt3(probe.raw_wall_ms),
-            fmt3(probe.supervised_wall_ms),
-            fmt3(probe.speedup()),
-            fmt3(probe.faulty_wall_ms),
-            probe.faults_injected,
-            probe.faults_recovered,
-            probe.num_batches,
-        );
-        probes.push(probe);
-    }
-    let total_raw: f64 = probes.iter().map(|p| p.raw_wall_ms).sum();
-    let total_supervised: f64 = probes.iter().map(|p| p.supervised_wall_ms).sum();
-    let supervised_speedup = if total_supervised > 0.0 {
-        total_raw / total_supervised
-    } else {
-        1.0
-    };
-    let probe_lines: Vec<String> = probes.iter().map(FaultsProbe::to_json).collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"faults_supervised_vs_raw\",\n",
-            "  \"scale\": \"{}\",\n",
-            "  \"workload\": \"fig7 Cluster GCN 2-bit streamed epoch (partitioning excluded)\",\n",
-            "  \"reps\": {},\n",
-            "  \"generated_by\": \"cargo run --release -p qgtc-bench --bin perfsmoke\",\n",
-            "  \"supervised_speedup_vs_raw\": {},\n",
-            "  \"supervised_not_slower_bar\": {},\n",
-            "  \"note\": \"supervised = streamed executor with payload checksums sealed+verified and every stage under the fault supervisor, faults disabled; raw = the unsupervised unsealed executor; both are asserted bitwise identical before timing, and a seeded fault plan is asserted to inject, recover, and reproduce the clean counters exactly\",\n",
-            "  \"datasets\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        scale,
-        fault_reps,
-        fmt3(supervised_speedup),
-        fault_bar,
-        probe_lines.join(",\n"),
-    );
-    std::fs::write(&faults_out, &json).unwrap_or_else(|err| {
-        eprintln!("perfsmoke: cannot write {faults_out}: {err}");
-        std::process::exit(1);
-    });
-    eprintln!("perfsmoke: wrote {faults_out}");
-
-    if supervised_speedup < fault_bar {
-        eprintln!(
-            "perfsmoke FAIL: the supervised streamed epoch is {}x the raw executor's \
-             wall-clock (must not be slower; bar {fault_bar}x)",
-            fmt3(supervised_speedup)
-        );
-        true
-    } else {
-        eprintln!(
-            "perfsmoke OK: the supervised streamed epoch is {}x the raw executor's wall-clock",
-            fmt3(supervised_speedup)
         );
         false
     }
@@ -1528,11 +1253,10 @@ fn main() {
     // Single-probe dispatch: an unknown probe name fails fast with the valid
     // list (mirroring ci.sh's unknown-stage UX) instead of silently running
     // the default sweep.
-    const KNOWN_PROBES: &[&str] = &["backend", "condense", "faults", "serving"];
+    const KNOWN_PROBES: &[&str] = &["backend", "condense", "serving"];
     if let Ok(probe) = std::env::var("QGTC_PERFSMOKE_PROBE") {
         let failed = match probe.as_str() {
             "backend" => run_backend_race(scale, headline_size, batch),
-            "faults" => run_faults_probe(scale),
             "serving" => run_serving_probe(scale),
             "condense" => run_condense_probe(scale, batch),
             unknown => {
@@ -1604,38 +1328,27 @@ fn main() {
     });
     eprintln!("perfsmoke: wrote {out_path}");
 
-    // ---- Streamed batch pipeline probe (fig7 workload: Cluster GCN, 2-bit) ----
-    // Small batches maximise the number of pipeline stages; the prefetch depth
-    // bounds both the staging memory and the producer shard count. Two gates:
-    //
-    // * wall-clock — the streamed executor must not be slower than the serial loop
-    //   (15% tolerance: epochs are a few ms, so OS scheduling noise on a loaded CI
-    //   host easily moves the min-of-3 by several percent; on a single-core host
-    //   the executor degenerates to the serial loop and only measurement noise
-    //   separates them, while on multicore hosts the producer shards must pay for
-    //   themselves);
-    // * modeled overlap — the pipelined latency model's overlapped schedule must
-    //   clear `pipe_bar`x over the serial composition on the same counters (this
-    //   is deterministic: it depends only on recorded work, never on timing).
-    let wall_bar = 0.85f64;
-    let (pipe_scale, pipe_parts, pipe_batch, pipe_prefetch, pipe_reps, pipe_bar, pipe_profiles) =
-        match scale {
-            "tiny" => (
-                0.01f64,
-                12usize,
-                2usize,
-                4usize,
-                3usize,
-                1.0f64,
-                vec![DatasetProfile::PROTEINS, DatasetProfile::BLOGCATALOG],
-            ),
-            _ => (0.02, 32, 2, 4, 3, 1.3, qgtc_bench::fast_dataset_set()),
-        };
+    // ---- Modeled overlap probe (fig7 workload: Cluster GCN, 2-bit) ----
+    // Small batches maximise the number of pipeline stages.  The pipelined
+    // latency model's overlapped schedule must clear `pipe_bar`x over the
+    // serial composition of the same counters; this is deterministic: it
+    // depends only on recorded work, never on timing.
+    let (pipe_scale, pipe_parts, pipe_batch, pipe_prefetch, pipe_bar, pipe_profiles) = match scale {
+        "tiny" => (
+            0.01f64,
+            12usize,
+            2usize,
+            4usize,
+            1.0f64,
+            vec![DatasetProfile::PROTEINS, DatasetProfile::BLOGCATALOG],
+        ),
+        _ => (0.02, 32, 2, 4, 1.3, qgtc_bench::fast_dataset_set()),
+    };
     let pipeline_out =
         std::env::var("QGTC_PIPELINE_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
     eprintln!(
-        "perfsmoke: streamed pipeline probe (scale {scale}, {pipe_parts} partitions, batch \
-         {pipe_batch}, prefetch {pipe_prefetch}, modeled-overlap bar {pipe_bar}x)"
+        "perfsmoke: modeled overlap probe (scale {scale}, {pipe_parts} partitions, batch \
+         {pipe_batch}, prefetch {pipe_prefetch}, bar {pipe_bar}x)"
     );
     let mut probes = Vec::new();
     let mut seed = 40u64;
@@ -1646,17 +1359,12 @@ fn main() {
             pipe_parts,
             pipe_batch,
             pipe_prefetch,
-            pipe_reps,
             seed,
         );
         seed += 2;
         eprintln!(
-            "  {:<28} wall serial {:>9} ms  streamed {:>9} ms  ({}x)  modeled serial {:>9} ms  \
-             overlapped {:>9} ms  ({}x, {} batches)",
+            "  {:<28} modeled serial {:>9} ms  overlapped {:>9} ms  ({}x, {} batches)",
             probe.dataset,
-            fmt3(probe.serial_wall_ms),
-            fmt3(probe.streamed_wall_ms),
-            fmt3(probe.wall_speedup()),
             fmt3(probe.modeled_serial_ms),
             fmt3(probe.modeled_overlapped_ms),
             fmt3(probe.modeled_speedup()),
@@ -1664,13 +1372,6 @@ fn main() {
         );
         probes.push(probe);
     }
-    let total_serial_wall: f64 = probes.iter().map(|p| p.serial_wall_ms).sum();
-    let total_streamed_wall: f64 = probes.iter().map(|p| p.streamed_wall_ms).sum();
-    let wall_speedup = if total_streamed_wall > 0.0 {
-        total_serial_wall / total_streamed_wall
-    } else {
-        1.0
-    };
     let total_modeled_serial: f64 = probes.iter().map(|p| p.modeled_serial_ms).sum();
     let total_modeled_overlapped: f64 = probes.iter().map(|p| p.modeled_overlapped_ms).sum();
     let modeled_speedup = if total_modeled_overlapped > 0.0 {
@@ -1682,23 +1383,17 @@ fn main() {
     let pipeline_json = format!(
         concat!(
             "{{\n",
-            "  \"bench\": \"pipeline_streamed_vs_serial\",\n",
+            "  \"bench\": \"pipeline_modeled_overlap\",\n",
             "  \"scale\": \"{}\",\n",
-            "  \"workload\": \"fig7 Cluster GCN 2-bit epoch (partitioning excluded)\",\n",
-            "  \"reps\": {},\n",
+            "  \"workload\": \"fig7 Cluster GCN 2-bit epoch\",\n",
             "  \"generated_by\": \"cargo run --release -p qgtc-bench --bin perfsmoke\",\n",
-            "  \"wall_speedup\": {},\n",
-            "  \"wall_not_slower_bar\": {},\n",
             "  \"modeled_overlap_speedup\": {},\n",
             "  \"modeled_overlap_bar\": {},\n",
-            "  \"note\": \"wall times are host simulation wall-clock; on a single-core host the streamed executor degenerates to the serial loop, so the modeled overlap column carries the double-buffering win\",\n",
+            "  \"note\": \"the device model schedules each epoch's per-batch transfer and compute lanes at prefetch staging buffers (overlapped) and one after another (serial); both come from recorded counters, not timing\",\n",
             "  \"datasets\": [\n{}\n  ]\n",
             "}}\n"
         ),
         scale,
-        pipe_reps,
-        fmt3(wall_speedup),
-        wall_bar,
         fmt3(modeled_speedup),
         pipe_bar,
         probe_lines.join(",\n"),
@@ -1719,8 +1414,7 @@ fn main() {
     // * modeled shard speedup — the work-balance model (total work units over
     //   critical-path units, deterministic) must clear the scale's bar on the
     //   largest profile.  This is the number a multicore host's wall-clock
-    //   approaches, exactly as the pipeline probe's modeled overlap carries the
-    //   double-buffering win.
+    //   approaches.
     let partition_wall_bar = 0.95f64;
     let (partition_scale, partition_shards, partition_reps, partition_modeled_bar) = match scale {
         "tiny" => (0.01f64, 8usize, 2usize, 1.0f64),
@@ -1808,9 +1502,6 @@ fn main() {
     eprintln!("perfsmoke: wrote {partition_out}");
 
     let mut failed = run_backend_race(scale, headline_size, batch);
-    if run_faults_probe(scale) {
-        failed = true;
-    }
     if run_serving_probe(scale) {
         failed = true;
     }
@@ -1835,19 +1526,6 @@ fn main() {
             fmt3(sparse_speedup),
             sparse.name,
             fmt3(sparse_ratio),
-        );
-    }
-    if wall_speedup < wall_bar {
-        eprintln!(
-            "perfsmoke FAIL: streamed epoch wall-clock is {}x the serial epoch (must not be \
-             slower; bar {wall_bar}x)",
-            fmt3(wall_speedup)
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "perfsmoke OK: streamed epoch wall-clock is {}x the serial epoch",
-            fmt3(wall_speedup)
         );
     }
     if modeled_speedup < pipe_bar {

@@ -179,8 +179,7 @@ pub struct EndToEndRow {
     /// Modeled QGTC epoch latency per bitwidth (aligned with [`FIG7_BITS`]).
     pub qgtc_ms: Vec<(u32, f64)>,
     /// Pipelined serial-vs-overlapped epoch latency per bitwidth (same order as
-    /// `qgtc_ms`): the streamed executor's double-buffering win on the same
-    /// counters.
+    /// `qgtc_ms`): the modeled double-buffering win on the same counters.
     pub qgtc_pipeline: Vec<(u32, PipelineEstimate)>,
     /// Host wall-clock the shared partitioning of this row took, in milliseconds
     /// (one `partition_kway` run amortised over every DGL/bitwidth epoch).
@@ -219,7 +218,7 @@ impl EndToEndRow {
 }
 
 /// Figure 7(a) (Cluster GCN) or 7(b) (batched GIN): end-to-end epoch latency per
-/// dataset for DGL fp32 and QGTC at each bitwidth, with the streamed executor's
+/// dataset for DGL fp32 and QGTC at each bitwidth, with the modeled
 /// serial-vs-overlapped pipeline composition alongside.
 pub fn fig7_end_to_end(
     model: ModelKind,
@@ -250,7 +249,7 @@ pub fn fig7_end_to_end(
             for &bits in FIG7_BITS.iter() {
                 let config = QgtcConfig::qgtc(model, bits)
                     .with_partitions(scale.num_partitions, scale.batch_size);
-                let report = qgtc_core::run_epoch_streamed_with_plan(&dataset, &config, &batcher);
+                let report = qgtc_core::run_epoch_with_plan(&dataset, &config, &batcher);
                 if bits == FIG7_BITS[0] {
                     // The adjacency is 1-bit regardless of the feature
                     // bitwidth, so one epoch's sparsity stats stand for all.
@@ -422,7 +421,7 @@ pub fn table2_accuracy(scale: &ExperimentScale, seed: u64) -> Vec<AccuracyRow> {
 }
 
 /// One dataset row of Figure 8: zero-tile statistics of the batched adjacency,
-/// plus the streamed 2-bit epoch's pipelined latency (the zero tiles shrink the
+/// plus the 2-bit epoch's modeled pipelined latency (the zero tiles shrink the
 /// compute lane, so the overlap column shows how much of that win survives when
 /// transfer is hidden behind compute).
 #[derive(Debug, Clone)]
@@ -436,7 +435,7 @@ pub struct ZeroTileRow {
     /// Fraction of tiles still processed with zero-tile jumping (the bar labels of
     /// Figure 8).
     pub processed_ratio: f64,
-    /// Serial-vs-overlapped modeled epoch latency of the streamed QGTC 2-bit
+    /// Serial-vs-overlapped modeled epoch latency of the QGTC 2-bit
     /// Cluster-GCN epoch on the same batching.
     pub pipeline: PipelineEstimate,
 }
@@ -471,7 +470,7 @@ pub fn fig8_zero_tile(
             // the epoch partition the graph a second time.
             let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
                 .with_partitions(scale.num_partitions, scale.batch_size);
-            let report = qgtc_core::run_epoch_streamed_with_plan(&dataset, &config, &batcher);
+            let report = qgtc_core::run_epoch_with_plan(&dataset, &config, &batcher);
             ZeroTileRow {
                 dataset: profile.name.to_string(),
                 total_tiles: total,

@@ -40,7 +40,7 @@ pub enum ExecutionPath {
 /// | Setter | Getter(s) | Knob |
 /// |---|---|---|
 /// | [`with_partitions`](Self::with_partitions) | `num_partitions`, `batch_size` (fields) | partition count × partitions per batch |
-/// | [`with_prefetch`](Self::with_prefetch) | `prefetch_batches` (field), [`staging_depth`](Self::staging_depth) | streamed executor's staging depth |
+/// | [`with_prefetch`](Self::with_prefetch) | `prefetch_batches` (field) | modeled staging depth of the pipelined latency |
 /// | [`with_partition_parallelism`](Self::with_partition_parallelism) | `partition_parallelism` (field) | partitioner shard mode |
 /// | [`with_backend`](Self::with_backend) | [`backend`](Self::backend) | kernel GEMM backend |
 /// | [`with_adjacency_path`](Self::with_adjacency_path) | [`adjacency_path`](Self::adjacency_path) | aggregation kernel: zero-word skip vs condensed |
@@ -68,21 +68,21 @@ pub struct QgtcConfig {
     pub gpu: GpuSpec,
     /// Seed for model initialisation.
     pub seed: u64,
-    /// Staging buffers of the streamed executor: how many batches the producer
-    /// shards may prepare ahead of the compute stage, and the buffer depth `D` of
-    /// the pipelined latency model. `1` degenerates to the serial schedule; `2` is
-    /// classic double buffering (the default).
+    /// Device staging buffers of the modeled transfer/compute overlap: the
+    /// buffer depth `D` at which
+    /// [`DeviceModel::estimate_pipelined`](qgtc_tcsim::DeviceModel::estimate_pipelined)
+    /// schedules the epoch's per-batch lanes into
+    /// [`EpochReport::pipeline`](crate::pipeline::EpochReport::pipeline).  `1`
+    /// is the serial schedule (no overlap); `2` is classic double buffering
+    /// (the default).  It changes no host work: every depth runs the same
+    /// batch loop and records the same counters.
     pub prefetch_batches: usize,
-    /// Whether the modeled epoch latency may overlap transfer with compute. When
-    /// `false` the pipelined estimate is computed at depth 1 (serial), regardless of
-    /// `prefetch_batches`; host-side prefetching still applies.
-    pub overlap_transfer: bool,
     /// How the METIS-substitute partitioner shards its phases over the worker
-    /// pool when `run_epoch`/`run_epoch_streamed` build the batch plan. The
-    /// partitioning is bitwise identical in every mode (the partitioner's
-    /// determinism contract); `Auto` (the default) uses one shard per pool
-    /// thread and therefore degenerates to the serial sweep on single-core
-    /// hosts, mirroring the streamed executor.
+    /// pool when [`crate::pipeline::try_build_plan`] (and so `run_epoch` and
+    /// the serving session) builds the batch plan. The partitioning is bitwise
+    /// identical in every mode (the partitioner's determinism contract);
+    /// `Auto` (the default) uses one shard per pool thread and therefore
+    /// degenerates to the serial sweep on single-core hosts.
     pub partition_parallelism: Parallelism,
     /// Faults to inject into the epoch, for chaos testing the supervisor. `None`
     /// (the default) falls back to the `QGTC_FAULTS` environment spec, and an
@@ -109,7 +109,6 @@ impl Default for QgtcConfig {
             gpu: GpuSpec::rtx3090(),
             seed: 0xC0FFEE,
             prefetch_batches: 2,
-            overlap_transfer: true,
             partition_parallelism: Parallelism::Auto,
             fault_plan: None,
             max_batch_retries: 3,
@@ -149,20 +148,11 @@ impl QgtcConfig {
         self
     }
 
-    /// Set the streamed executor's staging depth (clamped to at least 1).
+    /// Set the modeled staging depth (clamped to at least 1); `1` models no
+    /// transfer/compute overlap.
     pub fn with_prefetch(mut self, prefetch_batches: usize) -> Self {
         self.prefetch_batches = prefetch_batches.max(1);
         self
-    }
-
-    /// The staging-buffer depth the pipelined latency model should use: the
-    /// configured prefetch depth, or 1 when overlap is disabled.
-    pub fn staging_depth(&self) -> usize {
-        if self.overlap_transfer {
-            self.prefetch_batches.max(1)
-        } else {
-            1
-        }
     }
 
     /// Set the partitioner's parallelism mode.
@@ -304,10 +294,7 @@ mod tests {
 
     #[test]
     fn prefetch_defaults_to_double_buffering() {
-        let c = QgtcConfig::default();
-        assert_eq!(c.prefetch_batches, 2);
-        assert!(c.overlap_transfer);
-        assert_eq!(c.staging_depth(), 2);
+        assert_eq!(QgtcConfig::default().prefetch_batches, 2);
     }
 
     #[test]
@@ -398,12 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn staging_depth_respects_overlap_toggle_and_clamps() {
-        let mut c = QgtcConfig::default().with_prefetch(0);
-        assert_eq!(c.prefetch_batches, 1);
-        c = c.with_prefetch(5);
-        assert_eq!(c.staging_depth(), 5);
-        c.overlap_transfer = false;
-        assert_eq!(c.staging_depth(), 1);
+    fn prefetch_clamps_to_one_buffer() {
+        assert_eq!(QgtcConfig::default().with_prefetch(0).prefetch_batches, 1);
+        assert_eq!(QgtcConfig::default().with_prefetch(1).prefetch_batches, 1);
+        assert_eq!(QgtcConfig::default().with_prefetch(5).prefetch_batches, 5);
     }
 }

@@ -1,21 +1,21 @@
 //! Deterministic fault injection and the typed error surface of the epoch pipeline.
 //!
 //! The ROADMAP's north star is a serving system; a serving system's epoch driver
-//! cannot unwind as a panic every time a producer shard hiccups or a staged payload
+//! cannot unwind as a panic every time a prepare hiccups or a prepared payload
 //! arrives damaged. This module provides the two halves of that story:
 //!
 //! * **Injection** — a seeded [`FaultPlan`] (from [`crate::config::QgtcConfig::fault_plan`]
 //!   or the `QGTC_FAULTS` environment spec) names exactly which faults fire where:
-//!   a [`FaultSite`] (prepare stage, queue deposit/take, backend GEMM dispatch,
-//!   partitioning), a [`FaultKind`] (transient, persistent backend loss, payload
-//!   corruption), a batch index, and how many consecutive attempts the fault
-//!   survives. Firing is keyed on `(site, batch, attempt)` — never on arrival
-//!   order — so a plan behaves identically under the serial executor, the streamed
-//!   executor, and any thread count.
+//!   a [`FaultSite`] (prepare stage, the prepare-to-take hand-off, take, backend
+//!   GEMM dispatch, partitioning), a [`FaultKind`] (transient, persistent backend
+//!   loss, payload corruption), a batch index, and how many consecutive attempts
+//!   the fault survives. Firing is keyed on `(site, batch, attempt)` — never on
+//!   arrival order — so a plan behaves identically in an epoch, in a serving
+//!   session, and at any thread count.
 //! * **Recovery** — the pipeline's supervisor (in [`crate::pipeline`]) consumes
 //!   faults through a [`FaultInjector`] and applies one policy per kind: transients
 //!   are retried with bounded backoff (`max_batch_retries`), corruption is caught
-//!   by payload checksums at queue take and repaired by a pure re-prepare, and a
+//!   by payload checksums at take and repaired by a pure re-prepare, and a
 //!   persistent backend loss at GEMM dispatch degrades the epoch through the
 //!   [`fallback_backend`] chain (avx512 → portable). Every
 //!   outcome is tallied in [`FaultStats`] on the [`crate::EpochReport`].
@@ -37,9 +37,10 @@ pub const FAULTS_ENV: &str = "QGTC_FAULTS";
 pub enum FaultSite {
     /// Inside the prepare stage (materialise → gather → pack), before a batch exists.
     Prepare,
-    /// At the hand-off of a prepared batch into the staging queue.
+    /// At the hand-off of a prepared (and, under injection, sealed) batch
+    /// from prepare to take.
     Deposit,
-    /// When the consumer takes a staged batch back out of the queue.
+    /// When the take stage receives a prepared batch and verifies its checksum.
     Take,
     /// At backend GEMM dispatch, just before the forward pass of a batch.
     Dispatch,
@@ -87,8 +88,8 @@ pub enum FaultKind {
     /// [`FaultSite::Dispatch`] the supervisor degrades through
     /// [`fallback_backend`]; at every other site this is unrecoverable.
     BackendLoss,
-    /// Bits of the staged payload flip after sealing. Detected by the checksum
-    /// validation at queue take and repaired by re-preparing the batch. At sites
+    /// Bits of the prepared payload flip after sealing. Detected by the checksum
+    /// validation at take and repaired by re-preparing the batch. At sites
     /// other than [`FaultSite::Deposit`] there is no sealed payload to damage, so
     /// the fault behaves as a transient.
     Corruption,
@@ -275,8 +276,8 @@ impl FaultPlan {
     /// deterministically over the batch-level sites of an epoch with
     /// `num_batches` batches, each failing at most `max_attempts` times.
     ///
-    /// Chaos tests and the perfsmoke faults probe use this to exercise the full
-    /// recovery machinery from a single `u64`. With `max_attempts` at or below
+    /// Chaos tests use this to exercise the full recovery machinery from a
+    /// single `u64`. With `max_attempts` at or below
     /// `max_batch_retries` (default 3), every generated plan must recover to
     /// bitwise-identical epoch output.
     pub fn seeded_transient(seed: u64, num_batches: usize, max_attempts: u32) -> Self {
@@ -333,10 +334,9 @@ pub struct FaultStats {
 /// The shared, thread-safe tally an epoch's supervisors write [`FaultStats`] through
 /// while consulting the plan.
 ///
-/// All counters are atomics: producer shards count prepare/deposit faults, the
-/// consumer counts take/dispatch faults, and the totals are order-independent —
-/// which is what keeps `fault_stats` identical between the serial and streamed
-/// executors at any thread count.
+/// All counters are atomics, so a supervisor may tally from any thread, and
+/// the totals are order-independent — which is what keeps `fault_stats` the
+/// same at any thread count.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,

@@ -1,4 +1,5 @@
-//! End-to-end batched inference pipeline: one batch loop for every executor.
+//! End-to-end batched inference pipeline: one batch loop behind every epoch
+//! entry point.
 //!
 //! One epoch of the paper's evaluation loop is three stages:
 //!
@@ -13,43 +14,40 @@
 //! 3. **execute** — record the host-to-device transfer under the configured
 //!    strategy and run the model's forward pass on the configured execution path.
 //!
-//! Every entry point runs the same private batch loop.  Each batch passes four
-//! supervised steps in epoch order: prepare, take (checksum verify and repair),
-//! dispatch, then the forward pass.  The entry points differ only in where
-//! prepare runs, whether payloads are sealed under a checksum, and which fault
-//! plan the supervisors consume:
+//! Every entry point runs the same private batch loop on the calling thread.
+//! Each batch passes four supervised steps in epoch order: prepare, take
+//! (checksum verify and repair), dispatch, then the forward pass.  The entry
+//! points differ only in where the plan comes from:
 //!
 //! | Entry points | Where prepare runs | Payload seal | Fault injector | On a typed error |
 //! |---|---|---|---|---|
-//! | [`run_epoch`], [`try_run_epoch`], [`run_epoch_with_plan`], [`try_run_epoch_with_plan`] | inline | only with an active injector | from config | returned |
-//! | [`stream::run_epoch_streamed`], [`stream::try_run_epoch_streamed`], [`stream::run_epoch_streamed_with_plan`] | on producer shards when `prefetch_batches > 1`, the pool has more than one thread and the plan has more than one batch; inline otherwise | always | from config | returned |
-//! | [`stream::run_epoch_streamed_raw`] | same rule as streamed | never | none | panics |
+//! | [`run_epoch`], [`try_run_epoch`], [`run_epoch_with_plan`], [`try_run_epoch_with_plan`] | inline | only with an active injector | from config | `try_*` return it, the others panic |
 //!
 //! The serving session ([`crate::serve`]) runs its cache misses through the
 //! same `prepare_batch` and supervisors.  Because prepare is pure and execute
-//! runs in epoch order with the same inputs, every mode's [`CostSnapshot`]s
-//! agree batch for batch; [`run_epoch`] is the oracle the others are checked
+//! runs in epoch order with the same inputs, a served full sweep records the
+//! epoch's [`CostSnapshot`]s exactly; [`run_epoch`] is the oracle it is checked
 //! against.
 //!
 //! The returned [`EpochReport`] carries the modeled GPU latency (the number the
 //! paper's Figure 7 reports), a pipelined serial-vs-overlapped latency pair (the
-//! streamed dataflow's double-buffering story, §5), the measured host wall-clock of
-//! the simulation itself (partitioning excluded, reported separately as
-//! `partition_ms`), and the raw per-batch cost snapshots for deeper analysis.
+//! paper's batched dataflow overlaps one batch's transfer with another's compute,
+//! §5; [`DeviceModel::estimate_pipelined`] schedules the per-batch counters at
+//! [`QgtcConfig::prefetch_batches`] staging buffers, a model of the device, not
+//! a host schedule), the measured host wall-clock of the simulation itself
+//! (partitioning excluded, reported separately as `partition_ms`), and the raw
+//! per-batch cost snapshots for deeper analysis.
 //!
 //! The supervisors (the `supervise_*` functions) absorb faults — injected by a
-//! [`crate::fault::FaultPlan`] or real (a checksum mismatch on a staged payload):
+//! [`crate::fault::FaultPlan`] or real (a checksum mismatch on a sealed payload):
 //! they retry with bounded backoff, repair by a pure re-prepare, or degrade the
 //! GEMM backend through [`crate::fault::fallback_backend`]. Because the
 //! supervisors key every decision on `(site, batch, attempt)` and re-preparing a
 //! batch is side-effect free, a recovered epoch is bitwise identical to a
-//! fault-free one, and [`EpochReport::fault_stats`] is identical between the
-//! serial and streamed entry points at any thread count. What cannot be absorbed
-//! surfaces as a typed [`QgtcError`] from the `try_*` entry points
-//! ([`try_run_epoch`], [`stream::try_run_epoch_streamed`], [`try_build_plan`]);
-//! the panicking entry points delegate to them.
-
-pub mod stream;
+//! fault-free one, and [`EpochReport::fault_stats`] is the same at any thread
+//! count. What cannot be absorbed surfaces as a typed [`QgtcError`] from the
+//! `try_*` entry points ([`try_run_epoch`], [`try_run_epoch_with_plan`],
+//! [`try_build_plan`]); the panicking entry points delegate to them.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -79,7 +77,7 @@ pub struct EpochReport {
     /// Breakdown of the modeled time (aggregate over the epoch).
     pub estimate: KernelEstimate,
     /// Pipelined latency composition: per-batch transfer/compute lanes scheduled
-    /// serially and with `config.staging_depth()` staging buffers.
+    /// serially and with `config.prefetch_batches` staging buffers.
     pub pipeline: PipelineEstimate,
     /// Host wall-clock spent simulating the epoch (prepare + execute), in
     /// milliseconds. Partitioning is **excluded**, matching the paper's
@@ -100,7 +98,7 @@ pub struct EpochReport {
     /// Raw accumulated work counters.
     pub cost: CostSnapshot,
     /// Per-batch cost deltas in epoch order (one entry per executed batch); these
-    /// feed the pipelined latency model and the streamed-vs-serial identity tests.
+    /// feed the pipelined latency model and the serving-vs-epoch identity tests.
     pub batch_costs: Vec<CostSnapshot>,
     /// Per-batch adjacency sparsity in epoch order (one entry per executed
     /// batch, all-zero for the dense baseline path): the nonzero-word ratio the
@@ -317,13 +315,19 @@ fn backoff(attempt: u32) {
 /// `_in` constructors zero recycled storage, so the batch is bitwise identical
 /// whatever the pool holds — the supervisors' repair precondition.
 ///
-/// Pure with respect to the cost model — no tracker is touched — so shards may run
-/// this concurrently and out of order without perturbing any recorded counter.
+/// Pure with respect to the cost model — no tracker is touched — so a repair
+/// may rebuild a batch without perturbing any recorded counter.
 /// On the QGTC path the payload's condensed adjacency is built here iff the
 /// dispatcher will take the condensed path for this batch (exact: the resolver
 /// reads only the adjacency, so prepare and execute always agree).  That keeps
 /// the translation off the execute stage and lets the serving payload cache
 /// amortize it across coalesced requests.
+///
+/// Features the pack cannot calibrate (a NaN or infinite value, or a range
+/// wider than `f32`) fail with the plan stage's typed error, which names the
+/// dataset's first offending value: the pack's own range scan detects the
+/// case, so a given plan, which skips the plan stage's dataset scan, pays
+/// nothing extra on clean features.
 pub(crate) fn prepare_batch(
     batcher: &PartitionBatcher,
     dataset: &LoadedDataset,
@@ -331,7 +335,7 @@ pub(crate) fn prepare_batch(
     index: usize,
     pool: &mut PackedBufferPool,
     scratch: &mut SubgraphScratch,
-) -> PreparedBatch {
+) -> Result<PreparedBatch, QgtcError> {
     let batch = batcher
         .batch(index)
         .expect("prepare_batch called with index < num_batches");
@@ -351,7 +355,13 @@ pub(crate) fn prepare_batch(
                 features,
                 config.bits.min(8),
                 pool,
-            );
+            )
+            .map_err(|err| match check_finite_features(dataset) {
+                Err(found) => found,
+                // A batch's range lies inside the dataset's, so only a
+                // bitwidth the config check rejects first could get here.
+                Ok(()) => QgtcError::InvalidConfig(err.to_string()),
+            })?;
             if let Some(payload) = prepared.payload.as_mut() {
                 if resolve_adjacency_path(config.kernel.adjacency_path, &payload.packed_adjacency)
                     == AdjacencyPath::Condensed
@@ -359,9 +369,9 @@ pub(crate) fn prepare_batch(
                     payload.ensure_condensed();
                 }
             }
-            prepared
+            Ok(prepared)
         }
-        ExecutionPath::DglBaseline => PreparedBatch::dense(index, subgraph, features),
+        ExecutionPath::DglBaseline => Ok(PreparedBatch::dense(index, subgraph, features)),
     }
 }
 
@@ -369,7 +379,7 @@ pub(crate) fn prepare_batch(
 /// the batch's cost delta to the state. Must be called in epoch order.
 ///
 /// Returns the forward pass's output (`None` for empty batches). The epoch
-/// executors drop it — an epoch is measured, not answered — while the serving
+/// loop drops it — an epoch is measured, not answered — while the serving
 /// layer ([`crate::serve`]) gathers per-request logit rows out of it.  Fails
 /// with [`QgtcError::NonFiniteActivations`] when the batch's activations
 /// overflow `f32`; the batch is then not counted.
@@ -425,24 +435,23 @@ pub(crate) fn execute_batch(
     Ok(Some(output))
 }
 
-/// Produce stage under supervision: run `prepare` for batch `index` (and, on
-/// producer shards, hand it to the staging queue), retrying
-/// [`FaultSite::Prepare`] and [`FaultSite::Deposit`] faults as one bounded
-/// production cycle.  `prepare` must be pure with respect to the cost model
-/// and deterministic for a given batch (re-invocations must rebuild
-/// bitwise-identical payloads — that is what makes retry a repair);
-/// [`prepare_batch`] is.
+/// Prepare stage under supervision: run `prepare` for batch `index` and hand
+/// it off to the take stage, retrying [`FaultSite::Prepare`] and
+/// [`FaultSite::Deposit`] faults as one bounded production cycle.  `prepare`
+/// must be pure with respect to the cost model and deterministic for a given
+/// batch (re-invocations must rebuild bitwise-identical payloads — that is
+/// what makes retry a repair); [`prepare_batch`] is.  An error from `prepare`
+/// itself is not a fault: it returns at once, with no retry and no count.
 ///
-/// With `seal` the batch is sealed under its payload checksum before the deposit
-/// step — which is also where a planned [`FaultKind::Corruption`] flips payload
-/// bits *after* sealing, leaving a stale checksum for [`supervise_delivered`] to
-/// catch on the consumer side.
+/// Under an active injector the batch is sealed under its payload checksum
+/// before the hand-off — which is also where a planned
+/// [`FaultKind::Corruption`] flips payload bits *after* sealing, leaving a
+/// stale checksum for [`supervise_delivered`] to catch.
 pub(crate) fn supervise_prepare(
     config: &QgtcConfig,
     injector: Option<&FaultInjector>,
     index: usize,
-    seal: bool,
-    mut prepare: impl FnMut() -> PreparedBatch,
+    mut prepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
     let max_retries = config.max_batch_retries as u32;
     let mut attempt = 0u32;
@@ -466,11 +475,11 @@ pub(crate) fn supervise_prepare(
             attempt += 1;
             continue;
         }
-        let mut prepared = prepare();
-        if seal {
+        let mut prepared = prepare()?;
+        if injector.is_some() {
             prepared.seal_checksum();
         }
-        // Deposit-site faults hit the hand-off into the staging queue.
+        // Deposit-site faults hit the hand-off from prepare to take.
         match injector.and_then(|i| i.fault_at(FaultSite::Deposit, index, attempt)) {
             Some(FaultKind::Corruption) => {
                 let injector = injector.expect("fault_at fired, injector present");
@@ -517,8 +526,7 @@ pub(crate) fn supervise_delivered(
     config: &QgtcConfig,
     injector: Option<&FaultInjector>,
     index: usize,
-    seal: bool,
-    mut reprepare: impl FnMut() -> PreparedBatch,
+    mut reprepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
     let max_retries = config.max_batch_retries as u32;
     let mut attempt = 0u32;
@@ -565,8 +573,8 @@ pub(crate) fn supervise_delivered(
         backoff(attempt);
         // Repair: re-run the pure prepare stage. No re-deposit happens, so a
         // deposit-time corruption cannot re-damage the repaired batch.
-        prepared = reprepare();
-        if seal {
+        prepared = reprepare()?;
+        if injector.is_some() {
             prepared.seal_checksum();
         }
         attempt += 1;
@@ -631,21 +639,8 @@ pub(crate) fn supervise_dispatch(
     }
 }
 
-/// How an epoch entry point drives the batch loop (the module docs' mode
-/// table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Executor {
-    /// Prepare inline; seal payloads only under an active fault injector.
-    Serial,
-    /// Prepare on producer shards when lookahead can pay off; always seal.
-    Streamed,
-    /// The streamed schedule with no fault plan and no seal: the baseline the
-    /// supervisors' overhead is measured against.
-    Raw,
-}
-
-/// Run one epoch of `dataset` under `config` on `executor`, over `plan` or,
-/// when it is `None`, over a plan partitioned inline.
+/// Run one epoch of `dataset` under `config` over `plan` or, when it is
+/// `None`, over a plan partitioned inline.
 ///
 /// A given plan reports `partition_ms` and `partition_shards` as 0 because no
 /// partitioning happens in the run's scope.  Its batch size must match what
@@ -655,12 +650,8 @@ fn run_epoch_on(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
     plan: Option<&PartitionBatcher>,
-    executor: Executor,
 ) -> Result<EpochReport, QgtcError> {
-    let injector = match executor {
-        Executor::Serial | Executor::Streamed => FaultInjector::from_config(config)?,
-        Executor::Raw => None,
-    };
+    let injector = FaultInjector::from_config(config)?;
     // Partitioning is host-side preprocessing, excluded from `host_wall_ms`
     // and timed separately — matching the paper's measurement.
     let built;
@@ -677,20 +668,7 @@ fn run_epoch_on(
             (&built, start.elapsed().as_secs_f64() * 1e3, shards)
         }
     };
-    let seal = match executor {
-        // The fault-free serial oracle pays nothing for the checksums.
-        Executor::Serial => injector.is_some(),
-        Executor::Streamed => true,
-        Executor::Raw => false,
-    };
-    // One staging buffer, one core or one batch admits no useful lookahead
-    // (two stages time-slicing one CPU pay queue overhead without overlap), so
-    // the streamed executors prepare inline there too.
-    let threaded = executor != Executor::Serial
-        && config.prefetch_batches > 1
-        && rayon::current_num_threads() > 1
-        && batcher.num_batches() > 1;
-    let mut report = run_batches(dataset, config, batcher, injector.as_ref(), seal, threaded)?;
+    let mut report = run_batches(dataset, config, batcher, injector.as_ref())?;
     report.partition_ms = partition_ms;
     report.partition_shards = partition_shards;
     Ok(report)
@@ -698,55 +676,34 @@ fn run_epoch_on(
 
 /// The one batch loop: every batch runs supervised prepare, supervised take
 /// (checksum verify and repair), supervised dispatch and [`execute_batch`], in
-/// epoch order.  `threaded` moves only the prepare stage, from the calling
-/// thread onto the producer shards of [`stream::stage_on_producers`].
+/// epoch order on the calling thread.
 fn run_batches(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
     batcher: &PartitionBatcher,
     injector: Option<&FaultInjector>,
-    seal: bool,
-    threaded: bool,
 ) -> Result<EpochReport, QgtcError> {
     let epoch_start = Instant::now();
     let ctx = EpochContext::new(dataset, config);
     let mut state = EpochState::default();
-    // Epoch batches are dropped once executed, so every prepare draws from an
-    // empty pool; a worker reuses only its node-map scratch.
-    let prepare = |index: usize, scratch: &mut SubgraphScratch| {
-        prepare_batch(
-            batcher,
-            dataset,
-            config,
-            index,
-            &mut PackedBufferPool::new(),
-            scratch,
-        )
-    };
-    let produce = |index: usize, scratch: &mut SubgraphScratch| {
-        supervise_prepare(config, injector, index, seal, || prepare(index, scratch))
-    };
-    let mut consume = |index: usize, prepared: PreparedBatch, scratch: &mut SubgraphScratch| {
-        let prepared = supervise_delivered(prepared, config, injector, index, seal, || {
-            prepare(index, scratch)
-        })?;
-        supervise_dispatch(&ctx, injector, index)?;
-        execute_batch(&ctx, &prepared, &mut state).map(drop)
-    };
     let mut scratch = SubgraphScratch::default();
-    let total = batcher.num_batches();
-    if threaded {
-        stream::stage_on_producers(
-            total,
-            config.prefetch_batches,
-            produce,
-            |index, prepared| consume(index, prepared, &mut scratch),
-        )?;
-    } else {
-        for index in 0..total {
-            let prepared = produce(index, &mut scratch)?;
-            consume(index, prepared, &mut scratch)?;
-        }
+    for index in 0..batcher.num_batches() {
+        // Epoch batches are dropped once executed, so every prepare draws from
+        // an empty pool; the loop reuses only its node-map scratch.
+        let mut prepare = || {
+            prepare_batch(
+                batcher,
+                dataset,
+                config,
+                index,
+                &mut PackedBufferPool::new(),
+                &mut scratch,
+            )
+        };
+        let prepared = supervise_prepare(config, injector, index, &mut prepare)?;
+        let prepared = supervise_delivered(prepared, config, injector, index, &mut prepare)?;
+        supervise_dispatch(&ctx, injector, index)?;
+        execute_batch(&ctx, &prepared, &mut state)?;
     }
 
     let mut fault_stats = injector.map(FaultInjector::stats).unwrap_or_default();
@@ -756,7 +713,7 @@ fn run_batches(
     let cost = state.tracker.snapshot();
     let device = DeviceModel::new(config.gpu.clone());
     let estimate = device.estimate(&cost);
-    let pipeline = device.estimate_pipelined(&state.batch_costs, config.staging_depth());
+    let pipeline = device.estimate_pipelined(&state.batch_costs, config.prefetch_batches);
     Ok(EpochReport {
         modeled_ms: estimate.total_ms(),
         estimate,
@@ -777,10 +734,9 @@ fn run_batches(
 /// Run one inference epoch of `dataset` under `config`, strictly serially.
 ///
 /// This is the oracle path: batches are prepared and executed one at a time on the
-/// calling thread. [`stream::run_epoch_streamed`] produces identical cost counters
-/// (asserted batch-for-batch by the integration tests) while overlapping the
-/// prepare stage with compute on the host and modeling transfer/compute overlap on
-/// the device.
+/// calling thread, and the transfer/compute overlap of the paper's batched
+/// dataflow is modeled from the recorded per-batch counters
+/// ([`EpochReport::pipeline`]).
 pub fn run_epoch(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
     try_run_epoch(dataset, config).unwrap_or_else(|err| panic!("run_epoch: {err}"))
 }
@@ -792,7 +748,7 @@ pub fn try_run_epoch(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
 ) -> Result<EpochReport, QgtcError> {
-    run_epoch_on(dataset, config, None, Executor::Serial)
+    run_epoch_on(dataset, config, None)
 }
 
 /// Run one serial inference epoch over an already-built batch plan.
@@ -809,13 +765,15 @@ pub fn run_epoch_with_plan(
         .unwrap_or_else(|err| panic!("run_epoch_with_plan: {err}"))
 }
 
-/// Fallible form of [`run_epoch_with_plan`].
+/// Fallible form of [`run_epoch_with_plan`].  Features no batch can be
+/// calibrated over are the same typed error [`try_build_plan`] returns,
+/// surfaced by the first batch that holds one.
 pub fn try_run_epoch_with_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
     batcher: &PartitionBatcher,
 ) -> Result<EpochReport, QgtcError> {
-    run_epoch_on(dataset, config, Some(batcher), Executor::Serial)
+    run_epoch_on(dataset, config, Some(batcher))
 }
 
 #[cfg(test)]
@@ -991,6 +949,23 @@ mod tests {
     }
 
     #[test]
+    fn a_prepare_error_is_returned_without_a_retry_or_a_fault_count() {
+        let config = QgtcConfig::default();
+        // An active plan whose deposit fault would retry a successful prepare.
+        let plan = crate::fault::FaultPlan::parse("deposit:transient:0").expect("valid");
+        let injector = FaultInjector::new(plan);
+        let error = QgtcError::NonFiniteFeature { node: 1, column: 2 };
+        let mut calls = 0;
+        let result = supervise_prepare(&config, Some(&injector), 0, || {
+            calls += 1;
+            Err(error.clone())
+        });
+        assert_eq!(result.map(|_| ()), Err(error));
+        assert_eq!(calls, 1);
+        assert_eq!(injector.stats(), FaultStats::default());
+    }
+
+    #[test]
     fn overlapped_latency_no_worse_than_serial_composition() {
         let dataset = tiny_dataset();
         let report = run_epoch(
@@ -1001,8 +976,7 @@ mod tests {
         assert!(report.pipeline.overlapped_s <= report.pipeline.serial_s);
         assert!(report.pipeline.overlap_speedup() >= 1.0);
 
-        let mut no_overlap = tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2));
-        no_overlap.overlap_transfer = false;
+        let no_overlap = tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)).with_prefetch(1);
         let serial_only = run_epoch(&dataset, &no_overlap);
         assert_eq!(serial_only.pipeline.staging_buffers, 1);
         assert_eq!(

@@ -375,7 +375,6 @@ impl<'a> QgtcSession<'a> {
     /// pass. The payload goes (back) into the cache either way, so a dispatch
     /// failure does not forfeit the prepare work.
     fn execute_serving_batch(&mut self, index: usize) -> Result<BatchForwardOutput, QgtcError> {
-        let seal = self.injector.is_some();
         let prepared = match self.take_cached(index) {
             Some(prepared) => {
                 // Payloads are verified at insert time (the supervised take
@@ -393,8 +392,8 @@ impl<'a> QgtcSession<'a> {
                 // The epoch's prepare, drawing every buffer from the session's
                 // pool (so a warm session prepares allocation-free).
                 let mut prepare = || prepare_batch(batcher, dataset, config, index, pool, scratch);
-                let prepared = supervise_prepare(config, injector, index, seal, &mut prepare)?;
-                supervise_delivered(prepared, config, injector, index, seal, &mut prepare)?
+                let prepared = supervise_prepare(config, injector, index, &mut prepare)?;
+                supervise_delivered(prepared, config, injector, index, &mut prepare)?
             }
         };
         let result = supervise_dispatch(&self.ctx, self.injector.as_ref(), index)
@@ -552,10 +551,25 @@ pub struct LatencySummary {
 /// drain is in flight coalesce into the next one — exactly how a serving
 /// thread behind a queue behaves, and the mechanism that makes the coalescing
 /// machinery earn its keep under burst pressure.
+///
+/// An interval that is NaN, infinite or negative, or so large that a later
+/// arrival overflows `f64`, leaves no clock to advance:
+/// [`QgtcError::InvalidConfig`], before any request is submitted.
 pub fn run_open_loop(
     session: &mut QgtcSession<'_>,
     load: &LoadGenerator,
 ) -> Result<LatencySummary, QgtcError> {
+    let last_arrival = load.arrival_ms(load.requests.saturating_sub(1));
+    if !(load.interarrival_ms >= 0.0
+        && load.interarrival_ms.is_finite()
+        && last_arrival.is_finite())
+    {
+        return Err(QgtcError::InvalidConfig(format!(
+            "interarrival_ms must be finite and non-negative, with every arrival finite (got {} \
+             over {} requests)",
+            load.interarrival_ms, load.requests
+        )));
+    }
     let num_nodes = session.dataset.graph.num_nodes();
     let mut latencies: Vec<f64> = Vec::with_capacity(load.requests);
     let mut arrivals: Vec<f64> = Vec::new();
@@ -805,6 +819,30 @@ mod tests {
             .expect("some batch is healthy");
         let follow_up = session.infer(&[healthy]).unwrap();
         assert!(follow_up.degraded.is_empty());
+    }
+
+    #[test]
+    fn open_loop_rejects_an_interval_its_clock_cannot_advance_by() {
+        let dataset = tiny_dataset();
+        let config = tiny_config();
+        let mut session = QgtcSession::new(&dataset, &config).unwrap();
+        // NaN and +inf put request 0 at NaN (0 × inf), which neither branch of
+        // the loop advances past; f64::MAX puts request 2 past f64's range.
+        for interarrival_ms in [f64::NAN, f64::INFINITY, -1.0, f64::MAX] {
+            let load = LoadGenerator {
+                seed: 1,
+                requests: 3,
+                nodes_per_request: 2,
+                interarrival_ms,
+            };
+            match run_open_loop(&mut session, &load) {
+                Err(QgtcError::InvalidConfig(message)) => {
+                    assert!(message.contains("interarrival_ms"), "{message}")
+                }
+                other => panic!("{interarrival_ms}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        assert_eq!(session.stats().requests, 0, "nothing was submitted");
     }
 
     #[test]

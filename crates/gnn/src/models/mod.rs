@@ -82,11 +82,11 @@ pub struct BatchForwardOutput {
 
 /// Either evaluated model behind one prepared-batch execution interface.
 ///
-/// The end-to-end pipeline (serial and streamed alike) builds one `GnnModel` and
+/// The end-to-end pipeline (epoch and serving alike) builds one `GnnModel` and
 /// feeds every [`PreparedBatch`](qgtc_kernels::packing::PreparedBatch) through
 /// [`GnnModel::forward_prepared_quantized`] or [`GnnModel::forward_prepared_fp32`] —
-/// a single code path for both models and both executors, which is what makes the
-/// streamed/serial bit-identity argument local to this module.
+/// a single code path for both models and every caller, which is what makes the
+/// served-vs-epoch bit-identity argument local to this module.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GnnModel {
     /// Cluster GCN (aggregate → update).

@@ -20,7 +20,7 @@ use qgtc_bitmat::fused::PopcountBody;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::DenseSubgraph;
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tensor::{Matrix, QuantParams};
+use qgtc_tensor::{Matrix, QuantParams, TensorError};
 use std::sync::Arc;
 
 /// Quantize and bit-pack a dense feature matrix exactly as the transfer payload
@@ -37,25 +37,28 @@ use std::sync::Arc;
 /// dense-entry path are bitwise identical by construction.  Quantize and pack run as one pass
 /// ([`StackedBitMatrix::quantize_pack_in`]); no code matrix is staged.
 ///
-/// Panics if the features hold an infinite value or span a range wider than
-/// `f32` (the pipeline's plan stage rejects such features with a typed error
-/// before any batch is packed).
+/// Panics if the features hold a NaN or infinite value or span a range wider
+/// than `f32`; [`pack_feature_matrix_pooled`] returns that case as an error.
 pub fn pack_feature_matrix(
     features: &Matrix<f32>,
     feature_bits: u32,
     layout: BitMatrixLayout,
 ) -> StackedBitMatrix {
     pack_features_in(features, feature_bits, layout, &mut Vec::new())
+        .unwrap_or_else(|err| panic!("cannot calibrate the batch features: {err}"))
 }
 
 /// [`pack_feature_matrix`] drawing every plane's word storage from `pool` —
 /// bitwise identical output, zero fresh allocations once the pool is warm.
+/// Features no quantization range can cover (a NaN or infinite value, or a
+/// range wider than `f32`) are [`TensorError::NonFiniteRange`], found by the
+/// calibration scan the pack runs anyway.
 pub fn pack_feature_matrix_pooled(
     features: &Matrix<f32>,
     feature_bits: u32,
     layout: BitMatrixLayout,
     pool: &mut PackedBufferPool,
-) -> StackedBitMatrix {
+) -> Result<StackedBitMatrix, TensorError> {
     pack_features_in(
         features,
         feature_bits,
@@ -73,11 +76,10 @@ fn pack_features_in(
     feature_bits: u32,
     layout: BitMatrixLayout,
     spares: &mut Vec<Vec<u32>>,
-) -> StackedBitMatrix {
+) -> Result<StackedBitMatrix, TensorError> {
     let (min, max) = fold_range(features.data(), PopcountBody::Avx512.is_available()).bounds();
-    let params = QuantParams::from_range(feature_bits, min, max)
-        .unwrap_or_else(|err| panic!("cannot calibrate the batch features: {err}"));
-    StackedBitMatrix::quantize_pack_in(features, params, layout, spares).0
+    let params = QuantParams::from_range(feature_bits, min, max)?;
+    Ok(StackedBitMatrix::quantize_pack_in(features, params, layout, spares).0)
 }
 
 /// Fixed per-transfer overhead in bytes-equivalent terms: a separate cudaMemcpy has
@@ -127,7 +129,8 @@ impl SubgraphPayload {
     /// Build the payload for a dense subgraph batch and its feature rows.
     ///
     /// Features are quantized to `feature_bits` with per-batch calibration, exactly
-    /// as the inference pipeline does before the first layer.
+    /// as the inference pipeline does before the first layer.  Panics on
+    /// features [`SubgraphPayload::new_pooled`] rejects.
     pub fn new(subgraph: &DenseSubgraph, features: &Matrix<f32>, feature_bits: u32) -> Self {
         Self::new_pooled(
             subgraph,
@@ -135,16 +138,18 @@ impl SubgraphPayload {
             feature_bits,
             &mut PackedBufferPool::new(),
         )
+        .unwrap_or_else(|err| panic!("cannot calibrate the batch features: {err}"))
     }
 
     /// [`SubgraphPayload::new`] packing the features into buffers drawn from
-    /// `pool` — bitwise identical to the fresh path.
+    /// `pool` — bitwise identical to the fresh path.  Features the pack cannot
+    /// calibrate are an error (see [`pack_feature_matrix_pooled`]).
     pub fn new_pooled(
         subgraph: &DenseSubgraph,
         features: &Matrix<f32>,
         feature_bits: u32,
         pool: &mut PackedBufferPool,
-    ) -> Self {
+    ) -> Result<Self, TensorError> {
         assert_eq!(
             subgraph.num_nodes(),
             features.rows(),
@@ -152,8 +157,8 @@ impl SubgraphPayload {
         );
         let packed_adjacency = Arc::clone(&subgraph.adjacency);
         let packed_features =
-            pack_feature_matrix_pooled(features, feature_bits, BitMatrixLayout::ColPacked, pool);
-        Self {
+            pack_feature_matrix_pooled(features, feature_bits, BitMatrixLayout::ColPacked, pool)?;
+        Ok(Self {
             num_nodes: subgraph.num_nodes(),
             num_edges: subgraph.num_edges,
             feature_dim: features.cols(),
@@ -161,16 +166,16 @@ impl SubgraphPayload {
             packed_adjacency,
             packed_features,
             condensed_adjacency: None,
-        }
+        })
     }
 
     /// Build (once) and cache the condensed translation of the packed adjacency.
     ///
-    /// Idempotent: a second call is a no-op.  The streamed pipeline and the
-    /// serving session call this at prepare time whenever the resolved
-    /// adjacency path may dispatch to the condensed kernel, so the packing
-    /// cost is paid off the epoch critical path and amortized by the serving
-    /// payload cache.
+    /// Idempotent: a second call is a no-op.  The pipeline's prepare stage
+    /// (behind both the epoch loop and the serving session) calls this
+    /// whenever the resolved adjacency path may dispatch to the condensed
+    /// kernel, so the translation is built once per payload, outside the
+    /// forward pass, and amortized by the serving payload cache.
     pub fn ensure_condensed(&mut self) {
         if self.condensed_adjacency.is_none() {
             self.condensed_adjacency = Some(CondensedAdjacency::from_stack(&self.packed_adjacency));
@@ -214,9 +219,10 @@ impl SubgraphPayload {
     /// Checksum over both packed stacks plus the scalar header fields.
     ///
     /// One `u64` covers the whole payload: any bit flip in the packed adjacency or
-    /// packed features (or a mismatched header) changes the value. The streamed
-    /// pipeline seals this into the [`PreparedBatch`] at deposit time and
-    /// re-derives it at take time to catch in-flight corruption.
+    /// packed features (or a mismatched header) changes the value. Under an
+    /// active fault injector the pipeline seals this into the [`PreparedBatch`]
+    /// right after prepare and re-derives it at take time to catch corruption
+    /// of the hand-off.
     pub fn checksum(&self) -> u64 {
         const FNV_PRIME: u64 = 0x100000001b3;
         let mut hash = 0x9e3779b97f4a7c15_u64;
@@ -237,12 +243,12 @@ impl SubgraphPayload {
 /// One batch fully prepared for the compute stage: the materialised dense subgraph,
 /// its gathered feature rows, and (on the QGTC path) the bit-packed transfer payload.
 ///
-/// `PreparedBatch` is the hand-off object of the staged pipeline: a producer shard
-/// builds it (materialise → gather → pack) with no side effects, and the compute
-/// stage later records the transfer and runs the forward pass. Because construction
-/// touches no [`CostTracker`] and no global state, building batches out of order or
-/// on different threads cannot change any recorded counter — the property the
-/// streamed executor's determinism guarantee rests on.
+/// `PreparedBatch` is the hand-off object between the pipeline's prepare and
+/// execute stages: prepare builds it (materialise → gather → pack) with no side
+/// effects, and execute later records the transfer and runs the forward pass.
+/// Because construction touches no [`CostTracker`] and no global state,
+/// rebuilding a batch (the supervisor's repair) or building batches out of
+/// order cannot change any recorded counter.
 #[derive(Debug, Clone)]
 pub struct PreparedBatch {
     /// Epoch position of this batch (the consumption order key).
@@ -254,11 +260,10 @@ pub struct PreparedBatch {
     /// The packed transfer payload; `None` on the dense-baseline path (which ships
     /// raw fp32 tensors) and for empty batches.
     pub payload: Option<SubgraphPayload>,
-    /// Checksum sealed over `payload` at deposit time, or `None` while unsealed.
+    /// Checksum sealed over `payload` after prepare, or `None` while unsealed.
     ///
     /// Sealing is explicit ([`PreparedBatch::seal_checksum`]) rather than part of
-    /// construction, so executors that do not stage batches across threads (the
-    /// plain serial loop) never pay for it.
+    /// construction, so a run without a fault injector never pays for it.
     pub payload_checksum: Option<u64>,
 }
 
@@ -267,6 +272,7 @@ impl PreparedBatch {
     /// features to `feature_bits`, exactly as [`SubgraphPayload::new`] does.
     ///
     /// Empty batches get no payload (there is nothing to pack or transfer).
+    /// Panics on features [`PreparedBatch::pack_quantized_pooled`] rejects.
     pub fn pack_quantized(
         batch_index: usize,
         subgraph: DenseSubgraph,
@@ -280,18 +286,20 @@ impl PreparedBatch {
             feature_bits,
             &mut PackedBufferPool::new(),
         )
+        .unwrap_or_else(|err| panic!("cannot calibrate the batch features: {err}"))
     }
 
     /// [`PreparedBatch::pack_quantized`] drawing every buffer from `pool` —
-    /// the serving layer's steady-state prepare.  Bitwise identical to the
-    /// fresh path (recycled storage is zeroed before packing).
+    /// the epoch's and the serving layer's prepare.  Bitwise identical to the
+    /// fresh path (recycled storage is zeroed before packing).  Features the
+    /// pack cannot calibrate are an error (see [`pack_feature_matrix_pooled`]).
     pub fn pack_quantized_pooled(
         batch_index: usize,
         subgraph: DenseSubgraph,
         features: Matrix<f32>,
         feature_bits: u32,
         pool: &mut PackedBufferPool,
-    ) -> Self {
+    ) -> Result<Self, TensorError> {
         let payload = if subgraph.num_nodes() == 0 {
             None
         } else {
@@ -300,15 +308,15 @@ impl PreparedBatch {
                 &features,
                 feature_bits,
                 pool,
-            ))
+            )?)
         };
-        Self {
+        Ok(Self {
             batch_index,
             subgraph,
             features,
             payload,
             payload_checksum: None,
-        }
+        })
     }
 
     /// Tear the batch down into `pool`, recovering the packed plane words and
@@ -346,9 +354,10 @@ impl PreparedBatch {
 
     /// Seal the current payload under a checksum (a no-op on payload-less batches).
     ///
-    /// The streamed executor seals every batch on the producer side before it
-    /// enters the staging queue; [`PreparedBatch::verify_payload`] then re-derives
-    /// the checksum on the consumer side.
+    /// Under an active fault injector the pipeline seals every batch right after
+    /// prepare, before the hand-off to execute (where injected corruption lands);
+    /// [`PreparedBatch::verify_payload`] then re-derives the checksum at take
+    /// time.
     pub fn seal_checksum(&mut self) {
         self.payload_checksum = self.payload.as_ref().map(SubgraphPayload::checksum);
     }
@@ -601,7 +610,7 @@ mod tests {
         let build = |pool: &mut crate::pool::PackedBufferPool| {
             let sub = DenseSubgraph::extract(&graph, &nodes);
             let feats = sub.gather_features(&features_global);
-            PreparedBatch::pack_quantized_pooled(0, sub, feats, 3, pool)
+            PreparedBatch::pack_quantized_pooled(0, sub, feats, 3, pool).expect("finite features")
         };
         let first = build(&mut pool);
         let cold = pool.stats();
@@ -770,5 +779,39 @@ mod tests {
         let sub = DenseSubgraph::extract(&graph, &(0..30).collect::<Vec<_>>());
         let features = random_uniform_matrix(10, 8, 0.0, 1.0, 4);
         let _ = SubgraphPayload::new(&sub, &features, 2);
+    }
+
+    #[test]
+    fn features_no_range_covers_are_an_error_on_the_pooled_pack() {
+        let (coo, _) = stochastic_block_model(
+            SbmParams {
+                num_nodes: 50,
+                num_blocks: 2,
+                intra_degree: 4.0,
+                inter_degree: 0.5,
+            },
+            3,
+        );
+        let graph = CsrGraph::from_coo(&coo);
+        let nodes: Vec<usize> = (0..30).collect();
+        for (at, bad) in [(0, f32::NAN), (7, f32::INFINITY), (29 * 8, -3e38)] {
+            let sub = DenseSubgraph::extract(&graph, &nodes);
+            let mut features = random_uniform_matrix(30, 8, 0.0, 1.0, 4);
+            features.data_mut()[at] = bad;
+            if bad == -3e38 {
+                features.data_mut()[0] = 3e38;
+            }
+            let result = PreparedBatch::pack_quantized_pooled(
+                0,
+                sub,
+                features,
+                2,
+                &mut crate::pool::PackedBufferPool::new(),
+            );
+            assert!(
+                matches!(result, Err(TensorError::NonFiniteRange { .. })),
+                "{bad}: {result:?}"
+            );
+        }
     }
 }

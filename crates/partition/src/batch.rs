@@ -45,8 +45,8 @@ impl SubgraphBatch {
 ///
 /// The batcher doubles as an **indexable batch plan**: [`PartitionBatcher::batch`]
 /// materialises the batch at any epoch position independently of every other batch,
-/// so pipeline shards (the streamed executor's producers) can build batches
-/// concurrently without sharing an iterator. [`PartitionBatcher::batches`] is defined
+/// so a caller can build any batch (a repair, a serving cache miss) without
+/// sharing an iterator. [`PartitionBatcher::batches`] is defined
 /// in terms of `batch`, which guarantees the two views agree batch-for-batch.
 #[derive(Debug, Clone)]
 pub struct PartitionBatcher {

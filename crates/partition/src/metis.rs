@@ -19,7 +19,7 @@
 //! [`Parallelism`] mode and every thread count, and `Parallelism::Serial` *is*
 //! the one-shard special case of the same code.  `Parallelism::Auto` (the
 //! default) sizes the shards to the pool and therefore degenerates to the serial
-//! sweep on single-core hosts, mirroring the streamed epoch executor.
+//! sweep on single-core hosts.
 //! The contract is enforced by `tests/partition_parallel_props.rs` and by the
 //! perfsmoke partition probe on all six dataset profiles.
 

@@ -1,8 +1,10 @@
 //! Chaos suite for the fault-injection harness: random recoverable fault plans
-//! over all six Table-1 dataset profiles must leave both executors' epoch output
-//! **bitwise identical** to a fault-free run (with identical `fault_stats`
-//! between the serial and streamed executors), while unrecoverable plans must
-//! surface a typed [`QgtcError`] — never a hang, never a panic.
+//! over all six Table-1 dataset profiles must leave the epoch output **bitwise
+//! identical** to a fault-free run, while unrecoverable plans must surface a
+//! typed [`QgtcError`] — never a hang, never a panic.  Each check runs both
+//! ways into the one batch loop: `try_run_epoch`, which plans inline, and
+//! `try_run_epoch_with_plan` over a plan built beforehand (the call the
+//! end-to-end benchmark times), which must tally identical `fault_stats`.
 //!
 //! Fault firing is keyed on `(site, batch, attempt)`, so the whole suite is
 //! deterministic at any thread count; `ci.sh`'s chaos stage re-runs it under
@@ -13,8 +15,8 @@ use proptest::prelude::*;
 use qgtc_repro::core::fault::FAULTS_ENV;
 use qgtc_repro::core::serve::QgtcSession;
 use qgtc_repro::core::{
-    run_epoch, try_build_plan, try_run_epoch, try_run_epoch_streamed, BackendChoice, FaultKind,
-    FaultPlan, FaultSite, FaultSpec, ModelKind, QgtcConfig, QgtcError,
+    run_epoch, try_build_plan, try_run_epoch, try_run_epoch_with_plan, BackendChoice, EpochReport,
+    FaultKind, FaultPlan, FaultSite, FaultSpec, ModelKind, QgtcConfig, QgtcError,
 };
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
 use qgtc_repro::kernels::backend::resolve_auto;
@@ -37,12 +39,23 @@ fn profile_dataset(profile_idx: usize) -> (&'static str, LoadedDataset) {
     (profile.name, profile.materialize_tiny(31))
 }
 
+/// The epoch under `config` both ways into the batch loop: planned inline,
+/// then over a plan built fault-free beforehand.
+fn both_ways(dataset: &LoadedDataset, config: &QgtcConfig) -> [Result<EpochReport, QgtcError>; 2] {
+    let mut clean = config.clone();
+    clean.fault_plan = Some(FaultPlan::default());
+    let (plan, _) = try_build_plan(dataset, &clean).expect("the clean config plans");
+    [
+        try_run_epoch(dataset, config),
+        try_run_epoch_with_plan(dataset, config, &plan),
+    ]
+}
+
 fn tiny_config() -> QgtcConfig {
     // Pin the body `Auto` resolves to, so `fault_stats` attribute a loss to a
     // named body; every body is bitwise identical.
     QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
         .with_partitions(12, 2)
-        .with_prefetch(4)
         .with_backend(resolve_auto())
 }
 
@@ -50,7 +63,7 @@ proptest! {
     #![proptest_config(chaos_cases())]
 
     // Any plan of transient/corruption faults within the retry budget recovers
-    // to bitwise-identical output on both executors, with identical stats.
+    // to bitwise-identical output both ways, with identical stats.
     #[test]
     fn recoverable_plans_recover_bitwise_on_both_executors(
         profile_idx in 0usize..6,
@@ -74,13 +87,11 @@ proptest! {
             .collect();
         let faulty = config.clone().with_fault_plan(FaultPlan::new(specs));
 
-        let serial = try_run_epoch(&dataset, &faulty);
-        let streamed = try_run_epoch_streamed(&dataset, &faulty);
-        let serial = serial.unwrap_or_else(|err| panic!("{name}: serial must recover: {err}"));
-        let streamed =
-            streamed.unwrap_or_else(|err| panic!("{name}: streamed must recover: {err}"));
+        let [inline, given] = both_ways(&dataset, &faulty);
+        let inline = inline.unwrap_or_else(|err| panic!("{name}: must recover: {err}"));
+        let given = given.unwrap_or_else(|err| panic!("{name}: given plan must recover: {err}"));
 
-        for report in [&serial, &streamed] {
+        for report in [&inline, &given] {
             prop_assert_eq!(&report.cost, &clean.cost);
             prop_assert_eq!(&report.batch_costs, &clean.batch_costs);
             prop_assert_eq!(report.num_batches, clean.num_batches);
@@ -89,15 +100,14 @@ proptest! {
             // Recoverable plans never degrade the backend.
             prop_assert_eq!(report.fault_stats.degraded, 0);
         }
-        // Fault accounting is keyed on (site, batch, attempt), so the two
-        // executors must tally identically at any thread count.
-        prop_assert_eq!(serial.fault_stats, streamed.fault_stats);
+        // Fault accounting is keyed on (site, batch, attempt), so both ways
+        // must tally identically at any thread count.
+        prop_assert_eq!(inline.fault_stats, given.fault_stats);
         // Every retry cycle of a recovered epoch must be absorbed.
-        prop_assert_eq!(serial.fault_stats.retried, serial.fault_stats.recovered);
+        prop_assert_eq!(inline.fault_stats.retried, inline.fault_stats.recovered);
     }
 
-    // A fault outliving the retry budget surfaces as a typed error — from both
-    // executors, without hanging either stage of the streamed pipeline.
+    // A fault outliving the retry budget surfaces as a typed error both ways.
     #[test]
     fn exhausted_retry_budgets_fail_typed_on_both_executors(
         profile_idx in 0usize..6,
@@ -121,13 +131,11 @@ proptest! {
             attempts: 3 + 2,
         };
         let faulty = tiny_config().with_fault_plan(FaultPlan::new(vec![spec]));
-        for result in [
-            try_run_epoch(&dataset, &faulty),
-            try_run_epoch_streamed(&dataset, &faulty),
-        ] {
+        for result in both_ways(&dataset, &faulty) {
             match result {
-                Err(QgtcError::BatchFailed { batch, attempts, .. }) => {
+                Err(QgtcError::BatchFailed { batch, site: failed_at, attempts, .. }) => {
                     prop_assert_eq!(batch, 0);
+                    prop_assert_eq!(failed_at, site);
                     // The budget is 1 + max_batch_retries attempts.
                     prop_assert_eq!(attempts, 4);
                 }
@@ -145,14 +153,13 @@ proptest! {
         let clean = run_epoch(&dataset, &config);
         let plan = FaultPlan::seeded_transient(seed, clean.num_batches, 2);
         let faulty = config.with_fault_plan(plan);
-        let serial = try_run_epoch(&dataset, &faulty).expect("seeded plans are recoverable");
-        let streamed =
-            try_run_epoch_streamed(&dataset, &faulty).expect("seeded plans are recoverable");
-        prop_assert_eq!(&serial.cost, &clean.cost);
-        prop_assert_eq!(&streamed.cost, &clean.cost);
-        prop_assert_eq!(&serial.batch_costs, &clean.batch_costs);
-        prop_assert_eq!(&streamed.batch_costs, &clean.batch_costs);
-        prop_assert_eq!(serial.fault_stats, streamed.fault_stats);
+        let [inline, given] =
+            both_ways(&dataset, &faulty).map(|r| r.expect("seeded plans are recoverable"));
+        for report in [&inline, &given] {
+            prop_assert_eq!(&report.cost, &clean.cost);
+            prop_assert_eq!(&report.batch_costs, &clean.batch_costs);
+        }
+        prop_assert_eq!(inline.fault_stats, given.fault_stats);
     }
 }
 
@@ -165,10 +172,7 @@ fn backend_loss_degrades_to_portable_and_preserves_output() {
 
     if faulty.backend() == BackendChoice::Portable {
         // No AVX-512 on this host: the chain starts at its end.
-        for result in [
-            try_run_epoch(&dataset, &faulty),
-            try_run_epoch_streamed(&dataset, &faulty),
-        ] {
+        for result in both_ways(&dataset, &faulty) {
             assert!(
                 matches!(
                     result,
@@ -182,9 +186,8 @@ fn backend_loss_degrades_to_portable_and_preserves_output() {
         }
         return;
     }
-    let serial = try_run_epoch(&dataset, &faulty).expect("loss must degrade, not fail");
-    let streamed = try_run_epoch_streamed(&dataset, &faulty).expect("loss must degrade");
-    for report in [&serial, &streamed] {
+    for report in both_ways(&dataset, &faulty) {
+        let report = report.expect("loss must degrade, not fail");
         assert_eq!(report.fault_stats.injected, 1);
         assert_eq!(report.fault_stats.degraded, 1);
         assert_eq!(report.fault_stats.degraded_backend, Some("portable"));
@@ -210,9 +213,8 @@ fn gemm_corruption_recovers_bitwise_on_the_portable_body() {
     assert_eq!(portable_clean.batch_costs, clean.batch_costs);
 
     let faulty = portable.with_fault_plan(FaultPlan::parse("gemm:corrupt:1:2").expect("valid"));
-    let serial = try_run_epoch(&dataset, &faulty).expect("two corruptions fit the retry budget");
-    let streamed = try_run_epoch_streamed(&dataset, &faulty).expect("streamed must recover too");
-    for report in [&serial, &streamed] {
+    for report in both_ways(&dataset, &faulty) {
+        let report = report.expect("two corruptions fit the retry budget");
         assert_eq!(report.fault_stats.injected, 2);
         assert_eq!(report.fault_stats.retried, 2);
         assert_eq!(report.fault_stats.recovered, 2);
@@ -220,7 +222,6 @@ fn gemm_corruption_recovers_bitwise_on_the_portable_body() {
         assert_eq!(report.cost, clean.cost);
         assert_eq!(report.batch_costs, clean.batch_costs);
     }
-    assert_eq!(serial.fault_stats, streamed.fault_stats);
 }
 
 #[test]
@@ -229,10 +230,7 @@ fn backend_loss_on_portable_exhausts_the_fallback_chain() {
     let faulty = tiny_config()
         .with_backend(BackendChoice::Portable)
         .with_fault_plan(FaultPlan::parse("gemm:backend-loss:0").expect("valid"));
-    for result in [
-        try_run_epoch(&dataset, &faulty),
-        try_run_epoch_streamed(&dataset, &faulty),
-    ] {
+    for result in both_ways(&dataset, &faulty) {
         match result {
             Err(QgtcError::BackendLost { backend, batch }) => {
                 assert_eq!(backend, "portable");
@@ -261,14 +259,10 @@ fn partition_faults_retry_then_fail_typed() {
 
     // Losing the partitioner's execution resource is unrecoverable.
     let loss = config.with_fault_plan(FaultPlan::parse("partition:backend-loss").expect("valid"));
-    for result in [
-        try_run_epoch(&dataset, &loss),
-        try_run_epoch_streamed(&dataset, &loss),
-    ] {
-        assert!(
-            matches!(result, Err(QgtcError::PartitionFailed { attempts: 1 })),
-            "got {result:?}"
-        );
+    let planned = try_build_plan(&dataset, &loss).map(|_| ());
+    let epoch = try_run_epoch(&dataset, &loss).map(|_| ());
+    for result in [planned, epoch] {
+        assert_eq!(result, Err(QgtcError::PartitionFailed { attempts: 1 }));
     }
 }
 
@@ -277,9 +271,8 @@ fn known_plan_produces_exact_stats() {
     let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
     let faulty =
         tiny_config().with_fault_plan(FaultPlan::parse("prepare:transient:0:1").expect("valid"));
-    let serial = try_run_epoch(&dataset, &faulty).expect("one transient recovers");
-    let streamed = try_run_epoch_streamed(&dataset, &faulty).expect("one transient recovers");
-    for report in [&serial, &streamed] {
+    for report in both_ways(&dataset, &faulty) {
+        let report = report.expect("one transient recovers");
         assert_eq!(report.fault_stats.injected, 1);
         assert_eq!(report.fault_stats.retried, 1);
         assert_eq!(report.fault_stats.recovered, 1);
@@ -323,6 +316,7 @@ fn try_build_plan_rejects_degenerate_configs_typed() {
 fn non_finite_features_are_a_typed_error_naming_the_first_one() {
     let clean = DatasetProfile::PROTEINS.materialize_tiny(31);
     let config = tiny_config();
+    let (plan, _) = try_build_plan(&clean, &config).expect("clean features plan");
     let cols = clean.features.cols();
     for (bad, node, column) in [
         (f32::NAN, 7, 3),
@@ -342,6 +336,12 @@ fn non_finite_features_are_a_typed_error_naming_the_first_one() {
             try_run_epoch(&dataset, &config).map(|_| ()),
             Err(expected.clone())
         );
+        // A given plan skips the plan stage's scan; the pack's calibration
+        // catches the value and reports the same one.
+        assert_eq!(
+            try_run_epoch_with_plan(&dataset, &config, &plan).map(|_| ()),
+            Err(expected.clone())
+        );
         assert_eq!(
             QgtcSession::new(&dataset, &config).map(|_| ()).unwrap_err(),
             expected
@@ -356,6 +356,7 @@ fn finite_features_too_wide_for_f32_are_a_typed_error() {
     // could be given a finite quantization scale.
     let mut dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
     let config = tiny_config();
+    let (plan, _) = try_build_plan(&dataset, &config).expect("clean features plan");
     dataset.features[(0, 0)] = -2e38;
     dataset.features[(1, 1)] = 2e38;
     let expected = QgtcError::FeatureRangeOverflow {
@@ -368,6 +369,10 @@ fn finite_features_too_wide_for_f32_are_a_typed_error() {
     );
     assert_eq!(
         try_run_epoch(&dataset, &config).map(|_| ()),
+        Err(expected.clone())
+    );
+    assert_eq!(
+        try_run_epoch_with_plan(&dataset, &config, &plan).map(|_| ()),
         Err(expected.clone())
     );
     assert_eq!(
@@ -396,10 +401,7 @@ fn overflowing_activations_fail_the_epoch_typed_on_both_executors() {
     let dataset = overflowing_dataset();
     let config = tiny_config();
     assert!(try_build_plan(&dataset, &config).is_ok());
-    for result in [
-        try_run_epoch(&dataset, &config),
-        try_run_epoch_streamed(&dataset, &config),
-    ] {
+    for result in both_ways(&dataset, &config) {
         match result {
             Err(err @ QgtcError::NonFiniteActivations { .. }) => {
                 assert!(err.to_string().contains("overflowed"), "{err}");

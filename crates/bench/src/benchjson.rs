@@ -5,9 +5,10 @@
 //! rots: the `benchcheck` binary parses each file with the minimal JSON reader
 //! here (the offline serde shim has no JSON support, and the reports are written
 //! by string formatting anyway) and checks it against a [`BenchSpec`] — required
-//! top-level keys, required per-row keys, a non-empty row array, and every
-//! recorded speedup clearing the bar recorded next to it.  The committed tune
-//! table gets the same strictness: its condensation threshold and metadata.
+//! top-level keys and no unnamed ones, required per-row keys, a non-empty row
+//! array, and every recorded speedup clearing the bar recorded next to it.
+//! The committed tune table gets the same strictness: its condensation
+//! threshold and metadata.
 
 use std::iter::Peekable;
 use std::str::Chars;
@@ -192,7 +193,13 @@ fn parse_object(chars: &mut Peekable<Chars<'_>>) -> Result<JsonValue, String> {
     }
 }
 
+/// Top-level keys any report may carry beside the ones its [`BenchSpec`]
+/// names: provenance and description that no gate reads.
+pub const INFORMATIONAL_KEYS: [&str; 4] = ["generated_by", "note", "workload", "interarrival_ms"];
+
 /// What a committed BENCH report must contain to be considered healthy.
+/// A report may carry no other top-level key than `bench`, these and the
+/// [`INFORMATIONAL_KEYS`], so a file written by an older perfsmoke fails.
 pub struct BenchSpec {
     /// File name at the repo root.
     pub file: &'static str,
@@ -262,9 +269,6 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
                 "shards",
                 "wall_speedup",
                 "wall_not_slower_bar",
-                "modeled_shard_speedup_largest",
-                "modeled_shard_bar",
-                "largest_profile",
             ],
             rows_key: "datasets",
             row_keys: &[
@@ -274,12 +278,8 @@ pub fn committed_bench_specs() -> Vec<BenchSpec> {
                 "num_parts",
                 "serial_wall_ms",
                 "sharded_wall_ms",
-                "modeled_shard_speedup",
             ],
-            gates: &[
-                ("wall_speedup", "wall_not_slower_bar"),
-                ("modeled_shard_speedup_largest", "modeled_shard_bar"),
-            ],
+            gates: &[("wall_speedup", "wall_not_slower_bar")],
         },
         BenchSpec {
             file: "BENCH_backend.json",
@@ -453,6 +453,20 @@ pub fn validate_bench_report(spec: &BenchSpec, text: &str) -> Result<String, Str
             return Err(format!("{}: missing required key {key:?}", spec.file));
         }
     }
+    if let JsonValue::Obj(fields) = &doc {
+        let named = |key: &str| {
+            key == "bench"
+                || key == spec.rows_key
+                || spec.required_keys.contains(&key)
+                || INFORMATIONAL_KEYS.contains(&key)
+        };
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !named(key)) {
+            return Err(format!(
+                "{}: carries top-level key {key:?}, which its spec does not name; regenerate it",
+                spec.file
+            ));
+        }
+    }
     let rows = doc
         .get(spec.rows_key)
         .and_then(JsonValue::as_array)
@@ -522,15 +536,20 @@ mod tests {
         format!(
             concat!(
                 "{{\"bench\": \"partition_serial_vs_sharded\", \"scale\": \"fast\", ",
-                "\"reps\": 3, \"shards\": 8, \"wall_speedup\": 1.0, ",
-                "\"wall_not_slower_bar\": 0.95, \"modeled_shard_speedup_largest\": {speedup}, ",
-                "\"modeled_shard_bar\": 1.5, \"largest_profile\": \"ogbn-products\", ",
+                "\"reps\": 3, \"shards\": 8, \"generated_by\": \"perfsmoke\", ",
+                "\"wall_speedup\": {speedup}, \"wall_not_slower_bar\": 0.95, ",
                 "\"datasets\": [{{\"dataset\": \"ogbn-products\", \"nodes\": 1, \"edges\": 1, ",
-                "\"num_parts\": 4, \"serial_wall_ms\": 1.0, \"sharded_wall_ms\": 1.0, ",
-                "\"modeled_shard_speedup\": {speedup}}}]}}"
+                "\"num_parts\": 4, \"serial_wall_ms\": 1.0, \"sharded_wall_ms\": 1.0}}]}}"
             ),
             speedup = speedup
         )
+    }
+
+    fn partition_spec() -> BenchSpec {
+        committed_bench_specs()
+            .into_iter()
+            .find(|s| s.file == "BENCH_partition.json")
+            .unwrap()
     }
 
     fn minimal_gemm_report(sparse_speedup: f64, sparse_ratio: f64) -> String {
@@ -694,22 +713,34 @@ mod tests {
 
     #[test]
     fn validates_a_healthy_partition_report() {
-        let spec = committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_partition.json")
-            .unwrap();
-        let summary = validate_bench_report(&spec, &minimal_partition_report(2.0)).unwrap();
+        let summary =
+            validate_bench_report(&partition_spec(), &minimal_partition_report(1.2)).unwrap();
         assert!(summary.contains("1 rows"), "{summary}");
+        assert!(summary.contains("wall_speedup 1.200 >= 0.950"), "{summary}");
     }
 
     #[test]
     fn rejects_speedup_below_committed_bar() {
-        let spec = committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_partition.json")
-            .unwrap();
-        let err = validate_bench_report(&spec, &minimal_partition_report(1.2)).unwrap_err();
-        assert!(err.contains("below its committed bar"), "{err}");
+        let err =
+            validate_bench_report(&partition_spec(), &minimal_partition_report(0.9)).unwrap_err();
+        assert!(
+            err.contains("recorded wall_speedup 0.900 is below its committed bar 0.950"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_partition_report_still_carrying_the_retired_modeled_keys() {
+        let stale = minimal_partition_report(1.2).replace(
+            "\"wall_not_slower_bar\": 0.95, ",
+            "\"wall_not_slower_bar\": 0.95, \"modeled_shard_speedup_largest\": 4.2, \
+             \"modeled_shard_bar\": 1.5, \"largest_profile\": \"ogbn-products\", ",
+        );
+        let err = validate_bench_report(&partition_spec(), &stale).unwrap_err();
+        assert!(
+            err.contains("top-level key \"modeled_shard_speedup_largest\""),
+            "{err}"
+        );
     }
 
     fn minimal_serving_report(throughput: f64, hit_rate: f64, pool_ok: u64) -> String {
@@ -919,12 +950,8 @@ mod tests {
 
     #[test]
     fn rejects_missing_row_keys() {
-        let spec = committed_bench_specs()
-            .into_iter()
-            .find(|s| s.file == "BENCH_partition.json")
-            .unwrap();
         let broken = minimal_partition_report(2.0).replace("\"edges\": 1, ", "");
-        let err = validate_bench_report(&spec, &broken).unwrap_err();
+        let err = validate_bench_report(&partition_spec(), &broken).unwrap_err();
         assert!(err.contains("missing key \"edges\""), "{err}");
     }
 }

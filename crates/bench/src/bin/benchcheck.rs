@@ -3,10 +3,10 @@
 //!
 //! Each committed report is parsed and checked against its contract (see
 //! [`qgtc_bench::benchjson`]): the `bench` identifier, the required top-level
-//! keys, a non-empty row array with the expected per-row keys, and every
-//! recorded speedup clearing the bar committed beside it. A stale, truncated or
-//! regressed report therefore fails CI instead of silently rotting at the repo
-//! root.  The tune table gets the strict validation the forgiving runtime
+//! keys and no top-level key its spec does not name, a non-empty row array
+//! with the expected per-row keys, and every recorded speedup clearing the bar
+//! committed beside it. A stale, truncated or regressed report therefore fails
+//! CI instead of silently rotting at the repo root.  The tune table gets the strict validation the forgiving runtime
 //! loader deliberately omits: a missing or malformed condensation threshold,
 //! missing metadata, or leftover tiling-scheme entries all fail CI.
 //!

@@ -13,9 +13,12 @@
 //! 1 to 32 bits, but the kernel accumulates in `i64`: a product whose
 //! `a_bits + b_bits + ⌈log2 K⌉` exceeds 63 could wrap, so both return
 //! [`QgtcError::AccumulatorOverflow`] for it instead of a wrong answer.
+//! Operands in the wrong layout or with unequal inner dimensions are
+//! [`QgtcError::OperandMismatch`]; either error returns before the kernel runs.
 
 use crate::bit_tensor::BitTensor;
 use crate::fault::QgtcError;
+use qgtc_bitmat::BitMatrixLayout;
 use qgtc_kernels::bmm::{accumulator_fits, qgtc_bitmm2int, qgtc_bmm_with_epilogue, KernelConfig};
 use qgtc_kernels::fusion::FusedEpilogue;
 use qgtc_tcsim::cost::CostTracker;
@@ -24,7 +27,9 @@ use qgtc_tensor::{Matrix, QuantParams};
 /// `bitMM2Int`: multiply two bit tensors and return the integer accumulator matrix.
 ///
 /// The left operand must be row-packed and the right operand column-packed (the
-/// layouts `to_bit` produces for left/right operands respectively).  Fails with
+/// layouts `to_bit` produces for left/right operands respectively), with the
+/// left's columns matching the right's rows; otherwise this fails with
+/// [`QgtcError::OperandMismatch`].  Fails with
 /// [`QgtcError::AccumulatorOverflow`] when the product could overflow `i64`.
 pub fn bit_mm_to_int(
     a: &BitTensor,
@@ -32,13 +37,25 @@ pub fn bit_mm_to_int(
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Result<Matrix<i64>, QgtcError> {
-    check_accumulator(a, b)?;
+    check_operands(a, b)?;
     Ok(qgtc_bitmm2int(a.stack(), b.stack(), config, tracker))
 }
 
-/// [`QgtcError::AccumulatorOverflow`] unless `a · b` fits the `i64`
-/// accumulators.
-fn check_accumulator(a: &BitTensor, b: &BitTensor) -> Result<(), QgtcError> {
+/// [`QgtcError::OperandMismatch`] unless `a` is row-packed, `b` column-packed
+/// and their inner dimensions agree, then [`QgtcError::AccumulatorOverflow`]
+/// unless `a · b` fits the `i64` accumulators.
+fn check_operands(a: &BitTensor, b: &BitTensor) -> Result<(), QgtcError> {
+    if a.layout() != BitMatrixLayout::RowPacked
+        || b.layout() != BitMatrixLayout::ColPacked
+        || a.shape().1 != b.shape().0
+    {
+        return Err(QgtcError::OperandMismatch {
+            a_shape: a.shape(),
+            a_layout: a.layout(),
+            b_shape: b.shape(),
+            b_layout: b.layout(),
+        });
+    }
     let k = a.stack().cols();
     if !accumulator_fits(a.bits(), b.bits(), k) {
         return Err(QgtcError::AccumulatorOverflow {
@@ -71,7 +88,7 @@ pub fn bit_mm_to_bit(
     if !(1..=32).contains(&out_bits) {
         return Err(QgtcError::InvalidBitwidth { bits: out_bits });
     }
-    check_accumulator(a, b)?;
+    check_operands(a, b)?;
     let epilogue =
         FusedEpilogue::requantize_right_operand(1.0, out_bits).with_fused(config.fused_epilogue);
     let (stack, params) = qgtc_bmm_with_epilogue(a.stack(), b.stack(), &epilogue, config, tracker)
@@ -85,7 +102,6 @@ pub fn bit_mm_to_bit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgtc_bitmat::BitMatrixLayout;
     use qgtc_tensor::gemm::gemm_i64;
     use qgtc_tensor::rng::random_uniform_matrix;
 
@@ -141,6 +157,51 @@ mod tests {
             );
             assert_eq!(tracker.snapshot().tc_b1_tiles, 0, "nothing ran");
         }
+    }
+
+    /// Both entries reject `a · b` with `OperandMismatch`, leaving the tracker untouched.
+    fn assert_operand_mismatch(a: &BitTensor, b: &BitTensor) {
+        let expected = Err(QgtcError::OperandMismatch {
+            a_shape: a.shape(),
+            a_layout: a.layout(),
+            b_shape: b.shape(),
+            b_layout: b.layout(),
+        });
+        let config = KernelConfig::default();
+        let tracker = CostTracker::new();
+        assert_eq!(bit_mm_to_int(a, b, &config, &tracker).map(|_| ()), expected);
+        assert_eq!(
+            bit_mm_to_bit(a, b, 4, &config, &tracker).map(|_| ()),
+            expected
+        );
+        assert_eq!(
+            tracker.snapshot(),
+            CostTracker::new().snapshot(),
+            "nothing ran"
+        );
+    }
+
+    #[test]
+    fn a_column_packed_left_operand_is_a_typed_error() {
+        let a = BitTensor::from_codes(&codes(4, 64, 2, 12), 2, BitMatrixLayout::ColPacked);
+        let b = BitTensor::from_codes(&codes(64, 4, 2, 13), 2, BitMatrixLayout::ColPacked);
+        assert_operand_mismatch(&a, &b);
+    }
+
+    #[test]
+    fn a_row_packed_right_operand_is_a_typed_error() {
+        let a = BitTensor::from_codes(&codes(4, 64, 2, 14), 2, BitMatrixLayout::RowPacked);
+        let b = BitTensor::from_codes(&codes(64, 4, 2, 15), 2, BitMatrixLayout::RowPacked);
+        assert_operand_mismatch(&a, &b);
+    }
+
+    #[test]
+    fn unequal_inner_dimensions_are_a_typed_error() {
+        let a = BitTensor::from_codes(&codes(4, 64, 2, 16), 2, BitMatrixLayout::RowPacked);
+        let b = BitTensor::from_codes(&codes(65, 4, 2, 17), 2, BitMatrixLayout::ColPacked);
+        assert_operand_mismatch(&a, &b);
+        let err = bit_mm_to_int(&a, &b, &KernelConfig::default(), &CostTracker::new());
+        assert!(err.unwrap_err().to_string().contains("4x64 RowPacked"));
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::fault::{FaultPlan, QgtcError};
 use qgtc_kernels::backend::{env_backend, BackendChoice};
 use qgtc_kernels::bmm::{env_adjacency_path, AdjacencyPath, KernelConfig};
 use qgtc_kernels::packing::TransferStrategy;
-use qgtc_partition::Parallelism;
 use qgtc_tcsim::GpuSpec;
 
 /// Which GNN model to run.
@@ -41,7 +40,6 @@ pub enum ExecutionPath {
 /// |---|---|---|
 /// | [`with_partitions`](Self::with_partitions) | `num_partitions`, `batch_size` (fields) | partition count × partitions per batch |
 /// | [`with_prefetch`](Self::with_prefetch) | `prefetch_batches` (field) | modeled staging depth of the pipelined latency |
-/// | [`with_partition_parallelism`](Self::with_partition_parallelism) | `partition_parallelism` (field) | partitioner shard mode |
 /// | [`with_backend`](Self::with_backend) | [`backend`](Self::backend) | kernel GEMM backend |
 /// | [`with_adjacency_path`](Self::with_adjacency_path) | [`adjacency_path`](Self::adjacency_path) | aggregation kernel: zero-word skip vs condensed |
 /// | [`with_fault_plan`](Self::with_fault_plan) | `fault_plan` (field) | chaos-testing fault plan |
@@ -77,13 +75,6 @@ pub struct QgtcConfig {
     /// (the default).  It changes no host work: every depth runs the same
     /// batch loop and records the same counters.
     pub prefetch_batches: usize,
-    /// How the METIS-substitute partitioner shards its phases over the worker
-    /// pool when [`crate::pipeline::try_build_plan`] (and so `run_epoch` and
-    /// the serving session) builds the batch plan. The partitioning is bitwise
-    /// identical in every mode (the partitioner's determinism contract);
-    /// `Auto` (the default) uses one shard per pool thread and therefore
-    /// degenerates to the serial sweep on single-core hosts.
-    pub partition_parallelism: Parallelism,
     /// Faults to inject into the epoch, for chaos testing the supervisor. `None`
     /// (the default) falls back to the `QGTC_FAULTS` environment spec, and an
     /// empty plan injects nothing. See [`crate::fault`].
@@ -109,7 +100,6 @@ impl Default for QgtcConfig {
             gpu: GpuSpec::rtx3090(),
             seed: 0xC0FFEE,
             prefetch_batches: 2,
-            partition_parallelism: Parallelism::Auto,
             fault_plan: None,
             max_batch_retries: 3,
         }
@@ -155,12 +145,6 @@ impl QgtcConfig {
         self
     }
 
-    /// Set the partitioner's parallelism mode.
-    pub fn with_partition_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.partition_parallelism = parallelism;
-        self
-    }
-
     /// The popcount body every GEMM of this configuration runs on.
     pub fn backend(&self) -> BackendChoice {
         self.kernel.backend
@@ -201,6 +185,12 @@ impl QgtcConfig {
     pub fn with_max_batch_retries(mut self, retries: usize) -> Self {
         self.max_batch_retries = retries;
         self
+    }
+
+    /// The retry budget in the supervisors' `u32` attempt counter:
+    /// `max_batch_retries`, saturated at `u32::MAX` rather than wrapped.
+    pub(crate) fn retry_budget(&self) -> u32 {
+        u32::try_from(self.max_batch_retries).unwrap_or(u32::MAX)
     }
 
     /// Check the config-local invariants the old panicking entry points enforced
@@ -295,15 +285,6 @@ mod tests {
     #[test]
     fn prefetch_defaults_to_double_buffering() {
         assert_eq!(QgtcConfig::default().prefetch_batches, 2);
-    }
-
-    #[test]
-    fn partitioner_defaults_to_auto_parallelism() {
-        let c = QgtcConfig::default();
-        assert_eq!(c.partition_parallelism, Parallelism::Auto);
-        let pinned = c.with_partition_parallelism(Parallelism::Sharded(4));
-        assert_eq!(pinned.partition_parallelism, Parallelism::Sharded(4));
-        assert_eq!(pinned.partition_parallelism.effective_shards(), 4);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! Anything the supervisor cannot absorb surfaces as a [`QgtcError`] from the
 //! `try_*` entry points instead of a panic.
 
+use qgtc_bitmat::BitMatrixLayout;
 use qgtc_graph::GraphError;
 use qgtc_kernels::backend::{resolve_auto, BackendChoice};
 use qgtc_partition::PartitionError;
@@ -527,6 +528,19 @@ pub enum QgtcError {
         /// The requested bitwidth.
         bits: u32,
     },
+    /// Bit-tensor operands the kernel cannot multiply: the left one must be
+    /// row-packed, the right one column-packed, and the left's column count
+    /// must equal the right's row count.
+    OperandMismatch {
+        /// `(rows, cols)` of the left operand.
+        a_shape: (usize, usize),
+        /// Packing layout of the left operand.
+        a_layout: BitMatrixLayout,
+        /// `(rows, cols)` of the right operand.
+        b_shape: (usize, usize),
+        /// Packing layout of the right operand.
+        b_layout: BitMatrixLayout,
+    },
 }
 
 impl std::fmt::Display for QgtcError {
@@ -576,6 +590,17 @@ impl std::fmt::Display for QgtcError {
             QgtcError::InvalidBitwidth { bits } => {
                 write!(f, "{bits}-bit codes are outside the supported 1..=32 bits")
             }
+            QgtcError::OperandMismatch {
+                a_shape: (a_rows, a_cols),
+                a_layout,
+                b_shape: (b_rows, b_cols),
+                b_layout,
+            } => write!(
+                f,
+                "cannot multiply a {a_rows}x{a_cols} {a_layout:?} bit tensor by a \
+                 {b_rows}x{b_cols} {b_layout:?} one (need a RowPacked left operand, a \
+                 ColPacked right operand and equal inner dimensions)"
+            ),
         }
     }
 }

@@ -87,10 +87,6 @@ pub struct EpochReport {
     /// Host wall-clock spent partitioning the graph and building the batch plan,
     /// in milliseconds.
     pub partition_ms: f64,
-    /// Shard count the partitioner ran with (1 = the serial sweep; 0 when the
-    /// epoch ran over an externally supplied plan, so no partitioning happened
-    /// inside this report's scope).
-    pub partition_shards: usize,
     /// Number of (non-empty) batches executed.
     pub num_batches: usize,
     /// Number of nodes processed.
@@ -225,8 +221,8 @@ pub(crate) struct EpochState {
 
 /// The plan stage: partition the graph and build the indexable batch plan (the
 /// preprocessing the paper excludes from its epoch measurement). Returns the
-/// plan plus the shard count the partitioner resolved
-/// `config.partition_parallelism` to.
+/// plan plus the shard count the partitioner ran with (one per pool thread,
+/// [`qgtc_partition::Parallelism::Auto`]).
 ///
 /// Validates the config ([`QgtcConfig::validate`]) and the dataset features
 /// (a NaN or infinite value is [`QgtcError::NonFiniteFeature`], a range wider
@@ -251,7 +247,7 @@ pub(crate) fn supervised_build_plan(
 ) -> Result<(PartitionBatcher, usize), QgtcError> {
     config.validate()?;
     check_finite_features(dataset)?;
-    let max_retries = config.max_batch_retries as u32;
+    let max_retries = config.retry_budget();
     let mut attempt = 0u32;
     let mut absorbed = 0u64;
     while let Some(kind) = injector.and_then(|i| i.fault_at(FaultSite::Partition, 0, attempt)) {
@@ -267,8 +263,7 @@ pub(crate) fn supervised_build_plan(
         backoff(attempt);
         attempt += 1;
     }
-    let partition_config = PartitionConfig::with_parts(config.num_partitions)
-        .with_parallelism(config.partition_parallelism);
+    let partition_config = PartitionConfig::with_parts(config.num_partitions);
     let shards = partition_config.parallelism.effective_shards();
     let partitioning = try_partition_kway(&dataset.graph, &partition_config)?;
     let batcher = PartitionBatcher::try_new(&partitioning, config.batch_size)?;
@@ -327,7 +322,9 @@ fn backoff(attempt: u32) {
 /// wider than `f32`) fail with the plan stage's typed error, which names the
 /// dataset's first offending value: the pack's own range scan detects the
 /// case, so a given plan, which skips the plan stage's dataset scan, pays
-/// nothing extra on clean features.
+/// nothing extra on clean features.  The dense baseline path packs nothing,
+/// so it scans each batch's gathered features for a NaN or infinite value
+/// and fails with the same error.
 pub(crate) fn prepare_batch(
     batcher: &PartitionBatcher,
     dataset: &LoadedDataset,
@@ -371,7 +368,14 @@ pub(crate) fn prepare_batch(
             }
             Ok(prepared)
         }
-        ExecutionPath::DglBaseline => Ok(PreparedBatch::dense(index, subgraph, features)),
+        ExecutionPath::DglBaseline => {
+            // No pack calibrates the dense path's features, so it checks the
+            // gathered values; they are the dataset's, so its scan names one.
+            if !features.data().iter().all(|v| v.is_finite()) {
+                check_finite_features(dataset)?;
+            }
+            Ok(PreparedBatch::dense(index, subgraph, features))
+        }
     }
 }
 
@@ -453,7 +457,7 @@ pub(crate) fn supervise_prepare(
     index: usize,
     mut prepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
-    let max_retries = config.max_batch_retries as u32;
+    let max_retries = config.retry_budget();
     let mut attempt = 0u32;
     let mut absorbed = 0u64;
     loop {
@@ -528,7 +532,7 @@ pub(crate) fn supervise_delivered(
     index: usize,
     mut reprepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
-    let max_retries = config.max_batch_retries as u32;
+    let max_retries = config.retry_budget();
     let mut attempt = 0u32;
     let mut absorbed = 0u64;
     loop {
@@ -593,7 +597,7 @@ pub(crate) fn supervise_dispatch(
     let Some(injector) = injector else {
         return Ok(());
     };
-    let max_retries = ctx.config.max_batch_retries as u32;
+    let max_retries = ctx.config.retry_budget();
     let mut attempt = 0u32;
     let mut absorbed = 0u64;
     loop {
@@ -642,8 +646,8 @@ pub(crate) fn supervise_dispatch(
 /// Run one epoch of `dataset` under `config` over `plan` or, when it is
 /// `None`, over a plan partitioned inline.
 ///
-/// A given plan reports `partition_ms` and `partition_shards` as 0 because no
-/// partitioning happens in the run's scope.  Its batch size must match what
+/// A given plan reports `partition_ms` as 0 because no partitioning happens
+/// in the run's scope.  Its batch size must match what
 /// `config` describes for the report's granularity fields to be meaningful,
 /// but nothing is re-derived from `config.num_partitions`/`config.batch_size`.
 fn run_epoch_on(
@@ -655,22 +659,20 @@ fn run_epoch_on(
     // Partitioning is host-side preprocessing, excluded from `host_wall_ms`
     // and timed separately — matching the paper's measurement.
     let built;
-    let (batcher, partition_ms, partition_shards) = match plan {
+    let (batcher, partition_ms) = match plan {
         Some(batcher) => {
             // The plan stage validates the config; a given plan skips it.
             config.validate()?;
-            (batcher, 0.0, 0)
+            (batcher, 0.0)
         }
         None => {
             let start = Instant::now();
-            let (plan, shards) = supervised_build_plan(dataset, config, injector.as_ref())?;
-            built = plan;
-            (&built, start.elapsed().as_secs_f64() * 1e3, shards)
+            built = supervised_build_plan(dataset, config, injector.as_ref())?.0;
+            (&built, start.elapsed().as_secs_f64() * 1e3)
         }
     };
     let mut report = run_batches(dataset, config, batcher, injector.as_ref())?;
     report.partition_ms = partition_ms;
-    report.partition_shards = partition_shards;
     Ok(report)
 }
 
@@ -720,7 +722,6 @@ fn run_batches(
         pipeline,
         host_wall_ms: epoch_start.elapsed().as_secs_f64() * 1e3,
         partition_ms: 0.0,
-        partition_shards: 0,
         num_batches: state.num_batches,
         num_nodes: state.num_nodes,
         cost,
@@ -755,7 +756,7 @@ pub fn try_run_epoch(
 ///
 /// For callers that partitioned the graph themselves (or amortise one
 /// partitioning across several epochs — the serving layer's construction
-/// pattern); `partition_ms` and `partition_shards` report 0.
+/// pattern); `partition_ms` reports 0.
 pub fn run_epoch_with_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
@@ -801,10 +802,6 @@ mod tests {
         assert!(report.modeled_ms > 0.0);
         assert!(report.host_wall_ms > 0.0);
         assert!(report.partition_ms > 0.0);
-        assert!(
-            report.partition_shards >= 1,
-            "run_epoch partitions inline, so it must report the shard count"
-        );
         assert_eq!(report.batch_costs.len(), report.num_batches);
     }
 

@@ -8,7 +8,7 @@
 use qgtc_graph::CsrGraph;
 
 use crate::matching::Matching;
-use crate::shard::{map_shards, ShardStats};
+use crate::shard::map_shards;
 
 /// An undirected graph with integer node and edge weights, stored as adjacency lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,12 +95,6 @@ impl WeightedGraph {
     pub fn total_edge_weight(&self) -> u64 {
         self.total_edge_weight
     }
-
-    /// Number of adjacency entries (each undirected edge counted twice) — the
-    /// work-unit currency of the sharded phases' accounting.
-    pub fn num_adjacency_entries(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
-    }
 }
 
 /// One level of the coarsening hierarchy: the coarse graph plus the mapping from fine
@@ -113,26 +107,16 @@ pub struct CoarseLevel {
     pub coarse_of: Vec<usize>,
 }
 
-/// Contract a matching: each matched pair becomes one coarse node, unmatched nodes map
-/// to singleton coarse nodes. Serial convenience over [`contract_sharded`].
-pub fn contract(graph: &WeightedGraph, matching: &Matching) -> CoarseLevel {
-    contract_sharded(graph, matching, 1, &mut ShardStats::new(1))
-}
-
-/// Contract a matching with the coarse-row construction dealt over `shards`
-/// contiguous coarse-node ranges on the worker pool.
+/// Contract a matching: each matched pair becomes one coarse node, unmatched
+/// nodes map to singleton coarse nodes. The coarse rows are built over
+/// `shards` contiguous coarse-node ranges on the worker pool.
 ///
 /// The fine-to-coarse renumbering is a cheap serial first-visit scan (its order
 /// defines the coarse ids, so it stays on one thread); every coarse node's
 /// adjacency row and weight then depend only on its own (at most two) fine
 /// members, so the rows are built shard-parallel and concatenated in shard
 /// order — bitwise identical output for every shard count.
-pub fn contract_sharded(
-    graph: &WeightedGraph,
-    matching: &Matching,
-    shards: usize,
-    stats: &mut ShardStats,
-) -> CoarseLevel {
+pub fn contract(graph: &WeightedGraph, matching: &Matching, shards: usize) -> CoarseLevel {
     let n = graph.num_nodes();
     // Serial renumber in first-visit order; `rep[c]` is the first fine node of
     // coarse node `c` (its mate, when matched, is the only other member).
@@ -149,7 +133,6 @@ pub fn contract_sharded(
         }
         rep.push(u);
     }
-    stats.record_serial(n as u64);
     let coarse_n = rep.len();
 
     // Parallel: each coarse row from its own members, duplicates merged by a
@@ -158,24 +141,23 @@ pub fn contract_sharded(
     type CoarseRow = (Vec<(usize, u64)>, u64);
     let coarse_of_ref = &coarse_of;
     let rep_ref = &rep;
-    let shard_rows: Vec<(Vec<CoarseRow>, u64)> = map_shards(coarse_n, shards, |range| {
-        let mut units = 0u64;
-        let rows: Vec<CoarseRow> = range
+    let shard_rows: Vec<Vec<CoarseRow>> = map_shards(coarse_n, shards, |range| {
+        // One scratch row per shard: no malloc/free pair per coarse node.
+        let mut row: Vec<(usize, u64)> = Vec::new();
+        range
             .map(|c| {
                 let u = rep_ref[c];
                 let v = matching.mate[u];
-                let mut row: Vec<(usize, u64)> = Vec::new();
+                row.clear();
                 let mut weight = graph.node_weight(u);
-                units += 1 + graph.neighbors(u).len() as u64;
                 push_coarse_neighbors(graph, u, c, coarse_of_ref, &mut row);
                 if v != u {
                     weight += graph.node_weight(v);
-                    units += graph.neighbors(v).len() as u64;
                     push_coarse_neighbors(graph, v, c, coarse_of_ref, &mut row);
                 }
                 row.sort_unstable_by_key(|&(cv, _)| cv);
                 let mut merged: Vec<(usize, u64)> = Vec::with_capacity(row.len());
-                for (cv, w) in row {
+                for &(cv, w) in &row {
                     match merged.last_mut() {
                         Some((last, acc)) if *last == cv => *acc += w,
                         _ => merged.push((cv, w)),
@@ -183,25 +165,19 @@ pub fn contract_sharded(
                 }
                 (merged, weight)
             })
-            .collect();
-        (rows, units)
+            .collect()
     });
-    let units: Vec<u64> = shard_rows.iter().map(|(_, u)| *u).collect();
-    stats.record_dispatch(&units);
 
     let mut adj_lists: Vec<Vec<(usize, u64)>> = Vec::with_capacity(coarse_n);
     let mut node_weights: Vec<u64> = Vec::with_capacity(coarse_n);
-    for (rows, _) in shard_rows {
-        for (row, weight) in rows {
-            adj_lists.push(row);
-            node_weights.push(weight);
-        }
+    for (row, weight) in shard_rows.into_iter().flatten() {
+        adj_lists.push(row);
+        node_weights.push(weight);
     }
     let total = adj_lists
         .iter()
         .map(|l| l.iter().map(|&(_, w)| w).sum::<u64>())
         .sum();
-    stats.record_serial(coarse_n as u64);
     CoarseLevel {
         graph: WeightedGraph {
             adj: adj_lists,
@@ -256,8 +232,8 @@ mod tests {
     #[test]
     fn contraction_preserves_node_weight() {
         let g = cycle(8);
-        let m = heavy_edge_matching(&g, 1);
-        let level = contract(&g, &m);
+        let m = heavy_edge_matching(&g, 1, 1);
+        let level = contract(&g, &m, 1);
         assert_eq!(level.graph.total_node_weight(), 8);
         assert_eq!(level.graph.num_nodes(), 8 - m.num_pairs);
         // Every fine node maps to a valid coarse node.
@@ -277,7 +253,7 @@ mod tests {
             mate: vec![1, 0, 3, 2],
             num_pairs: 2,
         };
-        let level = contract(&g, &matching);
+        let level = contract(&g, &matching, 1);
         assert_eq!(level.graph.num_nodes(), 2);
         let nbrs = level.graph.neighbors(0);
         assert_eq!(nbrs.len(), 1);
@@ -293,7 +269,7 @@ mod tests {
             mate: vec![1, 0],
             num_pairs: 1,
         };
-        let level = contract(&g, &matching);
+        let level = contract(&g, &matching, 1);
         assert_eq!(level.graph.num_nodes(), 1);
         assert_eq!(level.graph.total_edge_weight(), 0);
         assert_eq!(level.graph.node_weight(0), 2);
@@ -309,14 +285,12 @@ mod tests {
     fn sharded_contraction_is_bitwise_identical_to_serial() {
         let g = cycle(37);
         for seed in [1u64, 6] {
-            let m = heavy_edge_matching(&g, seed);
-            let serial = contract(&g, &m);
+            let m = heavy_edge_matching(&g, seed, 1);
+            let serial = contract(&g, &m, 1);
             for shards in [2usize, 3, 8, 64] {
-                let mut stats = ShardStats::new(shards);
-                let sharded = contract_sharded(&g, &m, shards, &mut stats);
+                let sharded = contract(&g, &m, shards);
                 assert_eq!(serial.graph, sharded.graph, "seed {seed}, {shards} shards");
                 assert_eq!(serial.coarse_of, sharded.coarse_of);
-                assert_eq!(stats.dispatches, 1);
             }
         }
     }

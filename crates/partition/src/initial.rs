@@ -1,6 +1,6 @@
 //! Initial k-way partitioning of the coarsest graph.
 //!
-//! After coarsening stops, the coarse graph has on the order of `4 * k` nodes.  We
+//! After coarsening stops, the coarse graph has at most about `8 * k` nodes.  We
 //! grow `k` regions greedily (BFS-style region growing seeded round-robin from
 //! unassigned nodes), bounded by a per-part weight capacity so that the parts stay
 //! balanced.  Leftover nodes (disconnected islands) are assigned to the lightest part.
@@ -17,7 +17,7 @@
 
 use crate::coarsen::WeightedGraph;
 use crate::refine::refine;
-use crate::shard::{map_shards, ShardStats};
+use crate::shard::map_shards;
 use qgtc_tensor::rng::SplitMix64;
 use std::collections::VecDeque;
 
@@ -47,6 +47,7 @@ pub fn greedy_kway(graph: &WeightedGraph, k: usize, balance_factor: f64, seed: u
     }
 
     let mut next_seed_idx = 0usize;
+    let mut queue = VecDeque::new();
     for (p, weight) in part_weight.iter_mut().enumerate() {
         // Find an unassigned seed node.
         while next_seed_idx < n && part[order[next_seed_idx]] != usize::MAX {
@@ -57,7 +58,7 @@ pub fn greedy_kway(graph: &WeightedGraph, k: usize, balance_factor: f64, seed: u
         }
         let seed_node = order[next_seed_idx];
         // BFS region growing until this part reaches capacity.
-        let mut queue = VecDeque::new();
+        queue.clear();
         queue.push_back(seed_node);
         while let Some(u) = queue.pop_front() {
             if part[u] != usize::MAX {
@@ -91,14 +92,14 @@ pub fn greedy_kway(graph: &WeightedGraph, k: usize, balance_factor: f64, seed: u
     part
 }
 
-/// Grow and refine `candidates` independent initial partitions concurrently and
-/// return the one with the smallest refined edge cut (ties broken by candidate
-/// index, so the winner is deterministic for every shard count).
+/// Grow and refine `candidates` independent initial partitions, dealt over
+/// `shards` candidate ranges on the worker pool, and return the one with the
+/// smallest refined edge cut (ties broken by candidate index, so the winner
+/// is deterministic for every shard count).
 ///
 /// Candidate `i` derives its seed from `base_seed` and `i`; candidate 0 uses
 /// `base_seed` itself. Each candidate is grown with [`greedy_kway`] and polished
 /// with [`refine`] (`refine_passes` passes) before its cut is measured.
-#[allow(clippy::too_many_arguments)]
 pub fn best_greedy_kway(
     graph: &WeightedGraph,
     k: usize,
@@ -107,37 +108,25 @@ pub fn best_greedy_kway(
     candidates: usize,
     refine_passes: usize,
     shards: usize,
-    stats: &mut ShardStats,
 ) -> Vec<usize> {
-    let candidates = candidates.max(1);
-    let n = graph.num_nodes();
-    // Every candidate does the same amount of work to within tie-breaking noise:
-    // one region growth plus `refine_passes` full sweeps over the adjacency.
-    let per_candidate_units =
-        (n as u64 + graph.num_adjacency_entries() as u64) * (refine_passes as u64 + 2);
     // One candidate run: its refined edge cut and its assignment.
     type CandidateRun = (u64, Vec<usize>);
-    let shard_results: Vec<(Vec<CandidateRun>, u64)> = map_shards(candidates, shards, |range| {
-        let units = range.len() as u64 * per_candidate_units;
-        let runs: Vec<CandidateRun> = range
+    map_shards(candidates.max(1), shards, |range| {
+        range
             .map(|i| {
                 let seed = base_seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let mut parts = greedy_kway(graph, k, balance_factor, seed);
-                let cut = refine(graph, &mut parts, k, balance_factor, refine_passes);
+                let cut = refine(graph, &mut parts, k, balance_factor, refine_passes, 1);
                 (cut, parts)
             })
-            .collect();
-        (runs, units)
-    });
-    let units: Vec<u64> = shard_results.iter().map(|(_, u)| *u).collect();
-    stats.record_dispatch(&units);
-    shard_results
-        .into_iter()
-        .flat_map(|(runs, _)| runs)
-        .enumerate()
-        .min_by_key(|(i, (cut, _))| (*cut, *i))
-        .map(|(_, (_, parts))| parts)
-        .expect("candidates >= 1 always yields a run")
+            .collect::<Vec<CandidateRun>>()
+    })
+    .into_iter()
+    .flatten()
+    .enumerate()
+    .min_by_key(|(i, (cut, _))| (*cut, *i))
+    .map(|(_, (_, parts))| parts)
+    .expect("candidates >= 1 always yields a run")
 }
 
 #[cfg(test)]
@@ -195,21 +184,19 @@ mod tests {
     #[test]
     fn candidate_panel_is_deterministic_across_shard_counts() {
         let g = ring(96);
-        let serial = best_greedy_kway(&g, 4, 1.1, 9, 6, 4, 1, &mut ShardStats::new(1));
+        let serial = best_greedy_kway(&g, 4, 1.1, 9, 6, 4, 1);
         for shards in [2usize, 3, 6, 16] {
-            let mut stats = ShardStats::new(shards);
-            let sharded = best_greedy_kway(&g, 4, 1.1, 9, 6, 4, shards, &mut stats);
+            let sharded = best_greedy_kway(&g, 4, 1.1, 9, 6, 4, shards);
             assert_eq!(serial, sharded, "{shards} shards");
-            assert_eq!(stats.dispatches, 1);
         }
     }
 
     #[test]
     fn candidate_panel_never_loses_to_its_first_candidate() {
         let g = ring(80);
-        let single = best_greedy_kway(&g, 4, 1.1, 3, 1, 4, 1, &mut ShardStats::new(1));
-        let panel = best_greedy_kway(&g, 4, 1.1, 3, 8, 4, 1, &mut ShardStats::new(1));
-        let cut_of = |parts: &[usize]| crate::refine::edge_cut(&g, parts);
+        let single = best_greedy_kway(&g, 4, 1.1, 3, 1, 4, 1);
+        let panel = best_greedy_kway(&g, 4, 1.1, 3, 8, 4, 1);
+        let cut_of = |parts: &[usize]| crate::refine::edge_cut(&g, parts, 1);
         assert!(
             cut_of(&panel) <= cut_of(&single),
             "panel cut {} must not exceed single-candidate cut {}",

@@ -22,11 +22,11 @@
 //! reports edge-cut/density statistics used by the experiment binaries (Figure 8's
 //! zero-tile analysis depends on partition quality).
 //!
-//! Every phase shards over the rayon worker pool behind the
-//! [`metis::Parallelism`] knob ([`shard`] holds the dealing and work-accounting
-//! machinery); the sharded partitioner is bitwise identical to the serial one
-//! for any shard count — see the [`metis`] module docs for the determinism
-//! contract.
+//! Every phase is one function that takes a shard count and deals its work
+//! over the rayon worker pool ([`shard`] holds the dealing); the
+//! [`metis::Parallelism`] knob picks the count. The sharded partitioner is
+//! bitwise identical to the serial one for any shard count — see the
+//! [`metis`] module docs for the determinism contract.
 
 pub mod batch;
 pub mod coarsen;
@@ -39,8 +39,6 @@ pub mod shard;
 
 pub use batch::{PartitionBatcher, SubgraphBatch};
 pub use metis::{
-    partition_kway, partition_kway_with_stats, try_partition_kway, try_partition_kway_with_stats,
-    Parallelism, PartitionConfig, PartitionError, Partitioning,
+    partition_kway, try_partition_kway, Parallelism, PartitionConfig, PartitionError, Partitioning,
 };
 pub use quality::{partition_quality, PartitionQuality};
-pub use shard::ShardStats;

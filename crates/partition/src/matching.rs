@@ -23,7 +23,7 @@
 //!   such edge remains and the matching is maximal.
 
 use crate::coarsen::WeightedGraph;
-use crate::shard::{map_shards, ShardStats};
+use crate::shard::map_shards;
 use qgtc_tensor::rng::SplitMix64;
 
 /// A matching: `mate[u] == v` when u and v are matched, `mate[u] == u` when unmatched.
@@ -38,26 +38,13 @@ pub struct Matching {
 /// "No pick" marker in the per-round preference array.
 const NO_PICK: usize = usize::MAX;
 
-/// Compute a heavy-edge matching of the weighted graph, serially.
-///
-/// This is the one-shard case of [`heavy_edge_matching_sharded`] — same rounds,
-/// same picks, same result.
-pub fn heavy_edge_matching(graph: &WeightedGraph, seed: u64) -> Matching {
-    heavy_edge_matching_sharded(graph, seed, 1, &mut ShardStats::new(1))
-}
-
 /// Compute a heavy-edge matching with the pick phase of every round dealt over
-/// `shards` contiguous node ranges on the worker pool.
+/// `shards` contiguous node ranges on the worker pool (one shard runs it on
+/// the calling thread).
 ///
 /// The result is bitwise identical for every `shards` value (see the module
-/// docs); `stats` accumulates per-shard work units for the modeled-speedup
-/// report. The seed drives only the per-node tie-break ranks.
-pub fn heavy_edge_matching_sharded(
-    graph: &WeightedGraph,
-    seed: u64,
-    shards: usize,
-    stats: &mut ShardStats,
-) -> Matching {
+/// docs). The seed drives only the per-node tie-break ranks.
+pub fn heavy_edge_matching(graph: &WeightedGraph, seed: u64, shards: usize) -> Matching {
     let n = graph.num_nodes();
     // Seeded per-node rank: breaks weight ties without a visiting order, so
     // different seeds still explore different matchings on unweighted graphs.
@@ -65,7 +52,6 @@ pub fn heavy_edge_matching_sharded(
         let mut rng = SplitMix64::new(seed);
         (0..n).map(|_| rng.next_u64()).collect()
     };
-    stats.record_serial(n as u64);
 
     let mut mate: Vec<usize> = (0..n).collect();
     let mut matched = vec![false; n];
@@ -81,23 +67,19 @@ pub fn heavy_edge_matching_sharded(
         // best unmatched neighbour under the frozen `matched` state.
         let matched_ref = &matched;
         let rank_ref = &rank;
-        let shard_picks: Vec<(Vec<usize>, u64)> = map_shards(n, shards, |range| {
-            let mut units = 0u64;
-            let picks: Vec<usize> = range
+        let picks: Vec<usize> = map_shards(n, shards, |range| {
+            range
                 .map(|u| {
-                    units += 1;
                     if matched_ref[u] {
                         return NO_PICK;
                     }
-                    units += graph.neighbors(u).len() as u64;
                     best_unmatched_neighbor(graph, u, matched_ref, rank_ref)
                 })
-                .collect();
-            (picks, units)
-        });
-        let units: Vec<u64> = shard_picks.iter().map(|(_, u)| *u).collect();
-        stats.record_dispatch(&units);
-        let picks: Vec<usize> = shard_picks.into_iter().flat_map(|(p, _)| p).collect();
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         // Commit phase (serial, ascending): exactly the mutual pairs.
         let mut round_pairs = 0usize;
@@ -111,7 +93,6 @@ pub fn heavy_edge_matching_sharded(
                 round_pairs += 1;
             }
         }
-        stats.record_serial(n as u64);
         if round_pairs == 0 {
             return Matching { mate, num_pairs };
         }
@@ -121,12 +102,10 @@ pub fn heavy_edge_matching_sharded(
     // Round cap hit: finish with one serial greedy sweep (ascending node order,
     // same preference key), restoring maximality in O(n + m) whatever the
     // weight structure.
-    let mut sweep_units = 0u64;
     for u in 0..n {
         if matched[u] {
             continue;
         }
-        sweep_units += 1 + graph.neighbors(u).len() as u64;
         let v = best_unmatched_neighbor(graph, u, &matched, &rank);
         if v != NO_PICK {
             mate[u] = v;
@@ -136,7 +115,6 @@ pub fn heavy_edge_matching_sharded(
             num_pairs += 1;
         }
     }
-    stats.record_serial(sweep_units);
     Matching { mate, num_pairs }
 }
 
@@ -182,7 +160,7 @@ mod tests {
     #[test]
     fn matching_is_symmetric_and_disjoint() {
         let g = weighted_path(10);
-        let m = heavy_edge_matching(&g, 1);
+        let m = heavy_edge_matching(&g, 1, 1);
         for u in 0..10 {
             let v = m.mate[u];
             assert_eq!(m.mate[v], u, "mate relation must be symmetric");
@@ -197,7 +175,7 @@ mod tests {
         // only stop once no edge joins two unmatched nodes.
         let g = weighted_path(31);
         for seed in 0..4 {
-            let m = heavy_edge_matching(&g, seed);
+            let m = heavy_edge_matching(&g, seed, 1);
             for u in 0..31 {
                 if m.mate[u] != u {
                     continue;
@@ -216,7 +194,7 @@ mod tests {
     fn matching_prefers_heavy_edges() {
         // Single pair: always matched.
         let pair = WeightedGraph::from_weighted_edges(2, &[(0, 1, 7)], &[1, 1]);
-        let m = heavy_edge_matching(&pair, 0);
+        let m = heavy_edge_matching(&pair, 0, 1);
         assert_eq!(m.mate[0], 1);
         assert_eq!(m.num_pairs, 1);
 
@@ -226,7 +204,7 @@ mod tests {
         let g =
             WeightedGraph::from_weighted_edges(3, &[(0, 1, 10), (1, 2, 1), (0, 2, 1)], &[1, 1, 1]);
         for seed in 0..64 {
-            let m = heavy_edge_matching(&g, seed);
+            let m = heavy_edge_matching(&g, seed, 1);
             assert_eq!(m.mate[0], 1, "heavy edge must win, seed {seed}");
         }
     }
@@ -234,7 +212,7 @@ mod tests {
     #[test]
     fn matching_on_edgeless_graph_matches_nothing() {
         let g = WeightedGraph::from_weighted_edges(5, &[], &[1; 5]);
-        let m = heavy_edge_matching(&g, 3);
+        let m = heavy_edge_matching(&g, 3, 1);
         assert_eq!(m.num_pairs, 0);
         assert!(m.mate.iter().enumerate().all(|(i, &v)| i == v));
     }
@@ -242,7 +220,7 @@ mod tests {
     #[test]
     fn matching_covers_about_half_of_a_path() {
         let g = weighted_path(100);
-        let m = heavy_edge_matching(&g, 7);
+        let m = heavy_edge_matching(&g, 7, 1);
         assert!(
             m.num_pairs >= 25,
             "path matching too small: {}",
@@ -253,20 +231,17 @@ mod tests {
     #[test]
     fn matching_deterministic_per_seed() {
         let g = weighted_path(50);
-        assert_eq!(heavy_edge_matching(&g, 9), heavy_edge_matching(&g, 9));
+        assert_eq!(heavy_edge_matching(&g, 9, 1), heavy_edge_matching(&g, 9, 1));
     }
 
     #[test]
     fn sharded_matching_is_bitwise_identical_to_serial() {
         let g = weighted_path(97);
         for seed in [0u64, 9, 41] {
-            let serial = heavy_edge_matching(&g, seed);
+            let serial = heavy_edge_matching(&g, seed, 1);
             for shards in [2usize, 3, 8, 32] {
-                let mut stats = ShardStats::new(shards);
-                let sharded = heavy_edge_matching_sharded(&g, seed, shards, &mut stats);
+                let sharded = heavy_edge_matching(&g, seed, shards);
                 assert_eq!(serial, sharded, "seed {seed}, {shards} shards");
-                assert!(stats.dispatches > 0);
-                assert!(stats.total_units >= stats.critical_units);
             }
         }
     }
@@ -281,7 +256,7 @@ mod tests {
         let edges: Vec<(usize, usize, u64)> =
             (0..n - 1).map(|i| (i, i + 1, i as u64 + 1)).collect();
         let g = WeightedGraph::from_weighted_edges(n, &edges, &vec![1; n]);
-        let serial = heavy_edge_matching(&g, 3);
+        let serial = heavy_edge_matching(&g, 3, 1);
         for u in 0..n {
             if serial.mate[u] != u {
                 continue;
@@ -291,20 +266,11 @@ mod tests {
             }
         }
         for shards in [2usize, 8] {
-            let mut stats = ShardStats::new(shards);
-            let sharded = heavy_edge_matching_sharded(&g, 3, shards, &mut stats);
-            assert_eq!(serial, sharded, "{shards} shards");
+            assert_eq!(
+                serial,
+                heavy_edge_matching(&g, 3, shards),
+                "{shards} shards"
+            );
         }
-    }
-
-    #[test]
-    fn stats_account_every_round() {
-        let g = weighted_path(20);
-        let mut stats = ShardStats::new(4);
-        let m = heavy_edge_matching_sharded(&g, 5, 4, &mut stats);
-        assert!(m.num_pairs >= 5);
-        // One dispatch per round, at least the final empty round plus one.
-        assert!(stats.dispatches >= 2);
-        assert!(stats.total_units > 0);
     }
 }

@@ -25,11 +25,22 @@
 
 use qgtc_graph::CsrGraph;
 
-use crate::coarsen::{contract_sharded, CoarseLevel, WeightedGraph};
+use crate::coarsen::{contract, CoarseLevel, WeightedGraph};
 use crate::initial::best_greedy_kway;
-use crate::matching::heavy_edge_matching_sharded;
-use crate::refine::{edge_cut_sharded, project, refine_sharded};
-use crate::shard::ShardStats;
+use crate::matching::heavy_edge_matching;
+use crate::refine::{edge_cut, project, refine};
+
+/// Allowed imbalance: each part may hold up to `BALANCE_FACTOR * n / num_parts`
+/// node weight (METIS defaults to 1.03; this is a little looser).
+const BALANCE_FACTOR: f64 = 1.10;
+/// Coarsening stops at `COARSEN_UNTIL_FACTOR * num_parts` nodes (at least 32),
+/// or when the graph no longer shrinks.
+const COARSEN_UNTIL_FACTOR: usize = 8;
+/// Maximum refinement passes per level.
+const REFINE_PASSES: usize = 4;
+/// Independent initial partitions grown on the coarsest graph; the one with
+/// the smallest refined edge cut wins (ties by candidate index).
+const INITIAL_CANDIDATES: usize = 4;
 
 /// How the partitioner spreads its phases over the worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,18 +73,6 @@ impl Parallelism {
 pub struct PartitionConfig {
     /// Number of partitions to produce (the paper uses 1,500 for its evaluation).
     pub num_parts: usize,
-    /// Allowed imbalance: each part may hold up to `balance_factor * n / num_parts`
-    /// node weight (METIS default is 1.03; we default a little looser).
-    pub balance_factor: f64,
-    /// Coarsening stops when the graph has at most `coarsen_until_factor * num_parts`
-    /// nodes (or no longer shrinks).
-    pub coarsen_until_factor: usize,
-    /// Maximum number of refinement passes per level.
-    pub refine_passes: usize,
-    /// Independent initial partitions grown on the coarsest graph; the one with
-    /// the smallest refined edge cut wins (ties by candidate index). They run
-    /// concurrently under [`PartitionConfig::parallelism`].
-    pub initial_candidates: usize,
     /// How the phases shard over the worker pool; the result is identical in
     /// every mode (see the module docs).
     pub parallelism: Parallelism,
@@ -85,10 +84,6 @@ impl Default for PartitionConfig {
     fn default() -> Self {
         Self {
             num_parts: 8,
-            balance_factor: 1.10,
-            coarsen_until_factor: 8,
-            refine_passes: 4,
-            initial_candidates: 4,
             parallelism: Parallelism::Auto,
             seed: 0x9617C,
         }
@@ -164,8 +159,6 @@ impl Partitioning {
 pub enum PartitionError {
     /// `num_parts == 0`: a zero-way partition has no meaning.
     ZeroParts,
-    /// `initial_candidates == 0`: the initial-partitioning panel needs at least one entrant.
-    ZeroCandidates,
     /// `num_parts` exceeds the node count of a non-empty graph.
     TooManyParts {
         /// The requested part count.
@@ -181,9 +174,6 @@ impl std::fmt::Display for PartitionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PartitionError::ZeroParts => write!(f, "num_parts must be at least 1 (got 0)"),
-            PartitionError::ZeroCandidates => {
-                write!(f, "initial_candidates must be at least 1 (got 0)")
-            }
             PartitionError::TooManyParts {
                 num_parts,
                 num_nodes,
@@ -199,8 +189,7 @@ impl std::fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// Partition a graph into `config.num_parts` parts using multilevel k-way
-/// partitioning. Convenience over [`partition_kway_with_stats`], discarding the
-/// work accounting.
+/// partitioning.
 ///
 /// # Panics
 ///
@@ -209,65 +198,30 @@ impl std::error::Error for PartitionError {}
 /// would hide a configuration bug upstream, matching the `batch_size == 0`
 /// precedent in [`crate::batch::PartitionBatcher::new`]. An **empty graph** is
 /// exempt and yields an empty partitioning for any `num_parts ≥ 1` (there is no
-/// node count to exceed meaningfully). Also panics if
-/// `config.initial_candidates == 0`.
+/// node count to exceed meaningfully).
 pub fn partition_kway(graph: &CsrGraph, config: &PartitionConfig) -> Partitioning {
-    partition_kway_with_stats(graph, config).0
+    try_partition_kway(graph, config).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Fallible form of [`partition_kway`]: invalid arguments become a typed
-/// [`PartitionError`] instead of a panic.
+/// [`PartitionError`] instead of a panic. The empty-graph exemption is
+/// unchanged — an empty graph yields an empty partitioning for any
+/// `num_parts >= 1`.
 pub fn try_partition_kway(
     graph: &CsrGraph,
     config: &PartitionConfig,
 ) -> Result<Partitioning, PartitionError> {
-    try_partition_kway_with_stats(graph, config).map(|(partitioning, _)| partitioning)
-}
-
-/// Partition a graph and return the per-shard work accounting alongside.
-///
-/// The [`ShardStats`] record how much work each phase did in total and on the
-/// critical path (serial glue plus each parallel dispatch's slowest shard), so
-/// callers — the perfsmoke partition probe — can report a modeled shard speedup
-/// that does not depend on the probing host's core count.
-///
-/// # Panics
-///
-/// As [`partition_kway`].
-pub fn partition_kway_with_stats(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-) -> (Partitioning, ShardStats) {
-    try_partition_kway_with_stats(graph, config).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Fallible form of [`partition_kway_with_stats`]: invalid arguments become a
-/// typed [`PartitionError`] instead of a panic. The empty-graph exemption is
-/// unchanged — an empty graph yields an empty partitioning for any
-/// `num_parts >= 1`.
-pub fn try_partition_kway_with_stats(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-) -> Result<(Partitioning, ShardStats), PartitionError> {
     let n = graph.num_nodes();
     let k = config.num_parts;
     if k == 0 {
         return Err(PartitionError::ZeroParts);
     }
-    if config.initial_candidates == 0 {
-        return Err(PartitionError::ZeroCandidates);
-    }
-    let shards = config.parallelism.effective_shards();
-    let mut stats = ShardStats::new(shards);
     if n == 0 {
-        return Ok((
-            Partitioning {
-                parts: Vec::new(),
-                num_parts: k,
-                edge_cut: 0,
-            },
-            stats,
-        ));
+        return Ok(Partitioning {
+            parts: Vec::new(),
+            num_parts: k,
+            edge_cut: 0,
+        });
     }
     if k > n {
         return Err(PartitionError::TooManyParts {
@@ -276,37 +230,31 @@ pub fn try_partition_kway_with_stats(
         });
     }
     if k == 1 {
-        return Ok((
-            Partitioning {
-                parts: vec![0; n],
-                num_parts: 1,
-                edge_cut: 0,
-            },
-            stats,
-        ));
+        return Ok(Partitioning {
+            parts: vec![0; n],
+            num_parts: 1,
+            edge_cut: 0,
+        });
     }
 
+    let shards = config.parallelism.effective_shards();
     let base = WeightedGraph::from_csr(graph);
-    stats.record_serial((n + base.num_adjacency_entries()) as u64);
 
     // As many parts as nodes: each node is its own part.
     if k == n {
         let parts: Vec<usize> = (0..n).collect();
-        let cut = edge_cut_sharded(&base, &parts, shards, &mut stats);
-        return Ok((
-            Partitioning {
-                parts,
-                num_parts: n,
-                edge_cut: cut,
-            },
-            stats,
-        ));
+        let cut = edge_cut(&base, &parts, shards);
+        return Ok(Partitioning {
+            parts,
+            num_parts: n,
+            edge_cut: cut,
+        });
     }
 
     // Phase 1: coarsening. The next level is built against the previous level's
     // graph by reference (the base graph for the first level) — no per-level
     // clones.
-    let target_coarse_nodes = (config.coarsen_until_factor.max(2) * k).max(32);
+    let target_coarse_nodes = (COARSEN_UNTIL_FACTOR * k).max(32);
     let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut level_seed = config.seed;
     loop {
@@ -315,13 +263,13 @@ pub fn try_partition_kway_with_stats(
             if current.num_nodes() <= target_coarse_nodes {
                 None
             } else {
-                let matching = heavy_edge_matching_sharded(current, level_seed, shards, &mut stats);
+                let matching = heavy_edge_matching(current, level_seed, shards);
                 level_seed = level_seed.wrapping_add(1);
                 // Stop if coarsening stalls (e.g. star graphs where matchings are tiny).
                 if matching.num_pairs * 10 < current.num_nodes() {
                     None
                 } else {
-                    Some(contract_sharded(current, &matching, shards, &mut stats))
+                    Some(contract(current, &matching, shards))
                 }
             }
         };
@@ -337,44 +285,31 @@ pub fn try_partition_kway_with_stats(
     let mut parts = best_greedy_kway(
         coarsest,
         k,
-        config.balance_factor,
+        BALANCE_FACTOR,
         config.seed ^ 0xABCD,
-        config.initial_candidates,
-        config.refine_passes,
+        INITIAL_CANDIDATES,
+        REFINE_PASSES,
         shards,
-        &mut stats,
     );
 
     // Phase 3: uncoarsen and refine level by level; the graph one level finer is
     // the previous level's graph, or the base graph at the bottom.
     for index in (0..levels.len()).rev() {
         parts = project(&parts, &levels[index].coarse_of);
-        stats.record_serial(parts.len() as u64);
         let finer = if index == 0 {
             &base
         } else {
             &levels[index - 1].graph
         };
-        refine_sharded(
-            finer,
-            &mut parts,
-            k,
-            config.balance_factor,
-            config.refine_passes,
-            shards,
-            &mut stats,
-        );
+        refine(finer, &mut parts, k, BALANCE_FACTOR, REFINE_PASSES, shards);
     }
 
-    let cut = edge_cut_sharded(&base, &parts, shards, &mut stats);
-    Ok((
-        Partitioning {
-            parts,
-            num_parts: k,
-            edge_cut: cut,
-        },
-        stats,
-    ))
+    let cut = edge_cut(&base, &parts, shards);
+    Ok(Partitioning {
+        parts,
+        num_parts: k,
+        edge_cut: cut,
+    })
 }
 
 #[cfg(test)]
@@ -454,15 +389,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "initial_candidates must be at least 1")]
-    fn zero_candidates_rejected() {
-        let g = clustered_graph(20, 2, 7);
-        let mut config = PartitionConfig::with_parts(4);
-        config.initial_candidates = 0;
-        let _ = partition_kway(&g, &config);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = CsrGraph::from_parts(vec![0], vec![]);
         assert_eq!(g.num_nodes(), 0);
@@ -474,12 +400,7 @@ mod tests {
     #[test]
     fn imbalance_is_bounded() {
         let g = clustered_graph(600, 6, 11);
-        let cfg = PartitionConfig {
-            num_parts: 6,
-            balance_factor: 1.15,
-            ..Default::default()
-        };
-        let p = partition_kway(&g, &cfg);
+        let p = partition_kway(&g, &PartitionConfig::with_parts(6));
         assert!(
             p.imbalance() < 1.8,
             "partition too imbalanced: {:.2} (sizes {:?})",
@@ -513,23 +434,6 @@ mod tests {
                 partition_kway(&g, &PartitionConfig::with_parts(4).with_parallelism(mode));
             assert_eq!(serial, sharded, "{mode:?} must match the serial oracle");
         }
-    }
-
-    #[test]
-    fn stats_track_more_total_than_critical_work_when_sharded() {
-        let g = clustered_graph(500, 5, 4);
-        let config = PartitionConfig::with_parts(5).with_parallelism(Parallelism::Sharded(8));
-        let (partitioning, stats) = partition_kway_with_stats(&g, &config);
-        assert_eq!(partitioning.parts.len(), 500);
-        assert_eq!(stats.shards, 8);
-        assert!(stats.dispatches > 0);
-        assert!(
-            stats.total_units > stats.critical_units,
-            "sharded phases must shorten the critical path ({} vs {})",
-            stats.total_units,
-            stats.critical_units
-        );
-        assert!(stats.modeled_speedup() > 1.0);
     }
 
     #[test]

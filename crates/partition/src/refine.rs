@@ -22,127 +22,93 @@
 //! *dense*, not on a state-of-the-art cut).
 
 use crate::coarsen::WeightedGraph;
-use crate::shard::{map_shards, ShardStats};
+use crate::shard::map_shards;
 
 /// Compute the weighted edge cut of a partition (each undirected edge counted
-/// once), serially.
-pub fn edge_cut(graph: &WeightedGraph, parts: &[usize]) -> u64 {
-    edge_cut_sharded(graph, parts, 1, &mut ShardStats::new(1))
-}
-
-/// Compute the weighted edge cut with the node sweep dealt over `shards` ranges;
-/// per-shard partial cuts are summed in shard order (u64 addition commutes, so
-/// the result is exact and shard-count independent).
-pub fn edge_cut_sharded(
-    graph: &WeightedGraph,
-    parts: &[usize],
-    shards: usize,
-    stats: &mut ShardStats,
-) -> u64 {
-    let partials: Vec<(u64, u64)> = map_shards(graph.num_nodes(), shards, |range| {
+/// once) with the node sweep dealt over `shards` ranges; per-shard partial
+/// cuts are summed in shard order (u64 addition commutes, so the result is
+/// exact and shard-count independent).
+pub fn edge_cut(graph: &WeightedGraph, parts: &[usize], shards: usize) -> u64 {
+    map_shards(graph.num_nodes(), shards, |range| {
         let mut cut = 0u64;
-        let mut units = 0u64;
         for u in range {
-            units += 1 + graph.neighbors(u).len() as u64;
             for &(v, w) in graph.neighbors(u) {
                 if u < v && parts[u] != parts[v] {
                     cut += w;
                 }
             }
         }
-        (cut, units)
-    });
-    let units: Vec<u64> = partials.iter().map(|&(_, u)| u).collect();
-    stats.record_dispatch(&units);
-    partials.into_iter().map(|(cut, _)| cut).sum()
+        cut
+    })
+    .into_iter()
+    .sum()
 }
 
-/// One gain-scan/apply refinement pass, serial. Returns the number of nodes
-/// moved. `max_part_weight` is the balance bound each part must stay under
-/// after a move.
+/// One gain-scan/apply refinement pass with the gain scan dealt over `shards`
+/// node ranges. Returns the number of nodes moved. `max_part_weight` is the
+/// balance bound each part must stay under after a move. Bitwise identical
+/// for every shard count (see the module docs for why).
 pub fn refine_pass(
     graph: &WeightedGraph,
     parts: &mut [usize],
     num_parts: usize,
     max_part_weight: u64,
-) -> usize {
-    refine_pass_sharded(
-        graph,
-        parts,
-        num_parts,
-        max_part_weight,
-        1,
-        &mut ShardStats::new(1),
-    )
-}
-
-/// One refinement pass with the gain scan dealt over `shards` node ranges.
-/// Bitwise identical to [`refine_pass`] for every shard count (see the module
-/// docs for why).
-pub fn refine_pass_sharded(
-    graph: &WeightedGraph,
-    parts: &mut [usize],
-    num_parts: usize,
-    max_part_weight: u64,
     shards: usize,
-    stats: &mut ShardStats,
 ) -> usize {
     let n = graph.num_nodes();
     let mut part_weight = vec![0u64; num_parts];
     for u in 0..n {
         part_weight[parts[u]] += graph.node_weight(u);
     }
-    stats.record_serial(n as u64);
 
     // Gain scan against the frozen partition: candidates in ascending node order
     // (each shard emits an ascending slice; shards concatenate in order).
     let frozen: &[usize] = parts;
-    let shard_candidates: Vec<(Vec<usize>, u64)> = map_shards(n, shards, |range| {
-        let mut units = 0u64;
-        let candidates: Vec<usize> = range
-            .filter(|&u| {
-                units += 1 + graph.neighbors(u).len() as u64;
-                best_move(graph, frozen, u).is_some()
-            })
-            .collect();
-        (candidates, units)
+    let candidates = map_shards(n, shards, |range| {
+        let mut conn = Vec::new();
+        range
+            .filter(|&u| best_move(graph, frozen, u, &mut conn).is_some())
+            .collect::<Vec<_>>()
     });
-    let units: Vec<u64> = shard_candidates.iter().map(|(_, u)| *u).collect();
-    stats.record_dispatch(&units);
 
     // Apply in ascending order, re-validating each gain against the live parts.
     let mut moves = 0usize;
-    let mut apply_units = 0u64;
-    for (candidates, _) in shard_candidates {
-        for u in candidates {
-            apply_units += 1 + graph.neighbors(u).len() as u64;
-            let Some((target, gain)) = best_move(graph, parts, u) else {
-                continue;
-            };
-            debug_assert!(gain > 0);
-            let current = parts[u];
-            let w_u = graph.node_weight(u);
-            let fits = part_weight[target] + w_u <= max_part_weight;
-            let not_emptying = part_weight[current] > w_u;
-            if fits && not_emptying {
-                parts[u] = target;
-                part_weight[current] -= w_u;
-                part_weight[target] += w_u;
-                moves += 1;
-            }
+    let mut conn = Vec::new();
+    for u in candidates.into_iter().flatten() {
+        let Some((target, gain)) = best_move(graph, parts, u, &mut conn) else {
+            continue;
+        };
+        debug_assert!(gain > 0);
+        let current = parts[u];
+        let w_u = graph.node_weight(u);
+        let fits = part_weight[target] + w_u <= max_part_weight;
+        let not_emptying = part_weight[current] > w_u;
+        if fits && not_emptying {
+            parts[u] = target;
+            part_weight[current] -= w_u;
+            part_weight[target] += w_u;
+            moves += 1;
         }
     }
-    stats.record_serial(apply_units);
     moves
 }
 
 /// The best strictly-cut-reducing move for `u` under `parts`: the external part
 /// with the largest connection weight, provided it beats `u`'s internal
 /// connectivity. Returns `(target_part, gain)`, or `None` when no move helps.
-fn best_move(graph: &WeightedGraph, parts: &[usize], u: usize) -> Option<(usize, i64)> {
+///
+/// `conn` is the caller's scratch, reused across calls: a fresh `Vec` per
+/// call puts a malloc/free pair on every node each thread scans, and the
+/// two threads' recycled small chunks can then share cache lines.
+fn best_move(
+    graph: &WeightedGraph,
+    parts: &[usize],
+    u: usize,
+    conn: &mut Vec<(usize, u64)>,
+) -> Option<(usize, i64)> {
     let current = parts[u];
     // Connection weight from u to each part that u touches.
-    let mut conn: Vec<(usize, u64)> = Vec::new();
+    conn.clear();
     for &(v, w) in graph.neighbors(u) {
         let p = parts[v];
         match conn.iter_mut().find(|(q, _)| *q == p) {
@@ -164,53 +130,25 @@ fn best_move(graph: &WeightedGraph, parts: &[usize], u: usize) -> Option<(usize,
     (gain > 0).then_some((target, gain))
 }
 
-/// Run serial refinement passes until no node moves or `max_passes` is reached.
-/// Returns the final edge cut.
+/// Run refinement passes, gain scans dealt over `shards` node ranges, until
+/// no node moves or `max_passes` is reached. Returns the final edge cut.
+/// Bitwise identical for every shard count.
 pub fn refine(
     graph: &WeightedGraph,
     parts: &mut [usize],
     num_parts: usize,
     balance_factor: f64,
     max_passes: usize,
-) -> u64 {
-    refine_sharded(
-        graph,
-        parts,
-        num_parts,
-        balance_factor,
-        max_passes,
-        1,
-        &mut ShardStats::new(1),
-    )
-}
-
-/// Run refinement passes with the gain scans dealt over `shards` node ranges.
-/// Bitwise identical to [`refine`] for every shard count.
-pub fn refine_sharded(
-    graph: &WeightedGraph,
-    parts: &mut [usize],
-    num_parts: usize,
-    balance_factor: f64,
-    max_passes: usize,
     shards: usize,
-    stats: &mut ShardStats,
 ) -> u64 {
     let total = graph.total_node_weight();
     let max_part_weight = ((total as f64 / num_parts.max(1) as f64) * balance_factor).ceil() as u64;
     for _ in 0..max_passes {
-        if refine_pass_sharded(
-            graph,
-            parts,
-            num_parts,
-            max_part_weight.max(1),
-            shards,
-            stats,
-        ) == 0
-        {
+        if refine_pass(graph, parts, num_parts, max_part_weight.max(1), shards) == 0 {
             break;
         }
     }
-    edge_cut_sharded(graph, parts, shards, stats)
+    edge_cut(graph, parts, shards)
 }
 
 /// Project a coarse-level partition onto the finer level it was contracted from.
@@ -240,9 +178,9 @@ mod tests {
     fn edge_cut_counts_cross_edges_once() {
         let g = two_cliques();
         let perfect = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        assert_eq!(edge_cut(&g, &perfect), 1);
+        assert_eq!(edge_cut(&g, &perfect, 1), 1);
         let bad = vec![0, 1, 0, 1, 0, 1, 0, 1];
-        assert!(edge_cut(&g, &bad) > 5);
+        assert!(edge_cut(&g, &bad, 1) > 5);
     }
 
     #[test]
@@ -250,8 +188,8 @@ mod tests {
         let g = two_cliques();
         // Start from a partition with one node on the wrong side.
         let mut parts = vec![0, 0, 0, 1, 1, 1, 1, 0];
-        let before = edge_cut(&g, &parts);
-        let after = refine(&g, &mut parts, 2, 1.3, 8);
+        let before = edge_cut(&g, &parts, 1);
+        let after = refine(&g, &mut parts, 2, 1.3, 8, 1);
         assert!(
             after < before,
             "refinement should reduce cut ({before} -> {after})"
@@ -266,7 +204,7 @@ mod tests {
     fn refinement_never_empties_a_part() {
         let g = two_cliques();
         let mut parts = vec![0, 1, 1, 1, 1, 1, 1, 1];
-        refine(&g, &mut parts, 2, 4.0, 10);
+        refine(&g, &mut parts, 2, 4.0, 10, 1);
         assert!(parts.contains(&0), "part 0 must not be emptied");
         assert!(parts.contains(&1));
     }
@@ -276,7 +214,7 @@ mod tests {
         let g = two_cliques();
         let mut parts = vec![0, 0, 0, 0, 1, 1, 1, 1];
         // With a tight balance bound, no move should be possible even if it'd improve cut.
-        let moved = refine_pass(&g, &mut parts, 2, 4);
+        let moved = refine_pass(&g, &mut parts, 2, 4, 1);
         assert_eq!(moved, 0);
         assert_eq!(parts, vec![0, 0, 0, 0, 1, 1, 1, 1]);
     }
@@ -290,14 +228,12 @@ mod tests {
             vec![1, 1, 0, 0, 0, 1, 1, 0],
         ] {
             let mut serial = start.clone();
-            let serial_cut = refine(&g, &mut serial, 2, 1.3, 8);
+            let serial_cut = refine(&g, &mut serial, 2, 1.3, 8, 1);
             for shards in [2usize, 3, 8] {
                 let mut sharded = start.clone();
-                let mut stats = ShardStats::new(shards);
-                let cut = refine_sharded(&g, &mut sharded, 2, 1.3, 8, shards, &mut stats);
+                let cut = refine(&g, &mut sharded, 2, 1.3, 8, shards);
                 assert_eq!(serial, sharded, "{shards} shards from {start:?}");
                 assert_eq!(serial_cut, cut);
-                assert!(stats.dispatches > 0);
             }
         }
     }
@@ -306,10 +242,9 @@ mod tests {
     fn sharded_edge_cut_matches_serial() {
         let g = two_cliques();
         let parts = vec![0, 1, 0, 1, 0, 1, 0, 1];
-        let serial = edge_cut(&g, &parts);
+        let serial = edge_cut(&g, &parts, 1);
         for shards in [2usize, 4, 16] {
-            let mut stats = ShardStats::new(shards);
-            assert_eq!(serial, edge_cut_sharded(&g, &parts, shards, &mut stats));
+            assert_eq!(serial, edge_cut(&g, &parts, shards));
         }
     }
 
@@ -319,10 +254,10 @@ mod tests {
         // the cut — even from a pathological start where frozen gains collide.
         let g = two_cliques();
         let mut parts = vec![0, 1, 0, 1, 0, 1, 0, 1];
-        let mut previous = edge_cut(&g, &parts);
+        let mut previous = edge_cut(&g, &parts, 1);
         loop {
-            let moved = refine_pass(&g, &mut parts, 2, 6);
-            let cut = edge_cut(&g, &parts);
+            let moved = refine_pass(&g, &mut parts, 2, 6, 1);
+            let cut = edge_cut(&g, &parts, 1);
             assert!(cut <= previous, "pass increased cut {previous} -> {cut}");
             if moved == 0 {
                 break;

@@ -1,5 +1,5 @@
-//! Shard dealing, deterministic parallel map, and work accounting for the
-//! sharded partitioner.
+//! Shard dealing and the deterministic parallel map of the sharded
+//! partitioner.
 //!
 //! Every parallel phase of the multilevel partitioner follows the same
 //! discipline, mirroring the rayon shim's pool (ascending contiguous runs,
@@ -17,11 +17,6 @@
 //! path. That identity is the partitioner's determinism contract; the proptest
 //! suite (`tests/partition_parallel_props.rs`) and the perfsmoke partition
 //! probe both enforce it.
-//!
-//! [`ShardStats`] records how much work each phase did per shard, so the
-//! probe can report a *modeled* shard speedup (total work over critical-path
-//! work) that is independent of the host's core count — the partition-side
-//! analogue of the pipelined latency model's overlap estimate.
 
 use std::ops::Range;
 
@@ -60,62 +55,6 @@ where
         .collect()
 }
 
-/// Work accounting of one sharded partitioner run.
-///
-/// Work units are edge/node touches (each neighbour-list entry scanned counts
-/// one unit), recorded per parallel dispatch and for the serial glue between
-/// dispatches. The modeled speedup is `total / critical` where the critical
-/// path charges each parallel dispatch its *maximum* shard — i.e. the runtime
-/// a host with at least `shards` cores would see under perfect scheduling.
-/// Both counters are integers derived from graph structure alone, so the
-/// model is deterministic: it does not depend on the machine the probe ran on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard width the run was configured with (1 = serial).
-    pub shards: usize,
-    /// Work units across every phase, serial and parallel.
-    pub total_units: u64,
-    /// Serial units plus the per-dispatch maximum shard units.
-    pub critical_units: u64,
-    /// Number of parallel dispatches issued.
-    pub dispatches: usize,
-}
-
-impl ShardStats {
-    /// Fresh accounting for a run at the given shard width.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            total_units: 0,
-            critical_units: 0,
-            dispatches: 0,
-        }
-    }
-
-    /// Record work done serially (charged to the critical path in full).
-    pub fn record_serial(&mut self, units: u64) {
-        self.total_units += units;
-        self.critical_units += units;
-    }
-
-    /// Record one parallel dispatch from its per-shard work-unit vector: the
-    /// critical path is charged the slowest shard only.
-    pub fn record_dispatch(&mut self, per_shard_units: &[u64]) {
-        self.total_units += per_shard_units.iter().sum::<u64>();
-        self.critical_units += per_shard_units.iter().copied().max().unwrap_or(0);
-        self.dispatches += 1;
-    }
-
-    /// Modeled speedup of the sharded run over the same work done serially:
-    /// `total / critical`, 1.0 when nothing was recorded.
-    pub fn modeled_speedup(&self) -> f64 {
-        if self.critical_units == 0 {
-            return 1.0;
-        }
-        self.total_units as f64 / self.critical_units as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,21 +82,5 @@ mod tests {
     fn map_shards_on_empty_domain_is_empty() {
         let pieces: Vec<usize> = map_shards(0, 4, |r| r.len());
         assert!(pieces.is_empty());
-    }
-
-    #[test]
-    fn stats_model_charges_max_shard_on_dispatches() {
-        let mut stats = ShardStats::new(4);
-        stats.record_serial(10);
-        stats.record_dispatch(&[30, 10, 20, 30]);
-        assert_eq!(stats.total_units, 100);
-        assert_eq!(stats.critical_units, 40);
-        assert_eq!(stats.dispatches, 1);
-        assert!((stats.modeled_speedup() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_report_unity_speedup() {
-        assert_eq!(ShardStats::new(8).modeled_speedup(), 1.0);
     }
 }

@@ -9,7 +9,9 @@
 //! Fault firing is keyed on `(site, batch, attempt)`, so the whole suite is
 //! deterministic at any thread count; `ci.sh`'s chaos stage re-runs it under
 //! `RAYON_NUM_THREADS` ∈ {1, 2, 8}. `QGTC_CI_FAST=1` shrinks the proptest case
-//! counts for the timed CI gate.
+//! counts for the timed CI gate.  The `QGTC_FAULTS` grammar itself is fuzzed
+//! here too: any string parses to a plan or `InvalidFaultSpec`, and any plan
+//! round-trips through `Display` and `FaultPlan::parse`.
 
 use proptest::prelude::*;
 use qgtc_repro::core::fault::FAULTS_ENV;
@@ -281,6 +283,26 @@ fn known_plan_produces_exact_stats() {
     }
 }
 
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn retry_budgets_above_u32_max_saturate_instead_of_wrapping() {
+    // 2^32 truncated to the supervisors' u32 counter would be 0 retries.
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    for spec in [
+        "partition:transient",
+        "prepare:transient:0:1",
+        "deposit:transient:0:1",
+        "take:transient:0:1",
+        "gemm:transient:0:1",
+    ] {
+        let faulty = tiny_config()
+            .with_fault_plan(FaultPlan::parse(spec).expect("valid"))
+            .with_max_batch_retries(1 << 32);
+        let report = try_run_epoch(&dataset, &faulty).expect(spec);
+        assert_eq!(report.fault_stats.recovered, 1, "{spec}");
+    }
+}
+
 #[test]
 fn try_build_plan_rejects_degenerate_configs_typed() {
     let dataset = DatasetProfile::ARTIST.materialize_tiny(31);
@@ -340,6 +362,12 @@ fn non_finite_features_are_a_typed_error_naming_the_first_one() {
         // catches the value and reports the same one.
         assert_eq!(
             try_run_epoch_with_plan(&dataset, &config, &plan).map(|_| ()),
+            Err(expected.clone())
+        );
+        // The dense baseline packs nothing; its batch scan reports the same one.
+        let dgl = QgtcConfig::dgl_baseline(ModelKind::ClusterGcn).with_partitions(12, 2);
+        assert_eq!(
+            try_run_epoch_with_plan(&dataset, &dgl, &plan).map(|_| ()),
             Err(expected.clone())
         );
         assert_eq!(
@@ -442,4 +470,89 @@ fn malformed_fault_env_spec_is_a_typed_error_not_a_silent_noop() {
         FaultPlan::parse("gemm:meltdown"),
         Err(QgtcError::InvalidFaultSpec(_))
     ));
+}
+
+/// Candidate words for each field of a `site:kind:batch:attempts` entry
+/// (`|`-separated): the grammar's own words, numbers at and past the field
+/// widths, and junk. Fields past the fourth reuse the last list.
+const SPEC_FIELDS: [&str; 4] = [
+    "prepare|deposit|take|gemm|dispatch|partition|PREPARE|| prepare|x|💥",
+    "transient|backend-loss|corrupt|corruption|melted||é",
+    "0|7|18446744073709551615|18446744073709551616|-1|+2|0x10||x",
+    "1|3|4294967295|4294967296|-1|1e3|| 2|💥",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Entries of zero to five fields drawn from the grammar's words and junk,
+    // with junk bytes spliced in anywhere, never panic the parser: they are
+    // a plan that re-renders to itself, or `InvalidFaultSpec`.
+    #[test]
+    fn fault_spec_parser_returns_a_plan_or_a_typed_error_on_any_input(
+        entries in proptest::collection::vec(proptest::collection::vec(any::<usize>(), 0..6), 0..5),
+        bytes in proptest::collection::vec(any::<u8>(), 0..8),
+        splice in any::<usize>(),
+    ) {
+        let entries: Vec<String> = entries
+            .iter()
+            .map(|fields| {
+                let words: Vec<&str> = fields
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &pick)| {
+                        let words: Vec<&str> = SPEC_FIELDS[slot.min(3)].split('|').collect();
+                        words[pick % words.len()]
+                    })
+                    .collect();
+                words.join(":")
+            })
+            .collect();
+        let mut spec = entries.join(",");
+        let mut at = splice % (spec.len() + 1);
+        while !spec.is_char_boundary(at) {
+            at -= 1;
+        }
+        spec.insert_str(at, &String::from_utf8_lossy(&bytes));
+        match FaultPlan::parse(&spec) {
+            Ok(plan) => {
+                let rendered: Vec<String> = plan.specs().iter().map(ToString::to_string).collect();
+                prop_assert_eq!(FaultPlan::parse(&rendered.join(",")).ok(), Some(plan));
+            }
+            Err(QgtcError::InvalidFaultSpec(_)) => {}
+            Err(other) => prop_assert!(false, "{spec:?}: {other:?}"),
+        }
+    }
+
+    // Any plan of arbitrary specs round-trips through `Display` and `parse`.
+    #[test]
+    fn fault_plans_round_trip_through_display_and_parse(
+        specs in proptest::collection::vec(
+            (0usize..5, 0usize..3, any::<usize>(), any::<u32>()),
+            0..8,
+        ),
+    ) {
+        const ALL_SITES: [FaultSite; 5] = [
+            FaultSite::Prepare,
+            FaultSite::Deposit,
+            FaultSite::Take,
+            FaultSite::Dispatch,
+            FaultSite::Partition,
+        ];
+        const KINDS: [FaultKind; 3] =
+            [FaultKind::Transient, FaultKind::BackendLoss, FaultKind::Corruption];
+        let plan = FaultPlan::new(
+            specs
+                .iter()
+                .map(|&(site, kind, batch, attempts)| FaultSpec {
+                    site: ALL_SITES[site],
+                    kind: KINDS[kind],
+                    batch,
+                    attempts,
+                })
+                .collect(),
+        );
+        let rendered: Vec<String> = plan.specs().iter().map(ToString::to_string).collect();
+        prop_assert_eq!(FaultPlan::parse(&rendered.join(",")).ok(), Some(plan));
+    }
 }

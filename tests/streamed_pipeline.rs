@@ -148,7 +148,6 @@ fn partitioning_is_excluded_from_epoch_wall_and_reported_separately() {
         report.partition_ms > 0.0,
         "partitioning time must be reported"
     );
-    assert!(report.partition_shards >= 1);
     assert!(report.host_wall_ms > 0.0);
 
     // Over a plan built beforehand the epoch partitions nothing, reports no
@@ -156,7 +155,6 @@ fn partitioning_is_excluded_from_epoch_wall_and_reported_separately() {
     let (plan, _shards) = try_build_plan(&dataset, &config).expect("plan");
     let over_plan = run_epoch_with_plan(&dataset, &config, &plan);
     assert_eq!(over_plan.partition_ms, 0.0);
-    assert_eq!(over_plan.partition_shards, 0);
     assert!(over_plan.host_wall_ms > 0.0);
     assert_same_work("PROTEINS over a given plan", &report, &over_plan);
 }

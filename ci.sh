@@ -59,14 +59,21 @@
 #                          release: each asserts its quantize-pack, GEMM,
 #                          epilogue and serving results bitwise through the
 #                          public surface, so a panic on those paths fails CI
-#   perfsmoke              tiny-scale perf gates: zero-word skip, modeled
-#                          transfer/compute overlap, sharded partitioner,
-#                          serving session  [skipped in FAST]
-#   benchcheck             committed BENCH_*.json files parse, carry the
-#                          expected keys, and clear their committed bars;
-#                          the committed TUNE_gemm.json validates strictly
-#                          (condense threshold plus its metadata)
+#   perfsmoke              perfsmoke's five default probes at tiny scale
+#                          (zero-word skip, modeled transfer/compute overlap,
+#                          sharded partitioner, backend race, serving
+#                          session), each report checked by the validator
+#                          benchcheck runs  [skipped in FAST]
+#   benchcheck             committed BENCH_*.json files parse, carry exactly
+#                          the keys their spec names, record the spec's bars
+#                          for their scale and clear them; the committed
+#                          TUNE_gemm.json validates strictly (condense
+#                          threshold plus its metadata)
 #   doc                    cargo doc with zero warnings
+#
+# Every tiny-scale perf report (the backend, condense and serving stages'
+# single probes and the perfsmoke stage) lands in one directory,
+# target/perfsmoke-tiny (TINY_REPORTS below).
 #
 # A wall-clock summary table of the executed stages prints at the end.
 set -euo pipefail
@@ -74,6 +81,7 @@ cd "$(dirname "$0")"
 
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
+TINY_REPORTS=target/perfsmoke-tiny
 KNOWN_STAGES="fmt clippy build-release test partition-determinism backend transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
@@ -150,10 +158,8 @@ backend_stage() {
         echo "--- backend race skipped (QGTC_CI_FAST=1)"
     else
         echo "--- backend race (tiny scale)"
-        env QGTC_SCALE=tiny \
-            QGTC_PERFSMOKE_PROBE=backend \
-            QGTC_BACKEND_OUT=target/BENCH_backend.tiny.json \
-            cargo run --release -p qgtc-bench --bin perfsmoke
+        env QGTC_SCALE=tiny QGTC_PERFSMOKE_PROBE=backend \
+            cargo run --release -p qgtc-bench --bin perfsmoke -- "$TINY_REPORTS"
     fi
 }
 
@@ -194,8 +200,9 @@ condense_stage() {
     # The condensed-path contract: the TC-GNN-style condensed kernel must be
     # bitwise identical to the zero-word-skip kernel and the serial oracle —
     # at the kernel level across adversarial sparsity patterns, and end to end
-    # through the epoch and the serving session — at every pool width. QGTC_CI_FAST (exported to the test process) shrinks the proptest
-    # case counts.
+    # through the epoch and the serving session — at every pool width.
+    # QGTC_CI_FAST (exported to the test process) shrinks the proptest case
+    # counts.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
@@ -218,8 +225,7 @@ condense_stage() {
         env QGTC_SCALE=tiny \
             QGTC_PERFSMOKE_PROBE=condense \
             QGTC_TUNE_FILE=target/TUNE_gemm.tiny.json \
-            QGTC_CONDENSE_OUT=target/BENCH_condense.tiny.json \
-            cargo run --release -p qgtc-bench --bin perfsmoke
+            cargo run --release -p qgtc-bench --bin perfsmoke -- "$TINY_REPORTS"
     fi
 }
 
@@ -237,34 +243,17 @@ serving_stage() {
         echo "--- serving probe skipped (QGTC_CI_FAST=1)"
     else
         echo "--- serving probe (tiny scale)"
-        env QGTC_SCALE=tiny \
-            QGTC_PERFSMOKE_PROBE=serving \
-            QGTC_SERVING_OUT=target/BENCH_serving.tiny.json \
-            cargo run --release -p qgtc-bench --bin perfsmoke
+        env QGTC_SCALE=tiny QGTC_PERFSMOKE_PROBE=serving \
+            cargo run --release -p qgtc-bench --bin perfsmoke -- "$TINY_REPORTS"
     fi
 }
 
 perfsmoke_tiny() {
-    # Perf gates (see crates/bench/src/bin/perfsmoke.rs):
-    #  * zero-word skipping in the legacy kernel must match the serial oracle
-    #    bitwise, skip at least 90% of the words of a block-diagonal adjacency
-    #    and not be slower than the non-skipping kernel (full scale enforces
-    #    1.5x; committed BENCH_gemm.json);
-    #  * the epoch's modeled transfer/compute overlap must clear the scale's
-    #    bar (1.0x tiny, 1.3x full; committed BENCH_pipeline.json);
-    #  * the sharded partitioner must be bitwise identical to the serial oracle
-    #    on all six profiles and its summed wall-clock not slower (5%
-    #    tolerance; committed BENCH_partition.json);
-    #  * the serving session must replay the epoch oracle bitwise, serve cache
-    #    hits bitwise-identically, run warm drains allocation-free, and clear
-    #    the throughput + cache-hit-rate bars (committed BENCH_serving.json).
-    env QGTC_SCALE=tiny \
-        QGTC_PERFSMOKE_OUT=target/BENCH_gemm.tiny.json \
-        QGTC_PIPELINE_OUT=target/BENCH_pipeline.tiny.json \
-        QGTC_PARTITION_OUT=target/BENCH_partition.tiny.json \
-        QGTC_BACKEND_OUT=target/BENCH_backend.tiny.json \
-        QGTC_SERVING_OUT=target/BENCH_serving.tiny.json \
-        cargo run --release -p qgtc-bench --bin perfsmoke
+    # The five default probes (see crates/bench/src/bin/perfsmoke.rs); each
+    # report's gates and bars come from its spec in
+    # crates/bench/src/benchjson.rs, at their tiny-scale values.  perfsmoke
+    # fails unless every report it wrote passes the validator benchcheck runs.
+    env QGTC_SCALE=tiny cargo run --release -p qgtc-bench --bin perfsmoke -- "$TINY_REPORTS"
 }
 
 examples_stage() {

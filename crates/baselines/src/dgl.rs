@@ -41,12 +41,6 @@ impl<'a> DglEngine<'a> {
         Self { tracker }
     }
 
-    /// Record the PCIe transfer of a batch shipped as dense fp32 adjacency + features.
-    pub fn record_batch_transfer(&self, num_nodes: usize, feature_dim: usize) {
-        let bytes = (num_nodes * num_nodes * 4 + num_nodes * feature_dim * 4) as u64;
-        self.tracker.record_pcie_h2d(bytes);
-    }
-
     /// Sparse neighbour aggregation over a CSR graph: `X_new = Â · X` where `Â` uses
     /// mean (GCN) or unit (GIN) edge values.
     pub fn aggregate_csr(
@@ -231,17 +225,6 @@ mod tests {
             "aggregate, update, relu are separate kernels"
         );
         assert!(s.dram_bytes() > 0);
-    }
-
-    #[test]
-    fn batch_transfer_records_dense_fp32_bytes() {
-        let tracker = CostTracker::new();
-        let engine = DglEngine::new(&tracker);
-        engine.record_batch_transfer(100, 32);
-        assert_eq!(
-            tracker.snapshot().pcie_h2d_bytes,
-            (100 * 100 * 4 + 100 * 32 * 4) as u64
-        );
     }
 
     #[test]

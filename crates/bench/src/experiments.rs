@@ -12,7 +12,7 @@ use qgtc_baselines::{int4_tc_gemm, int8_tc_gemm};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_core::{ModelKind, QgtcConfig};
 use qgtc_gnn::qat::{train_gcn_qat, QatConfig};
-use qgtc_graph::{DatasetProfile, DenseSubgraph};
+use qgtc_graph::DatasetProfile;
 use qgtc_kernels::bmm::{qgtc_aggregate, KernelConfig};
 use qgtc_kernels::tile_reuse::{compare_reuse, random_feature_codes, ReuseComparison};
 use qgtc_kernels::zero_tile::census_adjacency;
@@ -21,8 +21,6 @@ use qgtc_partition::{partition_kway, PartitionBatcher, PartitionConfig};
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tcsim::{DeviceModel, PipelineEstimate};
 use qgtc_tensor::rng::random_uniform_matrix;
-use qgtc_tensor::Matrix;
-use std::sync::Arc;
 
 /// How large the experiments run.
 #[derive(Debug, Clone, PartialEq)]
@@ -520,21 +518,6 @@ pub fn fig10_tile_reuse(scale: &ExperimentScale, seed: u64) -> Vec<ReuseComparis
         }
     }
     rows
-}
-
-/// A dense all-ones adjacency batch used by ablation-style micro experiments.
-pub fn dense_batch(n: usize, dim: usize, seed: u64) -> (DenseSubgraph, Matrix<f32>) {
-    let adjacency = Matrix::filled(n, n, 1.0f32);
-    let features = random_uniform_matrix(n, dim, 0.0, 1.0, seed);
-    let subgraph = DenseSubgraph {
-        nodes: (0..n).collect(),
-        num_edges: n * n,
-        adjacency: Arc::new(StackedBitMatrix::from_binary_adjacency(
-            &adjacency,
-            BitMatrixLayout::RowPacked,
-        )),
-    };
-    (subgraph, features)
 }
 
 /// Ablation: modeled epoch latency of the QGTC path with an optimisation disabled.

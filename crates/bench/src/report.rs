@@ -30,11 +30,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as an aligned plain-text table.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -112,7 +107,6 @@ mod tests {
         let csv = t.to_csv();
         assert_eq!(csv.lines().count(), 3);
         assert_eq!(csv.lines().next().unwrap(), "name,value");
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **once per distinct batch, amortised** — materialise → gather → pack a
 //!   batch's transfer payload, kept in a **payload cache** keyed by batch index
 //!   (LRU, capacity [`ServeOptions::cache_capacity`]); a hit skips the whole
-//!   prepare stage ([`ServeStats::prepares_skipped`]);
+//!   prepare stage ([`ServeStats::cache_hits`]);
 //! * **per request** — only the coalescing bookkeeping and the forward passes
 //!   of the batches the request actually touches.
 //!
@@ -113,14 +113,11 @@ pub struct ServeStats {
     /// without coalescing. `batch_touches > batches_executed` means drains
     /// merged overlapping requests.
     pub batch_touches: u64,
-    /// Batch executions whose payload came out of the cache.
+    /// Batch executions whose payload came out of the cache, each skipping a
+    /// full prepare stage (materialise → gather → pack).
     pub cache_hits: u64,
     /// Batch executions that had to prepare the payload.
     pub cache_misses: u64,
-    /// Full prepare stages (materialise → gather → pack) skipped thanks to
-    /// cache hits. Always equals `cache_hits`; kept as its own counter because
-    /// it is the quantity the serving benchmark gates on.
-    pub prepares_skipped: u64,
     /// Payloads evicted (and recycled into the pool) to respect
     /// [`ServeOptions::cache_capacity`].
     pub cache_evictions: u64,
@@ -267,24 +264,19 @@ impl<'a> QgtcSession<'a> {
         Ok(ticket)
     }
 
-    /// Submit one request and drain immediately: the convenience path for
-    /// callers that do not batch their own traffic. (Coalescing still applies
-    /// to whatever else was already pending.)
+    /// Serve one request on its own, immediately: the convenience path for
+    /// callers that do not batch their own traffic. Requests already queued by
+    /// [`QgtcSession::submit`] are neither served nor answered here; they stay
+    /// pending for the caller's next [`QgtcSession::drain`].
     pub fn infer(&mut self, node_ids: &[usize]) -> Result<InferResponse, QgtcError> {
         let mut buffer = self.request_buffer();
         buffer.extend_from_slice(node_ids);
-        let ticket = self.submit(buffer)?;
-        let mut responses = self.drain()?;
-        let position = responses
-            .iter()
-            .position(|r| r.ticket == ticket)
-            .expect("drain answers every pending request");
-        // Recycle the other responses' buffers; their callers are us.
-        let response = responses.swap_remove(position);
-        for other in responses {
-            self.recycle_response(other);
-        }
-        Ok(response)
+        let queued = std::mem::take(&mut self.pending);
+        let served = self.submit(buffer).and_then(|_| self.drain());
+        self.pending = queued;
+        Ok(served?
+            .pop()
+            .expect("drain answers its one pending request"))
     }
 
     /// Serve everything pending: coalesce the queued requests into
@@ -381,7 +373,6 @@ impl<'a> QgtcSession<'a> {
                 // stage), not re-verified per hit: the cache is process-local
                 // memory, not a transport.
                 self.stats.cache_hits += 1;
-                self.stats.prepares_skipped += 1;
                 prepared
             }
             None => {
@@ -655,6 +646,23 @@ mod tests {
     }
 
     #[test]
+    fn infer_leaves_earlier_submissions_for_the_next_drain() {
+        let dataset = tiny_dataset();
+        let config = tiny_config();
+        let mut session = QgtcSession::new(&dataset, &config).unwrap();
+        let queued = [1usize, 7, 30];
+        let ticket = session.submit(queued.to_vec()).unwrap();
+        let own = session.infer(&[2, 5]).unwrap();
+        assert_eq!(own.node_ids, vec![2, 5]);
+        assert_eq!(session.pending_requests(), 1, "the submission stays queued");
+        let drained = session.drain().unwrap();
+        assert_eq!(drained.len(), 1, "the drain answers the earlier submission");
+        assert_eq!(drained[0].ticket, ticket);
+        let alone = session.infer(&queued).unwrap();
+        assert_eq!(drained[0].logits, alone.logits, "bitwise equal answers");
+    }
+
+    #[test]
     fn full_sweep_request_replays_the_epoch_oracle_cost() {
         let dataset = tiny_dataset();
         let config = tiny_config();
@@ -692,7 +700,6 @@ mod tests {
             warm.cache_hits > 0,
             "second touch must hit the payload cache"
         );
-        assert_eq!(warm.prepares_skipped, warm.cache_hits);
         assert_eq!(
             warm.cache_misses, cold.cache_misses,
             "no new prepares on the hit path"

@@ -86,11 +86,6 @@ impl GnnModelParams {
         self.layers.len()
     }
 
-    /// Feature dimension the model expects.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
     /// Number of output classes.
     pub fn output_dim(&self) -> usize {
         self.layers.last().expect("at least one layer").out_dim()
@@ -398,7 +393,7 @@ mod tests {
     fn model_params_chain_dimensions() {
         let m = GnnModelParams::new(128, 16, 40, 3, 7);
         assert_eq!(m.num_layers(), 3);
-        assert_eq!(m.input_dim(), 128);
+        assert_eq!(m.layers[0].in_dim(), 128);
         assert_eq!(m.output_dim(), 40);
         assert_eq!(m.layers[0].out_dim(), 16);
         assert_eq!(m.layers[1].in_dim(), 16);

@@ -125,11 +125,6 @@ impl DenseSubgraph {
             .expect("length matches by construction")
     }
 
-    /// Gather the labels of the subgraph's nodes from the global label vector.
-    pub fn gather_labels(&self, labels: &[usize]) -> Vec<usize> {
-        self.nodes.iter().map(|&g| labels[g]).collect()
-    }
-
     /// Build a block-diagonal dense subgraph from several disjoint partitions.
     ///
     /// This mirrors the "batching" step of cluster-GCN: nodes across partitions are
@@ -205,14 +200,6 @@ impl DenseSubgraph {
             num_edges,
         }
     }
-
-    /// Build the full-batch adjacency for a set of partitions *including*
-    /// inter-partition edges (used when comparing against DGL-style full aggregation
-    /// over the batch's induced subgraph).
-    pub fn batch_induced(graph: &CsrGraph, partitions: &[Vec<usize>]) -> Self {
-        let nodes: Vec<usize> = partitions.iter().flatten().copied().collect();
-        Self::extract(graph, &nodes)
-    }
 }
 
 /// Per-row degree of a 1-bit row-packed adjacency stack: a popcount over each
@@ -277,15 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_features_and_labels() {
+    fn gather_features_selects_rows_in_node_order() {
         let g = two_triangles();
         let features = Matrix::from_vec(6, 2, (0..12).map(|v| v as f32).collect()).unwrap();
-        let labels = vec![0, 0, 0, 1, 1, 1];
         let sub = DenseSubgraph::extract(&g, &[4, 0]);
         let f = sub.gather_features(&features);
         assert_eq!(f.row(0), &[8.0, 9.0]);
         assert_eq!(f.row(1), &[0.0, 1.0]);
-        assert_eq!(sub.gather_labels(&labels), vec![1, 0]);
     }
 
     #[test]
@@ -303,9 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn induced_batch_keeps_cut_edges() {
+    fn extracting_every_node_keeps_cut_edges() {
         let g = two_triangles();
-        let batch = DenseSubgraph::batch_induced(&g, &[vec![0, 1, 2], vec![3, 4, 5]]);
+        let batch = DenseSubgraph::extract(&g, &[0, 1, 2, 3, 4, 5]);
         assert_eq!(batch.num_edges, 14); // 7 undirected edges
         assert_eq!(batch.dense_adjacency()[(2, 3)], 1.0);
         assert_eq!(

@@ -33,12 +33,6 @@ impl SubgraphBatch {
     pub fn to_dense_block_diagonal(&self, graph: &CsrGraph) -> DenseSubgraph {
         DenseSubgraph::batch_block_diagonal(graph, &self.partitions)
     }
-
-    /// Materialise the batch keeping the inter-partition edges (used by the exact
-    /// baseline comparison).
-    pub fn to_dense_induced(&self, graph: &CsrGraph) -> DenseSubgraph {
-        DenseSubgraph::batch_induced(graph, &self.partitions)
-    }
 }
 
 /// Groups partitions into fixed-size batches.
@@ -237,17 +231,6 @@ mod tests {
             assert!(batcher.batch(batcher.num_batches()).is_none());
             assert!(batcher.batch(usize::MAX).is_none());
         }
-    }
-
-    #[test]
-    fn dense_materialisations_differ_in_cut_edges() {
-        let (g, p) = graph_and_partitioning();
-        let batcher = PartitionBatcher::new(&p, 3);
-        let batch = batcher.batches().next().unwrap();
-        let block = batch.to_dense_block_diagonal(&g);
-        let induced = batch.to_dense_induced(&g);
-        assert_eq!(block.num_nodes(), induced.num_nodes());
-        assert!(block.num_edges <= induced.num_edges);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl KernelEstimate {
     pub fn compute_lane_s(&self) -> f64 {
         self.compute_s.max(self.memory_s) + self.launch_s
     }
-
-    /// The serial (no-overlap) duration of this batch: transfer then compute.
-    pub fn serial_lane_s(&self) -> f64 {
-        self.transfer_lane_s() + self.compute_lane_s()
-    }
 }
 
 /// Modeled latency of a *sequence* of batches executed as a transfer/compute
@@ -492,7 +487,6 @@ mod tests {
 
         let one = model.estimate(&batch_snapshot(1_000, 1_000_000));
         assert_eq!(one.transfer_lane_s(), one.pcie_s);
-        assert!((one.serial_lane_s() - one.total_s).abs() < 1e-15);
         assert_eq!(
             one.compute_lane_s(),
             one.compute_s.max(one.memory_s) + one.launch_s

@@ -136,11 +136,6 @@ impl GpuSpec {
         self.dram_bandwidth_gbs * self.dram_efficiency
     }
 
-    /// Total number of Tensor Cores.
-    pub fn total_tensor_cores(&self) -> usize {
-        self.sm_count * self.tensor_cores_per_sm
-    }
-
     /// Occupancy factor for a kernel that launches `thread_blocks` blocks: the
     /// fraction of the GPU the launch can keep busy, assuming `blocks_per_sm`
     /// resident blocks are needed to hide latency on each SM.
@@ -161,7 +156,7 @@ mod tests {
     fn rtx3090_matches_published_numbers() {
         let g = GpuSpec::rtx3090();
         assert_eq!(g.sm_count, 82);
-        assert_eq!(g.total_tensor_cores(), 328);
+        assert_eq!(g.sm_count * g.tensor_cores_per_sm, 328);
         assert!((g.tc_b1_peak_tops - 568.0).abs() < 1e-9);
         assert!(g.tc_int8_peak_tops < g.tc_int4_peak_tops);
         assert!(g.tc_int4_peak_tops < g.tc_b1_peak_tops);

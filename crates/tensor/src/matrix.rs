@@ -170,41 +170,6 @@ impl<T: Clone> Matrix<T> {
             data,
         }
     }
-
-    /// Pad the matrix to `new_rows` x `new_cols` with `pad` (bottom/right padding).
-    ///
-    /// QGTC pads matrices so their dimensions are divisible by the Tensor Core tile
-    /// sizes (`PAD8`, `PAD128` in the paper); this is the dense-side equivalent.
-    pub fn pad_to(&self, new_rows: usize, new_cols: usize, pad: T) -> Self {
-        assert!(
-            new_rows >= self.rows && new_cols >= self.cols,
-            "padding cannot shrink"
-        );
-        let mut out = Self::filled(new_rows, new_cols, pad);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].clone_from_slice(self.row(r));
-        }
-        out
-    }
-
-    /// Truncate to the leading `new_rows` x `new_cols` block (inverse of [`pad_to`]).
-    ///
-    /// [`pad_to`]: Matrix::pad_to
-    pub fn truncate_to(&self, new_rows: usize, new_cols: usize) -> Self {
-        assert!(
-            new_rows <= self.rows && new_cols <= self.cols,
-            "truncate cannot grow"
-        );
-        let mut data = Vec::with_capacity(new_rows * new_cols);
-        for r in 0..new_rows {
-            data.extend_from_slice(&self.row(r)[..new_cols]);
-        }
-        Self {
-            rows: new_rows,
-            cols: new_cols,
-            data,
-        }
-    }
 }
 
 impl<T: Default + Clone> Matrix<T> {
@@ -239,11 +204,6 @@ impl Matrix<f32> {
             .zip(other.data.iter())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Sum of all elements.
@@ -451,17 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn pad_and_truncate_round_trip() {
-        let m = Matrix::from_vec(3, 3, (0..9).map(|v| v as f32).collect()).unwrap();
-        let p = m.pad_to(8, 128, 0.0);
-        assert_eq!(p.shape(), (8, 128));
-        assert_eq!(p[(2, 2)], 8.0);
-        assert_eq!(p[(7, 127)], 0.0);
-        let back = p.truncate_to(3, 3);
-        assert_eq!(back, m);
-    }
-
-    #[test]
     fn gather_rows_selects_in_order() {
         let m = Matrix::from_vec(4, 2, vec![0.0, 1.0, 10.0, 11.0, 20.0, 21.0, 30.0, 31.0]).unwrap();
         let g = m.gather_rows(&[3, 1]);
@@ -478,10 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_norms() {
+    fn min_max_and_sum() {
         let m = Matrix::from_vec(2, 2, vec![-2.0f32, 0.0, 1.0, 3.0]).unwrap();
         assert_eq!(m.min_max(), (-2.0, 3.0));
-        assert!((m.frobenius_norm() - (4.0f32 + 1.0 + 9.0).sqrt()).abs() < 1e-6);
         assert_eq!(m.sum(), 2.0);
         let empty: Matrix<f32> = Matrix::zeros(0, 0);
         assert_eq!(empty.min_max(), (0.0, 0.0));

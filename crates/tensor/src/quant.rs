@@ -158,27 +158,6 @@ impl Quantizer {
     pub fn dequantize_matrix(&self, codes: &Matrix<i64>) -> Matrix<f32> {
         codes.map(|&c| self.params.dequantize(c.max(0) as u32))
     }
-
-    /// Worst-case absolute quantization error (half a bucket).
-    pub fn max_error(&self) -> f32 {
-        self.params.scale * 0.5
-    }
-}
-
-/// Dequantize the result of an integer GEMM `C = Aq · Bq` given the quantizers of the
-/// two operands and the inner dimension.
-///
-/// With affine codes `a = (α - a_min)/s_a` this is only an approximation (the exact
-/// affine correction needs row/column sums); QGTC sidesteps the issue by operating on
-/// the codes directly and treating the result as the quantized-domain activation, so
-/// this helper implements the same convention: a pure rescale by `s_a * s_b`.
-pub fn rescale_gemm_output(
-    c: &Matrix<i64>,
-    a_params: QuantParams,
-    b_params: QuantParams,
-) -> Matrix<f32> {
-    let s = a_params.scale * b_params.scale;
-    c.map(|&v| v as f32 * s)
 }
 
 #[cfg(test)]
@@ -343,21 +322,5 @@ mod tests {
         for i in 0..5 {
             assert_eq!(a[(0, i)] as u32, b[(0, i)]);
         }
-    }
-
-    #[test]
-    fn rescale_gemm_output_scales_linearly() {
-        let c = Matrix::from_vec(1, 2, vec![10i64, 20]).unwrap();
-        let pa = QuantParams::from_range(4, 0.0, 1.6).unwrap(); // scale 0.1
-        let pb = QuantParams::from_range(4, 0.0, 3.2).unwrap(); // scale 0.2
-        let out = rescale_gemm_output(&c, pa, pb);
-        assert!((out[(0, 0)] - 10.0 * 0.02).abs() < 1e-6);
-        assert!((out[(0, 1)] - 20.0 * 0.02).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_error_is_half_bucket() {
-        let q = Quantizer::new(QuantParams::from_range(2, 0.0, 4.0).unwrap());
-        assert!((q.max_error() - 0.5).abs() < 1e-6);
     }
 }

@@ -61,30 +61,10 @@ pub fn random_uniform_matrix(rows: usize, cols: usize, lo: f32, hi: f32, seed: u
     Matrix::from_vec(rows, cols, data).expect("length is rows*cols by construction")
 }
 
-/// Random `f32` matrix with approximately normal entries (sum of uniforms),
-/// scaled to standard deviation `std`.
-pub fn random_normal_matrix(rows: usize, cols: usize, std: f32, seed: u64) -> Matrix<f32> {
-    let mut rng = seeded_rng(seed);
-    let data = (0..rows * cols)
-        .map(|_| {
-            // Irwin–Hall approximation of a normal: 12 uniforms, mean 6, var 1.
-            let s: f32 = (0..12).map(|_| rng.gen_range(0.0f32..1.0)).sum();
-            (s - 6.0) * std
-        })
-        .collect();
-    Matrix::from_vec(rows, cols, data).expect("length is rows*cols by construction")
-}
-
 /// Xavier/Glorot-style initialisation for a weight matrix of shape `fan_in x fan_out`.
 pub fn xavier_init(fan_in: usize, fan_out: usize, seed: u64) -> Matrix<f32> {
     let limit = (6.0f32 / (fan_in + fan_out).max(1) as f32).sqrt();
     random_uniform_matrix(fan_in, fan_out, -limit, limit, seed)
-}
-
-/// Random one-hot-ish class labels in `[0, classes)`.
-pub fn random_labels(n: usize, classes: usize, seed: u64) -> Vec<usize> {
-    let mut rng = seeded_rng(seed);
-    (0..n).map(|_| rng.gen_range(0..classes.max(1))).collect()
 }
 
 #[cfg(test)]
@@ -128,28 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn normal_matrix_roughly_centred() {
-        let m = random_normal_matrix(100, 100, 1.0, 11);
-        let mean = m.sum() / m.len() as f32;
-        assert!(mean.abs() < 0.05, "mean {mean} too far from 0");
-    }
-
-    #[test]
     fn xavier_limits_scale_with_fan() {
         let small = xavier_init(10, 10, 1);
         let (mn, mx) = small.min_max();
         let limit = (6.0f32 / 20.0).sqrt();
         assert!(mn >= -limit && mx <= limit);
-    }
-
-    #[test]
-    fn labels_in_range() {
-        let labels = random_labels(500, 7, 3);
-        assert_eq!(labels.len(), 500);
-        assert!(labels.iter().all(|&c| c < 7));
-        // All classes should appear with 500 draws over 7 classes.
-        for c in 0..7 {
-            assert!(labels.contains(&c), "class {c} never drawn");
-        }
     }
 }

@@ -64,9 +64,9 @@ fn main() -> Result<(), QgtcError> {
         summary.requests, summary.p50_ms, summary.p99_ms, summary.throughput_rps,
     );
     println!(
-        "steady state: {} prepares skipped via the payload cache, {} fresh pool allocations \
+        "steady state: {} payload-cache hits (each a prepare skipped), {} fresh pool allocations \
          during the measured pass, weights still quantized {} time(s)",
-        stats.prepares_skipped,
+        stats.cache_hits,
         stats.pool.fresh_allocations - warm_allocations,
         stats.weight_quantizations,
     );

@@ -139,7 +139,6 @@ fn cache_hits_serve_bitwise_identical_answers_and_skip_prepares() {
         warm.cache_hits, cold.batches_executed,
         "every batch of the replay must come from the cache"
     );
-    assert_eq!(warm.prepares_skipped, warm.cache_hits);
     assert_eq!(warm.cache_misses, cold.cache_misses, "no new prepares");
     assert_eq!(miss.logits, hit.logits, "hit == miss, bitwise");
 

@@ -34,7 +34,7 @@
 #                          RAYON_NUM_THREADS in {1, 2, 8}
 #   chaos                  fault-injection chaos proptests (recoverable plans
 #                          recover bitwise, unrecoverable ones fail typed)
-#                          and the qgtc-core batch-loop unit tests, under
+#                          and the whole qgtc-core unit suite, under
 #                          RAYON_NUM_THREADS in {1, 2, 8}; FAST shrinks the
 #                          proptest case counts via QGTC_CI_FAST
 #   condense               condensed-adjacency conformance proptests (condensed
@@ -183,16 +183,17 @@ transitions_stage() {
 chaos_stage() {
     # Fault determinism is keyed on (site, batch, attempt), never on thread
     # identity — so the whole chaos suite must pass unchanged at every pool
-    # width, and so must the batch loop's unit tests (the loop runs on the
-    # calling thread; only the GEMMs inside it use the pool). QGTC_CI_FAST
-    # (exported to the test process) shrinks the proptest case counts for
-    # quick iteration.
+    # width, and so must qgtc-core's unit tests: the epoch loop, the serving
+    # session's fault tests and the fault and config tests all run through
+    # the one supervisor (the loop runs on the calling thread; only the GEMMs
+    # inside it use the pool). QGTC_CI_FAST (exported to the test process)
+    # shrinks the proptest case counts for quick iteration.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
         env RAYON_NUM_THREADS="$threads" QGTC_CI_FAST="$FAST" \
             cargo test --test chaos_pipeline -q
-        env RAYON_NUM_THREADS="$threads" cargo test -p qgtc-core --lib -q pipeline
+        env RAYON_NUM_THREADS="$threads" cargo test -p qgtc-core --lib -q
     done
 }
 

@@ -1,11 +1,12 @@
 //! Criterion bench behind Figure 8 / §4.3: the aggregation kernel with and without
 //! zero-tile jumping on a block-diagonal (batched-subgraph shaped) adjacency.
 //!
-//! Since the fused-hot-path refactor the host arithmetic no longer depends on
-//! the jumping flag (the fused kernel always runs the full reduction), so the
-//! two wall-clock rows should read nearly identical; the §4.3 effect lives in
-//! the *modeled* GPU times printed before the group, which come from the
-//! analytically-charged tile walk.
+//! The flag drives both sides of the kernel.  The `with_jumping` wall-clock
+//! row times the fused kernel's zero-word-skipping execution (bitwise
+//! identical output), which jumps this adjacency's all-zero words;
+//! `without_jumping` times the full reduction over every K-loop word.  The
+//! *modeled* GPU times printed before the group come from the analytically
+//! charged tile walk: the §4.3 effect as the paper measures it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
@@ -53,8 +54,8 @@ fn bench_zero_tile(c: &mut Criterion) {
     let codes = random_feature_codes(N, DIM, BITS, 11);
     let feats = StackedBitMatrix::from_codes(&codes, BITS, BitMatrixLayout::ColPacked);
 
-    // Modeled GPU times: this is where zero-tile jumping shows up now that the
-    // host arithmetic is the fused kernel regardless of the flag.
+    // Modeled GPU times: the tile walk charges only the non-zero tiles when
+    // jumping is on.
     let device = DeviceModel::rtx3090();
     let modeled = |jumping: bool| {
         let tracker = CostTracker::new();

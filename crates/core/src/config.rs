@@ -43,7 +43,6 @@ pub enum ExecutionPath {
 /// | [`with_backend`](Self::with_backend) | [`backend`](Self::backend) | kernel GEMM backend |
 /// | [`with_adjacency_path`](Self::with_adjacency_path) | [`adjacency_path`](Self::adjacency_path) | aggregation kernel: zero-word skip vs condensed |
 /// | [`with_fault_plan`](Self::with_fault_plan) | `fault_plan` (field) | chaos-testing fault plan |
-/// | [`with_max_batch_retries`](Self::with_max_batch_retries) | `max_batch_retries` (field) | supervisor retry budget |
 #[derive(Debug, Clone, PartialEq)]
 pub struct QgtcConfig {
     /// Model to evaluate.
@@ -79,12 +78,6 @@ pub struct QgtcConfig {
     /// (the default) falls back to the `QGTC_FAULTS` environment spec, and an
     /// empty plan injects nothing. See [`crate::fault`].
     pub fault_plan: Option<FaultPlan>,
-    /// How many times the supervisor re-prepares or re-dispatches a failing batch
-    /// (with exponential backoff) before giving up with
-    /// [`QgtcError::BatchFailed`]. Applies per batch per stage; partitioning uses
-    /// the same budget. The default (3) absorbs any transient fault of up to 3
-    /// consecutive failing attempts.
-    pub max_batch_retries: usize,
 }
 
 impl Default for QgtcConfig {
@@ -101,7 +94,6 @@ impl Default for QgtcConfig {
             seed: 0xC0FFEE,
             prefetch_batches: 2,
             fault_plan: None,
-            max_batch_retries: 3,
         }
     }
 }
@@ -179,18 +171,6 @@ impl QgtcConfig {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
-    }
-
-    /// Set the supervisor's per-batch retry budget.
-    pub fn with_max_batch_retries(mut self, retries: usize) -> Self {
-        self.max_batch_retries = retries;
-        self
-    }
-
-    /// The retry budget in the supervisors' `u32` attempt counter:
-    /// `max_batch_retries`, saturated at `u32::MAX` rather than wrapped.
-    pub(crate) fn retry_budget(&self) -> u32 {
-        u32::try_from(self.max_batch_retries).unwrap_or(u32::MAX)
     }
 
     /// Check the config-local invariants the old panicking entry points enforced
@@ -358,11 +338,9 @@ mod tests {
     fn fault_knobs_default_to_off() {
         let c = QgtcConfig::default();
         assert_eq!(c.fault_plan, None);
-        assert_eq!(c.max_batch_retries, 3);
         let plan = FaultPlan::parse("prepare:transient").expect("valid");
-        let c = c.with_fault_plan(plan.clone()).with_max_batch_retries(5);
+        let c = c.with_fault_plan(plan.clone());
         assert_eq!(c.fault_plan, Some(plan));
-        assert_eq!(c.max_batch_retries, 5);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!   arrival order — so a plan behaves identically in an epoch, in a serving
 //!   session, and at any thread count.
 //! * **Recovery** — the pipeline's supervisor (in [`crate::pipeline`]) consumes
-//!   faults through a [`FaultInjector`] and applies one policy per kind: transients
-//!   are retried with bounded backoff (`max_batch_retries`), corruption is caught
-//!   by payload checksums at take and repaired by a pure re-prepare, and a
-//!   persistent backend loss at GEMM dispatch degrades the epoch through the
-//!   [`fallback_backend`] chain (avx512 → portable). Every
-//!   outcome is tallied in [`FaultStats`] on the [`crate::EpochReport`].
+//!   faults through a [`FaultInjector`] under one retry policy: transients are
+//!   retried with bounded backoff (3 retries per batch and stage), corruption is
+//!   caught by payload checksums at take and repaired by a pure re-prepare, and
+//!   a persistent backend loss at GEMM dispatch degrades its batch and every
+//!   batch at or above its index through the [`fallback_backend`] chain
+//!   (avx512 → portable). Every outcome is tallied in [`FaultStats`] on the
+//!   [`crate::EpochReport`].
 //!
 //! Anything the supervisor cannot absorb surfaces as a [`QgtcError`] from the
 //! `try_*` entry points instead of a panic.
@@ -86,8 +87,9 @@ pub enum FaultKind {
     /// spurious cancellation). Recoverable while retries remain.
     Transient,
     /// The execution resource behind the site is gone and stays gone. At
-    /// [`FaultSite::Dispatch`] the supervisor degrades through
-    /// [`fallback_backend`]; at every other site this is unrecoverable.
+    /// [`FaultSite::Dispatch`] the loss holds for every batch at or above its
+    /// index, which the supervisor degrades through [`fallback_backend`]; at
+    /// every other site this is unrecoverable.
     BackendLoss,
     /// Bits of the prepared payload flip after sealing. Detected by the checksum
     /// validation at take and repaired by re-preparing the batch. At sites
@@ -135,9 +137,9 @@ pub struct FaultSpec {
     pub batch: usize,
     /// For [`FaultKind::Transient`] / [`FaultKind::Corruption`]: the number of
     /// consecutive attempts (0-based attempt indices `0..attempts`) that fail
-    /// before the site works again. A spec with `attempts <= max_batch_retries`
-    /// is recoverable by construction. Ignored for [`FaultKind::BackendLoss`],
-    /// which by definition never comes back.
+    /// before the site works again. A spec with `attempts <= 3` (the
+    /// supervisor's retry budget) is recoverable by construction. Ignored for
+    /// [`FaultKind::BackendLoss`], which by definition never comes back.
     pub attempts: u32,
 }
 
@@ -278,9 +280,9 @@ impl FaultPlan {
     /// `num_batches` batches, each failing at most `max_attempts` times.
     ///
     /// Chaos tests use this to exercise the full recovery machinery from a
-    /// single `u64`. With `max_attempts` at or below
-    /// `max_batch_retries` (default 3), every generated plan must recover to
-    /// bitwise-identical epoch output.
+    /// single `u64`. With `max_attempts` at or below the supervisor's retry
+    /// budget of 3, every generated plan must recover to bitwise-identical
+    /// epoch output.
     pub fn seeded_transient(seed: u64, num_batches: usize, max_attempts: u32) -> Self {
         const SITES: [FaultSite; 4] = [
             FaultSite::Prepare,
@@ -391,6 +393,27 @@ impl FaultInjector {
         worst
     }
 
+    /// The backend batch `batch` dispatches on: `configured`, stepped down
+    /// [`fallback_backend`] once for each batch at or below `batch` that
+    /// loses its backend at [`FaultSite::Dispatch`].  Pure in the plan, so a
+    /// loss holds by batch index, not by arrival order.  Fails with
+    /// [`QgtcError::BackendLost`], naming the loss that found no fallback,
+    /// when the chain runs out.
+    pub(crate) fn backend_at(
+        &self,
+        configured: BackendChoice,
+        batch: usize,
+    ) -> Result<BackendChoice, QgtcError> {
+        (0..=batch)
+            .filter(|&j| self.fault_at(FaultSite::Dispatch, j, 0) == Some(FaultKind::BackendLoss))
+            .try_fold(configured, |backend, lost_at| {
+                fallback_backend(backend).ok_or(QgtcError::BackendLost {
+                    backend: backend.name(),
+                    batch: lost_at,
+                })
+            })
+    }
+
     /// A deterministic per-(batch, attempt) seed for the corruption hook.
     pub fn corruption_seed(&self, batch: usize, attempt: u32) -> u64 {
         (batch as u64) << 32 | u64::from(attempt)
@@ -416,8 +439,8 @@ impl FaultInjector {
         self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot the tallies (with no degraded-backend attribution — the pipeline
-    /// fills that in from its epoch context).
+    /// Snapshot the tallies (with no degraded-backend attribution — the epoch
+    /// loop fills that in with its last batch's backend).
     pub fn stats(&self) -> FaultStats {
         FaultStats {
             injected: self.injected.load(Ordering::Relaxed),
@@ -767,6 +790,23 @@ mod tests {
             FaultPlan::seeded_transient(2, 8, 2),
             "different seeds should differ (for these two, at least)"
         );
+    }
+
+    #[test]
+    fn a_dispatch_loss_holds_for_every_batch_at_or_above_its_index() {
+        let plan = "gemm:backend-loss:3,gemm:backend-loss:1,gemm:backend-loss:1,take:backend-loss";
+        let injector = FaultInjector::new(FaultPlan::parse(plan).expect("valid"));
+        let backend = |batch| injector.backend_at(BackendChoice::Avx512, batch);
+        assert_eq!(backend(0), Ok(BackendChoice::Avx512));
+        // Two specs on one batch are one loss.
+        assert_eq!(backend(1), Ok(BackendChoice::Portable));
+        assert_eq!(backend(2), Ok(BackendChoice::Portable));
+        let exhausted = QgtcError::BackendLost {
+            backend: "portable",
+            batch: 3,
+        };
+        assert_eq!(backend(3), Err(exhausted.clone()));
+        assert_eq!(backend(9), Err(exhausted));
     }
 
     #[test]

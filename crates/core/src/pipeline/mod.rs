@@ -15,19 +15,28 @@
 //!    strategy and run the model's forward pass on the configured execution path.
 //!
 //! Every entry point runs the same private batch loop on the calling thread.
-//! Each batch passes four supervised steps in epoch order: prepare, take
-//! (checksum verify and repair), dispatch, then the forward pass.  The entry
-//! points differ only in where the plan comes from:
+//! They differ only in where the plan comes from: [`run_epoch`] and
+//! [`try_run_epoch`] partition inline, [`run_epoch_with_plan`] and
+//! [`try_run_epoch_with_plan`] take a built one.  The `try_*` forms return a
+//! typed error; the others panic with it.  The plan and each batch pass these
+//! supervised steps, the batches in epoch order:
 //!
-//! | Entry points | Where prepare runs | Payload seal | Fault injector | On a typed error |
-//! |---|---|---|---|---|
-//! | [`run_epoch`], [`try_run_epoch`], [`run_epoch_with_plan`], [`try_run_epoch_with_plan`] | inline | only with an active injector | from config | `try_*` return it, the others panic |
+//! | Step | Fault sites | A fault within the budget | Fails with |
+//! |---|---|---|---|
+//! | plan | partition | re-partitions | [`QgtcError::PartitionFailed`] |
+//! | prepare | prepare, deposit, take | re-prepares; take also repairs a checksum mismatch | [`QgtcError::BatchFailed`] |
+//! | dispatch | gemm | re-dispatches; a backend loss degrades this batch and every later one | [`QgtcError::BatchFailed`], or [`QgtcError::BackendLost`] at the chain's end |
+//! | forward | — | — | [`QgtcError::NonFiniteActivations`] |
 //!
-//! The serving session ([`crate::serve`]) runs its cache misses through the
-//! same `prepare_batch` and supervisors.  Because prepare is pure and execute
-//! runs in epoch order with the same inputs, a served full sweep records the
-//! epoch's [`CostSnapshot`]s exactly; [`run_epoch`] is the oracle it is checked
-//! against.
+//! A batch step shares no state with the others: it runs on the backend its
+//! batch index and the fault plan give, records into a cost tracker of its
+//! own, and returns the batch's [`CostSnapshot`]; the epoch loop collects the
+//! per-batch records.  The serving session ([`crate::serve`]) runs its cache
+//! misses through the same `prepare_batch`, supervisors and execute step, and
+//! merges each batch's cost into one tracker.  Because prepare is pure and a
+//! batch's execution depends on nothing but its index and payload, a served
+//! full sweep records the epoch's [`CostSnapshot`]s exactly; [`run_epoch`] is
+//! the oracle it is checked against.
 //!
 //! The returned [`EpochReport`] carries the modeled GPU latency (the number the
 //! paper's Figure 7 reports), a pipelined serial-vs-overlapped latency pair (the
@@ -38,18 +47,21 @@
 //! (partitioning excluded, reported separately as `partition_ms`), and the raw
 //! per-batch cost snapshots for deeper analysis.
 //!
-//! The supervisors (the `supervise_*` functions) absorb faults — injected by a
-//! [`crate::fault::FaultPlan`] or real (a checksum mismatch on a sealed payload):
-//! they retry with bounded backoff, repair by a pure re-prepare, or degrade the
-//! GEMM backend through [`crate::fault::fallback_backend`]. Because the
-//! supervisors key every decision on `(site, batch, attempt)` and re-preparing a
-//! batch is side-effect free, a recovered epoch is bitwise identical to a
-//! fault-free one, and [`EpochReport::fault_stats`] is the same at any thread
-//! count. What cannot be absorbed surfaces as a typed [`QgtcError`] from the
-//! `try_*` entry points ([`try_run_epoch`], [`try_run_epoch_with_plan`],
-//! [`try_build_plan`]); the panicking entry points delegate to them.
+//! The supervisors absorb faults — injected by a [`crate::fault::FaultPlan`] or
+//! real (a checksum mismatch on a sealed payload) — under one retry policy: a
+//! fault that fired is counted, a backend loss or a fault outliving 3 retries
+//! fails typed, and anything else backs off and retries, repairing a batch by
+//! a pure re-prepare.  A dispatch-site backend loss is not retried: the
+//! backend of batch `i` is the configured one stepped down
+//! [`crate::fault::fallback_backend`] once for each loss at a batch `j ≤ i`.
+//! Because every decision is keyed on `(site, batch, attempt)` and
+//! re-preparing a batch is side-effect free, a recovered epoch is bitwise
+//! identical to a fault-free one, and [`EpochReport::fault_stats`] is the same
+//! at any thread count. What cannot be absorbed surfaces as a typed
+//! [`QgtcError`] from the `try_*` entry points ([`try_run_epoch`],
+//! [`try_run_epoch_with_plan`], [`try_build_plan`]); the panicking entry points
+//! delegate to them.
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 use qgtc_gnn::models::{BatchForwardOutput, GnnModel, QuantizationSetting, QuantizedWeightSet};
@@ -65,7 +77,7 @@ use qgtc_tcsim::cost::{CostSnapshot, CostTracker};
 use qgtc_tcsim::{DeviceModel, KernelEstimate, PipelineEstimate};
 
 use crate::config::{ExecutionPath, ModelKind, QgtcConfig};
-use crate::fault::{fallback_backend, FaultInjector, FaultKind, FaultSite, FaultStats, QgtcError};
+use crate::fault::{FaultInjector, FaultKind, FaultSite, FaultStats, QgtcError};
 
 /// Result of one modeled inference epoch.
 #[derive(Debug, Clone)]
@@ -93,7 +105,7 @@ pub struct EpochReport {
     pub num_nodes: usize,
     /// Raw accumulated work counters.
     pub cost: CostSnapshot,
-    /// Per-batch cost deltas in epoch order (one entry per executed batch); these
+    /// Per-batch costs in epoch order (one entry per executed batch); these
     /// feed the pipelined latency model and the serving-vs-epoch identity tests.
     pub batch_costs: Vec<CostSnapshot>,
     /// Per-batch adjacency sparsity in epoch order (one entry per executed
@@ -148,11 +160,6 @@ pub(crate) struct EpochContext<'a> {
     config: &'a QgtcConfig,
     model: GnnModel,
     setting: QuantizationSetting,
-    /// The kernel configuration the epoch is *currently* executing with. It starts
-    /// as a copy of `config.kernel` and differs only after the dispatch supervisor
-    /// degrades the backend mid-epoch (a `RefCell` because degradation happens on
-    /// the execute side, which exclusively owns the context's mutability).
-    kernel: RefCell<KernelConfig>,
     /// The per-epoch quantized weight cache (low-bit QGTC path only): every
     /// layer's weights quantized and bit-packed exactly once, shared by all of
     /// the epoch's forward passes.
@@ -184,7 +191,6 @@ impl<'a> EpochContext<'a> {
             config,
             model,
             setting,
-            kernel: RefCell::new(config.kernel),
             weights,
         }
     }
@@ -196,27 +202,6 @@ impl<'a> EpochContext<'a> {
             .as_ref()
             .map_or(0, QuantizedWeightSet::quantize_calls)
     }
-
-    /// The backend choice the epoch is currently dispatching on.
-    pub(crate) fn current_backend(&self) -> BackendChoice {
-        self.kernel.borrow().backend
-    }
-
-    /// Degrade all remaining dispatches of this epoch to `backend`.
-    pub(crate) fn degrade_to(&self, backend: BackendChoice) {
-        self.kernel.borrow_mut().backend = backend;
-    }
-}
-
-/// Mutable per-epoch accumulation: the cost tracker plus the running totals.
-#[derive(Default)]
-pub(crate) struct EpochState {
-    pub(crate) tracker: CostTracker,
-    pub(crate) batch_costs: Vec<CostSnapshot>,
-    pub(crate) batch_sparsity: Vec<AdjacencySparsityStats>,
-    pub(crate) num_batches: usize,
-    pub(crate) num_nodes: usize,
-    pub(crate) weight_quantizations: u64,
 }
 
 /// The plan stage: partition the graph and build the indexable batch plan (the
@@ -247,29 +232,21 @@ pub(crate) fn supervised_build_plan(
 ) -> Result<(PartitionBatcher, usize), QgtcError> {
     config.validate()?;
     check_finite_features(dataset)?;
-    let max_retries = config.retry_budget();
-    let mut attempt = 0u32;
-    let mut absorbed = 0u64;
-    while let Some(kind) = injector.and_then(|i| i.fault_at(FaultSite::Partition, 0, attempt)) {
-        let injector = injector.expect("fault_at fired, injector present");
-        injector.count_injected();
-        if kind == FaultKind::BackendLoss || attempt >= max_retries {
-            return Err(QgtcError::PartitionFailed {
-                attempts: attempt + 1,
-            });
-        }
-        injector.count_retried();
-        absorbed += 1;
-        backoff(attempt);
-        attempt += 1;
-    }
     let partition_config = PartitionConfig::with_parts(config.num_partitions);
     let shards = partition_config.parallelism.effective_shards();
-    let partitioning = try_partition_kway(&dataset.graph, &partition_config)?;
-    let batcher = PartitionBatcher::try_new(&partitioning, config.batch_size)?;
-    if let Some(injector) = injector {
-        injector.count_recovered(absorbed);
-    }
+    let batcher = retry(injector, |attempt| {
+        if let Some(kind) = injector.and_then(|i| i.fault_at(FaultSite::Partition, 0, attempt)) {
+            return Err(Failure::Fault {
+                fired: Some(kind),
+                error: QgtcError::PartitionFailed {
+                    attempts: attempt + 1,
+                },
+            });
+        }
+        let partitioning =
+            try_partition_kway(&dataset.graph, &partition_config).map_err(QgtcError::from)?;
+        Ok(PartitionBatcher::try_new(&partitioning, config.batch_size).map_err(QgtcError::from)?)
+    })?;
     Ok((batcher, shards))
 }
 
@@ -298,11 +275,78 @@ fn check_finite_features(dataset: &LoadedDataset) -> Result<(), QgtcError> {
     Ok(())
 }
 
-/// Exponential backoff between supervised retries, starting at 50µs and capped
-/// well below any test timeout (50µs · 2⁶ = 3.2ms).
-fn backoff(attempt: u32) {
-    let micros = 50u64 << attempt.min(6);
-    std::thread::sleep(std::time::Duration::from_micros(micros));
+/// How many times a supervised stage retries a fault before it fails typed:
+/// a fault of up to 3 consecutive failing attempts is absorbed.
+const MAX_RETRIES: u32 = 3;
+
+/// Why one attempt of a supervised stage failed.
+enum Failure {
+    /// A fault failed the attempt: `fired` is the planned fault that fired
+    /// (`None` when a checksum caught damage done earlier), and `error` is
+    /// what the stage fails with if it stops retrying here.
+    Fault {
+        fired: Option<FaultKind>,
+        error: QgtcError,
+    },
+    /// The stage's own work failed.  That is not a fault: no retry, no count.
+    Stage(QgtcError),
+}
+
+impl From<QgtcError> for Failure {
+    fn from(error: QgtcError) -> Self {
+        Failure::Stage(error)
+    }
+}
+
+/// `kind` fired on attempt `attempt` of batch `batch` at `site`.
+fn batch_fault(batch: usize, site: FaultSite, kind: FaultKind, attempt: u32) -> Failure {
+    Failure::Fault {
+        fired: Some(kind),
+        error: QgtcError::BatchFailed {
+            batch,
+            site,
+            kind,
+            attempts: attempt + 1,
+        },
+    }
+}
+
+/// The one retry policy of every supervised stage.  `attempt(n)` runs the
+/// stage's attempt `n` (0 first) and keeps the stage's own site, firing key
+/// and checksum step.  A fault that fired is counted injected.  A backend
+/// loss, or a fault on attempt `MAX_RETRIES`, fails with the attempt's
+/// typed error; any other fault is counted retried and backs off
+/// exponentially (50µs · 2ⁿ) before the next attempt.  When an attempt
+/// succeeds, every fault retried before it counts as recovered.
+fn retry<T>(
+    injector: Option<&FaultInjector>,
+    mut attempt: impl FnMut(u32) -> Result<T, Failure>,
+) -> Result<T, QgtcError> {
+    let mut n = 0;
+    loop {
+        match attempt(n) {
+            Ok(value) => {
+                if let Some(injector) = injector {
+                    injector.count_recovered(u64::from(n));
+                }
+                return Ok(value);
+            }
+            Err(Failure::Stage(error)) => return Err(error),
+            Err(Failure::Fault { fired, error }) => {
+                if let (Some(injector), Some(_)) = (injector, fired) {
+                    injector.count_injected();
+                }
+                if fired == Some(FaultKind::BackendLoss) || n >= MAX_RETRIES {
+                    return Err(error);
+                }
+                if let Some(injector) = injector {
+                    injector.count_retried();
+                }
+                std::thread::sleep(std::time::Duration::from_micros(50 << n));
+                n += 1;
+            }
+        }
+    }
 }
 
 /// Prepare stage: materialise batch `index` of the plan and pack its payload,
@@ -379,268 +423,155 @@ pub(crate) fn prepare_batch(
     }
 }
 
-/// Execute stage: record the batch's transfer and run the forward pass, appending
-/// the batch's cost delta to the state. Must be called in epoch order.
+/// Execute stage: record the batch's transfer and run the forward pass on
+/// `backend`, into a cost tracker of the batch's own.
 ///
-/// Returns the forward pass's output (`None` for empty batches). The epoch
-/// loop drops it — an epoch is measured, not answered — while the serving
-/// layer ([`crate::serve`]) gathers per-request logit rows out of it.  Fails
-/// with [`QgtcError::NonFiniteActivations`] when the batch's activations
-/// overflow `f32`; the batch is then not counted.
+/// Returns the forward pass's output with the batch's [`CostSnapshot`]
+/// (`None` for empty batches). The epoch loop drops the output — an epoch is
+/// measured, not answered — while the serving layer ([`crate::serve`])
+/// gathers per-request logit rows out of it.  Fails with
+/// [`QgtcError::NonFiniteActivations`] when the batch's activations overflow
+/// `f32`; its cost is then dropped with it.
 pub(crate) fn execute_batch(
     ctx: &EpochContext<'_>,
     prepared: &PreparedBatch,
-    state: &mut EpochState,
-) -> Result<Option<BatchForwardOutput>, QgtcError> {
+    backend: BackendChoice,
+) -> Result<Option<(BatchForwardOutput, CostSnapshot)>, QgtcError> {
     if prepared.num_nodes() == 0 {
         return Ok(None);
     }
-    let before = state.tracker.snapshot();
-    prepared.record_transfer(ctx.config.transfer, &state.tracker);
+    let tracker = CostTracker::new();
+    prepared.record_transfer(ctx.config.transfer, &tracker);
     let output = match ctx.config.path {
         ExecutionPath::Qgtc => {
-            // The context's kernel config, not the original one: after a backend
-            // degradation the remaining batches dispatch on the fallback backend.
-            let kernel = *ctx.kernel.borrow();
-            let output = ctx
-                .model
+            let kernel = KernelConfig {
+                backend,
+                ..ctx.config.kernel
+            };
+            ctx.model
                 .try_forward_prepared_quantized(
                     prepared,
                     ctx.setting,
                     ctx.weights.as_ref(),
                     &kernel,
-                    &state.tracker,
+                    &tracker,
                 )
                 .map_err(|source| QgtcError::NonFiniteActivations {
                     batch: prepared.batch_index,
                     source,
-                })?;
-            // An assignment, not an accumulation: the context quantized once
-            // at epoch start, so the total never grows with the batch count.
-            state.weight_quantizations = ctx.weight_quantize_calls();
-            output
+                })?
         }
-        ExecutionPath::DglBaseline => ctx.model.forward_prepared_fp32(prepared, &state.tracker),
+        ExecutionPath::DglBaseline => ctx.model.forward_prepared_fp32(prepared, &tracker),
     };
-    state.num_batches += 1;
-    state.num_nodes += prepared.num_nodes();
-    state
-        .batch_costs
-        .push(state.tracker.snapshot().delta_since(&before));
-    // Host-side sparsity measurement, aligned with `batch_costs` (one entry
-    // per executed batch; all-zero on the dense baseline path).
-    state.batch_sparsity.push(
-        prepared
-            .payload
-            .as_ref()
-            .map(|payload| adjacency_sparsity_stats(&payload.packed_adjacency))
-            .unwrap_or_default(),
-    );
-    Ok(Some(output))
+    Ok(Some((output, tracker.snapshot())))
 }
 
-/// Prepare stage under supervision: run `prepare` for batch `index` and hand
-/// it off to the take stage, retrying [`FaultSite::Prepare`] and
-/// [`FaultSite::Deposit`] faults as one bounded production cycle.  `prepare`
-/// must be pure with respect to the cost model and deterministic for a given
-/// batch (re-invocations must rebuild bitwise-identical payloads — that is
-/// what makes retry a repair); [`prepare_batch`] is.  An error from `prepare`
+/// Prepare stage under supervision: run `prepare` for batch `index`, hand it
+/// off to take, and verify it there, absorbing [`FaultSite::Prepare`],
+/// [`FaultSite::Deposit`] and [`FaultSite::Take`] faults.  `prepare` must be
+/// pure with respect to the cost model and deterministic for a given batch
+/// (re-invocations must rebuild bitwise-identical payloads — that is what
+/// makes retry a repair); [`prepare_batch`] is.  An error from `prepare`
 /// itself is not a fault: it returns at once, with no retry and no count.
 ///
-/// Under an active injector the batch is sealed under its payload checksum
-/// before the hand-off — which is also where a planned
-/// [`FaultKind::Corruption`] flips payload bits *after* sealing, leaving a
-/// stale checksum for [`supervise_delivered`] to catch.
+/// Under an active injector every prepared batch is sealed under its payload
+/// checksum — and a planned deposit-site [`FaultKind::Corruption`] flips
+/// payload bits *after* sealing, leaving a stale checksum for take to catch.
 pub(crate) fn supervise_prepare(
-    config: &QgtcConfig,
     injector: Option<&FaultInjector>,
     index: usize,
     mut prepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
-    let max_retries = config.retry_budget();
-    let mut attempt = 0u32;
-    let mut absorbed = 0u64;
-    loop {
-        // Prepare-site faults fail the attempt before a batch exists.
-        if let Some(kind) = injector.and_then(|i| i.fault_at(FaultSite::Prepare, index, attempt)) {
-            let injector = injector.expect("fault_at fired, injector present");
-            injector.count_injected();
-            if kind == FaultKind::BackendLoss || attempt >= max_retries {
-                return Err(QgtcError::BatchFailed {
-                    batch: index,
-                    site: FaultSite::Prepare,
-                    kind,
-                    attempts: attempt + 1,
-                });
-            }
-            injector.count_retried();
-            absorbed += 1;
-            backoff(attempt);
-            attempt += 1;
-            continue;
-        }
+    let fault_at = |site, attempt| injector.and_then(|i| i.fault_at(site, index, attempt));
+    let mut sealed = || {
         let mut prepared = prepare()?;
         if injector.is_some() {
             prepared.seal_checksum();
         }
-        // Deposit-site faults hit the hand-off from prepare to take.
-        match injector.and_then(|i| i.fault_at(FaultSite::Deposit, index, attempt)) {
+        Ok::<_, QgtcError>(prepared)
+    };
+    // Production: a prepare-site fault fails the attempt before a batch
+    // exists, a deposit-site fault at the hand-off to take.
+    let mut prepared = retry(injector, |attempt| {
+        if let Some(kind) = fault_at(FaultSite::Prepare, attempt) {
+            return Err(batch_fault(index, FaultSite::Prepare, kind, attempt));
+        }
+        let mut prepared = sealed()?;
+        match fault_at(FaultSite::Deposit, attempt) {
             Some(FaultKind::Corruption) => {
+                // The damaged batch is delivered as-is; detection (checksum
+                // mismatch) and repair (re-prepare) happen at take time.
                 let injector = injector.expect("fault_at fired, injector present");
                 if prepared.corrupt_payload(injector.corruption_seed(index, attempt)) {
                     injector.count_injected();
                 }
-                // The damaged batch is delivered as-is; detection (checksum
-                // mismatch) and repair (re-prepare) happen at take time.
-                injector.count_recovered(absorbed);
-                return Ok(prepared);
+                Ok(prepared)
             }
-            Some(kind) => {
-                let injector = injector.expect("fault_at fired, injector present");
-                injector.count_injected();
-                if kind == FaultKind::BackendLoss || attempt >= max_retries {
-                    return Err(QgtcError::BatchFailed {
-                        batch: index,
-                        site: FaultSite::Deposit,
-                        kind,
-                        attempts: attempt + 1,
-                    });
-                }
-                injector.count_retried();
-                absorbed += 1;
-                backoff(attempt);
-                attempt += 1;
-            }
-            None => {
-                if let Some(injector) = injector {
-                    injector.count_recovered(absorbed);
-                }
-                return Ok(prepared);
-            }
+            Some(kind) => Err(batch_fault(index, FaultSite::Deposit, kind, attempt)),
+            None => Ok(prepared),
         }
-    }
-}
-
-/// Take stage under supervision: validate the delivered batch's payload checksum
-/// and absorb [`FaultSite::Take`] faults, repairing by `reprepare` (a pure
-/// re-prepare, so the repaired batch is bitwise identical to a fault-free
-/// preparation).
-pub(crate) fn supervise_delivered(
-    mut prepared: PreparedBatch,
-    config: &QgtcConfig,
-    injector: Option<&FaultInjector>,
-    index: usize,
-    mut reprepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
-) -> Result<PreparedBatch, QgtcError> {
-    let max_retries = config.retry_budget();
-    let mut attempt = 0u32;
-    let mut absorbed = 0u64;
-    loop {
-        let fault = injector.and_then(|i| i.fault_at(FaultSite::Take, index, attempt));
-        if let Some(injector) = injector {
-            if fault.is_some() {
-                injector.count_injected();
-            }
+    })?;
+    // Take: the checksum catches corruption whether injected or real, and a
+    // repair re-runs the pure prepare.  No re-deposit happens, so a
+    // deposit-time corruption cannot re-damage the repaired batch.
+    retry(injector, |attempt| {
+        if attempt > 0 {
+            prepared = sealed()?;
         }
-        if fault == Some(FaultKind::BackendLoss) {
-            return Err(QgtcError::BatchFailed {
+        let fired = fault_at(FaultSite::Take, attempt);
+        let kind = match fired {
+            Some(FaultKind::BackendLoss) => FaultKind::BackendLoss,
+            _ if !prepared.verify_payload() => FaultKind::Corruption,
+            Some(kind) => kind,
+            None => return Ok(()),
+        };
+        Err(Failure::Fault {
+            fired,
+            error: QgtcError::BatchFailed {
                 batch: index,
                 site: FaultSite::Take,
-                kind: FaultKind::BackendLoss,
+                kind,
                 attempts: attempt + 1,
-            });
-        }
-        // Checksum validation catches corruption whether it was injected or real.
-        let corrupted = !prepared.verify_payload();
-        if fault.is_none() && !corrupted {
-            if let Some(injector) = injector {
-                injector.count_recovered(absorbed);
-            }
-            return Ok(prepared);
-        }
-        if attempt >= max_retries {
-            return Err(QgtcError::BatchFailed {
-                batch: index,
-                site: FaultSite::Take,
-                kind: if corrupted {
-                    FaultKind::Corruption
-                } else {
-                    fault.unwrap_or(FaultKind::Transient)
-                },
-                attempts: attempt + 1,
-            });
-        }
-        if let Some(injector) = injector {
-            injector.count_retried();
-        }
-        absorbed += 1;
-        backoff(attempt);
-        // Repair: re-run the pure prepare stage. No re-deposit happens, so a
-        // deposit-time corruption cannot re-damage the repaired batch.
-        prepared = reprepare()?;
-        if injector.is_some() {
-            prepared.seal_checksum();
-        }
-        attempt += 1;
-    }
+            },
+        })
+    })?;
+    Ok(prepared)
 }
 
 /// Dispatch stage under supervision, run just before a batch's forward pass:
-/// transient [`FaultSite::Dispatch`] faults retry the dispatch; a persistent
-/// backend loss degrades the epoch's remaining batches through
-/// [`fallback_backend`] (or fails typed when the chain is exhausted).
+/// returns the backend batch `index` runs on
+/// ([`FaultInjector::backend_at`]: a backend loss at this or any earlier
+/// batch index steps it down, or fails typed at the chain's end).  A
+/// transient [`FaultSite::Dispatch`] fault retries the dispatch.
 pub(crate) fn supervise_dispatch(
-    ctx: &EpochContext<'_>,
+    config: &QgtcConfig,
     injector: Option<&FaultInjector>,
     index: usize,
-) -> Result<(), QgtcError> {
+) -> Result<BackendChoice, QgtcError> {
     let Some(injector) = injector else {
-        return Ok(());
+        return Ok(config.kernel.backend);
     };
-    let max_retries = ctx.config.retry_budget();
-    let mut attempt = 0u32;
-    let mut absorbed = 0u64;
-    loop {
+    let backend = injector.backend_at(config.kernel.backend, index)?;
+    retry(Some(injector), |attempt| {
         match injector.fault_at(FaultSite::Dispatch, index, attempt) {
-            None => {
-                injector.count_recovered(absorbed);
-                return Ok(());
-            }
+            None => Ok(()),
             Some(FaultKind::BackendLoss) => {
                 injector.count_injected();
-                let lost = ctx.current_backend();
-                match fallback_backend(lost) {
-                    Some(next) => {
-                        ctx.degrade_to(next);
-                        injector.count_degraded();
-                        injector.count_recovered(absorbed);
-                        return Ok(());
-                    }
-                    None => {
-                        return Err(QgtcError::BackendLost {
-                            backend: lost.name(),
-                            batch: index,
-                        })
-                    }
-                }
+                injector.count_degraded();
+                Ok(())
             }
-            Some(_) => {
-                injector.count_injected();
-                if attempt >= max_retries {
-                    return Err(QgtcError::BatchFailed {
-                        batch: index,
-                        site: FaultSite::Dispatch,
-                        kind: FaultKind::Transient,
-                        attempts: attempt + 1,
-                    });
-                }
-                injector.count_retried();
-                absorbed += 1;
-                backoff(attempt);
-                attempt += 1;
-            }
+            Some(kind) => Err(Failure::Fault {
+                fired: Some(kind),
+                error: QgtcError::BatchFailed {
+                    batch: index,
+                    site: FaultSite::Dispatch,
+                    kind: FaultKind::Transient,
+                    attempts: attempt + 1,
+                },
+            }),
         }
-    }
+    })?;
+    Ok(backend)
 }
 
 /// Run one epoch of `dataset` under `config` over `plan` or, when it is
@@ -676,9 +607,9 @@ fn run_epoch_on(
     Ok(report)
 }
 
-/// The one batch loop: every batch runs supervised prepare, supervised take
-/// (checksum verify and repair), supervised dispatch and [`execute_batch`], in
-/// epoch order on the calling thread.
+/// The one batch loop: every batch runs supervised prepare, supervised
+/// dispatch and [`execute_batch`], in epoch order on the calling thread, and
+/// the loop collects each executed batch's cost, sparsity and node count.
 fn run_batches(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
@@ -687,12 +618,15 @@ fn run_batches(
 ) -> Result<EpochReport, QgtcError> {
     let epoch_start = Instant::now();
     let ctx = EpochContext::new(dataset, config);
-    let mut state = EpochState::default();
     let mut scratch = SubgraphScratch::default();
+    let mut backend = config.kernel.backend;
+    let mut batch_costs = Vec::new();
+    let mut batch_sparsity = Vec::new();
+    let mut num_nodes = 0;
     for index in 0..batcher.num_batches() {
         // Epoch batches are dropped once executed, so every prepare draws from
         // an empty pool; the loop reuses only its node-map scratch.
-        let mut prepare = || {
+        let prepare = || {
             prepare_batch(
                 batcher,
                 dataset,
@@ -702,33 +636,48 @@ fn run_batches(
                 &mut scratch,
             )
         };
-        let prepared = supervise_prepare(config, injector, index, &mut prepare)?;
-        let prepared = supervise_delivered(prepared, config, injector, index, &mut prepare)?;
-        supervise_dispatch(&ctx, injector, index)?;
-        execute_batch(&ctx, &prepared, &mut state)?;
+        let prepared = supervise_prepare(injector, index, prepare)?;
+        backend = supervise_dispatch(config, injector, index)?;
+        if let Some((_, cost)) = execute_batch(&ctx, &prepared, backend)? {
+            batch_costs.push(cost);
+            // Host-side sparsity measurement, aligned with `batch_costs`
+            // (all-zero on the dense baseline path).
+            batch_sparsity.push(
+                prepared
+                    .payload
+                    .as_ref()
+                    .map(|payload| adjacency_sparsity_stats(&payload.packed_adjacency))
+                    .unwrap_or_default(),
+            );
+            num_nodes += prepared.num_nodes();
+        }
     }
 
     let mut fault_stats = injector.map(FaultInjector::stats).unwrap_or_default();
     if fault_stats.degraded > 0 {
-        fault_stats.degraded_backend = Some(ctx.current_backend().name());
+        fault_stats.degraded_backend = Some(backend.name());
     }
-    let cost = state.tracker.snapshot();
+    let total = CostTracker::new();
+    for cost in &batch_costs {
+        total.merge_snapshot(cost);
+    }
+    let cost = total.snapshot();
     let device = DeviceModel::new(config.gpu.clone());
     let estimate = device.estimate(&cost);
-    let pipeline = device.estimate_pipelined(&state.batch_costs, config.prefetch_batches);
+    let pipeline = device.estimate_pipelined(&batch_costs, config.prefetch_batches);
     Ok(EpochReport {
         modeled_ms: estimate.total_ms(),
         estimate,
         pipeline,
         host_wall_ms: epoch_start.elapsed().as_secs_f64() * 1e3,
         partition_ms: 0.0,
-        num_batches: state.num_batches,
-        num_nodes: state.num_nodes,
+        num_batches: batch_costs.len(),
+        num_nodes,
         cost,
-        batch_costs: state.batch_costs,
-        batch_sparsity: state.batch_sparsity,
+        batch_costs,
+        batch_sparsity,
         fault_stats,
-        weight_quantizations: state.weight_quantizations,
+        weight_quantizations: ctx.weight_quantize_calls(),
     })
 }
 
@@ -947,13 +896,12 @@ mod tests {
 
     #[test]
     fn a_prepare_error_is_returned_without_a_retry_or_a_fault_count() {
-        let config = QgtcConfig::default();
         // An active plan whose deposit fault would retry a successful prepare.
         let plan = crate::fault::FaultPlan::parse("deposit:transient:0").expect("valid");
         let injector = FaultInjector::new(plan);
         let error = QgtcError::NonFiniteFeature { node: 1, column: 2 };
         let mut calls = 0;
-        let result = supervise_prepare(&config, Some(&injector), 0, || {
+        let result = supervise_prepare(Some(&injector), 0, || {
             calls += 1;
             Err(error.clone())
         });

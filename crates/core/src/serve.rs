@@ -27,17 +27,21 @@
 //! [`PackedBufferPool`], so once the pool is warm a drain performs **zero
 //! fresh pool-managed allocations** ([`ServeStats::pool`]).
 //!
-//! Prepare and dispatch run through the epoch loop's `prepare_batch` and fault
-//! supervisors, so an injected or real fault retries, repairs, or degrades the
-//! backend exactly as an epoch would. A batch whose fault cannot be absorbed
-//! **degrades instead of killing the session**: its rows come back zero-filled
-//! and the affected node ids are listed in [`InferResponse::degraded`], while
-//! every other batch of the drain answers normally.
+//! Prepare, dispatch and execute run through the epoch loop's `prepare_batch`,
+//! fault supervisors and batch step, so an injected or real fault retries,
+//! repairs, or degrades the backend exactly as an epoch would.  A batch step
+//! depends on its index alone: a dispatch-site backend loss at batch `j`
+//! degrades every batch at or above `j`, however often and in whatever order
+//! they are served, and one that exhausts the fallback chain fails every such
+//! batch.  A batch whose fault cannot be absorbed **degrades instead of
+//! killing the session**: its rows come back zero-filled and the affected
+//! node ids are listed in [`InferResponse::degraded`], while every other batch
+//! of the drain answers normally.
 //!
-//! Because cache hits skip only the (cost-silent) prepare stage and batches
-//! execute in ascending index order within a drain, a single request covering
-//! every node replays the epoch oracle exactly: same transfer and kernel
-//! counters, bitwise-identical logits.
+//! Because cache hits skip only the (cost-silent) prepare stage and each
+//! executed batch's cost is merged into the session's tracker, a single
+//! request covering every node replays the epoch oracle exactly: same
+//! transfer and kernel counters, bitwise-identical logits.
 //!
 //! ```
 //! use qgtc_core::serve::QgtcSession;
@@ -66,14 +70,14 @@ use qgtc_graph::{LoadedDataset, SubgraphScratch};
 use qgtc_kernels::packing::PreparedBatch;
 use qgtc_kernels::pool::{PackedBufferPool, PoolStats};
 use qgtc_partition::PartitionBatcher;
-use qgtc_tcsim::cost::CostSnapshot;
+use qgtc_tcsim::cost::{CostSnapshot, CostTracker};
 use qgtc_tensor::Matrix;
 
 use crate::config::QgtcConfig;
 use crate::fault::{FaultInjector, QgtcError};
 use crate::pipeline::{
-    execute_batch, prepare_batch, supervise_delivered, supervise_dispatch, supervise_prepare,
-    supervised_build_plan, EpochContext, EpochState,
+    execute_batch, prepare_batch, supervise_dispatch, supervise_prepare, supervised_build_plan,
+    EpochContext,
 };
 
 /// Session-construction knobs (everything else comes from [`QgtcConfig`]).
@@ -178,7 +182,8 @@ pub struct QgtcSession<'a> {
     clock: u64,
     pool: PackedBufferPool,
     scratch: SubgraphScratch,
-    state: EpochState,
+    /// Every executed batch's cost, merged.
+    cost: CostTracker,
     stats: ServeStats,
     pending: Vec<PendingRequest>,
     next_ticket: u64,
@@ -239,7 +244,7 @@ impl<'a> QgtcSession<'a> {
             clock: 0,
             pool: PackedBufferPool::new(),
             scratch: SubgraphScratch::default(),
-            state: EpochState::default(),
+            cost: CostTracker::new(),
             stats,
             pending: Vec::new(),
             next_ticket: 0,
@@ -364,8 +369,9 @@ impl<'a> QgtcSession<'a> {
 
     /// Execute one batch: payload from the cache when possible, otherwise a
     /// pool-backed supervised prepare; then the supervised dispatch + forward
-    /// pass. The payload goes (back) into the cache either way, so a dispatch
-    /// failure does not forfeit the prepare work.
+    /// pass, whose cost is merged into the session's. The payload goes (back)
+    /// into the cache either way, so a dispatch failure does not forfeit the
+    /// prepare work.
     fn execute_serving_batch(&mut self, index: usize) -> Result<BatchForwardOutput, QgtcError> {
         let prepared = match self.take_cached(index) {
             Some(prepared) => {
@@ -379,18 +385,18 @@ impl<'a> QgtcSession<'a> {
                 self.stats.cache_misses += 1;
                 let (batcher, dataset, config) = (&self.batcher, self.dataset, self.config);
                 let (pool, scratch) = (&mut self.pool, &mut self.scratch);
-                let injector = self.injector.as_ref();
                 // The epoch's prepare, drawing every buffer from the session's
                 // pool (so a warm session prepares allocation-free).
-                let mut prepare = || prepare_batch(batcher, dataset, config, index, pool, scratch);
-                let prepared = supervise_prepare(config, injector, index, &mut prepare)?;
-                supervise_delivered(prepared, config, injector, index, &mut prepare)?
+                supervise_prepare(self.injector.as_ref(), index, || {
+                    prepare_batch(batcher, dataset, config, index, pool, scratch)
+                })?
             }
         };
-        let result = supervise_dispatch(&self.ctx, self.injector.as_ref(), index)
-            .and_then(|()| execute_batch(&self.ctx, &prepared, &mut self.state));
+        let result = supervise_dispatch(self.config, self.injector.as_ref(), index)
+            .and_then(|backend| execute_batch(&self.ctx, &prepared, backend));
         self.store_cache(index, prepared);
-        let output = result?.expect("serving batches are non-empty: a node routed here");
+        let (output, cost) = result?.expect("serving batches are non-empty: a node routed here");
+        self.cost.merge_snapshot(&cost);
         self.stats.batches_executed += 1;
         Ok(output)
     }
@@ -455,7 +461,7 @@ impl<'a> QgtcSession<'a> {
     /// comparable to an [`crate::pipeline::EpochReport`]'s `cost` when the
     /// session has executed the same batches.
     pub fn cost_snapshot(&self) -> CostSnapshot {
-        self.state.tracker.snapshot()
+        self.cost.snapshot()
     }
 
     /// Number of batches in the session's (fixed) plan.

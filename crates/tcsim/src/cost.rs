@@ -24,11 +24,9 @@ pub struct CostTracker {
     cuda_int_ops: AtomicU64,
     dram_read_bytes: AtomicU64,
     dram_write_bytes: AtomicU64,
-    shared_bytes: AtomicU64,
     kernel_launches: AtomicU64,
     thread_blocks: AtomicU64,
     pcie_h2d_bytes: AtomicU64,
-    pcie_d2h_bytes: AtomicU64,
     fused_words_total: AtomicU64,
     fused_words_skipped: AtomicU64,
     adj_skip_dispatches: AtomicU64,
@@ -60,16 +58,12 @@ pub struct CostSnapshot {
     pub dram_read_bytes: u64,
     /// Bytes written to device DRAM.
     pub dram_write_bytes: u64,
-    /// Bytes staged through shared memory.
-    pub shared_bytes: u64,
     /// Number of kernel launches.
     pub kernel_launches: u64,
     /// Number of thread blocks across all launches.
     pub thread_blocks: u64,
     /// Host-to-device PCIe bytes.
     pub pcie_h2d_bytes: u64,
-    /// Device-to-host PCIe bytes.
-    pub pcie_d2h_bytes: u64,
     /// Widened 64-bit A words the fused GEMM's K loops would visit without
     /// zero-word skipping (the denominator of the measured skip ratio).
     pub fused_words_total: u64,
@@ -144,11 +138,6 @@ impl CostTracker {
         self.dram_write_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record shared-memory traffic, in bytes.
-    pub fn record_shared(&self, bytes: u64) {
-        self.shared_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Record a kernel launch with `blocks` thread blocks.
     pub fn record_kernel_launch(&self, blocks: u64) {
         self.kernel_launches.fetch_add(1, Ordering::Relaxed);
@@ -158,11 +147,6 @@ impl CostTracker {
     /// Record a host-to-device transfer, in bytes.
     pub fn record_pcie_h2d(&self, bytes: u64) {
         self.pcie_h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record a device-to-host transfer, in bytes.
-    pub fn record_pcie_d2h(&self, bytes: u64) {
-        self.pcie_d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Record one fused GEMM's zero-word accounting: the K-loop word total it
@@ -215,16 +199,12 @@ impl CostTracker {
             .fetch_add(other.dram_read_bytes, Ordering::Relaxed);
         self.dram_write_bytes
             .fetch_add(other.dram_write_bytes, Ordering::Relaxed);
-        self.shared_bytes
-            .fetch_add(other.shared_bytes, Ordering::Relaxed);
         self.kernel_launches
             .fetch_add(other.kernel_launches, Ordering::Relaxed);
         self.thread_blocks
             .fetch_add(other.thread_blocks, Ordering::Relaxed);
         self.pcie_h2d_bytes
             .fetch_add(other.pcie_h2d_bytes, Ordering::Relaxed);
-        self.pcie_d2h_bytes
-            .fetch_add(other.pcie_d2h_bytes, Ordering::Relaxed);
         self.fused_words_total
             .fetch_add(other.fused_words_total, Ordering::Relaxed);
         self.fused_words_skipped
@@ -252,11 +232,9 @@ impl CostTracker {
             cuda_int_ops: self.cuda_int_ops.load(Ordering::Relaxed),
             dram_read_bytes: self.dram_read_bytes.load(Ordering::Relaxed),
             dram_write_bytes: self.dram_write_bytes.load(Ordering::Relaxed),
-            shared_bytes: self.shared_bytes.load(Ordering::Relaxed),
             kernel_launches: self.kernel_launches.load(Ordering::Relaxed),
             thread_blocks: self.thread_blocks.load(Ordering::Relaxed),
             pcie_h2d_bytes: self.pcie_h2d_bytes.load(Ordering::Relaxed),
-            pcie_d2h_bytes: self.pcie_d2h_bytes.load(Ordering::Relaxed),
             fused_words_total: self.fused_words_total.load(Ordering::Relaxed),
             fused_words_skipped: self.fused_words_skipped.load(Ordering::Relaxed),
             adj_skip_dispatches: self.adj_skip_dispatches.load(Ordering::Relaxed),
@@ -264,31 +242,6 @@ impl CostTracker {
             condensed_words: self.condensed_words.load(Ordering::Relaxed),
             condensed_source_words: self.condensed_source_words.load(Ordering::Relaxed),
         }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.tc_b1_tiles.store(0, Ordering::Relaxed);
-        self.tc_b1_tiles_skipped.store(0, Ordering::Relaxed);
-        self.tc_int8_ops.store(0, Ordering::Relaxed);
-        self.tc_int4_ops.store(0, Ordering::Relaxed);
-        self.tc_fp16_flops.store(0, Ordering::Relaxed);
-        self.cuda_fp32_flops.store(0, Ordering::Relaxed);
-        self.cuda_sparse_flops.store(0, Ordering::Relaxed);
-        self.cuda_int_ops.store(0, Ordering::Relaxed);
-        self.dram_read_bytes.store(0, Ordering::Relaxed);
-        self.dram_write_bytes.store(0, Ordering::Relaxed);
-        self.shared_bytes.store(0, Ordering::Relaxed);
-        self.kernel_launches.store(0, Ordering::Relaxed);
-        self.thread_blocks.store(0, Ordering::Relaxed);
-        self.pcie_h2d_bytes.store(0, Ordering::Relaxed);
-        self.pcie_d2h_bytes.store(0, Ordering::Relaxed);
-        self.fused_words_total.store(0, Ordering::Relaxed);
-        self.fused_words_skipped.store(0, Ordering::Relaxed);
-        self.adj_skip_dispatches.store(0, Ordering::Relaxed);
-        self.adj_condensed_dispatches.store(0, Ordering::Relaxed);
-        self.condensed_words.store(0, Ordering::Relaxed);
-        self.condensed_source_words.store(0, Ordering::Relaxed);
     }
 }
 
@@ -303,9 +256,10 @@ impl CostSnapshot {
         self.dram_read_bytes + self.dram_write_bytes
     }
 
-    /// Total PCIe traffic, in bytes.
+    /// Total PCIe traffic, in bytes: the host-to-device transfers (nothing
+    /// is shipped back).
     pub fn pcie_bytes(&self) -> u64 {
-        self.pcie_h2d_bytes + self.pcie_d2h_bytes
+        self.pcie_h2d_bytes
     }
 
     /// Fraction of 1-bit tiles that were actually processed (Figure 8's metric):
@@ -337,34 +291,6 @@ impl CostSnapshot {
             0.0
         } else {
             self.condensed_words as f64 / self.condensed_source_words as f64
-        }
-    }
-
-    /// Elementwise difference (`self - earlier`), for extracting per-phase costs.
-    pub fn delta_since(&self, earlier: &CostSnapshot) -> CostSnapshot {
-        CostSnapshot {
-            tc_b1_tiles: self.tc_b1_tiles - earlier.tc_b1_tiles,
-            tc_b1_tiles_skipped: self.tc_b1_tiles_skipped - earlier.tc_b1_tiles_skipped,
-            tc_int8_ops: self.tc_int8_ops - earlier.tc_int8_ops,
-            tc_int4_ops: self.tc_int4_ops - earlier.tc_int4_ops,
-            tc_fp16_flops: self.tc_fp16_flops - earlier.tc_fp16_flops,
-            cuda_fp32_flops: self.cuda_fp32_flops - earlier.cuda_fp32_flops,
-            cuda_sparse_flops: self.cuda_sparse_flops - earlier.cuda_sparse_flops,
-            cuda_int_ops: self.cuda_int_ops - earlier.cuda_int_ops,
-            dram_read_bytes: self.dram_read_bytes - earlier.dram_read_bytes,
-            dram_write_bytes: self.dram_write_bytes - earlier.dram_write_bytes,
-            shared_bytes: self.shared_bytes - earlier.shared_bytes,
-            kernel_launches: self.kernel_launches - earlier.kernel_launches,
-            thread_blocks: self.thread_blocks - earlier.thread_blocks,
-            pcie_h2d_bytes: self.pcie_h2d_bytes - earlier.pcie_h2d_bytes,
-            pcie_d2h_bytes: self.pcie_d2h_bytes - earlier.pcie_d2h_bytes,
-            fused_words_total: self.fused_words_total - earlier.fused_words_total,
-            fused_words_skipped: self.fused_words_skipped - earlier.fused_words_skipped,
-            adj_skip_dispatches: self.adj_skip_dispatches - earlier.adj_skip_dispatches,
-            adj_condensed_dispatches: self.adj_condensed_dispatches
-                - earlier.adj_condensed_dispatches,
-            condensed_words: self.condensed_words - earlier.condensed_words,
-            condensed_source_words: self.condensed_source_words - earlier.condensed_source_words,
         }
     }
 }
@@ -443,33 +369,20 @@ mod tests {
         let other = CostTracker::new();
         other.merge_snapshot(&s);
         assert_eq!(other.snapshot(), s);
-        assert_eq!(s.delta_since(&s), CostSnapshot::default());
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let t = CostTracker::new();
-        t.record_int8_ops(5);
-        t.record_shared(100);
-        t.reset();
-        assert_eq!(t.snapshot(), CostSnapshot::default());
-    }
-
-    #[test]
-    fn merge_and_delta() {
+    fn merge_adds_every_counter() {
         let t = CostTracker::new();
         t.record_b1_tiles(4);
-        let first = t.snapshot();
-        t.record_b1_tiles(6);
         t.record_int_ops(9);
-        let second = t.snapshot();
-        let delta = second.delta_since(&first);
-        assert_eq!(delta.tc_b1_tiles, 6);
-        assert_eq!(delta.cuda_int_ops, 9);
-
+        let snapshot = t.snapshot();
         let other = CostTracker::new();
-        other.merge_snapshot(&second);
-        assert_eq!(other.snapshot(), second);
+        other.merge_snapshot(&snapshot);
+        assert_eq!(other.snapshot(), snapshot);
+        other.merge_snapshot(&snapshot);
+        assert_eq!(other.snapshot().tc_b1_tiles, 8);
+        assert_eq!(other.snapshot().cuda_int_ops, 18);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! ways into the one batch loop: `try_run_epoch`, which plans inline, and
 //! `try_run_epoch_with_plan` over a plan built beforehand (the call the
 //! end-to-end benchmark times), which must tally identical `fault_stats`.
+//! Serving sessions are checked under a backend loss too: it holds for every
+//! batch at or above its index, however often a batch is served.
 //!
 //! Fault firing is keyed on `(site, batch, attempt)`, so the whole suite is
 //! deterministic at any thread count; `ci.sh`'s chaos stage re-runs it under
@@ -129,7 +131,7 @@ proptest! {
             site,
             kind,
             batch: 0,
-            // One past the budget: attempts 0..=max_batch_retries all fail.
+            // Past the retry budget of 3: attempts 0..=3 all fail.
             attempts: 3 + 2,
         };
         let faulty = tiny_config().with_fault_plan(FaultPlan::new(vec![spec]));
@@ -138,7 +140,7 @@ proptest! {
                 Err(QgtcError::BatchFailed { batch, site: failed_at, attempts, .. }) => {
                     prop_assert_eq!(batch, 0);
                     prop_assert_eq!(failed_at, site);
-                    // The budget is 1 + max_batch_retries attempts.
+                    // The budget is 1 + 3 attempts.
                     prop_assert_eq!(attempts, 4);
                 }
                 other => prop_assert!(false, "{name}: expected BatchFailed, got {other:?}"),
@@ -243,6 +245,55 @@ fn backend_loss_on_portable_exhausts_the_fallback_chain() {
     }
 }
 
+fn all_nodes(dataset: &LoadedDataset) -> Vec<usize> {
+    (0..dataset.graph.num_nodes()).collect()
+}
+
+#[test]
+fn serving_a_backend_loss_again_keeps_answering_on_the_fallback() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let config = tiny_config();
+    if config.backend() == BackendChoice::Portable {
+        // No AVX-512 on this host: the chain starts at its end, which the
+        // portable test below covers.
+        return;
+    }
+    let nodes = all_nodes(&dataset);
+    let mut clean = QgtcSession::new(&dataset, &config).expect("clean session");
+    let clean = clean.infer(&nodes).expect("clean sweep");
+    let faulty = config.with_fault_plan(FaultPlan::parse("gemm:backend-loss:0").expect("valid"));
+    let mut session = QgtcSession::new(&dataset, &faulty).expect("the plan stage has no fault");
+    // Serving batch 0 again must not lose the fallback body too.
+    for sweep in 0..2 {
+        let response = session.infer(&nodes).expect("a loss degrades, not errors");
+        let degraded = response.degraded.len();
+        assert_eq!(degraded, 0, "sweep {sweep}: {degraded} rows degraded");
+        assert_eq!(response.logits, clean.logits, "sweep {sweep}");
+    }
+}
+
+#[test]
+fn serving_a_portable_backend_loss_degrades_every_batch_on_every_request() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let faulty = tiny_config()
+        .with_backend(BackendChoice::Portable)
+        .with_fault_plan(FaultPlan::parse("gemm:backend-loss:0").expect("valid"));
+    let mut session = QgtcSession::new(&dataset, &faulty).expect("the plan stage has no fault");
+    let nodes = all_nodes(&dataset);
+    for request in 1..=2u64 {
+        // No backend is left from batch 0 on, so no batch runs.
+        let response = session.infer(&nodes).expect("a loss degrades, not errors");
+        assert_eq!(response.degraded.len(), nodes.len());
+        assert!(response.logits.data().iter().all(|&v| v == 0.0));
+        let stats = session.stats();
+        assert_eq!(
+            stats.degraded_batches,
+            request * session.num_batches() as u64
+        );
+        assert_eq!(stats.batches_executed, 0);
+    }
+}
+
 #[test]
 fn partition_faults_retry_then_fail_typed() {
     let dataset = DatasetProfile::ARTIST.materialize_tiny(31);
@@ -283,10 +334,8 @@ fn known_plan_produces_exact_stats() {
     }
 }
 
-#[cfg(target_pointer_width = "64")]
 #[test]
-fn retry_budgets_above_u32_max_saturate_instead_of_wrapping() {
-    // 2^32 truncated to the supervisors' u32 counter would be 0 retries.
+fn one_transient_at_each_site_is_recovered_once() {
     let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
     for spec in [
         "partition:transient",
@@ -295,9 +344,7 @@ fn retry_budgets_above_u32_max_saturate_instead_of_wrapping() {
         "take:transient:0:1",
         "gemm:transient:0:1",
     ] {
-        let faulty = tiny_config()
-            .with_fault_plan(FaultPlan::parse(spec).expect("valid"))
-            .with_max_batch_retries(1 << 32);
+        let faulty = tiny_config().with_fault_plan(FaultPlan::parse(spec).expect("valid"));
         let report = try_run_epoch(&dataset, &faulty).expect(spec);
         assert_eq!(report.fault_stats.recovered, 1, "{spec}");
     }

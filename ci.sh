@@ -13,6 +13,10 @@
 # Stages, in order:
 #   fmt                    rustfmt --check over the workspace
 #   clippy                 clippy with -D warnings, all targets
+#   env-guard              no .rs file under crates/ reads the environment
+#                          (`env::var`) except those under crates/bench/ and
+#                          crates/kernels/src/tiling.rs (QGTC_TUNE_FILE): the
+#                          config is the library's only selector
 #   build-release          cargo build --release            [skipped in FAST]
 #   test                   cargo test --workspace (superset of tier-1)
 #   partition-determinism  the sharded-partitioner == serial-oracle proptests
@@ -82,7 +86,7 @@ cd "$(dirname "$0")"
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
 TINY_REPORTS=target/perfsmoke-tiny
-KNOWN_STAGES="fmt clippy build-release test partition-determinism backend transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
+KNOWN_STAGES="fmt clippy env-guard build-release test partition-determinism backend transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
 # QGTC_CI_STAGE aborts immediately with the list, and an unset one announces
@@ -270,6 +274,20 @@ examples_stage() {
     done
 }
 
+env_guard() {
+    # A QgtcConfig field is the one selector of each choice; the tune table's
+    # path is the one variable the library reads.  The bench crate's drivers
+    # read their own scale and output knobs.
+    local hits
+    hits=$(grep -rn --include='*.rs' 'env::var' crates |
+        grep -v -e '^crates/bench/' -e '^crates/kernels/src/tiling\.rs:' || true)
+    if [[ -n "$hits" ]]; then
+        echo "$hits"
+        echo "env::var outside crates/bench/ and crates/kernels/src/tiling.rs" >&2
+        return 1
+    fi
+}
+
 doc_no_warnings() {
     # cargo doc exits 0 even with rustdoc warnings; capture and grep to enforce
     # the zero-warning docs gate.
@@ -284,6 +302,7 @@ doc_no_warnings() {
 
 stage fmt cargo fmt --all --check
 stage clippy cargo clippy --workspace --all-targets -- -D warnings
+stage env-guard env_guard
 if [[ "$FAST" == "1" ]]; then
     skip_stage build-release "QGTC_CI_FAST=1"
 else

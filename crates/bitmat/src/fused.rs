@@ -130,8 +130,8 @@ impl PopcountBody {
         }
     }
 
-    /// Stable lower-case name (what `QGTC_BACKEND` and the benchmark reports
-    /// call the body).
+    /// Stable lower-case name (what `BackendChoice::name` and the benchmark
+    /// reports call the body).
     pub fn name(self) -> &'static str {
         match self {
             PopcountBody::Portable => "portable",

@@ -3,13 +3,13 @@
 //! One [`QgtcConfig`] captures everything a run of the end-to-end pipeline needs:
 //! which model, which execution path, the quantization bitwidth, the partitioning
 //! and batching granularity (the two knobs §4.1 discusses), the kernel optimisation
-//! toggles, the host-to-device transfer strategy and the GPU to model.
+//! toggles and the host-to-device transfer strategy.  The modeled GPU is the
+//! paper's RTX 3090.
 
 use crate::fault::{FaultPlan, QgtcError};
-use qgtc_kernels::backend::{env_backend, BackendChoice};
-use qgtc_kernels::bmm::{env_adjacency_path, AdjacencyPath, KernelConfig};
+use qgtc_kernels::backend::BackendChoice;
+use qgtc_kernels::bmm::{AdjacencyPath, KernelConfig};
 use qgtc_kernels::packing::TransferStrategy;
-use qgtc_tcsim::GpuSpec;
 
 /// Which GNN model to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +61,6 @@ pub struct QgtcConfig {
     pub kernel: KernelConfig,
     /// How batches are shipped to the device.
     pub transfer: TransferStrategy,
-    /// GPU the device model emulates.
-    pub gpu: GpuSpec,
     /// Seed for model initialisation.
     pub seed: u64,
     /// Device staging buffers of the modeled transfer/compute overlap: the
@@ -74,10 +72,9 @@ pub struct QgtcConfig {
     /// (the default).  It changes no host work: every depth runs the same
     /// batch loop and records the same counters.
     pub prefetch_batches: usize,
-    /// Faults to inject into the epoch, for chaos testing the supervisor. `None`
-    /// (the default) falls back to the `QGTC_FAULTS` environment spec, and an
-    /// empty plan injects nothing. See [`crate::fault`].
-    pub fault_plan: Option<FaultPlan>,
+    /// Faults to inject into the epoch, for chaos testing the supervisor.  The
+    /// empty plan (the default) injects nothing.  See [`crate::fault`].
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for QgtcConfig {
@@ -90,10 +87,9 @@ impl Default for QgtcConfig {
             batch_size: 8,
             kernel: KernelConfig::default(),
             transfer: TransferStrategy::PackedCompound,
-            gpu: GpuSpec::rtx3090(),
             seed: 0xC0FFEE,
             prefetch_batches: 2,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
         }
     }
 }
@@ -158,10 +154,8 @@ impl QgtcConfig {
     /// Select the aggregation kernel's adjacency path: `Skip` (the default
     /// zero-word-skipping fused kernel), `Condensed` (the TC-GNN-style
     /// sparse-to-dense condensed walk), or `Auto` (per-batch census heuristic,
-    /// threshold tunable via `TUNE_gemm.json`).  The `QGTC_ADJ_PATH`
-    /// environment variable overrides whatever is configured here.  Every path
-    /// is bitwise identical, so this only affects speed and the modeled cost
-    /// accounting.
+    /// threshold tunable via `TUNE_gemm.json`).  Every path is bitwise
+    /// identical, so this only affects speed and the modeled cost accounting.
     pub fn with_adjacency_path(mut self, path: AdjacencyPath) -> Self {
         self.kernel.adjacency_path = path;
         self
@@ -169,16 +163,16 @@ impl QgtcConfig {
 
     /// Inject a fault plan into the epoch (chaos testing; see [`crate::fault`]).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
     /// Check the config-local invariants the old panicking entry points enforced
     /// deep inside the partitioning layer: a zero batch size or partition count is
-    /// rejected here, before any work runs, with a typed error.  So is a
-    /// malformed `QGTC_BACKEND` or `QGTC_ADJ_PATH` value, which the kernels
-    /// would otherwise reject by panicking at their first dispatch, after
-    /// partitioning has already run.
+    /// rejected here, before any work runs, with a typed error.  So is an
+    /// explicit backend whose popcount body this host cannot run, which the
+    /// kernels would otherwise reject by panicking at their first dispatch,
+    /// after partitioning has already run.
     ///
     /// Graph-dependent invariants (`num_partitions` versus the node count) cannot
     /// be checked without a graph; [`crate::pipeline::try_build_plan`] covers
@@ -200,14 +194,14 @@ impl QgtcConfig {
                 self.bits
             )));
         }
-        let env_errors = [
-            env_backend().as_ref().err(),
-            env_adjacency_path().as_ref().err(),
-        ];
-        match env_errors.into_iter().flatten().next() {
-            Some(err) => Err(QgtcError::InvalidConfig(err.clone())),
-            None => Ok(()),
+        let body = self.kernel.backend.body();
+        if !body.is_available() {
+            return Err(QgtcError::InvalidConfig(format!(
+                "backend {} needs AVX-512 VPOPCNTDQ, which this host lacks",
+                body.name()
+            )));
         }
+        Ok(())
     }
 }
 
@@ -297,50 +291,13 @@ mod tests {
         }
     }
 
-    /// The kernel overrides are read once per process, so each typo is
-    /// validated in a child run of this test binary with the variable set;
-    /// this process's own environment is never modified.
-    #[test]
-    fn validate_rejects_kernel_override_typos() {
-        const NAME: &str = "config::tests::validate_rejects_kernel_override_typos";
-        const TYPOS: [(&str, &str, &str); 1] = [("QGTC_ADJ_PATH", "skpi", "auto|skip|condensed")];
-        let child = TYPOS
-            .iter()
-            .find(|(var, typo, _)| std::env::var(var).as_deref() == Ok(*typo));
-        if let Some((var, _, valid)) = child {
-            match QgtcConfig::default().validate() {
-                Err(QgtcError::InvalidConfig(message)) => {
-                    assert!(
-                        message.contains(var) && message.contains(valid),
-                        "{message}"
-                    )
-                }
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
-            return;
-        }
-        for (var, typo, _) in TYPOS {
-            let output = std::process::Command::new(std::env::current_exe().unwrap())
-                .args(["--exact", NAME])
-                .env(var, typo)
-                .output()
-                .unwrap();
-            let stdout = String::from_utf8_lossy(&output.stdout);
-            assert!(
-                output.status.success() && stdout.contains("1 passed"),
-                "{var}={typo}: {stdout}{}",
-                String::from_utf8_lossy(&output.stderr)
-            );
-        }
-    }
-
     #[test]
     fn fault_knobs_default_to_off() {
         let c = QgtcConfig::default();
-        assert_eq!(c.fault_plan, None);
+        assert!(c.fault_plan.is_empty());
         let plan = FaultPlan::parse("prepare:transient").expect("valid");
         let c = c.with_fault_plan(plan.clone());
-        assert_eq!(c.fault_plan, Some(plan));
+        assert_eq!(c.fault_plan, plan);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! cannot unwind as a panic every time a prepare hiccups or a prepared payload
 //! arrives damaged. This module provides the two halves of that story:
 //!
-//! * **Injection** — a seeded [`FaultPlan`] (from [`crate::config::QgtcConfig::fault_plan`]
-//!   or the `QGTC_FAULTS` environment spec) names exactly which faults fire where:
+//! * **Injection** — a seeded [`FaultPlan`] (set on the config with
+//!   [`crate::config::QgtcConfig::with_fault_plan`]) names exactly which faults fire where:
 //!   a [`FaultSite`] (prepare stage, the prepare-to-take hand-off, take, backend
 //!   GEMM dispatch, partitioning), a [`FaultKind`] (transient, persistent backend
 //!   loss, payload corruption), a batch index, and how many consecutive attempts
@@ -19,7 +19,7 @@
 //!   a persistent backend loss at GEMM dispatch degrades its batch and every
 //!   batch at or above its index through the [`fallback_backend`] chain
 //!   (avx512 → portable). Every outcome is tallied in [`FaultStats`] on the
-//!   [`crate::EpochReport`].
+//!   [`crate::EpochReport`] and on a serving session's [`crate::ServeStats`].
 //!
 //! Anything the supervisor cannot absorb surfaces as a [`QgtcError`] from the
 //! `try_*` entry points instead of a panic.
@@ -30,9 +30,6 @@ use qgtc_kernels::backend::{resolve_auto, BackendChoice};
 use qgtc_partition::PartitionError;
 use qgtc_tensor::TensorError;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Environment variable holding a comma-separated fault spec (see [`FaultPlan::parse`]).
-pub const FAULTS_ENV: &str = "QGTC_FAULTS";
 
 /// Where in the epoch pipeline a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +194,7 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
-    /// Parse the `QGTC_FAULTS` spec grammar: a comma-separated list of
+    /// Parse the fault spec grammar: a comma-separated list of
     /// `site:kind[:batch[:attempts]]` entries.
     ///
     /// * `site` — `prepare`, `deposit`, `take`, `gemm` (alias `dispatch`), `partition`
@@ -257,22 +254,6 @@ impl FaultPlan {
             });
         }
         Ok(Self { specs })
-    }
-
-    /// Read a plan from the `QGTC_FAULTS` environment variable.
-    ///
-    /// Unset or empty means "no plan" (`Ok(None)`); a malformed spec is a typed
-    /// error rather than a silent no-op, so a misspelled chaos-test invocation
-    /// cannot masquerade as a clean run.
-    pub fn from_env() -> Result<Option<Self>, QgtcError> {
-        match std::env::var(FAULTS_ENV) {
-            Err(_) => Ok(None),
-            Ok(raw) if raw.trim().is_empty() => Ok(None),
-            Ok(raw) => {
-                let plan = Self::parse(&raw)?;
-                Ok(if plan.is_empty() { None } else { Some(plan) })
-            }
-        }
     }
 
     /// A seeded, always-recoverable plan: 1–4 transient/corruption faults spread
@@ -361,14 +342,10 @@ impl FaultInjector {
         }
     }
 
-    /// Resolve the injector for one epoch: the config's explicit plan wins, then
-    /// the `QGTC_FAULTS` environment spec, then no injector at all.
-    pub fn from_config(config: &crate::config::QgtcConfig) -> Result<Option<Self>, QgtcError> {
-        let plan = match &config.fault_plan {
-            Some(plan) => Some(plan.clone()),
-            None => FaultPlan::from_env()?,
-        };
-        Ok(plan.filter(|p| !p.is_empty()).map(Self::new))
+    /// The injector for one epoch or session: one over the config's plan, or
+    /// none when the plan is empty.
+    pub fn from_config(config: &crate::config::QgtcConfig) -> Option<Self> {
+        (!config.fault_plan.is_empty()).then(|| Self::new(config.fault_plan.clone()))
     }
 
     /// The fault (if any) planned for attempt `attempt` of `batch` at `site`.
@@ -472,7 +449,7 @@ pub fn fallback_backend(lost: BackendChoice) -> Option<BackendChoice> {
 pub enum QgtcError {
     /// A [`crate::config::QgtcConfig`] invariant does not hold.
     InvalidConfig(String),
-    /// A `QGTC_FAULTS` spec (or explicit plan string) failed to parse.
+    /// A fault spec string failed to parse ([`FaultPlan::parse`]).
     InvalidFaultSpec(String),
     /// A malformed input graph.
     Graph(GraphError),

@@ -9,8 +9,10 @@
 //!   packed any-bitwidth tensors, and `bit_mm_to_int` / `bit_mm_to_bit` matrix
 //!   multiplication entry points.
 //! * [`config::QgtcConfig`] — one struct holding every evaluation knob: bitwidth,
-//!   partition count, batch size, kernel optimisation toggles, transfer strategy and
-//!   the GPU the device model should emulate.
+//!   partition count, batch size, kernel optimisation toggles (popcount backend
+//!   and adjacency path included), transfer strategy and fault plan.  The config
+//!   is the only selector: no environment variable overrides it.  The one
+//!   variable the library reads, `QGTC_TUNE_FILE`, names the tune table's path.
 //! * [`pipeline`] — the end-to-end batched-inference pipeline: METIS-substitute
 //!   partitioning, cluster-GCN batching, host-to-device transfer, per-batch forward
 //!   passes on either the QGTC path or the DGL-like baseline, and modeled epoch
@@ -18,7 +20,7 @@
 //!   thread; the paper's double-buffered transfer/compute overlap is modeled
 //!   from its per-batch counters.
 //! * [`fault`] — deterministic fault injection and the typed error surface: a
-//!   seeded [`fault::FaultPlan`] (or the `QGTC_FAULTS` environment spec) drives
+//!   seeded [`fault::FaultPlan`], set with [`QgtcConfig::with_fault_plan`], drives
 //!   the pipeline's supervisor, which retries transients, repairs checksum-caught
 //!   payload corruption, and degrades lost GEMM backends; the `try_*` entry
 //!   points surface what cannot be absorbed as a [`QgtcError`].

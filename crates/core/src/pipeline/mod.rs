@@ -219,7 +219,7 @@ pub fn try_build_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
 ) -> Result<(PartitionBatcher, usize), QgtcError> {
-    let injector = FaultInjector::from_config(config)?;
+    let injector = FaultInjector::from_config(config);
     supervised_build_plan(dataset, config, injector.as_ref())
 }
 
@@ -586,7 +586,7 @@ fn run_epoch_on(
     config: &QgtcConfig,
     plan: Option<&PartitionBatcher>,
 ) -> Result<EpochReport, QgtcError> {
-    let injector = FaultInjector::from_config(config)?;
+    let injector = FaultInjector::from_config(config);
     // Partitioning is host-side preprocessing, excluded from `host_wall_ms`
     // and timed separately — matching the paper's measurement.
     let built;
@@ -662,7 +662,7 @@ fn run_batches(
         total.merge_snapshot(cost);
     }
     let cost = total.snapshot();
-    let device = DeviceModel::new(config.gpu.clone());
+    let device = DeviceModel::rtx3090();
     let estimate = device.estimate(&cost);
     let pipeline = device.estimate_pipelined(&batch_costs, config.prefetch_batches);
     Ok(EpochReport {

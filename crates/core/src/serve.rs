@@ -74,7 +74,7 @@ use qgtc_tcsim::cost::{CostSnapshot, CostTracker};
 use qgtc_tensor::Matrix;
 
 use crate::config::QgtcConfig;
-use crate::fault::{FaultInjector, QgtcError};
+use crate::fault::{FaultInjector, FaultStats, QgtcError};
 use crate::pipeline::{
     execute_batch, prepare_batch, supervise_dispatch, supervise_prepare, supervised_build_plan,
     EpochContext,
@@ -128,6 +128,12 @@ pub struct ServeStats {
     /// Batches that could not be executed and came back zero-filled
     /// (see [`InferResponse::degraded`]).
     pub degraded_batches: u64,
+    /// What the config's fault plan injected and how the supervisors absorbed
+    /// it, tallied like an epoch's
+    /// [`EpochReport::fault_stats`](crate::EpochReport::fault_stats); all
+    /// zero without a plan.  A session serves batches in any order, so it
+    /// names no `degraded_backend`.
+    pub faults: FaultStats,
     /// Weight-quantization passes since the session was built: the model's
     /// layer count on the low-bit path (stamped once, at construction), 0
     /// otherwise — never `requests × layers`.
@@ -207,7 +213,7 @@ impl<'a> QgtcSession<'a> {
         config: &'a QgtcConfig,
         options: ServeOptions,
     ) -> Result<Self, QgtcError> {
-        let injector = FaultInjector::from_config(config)?;
+        let injector = FaultInjector::from_config(config);
         let (batcher, _shards) = supervised_build_plan(dataset, config, injector.as_ref())?;
         let num_nodes = dataset.graph.num_nodes();
         // Invert the plan once: node -> (batch, row inside the batch's
@@ -450,10 +456,15 @@ impl<'a> QgtcSession<'a> {
         self.pool.put_indices(response.degraded);
     }
 
-    /// Cumulative serving counters (pool counters refreshed).
+    /// Cumulative serving counters (pool and fault counters refreshed).
     pub fn stats(&self) -> ServeStats {
         let mut stats = self.stats;
         stats.pool = self.pool.stats();
+        stats.faults = self
+            .injector
+            .as_ref()
+            .map(FaultInjector::stats)
+            .unwrap_or_default();
         stats
     }
 

@@ -54,7 +54,6 @@ use qgtc_tcsim::cost::CostTracker;
 use qgtc_tcsim::fragment::{TILE_M, TILE_N};
 use qgtc_tcsim::wmma::tile_counts;
 use qgtc_tensor::{Matrix, TensorError, ValueRange};
-use std::sync::OnceLock;
 
 /// Order in which bit planes and K tiles are reduced (paper Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,18 +91,7 @@ pub enum AdjacencyPath {
 }
 
 impl AdjacencyPath {
-    /// Parse a path name as accepted by the `QGTC_ADJ_PATH` environment
-    /// variable.  Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "auto" => Some(AdjacencyPath::Auto),
-            "skip" => Some(AdjacencyPath::Skip),
-            "condensed" | "condense" => Some(AdjacencyPath::Condensed),
-            _ => None,
-        }
-    }
-
-    /// Canonical name, matching what [`AdjacencyPath::from_name`] parses.
+    /// Stable lower-case name, as the perf reports record it.
     pub fn name(self) -> &'static str {
         match self {
             AdjacencyPath::Auto => "auto",
@@ -111,24 +99,6 @@ impl AdjacencyPath {
             AdjacencyPath::Condensed => "condensed",
         }
     }
-}
-
-/// Parse a `QGTC_ADJ_PATH` value (`None` when the variable is unset).  An
-/// unknown name is an error that lists the valid ones.
-fn parse_adjacency_path_env(raw: Option<&str>) -> Result<Option<AdjacencyPath>, String> {
-    raw.map(|name| {
-        AdjacencyPath::from_name(name).ok_or_else(|| {
-            format!("QGTC_ADJ_PATH={name:?} is not an adjacency path (auto|skip|condensed)")
-        })
-    })
-    .transpose()
-}
-
-/// The `QGTC_ADJ_PATH` environment override, read and parsed once per process.
-pub fn env_adjacency_path() -> &'static Result<Option<AdjacencyPath>, String> {
-    static OVERRIDE: OnceLock<Result<Option<AdjacencyPath>, String>> = OnceLock::new();
-    OVERRIDE
-        .get_or_init(|| parse_adjacency_path_env(std::env::var("QGTC_ADJ_PATH").ok().as_deref()))
 }
 
 /// Word-equivalent cost the Auto heuristic charges per union column: the
@@ -148,8 +118,8 @@ const CONDENSE_GATHER_WORD_COST: f64 = 40.0;
 const SKIP_SPAN_WORD_COST: f64 = 16.0;
 
 /// The adjacency path an aggregation over `adjacency` will actually run:
-/// the `QGTC_ADJ_PATH` override beats the config, and `Auto` resolves from
-/// the zero-word census.  Always returns `Skip` or `Condensed`.
+/// the configured path, with `Auto` resolved from the zero-word census.
+/// Always returns `Skip` or `Condensed`.
 ///
 /// The heuristic reads *only* the adjacency (the census the skip kernel
 /// derives its span index from, plus the exact condensed-word, union-column
@@ -161,21 +131,11 @@ const SKIP_SPAN_WORD_COST: f64 = 16.0;
 /// dividing it out leaves a pure adjacency-shape race: condensed K words plus
 /// the per-union-column gather charge versus the skip kernel's nonzero-word
 /// walk plus its per-span setup charge.
-///
-/// # Panics
-///
-/// Panics when `QGTC_ADJ_PATH` holds an unknown name — a typo silently
-/// falling back to the configured path would invalidate a benchmark run.  The
-/// pipeline entry points reject it earlier with a typed error
-/// (`QgtcConfig::validate`).
 pub fn resolve_adjacency_path(
     configured: AdjacencyPath,
     adjacency: &StackedBitMatrix,
 ) -> AdjacencyPath {
-    let forced = env_adjacency_path()
-        .as_ref()
-        .unwrap_or_else(|err| panic!("{err}"));
-    match forced.unwrap_or(configured) {
+    match configured {
         AdjacencyPath::Skip => AdjacencyPath::Skip,
         AdjacencyPath::Condensed => AdjacencyPath::Condensed,
         AdjacencyPath::Auto => {
@@ -232,8 +192,8 @@ pub struct KernelConfig {
     pub backend: BackendChoice,
     /// How [`qgtc_aggregate`] represents adjacency sparsity: zero-word
     /// skipping at the source width, TC-GNN-style condensed tiles, or a
-    /// per-batch census-driven race between the two.  Overridable with
-    /// `QGTC_ADJ_PATH`; every path is bitwise identical.
+    /// per-batch census-driven race between the two.  Every path is bitwise
+    /// identical.
     pub adjacency_path: AdjacencyPath,
 }
 
@@ -620,24 +580,6 @@ mod tests {
     use super::*;
     use qgtc_tensor::gemm::gemm_i64;
     use qgtc_tensor::rng::random_uniform_matrix;
-
-    #[test]
-    fn adjacency_path_env_parser_names_the_valid_values_on_a_typo() {
-        assert_eq!(parse_adjacency_path_env(None), Ok(None));
-        assert_eq!(
-            parse_adjacency_path_env(Some("Condensed")),
-            Ok(Some(AdjacencyPath::Condensed))
-        );
-        assert_eq!(
-            parse_adjacency_path_env(Some("skip")),
-            Ok(Some(AdjacencyPath::Skip))
-        );
-        for typo in ["skpi", "", "plain", "auto "] {
-            let err = parse_adjacency_path_env(Some(typo)).unwrap_err();
-            assert!(err.contains(&format!("{typo:?}")), "{err}");
-            assert!(err.contains("auto|skip|condensed"), "{err}");
-        }
-    }
 
     #[test]
     #[should_panic(expected = "can overflow the i64 accumulators")]
@@ -1122,27 +1064,5 @@ mod tests {
             resolve_adjacency_path(AdjacencyPath::Condensed, &blocky),
             AdjacencyPath::Condensed
         );
-    }
-
-    #[test]
-    fn adjacency_path_names_round_trip() {
-        for path in [
-            AdjacencyPath::Auto,
-            AdjacencyPath::Skip,
-            AdjacencyPath::Condensed,
-        ] {
-            assert_eq!(AdjacencyPath::from_name(path.name()), Some(path));
-        }
-        assert_eq!(
-            AdjacencyPath::from_name("condense"),
-            Some(AdjacencyPath::Condensed)
-        );
-        assert_eq!(
-            AdjacencyPath::from_name("CONDENSED"),
-            Some(AdjacencyPath::Condensed),
-            "env parsing is case-insensitive"
-        );
-        assert_eq!(AdjacencyPath::from_name("dense"), None);
-        assert_eq!(AdjacencyPath::from_name(""), None);
     }
 }

@@ -4,9 +4,8 @@
 //! `qgtc-tcsim`:
 //!
 //! * [`backend`] — which popcount body (portable scalar or AVX-512) the fused
-//!   GEMM runs on: [`backend::BackendChoice`] and its `QGTC_BACKEND` override.
-//!   Both bodies are held bitwise equal to the serial oracle by the conformance
-//!   suite.
+//!   GEMM runs on: [`backend::BackendChoice`].  Both bodies are held bitwise
+//!   equal to the serial oracle by the conformance suite.
 //! * [`bmm`] — the tiled any-bitwidth bit-matrix-multiplication kernel: operands are
 //!   3D-stacked bit-compressed matrices and the bit-plane partial products are
 //!   shift-accumulated into 32-bit (modeled as `i64` here to keep Rust arithmetic

@@ -90,5 +90,5 @@ fn main() {
             );
         }
     }
-    println!("\nOverride per process with QGTC_ADJ_PATH=skip|condensed|auto.");
+    println!("\nSelect a path with QgtcConfig::with_adjacency_path(AdjacencyPath::{{Skip, Condensed, Auto}}).");
 }

@@ -11,16 +11,16 @@
 //! Fault firing is keyed on `(site, batch, attempt)`, so the whole suite is
 //! deterministic at any thread count; `ci.sh`'s chaos stage re-runs it under
 //! `RAYON_NUM_THREADS` ∈ {1, 2, 8}. `QGTC_CI_FAST=1` shrinks the proptest case
-//! counts for the timed CI gate.  The `QGTC_FAULTS` grammar itself is fuzzed
+//! counts for the timed CI gate.  The fault spec grammar itself is fuzzed
 //! here too: any string parses to a plan or `InvalidFaultSpec`, and any plan
 //! round-trips through `Display` and `FaultPlan::parse`.
 
 use proptest::prelude::*;
-use qgtc_repro::core::fault::FAULTS_ENV;
+use qgtc_repro::bitmat::fused::PopcountBody;
 use qgtc_repro::core::serve::QgtcSession;
 use qgtc_repro::core::{
     run_epoch, try_build_plan, try_run_epoch, try_run_epoch_with_plan, BackendChoice, EpochReport,
-    FaultKind, FaultPlan, FaultSite, FaultSpec, ModelKind, QgtcConfig, QgtcError,
+    FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, ModelKind, QgtcConfig, QgtcError,
 };
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
 use qgtc_repro::kernels::backend::resolve_auto;
@@ -47,7 +47,7 @@ fn profile_dataset(profile_idx: usize) -> (&'static str, LoadedDataset) {
 /// then over a plan built fault-free beforehand.
 fn both_ways(dataset: &LoadedDataset, config: &QgtcConfig) -> [Result<EpochReport, QgtcError>; 2] {
     let mut clean = config.clone();
-    clean.fault_plan = Some(FaultPlan::default());
+    clean.fault_plan = FaultPlan::default();
     let (plan, _) = try_build_plan(dataset, &clean).expect("the clean config plans");
     [
         try_run_epoch(dataset, config),
@@ -334,19 +334,72 @@ fn known_plan_produces_exact_stats() {
     }
 }
 
+/// One transient fault at each site that can fire.
+const ONE_TRANSIENT_PER_SITE: [&str; 5] = [
+    "partition:transient",
+    "prepare:transient:0:1",
+    "deposit:transient:0:1",
+    "take:transient:0:1",
+    "gemm:transient:0:1",
+];
+
 #[test]
 fn one_transient_at_each_site_is_recovered_once() {
     let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
-    for spec in [
-        "partition:transient",
-        "prepare:transient:0:1",
-        "deposit:transient:0:1",
-        "take:transient:0:1",
-        "gemm:transient:0:1",
-    ] {
+    for spec in ONE_TRANSIENT_PER_SITE {
         let faulty = tiny_config().with_fault_plan(FaultPlan::parse(spec).expect("valid"));
         let report = try_run_epoch(&dataset, &faulty).expect(spec);
         assert_eq!(report.fault_stats.recovered, 1, "{spec}");
+    }
+}
+
+/// A session tallies its plan's faults as an epoch does: after one
+/// full-sweep request, which runs every batch once, its counters equal the
+/// epoch's `fault_stats` under the same config (a session names no
+/// `degraded_backend`).  Without a plan they stay zero.
+#[test]
+fn a_full_sweep_session_tallies_the_epochs_faults() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let nodes: Vec<usize> = (0..dataset.graph.num_nodes()).collect();
+    let config = tiny_config();
+    let mut clean = QgtcSession::new(&dataset, &config).expect("session builds");
+    clean.infer(&nodes).expect("healthy serve");
+    assert_eq!(clean.stats().faults, FaultStats::default());
+    for spec in ONE_TRANSIENT_PER_SITE
+        .into_iter()
+        .chain(["gemm:backend-loss:1"])
+    {
+        let faulty = tiny_config().with_fault_plan(FaultPlan::parse(spec).expect("valid"));
+        let epoch = try_run_epoch(&dataset, &faulty).expect(spec).fault_stats;
+        let mut session = QgtcSession::new(&dataset, &faulty).expect(spec);
+        session.infer(&nodes).expect(spec);
+        let served = session.stats().faults;
+        assert!(served.injected > 0, "{spec}: the fault fired");
+        let unattributed = FaultStats {
+            degraded_backend: None,
+            ..epoch
+        };
+        assert_eq!(served, unattributed, "{spec}");
+    }
+}
+
+/// An explicit backend whose body this host cannot run is `InvalidConfig`
+/// from the entry points, before partitioning; where the host runs it, the
+/// same config succeeds.
+#[test]
+fn an_explicit_backend_the_host_lacks_is_invalid_config() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let config = tiny_config().with_backend(BackendChoice::Avx512);
+    let epoch = try_run_epoch(&dataset, &config);
+    let session = QgtcSession::new(&dataset, &config);
+    if PopcountBody::Avx512.is_available() {
+        assert!(epoch.is_ok());
+        assert!(session.is_ok());
+    } else {
+        let names_the_body =
+            |err| matches!(err, Some(QgtcError::InvalidConfig(m)) if m.contains("avx512"));
+        assert!(names_the_body(epoch.err()));
+        assert!(names_the_body(session.err()));
     }
 }
 
@@ -509,10 +562,6 @@ fn serving_degrades_a_batch_whose_activations_overflow() {
 
 #[test]
 fn malformed_fault_env_spec_is_a_typed_error_not_a_silent_noop() {
-    // The env path itself is covered by `FaultPlan::parse` unit tests (env
-    // mutation races parallel test threads); here we pin the config-plan
-    // precedence contract: an explicit plan wins over any env spec.
-    assert_eq!(FAULTS_ENV, "QGTC_FAULTS");
     assert!(matches!(
         FaultPlan::parse("gemm:meltdown"),
         Err(QgtcError::InvalidFaultSpec(_))

@@ -1,12 +1,14 @@
 //! Serving-layer equivalence: a `QgtcSession` must answer exactly what the
 //! one-shot epoch pipeline computes — bitwise — on every dataset profile, no
 //! matter how the traffic arrives (one sweep, repeated hits, or an arbitrary
-//! request history over recycled pool buffers).
+//! request history over recycled pool buffers), and on whichever popcount
+//! body the host runs.
 
 use proptest::prelude::*;
 
+use qgtc_repro::bitmat::fused::PopcountBody;
 use qgtc_repro::core::serve::{LoadGenerator, QgtcSession, ServeOptions};
-use qgtc_repro::core::{run_epoch, try_build_plan, ModelKind, QgtcConfig};
+use qgtc_repro::core::{run_epoch, try_build_plan, BackendChoice, ModelKind, QgtcConfig};
 use qgtc_repro::gnn::models::QuantizationSetting;
 use qgtc_repro::gnn::{BatchedGinModel, ClusterGcnModel, GnnModel};
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
@@ -98,6 +100,35 @@ fn served_logits_match_the_epoch_oracle_bitwise_on_every_profile() {
                 profile.name
             );
         }
+    }
+}
+
+/// The two popcount bodies compute the whole pipeline bitwise alike: per
+/// profile, the epoch's `cost` and `batch_costs` and a full-sweep session's
+/// logits under `Avx512` equal those under `Portable`.  A host without
+/// AVX-512 runs only the portable body, so it has nothing to compare.
+#[test]
+fn the_avx512_body_matches_the_portable_body_end_to_end() {
+    if !PopcountBody::Avx512.is_available() {
+        return;
+    }
+    for (index, profile) in DatasetProfile::all().iter().enumerate() {
+        let dataset = profile.materialize_tiny(23);
+        let nodes: Vec<usize> = (0..dataset.graph.num_nodes()).collect();
+        let run = |choice: BackendChoice| {
+            let config = profile_config(index).with_backend(choice);
+            let report = run_epoch(&dataset, &config);
+            let mut session = QgtcSession::new(&dataset, &config).expect("session builds");
+            let logits = session.infer(&nodes).expect("healthy serve").logits;
+            let bits: Vec<u32> = logits.data().iter().map(|v| v.to_bits()).collect();
+            (report.cost, report.batch_costs, bits)
+        };
+        assert_eq!(
+            run(BackendChoice::Avx512),
+            run(BackendChoice::Portable),
+            "{}",
+            profile.name
+        );
     }
 }
 

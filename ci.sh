@@ -59,10 +59,11 @@
 #   bench-compile          criterion benches must compile
 #   examples               examples + bins must build, and the self-checking
 #                          examples (quickstart, cluster_gcn_inference,
-#                          quantized_path, serving_session) must run green in
-#                          release: each asserts its quantize-pack, GEMM,
-#                          epilogue and serving results bitwise through the
-#                          public surface, so a panic on those paths fails CI
+#                          quantized_path, serving_session,
+#                          zero_tile_analysis) must run green in release: each
+#                          asserts its quantize-pack, GEMM, epilogue, serving
+#                          results or modeled MMA counts through the public
+#                          surface, so a panic on those paths fails CI
 #   perfsmoke              perfsmoke's five default probes at tiny scale
 #                          (zero-word skip, modeled transfer/compute overlap,
 #                          sharded partitioner, backend race, serving
@@ -268,7 +269,7 @@ examples_stage() {
     # here through the public API rather than only inside the test suites.
     cargo build --workspace --examples --bins
     local example
-    for example in quickstart cluster_gcn_inference quantized_path serving_session; do
+    for example in quickstart cluster_gcn_inference quantized_path serving_session zero_tile_analysis; do
         echo "--- example $example"
         cargo run --release -q --example "$example" >/dev/null
     done

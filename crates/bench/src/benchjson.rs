@@ -13,7 +13,7 @@
 //! in a row), a recorded bar other than the spec's bar for the report's
 //! `scale`, and a gated value below that bar.  The committed tune table gets
 //! the same strictness ([`validate_tune_table`]).  The reader and writer are
-//! minimal because the offline serde shim has no JSON support.
+//! minimal because the build is offline, with no JSON crate to depend on.
 
 use crate::experiments::BenchScale;
 use std::iter::Peekable;

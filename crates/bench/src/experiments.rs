@@ -4,9 +4,10 @@
 //! run a meaningful-but-fast default on a laptop while tests run an even smaller
 //! configuration.  The full-size parameters of the paper (1,500 partitions, the
 //! complete N/D grids) are encoded in [`ExperimentScale::paper`] for users with the
-//! patience (or a beefier machine) to run them — the functional Tensor Core simulator
-//! is orders of magnitude slower than real silicon, which is exactly why the device
-//! model, not the host wall-clock, provides the reported numbers.
+//! patience (or a beefier machine) to run them — the host kernels that compute the
+//! exact results are orders of magnitude slower than real silicon, which is exactly
+//! why the analytic device model, not the host wall-clock, provides the reported
+//! numbers.
 
 use qgtc_baselines::{int4_tc_gemm, int8_tc_gemm};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
@@ -84,7 +85,7 @@ impl ExperimentScale {
         }
     }
 
-    /// The paper's full-size configuration (slow under the functional simulator).
+    /// The paper's full-size configuration (slow on the host kernels).
     pub fn paper() -> Self {
         Self {
             dataset_scale: 1.0,

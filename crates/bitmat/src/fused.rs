@@ -287,7 +287,7 @@ impl RowSink for StoreAccumulators {
 /// production runs the broadcast kernel on that body
 /// ([`any_bit_gemm_fused_into`]).  perfsmoke's sparse-skip and condense
 /// probes, tilingtune's condense stage and the conformance suites call it; it
-/// is deleted together with the condensed adjacency path (ROADMAP item 1).
+/// is deleted together with the condensed adjacency path (ROADMAP item 5).
 ///
 /// # Panics
 ///

@@ -14,9 +14,12 @@
 //! `a_bits + b_bits + ⌈log2 K⌉` exceeds 63 could wrap, so both return
 //! [`QgtcError::AccumulatorOverflow`] for it instead of a wrong answer.
 //! Operands in the wrong layout or with unequal inner dimensions are
-//! [`QgtcError::OperandMismatch`]; either error returns before the kernel runs.
+//! [`QgtcError::OperandMismatch`], and a [`KernelConfig::backend`] this host
+//! cannot run is [`QgtcError::InvalidConfig`]; each error returns before the
+//! kernel runs.
 
 use crate::bit_tensor::BitTensor;
+use crate::config::check_backend;
 use crate::fault::QgtcError;
 use qgtc_bitmat::BitMatrixLayout;
 use qgtc_kernels::bmm::{accumulator_fits, qgtc_bitmm2int, qgtc_bmm_with_epilogue, KernelConfig};
@@ -30,21 +33,24 @@ use qgtc_tensor::{Matrix, QuantParams};
 /// layouts `to_bit` produces for left/right operands respectively), with the
 /// left's columns matching the right's rows; otherwise this fails with
 /// [`QgtcError::OperandMismatch`].  Fails with
-/// [`QgtcError::AccumulatorOverflow`] when the product could overflow `i64`.
+/// [`QgtcError::AccumulatorOverflow`] when the product could overflow `i64`,
+/// and with [`QgtcError::InvalidConfig`] when `config` selects a popcount
+/// body this host lacks.
 pub fn bit_mm_to_int(
     a: &BitTensor,
     b: &BitTensor,
     config: &KernelConfig,
     tracker: &CostTracker,
 ) -> Result<Matrix<i64>, QgtcError> {
-    check_operands(a, b)?;
+    check_operands(a, b, config)?;
     Ok(qgtc_bitmm2int(a.stack(), b.stack(), config, tracker))
 }
 
 /// [`QgtcError::OperandMismatch`] unless `a` is row-packed, `b` column-packed
 /// and their inner dimensions agree, then [`QgtcError::AccumulatorOverflow`]
-/// unless `a · b` fits the `i64` accumulators.
-fn check_operands(a: &BitTensor, b: &BitTensor) -> Result<(), QgtcError> {
+/// unless `a · b` fits the `i64` accumulators, then
+/// [`QgtcError::InvalidConfig`] unless this host has `config`'s backend.
+fn check_operands(a: &BitTensor, b: &BitTensor, config: &KernelConfig) -> Result<(), QgtcError> {
     if a.layout() != BitMatrixLayout::RowPacked
         || b.layout() != BitMatrixLayout::ColPacked
         || a.shape().1 != b.shape().0
@@ -64,7 +70,7 @@ fn check_operands(a: &BitTensor, b: &BitTensor) -> Result<(), QgtcError> {
             k,
         });
     }
-    Ok(())
+    check_backend(config.backend)
 }
 
 /// `bitMM2Bit`: multiply two bit tensors and re-quantize the result to `out_bits`,
@@ -88,7 +94,7 @@ pub fn bit_mm_to_bit(
     if !(1..=32).contains(&out_bits) {
         return Err(QgtcError::InvalidBitwidth { bits: out_bits });
     }
-    check_operands(a, b)?;
+    check_operands(a, b, config)?;
     let epilogue =
         FusedEpilogue::requantize_right_operand(1.0, out_bits).with_fused(config.fused_epilogue);
     let (stack, params) = qgtc_bmm_with_epilogue(a.stack(), b.stack(), &epilogue, config, tracker)
@@ -102,6 +108,8 @@ pub fn bit_mm_to_bit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgtc_bitmat::fused::PopcountBody;
+    use qgtc_kernels::backend::BackendChoice;
     use qgtc_tensor::gemm::gemm_i64;
     use qgtc_tensor::rng::random_uniform_matrix;
 
@@ -202,6 +210,36 @@ mod tests {
         assert_operand_mismatch(&a, &b);
         let err = bit_mm_to_int(&a, &b, &KernelConfig::default(), &CostTracker::new());
         assert!(err.unwrap_err().to_string().contains("4x64 RowPacked"));
+    }
+
+    #[test]
+    fn a_backend_the_host_lacks_is_invalid_config() {
+        let a_codes = codes(9, 200, 2, 18);
+        let b_codes = codes(200, 7, 3, 19);
+        let a = BitTensor::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
+        let b = BitTensor::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
+        let config = KernelConfig {
+            backend: BackendChoice::Avx512,
+            ..KernelConfig::default()
+        };
+        let tracker = CostTracker::new();
+        let int = bit_mm_to_int(&a, &b, &config, &tracker);
+        let bit = bit_mm_to_bit(&a, &b, 4, &config, &tracker).map(|_| ());
+        if PopcountBody::Avx512.is_available() {
+            let reference = gemm_i64(&a_codes.map(|&v| v as i64), &b_codes.map(|&v| v as i64));
+            assert_eq!(int, Ok(reference));
+            assert_eq!(bit, Ok(()));
+        } else {
+            let names_the_body =
+                |err| matches!(err, Some(QgtcError::InvalidConfig(m)) if m.contains("avx512"));
+            assert!(names_the_body(int.err()));
+            assert!(names_the_body(bit.err()));
+            assert_eq!(
+                tracker.snapshot(),
+                CostTracker::new().snapshot(),
+                "nothing ran"
+            );
+        }
     }
 
     #[test]

@@ -194,15 +194,23 @@ impl QgtcConfig {
                 self.bits
             )));
         }
-        let body = self.kernel.backend.body();
-        if !body.is_available() {
-            return Err(QgtcError::InvalidConfig(format!(
-                "backend {} needs AVX-512 VPOPCNTDQ, which this host lacks",
-                body.name()
-            )));
-        }
-        Ok(())
+        check_backend(self.kernel.backend)
     }
+}
+
+/// [`QgtcError::InvalidConfig`] naming the body when `backend` selects a
+/// popcount body this host cannot run, which the kernels would reject by
+/// panicking.  [`QgtcConfig::validate`] and the bit-tensor entries of
+/// [`crate::api`] call it before any kernel runs.
+pub(crate) fn check_backend(backend: BackendChoice) -> Result<(), QgtcError> {
+    let body = backend.body();
+    if !body.is_available() {
+        return Err(QgtcError::InvalidConfig(format!(
+            "backend {} needs AVX-512 VPOPCNTDQ, which this host lacks",
+            body.name()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

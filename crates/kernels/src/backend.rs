@@ -29,7 +29,8 @@ pub enum BackendChoice {
     /// The scalar popcount body, always available.
     Portable,
     /// The AVX-512 `VPOPCNTDQ` body.  On a host that lacks it the pipeline
-    /// entry points return `InvalidConfig` and a direct kernel call panics.
+    /// and bit-tensor entry points return `InvalidConfig` and a direct kernel
+    /// call panics.
     Avx512,
 }
 

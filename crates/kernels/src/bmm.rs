@@ -8,14 +8,13 @@
 //! tile-level cost model of the paper's GPU kernel: an 8×8 output-tile grid
 //! whose inner loop walks the 128-bit K tiles of each operand plane, issues one
 //! `bmma_sync` per surviving plane-tile pair and shift-accumulates the partial
-//! products.  The per-tile walk itself still exists as executable simulation in
-//! [`qgtc_tcsim::wmma`] and [`crate::zero_tile`]; here its traffic and MMA
-//! counts are derived analytically from the same zero-tile census the walk
-//! would perform, so every tracker number is identical to what the simulated
-//! loop recorded while the arithmetic runs at fused-host speed.
+//! products.  That walk is not executed: its traffic and MMA counts are derived
+//! analytically from the zero-tile census of the A planes
+//! ([`crate::zero_tile::census_plane`]), so the tracker records the GPU
+//! kernel's work while the arithmetic runs at fused-host speed.
 //!
 //! Two optimisations of the paper are toggled by [`KernelConfig`] and affect the
-//! recorded cost exactly as they affected the simulated walk:
+//! recorded cost as they affect the GPU kernel's walk:
 //!
 //! * **zero-tile jumping** — an all-zero 8×128 A tile (detected with the OR +
 //!   ballot sequence of §4.3) skips its MMAs and B-operand loads;
@@ -49,10 +48,9 @@ pub use qgtc_bitmat::fused::accumulator_fits;
 use qgtc_bitmat::fused::{
     any_bit_gemm_fused_into, any_bit_gemm_fused_with_body, FusedGemmStats, PopcountBody,
 };
+use qgtc_bitmat::pack::{TILE_K, TILE_MN};
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tcsim::fragment::{TILE_M, TILE_N};
-use qgtc_tcsim::wmma::tile_counts;
 use qgtc_tensor::{Matrix, TensorError, ValueRange};
 
 /// Order in which bit planes and K tiles are reduced (paper Figure 6).
@@ -223,11 +221,17 @@ impl KernelConfig {
 }
 
 /// Bytes of one 8×128-bit operand tile in packed form.
-const TILE_BYTES: u64 = (TILE_M * 128 / 8) as u64;
+const TILE_BYTES: u64 = (TILE_MN * TILE_K / 8) as u64;
 /// Bytes of one 8×8 `u32` accumulator tile.
-const ACC_TILE_BYTES: u64 = (TILE_M * TILE_N * 4) as u64;
+const ACC_TILE_BYTES: u64 = (TILE_MN * TILE_MN * 4) as u64;
 /// Integer ops charged per A-tile zero check (the OR-reduce of §4.3).
 const ZERO_CHECK_OPS: u64 = 8;
+
+/// Number of 8×8×128 tiles along each GEMM dimension of an `m × k` by
+/// `k × n` 1-bit product: `(m_tiles, n_tiles, k_tiles)`.
+fn tile_counts(m: usize, n: usize, k: usize) -> (usize, usize, usize) {
+    (m.div_ceil(TILE_MN), n.div_ceil(TILE_MN), k.div_ceil(TILE_K))
+}
 
 /// General any-bitwidth GEMM kernel: `C = A · B` over stacked bit matrices.
 ///
@@ -382,13 +386,14 @@ pub fn qgtc_aggregate(
 
 /// [`qgtc_aggregate`] with an optional prepare-time condensed translation.
 ///
-/// The dispatcher resolves [`KernelConfig::adjacency_path`] (environment
-/// override first, then the census heuristic for `Auto`) and records the
-/// decision in the tracker's `adj_*_dispatches` counters.  When the condensed
-/// path runs, a cached `condensed` (built once by the transfer payload and
-/// amortized by the serving payload cache) is used as-is; otherwise the
-/// translation is built here — host-side work, deterministic, and identical
-/// to the cached form, so tracker numbers never depend on who built it.
+/// The dispatcher resolves [`KernelConfig::adjacency_path`] (a fixed path as
+/// configured, `Auto` by the census heuristic of [`resolve_adjacency_path`])
+/// and records the decision in the tracker's `adj_*_dispatches` counters.
+/// When the condensed path runs, a cached `condensed` (built once by the
+/// transfer payload and amortized by the serving payload cache) is used
+/// as-is; otherwise the translation is built here — host-side work,
+/// deterministic, and identical to the cached form, so tracker numbers never
+/// depend on who built it.
 pub fn qgtc_aggregate_prepared(
     adjacency: &StackedBitMatrix,
     condensed: Option<&CondensedAdjacency>,
@@ -516,19 +521,19 @@ fn record_condensed_walk(
     let mut a_tiles: u64 = 0;
     let mut union_cols: u64 = 0;
     for w in cond.windows() {
-        let row_tiles = w.rows.div_ceil(TILE_M) as u64;
+        let row_tiles = w.rows.div_ceil(TILE_MN) as u64;
         let k_tiles = w.words_per_row.div_ceil(2) as u64; // 128-bit K tiles
         a_tiles += row_tiles * k_tiles;
         union_cols += w.col_ids.len() as u64;
     }
     let executed = a_tiles * t_bits;
     tracker.record_dram_read((a_tiles + executed) * n_tiles * TILE_BYTES);
-    tracker.record_int_ops((union_cols * t_bits + executed * (TILE_M * TILE_N) as u64) * n_tiles);
+    tracker.record_int_ops((union_cols * t_bits + executed * (TILE_MN * TILE_MN) as u64) * n_tiles);
     tracker.record_b1_tiles(executed * n_tiles);
 }
 
-/// Charge the tracker with exactly the traffic and MMA counts the simulated
-/// per-tile walk recorded, derived from a zero-tile census of the A planes.
+/// Charge the tracker with the traffic and MMA counts of the GPU kernel's
+/// per-tile walk, derived from a zero-tile census of the A planes.
 ///
 /// For every output tile column the walk visits each `(A plane, row tile, K
 /// tile)` triple: it reads the A tile (once per triple under
@@ -567,8 +572,9 @@ fn record_tile_walk(
     let skipped = (total - surviving) * t_bits;
 
     tracker.record_dram_read((a_loads + executed) * n_tiles * TILE_BYTES);
-    tracker
-        .record_int_ops((a_loads * ZERO_CHECK_OPS + executed * (TILE_M * TILE_N) as u64) * n_tiles);
+    tracker.record_int_ops(
+        (a_loads * ZERO_CHECK_OPS + executed * (TILE_MN * TILE_MN) as u64) * n_tiles,
+    );
     tracker.record_b1_tiles(executed * n_tiles);
     if skipped > 0 {
         tracker.record_b1_tiles_skipped(skipped * n_tiles);
@@ -808,6 +814,92 @@ mod tests {
         assert_eq!(s.tc_b1_tiles_skipped, 0);
         assert_eq!(s.dram_read_bytes, (4 + 8) * 2 * 128);
         assert_eq!(s.cuda_int_ops, (4 * 8 + 8 * 64) * 2);
+    }
+
+    #[test]
+    fn analytic_walk_matches_hand_count_on_a_multibit_left_operand() {
+        // The update GEMM's shape: a 2-bit 16x256 A holding code 1 at (0, 0)
+        // only, so plane 0 has one nonzero tile of its 2x2 tile grid and
+        // plane 1 none: 8 A tiles, 1 nonzero.  B is 3-bit with 16 columns:
+        // 2 output tile columns, t = 3.  Per tile column the walk loads 8 A
+        // tiles (CrossTile) or 8 * 3 (CrossBit) at 8 zero-check ops each, and
+        // issues 1 * 3 MMAs with jumping or 8 * 3 without, each reading one
+        // 128-byte B tile and costing 64 shift-accumulate ops.
+        let mut a_codes: Matrix<u32> = Matrix::zeros(16, 256);
+        a_codes[(0, 0)] = 1;
+        let a = StackedBitMatrix::from_codes(&a_codes, 2, BitMatrixLayout::RowPacked);
+        let b_codes = random_codes(256, 16, 3, 8);
+        let b = StackedBitMatrix::from_codes(&b_codes, 3, BitMatrixLayout::ColPacked);
+        // (order, jumping) -> (MMAs, skipped MMAs, DRAM read bytes, integer ops)
+        for (order, jumping, want) in [
+            (ReductionOrder::CrossTile, true, (6, 42, 2_816, 512)),
+            (ReductionOrder::CrossBit, true, (6, 42, 6_912, 768)),
+            (ReductionOrder::CrossTile, false, (48, 0, 8_192, 3_200)),
+            (ReductionOrder::CrossBit, false, (48, 0, 12_288, 3_456)),
+        ] {
+            let tracker = CostTracker::new();
+            let cfg = KernelConfig {
+                zero_tile_jumping: jumping,
+                reduction_order: order,
+                ..KernelConfig::default()
+            };
+            let _ = qgtc_bmm(&a, &b, &cfg, &tracker);
+            let s = tracker.snapshot();
+            let got = (
+                s.tc_b1_tiles,
+                s.tc_b1_tiles_skipped,
+                s.dram_read_bytes,
+                s.cuda_int_ops,
+            );
+            assert_eq!(got, want, "order {order:?}, jump {jumping}");
+            // One launch over the 2x2 output tile grid, one 256-byte
+            // accumulator tile written per block.
+            assert_eq!(s.kernel_launches, 1);
+            assert_eq!(s.thread_blocks, 4);
+            assert_eq!(s.dram_write_bytes, 1_024);
+        }
+    }
+
+    #[test]
+    fn condensed_walk_matches_hand_count() {
+        // A 32x256 adjacency in two 16-row windows: row i < 16 sets column
+        // i mod 3 (a 3-column union), row 16 + i sets column 100 + c for each
+        // c < 70 with c mod 16 = i (a 70-column union).  Each union fits one
+        // 128-bit K tile, so each window is 2 row tiles x 1 K tile: 4
+        // condensed A tiles and 73 union columns.  The features are 2-bit with
+        // 16 columns: 2 output tile columns, t = 2.  Per tile column the walk
+        // reads 4 A tiles and 4 * 2 B tiles, issues 4 * 2 MMAs at 64 ops each
+        // and charges 73 * 2 remap lookups.
+        let mut adjacency: Matrix<f32> = Matrix::zeros(32, 256);
+        for i in 0..16 {
+            adjacency[(i, i % 3)] = 1.0;
+            for c in (i..70).step_by(16) {
+                adjacency[(16 + i, 100 + c)] = 1.0;
+            }
+        }
+        let a = StackedBitMatrix::from_binary_adjacency(&adjacency, BitMatrixLayout::RowPacked);
+        let x_codes = random_codes(256, 16, 2, 9);
+        let x = StackedBitMatrix::from_codes(&x_codes, 2, BitMatrixLayout::ColPacked);
+        let tracker = CostTracker::new();
+        let _ = qgtc_aggregate(&a, &x, &path_config(AdjacencyPath::Condensed), &tracker);
+        let s = tracker.snapshot();
+        assert_eq!(s.adj_condensed_dispatches, 1);
+        assert_eq!(s.tc_b1_tiles, 16);
+        assert_eq!(s.tc_b1_tiles_skipped, 0);
+        assert_eq!(s.dram_read_bytes, 3_072);
+        assert_eq!(s.cuda_int_ops, 1_316);
+        // One launch over 2 windows x 2 tile columns; the output is 4 x 2
+        // accumulator tiles of 256 bytes.
+        assert_eq!(s.kernel_launches, 1);
+        assert_eq!(s.thread_blocks, 4);
+        assert_eq!(s.dram_write_bytes, 2_048);
+    }
+
+    #[test]
+    fn tile_counts_round_up() {
+        assert_eq!(tile_counts(8, 8, 128), (1, 1, 1));
+        assert_eq!(tile_counts(9, 17, 129), (2, 3, 2));
+        assert_eq!(tile_counts(1, 1, 1), (1, 1, 1));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # qgtc-kernels
 //!
-//! The QGTC kernel designs (paper §4), expressed over the software Tensor Core of
-//! `qgtc-tcsim`:
+//! The QGTC kernel designs (paper §4).  Each computes its exact result on the
+//! host and charges the work of the GPU kernel it models to the analytic cost
+//! model of `qgtc-tcsim`:
 //!
 //! * [`backend`] — which popcount body (portable scalar or AVX-512) the fused
 //!   GEMM runs on: [`backend::BackendChoice`].  Both bodies are held bitwise
@@ -12,8 +13,9 @@
 //!   explicit) outputs.  The arithmetic executes through the fused host kernel of
 //!   `qgtc-bitmat` while the 8×8×128-tile walk of the GPU kernel is charged to the
 //!   cost tracker analytically (see [`bmm`]'s module docs).
-//! * [`zero_tile`] — zero-tile jumping (§4.3): detect all-zero 8×128 adjacency tiles
-//!   with an OR-reduce + ballot and skip their MMAs and B-operand loads.
+//! * [`zero_tile`] — zero-tile jumping (§4.3): census the all-zero 8×128 adjacency
+//!   tiles whose MMAs and B-operand loads the GPU kernel's OR-reduce + ballot
+//!   check skips.
 //! * [`tiling`] — the committed `TUNE_gemm.json` tune table: the condensation
 //!   threshold the adjacency-path dispatcher compares against.
 //! * [`tile_reuse`] — non-zero tile reuse (§4.4): the cross-tile reduction ordering

@@ -1,15 +1,13 @@
 //! Zero-tile analysis (paper §4.3 and Figure 8).
 //!
-//! Besides the per-tile check performed inside the BMM kernel, the evaluation needs
-//! an offline census of a packed adjacency: how many of its 8×128 Tensor Core tiles
-//! contain at least one edge, and therefore what fraction of the naive kernel's work
-//! zero-tile jumping removes.  Figure 8 reports that ratio per dataset; this module
-//! computes it.
+//! A census of a packed adjacency: how many of its 8×128 Tensor Core tiles
+//! contain at least one edge, and therefore what fraction of the naive kernel's
+//! work zero-tile jumping removes.  The BMM kernel charges its modeled tile walk
+//! from this census ([`crate::bmm`]), and Figure 8 reports its ratio per dataset.
 
 use qgtc_bitmat::fused::FusedGemmStats;
-use qgtc_bitmat::pack::{pad128, pad8};
+use qgtc_bitmat::pack::{pad128, pad8, TILE_K, TILE_K_WORDS, TILE_MN};
 use qgtc_bitmat::{BitMatrix, BitMatrixLayout, StackedBitMatrix};
-use qgtc_tcsim::fragment::{TILE_K_WORDS_PER_LANE, TILE_M};
 
 /// Census of the 8×128 tiles of one packed bit plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,30 +35,30 @@ impl TileCensus {
 }
 
 /// Census the 8×128 tiles of a row-packed bit plane: a tile is nonzero when
-/// the OR of its eight lanes' four-word K chunks is, which is what the
-/// kernel's OR + ballot check decides (its warp-level form,
-/// [`qgtc_tcsim::warp::tile_is_zero_by_ballot`], is the test oracle).
+/// the OR of its eight lanes' four-word K chunks is, which is what the GPU
+/// kernel's OR + `__ballot_sync` check decides (§4.3).  A per-bit scan of each
+/// tile's logical cells is the test oracle.
 pub fn census_plane(plane: &BitMatrix) -> TileCensus {
     assert_eq!(
         plane.layout(),
         BitMatrixLayout::RowPacked,
         "tile census operates on the row-packed (adjacency) layout"
     );
-    let row_tiles = pad8(plane.rows()) / TILE_M;
-    let k_tiles = pad128(plane.cols()) / 128;
+    let row_tiles = pad8(plane.rows()) / TILE_MN;
+    let k_tiles = pad128(plane.cols()) / TILE_K;
     // PAD8 and PAD128 make each row tile eight whole lanes, and each lane
     // `k_tiles` chunks of four words.
     let mut merged = vec![0u32; plane.words_per_lane()];
     let mut nonzero = 0usize;
     for tr in 0..row_tiles {
         merged.fill(0);
-        for lane in tr * TILE_M..(tr + 1) * TILE_M {
+        for lane in tr * TILE_MN..(tr + 1) * TILE_MN {
             for (acc, &word) in merged.iter_mut().zip(plane.lane(lane)) {
                 *acc |= word;
             }
         }
         nonzero += merged
-            .chunks_exact(TILE_K_WORDS_PER_LANE)
+            .chunks_exact(TILE_K_WORDS)
             .filter(|chunk| chunk.iter().any(|&word| word != 0))
             .count();
     }
@@ -169,19 +167,21 @@ pub fn census_adjacency(adjacency: &StackedBitMatrix) -> TileCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgtc_tcsim::warp::tile_is_zero_by_ballot;
-    use qgtc_tcsim::wmma::load_fragment_a;
     use qgtc_tensor::rng::random_uniform_matrix;
     use qgtc_tensor::Matrix;
 
-    /// The census as the kernel's warp sees it: load every 8×128 tile into a
-    /// fragment and ballot over its eight OR-ed rows.
-    fn census_by_ballot(plane: &BitMatrix) -> TileCensus {
-        let row_tiles = pad8(plane.rows()) / TILE_M;
-        let k_tiles = pad128(plane.cols()) / 128;
+    /// The census read bit by bit: a hardware tile spans 8 rows and 128
+    /// columns, and it is nonzero when any of its logical cells is set.
+    fn census_by_bits(plane: &BitMatrix) -> TileCensus {
+        let (rows, cols) = (plane.rows(), plane.cols());
+        let (row_tiles, k_tiles) = (rows.div_ceil(8), cols.div_ceil(128));
+        let tile_has_a_bit = |tr: usize, tk: usize| {
+            (tr * 8..(tr * 8 + 8).min(rows))
+                .any(|r| (tk * 128..(tk * 128 + 128).min(cols)).any(|c| plane.get(r, c) == 1))
+        };
         let nonzero = (0..row_tiles)
             .flat_map(|tr| (0..k_tiles).map(move |tk| (tr, tk)))
-            .filter(|&(tr, tk)| !tile_is_zero_by_ballot(&load_fragment_a(plane, tr, tk).rows))
+            .filter(|&(tr, tk)| tile_has_a_bit(tr, tk))
             .count();
         TileCensus {
             total_tiles: row_tiles * k_tiles,
@@ -190,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn word_or_census_matches_the_ballot_walk() {
+    fn word_or_census_matches_a_per_bit_scan() {
         let mut planes = Vec::new();
         // Random planes at several densities, with rows and cols that are not
         // multiples of 8 or 128.
@@ -230,7 +230,7 @@ mod tests {
         for plane in &planes {
             assert_eq!(
                 census_plane(plane),
-                census_by_ballot(plane),
+                census_by_bits(plane),
                 "{}x{} plane with {} edges",
                 plane.rows(),
                 plane.cols(),

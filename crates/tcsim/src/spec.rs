@@ -7,10 +7,8 @@
 //! well-tuned kernel reaches (calibrated so the modeled baselines land near the
 //! paper's measured cuBLAS/CUTLASS throughput).
 
-use serde::{Deserialize, Serialize};
-
 /// First-order performance parameters of one GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Human-readable device name.
     pub name: String,

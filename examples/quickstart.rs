@@ -1,4 +1,4 @@
-//! Quickstart: any-bitwidth matrix multiplication on the (simulated) Tensor Core.
+//! Quickstart: any-bitwidth matrix multiplication with a modeled Tensor Core cost.
 //!
 //! Builds two random matrices, quantizes them to 3 and 2 bits, multiplies them with
 //! the QGTC kernel (`bitMM2Int`), checks the result against a 64-bit integer GEMM on

@@ -2,10 +2,13 @@
 //!
 //! Partitions a clustered synthetic graph, builds one cluster-GCN batch, censuses its
 //! 8×128 Tensor Core tiles, and shows how much work zero-tile jumping removes from
-//! the aggregation kernel — both in tile counts and in modeled kernel time.
+//! the aggregation kernel — both in tile counts and in modeled kernel time.  It
+//! asserts that the modeled MMA counts are the census's tile counts times the
+//! feature operand's output tile columns and bit planes.
 //!
 //! Run with: `cargo run --release --example zero_tile_analysis`
 
+use qgtc_repro::bitmat::pack::TILE_MN;
 use qgtc_repro::bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_repro::graph::generate::{stochastic_block_model, SbmParams};
 use qgtc_repro::graph::CsrGraph;
@@ -76,6 +79,18 @@ fn main() {
     };
     let (with_ms, with_cost) = run(true);
     let (without_ms, without_cost) = run(false);
+
+    // Each adjacency tile meets every output tile column and feature bit
+    // plane of the feature operand: one MMA per meeting, unless jumping skips
+    // a zero tile's.
+    let n_tiles = feature_stack.cols().div_ceil(TILE_MN) as u64;
+    let pairs = n_tiles * u64::from(feature_stack.bits());
+    assert_eq!(with_cost.tc_b1_tiles, census.nonzero_tiles as u64 * pairs);
+    assert_eq!(
+        with_cost.tc_b1_tiles_skipped,
+        census.zero_tiles() as u64 * pairs
+    );
+    assert_eq!(without_cost.tc_b1_tiles, census.total_tiles as u64 * pairs);
     println!(
         "aggregation kernel: {:.3} ms with jumping ({} MMAs) vs {:.3} ms without ({} MMAs) -> {:.2}x",
         with_ms,

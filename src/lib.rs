@@ -36,7 +36,7 @@
 //! let features = random_uniform_matrix(64, 8, 0.0, 1.0, 11);
 //! let feats = BitTensor::from_f32(&features, 2, BitMatrixLayout::ColPacked);
 //!
-//! // 3. `bitMM2Int`: multiply on the simulated tensor core, tracking costs.
+//! // 3. `bitMM2Int`: multiply, charging the modeled tensor-core cost.
 //! let tracker = CostTracker::new();
 //! // A product whose bitwidths could overflow the i64 accumulators is a
 //! // typed `QgtcError::AccumulatorOverflow` instead.
@@ -97,11 +97,11 @@ pub use qgtc_bitmat as bitmat;
 pub use qgtc_gnn as gnn;
 /// Sparse graph structures, generators and dataset profiles.
 pub use qgtc_graph as graph;
-/// QGTC kernel designs over the software Tensor Core.
+/// QGTC kernel designs, charging their GPU work to the cost model.
 pub use qgtc_kernels as kernels;
 /// METIS-substitute partitioner and cluster-GCN batching.
 pub use qgtc_partition as partition;
-/// Software Tensor Core and analytic GPU device model.
+/// Analytic GPU cost model: work counters and the device model.
 pub use qgtc_tcsim as tcsim;
 /// Dense tensor substrate.
 pub use qgtc_tensor as tensor;

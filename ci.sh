@@ -55,7 +55,9 @@
 #   qgtcbench              the end-to-end benchmark's own tests, including the
 #                          --quick smoke of all four workloads; it is a
 #                          package outside the workspace, so no other stage
-#                          builds it against the current library API
+#                          builds it against the current library API.  It
+#                          builds under target/qgtcbench (CARGO_TARGET_DIR),
+#                          not in the package's own directory under crates/
 #   bench-compile          criterion benches must compile
 #   examples               examples + bins must build, and the self-checking
 #                          examples (quickstart, cluster_gcn_inference,
@@ -316,7 +318,8 @@ stage transitions transitions_stage
 stage chaos chaos_stage
 stage condense condense_stage
 stage serving serving_stage
-stage qgtcbench cargo test --offline --manifest-path crates/bench/src/bin/qgtcbench/Cargo.toml
+stage qgtcbench env CARGO_TARGET_DIR=target/qgtcbench \
+    cargo test --offline --manifest-path crates/bench/src/bin/qgtcbench/Cargo.toml
 stage bench-compile cargo bench --no-run --workspace
 stage examples examples_stage
 if [[ "$FAST" == "1" ]]; then

@@ -340,8 +340,8 @@ impl StackedBitMatrix {
 
     /// Order-sensitive checksum across all planes (see [`BitMatrix::checksum`]).
     ///
-    /// Any single-bit flip in any plane changes the result, so the epoch pipeline
-    /// can validate a staged payload in one comparison at queue-take time.
+    /// Any single-bit flip in any plane changes the result, so the pipeline's
+    /// prepare stage can verify a sealed payload in one comparison.
     pub fn checksum(&self) -> u64 {
         const FNV_PRIME: u64 = 0x100000001b3;
         let mut hash = (self.bits as u64).wrapping_mul(FNV_PRIME) ^ 0x51ac3ed_u64;

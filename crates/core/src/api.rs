@@ -22,7 +22,7 @@ use crate::bit_tensor::BitTensor;
 use crate::config::check_backend;
 use crate::fault::QgtcError;
 use qgtc_bitmat::BitMatrixLayout;
-use qgtc_kernels::bmm::{accumulator_fits, qgtc_bitmm2int, qgtc_bmm_with_epilogue, KernelConfig};
+use qgtc_kernels::bmm::{accumulator_fits, qgtc_bmm, qgtc_bmm_with_epilogue, KernelConfig};
 use qgtc_kernels::fusion::FusedEpilogue;
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tensor::{Matrix, QuantParams};
@@ -43,7 +43,7 @@ pub fn bit_mm_to_int(
     tracker: &CostTracker,
 ) -> Result<Matrix<i64>, QgtcError> {
     check_operands(a, b, config)?;
-    Ok(qgtc_bitmm2int(a.stack(), b.stack(), config, tracker))
+    Ok(qgtc_bmm(a.stack(), b.stack(), config, tracker))
 }
 
 /// [`QgtcError::OperandMismatch`] unless `a` is row-packed, `b` column-packed

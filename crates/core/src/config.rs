@@ -2,14 +2,14 @@
 //!
 //! One [`QgtcConfig`] captures everything a run of the end-to-end pipeline needs:
 //! which model, which execution path, the quantization bitwidth, the partitioning
-//! and batching granularity (the two knobs §4.1 discusses), the kernel optimisation
-//! toggles and the host-to-device transfer strategy.  The modeled GPU is the
-//! paper's RTX 3090.
+//! and batching granularity (the two knobs §4.1 discusses) and the kernel
+//! optimisation toggles.  The host-to-device transfer follows the path: QGTC
+//! ships each batch's packed payload, the baseline dense fp32 tensors.  The
+//! modeled GPU is the paper's RTX 3090.
 
 use crate::fault::{FaultPlan, QgtcError};
 use qgtc_kernels::backend::BackendChoice;
 use qgtc_kernels::bmm::{AdjacencyPath, KernelConfig};
-use qgtc_kernels::packing::TransferStrategy;
 
 /// Which GNN model to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +59,6 @@ pub struct QgtcConfig {
     /// the fused kernel's zero-word-skipping execution path; the measured skip
     /// ratio lands in [`crate::pipeline::EpochReport::fused_word_skip_ratio`].
     pub kernel: KernelConfig,
-    /// How batches are shipped to the device.
-    pub transfer: TransferStrategy,
     /// Seed for model initialisation.
     pub seed: u64,
     /// Device staging buffers of the modeled transfer/compute overlap: the
@@ -86,7 +84,6 @@ impl Default for QgtcConfig {
             num_partitions: 1500,
             batch_size: 8,
             kernel: KernelConfig::default(),
-            transfer: TransferStrategy::PackedCompound,
             seed: 0xC0FFEE,
             prefetch_batches: 2,
             fault_plan: FaultPlan::default(),
@@ -110,7 +107,6 @@ impl QgtcConfig {
             model,
             path: ExecutionPath::DglBaseline,
             bits: 32,
-            transfer: TransferStrategy::DenseFloat,
             ..Default::default()
         }
     }
@@ -242,7 +238,6 @@ mod tests {
         let c = QgtcConfig::default();
         assert_eq!(c.num_partitions, 1500);
         assert_eq!(c.path, ExecutionPath::Qgtc);
-        assert_eq!(c.transfer, TransferStrategy::PackedCompound);
         assert!(c.kernel.zero_tile_jumping);
     }
 
@@ -254,7 +249,6 @@ mod tests {
         assert_eq!(q.path, ExecutionPath::Qgtc);
         let d = QgtcConfig::dgl_baseline(ModelKind::ClusterGcn);
         assert_eq!(d.path, ExecutionPath::DglBaseline);
-        assert_eq!(d.transfer, TransferStrategy::DenseFloat);
     }
 
     #[test]

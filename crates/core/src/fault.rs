@@ -2,24 +2,25 @@
 //!
 //! The ROADMAP's north star is a serving system; a serving system's epoch driver
 //! cannot unwind as a panic every time a prepare hiccups or a prepared payload
-//! arrives damaged. This module provides the two halves of that story:
+//! comes out damaged. This module provides the two halves of that story:
 //!
-//! * **Injection** — a seeded [`FaultPlan`] (set on the config with
+//! * **Injection** — a deterministic [`FaultPlan`] (set on the config with
 //!   [`crate::config::QgtcConfig::with_fault_plan`]) names exactly which faults fire where:
-//!   a [`FaultSite`] (prepare stage, the prepare-to-take hand-off, take, backend
-//!   GEMM dispatch, partitioning), a [`FaultKind`] (transient, persistent backend
-//!   loss, payload corruption), a batch index, and how many consecutive attempts
-//!   the fault survives. Firing is keyed on `(site, batch, attempt)` — never on
-//!   arrival order — so a plan behaves identically in an epoch, in a serving
-//!   session, and at any thread count.
+//!   a [`FaultSite`] (one of the three stages that run: partitioning, batch
+//!   prepare, backend GEMM dispatch), a [`FaultKind`] (transient, persistent
+//!   backend loss, payload corruption), a batch index, and how many consecutive
+//!   attempts the fault survives. Firing is keyed on `(site, batch, attempt)` —
+//!   never on arrival order — so a plan behaves identically in an epoch, in a
+//!   serving session, and at any thread count.
 //! * **Recovery** — the pipeline's supervisor (in [`crate::pipeline`]) consumes
 //!   faults through a [`FaultInjector`] under one retry policy: transients are
-//!   retried with bounded backoff (3 retries per batch and stage), corruption is
-//!   caught by payload checksums at take and repaired by a pure re-prepare, and
-//!   a persistent backend loss at GEMM dispatch degrades its batch and every
-//!   batch at or above its index through the [`fallback_backend`] chain
-//!   (avx512 → portable). Every outcome is tallied in [`FaultStats`] on the
-//!   [`crate::EpochReport`] and on a serving session's [`crate::ServeStats`].
+//!   retried with bounded backoff (3 retries per batch and stage), corruption of
+//!   a sealed payload is caught by its checksum and repaired by a pure
+//!   re-prepare, and a persistent backend loss at GEMM dispatch degrades its
+//!   batch and every batch at or above its index through the
+//!   [`fallback_backend`] chain (avx512 → portable). Every outcome is tallied in
+//!   [`FaultStats`] on the [`crate::EpochReport`] and on a serving session's
+//!   [`crate::ServeStats`].
 //!
 //! Anything the supervisor cannot absorb surfaces as a [`QgtcError`] from the
 //! `try_*` entry points instead of a panic.
@@ -34,13 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Where in the epoch pipeline a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Inside the prepare stage (materialise → gather → pack), before a batch exists.
+    /// The prepare stage (materialise → gather → pack, then, under injection,
+    /// seal and verify the payload checksum).
     Prepare,
-    /// At the hand-off of a prepared (and, under injection, sealed) batch
-    /// from prepare to take.
-    Deposit,
-    /// When the take stage receives a prepared batch and verifies its checksum.
-    Take,
     /// At backend GEMM dispatch, just before the forward pass of a batch.
     Dispatch,
     /// During graph partitioning, before any batch exists.
@@ -52,8 +49,6 @@ impl FaultSite {
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::Prepare => "prepare",
-            FaultSite::Deposit => "deposit",
-            FaultSite::Take => "take",
             FaultSite::Dispatch => "gemm",
             FaultSite::Partition => "partition",
         }
@@ -62,8 +57,6 @@ impl FaultSite {
     fn from_name(name: &str) -> Option<Self> {
         match name {
             "prepare" => Some(FaultSite::Prepare),
-            "deposit" => Some(FaultSite::Deposit),
-            "take" => Some(FaultSite::Take),
             "gemm" | "dispatch" => Some(FaultSite::Dispatch),
             "partition" => Some(FaultSite::Partition),
             _ => None,
@@ -88,10 +81,11 @@ pub enum FaultKind {
     /// index, which the supervisor degrades through [`fallback_backend`]; at
     /// every other site this is unrecoverable.
     BackendLoss,
-    /// Bits of the prepared payload flip after sealing. Detected by the checksum
-    /// validation at take and repaired by re-preparing the batch. At sites
-    /// other than [`FaultSite::Deposit`] there is no sealed payload to damage, so
-    /// the fault behaves as a transient.
+    /// At [`FaultSite::Prepare`], bits of the prepared payload flip after
+    /// sealing; the prepare stage's checksum verify catches the mismatch and
+    /// re-prepares the batch. A batch with no payload (the dense baseline, an
+    /// empty batch) and the other sites have no sealed payload to damage, so
+    /// there the fault behaves as a transient.
     Corruption,
 }
 
@@ -197,7 +191,7 @@ impl FaultPlan {
     /// Parse the fault spec grammar: a comma-separated list of
     /// `site:kind[:batch[:attempts]]` entries.
     ///
-    /// * `site` — `prepare`, `deposit`, `take`, `gemm` (alias `dispatch`), `partition`
+    /// * `site` — `prepare`, `gemm` (alias `dispatch`), `partition`
     /// * `kind` — `transient`, `backend-loss`, `corrupt` (alias `corruption`)
     /// * `batch` — target batch index, default `0`
     /// * `attempts` — consecutive failing attempts, default `1`
@@ -216,7 +210,7 @@ impl FaultPlan {
             let site_name = fields.next().unwrap_or_default();
             let site = FaultSite::from_name(site_name).ok_or_else(|| {
                 QgtcError::InvalidFaultSpec(format!(
-                    "unknown fault site {site_name:?} in {entry:?} (expected prepare|deposit|take|gemm|partition)"
+                    "unknown fault site {site_name:?} in {entry:?} (expected prepare|gemm|partition)"
                 ))
             })?;
             let kind_name = fields.next().ok_or_else(|| {
@@ -254,47 +248,6 @@ impl FaultPlan {
             });
         }
         Ok(Self { specs })
-    }
-
-    /// A seeded, always-recoverable plan: 1–4 transient/corruption faults spread
-    /// deterministically over the batch-level sites of an epoch with
-    /// `num_batches` batches, each failing at most `max_attempts` times.
-    ///
-    /// Chaos tests use this to exercise the full recovery machinery from a
-    /// single `u64`. With `max_attempts` at or below the supervisor's retry
-    /// budget of 3, every generated plan must recover to bitwise-identical
-    /// epoch output.
-    pub fn seeded_transient(seed: u64, num_batches: usize, max_attempts: u32) -> Self {
-        const SITES: [FaultSite; 4] = [
-            FaultSite::Prepare,
-            FaultSite::Deposit,
-            FaultSite::Take,
-            FaultSite::Dispatch,
-        ];
-        let mut state = seed;
-        let mut next = move || {
-            // SplitMix64: a full-period generator keyed only on the seed.
-            state = state.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        let count = 1 + (next() % 4) as usize;
-        let max_attempts = max_attempts.max(1);
-        let specs = (0..count)
-            .map(|_| FaultSpec {
-                site: SITES[(next() % SITES.len() as u64) as usize],
-                kind: if next() % 3 == 0 {
-                    FaultKind::Corruption
-                } else {
-                    FaultKind::Transient
-                },
-                batch: (next() % num_batches.max(1) as u64) as usize,
-                attempts: 1 + (next() % u64::from(max_attempts)) as u32,
-            })
-            .collect();
-        Self { specs }
     }
 }
 
@@ -634,7 +587,7 @@ mod tests {
 
     #[test]
     fn spec_grammar_round_trips() {
-        let plan = FaultPlan::parse("prepare:transient:3:2, gemm:backend-loss:5 ,take:corrupt")
+        let plan = FaultPlan::parse("prepare:transient:3:2, gemm:backend-loss:5 ,prepare:corrupt")
             .expect("valid spec");
         assert_eq!(
             plan.specs(),
@@ -652,7 +605,7 @@ mod tests {
                     attempts: 1
                 },
                 FaultSpec {
-                    site: FaultSite::Take,
+                    site: FaultSite::Prepare,
                     kind: FaultKind::Corruption,
                     batch: 0,
                     attempts: 1
@@ -674,6 +627,9 @@ mod tests {
             "prepare:transient:x",
             "prepare:transient:1:y",
             "prepare:transient:1:2:3",
+            // Sites name the three stages that run, and nothing between them.
+            "deposit:transient",
+            "take:corrupt",
         ] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(
@@ -700,7 +656,7 @@ mod tests {
             "attempts exhausted"
         );
         assert!(!spec.fires_at(FaultSite::Prepare, 3, 0), "wrong batch");
-        assert!(!spec.fires_at(FaultSite::Deposit, 2, 0), "wrong site");
+        assert!(!spec.fires_at(FaultSite::Dispatch, 2, 0), "wrong site");
 
         let loss = FaultSpec {
             site: FaultSite::Dispatch,
@@ -729,49 +685,29 @@ mod tests {
     fn injector_resolves_overlaps_by_severity() {
         let injector = FaultInjector::new(FaultPlan::new(vec![
             FaultSpec {
-                site: FaultSite::Take,
+                site: FaultSite::Prepare,
                 kind: FaultKind::Transient,
                 batch: 0,
                 attempts: 1,
             },
             FaultSpec {
-                site: FaultSite::Take,
+                site: FaultSite::Prepare,
                 kind: FaultKind::BackendLoss,
                 batch: 0,
                 attempts: 1,
             },
         ]));
         assert_eq!(
-            injector.fault_at(FaultSite::Take, 0, 0),
+            injector.fault_at(FaultSite::Prepare, 0, 0),
             Some(FaultKind::BackendLoss)
         );
-        assert_eq!(injector.fault_at(FaultSite::Take, 1, 0), None);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_recoverable() {
-        for seed in 0..50u64 {
-            let a = FaultPlan::seeded_transient(seed, 8, 2);
-            let b = FaultPlan::seeded_transient(seed, 8, 2);
-            assert_eq!(a, b, "seed {seed} must be deterministic");
-            assert!(!a.is_empty());
-            assert!(a.specs().len() <= 4);
-            for spec in a.specs() {
-                assert_ne!(spec.kind, FaultKind::BackendLoss, "recoverable only");
-                assert!(spec.attempts >= 1 && spec.attempts <= 2);
-                assert!(spec.batch < 8);
-            }
-        }
-        assert_ne!(
-            FaultPlan::seeded_transient(1, 8, 2),
-            FaultPlan::seeded_transient(2, 8, 2),
-            "different seeds should differ (for these two, at least)"
-        );
+        assert_eq!(injector.fault_at(FaultSite::Prepare, 1, 0), None);
     }
 
     #[test]
     fn a_dispatch_loss_holds_for_every_batch_at_or_above_its_index() {
-        let plan = "gemm:backend-loss:3,gemm:backend-loss:1,gemm:backend-loss:1,take:backend-loss";
+        let plan =
+            "gemm:backend-loss:3,gemm:backend-loss:1,gemm:backend-loss:1,prepare:backend-loss";
         let injector = FaultInjector::new(FaultPlan::parse(plan).expect("valid"));
         let backend = |batch| injector.backend_at(BackendChoice::Avx512, batch);
         assert_eq!(backend(0), Ok(BackendChoice::Avx512));

@@ -10,9 +10,9 @@
 //!   multiplication entry points.
 //! * [`config::QgtcConfig`] — one struct holding every evaluation knob: bitwidth,
 //!   partition count, batch size, kernel optimisation toggles (popcount backend
-//!   and adjacency path included), transfer strategy and fault plan.  The config
-//!   is the only selector: no environment variable overrides it.  The one
-//!   variable the library reads, `QGTC_TUNE_FILE`, names the tune table's path.
+//!   and adjacency path included) and fault plan.  The config is the only
+//!   selector: no environment variable overrides it.  The one variable the
+//!   library reads, `QGTC_TUNE_FILE`, names the tune table's path.
 //! * [`pipeline`] — the end-to-end batched-inference pipeline: METIS-substitute
 //!   partitioning, cluster-GCN batching, host-to-device transfer, per-batch forward
 //!   passes on either the QGTC path or the DGL-like baseline, and modeled epoch
@@ -20,10 +20,11 @@
 //!   thread; the paper's double-buffered transfer/compute overlap is modeled
 //!   from its per-batch counters.
 //! * [`fault`] — deterministic fault injection and the typed error surface: a
-//!   seeded [`fault::FaultPlan`], set with [`QgtcConfig::with_fault_plan`], drives
-//!   the pipeline's supervisor, which retries transients, repairs checksum-caught
-//!   payload corruption, and degrades lost GEMM backends; the `try_*` entry
-//!   points surface what cannot be absorbed as a [`QgtcError`].
+//!   [`fault::FaultPlan`] over the three stages that run (partition, prepare,
+//!   gemm), set with [`QgtcConfig::with_fault_plan`], drives the pipeline's
+//!   supervisor, which retries transients, repairs checksum-caught payload
+//!   corruption, and degrades lost GEMM backends; the `try_*` entry points
+//!   surface what cannot be absorbed as a [`QgtcError`].
 //! * [`serve`] — the serving front end: a long-lived [`serve::QgtcSession`]
 //!   built once per `(dataset, config)` that coalesces queued requests into
 //!   partition-aligned micro-batches, caches prepared batch payloads, and

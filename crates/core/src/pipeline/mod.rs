@@ -11,8 +11,9 @@
 //!    feature rows and bit-pack the transfer payload into a
 //!    [`PreparedBatch`] (side-effect free:
 //!    nothing is recorded into the cost tracker);
-//! 3. **execute** — record the host-to-device transfer under the configured
-//!    strategy and run the model's forward pass on the configured execution path.
+//! 3. **execute** — record the host-to-device transfer (the packed payload, or
+//!    dense fp32 on the baseline path) and run the model's forward pass on the
+//!    configured execution path.
 //!
 //! Every entry point runs the same private batch loop on the calling thread.
 //! They differ only in where the plan comes from: [`run_epoch`] and
@@ -24,7 +25,7 @@
 //! | Step | Fault sites | A fault within the budget | Fails with |
 //! |---|---|---|---|
 //! | plan | partition | re-partitions | [`QgtcError::PartitionFailed`] |
-//! | prepare | prepare, deposit, take | re-prepares; take also repairs a checksum mismatch | [`QgtcError::BatchFailed`] |
+//! | prepare | prepare | re-prepares, also on a checksum mismatch | [`QgtcError::BatchFailed`] |
 //! | dispatch | gemm | re-dispatches; a backend loss degrades this batch and every later one | [`QgtcError::BatchFailed`], or [`QgtcError::BackendLost`] at the chain's end |
 //! | forward | — | — | [`QgtcError::NonFiniteActivations`] |
 //!
@@ -282,7 +283,7 @@ const MAX_RETRIES: u32 = 3;
 /// Why one attempt of a supervised stage failed.
 enum Failure {
     /// A fault failed the attempt: `fired` is the planned fault that fired
-    /// (`None` when a checksum caught damage done earlier), and `error` is
+    /// (`None` when a checksum caught damage no plan injected), and `error` is
     /// what the stage fails with if it stops retrying here.
     Fault {
         fired: Option<FaultKind>,
@@ -298,10 +299,17 @@ impl From<QgtcError> for Failure {
     }
 }
 
-/// `kind` fired on attempt `attempt` of batch `batch` at `site`.
-fn batch_fault(batch: usize, site: FaultSite, kind: FaultKind, attempt: u32) -> Failure {
+/// Attempt `attempt` of batch `batch` failed at `site`: `fired` is the
+/// planned fault that failed it, if any, and `kind` the kind its error names.
+fn batch_fault(
+    batch: usize,
+    site: FaultSite,
+    fired: Option<FaultKind>,
+    kind: FaultKind,
+    attempt: u32,
+) -> Failure {
     Failure::Fault {
-        fired: Some(kind),
+        fired,
         error: QgtcError::BatchFailed {
             batch,
             site,
@@ -441,7 +449,7 @@ pub(crate) fn execute_batch(
         return Ok(None);
     }
     let tracker = CostTracker::new();
-    prepared.record_transfer(ctx.config.transfer, &tracker);
+    prepared.record_transfer(&tracker);
     let output = match ctx.config.path {
         ExecutionPath::Qgtc => {
             let kernel = KernelConfig {
@@ -466,76 +474,50 @@ pub(crate) fn execute_batch(
     Ok(Some((output, tracker.snapshot())))
 }
 
-/// Prepare stage under supervision: run `prepare` for batch `index`, hand it
-/// off to take, and verify it there, absorbing [`FaultSite::Prepare`],
-/// [`FaultSite::Deposit`] and [`FaultSite::Take`] faults.  `prepare` must be
-/// pure with respect to the cost model and deterministic for a given batch
+/// Prepare stage under supervision: run `prepare` for batch `index`,
+/// absorbing [`FaultSite::Prepare`] faults.  `prepare` must be pure with
+/// respect to the cost model and deterministic for a given batch
 /// (re-invocations must rebuild bitwise-identical payloads — that is what
 /// makes retry a repair); [`prepare_batch`] is.  An error from `prepare`
 /// itself is not a fault: it returns at once, with no retry and no count.
 ///
-/// Under an active injector every prepared batch is sealed under its payload
-/// checksum — and a planned deposit-site [`FaultKind::Corruption`] flips
-/// payload bits *after* sealing, leaving a stale checksum for take to catch.
+/// Without an injector the batch is returned as prepared.  Under one, each
+/// attempt fails on a planned transient or backend loss before `prepare`
+/// runs; otherwise the batch is sealed under its payload checksum, a planned
+/// [`FaultKind::Corruption`] flips sealed payload bits (on a batch with no
+/// payload it fails the attempt as a transient), and the checksum is
+/// verified: a mismatch, injected or real, fails the attempt and the retry
+/// re-prepares the batch.
 pub(crate) fn supervise_prepare(
     injector: Option<&FaultInjector>,
     index: usize,
     mut prepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
-    let fault_at = |site, attempt| injector.and_then(|i| i.fault_at(site, index, attempt));
-    let mut sealed = || {
-        let mut prepared = prepare()?;
-        if injector.is_some() {
-            prepared.seal_checksum();
-        }
-        Ok::<_, QgtcError>(prepared)
+    let Some(injector) = injector else {
+        return prepare();
     };
-    // Production: a prepare-site fault fails the attempt before a batch
-    // exists, a deposit-site fault at the hand-off to take.
-    let mut prepared = retry(injector, |attempt| {
-        if let Some(kind) = fault_at(FaultSite::Prepare, attempt) {
-            return Err(batch_fault(index, FaultSite::Prepare, kind, attempt));
+    retry(Some(injector), |attempt| {
+        let fired = injector.fault_at(FaultSite::Prepare, index, attempt);
+        if let Some(kind @ (FaultKind::Transient | FaultKind::BackendLoss)) = fired {
+            return Err(batch_fault(index, FaultSite::Prepare, fired, kind, attempt));
         }
-        let mut prepared = sealed()?;
-        match fault_at(FaultSite::Deposit, attempt) {
-            Some(FaultKind::Corruption) => {
-                // The damaged batch is delivered as-is; detection (checksum
-                // mismatch) and repair (re-prepare) happen at take time.
-                let injector = injector.expect("fault_at fired, injector present");
-                if prepared.corrupt_payload(injector.corruption_seed(index, attempt)) {
-                    injector.count_injected();
-                }
-                Ok(prepared)
-            }
-            Some(kind) => Err(batch_fault(index, FaultSite::Deposit, kind, attempt)),
-            None => Ok(prepared),
+        let mut prepared = prepare()?;
+        prepared.seal_checksum();
+        // `fired` is now `None` or a planned corruption, which fails the
+        // attempt whether or not the batch has payload bits to flip.
+        let landed =
+            fired.is_none() || prepared.corrupt_payload(injector.corruption_seed(index, attempt));
+        if landed && prepared.verify_payload() {
+            return Ok(prepared);
         }
-    })?;
-    // Take: the checksum catches corruption whether injected or real, and a
-    // repair re-runs the pure prepare.  No re-deposit happens, so a
-    // deposit-time corruption cannot re-damage the repaired batch.
-    retry(injector, |attempt| {
-        if attempt > 0 {
-            prepared = sealed()?;
-        }
-        let fired = fault_at(FaultSite::Take, attempt);
-        let kind = match fired {
-            Some(FaultKind::BackendLoss) => FaultKind::BackendLoss,
-            _ if !prepared.verify_payload() => FaultKind::Corruption,
-            Some(kind) => kind,
-            None => return Ok(()),
-        };
-        Err(Failure::Fault {
+        Err(batch_fault(
+            index,
+            FaultSite::Prepare,
             fired,
-            error: QgtcError::BatchFailed {
-                batch: index,
-                site: FaultSite::Take,
-                kind,
-                attempts: attempt + 1,
-            },
-        })
-    })?;
-    Ok(prepared)
+            FaultKind::Corruption,
+            attempt,
+        ))
+    })
 }
 
 /// Dispatch stage under supervision, run just before a batch's forward pass:
@@ -560,15 +542,13 @@ pub(crate) fn supervise_dispatch(
                 injector.count_degraded();
                 Ok(())
             }
-            Some(kind) => Err(Failure::Fault {
-                fired: Some(kind),
-                error: QgtcError::BatchFailed {
-                    batch: index,
-                    site: FaultSite::Dispatch,
-                    kind: FaultKind::Transient,
-                    attempts: attempt + 1,
-                },
-            }),
+            fired => Err(batch_fault(
+                index,
+                FaultSite::Dispatch,
+                fired,
+                FaultKind::Transient,
+                attempt,
+            )),
         }
     })?;
     Ok(backend)
@@ -896,8 +876,8 @@ mod tests {
 
     #[test]
     fn a_prepare_error_is_returned_without_a_retry_or_a_fault_count() {
-        // An active plan whose deposit fault would retry a successful prepare.
-        let plan = crate::fault::FaultPlan::parse("deposit:transient:0").expect("valid");
+        // An active plan whose corruption would retry a successful prepare.
+        let plan = crate::fault::FaultPlan::parse("prepare:corrupt:0").expect("valid");
         let injector = FaultInjector::new(plan);
         let error = QgtcError::NonFiniteFeature { node: 1, column: 2 };
         let mut calls = 0;
@@ -908,6 +888,53 @@ mod tests {
         assert_eq!(result.map(|_| ()), Err(error));
         assert_eq!(calls, 1);
         assert_eq!(injector.stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn a_corrupted_payload_fails_its_checksum_and_is_re_prepared() {
+        let dataset = tiny_dataset();
+        let config = tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2));
+        let (batcher, _) = try_build_plan(&dataset, &config).expect("valid config");
+        let prepare = |dense: bool| {
+            let mut scratch = SubgraphScratch::default();
+            let prepared = prepare_batch(
+                &batcher,
+                &dataset,
+                &config,
+                0,
+                &mut PackedBufferPool::new(),
+                &mut scratch,
+            )
+            .expect("finite features");
+            if dense {
+                PreparedBatch::dense(0, prepared.subgraph, prepared.features)
+            } else {
+                prepared
+            }
+        };
+        let clean = prepare(false).payload.expect("a packed batch").checksum();
+        // A packed batch fails its checksum verify on attempt 0; a dense one
+        // has no payload to damage, so the fault fails the attempt as a
+        // transient.  Either way attempt 1 returns a clean batch.
+        for dense in [false, true] {
+            let plan = crate::fault::FaultPlan::parse("prepare:corrupt:0:1").expect("valid");
+            let injector = FaultInjector::new(plan);
+            let mut calls = 0;
+            let prepared = supervise_prepare(Some(&injector), 0, || {
+                calls += 1;
+                Ok(prepare(dense))
+            })
+            .expect("one corruption is within the budget");
+            assert_eq!(calls, 2, "dense: {dense}");
+            assert_eq!(prepared.payload_checksum, (!dense).then_some(clean));
+            assert!(prepared.verify_payload());
+            let stats = injector.stats();
+            assert_eq!(
+                (stats.injected, stats.retried, stats.recovered),
+                (1, 1, 1),
+                "dense: {dense}"
+            );
+        }
     }
 
     #[test]

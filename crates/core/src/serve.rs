@@ -381,9 +381,9 @@ impl<'a> QgtcSession<'a> {
     fn execute_serving_batch(&mut self, index: usize) -> Result<BatchForwardOutput, QgtcError> {
         let prepared = match self.take_cached(index) {
             Some(prepared) => {
-                // Payloads are verified at insert time (the supervised take
-                // stage), not re-verified per hit: the cache is process-local
-                // memory, not a transport.
+                // Payloads are verified at insert time (the supervised
+                // prepare), not re-verified per hit: the cache is
+                // process-local memory, not a transport.
                 self.stats.cache_hits += 1;
                 prepared
             }

@@ -24,7 +24,7 @@
 //!
 //! The special case `A` = 1-bit adjacency, `B` = `s`-bit features is the neighbour
 //! aggregation kernel ([`qgtc_aggregate`]); the general case is the node-update
-//! GEMM, exposed under its framework name as [`qgtc_bitmm2int`].
+//! GEMM [`qgtc_bmm`], the paper's `bitMM2Int` (the API layer's `bit_mm_to_int`).
 //!
 //! Each entry comes in two forms over the same kernel loop.  The plain product
 //! ([`qgtc_bmm`], [`qgtc_aggregate_prepared`]) returns the `i64` accumulator
@@ -356,18 +356,6 @@ fn charged_gemm<T>(
     out
 }
 
-/// `bitMM2Int`, the framework-facing name of the node-update GEMM (paper §5):
-/// identical to [`qgtc_bmm`], exported so model code reads like the paper's
-/// PyTorch extension API.
-pub fn qgtc_bitmm2int(
-    a: &StackedBitMatrix,
-    b: &StackedBitMatrix,
-    config: &KernelConfig,
-    tracker: &CostTracker,
-) -> Matrix<i64> {
-    qgtc_bmm(a, b, config, tracker)
-}
-
 /// Neighbour aggregation kernel `X_new = A · X` with a 1-bit adjacency.
 ///
 /// This is [`qgtc_bmm`] specialised to a 1-bit left operand — the shape for
@@ -630,20 +618,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bitmm2int_is_the_same_kernel() {
-        let a_codes = random_codes(12, 140, 3, 21);
-        let b_codes = random_codes(140, 9, 2, 22);
-        let a = StackedBitMatrix::from_codes(&a_codes, 3, BitMatrixLayout::RowPacked);
-        let b = StackedBitMatrix::from_codes(&b_codes, 2, BitMatrixLayout::ColPacked);
-        let t1 = CostTracker::new();
-        let t2 = CostTracker::new();
-        let via_alias = qgtc_bitmm2int(&a, &b, &KernelConfig::default(), &t1);
-        let via_bmm = qgtc_bmm(&a, &b, &KernelConfig::default(), &t2);
-        assert_eq!(via_alias, via_bmm);
-        assert_eq!(t1.snapshot(), t2.snapshot());
     }
 
     #[test]

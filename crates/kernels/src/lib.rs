@@ -48,8 +48,8 @@ pub mod zero_tile;
 pub use backend::BackendChoice;
 pub use bmm::{
     adjacency_cost_ratio, qgtc_aggregate, qgtc_aggregate_prepared, qgtc_aggregate_with_epilogue,
-    qgtc_bitmm2int, qgtc_bmm, qgtc_bmm_with_epilogue, resolve_adjacency_path, AdjacencyPath,
-    KernelConfig, ReductionOrder,
+    qgtc_bmm, qgtc_bmm_with_epilogue, resolve_adjacency_path, AdjacencyPath, KernelConfig,
+    ReductionOrder,
 };
 pub use fusion::{Activation, FusedEpilogue};
 pub use packing::{PreparedBatch, SubgraphPayload, TransferStrategy};

@@ -220,9 +220,9 @@ impl SubgraphPayload {
     ///
     /// One `u64` covers the whole payload: any bit flip in the packed adjacency or
     /// packed features (or a mismatched header) changes the value. Under an
-    /// active fault injector the pipeline seals this into the [`PreparedBatch`]
-    /// right after prepare and re-derives it at take time to catch corruption
-    /// of the hand-off.
+    /// active fault injector the prepare stage seals this into the
+    /// [`PreparedBatch`] and re-derives it before returning the batch, so a
+    /// payload damaged after sealing is caught and re-prepared.
     pub fn checksum(&self) -> u64 {
         const FNV_PRIME: u64 = 0x100000001b3;
         let mut hash = 0x9e3779b97f4a7c15_u64;
@@ -354,10 +354,10 @@ impl PreparedBatch {
 
     /// Seal the current payload under a checksum (a no-op on payload-less batches).
     ///
-    /// Under an active fault injector the pipeline seals every batch right after
-    /// prepare, before the hand-off to execute (where injected corruption lands);
-    /// [`PreparedBatch::verify_payload`] then re-derives the checksum at take
-    /// time.
+    /// Under an active fault injector the prepare stage seals every batch it
+    /// builds (injected corruption lands after the seal), then
+    /// [`PreparedBatch::verify_payload`] re-derives the checksum before the
+    /// batch leaves the stage.
     pub fn seal_checksum(&mut self) {
         self.payload_checksum = self.payload.as_ref().map(SubgraphPayload::checksum);
     }
@@ -414,15 +414,16 @@ impl PreparedBatch {
 
     /// Record this batch's host-to-device transfer.
     ///
-    /// With a payload the configured strategy is charged through
-    /// [`SubgraphPayload::record_transfer`] (bytes plus per-transfer overhead). On
-    /// the baseline path the batch ships as dense fp32 adjacency + features in the
-    /// framework's single logical allocation, so exactly
+    /// A batch with a payload ships it as QGTC's one packed compound transfer,
+    /// charged through [`SubgraphPayload::record_transfer`] under
+    /// [`TransferStrategy::PackedCompound`] (bytes plus per-transfer overhead).
+    /// A batch without one (the baseline path) ships as dense fp32 adjacency +
+    /// features in the framework's single logical allocation, so exactly
     /// `n·n·4 + features.len()·4` bytes are charged — the same accounting the
     /// serial DGL loop has always used.
-    pub fn record_transfer(&self, strategy: TransferStrategy, tracker: &CostTracker) {
+    pub fn record_transfer(&self, tracker: &CostTracker) {
         match &self.payload {
-            Some(payload) => payload.record_transfer(strategy, tracker),
+            Some(payload) => payload.record_transfer(TransferStrategy::PackedCompound, tracker),
             None => {
                 let n = self.subgraph.num_nodes() as u64;
                 let bytes = n * n * 4 + self.features.len() as u64 * 4;
@@ -533,7 +534,7 @@ mod tests {
             payload.transfer_bytes(TransferStrategy::PackedCompound)
         );
         let tracker = CostTracker::new();
-        prepared.record_transfer(TransferStrategy::PackedCompound, &tracker);
+        prepared.record_transfer(&tracker);
         assert_eq!(
             tracker.snapshot().pcie_h2d_bytes,
             payload.transfer_bytes(TransferStrategy::PackedCompound) + PER_TRANSFER_OVERHEAD_BYTES
@@ -557,7 +558,7 @@ mod tests {
         let prepared = PreparedBatch::dense(0, sub, features);
         assert!(prepared.payload.is_none());
         let tracker = CostTracker::new();
-        prepared.record_transfer(TransferStrategy::DenseFloat, &tracker);
+        prepared.record_transfer(&tracker);
         // Raw fp32 accounting without the per-transfer overhead model: exactly what
         // the serial DGL loop records.
         assert_eq!(

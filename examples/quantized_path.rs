@@ -60,7 +60,7 @@ fn main() {
         };
 
         let tracker = CostTracker::new();
-        prepared.record_transfer(TransferStrategy::PackedCompound, &tracker);
+        prepared.record_transfer(&tracker);
         let out =
             model.forward_prepared_quantized(&prepared, setting, Some(&weights), &kernel, &tracker);
         assert_eq!(out.logits.rows(), prepared.num_nodes());

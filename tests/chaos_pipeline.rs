@@ -8,12 +8,15 @@
 //! Serving sessions are checked under a backend loss too: it holds for every
 //! batch at or above its index, however often a batch is served.
 //!
-//! Fault firing is keyed on `(site, batch, attempt)`, so the whole suite is
-//! deterministic at any thread count; `ci.sh`'s chaos stage re-runs it under
-//! `RAYON_NUM_THREADS` ∈ {1, 2, 8}. `QGTC_CI_FAST=1` shrinks the proptest case
-//! counts for the timed CI gate.  The fault spec grammar itself is fuzzed
-//! here too: any string parses to a plan or `InvalidFaultSpec`, and any plan
-//! round-trips through `Display` and `FaultPlan::parse`.
+//! Faults fire at the three stages that run: `partition`, `prepare` (where a
+//! `corrupt` fault damages a sealed payload and the stage's checksum verify
+//! catches it) and `gemm` dispatch.  Fault firing is keyed on `(site, batch,
+//! attempt)`, so the whole suite is deterministic at any thread count;
+//! `ci.sh`'s chaos stage re-runs it under `RAYON_NUM_THREADS` ∈ {1, 2, 8}.
+//! `QGTC_CI_FAST=1` shrinks the proptest case counts for the timed CI gate.
+//! The fault spec grammar itself is fuzzed here too: any string parses to a
+//! plan or `InvalidFaultSpec`, and any plan round-trips through `Display` and
+//! `FaultPlan::parse`.
 
 use proptest::prelude::*;
 use qgtc_repro::bitmat::fused::PopcountBody;
@@ -25,12 +28,8 @@ use qgtc_repro::core::{
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
 use qgtc_repro::kernels::backend::resolve_auto;
 
-const SITES: [FaultSite; 4] = [
-    FaultSite::Prepare,
-    FaultSite::Deposit,
-    FaultSite::Take,
-    FaultSite::Dispatch,
-];
+/// The batch-level fault sites.
+const SITES: [FaultSite; 2] = [FaultSite::Prepare, FaultSite::Dispatch];
 
 fn chaos_cases() -> ProptestConfig {
     let fast = std::env::var("QGTC_CI_FAST").is_ok_and(|v| v == "1");
@@ -72,7 +71,7 @@ proptest! {
     fn recoverable_plans_recover_bitwise_on_both_executors(
         profile_idx in 0usize..6,
         raw_specs in proptest::collection::vec(
-            (0usize..4, 0usize..2, 0usize..8, 1u32..3),
+            (0usize..2, 0usize..2, 0usize..8, 1u32..3),
             1..5,
         ),
     ) {
@@ -115,18 +114,12 @@ proptest! {
     #[test]
     fn exhausted_retry_budgets_fail_typed_on_both_executors(
         profile_idx in 0usize..6,
-        site_idx in 0usize..4,
+        site_idx in 0usize..2,
         kind_idx in 0usize..2,
     ) {
         let (name, dataset) = profile_dataset(profile_idx);
         let kind = if kind_idx == 0 { FaultKind::Transient } else { FaultKind::Corruption };
-        let mut site = SITES[site_idx];
-        if kind == FaultKind::Corruption && site == FaultSite::Deposit {
-            // Deposit-site corruption strikes exactly once per deposit, and the
-            // consumer's repair never re-deposits — so it is recoverable by
-            // construction at any `attempts` and cannot exhaust the budget.
-            site = FaultSite::Take;
-        }
+        let site = SITES[site_idx];
         let spec = FaultSpec {
             site,
             kind,
@@ -148,23 +141,6 @@ proptest! {
         }
     }
 
-    // Seeded always-recoverable plans (the perfsmoke probe's generator) recover
-    // bitwise from any seed.
-    #[test]
-    fn seeded_plans_recover_bitwise(seed in 0u64..10_000) {
-        let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
-        let config = tiny_config();
-        let clean = run_epoch(&dataset, &config);
-        let plan = FaultPlan::seeded_transient(seed, clean.num_batches, 2);
-        let faulty = config.with_fault_plan(plan);
-        let [inline, given] =
-            both_ways(&dataset, &faulty).map(|r| r.expect("seeded plans are recoverable"));
-        for report in [&inline, &given] {
-            prop_assert_eq!(&report.cost, &clean.cost);
-            prop_assert_eq!(&report.batch_costs, &clean.batch_costs);
-        }
-        prop_assert_eq!(inline.fault_stats, given.fault_stats);
-    }
 }
 
 #[test]
@@ -334,12 +310,10 @@ fn known_plan_produces_exact_stats() {
     }
 }
 
-/// One transient fault at each site that can fire.
-const ONE_TRANSIENT_PER_SITE: [&str; 5] = [
+/// One transient fault at each site.
+const ONE_TRANSIENT_PER_SITE: [&str; 3] = [
     "partition:transient",
     "prepare:transient:0:1",
-    "deposit:transient:0:1",
-    "take:transient:0:1",
     "gemm:transient:0:1",
 ];
 
@@ -367,7 +341,7 @@ fn a_full_sweep_session_tallies_the_epochs_faults() {
     assert_eq!(clean.stats().faults, FaultStats::default());
     for spec in ONE_TRANSIENT_PER_SITE
         .into_iter()
-        .chain(["gemm:backend-loss:1"])
+        .chain(["prepare:corrupt:0:1", "gemm:backend-loss:1"])
     {
         let faulty = tiny_config().with_fault_plan(FaultPlan::parse(spec).expect("valid"));
         let epoch = try_run_epoch(&dataset, &faulty).expect(spec).fault_stats;
@@ -572,7 +546,7 @@ fn malformed_fault_env_spec_is_a_typed_error_not_a_silent_noop() {
 /// (`|`-separated): the grammar's own words, numbers at and past the field
 /// widths, and junk. Fields past the fourth reuse the last list.
 const SPEC_FIELDS: [&str; 4] = [
-    "prepare|deposit|take|gemm|dispatch|partition|PREPARE|| prepare|x|💥",
+    "prepare|gemm|dispatch|partition|PREPARE|| prepare|x|💥",
     "transient|backend-loss|corrupt|corruption|melted||é",
     "0|7|18446744073709551615|18446744073709551616|-1|+2|0x10||x",
     "1|3|4294967295|4294967296|-1|1e3|| 2|💥",
@@ -624,17 +598,12 @@ proptest! {
     #[test]
     fn fault_plans_round_trip_through_display_and_parse(
         specs in proptest::collection::vec(
-            (0usize..5, 0usize..3, any::<usize>(), any::<u32>()),
+            (0usize..3, 0usize..3, any::<usize>(), any::<u32>()),
             0..8,
         ),
     ) {
-        const ALL_SITES: [FaultSite; 5] = [
-            FaultSite::Prepare,
-            FaultSite::Deposit,
-            FaultSite::Take,
-            FaultSite::Dispatch,
-            FaultSite::Partition,
-        ];
+        const ALL_SITES: [FaultSite; 3] =
+            [FaultSite::Prepare, FaultSite::Dispatch, FaultSite::Partition];
         const KINDS: [FaultKind; 3] =
             [FaultKind::Transient, FaultKind::BackendLoss, FaultKind::Corruption];
         let plan = FaultPlan::new(

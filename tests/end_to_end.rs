@@ -1,11 +1,14 @@
 //! Cross-crate integration tests: the full partition → batch → pack → kernel →
 //! model pipeline, exercised the way the evaluation binaries use it.
 
-use qgtc_repro::core::{run_epoch, ModelKind, QgtcConfig};
+use qgtc_repro::core::{run_epoch, try_build_plan, ModelKind, QgtcConfig};
 use qgtc_repro::gnn::models::QuantizationSetting;
 use qgtc_repro::gnn::{BatchedGinModel, ClusterGcnModel};
 use qgtc_repro::graph::{DatasetProfile, DenseSubgraph};
 use qgtc_repro::kernels::bmm::KernelConfig;
+use qgtc_repro::kernels::packing::{
+    SubgraphPayload, TransferStrategy, PER_TRANSFER_OVERHEAD_BYTES,
+};
 use qgtc_repro::partition::{partition_kway, PartitionBatcher, PartitionConfig};
 use qgtc_repro::tcsim::cost::CostTracker;
 use qgtc_repro::tensor::ops::argmax_rows;
@@ -123,23 +126,25 @@ fn kernel_optimisations_never_change_results() {
 #[test]
 fn packed_transfer_moves_far_fewer_bytes_than_dense() {
     let dataset = tiny_dataset();
-    let packed = run_epoch(
-        &dataset,
-        &QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(8, 4),
+    let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(8, 4);
+    let report = run_epoch(&dataset, &config);
+    // The epoch's own batches: the plan is deterministic in the config.
+    let (batcher, _) = try_build_plan(&dataset, &config).expect("valid config");
+    let (mut packed, mut dense) = (0, 0);
+    for batch in batcher.batches() {
+        let subgraph = batch.to_dense_block_diagonal(&dataset.graph);
+        let features = subgraph.gather_features(&dataset.features);
+        let payload = SubgraphPayload::new(&subgraph, &features, config.bits);
+        packed +=
+            payload.transfer_bytes(TransferStrategy::PackedCompound) + PER_TRANSFER_OVERHEAD_BYTES;
+        dense += payload.transfer_bytes(TransferStrategy::DenseFloat)
+            + payload.transfer_count(TransferStrategy::DenseFloat) * PER_TRANSFER_OVERHEAD_BYTES;
+    }
+    assert_eq!(
+        report.cost.pcie_h2d_bytes, packed,
+        "one packed compound transfer per batch"
     );
-    let dense = run_epoch(
-        &dataset,
-        &QgtcConfig {
-            transfer: qgtc_repro::kernels::packing::TransferStrategy::DenseFloat,
-            ..QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(8, 4)
-        },
-    );
-    assert!(
-        packed.cost.pcie_h2d_bytes * 4 < dense.cost.pcie_h2d_bytes,
-        "packed {} vs dense {}",
-        packed.cost.pcie_h2d_bytes,
-        dense.cost.pcie_h2d_bytes
-    );
+    assert!(packed * 4 < dense, "packed {packed} vs dense {dense}");
 }
 
 #[test]

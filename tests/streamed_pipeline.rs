@@ -19,7 +19,7 @@ fn tiny_config(model: ModelKind, bits: u32) -> QgtcConfig {
 /// One recoverable plan that corrupts a sealed payload and fails a prepare,
 /// so the fault tallies compared across depths are not all zero.
 fn recoverable_faults() -> FaultPlan {
-    FaultPlan::parse("deposit:corrupt:1:1,prepare:transient:0:1").expect("valid")
+    FaultPlan::parse("prepare:corrupt:1:1,prepare:transient:0:1").expect("valid")
 }
 
 fn assert_same_work(case: &str, serial: &EpochReport, streamed: &EpochReport) {

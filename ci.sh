@@ -58,7 +58,6 @@
 #                          builds it against the current library API.  It
 #                          builds under target/qgtcbench (CARGO_TARGET_DIR),
 #                          not in the package's own directory under crates/
-#   bench-compile          criterion benches must compile
 #   examples               examples + bins must build, and the self-checking
 #                          examples (quickstart, cluster_gcn_inference,
 #                          quantized_path, serving_session,
@@ -89,7 +88,7 @@ cd "$(dirname "$0")"
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
 TINY_REPORTS=target/perfsmoke-tiny
-KNOWN_STAGES="fmt clippy env-guard build-release test partition-determinism backend transitions chaos condense serving qgtcbench bench-compile examples perfsmoke benchcheck doc"
+KNOWN_STAGES="fmt clippy env-guard build-release test partition-determinism backend transitions chaos condense serving qgtcbench examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
 # QGTC_CI_STAGE aborts immediately with the list, and an unset one announces
@@ -320,7 +319,6 @@ stage condense condense_stage
 stage serving serving_stage
 stage qgtcbench env CARGO_TARGET_DIR=target/qgtcbench \
     cargo test --offline --manifest-path crates/bench/src/bin/qgtcbench/Cargo.toml
-stage bench-compile cargo bench --no-run --workspace
 stage examples examples_stage
 if [[ "$FAST" == "1" ]]; then
     skip_stage perfsmoke "QGTC_CI_FAST=1"

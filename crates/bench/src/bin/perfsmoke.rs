@@ -18,7 +18,7 @@
 //!   words are ≥90% zero, both asserted bitwise equal to the serial oracle.
 //! * `pipeline` — the epoch's **modeled transfer/compute overlap**: one
 //!   Cluster GCN 2-bit epoch per fig7 dataset, its per-batch counters composed
-//!   serially and overlapped at the configured staging depth (no timing).
+//!   serially and overlapped at 4 staging buffers (no timing).
 //! * `partition` — the **sharded partitioner** against the serial sweep on
 //!   the six Table-1 profiles, asserted bitwise identical before timing.
 //! * `backend` — every available **popcount body** raced on the kernel it
@@ -59,6 +59,7 @@ use qgtc_graph::DatasetProfile;
 use qgtc_kernels::tile_reuse::random_feature_codes;
 use qgtc_kernels::{adjacency_sparsity_stats, resolve_adjacency_path, AdjacencyPath};
 use qgtc_partition::{partition_kway, Parallelism, PartitionConfig};
+use qgtc_tcsim::DeviceModel;
 use qgtc_tensor::rng::random_uniform_matrix;
 use qgtc_tensor::Matrix;
 use std::path::PathBuf;
@@ -266,12 +267,12 @@ fn pipeline_probe(scale: BenchScale) -> JsonValue {
     let mut rows = Vec::new();
     for (profile, seed) in profiles.iter().zip((40u64..).step_by(2)) {
         let dataset = profile.materialize(dataset_scale, seed);
-        let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)
-            .with_partitions(partitions, batch_size)
-            .with_prefetch(prefetch);
+        let config =
+            QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(partitions, batch_size);
         let report = run_epoch(&dataset, &config);
-        let serial = report.pipeline.serial_ms();
-        let overlapped = report.pipeline.overlapped_ms();
+        let pipeline = DeviceModel::rtx3090().estimate_pipelined(&report.batch_costs, prefetch);
+        let serial = pipeline.serial_ms();
+        let overlapped = pipeline.overlapped_ms();
         total_serial += serial;
         total_overlapped += overlapped;
         rows.push(json_obj! {

@@ -4,16 +4,17 @@
 //! evaluation section (see the workspace README for the experiment index).
 //!
 //! Each experiment is a library function in [`experiments`] returning structured
-//! rows, so the same code backs three consumers:
+//! rows, so the same code backs two consumers:
 //!
 //! * the report binaries (`cargo run -p qgtc-bench --release --bin fig7a`, …) which
 //!   print the paper-style table plus CSV;
-//! * the Criterion benches (`cargo bench`), which time the underlying kernels;
-//! * the integration tests, which assert the qualitative shape (who wins, how trends
+//! * the unit tests, which assert the qualitative shape (who wins, how trends
 //!   move) on scaled-down configurations.
 //!
-//! Absolute numbers come from the analytic device model, not hardware; see
-//! EXPERIMENTS.md for the paper-vs-measured comparison and the scaling caveats.
+//! Absolute numbers come from the analytic device model, not hardware; see the
+//! workspace README's "Reproducing the paper's figures and tables" for the
+//! experiment index and its "Limitations vs the real system" for the scaling
+//! caveats.
 
 pub mod benchjson;
 pub mod experiments;

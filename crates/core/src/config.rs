@@ -39,7 +39,6 @@ pub enum ExecutionPath {
 /// | Setter | Getter(s) | Knob |
 /// |---|---|---|
 /// | [`with_partitions`](Self::with_partitions) | `num_partitions`, `batch_size` (fields) | partition count × partitions per batch |
-/// | [`with_prefetch`](Self::with_prefetch) | `prefetch_batches` (field) | modeled staging depth of the pipelined latency |
 /// | [`with_backend`](Self::with_backend) | [`backend`](Self::backend) | kernel GEMM backend |
 /// | [`with_adjacency_path`](Self::with_adjacency_path) | [`adjacency_path`](Self::adjacency_path) | aggregation kernel: zero-word skip vs condensed |
 /// | [`with_fault_plan`](Self::with_fault_plan) | `fault_plan` (field) | chaos-testing fault plan |
@@ -61,15 +60,6 @@ pub struct QgtcConfig {
     pub kernel: KernelConfig,
     /// Seed for model initialisation.
     pub seed: u64,
-    /// Device staging buffers of the modeled transfer/compute overlap: the
-    /// buffer depth `D` at which
-    /// [`DeviceModel::estimate_pipelined`](qgtc_tcsim::DeviceModel::estimate_pipelined)
-    /// schedules the epoch's per-batch lanes into
-    /// [`EpochReport::pipeline`](crate::pipeline::EpochReport::pipeline).  `1`
-    /// is the serial schedule (no overlap); `2` is classic double buffering
-    /// (the default).  It changes no host work: every depth runs the same
-    /// batch loop and records the same counters.
-    pub prefetch_batches: usize,
     /// Faults to inject into the epoch, for chaos testing the supervisor.  The
     /// empty plan (the default) injects nothing.  See [`crate::fault`].
     pub fault_plan: FaultPlan,
@@ -85,7 +75,6 @@ impl Default for QgtcConfig {
             batch_size: 8,
             kernel: KernelConfig::default(),
             seed: 0xC0FFEE,
-            prefetch_batches: 2,
             fault_plan: FaultPlan::default(),
         }
     }
@@ -119,13 +108,6 @@ impl QgtcConfig {
     pub fn with_partitions(mut self, num_partitions: usize, batch_size: usize) -> Self {
         self.num_partitions = num_partitions.max(1);
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Set the modeled staging depth (clamped to at least 1); `1` models no
-    /// transfer/compute overlap.
-    pub fn with_prefetch(mut self, prefetch_batches: usize) -> Self {
-        self.prefetch_batches = prefetch_batches.max(1);
         self
     }
 
@@ -259,11 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_defaults_to_double_buffering() {
-        assert_eq!(QgtcConfig::default().prefetch_batches, 2);
-    }
-
-    #[test]
     fn validate_rejects_degenerate_knobs() {
         assert!(QgtcConfig::default().validate().is_ok());
         let c = QgtcConfig {
@@ -300,12 +277,5 @@ mod tests {
         let plan = FaultPlan::parse("prepare:transient").expect("valid");
         let c = c.with_fault_plan(plan.clone());
         assert_eq!(c.fault_plan, plan);
-    }
-
-    #[test]
-    fn prefetch_clamps_to_one_buffer() {
-        assert_eq!(QgtcConfig::default().with_prefetch(0).prefetch_batches, 1);
-        assert_eq!(QgtcConfig::default().with_prefetch(1).prefetch_batches, 1);
-        assert_eq!(QgtcConfig::default().with_prefetch(5).prefetch_batches, 5);
     }
 }

@@ -43,8 +43,8 @@
 //! paper's Figure 7 reports), a pipelined serial-vs-overlapped latency pair (the
 //! paper's batched dataflow overlaps one batch's transfer with another's compute,
 //! §5; [`DeviceModel::estimate_pipelined`] schedules the per-batch counters at
-//! [`QgtcConfig::prefetch_batches`] staging buffers, a model of the device, not
-//! a host schedule), the measured host wall-clock of the simulation itself
+//! two staging buffers, the paper's double buffering: a model of the device,
+//! not a host schedule), the measured host wall-clock of the simulation itself
 //! (partitioning excluded, reported separately as `partition_ms`), and the raw
 //! per-batch cost snapshots for deeper analysis.
 //!
@@ -90,7 +90,7 @@ pub struct EpochReport {
     /// Breakdown of the modeled time (aggregate over the epoch).
     pub estimate: KernelEstimate,
     /// Pipelined latency composition: per-batch transfer/compute lanes scheduled
-    /// serially and with `config.prefetch_batches` staging buffers.
+    /// serially and with two staging buffers (double buffering).
     pub pipeline: PipelineEstimate,
     /// Host wall-clock spent simulating the epoch (prepare + execute), in
     /// milliseconds. Partitioning is **excluded**, matching the paper's
@@ -279,6 +279,10 @@ fn check_finite_features(dataset: &LoadedDataset) -> Result<(), QgtcError> {
 /// How many times a supervised stage retries a fault before it fails typed:
 /// a fault of up to 3 consecutive failing attempts is absorbed.
 const MAX_RETRIES: u32 = 3;
+
+/// Device staging buffers at which [`EpochReport::pipeline`] schedules an
+/// epoch's per-batch lanes: the paper's double buffering.
+const STAGING_BUFFERS: usize = 2;
 
 /// Why one attempt of a supervised stage failed.
 enum Failure {
@@ -474,49 +478,50 @@ pub(crate) fn execute_batch(
     Ok(Some((output, tracker.snapshot())))
 }
 
-/// Prepare stage under supervision: run `prepare` for batch `index`,
-/// absorbing [`FaultSite::Prepare`] faults.  `prepare` must be pure with
-/// respect to the cost model and deterministic for a given batch
-/// (re-invocations must rebuild bitwise-identical payloads — that is what
-/// makes retry a repair); [`prepare_batch`] is.  An error from `prepare`
-/// itself is not a fault: it returns at once, with no retry and no count.
+/// Prepare stage under supervision: run `prepare` for batch `index` on
+/// `pool`, absorbing [`FaultSite::Prepare`] faults.  `prepare` must be pure
+/// with respect to the cost model and deterministic for a given batch
+/// (re-invocations must rebuild bitwise-identical payloads whatever the pool
+/// holds — that is what makes retry a repair); [`prepare_batch`] is.  An
+/// error from `prepare` itself is not a fault: it returns at once, with no
+/// retry and no count.
 ///
 /// Without an injector the batch is returned as prepared.  Under one, each
 /// attempt fails on a planned transient or backend loss before `prepare`
 /// runs; otherwise the batch is sealed under its payload checksum, a planned
-/// [`FaultKind::Corruption`] flips sealed payload bits (on a batch with no
-/// payload it fails the attempt as a transient), and the checksum is
-/// verified: a mismatch, injected or real, fails the attempt and the retry
-/// re-prepares the batch.
+/// [`FaultKind::Corruption`] flips sealed payload bits, and the checksum is
+/// verified: a mismatch, injected or real, fails the attempt as a
+/// corruption.  A planned corruption that finds no payload to flip (the
+/// dense baseline, an empty batch) fails the attempt as a transient.  A
+/// rejected batch is recycled into `pool`, and the retry re-prepares it.
 pub(crate) fn supervise_prepare(
     injector: Option<&FaultInjector>,
     index: usize,
-    mut prepare: impl FnMut() -> Result<PreparedBatch, QgtcError>,
+    pool: &mut PackedBufferPool,
+    mut prepare: impl FnMut(&mut PackedBufferPool) -> Result<PreparedBatch, QgtcError>,
 ) -> Result<PreparedBatch, QgtcError> {
     let Some(injector) = injector else {
-        return prepare();
+        return prepare(pool);
     };
     retry(Some(injector), |attempt| {
         let fired = injector.fault_at(FaultSite::Prepare, index, attempt);
         if let Some(kind @ (FaultKind::Transient | FaultKind::BackendLoss)) = fired {
             return Err(batch_fault(index, FaultSite::Prepare, fired, kind, attempt));
         }
-        let mut prepared = prepare()?;
+        let mut prepared = prepare(pool)?;
         prepared.seal_checksum();
-        // `fired` is now `None` or a planned corruption, which fails the
-        // attempt whether or not the batch has payload bits to flip.
-        let landed =
-            fired.is_none() || prepared.corrupt_payload(injector.corruption_seed(index, attempt));
-        if landed && prepared.verify_payload() {
+        // `fired` is now `None` or a planned corruption.
+        let kind = if fired.is_some()
+            && !prepared.corrupt_payload(injector.corruption_seed(index, attempt))
+        {
+            FaultKind::Transient
+        } else if prepared.verify_payload() {
             return Ok(prepared);
-        }
-        Err(batch_fault(
-            index,
-            FaultSite::Prepare,
-            fired,
-            FaultKind::Corruption,
-            attempt,
-        ))
+        } else {
+            FaultKind::Corruption
+        };
+        prepared.recycle_into(pool);
+        Err(batch_fault(index, FaultSite::Prepare, fired, kind, attempt))
     })
 }
 
@@ -604,19 +609,11 @@ fn run_batches(
     let mut batch_sparsity = Vec::new();
     let mut num_nodes = 0;
     for index in 0..batcher.num_batches() {
-        // Epoch batches are dropped once executed, so every prepare draws from
-        // an empty pool; the loop reuses only its node-map scratch.
-        let prepare = || {
-            prepare_batch(
-                batcher,
-                dataset,
-                config,
-                index,
-                &mut PackedBufferPool::new(),
-                &mut scratch,
-            )
-        };
-        let prepared = supervise_prepare(injector, index, prepare)?;
+        // Epoch batches are dropped once executed, so each batch draws from a
+        // pool of its own; the loop reuses only its node-map scratch.
+        let prepared = supervise_prepare(injector, index, &mut PackedBufferPool::new(), |pool| {
+            prepare_batch(batcher, dataset, config, index, pool, &mut scratch)
+        })?;
         backend = supervise_dispatch(config, injector, index)?;
         if let Some((_, cost)) = execute_batch(&ctx, &prepared, backend)? {
             batch_costs.push(cost);
@@ -644,7 +641,7 @@ fn run_batches(
     let cost = total.snapshot();
     let device = DeviceModel::rtx3090();
     let estimate = device.estimate(&cost);
-    let pipeline = device.estimate_pipelined(&batch_costs, config.prefetch_batches);
+    let pipeline = device.estimate_pipelined(&batch_costs, STAGING_BUFFERS);
     Ok(EpochReport {
         modeled_ms: estimate.total_ms(),
         estimate,
@@ -881,7 +878,7 @@ mod tests {
         let injector = FaultInjector::new(plan);
         let error = QgtcError::NonFiniteFeature { node: 1, column: 2 };
         let mut calls = 0;
-        let result = supervise_prepare(Some(&injector), 0, || {
+        let result = supervise_prepare(Some(&injector), 0, &mut PackedBufferPool::new(), |_| {
             calls += 1;
             Err(error.clone())
         });
@@ -890,44 +887,56 @@ mod tests {
         assert_eq!(injector.stats(), FaultStats::default());
     }
 
-    #[test]
-    fn a_corrupted_payload_fails_its_checksum_and_is_re_prepared() {
+    /// The tiny Cluster GCN 2-bit epoch's dataset, config and plan.
+    fn tiny_plan() -> (LoadedDataset, QgtcConfig, PartitionBatcher) {
         let dataset = tiny_dataset();
         let config = tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2));
         let (batcher, _) = try_build_plan(&dataset, &config).expect("valid config");
-        let prepare = |dense: bool| {
-            let mut scratch = SubgraphScratch::default();
-            let prepared = prepare_batch(
-                &batcher,
-                &dataset,
-                &config,
-                0,
-                &mut PackedBufferPool::new(),
-                &mut scratch,
-            )
+        (dataset, config, batcher)
+    }
+
+    /// Batch 0 of `plan`, prepared on `pool`: packed, or rebuilt as a dense
+    /// batch with no payload.
+    fn first_batch(
+        (dataset, config, batcher): &(LoadedDataset, QgtcConfig, PartitionBatcher),
+        dense: bool,
+        pool: &mut PackedBufferPool,
+    ) -> PreparedBatch {
+        let mut scratch = SubgraphScratch::default();
+        let prepared = prepare_batch(batcher, dataset, config, 0, pool, &mut scratch)
             .expect("finite features");
-            if dense {
-                PreparedBatch::dense(0, prepared.subgraph, prepared.features)
-            } else {
-                prepared
-            }
-        };
-        let clean = prepare(false).payload.expect("a packed batch").checksum();
+        if dense {
+            PreparedBatch::dense(0, prepared.subgraph, prepared.features)
+        } else {
+            prepared
+        }
+    }
+
+    #[test]
+    fn a_corrupted_payload_fails_its_checksum_and_is_re_prepared() {
+        let plan = tiny_plan();
+        let clean = first_batch(&plan, false, &mut PackedBufferPool::new())
+            .payload
+            .expect("a packed batch")
+            .checksum();
         // A packed batch fails its checksum verify on attempt 0; a dense one
         // has no payload to damage, so the fault fails the attempt as a
-        // transient.  Either way attempt 1 returns a clean batch.
+        // transient.  Either way attempt 1 returns a clean batch, drawn from
+        // the buffers the rejected attempt handed back to the pool.
         for dense in [false, true] {
-            let plan = crate::fault::FaultPlan::parse("prepare:corrupt:0:1").expect("valid");
-            let injector = FaultInjector::new(plan);
+            let faults = crate::fault::FaultPlan::parse("prepare:corrupt:0:1").expect("valid");
+            let injector = FaultInjector::new(faults);
+            let mut pool = PackedBufferPool::new();
             let mut calls = 0;
-            let prepared = supervise_prepare(Some(&injector), 0, || {
+            let prepared = supervise_prepare(Some(&injector), 0, &mut pool, |pool| {
                 calls += 1;
-                Ok(prepare(dense))
+                Ok(first_batch(&plan, dense, pool))
             })
             .expect("one corruption is within the budget");
             assert_eq!(calls, 2, "dense: {dense}");
             assert_eq!(prepared.payload_checksum, (!dense).then_some(clean));
             assert!(prepared.verify_payload());
+            assert!(pool.stats().reuses > 0, "dense: {dense}");
             let stats = injector.stats();
             assert_eq!(
                 (stats.injected, stats.retried, stats.recovered),
@@ -938,22 +947,41 @@ mod tests {
     }
 
     #[test]
+    fn an_exhausted_corruption_names_a_transient_where_no_payload_exists() {
+        let plan = tiny_plan();
+        for (dense, kind) in [(false, FaultKind::Corruption), (true, FaultKind::Transient)] {
+            let faults = crate::fault::FaultPlan::parse("prepare:corrupt:0:5").expect("valid");
+            let injector = FaultInjector::new(faults);
+            let result =
+                supervise_prepare(Some(&injector), 0, &mut PackedBufferPool::new(), |pool| {
+                    Ok(first_batch(&plan, dense, pool))
+                });
+            assert_eq!(
+                result.map(|_| ()),
+                Err(QgtcError::BatchFailed {
+                    batch: 0,
+                    site: FaultSite::Prepare,
+                    kind,
+                    attempts: MAX_RETRIES + 1,
+                }),
+                "dense: {dense}"
+            );
+            assert_eq!(injector.stats().injected, u64::from(MAX_RETRIES + 1));
+        }
+    }
+
+    #[test]
     fn overlapped_latency_no_worse_than_serial_composition() {
         let dataset = tiny_dataset();
         let report = run_epoch(
             &dataset,
-            &tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)).with_prefetch(4),
+            &tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)),
         );
-        assert_eq!(report.pipeline.staging_buffers, 4);
-        assert!(report.pipeline.overlapped_s <= report.pipeline.serial_s);
-        assert!(report.pipeline.overlap_speedup() >= 1.0);
-
-        let no_overlap = tiny_config(QgtcConfig::qgtc(ModelKind::ClusterGcn, 2)).with_prefetch(1);
-        let serial_only = run_epoch(&dataset, &no_overlap);
-        assert_eq!(serial_only.pipeline.staging_buffers, 1);
         assert_eq!(
-            serial_only.pipeline.overlapped_s,
-            serial_only.pipeline.serial_s
+            report.pipeline,
+            DeviceModel::rtx3090().estimate_pipelined(&report.batch_costs, 2)
         );
+        assert_eq!(report.pipeline.staging_buffers, 2);
+        assert!(report.pipeline.overlapped_s <= report.pipeline.serial_s);
     }
 }

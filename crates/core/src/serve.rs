@@ -390,10 +390,11 @@ impl<'a> QgtcSession<'a> {
             None => {
                 self.stats.cache_misses += 1;
                 let (batcher, dataset, config) = (&self.batcher, self.dataset, self.config);
-                let (pool, scratch) = (&mut self.pool, &mut self.scratch);
+                let scratch = &mut self.scratch;
                 // The epoch's prepare, drawing every buffer from the session's
-                // pool (so a warm session prepares allocation-free).
-                supervise_prepare(self.injector.as_ref(), index, || {
+                // pool and recycling a rejected attempt into it (so a warm
+                // session prepares allocation-free under any plan).
+                supervise_prepare(self.injector.as_ref(), index, &mut self.pool, |pool| {
                     prepare_batch(batcher, dataset, config, index, pool, scratch)
                 })?
             }
@@ -730,25 +731,41 @@ mod tests {
     #[test]
     fn steady_state_serving_allocates_nothing_fresh_from_the_pool() {
         let dataset = tiny_dataset();
-        let config = tiny_config();
-        let mut session = QgtcSession::new(&dataset, &config).unwrap();
         let nodes = all_nodes(&dataset);
-        // Warm-up: populate the cache and size every pool buffer.
-        for _ in 0..2 {
-            let response = session.infer(&nodes).unwrap();
-            session.recycle_response(response);
+        // The cached session, and one that prepares every batch on every
+        // sweep with batch 0's first attempt rejected by its checksum.
+        let corrupt = FaultPlan::parse("prepare:corrupt:0:1").expect("valid");
+        for (options, config) in [
+            (ServeOptions::default(), tiny_config()),
+            (
+                ServeOptions::default().with_cache_capacity(0),
+                tiny_config().with_fault_plan(corrupt),
+            ),
+        ] {
+            let mut session = QgtcSession::with_options(&dataset, &config, options).unwrap();
+            // Warm-up: populate the cache and size every pool buffer.
+            for _ in 0..2 {
+                let response = session.infer(&nodes).unwrap();
+                session.recycle_response(response);
+            }
+            let warm = (
+                session.stats().pool.fresh_allocations,
+                session.pool.spare_buffers(),
+            );
+            for _ in 0..3 {
+                let response = session.infer(&nodes).unwrap();
+                session.recycle_response(response);
+            }
+            assert_eq!(
+                (
+                    session.stats().pool.fresh_allocations,
+                    session.pool.spare_buffers()
+                ),
+                warm,
+                "warm serving must run entirely on recycled buffers ({options:?})"
+            );
+            assert!(session.stats().pool.reuses > 0);
         }
-        let warm = session.stats().pool.fresh_allocations;
-        for _ in 0..3 {
-            let response = session.infer(&nodes).unwrap();
-            session.recycle_response(response);
-        }
-        assert_eq!(
-            session.stats().pool.fresh_allocations,
-            warm,
-            "warm serving must run entirely on recycled buffers"
-        );
-        assert!(session.stats().pool.reuses > 0);
     }
 
     #[test]

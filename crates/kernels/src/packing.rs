@@ -321,21 +321,23 @@ impl PreparedBatch {
 
     /// Tear the batch down into `pool`, recovering the packed plane words and
     /// the staging buffers for the next prepare.  This is the eviction path
-    /// of the serving layer's payload cache.
+    /// of the serving layer's payload cache and the prepare supervisor's path
+    /// for a rejected attempt.
     pub fn recycle_into(self, pool: &mut PackedBufferPool) {
         let payload_adjacency = self.payload.map(|payload| {
             pool.recycle_stack(payload.packed_features);
             payload.packed_adjacency
         });
         // The subgraph and payload share one plane (unless corruption forked
-        // it): whichever handle is dropped last hands the words back.
-        for plane in [Some(self.subgraph.adjacency), payload_adjacency]
+        // it): whichever handle is dropped last hands the words back.  A fork
+        // hands back the subgraph's plane alone, so the pool gets back one
+        // plane per plane it lent.
+        if let Some(stack) = [Some(self.subgraph.adjacency), payload_adjacency]
             .into_iter()
             .flatten()
+            .find_map(Arc::into_inner)
         {
-            if let Some(stack) = Arc::into_inner(plane) {
-                pool.recycle_stack(stack);
-            }
+            pool.recycle_stack(stack);
         }
         pool.put_floats(self.features.into_data());
         pool.put_indices(self.subgraph.nodes);
@@ -648,36 +650,47 @@ mod tests {
             11,
         );
         let graph = CsrGraph::from_coo(&coo);
-        let sub = DenseSubgraph::extract(&graph, &(0..40).collect::<Vec<_>>());
-        let features = sub.gather_features(&random_uniform_matrix(60, 16, -1.0, 1.0, 5));
-        let prepared = PreparedBatch::pack_quantized(0, sub, features, 3);
+        let nodes: Vec<usize> = (0..40).collect();
+        let global_features = random_uniform_matrix(60, 16, -1.0, 1.0, 5);
+        let pack = || {
+            let sub = DenseSubgraph::extract(&graph, &nodes);
+            let features = sub.gather_features(&global_features);
+            PreparedBatch::pack_quantized(0, sub, features, 3)
+        };
+        let prepared = pack();
         let payload = prepared.payload.as_ref().unwrap();
         assert!(Arc::ptr_eq(
             &prepared.subgraph.adjacency,
             &payload.packed_adjacency
         ));
 
+        // Recycling hands the shared plane back once: one adjacency plane,
+        // three feature planes, the feature and node-id buffers.
+        let recycled_buffers = |batch: PreparedBatch| {
+            let mut pool = crate::pool::PackedBufferPool::new();
+            batch.recycle_into(&mut pool);
+            pool.spare_buffers()
+        };
+
         // Corrupting the payload's adjacency forks it; the subgraph keeps the
         // clean plane.
         let clean = (*prepared.subgraph.adjacency).clone();
         let mut forked = 0;
         for seed in 0..32u64 {
-            let mut damaged = prepared.clone();
+            let mut damaged = pack();
             assert!(damaged.corrupt_payload(seed));
             let payload = damaged.payload.as_ref().unwrap();
             if !Arc::ptr_eq(&damaged.subgraph.adjacency, &payload.packed_adjacency) {
                 forked += 1;
                 assert_eq!(*damaged.subgraph.adjacency, clean);
                 assert_ne!(*payload.packed_adjacency, clean);
+                // A forked batch hands back one adjacency plane too, so
+                // recycling rejected batches cannot grow the pool.
+                assert_eq!(recycled_buffers(damaged), 1 + 3 + 1 + 1, "seed {seed}");
             }
         }
         assert!(forked > 0, "some seed must hit the adjacency");
-
-        // Recycling hands the shared plane back once: one adjacency plane,
-        // three feature planes, the feature and node-id buffers.
-        let mut pool = crate::pool::PackedBufferPool::new();
-        prepared.recycle_into(&mut pool);
-        assert_eq!(pool.spare_buffers(), 1 + 3 + 1 + 1);
+        assert_eq!(recycled_buffers(prepared), 1 + 3 + 1 + 1);
     }
 
     #[test]

@@ -310,6 +310,36 @@ fn known_plan_produces_exact_stats() {
     }
 }
 
+/// A corruption and a transient at prepare recover on GIN 4-bit and on the
+/// dense fp32 baseline, where the corruption finds no payload to damage and
+/// fails its attempt as a transient: both ways, every epoch records the clean
+/// epoch's work.
+#[test]
+fn prepare_faults_recover_bitwise_on_gin_and_the_dense_baseline() {
+    let plan = FaultPlan::parse("prepare:corrupt:1:1,prepare:transient:0:1").expect("valid");
+    for profile in DatasetProfile::all() {
+        let dataset = profile.materialize_tiny(31);
+        for (label, config) in [
+            ("GIN 4-bit", QgtcConfig::qgtc(ModelKind::BatchedGin, 4)),
+            ("DGL fp32", QgtcConfig::dgl_baseline(ModelKind::ClusterGcn)),
+        ] {
+            let config = config.with_partitions(12, 2);
+            let clean = run_epoch(&dataset, &config);
+            let case = format!("{} {label}", profile.name);
+            for report in both_ways(&dataset, &config.clone().with_fault_plan(plan.clone())) {
+                let report = report.unwrap_or_else(|err| panic!("{case}: must recover: {err}"));
+                assert!(report.fault_stats.injected > 0, "{case}: the plan fired");
+                assert_eq!(
+                    report.fault_stats.recovered, report.fault_stats.injected,
+                    "{case}: every fault recovered"
+                );
+                assert_eq!(report.cost, clean.cost, "{case}");
+                assert_eq!(report.batch_costs, clean.batch_costs, "{case}");
+            }
+        }
+    }
+}
+
 /// One transient fault at each site.
 const ONE_TRANSIENT_PER_SITE: [&str; 3] = [
     "partition:transient",

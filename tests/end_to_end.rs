@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full partition → batch → pack → kernel →
 //! model pipeline, exercised the way the evaluation binaries use it.
 
-use qgtc_repro::core::{run_epoch, try_build_plan, ModelKind, QgtcConfig};
+use qgtc_repro::core::{run_epoch, run_epoch_with_plan, try_build_plan, ModelKind, QgtcConfig};
 use qgtc_repro::gnn::models::QuantizationSetting;
 use qgtc_repro::gnn::{BatchedGinModel, ClusterGcnModel};
 use qgtc_repro::graph::{DatasetProfile, DenseSubgraph};
@@ -163,4 +163,31 @@ fn every_batch_node_appears_exactly_once_per_epoch() {
         seen.iter().all(|&c| c == 1),
         "every node must be processed exactly once"
     );
+}
+
+#[test]
+fn partitioning_is_excluded_from_epoch_wall_and_reported_separately() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(34);
+    let config = QgtcConfig::qgtc(ModelKind::ClusterGcn, 2).with_partitions(12, 2);
+    let report = run_epoch(&dataset, &config);
+    assert!(
+        report.partition_ms > 0.0,
+        "partitioning time must be reported"
+    );
+    assert!(report.host_wall_ms > 0.0);
+
+    // Over a plan built beforehand the epoch partitions nothing, reports no
+    // partitioning time, and does the same work.
+    let (plan, _shards) = try_build_plan(&dataset, &config).expect("plan");
+    let over_plan = run_epoch_with_plan(&dataset, &config, &plan);
+    assert_eq!(over_plan.partition_ms, 0.0);
+    assert!(over_plan.host_wall_ms > 0.0);
+    assert_eq!(over_plan.cost, report.cost, "epoch totals");
+    assert_eq!(over_plan.batch_costs, report.batch_costs, "batch costs");
+    assert_eq!(over_plan.batch_sparsity, report.batch_sparsity, "sparsity");
+    assert_eq!(over_plan.num_batches, report.num_batches);
+    assert_eq!(over_plan.num_nodes, report.num_nodes);
+    assert_eq!(over_plan.fault_stats, report.fault_stats);
+    assert_eq!(over_plan.modeled_ms, report.modeled_ms);
+    assert_eq!(over_plan.pipeline, report.pipeline);
 }

@@ -37,10 +37,11 @@
 #                          models' default path, bitwise, under
 #                          RAYON_NUM_THREADS in {1, 2, 8}
 #   chaos                  fault-injection chaos proptests (recoverable plans
-#                          recover bitwise, unrecoverable ones fail typed)
-#                          and the whole qgtc-core unit suite, under
-#                          RAYON_NUM_THREADS in {1, 2, 8}; FAST shrinks the
-#                          proptest case counts via QGTC_CI_FAST
+#                          recover bitwise, unrecoverable ones fail typed),
+#                          the whole qgtc-core unit suite and the end-to-end
+#                          epoch tests, under RAYON_NUM_THREADS in {1, 2, 8};
+#                          FAST shrinks the proptest case counts via
+#                          QGTC_CI_FAST
 #   condense               condensed-adjacency conformance proptests (condensed
 #                          == skip == serial oracle bitwise, kernel through
 #                          serving) under RAYON_NUM_THREADS in {1, 2, 8}, plus
@@ -187,19 +188,22 @@ transitions_stage() {
 }
 
 chaos_stage() {
-    # Fault determinism is keyed on (site, batch, attempt), never on thread
-    # identity — so the whole chaos suite must pass unchanged at every pool
-    # width, and so must qgtc-core's unit tests: the epoch loop, the serving
-    # session's fault tests and the fault and config tests all run through
-    # the one supervisor (the loop runs on the calling thread; only the GEMMs
-    # inside it use the pool). QGTC_CI_FAST (exported to the test process)
-    # shrinks the proptest case counts for quick iteration.
+    # The epoch loop runs one batch per pool worker and commits the batches'
+    # records in epoch order, so the pool width decides which batches run
+    # side by side and which one fails first.  Fault determinism is keyed on
+    # (site, batch, attempt), never on thread identity, and a failing epoch
+    # returns its lowest failing batch's error — so the whole chaos suite,
+    # qgtc-core's unit tests (the epoch loop, the serving session's fault
+    # tests, the fault and config tests) and the end-to-end epoch tests must
+    # pass unchanged at every pool width. QGTC_CI_FAST (exported to the test
+    # process) shrinks the proptest case counts for quick iteration.
     local threads
     for threads in 1 2 8; do
         echo "--- RAYON_NUM_THREADS=$threads"
         env RAYON_NUM_THREADS="$threads" QGTC_CI_FAST="$FAST" \
             cargo test --test chaos_pipeline -q
         env RAYON_NUM_THREADS="$threads" cargo test -p qgtc-core --lib -q
+        env RAYON_NUM_THREADS="$threads" cargo test --test end_to_end -q
     done
 }
 

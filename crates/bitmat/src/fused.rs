@@ -24,7 +24,9 @@
 //!   the word-granular form of §4.3's zero-tile jumping, free on dense
 //!   operands too.  It finishes blocks of [`BROADCAST_ROW_BLOCK`] rows: on
 //!   the persistent pool for GEMMs of at least [`BROADCAST_INLINE_ROWS`] rows,
-//!   one after another on the calling thread for smaller ones;
+//!   one after another on the calling thread for smaller ones and for any
+//!   GEMM called from inside a pool task (the epoch's batch steps), where
+//!   the pool runs the call inline;
 //! * **the legacy kernel** (every host; the portable body's only kernel)
 //!   vectorises along K instead: blocks of [`ROW_BLOCK`] rows per pool work
 //!   item, `u64` word pairs widened once per call (B) or once per row (A),
@@ -73,10 +75,13 @@ pub const BROADCAST_ROW_BLOCK: usize = 32;
 
 /// GEMMs with fewer output rows than this run the broadcast kernel inline on
 /// the calling thread: below it a pool dispatch costs more than the second
-/// core saves.  Serving's ~120-row batches therefore run inline and the epoch
-/// workloads' ~950-row batches on the pool.  Chosen from a measured sweep of
-/// the workloads' GEMM shapes from 128 to 950 rows (see the README's "The
-/// broadcast popcount kernel").
+/// core saves.  Serving's ~120-row batches therefore run inline, while the
+/// figure drivers, `bit_mm_to_int` and `qgtcbench`'s stage replay pool their
+/// larger GEMMs.  The epoch's ~950-row GEMMs run inside its batch steps,
+/// which are pool tasks, so the pool runs them inline on their batch's
+/// worker.  Chosen from a measured sweep of the workloads' GEMM shapes from
+/// 128 to 950 rows, made when each epoch GEMM was dispatched to the pool (see
+/// the README's "The broadcast popcount kernel").
 pub const BROADCAST_INLINE_ROWS: usize = 384;
 
 /// A maximal run of non-zero widened A words: `(first_word, word_count)`.

@@ -400,7 +400,8 @@ pub fn fallback_backend(lost: BackendChoice) -> Option<BackendChoice> {
 /// The typed error surface of the `try_*` pipeline entry points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QgtcError {
-    /// A [`crate::config::QgtcConfig`] invariant does not hold.
+    /// A [`crate::config::QgtcConfig`] invariant does not hold, or a batch
+    /// plan given to an epoch lists a node more than once.
     InvalidConfig(String),
     /// A fault spec string failed to parse ([`FaultPlan::parse`]).
     InvalidFaultSpec(String),
@@ -432,8 +433,10 @@ pub enum QgtcError {
         /// The batch at which the loss surfaced.
         batch: usize,
     },
-    /// A serving request named a node the session's partition plan does not
-    /// cover (out of range or unmapped).
+    /// A node id outside what its caller covers: a serving request's node
+    /// the session's partition plan does not map (out of range or
+    /// unmapped), or a node of a batch plan given to an epoch past the
+    /// dataset's last node.
     UnknownNode {
         /// The offending global node id.
         node: usize,
@@ -522,7 +525,7 @@ impl std::fmt::Display for QgtcError {
             ),
             QgtcError::UnknownNode { node } => write!(
                 f,
-                "node {node} is outside the serving session's partition plan"
+                "node {node} is outside the dataset or its partition plan"
             ),
             QgtcError::NonFiniteFeature { node, column } => write!(
                 f,

@@ -15,12 +15,18 @@
 //!    dense fp32 on the baseline path) and run the model's forward pass on the
 //!    configured execution path.
 //!
-//! Every entry point runs the same private batch loop on the calling thread.
-//! They differ only in where the plan comes from: [`run_epoch`] and
-//! [`try_run_epoch`] partition inline, [`run_epoch_with_plan`] and
-//! [`try_run_epoch_with_plan`] take a built one.  The `try_*` forms return a
+//! Every entry point runs the same private batch loop.  It maps the batch
+//! indices over the thread pool: each pool participant runs one batch at a
+//! time, prepare through forward, with every GEMM, quantize-pack and epilogue
+//! of that batch inline on its thread (the pool runs a parallel call made
+//! from inside a pool task inline).  The calling thread then commits the
+//! batches' records in epoch order; `RAYON_NUM_THREADS=1` runs the batches
+//! one after another.  The entry points differ only in where the plan comes
+//! from: [`run_epoch`] and [`try_run_epoch`] partition inline,
+//! [`run_epoch_with_plan`] and [`try_run_epoch_with_plan`] take a built one,
+//! which is first checked against the dataset.  The `try_*` forms return a
 //! typed error; the others panic with it.  The plan and each batch pass these
-//! supervised steps, the batches in epoch order:
+//! supervised steps:
 //!
 //! | Step | Fault sites | A fault within the budget | Fails with |
 //! |---|---|---|---|
@@ -31,10 +37,10 @@
 //!
 //! A batch step shares no state with the others: it runs on the backend its
 //! batch index and the fault plan give, records into a cost tracker of its
-//! own, and returns the batch's [`CostSnapshot`]; the epoch loop collects the
-//! per-batch records.  The serving session ([`crate::serve`]) runs its cache
-//! misses through the same `prepare_batch`, supervisors and execute step, and
-//! merges each batch's cost into one tracker.  Because prepare is pure and a
+//! own, and returns the batch's [`CostSnapshot`]; the epoch loop commits the
+//! per-batch records in epoch order.  The serving session ([`crate::serve`])
+//! runs its cache misses through the same `prepare_batch`, supervisors and
+//! execute step, and merges each batch's cost into one tracker.  Because prepare is pure and a
 //! batch's execution depends on nothing but its index and payload, a served
 //! full sweep records the epoch's [`CostSnapshot`]s exactly; [`run_epoch`] is
 //! the oracle it is checked against.
@@ -60,10 +66,13 @@
 //! identical to a fault-free one, and [`EpochReport::fault_stats`] is the same
 //! at any thread count. What cannot be absorbed surfaces as a typed
 //! [`QgtcError`] from the `try_*` entry points ([`try_run_epoch`],
-//! [`try_run_epoch_with_plan`], [`try_build_plan`]); the panicking entry points
+//! [`try_run_epoch_with_plan`], [`try_build_plan`]); when several batches
+//! fail, it is the lowest failing batch's.  The panicking entry points
 //! delegate to them.
 
 use std::time::Instant;
+
+use rayon::prelude::*;
 
 use qgtc_gnn::models::{BatchForwardOutput, GnnModel, QuantizationSetting, QuantizedWeightSet};
 use qgtc_gnn::{BatchedGinModel, ClusterGcnModel};
@@ -93,7 +102,9 @@ pub struct EpochReport {
     /// serially and with two staging buffers (double buffering).
     pub pipeline: PipelineEstimate,
     /// Host wall-clock spent simulating the epoch (prepare + execute), in
-    /// milliseconds. Partitioning is **excluded**, matching the paper's
+    /// milliseconds. The batches run side by side on the thread pool, so this
+    /// is less than the sum of their stages on more than one thread.
+    /// Partitioning is **excluded**, matching the paper's
     /// measurement, which treats partitioning as one-time preprocessing; it is
     /// reported separately in `partition_ms`.
     pub host_wall_ms: f64,
@@ -579,6 +590,7 @@ fn run_epoch_on(
         Some(batcher) => {
             // The plan stage validates the config; a given plan skips it.
             config.validate()?;
+            check_plan_nodes(dataset, batcher)?;
             (batcher, 0.0)
         }
         None => {
@@ -592,9 +604,37 @@ fn run_epoch_on(
     Ok(report)
 }
 
-/// The one batch loop: every batch runs supervised prepare, supervised
-/// dispatch and [`execute_batch`], in epoch order on the calling thread, and
-/// the loop collects each executed batch's cost, sparsity and node count.
+/// A given plan's node ids, checked against `dataset` in one pass: the first
+/// id past the dataset is [`QgtcError::UnknownNode`], the first id the plan
+/// lists a second time is [`QgtcError::InvalidConfig`] naming it.
+fn check_plan_nodes(dataset: &LoadedDataset, batcher: &PartitionBatcher) -> Result<(), QgtcError> {
+    let num_nodes = dataset.graph.num_nodes();
+    let mut seen = vec![0u64; num_nodes.div_ceil(64)];
+    for batch in batcher.batches() {
+        for &node in batch.partitions.iter().flatten() {
+            if node >= num_nodes {
+                return Err(QgtcError::UnknownNode { node });
+            }
+            let (word, bit) = (node / 64, 1u64 << (node % 64));
+            if seen[word] & bit != 0 {
+                return Err(QgtcError::InvalidConfig(format!(
+                    "the batch plan lists node {node} more than once"
+                )));
+            }
+            seen[word] |= bit;
+        }
+    }
+    Ok(())
+}
+
+/// The one batch loop.  The batches run on the pool, one per participant at
+/// a time; each step runs supervised prepare (from a buffer pool and node-map
+/// scratch of its own), supervised dispatch, [`execute_batch`] and the
+/// adjacency census for its batch.  A dispatch made inside a pool task runs
+/// inline, so each batch's GEMMs, quantize-packs and epilogues stay on its
+/// step's thread.  The calling thread then commits the steps' records in
+/// epoch order and returns the error of the lowest failing batch, if any, so
+/// the report and the error are the same at any thread count.
 fn run_batches(
     dataset: &LoadedDataset,
     config: &QgtcConfig,
@@ -603,30 +643,39 @@ fn run_batches(
 ) -> Result<EpochReport, QgtcError> {
     let epoch_start = Instant::now();
     let ctx = EpochContext::new(dataset, config);
-    let mut scratch = SubgraphScratch::default();
+    let steps: Vec<_> = (0..batcher.num_batches())
+        .into_par_iter()
+        .map(|index| -> Result<_, QgtcError> {
+            let mut scratch = SubgraphScratch::default();
+            let prepared =
+                supervise_prepare(injector, index, &mut PackedBufferPool::new(), |pool| {
+                    prepare_batch(batcher, dataset, config, index, pool, &mut scratch)
+                })?;
+            let backend = supervise_dispatch(config, injector, index)?;
+            let record = execute_batch(&ctx, &prepared, backend)?.map(|(_, cost)| {
+                // Host-side sparsity measurement (all-zero on the dense
+                // baseline path).
+                let sparsity = prepared
+                    .payload
+                    .as_ref()
+                    .map(|payload| adjacency_sparsity_stats(&payload.packed_adjacency))
+                    .unwrap_or_default();
+                (cost, sparsity, prepared.num_nodes())
+            });
+            Ok((backend, record))
+        })
+        .collect();
     let mut backend = config.kernel.backend;
     let mut batch_costs = Vec::new();
     let mut batch_sparsity = Vec::new();
     let mut num_nodes = 0;
-    for index in 0..batcher.num_batches() {
-        // Epoch batches are dropped once executed, so each batch draws from a
-        // pool of its own; the loop reuses only its node-map scratch.
-        let prepared = supervise_prepare(injector, index, &mut PackedBufferPool::new(), |pool| {
-            prepare_batch(batcher, dataset, config, index, pool, &mut scratch)
-        })?;
-        backend = supervise_dispatch(config, injector, index)?;
-        if let Some((_, cost)) = execute_batch(&ctx, &prepared, backend)? {
+    for step in steps {
+        let (step_backend, record) = step?;
+        backend = step_backend;
+        if let Some((cost, sparsity, nodes)) = record {
             batch_costs.push(cost);
-            // Host-side sparsity measurement, aligned with `batch_costs`
-            // (all-zero on the dense baseline path).
-            batch_sparsity.push(
-                prepared
-                    .payload
-                    .as_ref()
-                    .map(|payload| adjacency_sparsity_stats(&payload.packed_adjacency))
-                    .unwrap_or_default(),
-            );
-            num_nodes += prepared.num_nodes();
+            batch_sparsity.push(sparsity);
+            num_nodes += nodes;
         }
     }
 
@@ -658,17 +707,18 @@ fn run_batches(
     })
 }
 
-/// Run one inference epoch of `dataset` under `config`, strictly serially.
+/// Run one inference epoch of `dataset` under `config`.
 ///
-/// This is the oracle path: batches are prepared and executed one at a time on the
-/// calling thread, and the transfer/compute overlap of the paper's batched
-/// dataflow is modeled from the recorded per-batch counters
-/// ([`EpochReport::pipeline`]).
+/// The batches run on the thread pool, one per worker at a time, and their
+/// records are committed in epoch order, so the report is the same at any
+/// thread count; a served full sweep is checked against it.  The
+/// transfer/compute overlap of the paper's batched dataflow is modeled from
+/// the recorded per-batch counters ([`EpochReport::pipeline`]).
 pub fn run_epoch(dataset: &LoadedDataset, config: &QgtcConfig) -> EpochReport {
     try_run_epoch(dataset, config).unwrap_or_else(|err| panic!("run_epoch: {err}"))
 }
 
-/// Fallible form of [`run_epoch`]: the serial epoch under the fault supervisor.
+/// Fallible form of [`run_epoch`]: the epoch under the fault supervisor.
 /// Unrecoverable faults — and the invalid-argument conditions that used to panic
 /// deep inside the pipeline — surface as a typed [`QgtcError`].
 pub fn try_run_epoch(
@@ -678,7 +728,7 @@ pub fn try_run_epoch(
     run_epoch_on(dataset, config, None)
 }
 
-/// Run one serial inference epoch over an already-built batch plan.
+/// Run one inference epoch over an already-built batch plan.
 ///
 /// For callers that partitioned the graph themselves (or amortise one
 /// partitioning across several epochs — the serving layer's construction
@@ -692,9 +742,11 @@ pub fn run_epoch_with_plan(
         .unwrap_or_else(|err| panic!("run_epoch_with_plan: {err}"))
 }
 
-/// Fallible form of [`run_epoch_with_plan`].  Features no batch can be
-/// calibrated over are the same typed error [`try_build_plan`] returns,
-/// surfaced by the first batch that holds one.
+/// Fallible form of [`run_epoch_with_plan`].  The plan is checked against
+/// the dataset before any batch runs: a node id past the dataset is
+/// [`QgtcError::UnknownNode`], a node listed twice [`QgtcError::InvalidConfig`].
+/// Features no batch can be calibrated over are the same typed error
+/// [`try_build_plan`] returns, surfaced by the lowest batch that holds one.
 pub fn try_run_epoch_with_plan(
     dataset: &LoadedDataset,
     config: &QgtcConfig,

@@ -16,6 +16,12 @@
 //! and idle workers steal remaining items from the other runs' cursors, so an
 //! uneven job cannot strand the pool.
 //!
+//! A parallel call made from inside a pool task runs all its items inline on
+//! that task's thread, in order; the real crate would let idle workers steal
+//! them.  The pool has a single job slot, so this keeps an outer job (the
+//! epoch's batches) from being displaced by the calls nested in its tasks
+//! (each batch's GEMMs).
+//!
 //! Swap this shim for the real crate by deleting the `rayon` entry in the
 //! workspace `[workspace.dependencies]` table and adding a registry version.
 

@@ -20,11 +20,23 @@
 //! The dispatching thread blocks until every item has completed, which is what
 //! makes the type-erased borrow of the caller's closure sound: no worker can
 //! reach the task pointer again once the completion count hits the total.
+//!
+//! A dispatch made from inside a pool task runs all of its items inline on
+//! that task's thread.  The pool has one job slot: a nested job published
+//! there would replace the outer one, and a worker that woke after it would
+//! never join the outer job.  Running nested work inline keeps every
+//! participant on the outer job, at one task per thread.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+thread_local! {
+    /// Whether this thread is running a pool task right now.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Number of pool participants (spawned workers + the calling thread):
 /// `RAYON_NUM_THREADS` when set (the real crate's env var), else one per
@@ -78,8 +90,12 @@ struct Job {
 }
 
 impl Job {
-    /// Drain runs starting at `start_run` (own run first, then steal cyclically).
+    /// Drain runs starting at `start_run` (own run first, then steal
+    /// cyclically), with [`IN_TASK`] set.  Only a thread outside any task
+    /// calls this, and every task panic is caught here, so clearing the flag
+    /// afterwards restores it.
     fn execute(&self, start_run: usize) {
+        IN_TASK.set(true);
         let num_runs = self.runs.len();
         for offset in 0..num_runs {
             let run = &self.runs[(start_run + offset) % num_runs];
@@ -98,6 +114,7 @@ impl Job {
                 }
             }
         }
+        IN_TASK.set(false);
     }
 }
 
@@ -151,12 +168,13 @@ impl Pool {
     /// Run `task(i)` for every `i in 0..total`, distributing the indices over the
     /// pool.  Blocks until every index has completed; the first panic from
     /// `task` is re-raised on the calling thread, with its own payload, after
-    /// the job drains.
+    /// the job drains.  Called from inside a pool task, it runs every index
+    /// inline on the calling thread, in order (see the module docs).
     pub(crate) fn dispatch(&self, total: usize, task: &(dyn Fn(usize) + Sync)) {
         if total == 0 {
             return;
         }
-        if self.workers == 1 || total == 1 {
+        if self.workers == 1 || total == 1 || IN_TASK.get() {
             for index in 0..total {
                 task(index);
             }
@@ -253,6 +271,8 @@ fn worker_loop(shared: &Shared, index: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn runs_are_dealt_ascending_and_contiguous() {
@@ -317,6 +337,72 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    #[test]
+    fn a_dispatch_from_inside_a_task_runs_inline_on_the_task_thread() {
+        let pool = Pool::with_workers(2);
+        // The outer tasks meet, so they run on two threads.  They meet again
+        // once task 1's nested job is done, so task 0 dispatches while the
+        // other thread is free to take a share of a job the pool published.
+        let meet = Barrier::new(2);
+        let outer: Vec<Mutex<Option<ThreadId>>> = (0..2).map(|_| Mutex::default()).collect();
+        let nested: Vec<Mutex<Vec<ThreadId>>> = (0..2).map(|_| Mutex::default()).collect();
+        pool.dispatch(2, &|i| {
+            meet.wait();
+            *outer[i].lock().unwrap() = Some(thread::current().id());
+            if i == 0 {
+                meet.wait();
+            }
+            pool.dispatch(64, &|_| {
+                nested[i].lock().unwrap().push(thread::current().id());
+                thread::yield_now();
+            });
+            if i == 1 {
+                meet.wait();
+            }
+        });
+        let outer: Vec<ThreadId> = outer
+            .into_iter()
+            .map(|id| id.into_inner().unwrap().expect("every outer task ran"))
+            .collect();
+        assert_ne!(outer[0], outer[1]);
+        for (i, ran) in nested.into_iter().enumerate() {
+            let ran = ran.into_inner().unwrap();
+            assert_eq!(ran.len(), 64, "outer task {i}");
+            assert!(
+                ran.iter().all(|&id| id == outer[i]),
+                "outer task {i}'s nested items left its thread"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nested_panic_reaches_the_outer_caller_and_the_pool_serves_again() {
+        let pool = Pool::with_workers(2);
+        let meet = Barrier::new(2);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.dispatch(2, &|_| {
+                meet.wait();
+                pool.dispatch(4, &|j| {
+                    if j == 2 {
+                        panic!("nested boom");
+                    }
+                });
+            })
+        }))
+        .expect_err("the nested panic reaches the outer caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"nested boom"));
+        // The unwinding task restored the flag, so this thread's next
+        // dispatch is top-level again and both threads take a task.
+        assert!(!IN_TASK.get());
+        let ran = Mutex::new(Vec::new());
+        pool.dispatch(2, &|_| {
+            meet.wait();
+            ran.lock().unwrap().push(thread::current().id());
+        });
+        let ran = ran.into_inner().unwrap();
+        assert_ne!(ran[0], ran[1]);
     }
 
     #[test]

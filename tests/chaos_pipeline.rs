@@ -22,11 +22,13 @@ use proptest::prelude::*;
 use qgtc_repro::bitmat::fused::PopcountBody;
 use qgtc_repro::core::serve::QgtcSession;
 use qgtc_repro::core::{
-    run_epoch, try_build_plan, try_run_epoch, try_run_epoch_with_plan, BackendChoice, EpochReport,
-    FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, ModelKind, QgtcConfig, QgtcError,
+    run_epoch, run_epoch_with_plan, try_build_plan, try_run_epoch, try_run_epoch_with_plan,
+    BackendChoice, EpochReport, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, ModelKind,
+    QgtcConfig, QgtcError,
 };
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
 use qgtc_repro::kernels::backend::resolve_auto;
+use qgtc_repro::partition::PartitionBatcher;
 
 /// The batch-level fault sites.
 const SITES: [FaultSite; 2] = [FaultSite::Prepare, FaultSite::Dispatch];
@@ -110,28 +112,32 @@ proptest! {
         prop_assert_eq!(inline.fault_stats.retried, inline.fault_stats.recovered);
     }
 
-    // A fault outliving the retry budget surfaces as a typed error both ways.
+    // Faults outliving the retry budget surface as a typed error both ways:
+    // with two of them, at two sites, the lower batch's.  The tiny plan has 6
+    // batches, so at 2 threads the two land on different workers and the
+    // higher one can fail first.
     #[test]
     fn exhausted_retry_budgets_fail_typed_on_both_executors(
         profile_idx in 0usize..6,
         site_idx in 0usize..2,
         kind_idx in 0usize..2,
+        lower in 1usize..3,
+        higher in 3usize..6,
     ) {
         let (name, dataset) = profile_dataset(profile_idx);
         let kind = if kind_idx == 0 { FaultKind::Transient } else { FaultKind::Corruption };
         let site = SITES[site_idx];
-        let spec = FaultSpec {
-            site,
-            kind,
-            batch: 0,
-            // Past the retry budget of 3: attempts 0..=3 all fail.
-            attempts: 3 + 2,
-        };
-        let faulty = tiny_config().with_fault_plan(FaultPlan::new(vec![spec]));
+        // Past the retry budget of 3: attempts 0..=3 all fail.
+        let exhausted = |site, batch| FaultSpec { site, kind, batch, attempts: 3 + 2 };
+        let plan = FaultPlan::new(vec![
+            exhausted(site, lower),
+            exhausted(SITES[1 - site_idx], higher),
+        ]);
+        let faulty = tiny_config().with_fault_plan(plan);
         for result in both_ways(&dataset, &faulty) {
             match result {
                 Err(QgtcError::BatchFailed { batch, site: failed_at, attempts, .. }) => {
-                    prop_assert_eq!(batch, 0);
+                    prop_assert_eq!(batch, lower);
                     prop_assert_eq!(failed_at, site);
                     // The budget is 1 + 3 attempts.
                     prop_assert_eq!(attempts, 4);
@@ -526,6 +532,47 @@ fn overflowing_dataset() -> LoadedDataset {
     dataset.features.data_mut().fill(1.7e38);
     dataset.features[(0, 0)] = 0.0;
     dataset
+}
+
+/// A given plan is checked against the dataset before any batch runs: a node
+/// id past the dataset is `UnknownNode`, a node listed twice (in one batch or
+/// in two) is `InvalidConfig` naming it, and `run_epoch_with_plan` panics
+/// with that error.
+#[test]
+fn a_given_plan_naming_a_node_past_the_dataset_or_twice_is_a_typed_error() {
+    let dataset = DatasetProfile::PROTEINS.materialize_tiny(31);
+    let config = tiny_config();
+    let (plan, _) = try_build_plan(&dataset, &config).expect("valid config");
+    let partitions: Vec<Vec<usize>> = plan.batches().flat_map(|batch| batch.partitions).collect();
+    let num_nodes = dataset.graph.num_nodes();
+    let with = |part: usize, node: usize| {
+        let mut partitions = partitions.clone();
+        partitions[part].push(node);
+        PartitionBatcher::from_partitions(partitions, config.batch_size)
+    };
+    let first = partitions[0][0];
+    for (bad, node, past_the_dataset) in [
+        (with(3, num_nodes + 5), num_nodes + 5, true),
+        (with(0, first), first, false),
+        (with(5, first), first, false),
+    ] {
+        let err = try_run_epoch_with_plan(&dataset, &config, &bad).expect_err("a bad plan fails");
+        if past_the_dataset {
+            assert_eq!(err, QgtcError::UnknownNode { node });
+        } else {
+            let names_the_node =
+                matches!(&err, QgtcError::InvalidConfig(m) if m.contains(&format!("node {node} ")));
+            assert!(names_the_node, "{err}");
+        }
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_epoch_with_plan(&dataset, &config, &bad)
+        }))
+        .expect_err("the panicking entry point panics");
+        assert_eq!(
+            panic.downcast_ref::<String>(),
+            Some(&format!("run_epoch_with_plan: {err}"))
+        );
+    }
 }
 
 #[test]

@@ -13,13 +13,27 @@ use qgtc_repro::gnn::models::QuantizationSetting;
 use qgtc_repro::gnn::{BatchedGinModel, ClusterGcnModel, GnnModel};
 use qgtc_repro::graph::{DatasetProfile, LoadedDataset};
 use qgtc_repro::kernels::packing::PreparedBatch;
-use qgtc_repro::tcsim::cost::CostTracker;
+use qgtc_repro::kernels::zero_tile::{adjacency_sparsity_stats, AdjacencySparsityStats};
+use qgtc_repro::tcsim::cost::{CostSnapshot, CostTracker};
 
-/// Recompute every batch's logits through the public one-shot APIs — the same
-/// plan, model seed, and quantized weights a session builds, but with none of
-/// the serving machinery (no pool, no cache, no coalescing). Returns, per
-/// global node, the oracle logit row (empty for nodes outside the plan).
-fn oracle_rows(dataset: &LoadedDataset, config: &QgtcConfig) -> Vec<Vec<f32>> {
+/// What the serial one-shot oracle computes for one epoch.
+struct Oracle {
+    /// Per global node, its logit row (empty for nodes outside the plan).
+    rows: Vec<Vec<f32>>,
+    /// Per batch in plan order, the cost a fresh tracker records for its
+    /// transfer and forward pass.
+    batch_costs: Vec<CostSnapshot>,
+    /// Per batch in plan order, the census of its packed adjacency.
+    batch_sparsity: Vec<AdjacencySparsityStats>,
+    /// Nodes over every batch.
+    num_nodes: usize,
+}
+
+/// Recompute every batch through the public one-shot APIs, one after another
+/// — the same plan, model seed, and quantized weights a session builds, but
+/// with none of the serving machinery (no pool, no cache, no coalescing) and
+/// no pool-wide batch loop.
+fn serial_oracle(dataset: &LoadedDataset, config: &QgtcConfig) -> Oracle {
     let (batcher, _shards) = try_build_plan(dataset, config).expect("plan builds");
     let num_classes = dataset.profile.num_classes.max(2);
     let model = match config.model {
@@ -39,8 +53,12 @@ fn oracle_rows(dataset: &LoadedDataset, config: &QgtcConfig) -> Vec<Vec<f32>> {
         QuantizationSetting::Quantized { bits } => Some(model.prepare_weights(bits)),
         _ => None,
     };
-    let tracker = CostTracker::new();
-    let mut rows = vec![Vec::new(); dataset.graph.num_nodes()];
+    let mut oracle = Oracle {
+        rows: vec![Vec::new(); dataset.graph.num_nodes()],
+        batch_costs: Vec::new(),
+        batch_sparsity: Vec::new(),
+        num_nodes: 0,
+    };
     for batch in batcher.batches() {
         let nodes: Vec<usize> = batch.partitions.iter().flatten().copied().collect();
         let subgraph = batch.to_dense_block_diagonal(&dataset.graph);
@@ -51,6 +69,8 @@ fn oracle_rows(dataset: &LoadedDataset, config: &QgtcConfig) -> Vec<Vec<f32>> {
             features,
             config.bits.min(8),
         );
+        let tracker = CostTracker::new();
+        prepared.record_transfer(&tracker);
         let output = model.forward_prepared_quantized(
             &prepared,
             setting,
@@ -59,10 +79,16 @@ fn oracle_rows(dataset: &LoadedDataset, config: &QgtcConfig) -> Vec<Vec<f32>> {
             &tracker,
         );
         for (row, &node) in nodes.iter().enumerate() {
-            rows[node] = output.logits.row(row).to_vec();
+            oracle.rows[node] = output.logits.row(row).to_vec();
         }
+        oracle.batch_costs.push(tracker.snapshot());
+        let payload = prepared.payload.as_ref().expect("a packed batch");
+        oracle
+            .batch_sparsity
+            .push(adjacency_sparsity_stats(&payload.packed_adjacency));
+        oracle.num_nodes += nodes.len();
     }
-    rows
+    oracle
 }
 
 fn profile_config(index: usize) -> QgtcConfig {
@@ -82,7 +108,7 @@ fn served_logits_match_the_epoch_oracle_bitwise_on_every_profile() {
     for (index, profile) in DatasetProfile::all().iter().enumerate() {
         let dataset = profile.materialize_tiny(23);
         let config = profile_config(index);
-        let oracle = oracle_rows(&dataset, &config);
+        let oracle = serial_oracle(&dataset, &config).rows;
 
         let mut session = QgtcSession::new(&dataset, &config).expect("session builds");
         let nodes: Vec<usize> = (0..dataset.graph.num_nodes()).collect();
@@ -100,6 +126,27 @@ fn served_logits_match_the_epoch_oracle_bitwise_on_every_profile() {
                 profile.name
             );
         }
+    }
+}
+
+/// The epoch runs its batches on the pool but commits their records in plan
+/// order: per profile, `run_epoch`'s `batch_costs`, `batch_sparsity` and
+/// `num_nodes` equal the serial oracle's, batch for batch.  The `serving`
+/// stage of `ci.sh` runs this at several pool widths.
+#[test]
+fn epoch_batch_records_match_the_serial_oracle_in_plan_order_on_every_profile() {
+    for (index, profile) in DatasetProfile::all().iter().enumerate() {
+        let dataset = profile.materialize_tiny(23);
+        let config = profile_config(index);
+        let oracle = serial_oracle(&dataset, &config);
+        let report = run_epoch(&dataset, &config);
+        assert_eq!(report.batch_costs, oracle.batch_costs, "{}", profile.name);
+        assert_eq!(
+            report.batch_sparsity, oracle.batch_sparsity,
+            "{}",
+            profile.name
+        );
+        assert_eq!(report.num_nodes, oracle.num_nodes, "{}", profile.name);
     }
 }
 
